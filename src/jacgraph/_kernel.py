@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 
 from . import _kernel_py
+from .errors import EmptyGraphError, GuardLimitError
 
 if os.environ.get("JACGRAPH_PURE") == "1":  # pragma: no cover - env dependent
     _speedups = None
@@ -31,6 +32,16 @@ FAST_BOUND = 1 << 60
 
 # subset scans touch 2**n masks; refuse beyond this many vertices
 SUBSET_SCAN_LIMIT = 20
+
+
+def scan_guard(n: int, what: str):
+    """Refuse a subset scan over no vertices or over too many."""
+    if n == 0:
+        raise EmptyGraphError(f"{what} needs at least one vertex")
+    if n > SUBSET_SCAN_LIMIT:
+        raise GuardLimitError(
+            f"subset scan over {n} vertices exceeds the limit of {SUBSET_SCAN_LIMIT}"
+        )
 
 
 def select(value_bound: int):

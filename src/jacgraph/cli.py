@@ -79,7 +79,7 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
             data = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise ProblemFileError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemFileError("problem file must be a JSON object")
@@ -106,9 +106,14 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
         names.append(name)
         genus[name] = gv
 
+    raw_edges = data.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise ProblemFileError("'edges' must be a list")
     edges = []
-    explicit = {e.get("id") for e in data.get("edges", []) if isinstance(e, dict)}
-    for k, entry in enumerate(data.get("edges", [])):
+    explicit = {
+        e.get("id") for e in raw_edges if isinstance(e, dict) and isinstance(e.get("id"), str)
+    }
+    for k, entry in enumerate(raw_edges):
         if not isinstance(entry, dict) or "endpoints" not in entry:
             raise ProblemFileError(f"cannot interpret edge entry {entry!r}")
         ends = entry["endpoints"]
@@ -116,7 +121,7 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
             raise ProblemFileError(f"edge {k} needs exactly two endpoints")
         u, v = ends
         for w in (u, v):
-            if w not in genus:
+            if not isinstance(w, str) or w not in genus:
                 raise ProblemFileError(f"edge {k} endpoint {w!r} is not a vertex")
         eid = entry.get("id")
         if eid is None:
@@ -156,7 +161,7 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
     basepoint = basepoint_flag or data.get("basepoint")
     if basepoint is None and names:
         basepoint = names[0]
-    if basepoint is not None and basepoint not in genus:
+    if basepoint is not None and not (isinstance(basepoint, str) and basepoint in genus):
         raise ProblemFileError(f"basepoint {basepoint!r} is not a vertex")
 
     if stratum_flag is not None:
@@ -166,7 +171,7 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
         if not isinstance(raw_stratum, list):
             raise ProblemFileError("'stratum' must be a list of edge ids")
     known = {e[0] for e in edges}
-    bad = [eid for eid in raw_stratum if eid not in known]
+    bad = [eid for eid in raw_stratum if not isinstance(eid, str) or eid not in known]
     if bad:
         raise ProblemFileError(f"stratum names unknown edges {bad!r}")
     stratum = frozenset(raw_stratum)
@@ -296,6 +301,8 @@ def cmd_check_pol(problem: Problem, args) -> dict:
 
 def cmd_strata(problem: Problem, args) -> dict:
     q = _require_polarization(problem)
+    if args.max_codim is not None and args.max_codim < 0:
+        raise ProblemFileError(f"--max-codim must be nonnegative, got {args.max_codim}")
     report = strata_report(
         problem.graph,
         problem.basepoint,
@@ -432,9 +439,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_multidegree(argv: list) -> list:
+    """``--multidegree -3,4`` as ``--multidegree=-3,4``: argparse would
+    take the leading minus of the value for the start of a flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--multidegree" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_multidegree(argv))
     try:
         stratum_flag = None
         if getattr(args, "stratum", None) is not None:

@@ -24,6 +24,31 @@ from .errors import (
 Vertex = Hashable
 
 
+def _adjacency_masks(n: int, pairs) -> list[int]:
+    """Neighbour bitmask of each vertex index; loop pairs are skipped."""
+    adj = [0] * n
+    for a, b in pairs:
+        if a != b:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
+def _mask_pieces(mask: int, adj: list[int]):
+    """Connected pieces of the vertex bitmask ``mask`` under the neighbour
+    masks ``adj``, as bitmasks, ordered by their lowest vertex."""
+    while mask:
+        piece = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = adj[low.bit_length() - 1] & mask & ~piece
+            piece |= grown
+            frontier |= grown
+        yield piece
+        mask ^= piece
+
+
 class Edge(NamedTuple):
     id: Hashable
     u: Vertex

@@ -104,13 +104,20 @@ def laplacian_matrix(g: Multigraph) -> list[list[int]]:
     """Matrix of d -> Laplacian(d) in the vertex basis: off-diagonal entries
     are edge multiplicities, the diagonal is minus the vertex valence.
     Loops do not appear."""
-    n = g.num_vertices
+    pos = g._vpos
+    return _laplacian(g.num_vertices, [(pos[e.u], pos[e.v]) for e in g.edges])
+
+
+def _laplacian(n: int, pairs) -> list[list[int]]:
+    """``laplacian_matrix`` of the multigraph on vertices 0..n-1 with the
+    given endpoint index pairs."""
     m = [[0] * n for _ in range(n)]
-    for i, u in enumerate(g.vertices):
-        for j, v in enumerate(g.vertices):
-            if i != j:
-                m[i][j] = g.adjacency(u, v)
-        m[i][i] = -sum(m[i][j] for j in range(n) if j != i)
+    for a, b in pairs:
+        if a != b:
+            m[a][b] += 1
+            m[b][a] += 1
+            m[a][a] -= 1
+            m[b][b] -= 1
     return m
 
 
@@ -303,6 +310,13 @@ def complexity(g: Multigraph) -> int:
     lap = laplacian_matrix(g)
     reduced = [[-lap[i][j] for j in range(1, n)] for i in range(1, n)]
     return det_bareiss(reduced)
+
+
+def _tree_count(n: int, pairs) -> int:
+    """``complexity`` of the multigraph on vertices 0..n-1 with the given
+    endpoint index pairs."""
+    lap = _laplacian(n, pairs)
+    return det_bareiss([[-x for x in row[1:]] for row in lap[1:]])
 
 
 def picard_group(g: Multigraph) -> PicardGroup:

@@ -14,19 +14,19 @@ predicates used downstream:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
-from ._kernel import SUBSET_SCAN_LIMIT
+from ._kernel import scan_guard
 from .errors import (
     CanonicalPolarizationError,
     EmptyGraphError,
     GraphConstructionError,
-    GuardLimitError,
     InvalidSubsetError,
     NonIntegralRestrictionError,
     PolarizationTotalError,
 )
-from .graph import Multigraph, Vertex
+from .graph import Multigraph, Vertex, _adjacency_masks, _mask_pieces
 
 
 def _to_fraction(x) -> Fraction:
@@ -140,13 +140,8 @@ class Polarization:
     def blown_up(self, S: Iterable) -> "Polarization":
         """Transfer to the subdivision of the edges of S: old vertices keep
         their values, the new middle vertices get zero."""
-        g = self.graph
-        S = g.edge_subset(S)
-        gsub, middle = g.subdivide_edges(S)
-        vals = {v: self[v] for v in g.vertices}
-        for x in middle.values():
-            vals[x] = Fraction(0)
-        return Polarization(gsub, vals)
+        gsub, middle = self.graph.subdivide_edges(S)  # new vertices come last
+        return Polarization(gsub, self.values + (Fraction(0),) * len(middle))
 
     def contracted(self) -> "Polarization":
         """Transfer to the bridge contraction; merged vertices add values."""
@@ -159,6 +154,34 @@ class Polarization:
 
     # -- classification --------------------------------------------------
 
+    def _scaled(self):
+        """``(scale, [scale * q_v])`` with scale twice the lcm of the denominators."""
+        scale = 2 * lcm(*(x.denominator for x in self.values))
+        return scale, [x.numerator * (scale // x.denominator) for x in self.values]
+
+    def _integrality(self):
+        """``(scale, residues, test)``: ``scale * (q_P - val(P)/2)`` is, mod
+        scale, the sum over P of the residues ``scale * q_v - scale/2 *
+        deg(v)``, and ``test(mask)`` checks that sum on every connected
+        piece of the mask and of its complement."""
+        g = self.graph
+        scale, resid = self._scaled()
+        pairs = [(g._vpos[e.u], g._vpos[e.v]) for e in g.edges if not e.is_loop]
+        for a, b in pairs:
+            resid[a] -= scale // 2
+            resid[b] -= scale // 2
+        resid = [r % scale for r in resid]
+        adj, full = _adjacency_masks(len(resid), pairs), (1 << len(resid)) - 1
+
+        def test(mask: int) -> bool:
+            return all(
+                sum(r for i, r in enumerate(resid) if piece >> i & 1) % scale == 0
+                for side in (mask, full ^ mask)
+                for piece in _mask_pieces(side, adj)
+            )
+
+        return scale, resid, test
+
     def is_integral_at(self, W: Iterable[Vertex]) -> bool:
         """Whether every connected piece of W and of its complement has an
         integer adjusted total (subset total minus half its valence)."""
@@ -166,29 +189,29 @@ class Polarization:
         W = g.vertex_subset(W)
         if not W or len(W) == g.num_vertices:
             raise InvalidSubsetError("integrality is tested on proper nonempty subsets")
-        for side in (W, g.complement(W)):
-            for piece in g.induced_subgraph(side).components():
-                adjusted = self.sum_over(piece) - Fraction(g.valence(piece), 2)
-                if adjusted.denominator != 1:
-                    return False
-        return True
+        return self._integrality()[2](sum(1 << g._vpos[v] for v in W))
 
-    def _proper_subsets(self):
+    def _integral_masks(self):
+        """Integral proper subsets as ``(mask, is_spine)``, in bitmask order.
+        Residue sums grow one top bit at a time, so the scan pays only up to
+        where the caller stops; a mask whose sum is not 0 mod scale is never
+        integral, as its pieces partition it."""
         g = self.graph
         n = g.num_vertices
-        if n < 1:
-            raise EmptyGraphError("classification needs at least one vertex")
-        if n > SUBSET_SCAN_LIMIT:
-            raise GuardLimitError(
-                f"subset scan over {n} vertices exceeds the limit of {SUBSET_SCAN_LIMIT}"
-            )
-        verts = g.vertices
-        for mask in range(1, (1 << n) - 1):
-            yield frozenset(verts[i] for i in range(n) if mask >> i & 1)
+        scan_guard(n, "classification")
+        scale, resid, test = self._integrality()
+        br = g.bridges()
+        kept = [(g._vpos[e.u], g._vpos[e.v]) for e in g.edges if e.id not in br]
+        sums = [0]  # residue sums mod scale, indexed by mask
+        for k in range(n):
+            sums += [(s + resid[k]) % scale for s in sums]
+            for mask in range(1 << k, min(2 << k, (1 << n) - 1)):
+                if not sums[mask] and test(mask):  # spine: no non-bridge edge crosses
+                    yield mask, not any((mask >> a ^ mask >> b) & 1 for a, b in kept)
 
     def is_general(self) -> bool:
         """True when no proper nonempty subset is integral for q."""
-        return all(not self.is_integral_at(W) for W in self._proper_subsets())
+        return next(self._integral_masks(), None) is None
 
     def is_nondegenerate(self) -> bool:
         """True when no integral proper subset crosses a non-bridge edge.
@@ -196,13 +219,7 @@ class Polarization:
         Subsets whose crossing edges are all bridges (spines) are allowed
         to be integral; everything else must not be.
         """
-        g = self.graph
-        for W in self._proper_subsets():
-            if g.is_spine(W):
-                continue
-            if self.is_integral_at(W):
-                return False
-        return True
+        return all(spine for _, spine in self._integral_masks())
 
     def integral_witness(self):
         """A proper integral subset, preferring one that is not a spine.
@@ -210,17 +227,16 @@ class Polarization:
         Returns (subset, is_spine) or None when the polarization is
         general.  Deterministic: subsets are scanned in bitmask order.
         """
-        g = self.graph
-        spine_hit = None
-        for W in self._proper_subsets():
-            if self.is_integral_at(W):
-                if not g.is_spine(W):
-                    return W, False
-                if spine_hit is None:
-                    spine_hit = W
-        if spine_hit is not None:
-            return spine_hit, True
-        return None
+        hit = None
+        for mask, spine in self._integral_masks():
+            if hit is None or not spine:
+                hit = mask, spine
+            if not spine:
+                break
+        if hit is None:
+            return None
+        verts = self.graph.vertices
+        return frozenset(v for i, v in enumerate(verts) if hit[0] >> i & 1), hit[1]
 
 
 def canonical_polarization(g: Multigraph, degree: int) -> Polarization:

@@ -25,21 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
 from typing import Iterable
 
 from . import _kernel
-from ._kernel import SUBSET_SCAN_LIMIT
 from .errors import (
     DegreeBudgetError,
     DisconnectedGraphError,
-    EmptyGraphError,
     GraphMismatchError,
-    GuardLimitError,
     ReductionGuardError,
 )
-from .graph import Multigraph, Vertex
-from .lattice import Cochain
+from .graph import Multigraph, Vertex, _adjacency_masks
+from .lattice import Cochain, laplacian_matrix
 from .polarization import Polarization
 
 KINDS = ("semistable", "quasistable", "stable")
@@ -75,6 +71,103 @@ class ReduceReport:
     steps: int
 
 
+class _ScaledStratum:
+    """The integer data of a stratum context: endpoint index pairs, their
+    stratum flags, stratum loops per vertex, q scaled by an even ``scale``
+    clearing its denominators, the basepoint index and the degree budget.
+    The strata sweep builds one per stratum without any graph object."""
+
+    def __init__(self, pairs, s_flags, s_loops, scaled_q, scale, v0, budget):
+        self.pairs, self.s_flags, self.s_loops = pairs, s_flags, s_loops
+        self.scaled_q, self.scale, self.v0, self.budget = scaled_q, scale, v0, budget
+        self._tables_cache: dict = {}
+
+    def rhs_bound(self) -> int:
+        return sum(abs(x) for x in self.scaled_q) + 2 * self.scale * len(self.pairs) + 4
+
+    def tables(self, impl, order: tuple):
+        """Kernel tables with vertex ``order[k]`` at index k, cached."""
+        key = (impl.__name__, order)
+        if key not in self._tables_cache:
+            inv = _inverse(order)
+            self._tables_cache[key] = impl.build_tables(
+                len(order),
+                [(inv[a], inv[b]) for a, b in self.pairs],
+                self.s_flags,
+                [self.scaled_q[old] for old in order],
+                self.scale,
+            )
+        return self._tables_cache[key]
+
+    def singleton_box(self) -> tuple[list[int], list[int]]:
+        """Bounds from the one-vertex subsets and their complements:
+        ``ceil(q_v - val(v)/2) - S-loops(v)`` up to
+        ``floor(q_v + val(v)/2) - S-crossings(v) - S-loops(v)``."""
+        n = len(self.scaled_q)
+        val = [0] * n
+        s_cross = [0] * n
+        for (a, b), flag in zip(self.pairs, self.s_flags):
+            if a != b:
+                val[a] += 1
+                val[b] += 1
+                if flag:
+                    s_cross[a] += 1
+                    s_cross[b] += 1
+        half, scale, loops = self.scale // 2, self.scale, self.s_loops
+        lo = [-((half * val[i] - x) // scale) - loops[i] for i, x in enumerate(self.scaled_q)]
+        hi = [
+            (x + half * val[i]) // scale - s_cross[i] - loops[i]
+            for i, x in enumerate(self.scaled_q)
+        ]
+        return lo, hi
+
+    def enumerate(self, mode, order) -> list[tuple]:
+        """Value tuples of every multidegree of the kernel mode, sorted;
+        the box search runs with the vertices in ``order``."""
+        lo, hi = self.singleton_box()
+        if any(a > b for a, b in zip(lo, hi)):
+            return []
+        bound = (
+            self.rhs_bound()
+            + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)
+        )
+        impl = _kernel.select(bound)
+        inv = _inverse(order)
+        raw = impl.box_enumerate(
+            self.tables(impl, order),
+            inv[self.v0],
+            self.budget,
+            [lo[old] for old in order],
+            [hi[old] for old in order],
+            mode,
+        )
+        return sorted(tuple(row[i] for i in inv) for row in raw)
+
+
+def _inverse(order) -> list[int]:
+    inv = [0] * len(order)
+    for new, old in enumerate(order):
+        inv[old] = new
+    return inv
+
+
+def _bfs_order(n: int, pairs, v0: int) -> tuple:
+    """Vertex indices ordered by breadth-first search from v0, each level
+    by index, unreached vertices last; contiguous prefixes then tend to be
+    connected, which makes the per-prefix bounds prune early."""
+    adj = _adjacency_masks(n, pairs)
+    order, level, seen = [], [v0], 1 << v0
+    while level:
+        order += level
+        reached = 0
+        for i in level:
+            reached |= adj[i]
+        reached &= ~seen
+        seen |= reached
+        level = [j for j in range(n) if reached >> j & 1]
+    return tuple(order + [i for i in range(n) if not seen >> i & 1])
+
+
 class StratumContext:
     """Ambient data for multidegree stability questions."""
 
@@ -94,24 +187,20 @@ class StratumContext:
         self.stratum = graph.edge_subset(stratum)
         self.budget = q.total - len(self.stratum)
 
-        n = graph.num_vertices
-        # even scale clearing every denominator, so scale * q_W and
-        # scale * val(W)/2 are integers
-        self.scale = 2 * lcm(*(x.denominator for x in q.values)) if n else 2
-        self._scaled_q = [int(x * self.scale) for x in q.values]
         pos = graph._vpos
-        self._edge_pairs = [(pos[e.u], pos[e.v]) for e in graph.edges]
-        self._s_flags = [e.id in self.stratum for e in graph.edges]
-        self._s_loops = [
-            sum(
-                1
-                for e in graph.edges
-                if e.id in self.stratum and e.is_loop and e.u == v
-            )
-            for v in graph.vertices
-        ]
-        self._v0 = pos[basepoint]
-        self._tables_cache: dict = {}
+        self.scale, scaled_q = q._scaled()
+        self._ints = _ScaledStratum(
+            [(pos[e.u], pos[e.v]) for e in graph.edges],
+            [e.id in self.stratum for e in graph.edges],
+            [
+                sum(1 for e in graph.edges if e.id in self.stratum and e.is_loop and e.u == v)
+                for v in graph.vertices
+            ],
+            scaled_q,
+            self.scale,
+            pos[basepoint],
+            self.budget,
+        )
         self._deleted = None
         self._del_rows = None
 
@@ -125,13 +214,7 @@ class StratumContext:
         return self._deleted
 
     def _scan_guard(self):
-        n = self.graph.num_vertices
-        if n == 0:
-            raise EmptyGraphError("stability needs at least one vertex")
-        if n > SUBSET_SCAN_LIMIT:
-            raise GuardLimitError(
-                f"subset scan over {n} vertices exceeds the limit of {SUBSET_SCAN_LIMIT}"
-            )
+        _kernel.scan_guard(self.graph.num_vertices, "stability")
 
     def _check_cochain(self, d: Cochain):
         if d.graph != self.graph:
@@ -144,45 +227,17 @@ class StratumContext:
             )
 
     def _rhs_bound(self) -> int:
-        return (
-            sum(abs(x) for x in self._scaled_q)
-            + 2 * self.scale * self.graph.num_edges
-            + 4
-        )
+        return self._ints.rhs_bound()
 
-    def _tables(self, impl, order=None):
-        key = (impl.__name__, order)
-        tab = self._tables_cache.get(key)
-        if tab is None:
-            n = self.graph.num_vertices
-            if order is None:
-                edges = self._edge_pairs
-                sq = self._scaled_q
-            else:
-                inv = [0] * n
-                for new, old in enumerate(order):
-                    inv[old] = new
-                edges = [(inv[a], inv[b]) for a, b in self._edge_pairs]
-                sq = [self._scaled_q[old] for old in order]
-            tab = impl.build_tables(n, edges, self._s_flags, sq, self.scale)
-            self._tables_cache[key] = tab
-        return tab
-
-    def _mask_to_set(self, mask: int, order=None) -> frozenset:
+    def _mask_to_set(self, mask: int) -> frozenset:
         verts = self.graph.vertices
-        if order is None:
-            return frozenset(
-                verts[i] for i in range(len(verts)) if mask >> i & 1
-            )
-        return frozenset(
-            verts[order[i]] for i in range(len(verts)) if mask >> i & 1
-        )
+        return frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
 
     def _defect_scan(self, vals):
         bound = self._rhs_bound() + self.scale * (sum(abs(x) for x in vals) + 1)
         impl = _kernel.select(bound)
-        tables = self._tables(impl)
-        return impl.defect_scan(tables, vals, self._v0)
+        tables = self._ints.tables(impl, tuple(range(len(vals))))
+        return impl.defect_scan(tables, vals, self._ints.v0)
 
     # -- pointwise defect functionals ------------------------------------
 
@@ -269,18 +324,7 @@ class StratumContext:
     def _delta_rows(self):
         """Rows of the Laplacian of the stratum-deleted graph."""
         if self._del_rows is None:
-            g = self.deleted_graph
-            n = g.num_vertices
-            rows = [[0] * n for _ in range(n)]
-            for i, u in enumerate(g.vertices):
-                deg = 0
-                for j, v in enumerate(g.vertices):
-                    if i != j:
-                        mult = g.adjacency(u, v)
-                        rows[i][j] = mult
-                        deg += mult
-                rows[i][i] = -deg
-            self._del_rows = rows
+            self._del_rows = laplacian_matrix(self.deleted_graph)
         return self._del_rows
 
     def _apply_delta(self, vals, mask, multiplier):
@@ -376,46 +420,10 @@ class StratumContext:
 
     # -- enumeration -----------------------------------------------------
 
-    def _bfs_order(self):
-        """Vertex indices ordered by breadth-first search from the
-        basepoint; contiguous prefixes then tend to be connected, which
-        makes the per-prefix bounds prune early."""
-        g = self.graph
-        n = g.num_vertices
-        pos = g._vpos
-        seen = [False] * n
-        order = []
-        queue = [self._v0]
-        seen[self._v0] = True
-        while queue:
-            nxt = []
-            for i in queue:
-                order.append(i)
-                u = g.vertices[i]
-                for w in g._adj[u]:
-                    j = pos[w]
-                    if not seen[j]:
-                        seen[j] = True
-                        nxt.append(j)
-            queue = sorted(nxt)
-        for i in range(n):
-            if not seen[i]:
-                order.append(i)
-        return tuple(order)
-
     def singleton_box(self) -> tuple[list[int], list[int]]:
         """Componentwise bounds satisfied by every semistable multidegree,
         derived from the one-vertex subsets and their complements."""
-        g = self.graph
-        lo, hi = [], []
-        for v in g.vertices:
-            val_v = g.valence({v})
-            s_cross = g.valence_in(self.stratum, {v})
-            s_loops = self._s_loops[g._vpos[v]]
-            qv = self.q[v]
-            lo.append(ceil(qv - Fraction(val_v, 2) - s_loops))
-            hi.append(floor(qv + Fraction(val_v, 2) - s_cross - s_loops))
-        return lo, hi
+        return self._ints.singleton_box()
 
     def enumerate(self, kind: str = "quasistable") -> list[Cochain]:
         """All multidegrees of the requested kind, sorted by their value
@@ -423,31 +431,8 @@ class StratumContext:
         if kind not in _MODE:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         self._scan_guard()
-        g = self.graph
-        n = g.num_vertices
-        lo, hi = self.singleton_box()
-        if any(a > b for a, b in zip(lo, hi)):
-            return []
-        order = self._bfs_order()
-        bound = (
-            self._rhs_bound()
-            + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)
-        )
-        impl = _kernel.select(bound)
-        tables = self._tables(impl, order)
-        inv = [0] * n
-        for new, old in enumerate(order):
-            inv[old] = new
-        raw = impl.box_enumerate(
-            tables,
-            inv[self._v0],
-            self.budget,
-            [lo[old] for old in order],
-            [hi[old] for old in order],
-            _MODE[kind],
-        )
-        tuples = sorted(tuple(row[inv[i]] for i in range(n)) for row in raw)
-        return [Cochain(g, t) for t in tuples]
+        order = _bfs_order(self.graph.num_vertices, self._ints.pairs, self._ints.v0)
+        return [Cochain(self.graph, t) for t in self._ints.enumerate(_MODE[kind], order)]
 
 
 def semistable_equality_witness(g: Multigraph, q: Polarization):

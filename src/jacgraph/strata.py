@@ -13,17 +13,54 @@ bucketing by the -1 positions recovers the strata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
+from . import _kernel
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
-from .graph import Multigraph, Vertex
-from .lattice import Cochain, complexity
+from .graph import Multigraph, Vertex, _adjacency_masks, _mask_pieces
+from .lattice import Cochain, _tree_count, complexity
 from .polarization import Polarization
-from .quasistable import StratumContext
+from .quasistable import StratumContext, _bfs_order, _ScaledStratum
 
 EDGE_GUARD_DEFAULT = 16
+
+
+def _stratum_sweep(g: Multigraph, basepoint: Vertex, q: Polarization):
+    """``f(chosen)``: the sorted quasistable value tuples of the stratum of
+    edge indices ``chosen``, from integer data computed once per graph.
+    Loops never matter: the scan runs on the graph without loops, with
+    the non-loop part of the stratum deleted, on the total-degree budget
+    ``total(q) - |non-loop part|``."""
+    g._check_vertex(basepoint)
+    _kernel.scan_guard(g.num_vertices, "stability")
+    pos = g._vpos
+    core = [i for i, e in enumerate(g.edges) if not e.is_loop]
+    pairs = [(pos[g.edges[i].u], pos[g.edges[i].v]) for i in core]
+    scale, scaled_q = q._scaled()
+    v0, total, zeros = pos[basepoint], q.total, [0] * g.num_vertices
+    order = _bfs_order(g.num_vertices, pairs, v0)
+
+    def multidegrees(chosen) -> list[tuple]:
+        s_flags = [i in chosen for i in core]
+        ints = _ScaledStratum(pairs, s_flags, zeros, scaled_q, scale, v0, total - sum(s_flags))
+        return ints.enumerate(_kernel.MODE_QUASISTABLE, order)
+
+    return multidegrees
+
+
+def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> list[tuple]:
+    """Endpoint index pairs of g, after the checks both whole-graph sweeps
+    make: the polarization's graph, the basepoint and the edge guard."""
+    if q.graph != g:
+        raise GraphMismatchError("polarization bound to a different graph")
+    g._check_vertex(basepoint)
+    if g.num_edges > guard_edges:
+        raise GuardLimitError(
+            f"{action} the guard of {guard_edges} "
+            "(JACGRAPH_GUARD_EDGES overrides it on the command line)"
+        )
+    return [(g._vpos[e.u], g._vpos[e.v]) for e in g.edges]
 
 
 def stratum_multidegrees(
@@ -32,21 +69,13 @@ def stratum_multidegrees(
     basepoint: Vertex,
     q: Polarization,
 ) -> list[Cochain]:
-    """Quasistable multidegrees of one stratum, in enumeration coordinates.
-
-    Loops never matter here: the scan runs on the graph without loops,
-    with the non-loop part of the stratum deleted, on the total-degree
-    budget ``total(q) - |non-loop part|``.  The returned cochains are
-    bound to the original graph (same vertex listing).
-    """
+    """Quasistable multidegrees of one stratum, in enumeration coordinates,
+    bound to g (see ``_stratum_sweep`` for the loop-free scan)."""
     if q.graph != g:
         raise GraphMismatchError("polarization bound to a different graph")
     S = g.edge_subset(stratum)
-    core = g.remove_loops()
-    s_core = frozenset(eid for eid in S if not g.edge(eid).is_loop)
-    q_core = Polarization(core, dict(zip(g.vertices, q.values)))
-    ctx = StratumContext(core, q_core, basepoint, s_core)
-    return [d.rebind(g) for d in ctx.enumerate("quasistable")]
+    sweep = _stratum_sweep(g, basepoint, q)
+    return [Cochain(g, t) for t in sweep({i for i, e in enumerate(g.edges) if e.id in S})]
 
 
 @dataclass(frozen=True)
@@ -84,60 +113,46 @@ def strata_report(
     report: the immediate covers of the stratum in the closure order
     (larger stratum = deeper in the closure).
     """
-    if q.graph != g:
-        raise GraphMismatchError("polarization bound to a different graph")
-    g._check_vertex(basepoint)
+    if max_codim is not None and max_codim < 0:
+        raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
     m = g.num_edges
-    if m > guard_edges:
-        raise GuardLimitError(
-            f"strata over {m} edges exceed the guard of {guard_edges} "
-            "(JACGRAPH_GUARD_EDGES overrides it on the command line)"
-        )
+    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"strata over {m} edges exceed")
     ids = g.edge_ids()
-    loop_ids = frozenset(e.id for e in g.edges if e.is_loop)
     depth = m if max_codim is None else min(max_codim, m)
+    sweep = _stratum_sweep(g, basepoint, q)
+    n, full = g.num_vertices, (1 << g.num_vertices) - 1
 
     rows = []
     for size in range(depth + 1):
         for combo in combinations(range(m), size):
-            S = tuple(ids[i] for i in combo)
-            gdel = g.delete_edges(S)
-            mds = stratum_multidegrees(g, S, basepoint, q)
-            s_loops = [
-                sum(1 for eid in S if eid in loop_ids and g.edge(eid).u == v)
-                for v in g.vertices
-            ]
-            norm = tuple(
-                tuple(d.values[i] - s_loops[i] for i in range(g.num_vertices))
-                for d in mds
-            )
-            children = []
-            if size < depth:
-                chosen = set(combo)
-                for j in range(m):
-                    if j not in chosen:
-                        bigger = tuple(sorted(chosen | {j}))
-                        children.append(tuple(ids[i] for i in bigger))
+            kept = [p for i, p in enumerate(pairs) if i not in combo]
+            tuples = sweep(combo)
+            s_loops = [sum(pairs[i] == (v, v) for i in combo) for v in range(n)]
+            grow = range(m) if size < depth else ()
+            covers = [sorted(combo + (j,)) for j in grow if j not in combo]
             rows.append(
                 StratumRow(
-                    stratum=S,
+                    stratum=tuple(ids[i] for i in combo),
                     codimension=size,
-                    connected=gdel.is_connected(),
-                    expected_count=complexity(gdel),
-                    multidegrees=tuple(mds),
-                    normalization_multidegrees=norm,
-                    closure_children=tuple(children),
+                    connected=next(_mask_pieces(full, _adjacency_masks(n, kept))) == full,
+                    expected_count=_tree_count(n, kept),
+                    multidegrees=tuple(Cochain(g, t) for t in tuples),
+                    normalization_multidegrees=tuple(
+                        tuple(x - k for x, k in zip(t, s_loops)) for t in tuples
+                    ),
+                    closure_children=tuple(tuple(ids[i] for i in c) for c in covers),
                 )
             )
 
-    subdivided, _ = g.subdivide_edges(ids)
+    # the subdivision puts vertex n + k in the middle of edge k
+    halves = [p for k, (a, b) in enumerate(pairs) for p in ((a, n + k), (n + k, b))]
     return StrataReport(
         graph=g,
         basepoint=basepoint,
         rows=tuple(rows),
         complete=depth == m,
         total_multidegrees=sum(len(r.multidegrees) for r in rows),
-        subdivided_complexity=complexity(subdivided),
+        subdivided_complexity=_tree_count(n + m, halves),
     )
 
 
@@ -223,55 +238,37 @@ def blowup_decomposition(
     stratum count of S, and the grand total is the spanning-tree count of
     the subdivision.
     """
-    if q.graph != g:
-        raise GraphMismatchError("polarization bound to a different graph")
-    g._check_vertex(basepoint)
     m = g.num_edges
-    if m > guard_edges:
-        raise GuardLimitError(
-            f"subdividing {m} edges exceeds the guard of {guard_edges} "
-            "(JACGRAPH_GUARD_EDGES overrides it on the command line)"
-        )
+    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
     ids = g.edge_ids()
-    sub, middle = g.subdivide_edges(ids)
-    vals = {v: q[v] for v in g.vertices}
-    for x in middle.values():
-        vals[x] = Fraction(0)
-    ctx = StratumContext(sub, Polarization(sub, vals), basepoint)
-    found = ctx.enumerate("quasistable")
+    n = g.num_vertices
+    q_sub = q.blown_up(ids)
+    sub = q_sub.graph  # the middle vertex of edge k is vertex n + k
+    found = StratumContext(sub, q_sub, basepoint).enumerate("quasistable")
 
-    grouped: dict[frozenset, list[Cochain]] = {}
+    grouped: dict[tuple, list[Cochain]] = {}
     for d in found:
-        neg = []
-        for eid in ids:
-            value = d[middle[eid]]
+        for eid, value in zip(ids, d.values[n:]):
             if value not in (-1, 0):
-                raise BlowupValueError(
-                    f"exceptional vertex for edge {eid!r} carries {value}"
-                )
-            if value == -1:
-                neg.append(eid)
-        grouped.setdefault(frozenset(neg), []).append(d)
+                raise BlowupValueError(f"exceptional vertex for edge {eid!r} carries {value}")
+        neg = tuple(k for k, value in enumerate(d.values[n:]) if value == -1)
+        grouped.setdefault(neg, []).append(d)
 
-    buckets = []
-    for size in range(m + 1):
-        for combo in combinations(range(m), size):
-            S = tuple(ids[i] for i in combo)
-            members = grouped.get(frozenset(S), [])
-            buckets.append(
-                BlowupBucket(
-                    stratum=S,
-                    count=len(members),
-                    expected_count=complexity(g.delete_edges(S)),
-                    multidegrees=tuple(members),
-                )
-            )
-
+    buckets = [
+        BlowupBucket(
+            stratum=tuple(ids[i] for i in combo),
+            count=len(grouped.get(combo, ())),
+            expected_count=_tree_count(n, [p for i, p in enumerate(pairs) if i not in combo]),
+            multidegrees=tuple(grouped.get(combo, ())),
+        )
+        for size in range(m + 1)
+        for combo in combinations(range(m), size)
+    ]
     return BlowupDecomposition(
         graph=g,
         subdivided_graph=sub,
         basepoint=basepoint,
-        exceptional_vertices=tuple((eid, middle[eid]) for eid in ids),
+        exceptional_vertices=tuple(zip(ids, sub.vertices[n:])),
         total=len(found),
         expected_total=complexity(sub),
         buckets=tuple(buckets),

@@ -157,3 +157,58 @@ def in_laplacian_image(g, b_values) -> bool:
     # the dropped equation must also hold
     check = sum(lap[n - 1][j] * xs[j] for j in range(m))
     return check == b_values[n - 1]
+
+
+def adjusted_total(g, q, W) -> Fraction:
+    """Subset total of q minus half the crossing valence."""
+    return sum((q[v] for v in W), Fraction(0)) - Fraction(crossing_count(g, W), 2)
+
+
+def is_bridge(g, eid) -> bool:
+    """Whether deleting the edge raises the number of components."""
+    return len(g.delete_edges([eid]).components()) > len(g.components())
+
+
+def is_integral_at(g, q, W) -> bool:
+    """Every connected piece of W and of its complement, taken from the
+    induced subgraphs, has an integer adjusted total."""
+    W = frozenset(W)
+    for side in (W, g.complement(W)):
+        for piece in g.induced_subgraph(side).components():
+            if adjusted_total(g, q, piece).denominator != 1:
+                return False
+    return True
+
+
+def is_spine(g, W) -> bool:
+    """Every non-loop edge crossing W is a bridge (checked by deletion)."""
+    W = frozenset(W)
+    return all(
+        is_bridge(g, e.id)
+        for e in g.edges
+        if e.u != e.v and (e.u in W) != (e.v in W)
+    )
+
+
+def classification(g, q):
+    """``(general, nondegenerate, witness)`` from a subset-by-subset scan.
+
+    Proper nonempty subsets are built as frozensets in bitmask order
+    (bit i is the i-th vertex).  The witness is the first integral
+    non-spine subset, else the first integral spine, as
+    ``(subset, is_spine)``; None when no subset is integral.
+    """
+    names = list(g.vertices)
+    n = len(names)
+    general = True
+    spine_hit = None
+    for mask in range(1, (1 << n) - 1):
+        W = frozenset(names[i] for i in range(n) if mask >> i & 1)
+        if not is_integral_at(g, q, W):
+            continue
+        general = False
+        if not is_spine(g, W):
+            return False, False, (W, False)
+        if spine_hit is None:
+            spine_hit = W
+    return general, True, (None if spine_hit is None else (spine_hit, True))

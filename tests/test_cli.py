@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacgraph.cli import main
 
@@ -105,6 +112,14 @@ class TestReduce:
         rc, _, _ = run(capsys, ["reduce", problem(BANANA), "--multidegree", "a,b"])
         assert rc == 2
 
+    def test_negative_leading_multidegree(self, problem, capsys):
+        path = problem(BANANA)
+        for argv in (["--multidegree", "-1,2"], ["--multidegree=-1,2"]):
+            rc, payload, _ = run(capsys, ["reduce", path, *argv])
+            assert rc == 0
+            assert payload["input"] == [-1, 2]
+            assert payload["output"] == [1, 0]
+
     def test_disconnected_stratum_is_domain_error(self, problem, capsys):
         rc, _, err = run(
             capsys,
@@ -161,6 +176,12 @@ class TestStrata:
         assert rc == 0
         assert payload["complete"] is False
         assert len(payload["rows"]) == 3
+
+    def test_negative_max_codim_rejected(self, problem, capsys):
+        rc, payload, err = run(capsys, ["strata", problem(BANANA), "--max-codim", "-1"])
+        assert rc == 2
+        assert payload is None
+        assert "--max-codim" in err
 
     def test_guard_env(self, problem, capsys, monkeypatch):
         monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "1")
@@ -259,3 +280,129 @@ class TestProblemFileValidation:
         rc, _, err = run(capsys, ["complexity", problem(data)])
         assert rc == 2
         assert "genus" in err
+
+    def test_list_basepoint_rejected(self, problem, capsys):
+        rc, _, err = run(capsys, ["enum", problem(dict(BANANA, basepoint=["u"]))])
+        assert rc == 2
+        assert "basepoint" in err
+
+    def test_list_stratum_entry_rejected(self, problem, capsys):
+        rc, _, err = run(capsys, ["enum", problem(dict(BANANA, stratum=[["a"]]))])
+        assert rc == 2
+        assert "stratum" in err
+
+    def test_list_endpoint_rejected(self, problem, capsys):
+        data = {"vertices": ["a"], "edges": [{"endpoints": [["a"], "a"]}]}
+        rc, _, err = run(capsys, ["complexity", problem(data)])
+        assert rc == 2
+        assert "endpoint" in err
+
+    def test_list_edge_id_rejected(self, problem, capsys):
+        data = {"vertices": ["a"], "edges": [{"id": ["x"], "endpoints": ["a", "a"]}]}
+        rc, _, _ = run(capsys, ["complexity", problem(data)])
+        assert rc == 2
+
+    def test_edges_must_be_a_list(self, problem, capsys):
+        rc, _, err = run(capsys, ["complexity", problem({"vertices": ["a"], "edges": 3})])
+        assert rc == 2
+        assert "edges" in err
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{")
+        rc, _, err = run(capsys, ["complexity", str(path)])
+        assert rc == 2
+        assert "invalid JSON" in err
+
+
+# -- fuzzed problem files ------------------------------------------------------
+
+NAMES = ["a", "b", "c", "d", "e", "f"]
+JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.floats(-2, 2, width=16),
+        st.sampled_from(["a", "e0", "x", "", "1/2", "-1/3", "1/0", "p/q"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["name", "id", "endpoints", "genus", "a"]), inner, max_size=3
+        ),
+    ),
+    max_leaves=5,
+)
+RATIONAL_VALUES = [0, 1, -1, 2, "1/2", "-1/2", "1/3", "2/3", "3/4"]
+
+
+def _sometimes_junk(strategy):
+    """The strategy, or about one time in ten junk of any JSON type."""
+    return st.sampled_from([strategy] * 9 + [JUNK]).flatmap(lambda s: s)
+
+
+@st.composite
+def problem_files(draw):
+    """Mostly well-formed problem files on at most six vertices and four
+    edges, with junk of any JSON type swapped in for some fields."""
+    names = draw(st.lists(st.sampled_from(NAMES), max_size=6, unique=True))
+    name = st.sampled_from(names) if names else st.just("a")
+    vertices = [
+        draw(_sometimes_junk(st.one_of(st.just(v), st.just({"name": v, "genus": 1}))))
+        for v in names
+    ]
+    edges = []
+    for k in range(draw(st.integers(0, 4))):
+        edge = {"endpoints": draw(_sometimes_junk(st.lists(name, min_size=2, max_size=2)))}
+        if draw(st.booleans()):
+            edge["id"] = draw(_sometimes_junk(st.sampled_from(["x", "y", f"e{k}"])))
+        edges.append(draw(_sometimes_junk(st.just(edge))))
+    data = {"vertices": draw(_sometimes_junk(st.just(vertices))), "edges": edges}
+    if draw(st.integers(0, 4)):
+        pol = {v: draw(_sometimes_junk(st.sampled_from(RATIONAL_VALUES))) for v in names}
+        values = [Fraction(x) for x in pol.values() if x in RATIONAL_VALUES]
+        if names and len(values) == len(names) and draw(st.booleans()):
+            # round the total off to an integer through the last vertex
+            last = Fraction(pol[names[-1]]) - sum(values) % 1
+            pol[names[-1]] = f"{last.numerator}/{last.denominator}"
+        data["polarization"] = draw(_sometimes_junk(st.just(pol)))
+    if draw(st.booleans()):
+        data["basepoint"] = draw(_sometimes_junk(name))
+    if draw(st.booleans()):
+        ids = [
+            e.get("id", f"e{k}") if isinstance(e, dict) else "e0" for k, e in enumerate(edges)
+        ]
+        stratum = st.lists(st.sampled_from(ids), max_size=2) if ids else st.just([])
+        data["stratum"] = draw(_sometimes_junk(stratum))
+    return draw(_sometimes_junk(st.just(data)))
+
+
+COMMANDS = st.one_of(
+    st.just(["complexity"]),
+    st.sampled_from(["ss", "qs", "stable"]).map(lambda k: ["enum", "--kind", k]),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(
+        lambda ds: ["reduce", "--multidegree", ",".join(map(str, ds))]
+    ),
+    st.just(["check-pol"]),
+    st.sampled_from(["0", "1", "-1"]).map(lambda c: ["strata", "--max-codim", c]),
+    st.just(["strata"]),
+    st.just(["blowup-check"]),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(data=problem_files(), command=COMMANDS)
+def test_fuzzed_problem_files_exit_cleanly(data, command):
+    """Any problem file gives a report (0), a usage error (2) or a domain
+    error (3); never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command[0], path, *command[1:]])
+    assert rc in (0, 2, 3), err.getvalue()
+    if rc == 0:
+        json.loads(out.getvalue())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from jacgraph import (
     PolarizationTotalError,
     canonical_polarization,
 )
+
+import oracles
 
 HALF = Fraction(1, 2)
 
@@ -147,6 +150,79 @@ class TestClassification:
         q = Polarization(g, [1] + [0] * 20)
         with pytest.raises(GuardLimitError):
             q.is_general()
+
+
+def _connected_edges(rng, names, extra):
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, len(names))]
+    return edges + [tuple(rng.sample(names, 2)) for _ in range(extra)]
+
+
+def _family_graph(rng, family):
+    """Bridged: two random blocks joined by a bridge, plus a pendant vertex.
+    Looped and parallel: a random connected graph with loops or with
+    repeated edges added."""
+    if family == "bridged":
+        a = [f"a{i}" for i in range(rng.randint(2, 4))]
+        b = [f"b{i}" for i in range(rng.randint(2, 3))]
+        edges = _connected_edges(rng, a, 2) + _connected_edges(rng, b, 2)
+        edges += [(rng.choice(a), rng.choice(b)), (rng.choice(b), "p")]
+        return Multigraph(a + b + ["p"], edges)
+    names = [f"v{i}" for i in range(rng.randint(2, 7))]
+    edges = _connected_edges(rng, names, rng.randint(0, 3))
+    if family == "looped":
+        edges += [(v, v) for v in rng.sample(names, rng.randint(1, 2))]
+    else:
+        edges += [rng.choice(edges) for _ in range(rng.randint(1, 3))]
+    return Multigraph(names, edges)
+
+
+def _family_polarization(rng, g, kind):
+    """Integer, half-integral or generic (denominator 77) values with an
+    integer total; "spine" makes a generic one integral on every block
+    left after deleting the bridges, so that only spines can be integral."""
+    den = {"integer": 1, "half": 2}.get(kind, 77)
+    vals = {v: Fraction(rng.randint(-2 * den, 2 * den), den) for v in g.vertices}
+    if kind == "spine":
+        bridges = [e.id for e in g.edges if oracles.is_bridge(g, e.id)]
+        for block in g.delete_edges(bridges).components():
+            last = max(block, key=g.vertices.index)
+            vals[last] -= oracles.adjusted_total(g, vals, block) % 1
+    else:
+        vals[g.vertices[-1]] -= sum(vals.values()) % 1
+    return Polarization(g, vals)
+
+
+class TestClassificationOracle:
+    """The bitmask scan against the subset-by-subset scan of the oracles."""
+
+    def test_corpus(self, corpus_cases):
+        for case in corpus_cases:
+            q = case.q
+            got = (q.is_general(), q.is_nondegenerate(), q.integral_witness())
+            assert got == oracles.classification(case.graph, q), case.index
+
+    def test_integral_at_corpus(self, corpus_cases):
+        for case in corpus_cases[:60]:
+            names = case.graph.vertices
+            for mask in range(1, (1 << len(names)) - 1):
+                W = {v for i, v in enumerate(names) if mask >> i & 1}
+                want = oracles.is_integral_at(case.graph, case.q, W)
+                assert case.q.is_integral_at(W) == want, (case.index, W)
+
+    @pytest.mark.parametrize("family", ["bridged", "looped", "parallel"])
+    def test_seeded_families(self, family):
+        rng = random.Random(f"classify-{family}")
+        seen = set()
+        for _ in range(10):
+            g = _family_graph(rng, family)
+            for kind in ("integer", "half", "generic", "spine"):
+                q = _family_polarization(rng, g, kind)
+                want = oracles.classification(g, q)
+                got = (q.is_general(), q.is_nondegenerate(), q.integral_witness())
+                assert got == want, (family, kind, q)
+                seen.add(want[:2])
+        # general, non-degenerate only and degenerate all occur
+        assert seen == {(True, True), (False, True), (False, False)}
 
 
 class TestCanonical:

@@ -15,6 +15,7 @@ from jacgraph import (
 )
 
 import corpus as corpus_mod
+import oracles
 
 
 class TestStratumMultidegrees:
@@ -177,3 +178,34 @@ class TestBlowup:
             for row in rep.rows:
                 assert by_stratum[row.stratum] == len(row.multidegrees)
             assert dec.total == rep.subdivided_complexity
+
+
+class TestAgainstOracles:
+    # the brute-force box search takes about a second per stratum at six
+    # vertices, so the exhaustive comparison stops at four
+    def test_rows_and_buckets_match_brute_force(self):
+        cases = [c for c in corpus_mod.small_cases() if c.graph.num_vertices <= 4]
+        assert len(cases) >= 90
+        for case in cases:
+            g, q, bp = case.graph, case.q, case.basepoint
+            buckets = {b.stratum: b for b in blowup_decomposition(g, bp, q).buckets}
+            for row in strata_report(g, bp, q).rows:
+                # the oracle counts stratum loops inside every subset at their
+                # vertex, which is the normalization's shift by one per loop
+                want = oracles.brute_force_multidegrees(g, q, bp, row.stratum, "quasistable")
+                assert list(row.normalization_multidegrees) == want, (case.index, row.stratum)
+                loops = [g.edge(e).u for e in row.stratum if g.edge(e).is_loop]
+                shift = [loops.count(v) for v in g.vertices]
+                assert [tuple(a + b for a, b in zip(t, shift)) for t in want] == [
+                    d.values for d in row.multidegrees
+                ], (case.index, row.stratum)
+                trees = oracles.spanning_tree_count(g.delete_edges(row.stratum))
+                assert row.expected_count == trees, (case.index, row.stratum)
+                assert row.connected == (trees > 0), (case.index, row.stratum)
+                bucket = buckets[row.stratum]
+                assert bucket.expected_count == bucket.count == trees, case.index
+
+    def test_negative_max_codim_rejected(self, triangle):
+        q = Polarization(triangle, [1, 0, 0])
+        with pytest.raises(ValueError, match="max_codim"):
+            strata_report(triangle, "a", q, max_codim=-1)
