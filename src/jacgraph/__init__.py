@@ -9,7 +9,7 @@ spanning-tree counts, and organises quasistable multidegrees into
 strata indexed by edge subsets.
 
 A compiled kernel (built from ``_speedups.pyx`` when Cython and a C
-compiler are available) accelerates the subset scans; a pure-Python
+compiler are available) accelerates the enumeration scans; a pure-Python
 twin with identical behaviour is always present and is selected
 automatically for inputs whose intermediate values might overflow
 machine integers, or when the environment variable ``JACGRAPH_PURE``

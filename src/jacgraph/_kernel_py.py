@@ -1,9 +1,12 @@
-"""Pure-Python subset-scan kernel.
+"""Pure-Python subset-scan kernel for enumeration.
 
 Twin of the compiled module ``jacgraph._speedups``: identical interface,
 identical algorithms, arbitrary-precision integers.  It is used when the
 extension is missing, when JACGRAPH_PURE=1 is set, or when operand bounds
-exceed the 63-bit fast range of the compiled kernel.
+exceed the 63-bit fast range of the compiled kernel.  The compiled module
+still carries a ``defect_scan`` that the library no longer calls (defects
+come from a minimum cut in ``quasistable``); its pure twin is the oracle in
+``tests/oracles.py``.
 
 All quantities are pre-scaled integers: a context with rational vertex
 weights q scales everything by an even integer ``scale`` so that
@@ -148,41 +151,3 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     place(0, 0)
     return out
 
-
-def defect_scan(tables, d, v0):
-    """Max deficit over all vertex subsets plus the maximizer geometry.
-
-    Returns ``(best, and_acc, or_acc, count, bp_and)`` where ``best`` is
-    the maximal scaled deficit (0 exactly when d is semistable), the
-    accumulators AND/OR all maximizer masks, ``count`` is their number and
-    ``bp_and`` ANDs the zero-deficit masks through v0 (None unless
-    ``best == 0``).  The maximizer family is closed under intersection
-    and union, so the accumulators are its least and greatest elements.
-    """
-    n, scale, floor_rhs, _ = tables
-    size = 1 << n
-    sums = [0] * size
-    best = 0
-    for m in range(1, size):
-        lsb = m & -m
-        s = sums[m ^ lsb] + d[lsb.bit_length() - 1]
-        sums[m] = s
-        e = floor_rhs[m] - scale * s
-        if e > best:
-            best = e
-    and_acc = size - 1
-    or_acc = 0
-    count = 0
-    for m in range(size):
-        if floor_rhs[m] - scale * sums[m] == best:
-            and_acc &= m
-            or_acc |= m
-            count += 1
-    bp_and = None
-    if best == 0:
-        vbit = 1 << v0
-        bp_and = size - 1
-        for m in range(size):
-            if m & vbit and floor_rhs[m] - scale * sums[m] == 0:
-                bp_and &= m
-    return best, and_acc, or_acc, count, bp_and

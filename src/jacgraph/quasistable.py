@@ -14,11 +14,14 @@ with val the crossing valence in the full graph.  A multidegree is
   basepoint has strictly negative deficit,
 - stable      when every proper nonempty subset does.
 
-``excess(d, W) == deficit(d, complement(W))``, so one subset scan serves
-both.  The subsets maximizing either functional are closed under
-intersection and union; the reduction walks d along Laplacian images of
-the smallest maximizers until the distinguished quasistable
-representative of its class is reached.
+``excess(d, W) == deficit(d, complement(W))``, so one maximisation serves
+both.  The S-edges count modularly against W (half a unit per endpoint
+inside), so the deficit is a modular function of W minus half the
+crossing valence of W in the stratum-deleted graph, and its maximum is one
+s-t minimum cut (Picard & Ratliff, Networks 5, 1975).  The subsets
+maximizing either functional are closed under intersection and union; the
+reduction walks d along Laplacian images of the smallest maximizers until
+the distinguished quasistable representative of its class is reached.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     ReductionGuardError,
 )
 from .graph import Multigraph, Vertex, _adjacency_masks
-from .lattice import Cochain, laplacian_matrix
+from .lattice import Cochain
 from .polarization import Polarization
 
 KINDS = ("semistable", "quasistable", "stable")
@@ -75,12 +78,23 @@ class _ScaledStratum:
     """The integer data of a stratum context: endpoint index pairs, their
     stratum flags, stratum loops per vertex, q scaled by an even ``scale``
     clearing its denominators, the basepoint index and the degree budget.
-    The strata sweep builds one per stratum without any graph object."""
+    The strata sweep builds one per stratum without any graph object.
+
+    Scaled by ``scale``, the deficit of a multidegree d on a vertex set W
+    is ``sum(w_v for v in W) - scale/2 * val_{G-S}(W)`` with
+    ``w_v = scale*q_v - scale*S-loops(v) - scale/2*S-degree(v) - scale*d_v``.
+    In the network with a source s and a sink t, an arc ``s -> v`` of
+    capacity ``w_v`` when it is positive, ``v -> t`` of capacity ``-w_v``
+    when it is negative, and ``scale/2`` both ways per non-loop edge outside
+    S, the cut with source side ``{s} | W`` costs the sum of the positive
+    ``w_v`` minus ``deficit(W)``.  So a maximum flow gives the maximal
+    deficit, and its residual graph the least and greatest maximizers."""
 
     def __init__(self, pairs, s_flags, s_loops, scaled_q, scale, v0, budget):
         self.pairs, self.s_flags, self.s_loops = pairs, s_flags, s_loops
         self.scaled_q, self.scale, self.v0, self.budget = scaled_q, scale, v0, budget
         self._tables_cache: dict = {}
+        self._net = None
 
     def rhs_bound(self) -> int:
         return sum(abs(x) for x in self.scaled_q) + 2 * self.scale * len(self.pairs) + 4
@@ -143,6 +157,122 @@ class _ScaledStratum:
         )
         return sorted(tuple(row[i] for i in inv) for row in raw)
 
+    # -- minimum cut -----------------------------------------------------
+
+    def _network(self):
+        """``(base, cap, nbrs)``: ``w_v`` without its ``-scale*d_v`` term,
+        the capacity matrix between vertices and each vertex's neighbours
+        in the stratum-deleted graph."""
+        if self._net is None:
+            n, half = len(self.scaled_q), self.scale // 2
+            base = [x - self.scale * k for x, k in zip(self.scaled_q, self.s_loops)]
+            cap = [[0] * n for _ in range(n)]
+            for (a, b), flag in zip(self.pairs, self.s_flags):
+                if a == b:
+                    continue
+                if flag:
+                    base[a] -= half
+                    base[b] -= half
+                else:
+                    cap[a][b] += half
+                    cap[b][a] += half
+            nbrs = [[j for j in range(n) if cap[i][j]] for i in range(n)]
+            self._net = base, cap, nbrs
+        return self._net
+
+    def _max_flow(self, vals):
+        """A maximum flow in the network of the multidegree ``vals`` by
+        shortest augmenting paths (Edmonds-Karp), with s and t left
+        implicit: returns ``(excess, res)``, where ``excess[v]`` is the
+        unused capacity of ``s -> v`` when positive and minus that of
+        ``v -> t`` when negative, and ``res`` holds the residual capacities
+        between vertices.  The maximal scaled deficit is the sum of the
+        positive excesses."""
+        base, cap, nbrs = self._network()
+        excess = [x - self.scale * d for x, d in zip(base, vals)]
+        res = [row[:] for row in cap]
+        sources = [v for v, e in enumerate(excess) if e > 0]
+        while sources:
+            # breadth first from s: every vertex with unused source capacity
+            parent = [-1] * len(excess)
+            for v in sources:
+                parent[v] = v
+            queue, sink = list(sources), -1
+            for u in queue:
+                row = res[u]
+                for x in nbrs[u]:
+                    if parent[x] < 0 and row[x] > 0:
+                        parent[x] = u
+                        if excess[x] < 0:
+                            sink = x
+                            break
+                        queue.append(x)
+                if sink >= 0:
+                    break
+            if sink < 0:
+                break
+            push, root = -excess[sink], sink
+            while parent[root] != root:
+                push = min(push, res[parent[root]][root])
+                root = parent[root]
+            push = min(push, excess[root])
+            excess[root] -= push
+            excess[sink] += push
+            x = sink
+            while x != root:
+                u = parent[x]
+                res[u][x] -= push
+                res[x][u] += push
+                x = u
+            if not excess[root]:
+                sources.remove(root)
+        return excess, res
+
+    def _reach(self, res, starts, forward: bool = True) -> int:
+        """Bitmask of the vertices that the vertices ``starts`` reach in the
+        residual graph, or that reach them when ``forward`` is false."""
+        nbrs = self._network()[2]
+        seen = 0
+        queue = list(starts)
+        for v in queue:
+            seen |= 1 << v
+        for u in queue:
+            for x in nbrs[u]:
+                if not seen >> x & 1 and (res[u][x] if forward else res[x][u]) > 0:
+                    seen |= 1 << x
+                    queue.append(x)
+        return seen
+
+    def defect_cut(self, vals):
+        """``(best, least, greatest, bp)`` for a multidegree ``vals`` on the
+        budget: the maximal scaled deficit, the least and greatest vertex
+        bitmasks attaining it, and, when ``best == 0``, the least
+        zero-deficit bitmask through the basepoint (else None).
+
+        The least maximizer is what s reaches in the residual graph, the
+        greatest is everything that does not reach t.  On the budget the
+        whole vertex set has deficit 0, so when ``best == 0`` forcing a
+        vertex to the source side by an unbounded arc from s leaves the
+        maximum flow as it is: nothing augments, and the least
+        zero-deficit set through that vertex is what it reaches."""
+        excess, res = self._max_flow(vals)
+        best = sum(e for e in excess if e > 0)
+        least = self._reach(res, [v for v, e in enumerate(excess) if e > 0])
+        to_t = self._reach(res, [v for v, e in enumerate(excess) if e < 0], forward=False)
+        bp = self._reach(res, [self.v0]) if best == 0 else None
+        return best, least, ((1 << len(vals)) - 1) ^ to_t, bp
+
+    def is_stable(self, vals) -> bool:
+        """Whether the multidegree ``vals`` on the budget is stable: no
+        positive deficit, and the least zero-deficit set through each
+        vertex is the whole vertex set (n forced cuts, as in
+        ``defect_cut``)."""
+        excess, res = self._max_flow(vals)
+        full = (1 << len(vals)) - 1
+        return not any(e > 0 for e in excess) and all(
+            self._reach(res, [v]) == full for v in range(len(vals))
+        )
+
 
 def _inverse(order) -> list[int]:
     inv = [0] * len(order)
@@ -202,7 +332,6 @@ class StratumContext:
             self.budget,
         )
         self._deleted = None
-        self._del_rows = None
 
     # -- plumbing --------------------------------------------------------
 
@@ -212,9 +341,6 @@ class StratumContext:
         if self._deleted is None:
             self._deleted = self.graph.delete_edges(self.stratum)
         return self._deleted
-
-    def _scan_guard(self):
-        _kernel.scan_guard(self.graph.num_vertices, "stability")
 
     def _check_cochain(self, d: Cochain):
         if d.graph != self.graph:
@@ -232,12 +358,6 @@ class StratumContext:
     def _mask_to_set(self, mask: int) -> frozenset:
         verts = self.graph.vertices
         return frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
-
-    def _defect_scan(self, vals):
-        bound = self._rhs_bound() + self.scale * (sum(abs(x) for x in vals) + 1)
-        impl = _kernel.select(bound)
-        tables = self._ints.tables(impl, tuple(range(len(vals))))
-        return impl.defect_scan(tables, vals, self._ints.v0)
 
     # -- pointwise defect functionals ------------------------------------
 
@@ -276,16 +396,14 @@ class StratumContext:
     def defects(self, d: Cochain) -> DefectReport:
         self._check_cochain(d)
         self._require_budget(d)
-        self._scan_guard()
-        n = self.graph.num_vertices
-        full = (1 << n) - 1
-        best, and_acc, or_acc, _, bp = self._defect_scan(list(d.values))
+        full = (1 << self.graph.num_vertices) - 1
+        best, least, greatest, bp = self._ints.defect_cut(d.values)
         worst = Fraction(best, self.scale)
         return DefectReport(
             max_excess=worst,
             max_deficit=worst,
-            excess_core=self._mask_to_set(full ^ or_acc),
-            deficit_core=self._mask_to_set(and_acc),
+            excess_core=self._mask_to_set(full ^ greatest),
+            deficit_core=self._mask_to_set(least),
             basepoint_deficit_core=(
                 self._mask_to_set(bp) if bp is not None else None
             ),
@@ -297,83 +415,70 @@ class StratumContext:
         self._check_cochain(d)
         if d.total != self.budget:
             return False
-        self._scan_guard()
-        best, *_ = self._defect_scan(list(d.values))
-        return best == 0
+        return self._ints.defect_cut(d.values)[0] == 0
 
     def is_quasistable(self, d: Cochain) -> bool:
         self._check_cochain(d)
         if d.total != self.budget:
             return False
-        self._scan_guard()
-        n = self.graph.num_vertices
-        best, _, _, _, bp = self._defect_scan(list(d.values))
-        return best == 0 and bp == (1 << n) - 1
+        return self._ints.defect_cut(d.values)[3] == (1 << self.graph.num_vertices) - 1
 
     def is_stable(self, d: Cochain) -> bool:
         self._check_cochain(d)
         if d.total != self.budget:
             return False
-        self._scan_guard()
-        best, _, _, count, _ = self._defect_scan(list(d.values))
-        # zero deficit may only be attained by the empty set and everything
-        return best == 0 and count == 2
+        return self._ints.is_stable(d.values)
 
     # -- reduction -------------------------------------------------------
 
-    def _delta_rows(self):
-        """Rows of the Laplacian of the stratum-deleted graph."""
-        if self._del_rows is None:
-            self._del_rows = laplacian_matrix(self.deleted_graph)
-        return self._del_rows
+    def _crossing(self, mask: int) -> list[tuple[int, int]]:
+        """(inside end, outside end) of every edge outside the stratum that
+        leaves the vertex bitmask ``mask``; loops never leave."""
+        ints = self._ints
+        return [
+            (a, b) if mask >> a & 1 else (b, a)
+            for (a, b), flag in zip(ints.pairs, ints.s_flags)
+            if not flag and (mask >> a ^ mask >> b) & 1
+        ]
 
     def _apply_delta(self, vals, mask, multiplier):
-        """vals += multiplier * Laplacian(indicator of mask), in place.
-
-        The diagonal row entry is minus the vertex valence, so summing the
-        row over the mask members handles inside and outside vertices
-        uniformly.
-        """
-        rows = self._delta_rows()
-        n = len(vals)
-        members = [j for j in range(n) if mask >> j & 1]
-        for i in range(n):
-            row = rows[i]
-            vals[i] += multiplier * sum(row[j] for j in members)
+        """vals += multiplier * Laplacian(indicator of mask), in place, for
+        the Laplacian of the stratum-deleted graph: each edge leaving the
+        mask moves ``multiplier`` from its inside end to its outside end."""
+        for inside, outside in self._crossing(mask):
+            vals[inside] -= multiplier
+            vals[outside] += multiplier
 
     def _reduce(self, d: Cochain, to_quasistable: bool):
         self._check_cochain(d)
         self._require_budget(d)
-        self._scan_guard()
         if not self.deleted_graph.is_connected():
             raise DisconnectedGraphError(
                 "reduction needs the stratum-deleted graph to be connected"
             )
         n = self.graph.num_vertices
         full = (1 << n) - 1
-        rows = self._delta_rows()
         vals = list(d.values)
-        best, and_acc, or_acc, count, bp = self._defect_scan(vals)
+        best, _, greatest, bp = self._ints.defect_cut(vals)
         # generous: the worst deficit drops by >= 1/scale every at most
         # 2**n passes, then the basepoint stage grows its core each pass
         limit = (best + n + 2) * (1 << n) + 8
         steps = 0
         passes = 0
         while best > 0:
-            core = full ^ or_acc
-            members = [j for j in range(n) if core >> j & 1]
+            core = full ^ greatest
             # cut size of the core in the stratum-deleted graph
-            cut = -sum(rows[i][j] for i in members for j in members)
+            cut = len(self._crossing(core))
             batch = max(1, best // (self.scale * cut)) if cut else 1
             if batch > 1:
                 # one application lowers the core excess by the cut size;
                 # try the whole batch, keep it only if the worst defect
                 # actually dropped (far-away subsets may gain)
                 self._apply_delta(vals, core, batch)
-                nbest, nand, nor, ncount, nbp = self._defect_scan(vals)
+                nbest, _, ngreatest, nbp = self._ints.defect_cut(vals)
                 if nbest < best:
                     steps += batch
-                    best, and_acc, or_acc, count, bp = nbest, nand, nor, ncount, nbp
+                    best, greatest, bp = nbest, ngreatest, nbp
                     passes += 1
                     if passes > limit:
                         raise ReductionGuardError(
@@ -388,7 +493,7 @@ class StratumContext:
                 raise ReductionGuardError(
                     "descent to semistability exceeded its iteration guard"
                 )
-            best, and_acc, or_acc, count, bp = self._defect_scan(vals)
+            best, _, greatest, bp = self._ints.defect_cut(vals)
         if to_quasistable:
             while bp != full:
                 self._apply_delta(vals, bp, -1)
@@ -398,7 +503,7 @@ class StratumContext:
                     raise ReductionGuardError(
                         "descent to the basepoint representative exceeded its guard"
                     )
-                best, and_acc, or_acc, count, bp = self._defect_scan(vals)
+                best, _, greatest, bp = self._ints.defect_cut(vals)
                 if best != 0:
                     raise ReductionGuardError(
                         "internal error: semistability lost during basepoint descent"
@@ -430,7 +535,7 @@ class StratumContext:
         tuples in vertex order."""
         if kind not in _MODE:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        self._scan_guard()
+        _kernel.scan_guard(self.graph.num_vertices, "enumeration")
         order = _bfs_order(self.graph.num_vertices, self._ints.pairs, self._ints.v0)
         return [Cochain(self.graph, t) for t in self._ints.enumerate(_MODE[kind], order)]
 

@@ -3,11 +3,14 @@
 Everything here recomputes from first principles with exact arithmetic
 and naive algorithms: spanning trees by exhaustive edge selection,
 stability by checking every vertex subset with Fraction sums, lattice
-membership by rational elimination.  Nothing imports the kernels.
+membership by rational elimination.  Nothing imports the kernels;
+``defect_scan``, the subset scan that the minimum cut replaced, reads the
+kernel's bound tables as plain data.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -58,63 +61,108 @@ def stratum_inside_count(g, S, W) -> int:
     return total
 
 
-def _subset_ok(g, q, S, W, d_map, strict) -> bool:
-    lhs = Fraction(sum(d_map[v] for v in W) + stratum_inside_count(g, S, W))
-    rhs = sum((q[v] for v in W), Fraction(0)) - Fraction(crossing_count(g, W), 2)
-    return lhs > rhs if strict else lhs >= rhs
-
-
 def brute_force_multidegrees(g, q, basepoint, S, kind):
     """All multidegrees of the given kind, straight from the definition.
 
-    The search box comes from the singleton subsets, widened by two on
-    each side so that an off-by-one in the tighter production bound
-    would show up as a disagreement.
+    The search box comes from the singleton subsets (floors) and their
+    complements (ceilings), widened by two on each side so that an
+    off-by-one in the tighter production bound would show up as a
+    disagreement.
     """
     names = list(g.vertices)
     n = len(names)
     S = frozenset(S)
     budget = int(sum((q[v] for v in names), Fraction(0))) - len(S)
 
-    lows = []
+    def floor_bound(W):
+        return (
+            sum((q[v] for v in W), Fraction(0))
+            - Fraction(crossing_count(g, W), 2)
+            - stratum_inside_count(g, S, W)
+        )
+
+    lows, highs = [], []
     for v in names:
-        bound = q[v] - Fraction(crossing_count(g, {v}), 2) - stratum_inside_count(g, S, {v})
-        lo = bound.numerator // bound.denominator  # floor
-        lows.append(lo - 2)
+        lows.append(math.floor(floor_bound({v})) - 2)
+        # d_v = budget - d_rest and d_rest is bounded below on the rest
+        highs.append(math.floor(budget - floor_bound(set(names) - {v})) + 2)
+
+    # every proper nonempty subset W as (positions, floor_bound(W), strict)
+    conditions = []
+    for r in range(1, n):
+        for W in combinations(range(n), r):
+            if kind == "stable":
+                strict = True
+            elif kind == "quasistable":
+                strict = basepoint in {names[i] for i in W}
+            else:
+                strict = False
+            conditions.append((W, floor_bound({names[i] for i in W}), strict))
+
+    def _check():
+        for W, bound, strict in conditions:
+            d_w = sum(values[i] for i in W)
+            if not (d_w > bound if strict else d_w >= bound):
+                return False
+        return True
 
     results = []
     values = [0] * n
 
     def place(k, remaining):
         if k == n - 1:
-            lo = lows[k]
-            hi = budget - sum(lows[:k])
-            if lo <= remaining <= hi:
+            if lows[k] <= remaining <= highs[k]:
                 values[k] = remaining
-                d_map = dict(zip(names, values))
-                if _check(d_map):
+                if _check():
                     results.append(tuple(values))
             return
-        hi = remaining - sum(lows[k + 1 :])
-        for x in range(lows[k], hi + 1):
+        lo = max(lows[k], remaining - sum(highs[k + 1 :]))
+        hi = min(highs[k], remaining - sum(lows[k + 1 :]))
+        for x in range(lo, hi + 1):
             values[k] = x
             place(k + 1, remaining - x)
 
-    def _check(d_map):
-        for r in range(1, n):
-            for W in combinations(names, r):
-                if kind == "stable":
-                    strict = True
-                elif kind == "quasistable":
-                    strict = basepoint in W
-                else:
-                    strict = False
-                if not _subset_ok(g, q, S, W, d_map, strict):
-                    return False
-        return True
-
     place(0, budget)
     return sorted(results)
+
+
+def defect_scan(tables, d, v0):
+    """Max deficit over all vertex subsets plus the maximizer geometry.
+
+    Returns ``(best, and_acc, or_acc, count, bp_and)`` where ``best`` is
+    the maximal scaled deficit (0 exactly when d is semistable), the
+    accumulators AND/OR all maximizer masks, ``count`` is their number and
+    ``bp_and`` ANDs the zero-deficit masks through v0 (None unless
+    ``best == 0``).  The maximizer family is closed under intersection
+    and union, so the accumulators are its least and greatest elements.
+    """
+    n, scale, floor_rhs, _ = tables
+    size = 1 << n
+    sums = [0] * size
+    best = 0
+    for m in range(1, size):
+        lsb = m & -m
+        s = sums[m ^ lsb] + d[lsb.bit_length() - 1]
+        sums[m] = s
+        e = floor_rhs[m] - scale * s
+        if e > best:
+            best = e
+    and_acc = size - 1
+    or_acc = 0
+    count = 0
+    for m in range(size):
+        if floor_rhs[m] - scale * sums[m] == best:
+            and_acc &= m
+            or_acc |= m
+            count += 1
+    bp_and = None
+    if best == 0:
+        vbit = 1 << v0
+        bp_and = size - 1
+        for m in range(size):
+            if m & vbit and floor_rhs[m] - scale * sums[m] == 0:
+                bp_and &= m
+    return best, and_acc, or_acc, count, bp_and
 
 
 def in_laplacian_image(g, b_values) -> bool:

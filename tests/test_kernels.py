@@ -54,6 +54,12 @@ class TestSelection:
         assert select(FAST_BOUND) is _kernel_py
         assert select(1 << 70) is _kernel_py
 
+    def test_routing_at_fast_bound(self, monkeypatch):
+        stand_in = object()
+        monkeypatch.setattr(_kernel, "_speedups", stand_in)
+        assert select(FAST_BOUND - 1) is stand_in
+        assert select(FAST_BOUND) is _kernel_py
+
     def test_implementations_listed(self):
         mods = implementations()
         assert mods[-1] is _kernel_py
@@ -116,7 +122,7 @@ class TestParity:
             v0 = rng.randrange(n)
             for _ in range(4):
                 d = [rng.randint(-6, 6) for _ in range(n)]
-                assert _kernel_py.defect_scan(t_pure, d, v0) == compiled.defect_scan(
+                assert oracles.defect_scan(t_pure, d, v0) == compiled.defect_scan(
                     t_fast, d, v0
                 )
 

@@ -17,6 +17,8 @@ from jacgraph import (
     semistable_equality_witness,
 )
 
+from jacgraph import _kernel_py
+
 import oracles
 
 HALF = Fraction(1, 2)
@@ -24,6 +26,15 @@ HALF = Fraction(1, 2)
 
 def _ctx(case):
     return StratumContext(case.graph, case.q, case.basepoint, case.stratum)
+
+
+def _chorded_cycle(n):
+    """Cycle c0..c(n-1) (edges e0..e(n-1)) plus chords c_i--c_(i+n/2) for
+    i = 0, 3, 6, ... below n/2 (edges e(n), e(n+1), ...)."""
+    names = [f"c{i}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    edges += [(names[i], names[i + n // 2]) for i in range(0, n // 2, 3)]
+    return Multigraph(names, edges)
 
 
 class TestContextValidation:
@@ -197,8 +208,67 @@ class TestEnumerate:
         ctx = StratumContext(g, q, names[0])
         with pytest.raises(GuardLimitError):
             ctx.enumerate("quasistable")
-        with pytest.raises(GuardLimitError):
-            ctx.is_semistable(Cochain(g, [1] + [0] * 20))
+        # the predicates are a minimum cut, not a subset scan: on a path
+        # with d == q every deficit is -val(W)/2, so only the empty set and
+        # the whole path reach 0
+        d = Cochain(g, [1] + [0] * 20)
+        assert ctx.is_semistable(d)
+        assert ctx.is_quasistable(d)
+        assert ctx.is_stable(d)
+        # moving two chips off w1 gives the tail beyond w0 the deficit
+        # 2 - 1/2, more than any other subset
+        d = Cochain(g, [3, -2] + [0] * 19)
+        assert not ctx.is_semistable(d)
+        rep = ctx.defects(d)
+        assert rep.max_deficit == Fraction(3, 2)
+        assert rep.deficit_core == frozenset(names[1:])
+        assert ctx.deficit(d, names[1:]) == Fraction(3, 2)
+
+
+def _oracle_scan(ctx, d):
+    """The subset-scan oracle on the kernel's bound tables of ctx."""
+    g = ctx.graph
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    tables = _kernel_py.build_tables(
+        g.num_vertices,
+        [(pos[e.u], pos[e.v]) for e in g.edges],
+        [e.id in ctx.stratum for e in g.edges],
+        [int(x * ctx.scale) for x in ctx.q.values],
+        ctx.scale,
+    )
+    return oracles.defect_scan(tables, list(d.values), pos[ctx.basepoint])
+
+
+class TestCutAgainstOracle:
+    def test_corpus(self, corpus_cases):
+        import random
+
+        rng = random.Random(47)
+        for case in corpus_cases:
+            g = case.graph
+            n = g.num_vertices
+            full = (1 << n) - 1
+            for v0 in sorted({case.basepoint, rng.choice(g.vertices)}):
+                ctx = StratumContext(g, case.q, v0, case.stratum)
+                ds = [d.values for d in ctx.enumerate("semistable")]
+                for _ in range(3):
+                    vals = [rng.randint(-4, 5) for _ in range(n - 1)]
+                    ds.append(tuple(vals) + (ctx.budget - sum(vals),))
+                for vals in ds:
+                    d = Cochain(g, vals)
+                    best, and_acc, or_acc, count, bp = _oracle_scan(ctx, d)
+                    rep = ctx.defects(d)
+                    where = (case.index, v0, vals)
+                    assert rep.max_deficit == Fraction(best, ctx.scale), where
+                    assert rep.deficit_core == ctx._mask_to_set(and_acc), where
+                    assert rep.excess_core == ctx._mask_to_set(full ^ or_acc), where
+                    assert rep.basepoint_deficit_core == (
+                        None if bp is None else ctx._mask_to_set(bp)
+                    ), where
+                    assert ctx.is_semistable(d) == (best == 0), where
+                    assert ctx.is_quasistable(d) == (best == 0 and bp == full), where
+                    # zero deficit only on the empty set and everything
+                    assert ctx.is_stable(d) == (best == 0 and count == 2), where
 
 
 class TestReduce:
@@ -246,6 +316,45 @@ class TestReduce:
             vals.append(ctx.budget - sum(vals))
             out = ctx.reduce_to_quasistable(Cochain(case.graph, vals))
             assert ctx.reduce_to_quasistable(out) == out
+
+    def test_walk_goldens(self):
+        # steps and outputs pinned from the subset-scan walk: the batch size
+        # depends on the cut of each core, which the outputs alone hide
+        g = _chorded_cycle(12)
+        q = Polarization(g, [Fraction(1, 3)] * 6 + [Fraction(2, 3)] * 6)
+        ctx = StratumContext(g, q, "c0", ["e12"])
+        for vals, steps, out in [
+            (
+                [30, -30, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5],
+                33,
+                (0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1),
+            ),
+            (
+                [-40, 13, 7, 25, -9, 0, 3, -17, 40, -22, 11, -6],
+                65,
+                (0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0),
+            ),
+        ]:
+            rep = ctx.reduce_report(Cochain(g, vals))
+            assert (rep.steps, rep.output.values) == (steps, out)
+
+    def test_beyond_subset_scan_guard(self):
+        import random
+
+        # two chords in the stratum
+        n = 40
+        g = _chorded_cycle(n)
+        ctx = StratumContext(g, Polarization(g, [HALF] * n), "c0", ["e40", "e43"])
+        rng = random.Random(5)
+        vals = [rng.randint(-10, 10) for _ in range(n - 1)]
+        vals.append(ctx.budget - sum(vals))
+        d = Cochain(g, vals)
+        rep = ctx.reduce_report(d)
+        assert rep.steps > 0
+        assert ctx.is_quasistable(rep.output)
+        assert rep.output.total == d.total == ctx.budget
+        gdel = ctx.deleted_graph
+        assert same_class(gdel, d.rebind(gdel), rep.output.rebind(gdel))
 
     def test_disconnected_stratum_rejected(self, banana):
         ctx = StratumContext(banana, Polarization(banana, [1, 0]), "u", ["e0", "e1"])
