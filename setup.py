@@ -1,12 +1,9 @@
 """Build script.
 
-The compiled subset-scan kernel (jacgraph._speedups) is optional: when
-Cython or a C compiler is unavailable, or JACGRAPH_PURE=1 is set, the
-package installs without it and falls back to the pure-Python kernel at
-import time.
+The compiled kernel (jacgraph._speedups, one hand-written C file) is
+optional: when no C compiler works, the package installs without it and
+falls back to the pure-Python kernel at import time.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -28,16 +25,7 @@ class OptionalBuildExt(build_ext):
             print(f"skipping compiled kernel {ext.name}: {exc}")
 
 
-ext_modules = []
-if os.environ.get("JACGRAPH_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        pass
-    else:
-        ext_modules = cythonize(
-            [Extension("jacgraph._speedups", ["src/jacgraph/_speedups.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("jacgraph._speedups", ["src/jacgraph/_speedups.c"])],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -8,12 +8,11 @@ quasistable representative, computes degree class groups and
 spanning-tree counts, and organises quasistable multidegrees into
 strata indexed by edge subsets.
 
-A compiled kernel (built from ``_speedups.pyx`` when Cython and a C
-compiler are available) accelerates the enumeration scans; a pure-Python
-twin with identical behaviour is always present and is selected
-automatically for inputs whose intermediate values might overflow
-machine integers, or when the environment variable ``JACGRAPH_PURE``
-is set to ``1``.
+A compiled kernel (``_speedups.c``, built when a C compiler is
+available) accelerates the enumeration scans; a pure-Python kernel with
+identical behaviour is always present and is selected automatically when
+the extension was not built, and for inputs whose intermediate values
+might overflow machine integers.
 """
 
 from .errors import (

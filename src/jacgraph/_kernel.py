@@ -1,25 +1,20 @@
-"""Kernel selection: compiled extension when available and safe,
-pure-Python twin otherwise.
+"""Kernel selection: the compiled extension when it was built and the
+operands fit its 64-bit arithmetic, the pure-Python kernel otherwise.
 
-JACGRAPH_PURE=1 disables the compiled kernel entirely.  Independent of
-that switch, a call whose operand bound leaves the signed 64-bit range is
-routed to the pure kernel, which computes with Python integers.
+A call whose operand bound reaches FAST_BOUND is routed to the pure
+kernel, which computes with Python integers; so is every call when the
+extension was not built.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _kernel_py
 from .errors import EmptyGraphError, GuardLimitError
 
-if os.environ.get("JACGRAPH_PURE") == "1":  # pragma: no cover - env dependent
+try:
+    from . import _speedups
+except ImportError:  # pragma: no cover - build dependent
     _speedups = None
-else:
-    try:
-        from . import _speedups
-    except ImportError:  # pragma: no cover - build dependent
-        _speedups = None
 
 HAVE_SPEEDUPS = _speedups is not None
 

@@ -1,12 +1,10 @@
 """Pure-Python subset-scan kernel for enumeration.
 
-Twin of the compiled module ``jacgraph._speedups``: identical interface,
-identical algorithms, arbitrary-precision integers.  It is used when the
-extension is missing, when JACGRAPH_PURE=1 is set, or when operand bounds
-exceed the 63-bit fast range of the compiled kernel.  The compiled module
-still carries a ``defect_scan`` that the library no longer calls (defects
-come from a minimum cut in ``quasistable``); its pure twin is the oracle in
-``tests/oracles.py``.
+The reference for the compiled module ``jacgraph._speedups`` (hand-written
+C): same interface, same algorithms, arbitrary-precision integers.  It is
+used when the extension was not built, and for operand bounds at or above
+``_kernel.FAST_BOUND``, where the compiled kernel's 64-bit arithmetic could
+overflow.
 
 All quantities are pre-scaled integers: a context with rational vertex
 weights q scales everything by an even integer ``scale`` so that
@@ -88,6 +86,8 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     assigned, every subset whose top vertex is k becomes decided, so its
     bounds are checked right away and failing branches are cut early.
     The suffix sums of the box bounds prune on the total as well.
+    ``sums[m]`` holds ``scale * d_m``, so the subset checks need no
+    multiplication.
     """
     n, scale, floor_rhs, ceil_rhs = tables
     size = 1 << n
@@ -125,8 +125,9 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
             dv = total - partial
             if dv < lo[k] or dv > hi[k]:
                 return
+            step = scale * dv
             for m in range(base, full):
-                sd = scale * (sums[m ^ base] + dv)
+                sd = sums[m ^ base] + step
                 if sd < low[m] or sd > high[m]:
                     return
             d[k] = dv
@@ -137,10 +138,10 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
             if p2 + suf_lo[k + 1] > total or p2 + suf_hi[k + 1] < total:
                 continue
             ok = True
+            step = scale * dv
             for m in range(base, base << 1):
-                s = sums[m ^ base] + dv
-                sums[m] = s
-                sd = scale * s
+                sd = sums[m ^ base] + step
+                sums[m] = sd
                 if sd < low[m] or sd > high[m]:
                     ok = False
                     break

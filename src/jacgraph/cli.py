@@ -212,14 +212,18 @@ def _edge_guard(args) -> int:
 
 
 def cmd_complexity(problem: Problem, args) -> dict:
-    c = complexity(problem.graph)
-    payload = {"complexity": c}
+    g = problem.graph
+    if g.num_vertices == 0:
+        complexity(g)  # raises the empty-graph error
     try:
-        pic = picard_group(problem.graph)
-        payload["picard"] = list(pic.invariant_factors)
+        pic = picard_group(g)
     except DisconnectedGraphError as exc:
-        payload["picard"] = None
-        payload["picard_error"] = str(exc)
+        c = complexity(g)
+        payload = {"complexity": c, "picard": None, "picard_error": str(exc)}
+    else:
+        # on a connected graph the group's order is the spanning-tree count
+        c = pic.order
+        payload = {"complexity": c, "picard": list(pic.invariant_factors)}
     if args.verbose:
         print(f"complexity {c}", file=sys.stderr)
     return payload

@@ -18,6 +18,11 @@ import corpus as corpus_mod
 import oracles
 
 
+def _banana(k):
+    """Two vertices joined by k parallel edges."""
+    return Multigraph(["u", "v"], [("u", "v")] * k)
+
+
 class TestStratumMultidegrees:
     def test_banana_empty_stratum(self, banana):
         q = Polarization(banana, [1, 0])
@@ -92,6 +97,15 @@ class TestStrataReport:
         q = Polarization(triangle, [1, 0, 0])
         with pytest.raises(GuardLimitError, match="JACGRAPH_GUARD_EDGES"):
             strata_report(triangle, "a", q, guard_edges=2)
+
+    def test_default_guard_boundary(self):
+        g = _banana(16)
+        rep = strata_report(g, "u", Polarization(g, [1, 0]), max_codim=0)
+        assert [row.stratum for row in rep.rows] == [()]
+        assert len(rep.rows[0].multidegrees) == rep.rows[0].expected_count == 16
+        g = _banana(17)
+        with pytest.raises(GuardLimitError):
+            strata_report(g, "u", Polarization(g, [1, 0]), max_codim=0)
 
     def test_counts_and_totals(self, corpus_cases):
         for case in corpus_mod.small_cases()[:30]:
@@ -169,6 +183,9 @@ class TestBlowup:
         q = Polarization(triangle, [1, 0, 0])
         with pytest.raises(GuardLimitError, match="JACGRAPH_GUARD_EDGES"):
             blowup_decomposition(triangle, "a", q, guard_edges=1)
+        g = _banana(17)
+        with pytest.raises(GuardLimitError):
+            blowup_decomposition(g, "u", Polarization(g, [1, 0]))
 
     def test_agrees_with_strata_report(self, corpus_cases):
         for case in corpus_mod.small_cases()[:20]:
