@@ -40,12 +40,12 @@ from .lattice import (
     characteristic,
     complexity,
     det_bareiss,
+    invariant_factors,
     laplacian_apply,
     laplacian_matrix,
     laplacian_pairing,
     picard_group,
     same_class,
-    smith_normal_form,
 )
 from .polarization import Polarization, canonical_polarization
 from .quasistable import (
@@ -106,6 +106,7 @@ __all__ = [
     "complexity",
     "det_bareiss",
     "implementation_name",
+    "invariant_factors",
     "laplacian_apply",
     "laplacian_matrix",
     "laplacian_pairing",
@@ -113,7 +114,6 @@ __all__ = [
     "pushforward_multidegree",
     "same_class",
     "semistable_equality_witness",
-    "smith_normal_form",
     "strata_report",
     "stratum_multidegrees",
 ]

@@ -24,6 +24,7 @@ limits, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -406,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="spanning-tree count and degree class group")
     common(p)
-    p.set_defaults(handler=cmd_complexity)
 
     p = sub.add_parser("enum", help="list multidegrees of a given kind")
     common(p, stratum=True, basepoint=True)
@@ -416,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="qs",
         help="ss=semistable, qs=quasistable (default), stable",
     )
-    p.set_defaults(handler=cmd_enum)
 
     p = sub.add_parser("reduce", help="reduce a multidegree to the quasistable representative")
     common(p, stratum=True, basepoint=True)
@@ -425,20 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated integers in vertex order",
     )
-    p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("check-pol", help="classify the polarization")
     common(p)
-    p.set_defaults(handler=cmd_check_pol)
 
     p = sub.add_parser("strata", help="stratum-by-stratum report")
     common(p, basepoint=True)
     p.add_argument("--max-codim", type=int, default=None, help="truncate the report")
-    p.set_defaults(handler=cmd_strata)
 
     p = sub.add_parser("blowup-check", help="subdivision decomposition consistency")
     common(p, basepoint=True)
-    p.set_defaults(handler=cmd_blowup_check)
 
     return parser
 
@@ -455,10 +450,17 @@ def _join_negative_multidegree(argv: list) -> list:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_join_negative_multidegree(argv))
+    args = _parser().parse_args(_join_negative_multidegree(argv))
+    # looked up per call rather than bound into the cached parser, so a
+    # handler replaced on this module (by a profiler, say) is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         stratum_flag = None
         if getattr(args, "stratum", None) is not None:
@@ -468,7 +470,7 @@ def main(argv=None) -> int:
             basepoint_flag=getattr(args, "basepoint", None),
             stratum_flag=stratum_flag,
         )
-        payload = args.handler(problem, args)
+        payload = handler(problem, args)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

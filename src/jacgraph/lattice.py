@@ -1,14 +1,15 @@
 """Integer cochains, the graph Laplacian and the degree class group.
 
 Everything here is exact integer arithmetic: the Laplacian image lattice,
-its Smith normal form, and the spanning-tree count via a fraction-free
+its invariant factors, and the spanning-tree count via a fraction-free
 determinant.  No floats anywhere.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -19,6 +20,15 @@ from .errors import (
     GraphConstructionError,
 )
 from .graph import Multigraph, Vertex
+
+
+def _integer(x) -> int:
+    """A cochain value as an exact int; floats, fractions and strings are
+    rejected, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphConstructionError(f"cochain value {x!r} is not an integer") from None
 
 
 class Cochain:
@@ -35,9 +45,9 @@ class Cochain:
             if len(values) != len(graph.vertices):
                 extra = [v for v in values if v not in graph._vpos]
                 raise GraphConstructionError(f"cochain has values for non-vertices {extra!r}")
-            vals = tuple(int(values[v]) for v in graph.vertices)
+            vals = tuple(_integer(values[v]) for v in graph.vertices)
         else:
-            vals = tuple(int(x) for x in values)
+            vals = tuple(map(_integer, values))
             if len(vals) != len(graph.vertices):
                 raise GraphConstructionError(
                     f"expected {len(graph.vertices)} values, got {len(vals)}"
@@ -147,7 +157,7 @@ def laplacian_pairing(g: Multigraph, V: Iterable[Vertex], W: Iterable[Vertex]) -
     return -g.valence(both, neither) + g.valence(W - V, V - W)
 
 
-# -- determinants and Smith normal form --------------------------------------
+# -- determinants and invariant factors ---------------------------------------
 
 
 def det_bareiss(mat: list[list[int]]) -> int:
@@ -175,116 +185,52 @@ def det_bareiss(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(mat: list[list[int]]):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of an integer matrix: its
+    min(rows, cols) invariant factors, nonnegative, each dividing the
+    next, zeros last.
 
-    Returns (D, U, V) with U * mat * V == D, D diagonal with nonnegative
-    entries satisfying the divisibility chain d1 | d2 | ... .
+    Row and column reduction by a pivot of least absolute value; once a
+    pivot's row and column are clear it is recorded and both are dropped.
+    Only the diagonal is wanted, so the divisibility chain is then fixed
+    on it alone: diag(a, b) and diag(gcd, lcm) present the same group.
     """
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
     a = [list(map(int, row)) for row in mat]
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_sub(i, k, q):
-        # row_i -= q * row_k
-        ai, ak = a[i], a[k]
-        for j in range(nc):
-            ai[j] -= q * ak[j]
-        ui, uk = U[i], U[k]
-        for j in range(nr):
-            ui[j] -= q * uk[j]
-
-    def col_sub(j, k, q):
-        # col_j -= q * col_k
-        for i in range(nr):
-            a[i][j] -= q * a[i][k]
-        for i in range(nc):
-            V[i][j] -= q * V[i][k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        U[i], U[k] = U[k], U[i]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    def diagonalize(t0):
-        t = t0
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    x = a[i][j]
-                    if x and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            while True:
-                pi, pj = pivot
-                if pi != t:
-                    swap_rows(t, pi)
-                if pj != t:
-                    swap_cols(t, pj)
-                if a[t][t] < 0:
-                    negate_row(t)
-                p = a[t][t]
-                dirty = False
-                for i in range(t + 1, nr):
-                    if a[i][t]:
-                        row_sub(i, t, a[i][t] // p)
-                        if a[i][t]:
-                            dirty = True
-                for j in range(t + 1, nc):
-                    if a[t][j]:
-                        col_sub(j, t, a[t][j] // p)
-                        if a[t][j]:
-                            dirty = True
-                if not dirty:
-                    break
-                # a smaller remainder appeared somewhere in row/column t
-                pivot = None
-                best = None
-                for i in range(t, nr):
-                    for j in range(t, nc):
-                        x = a[i][j]
-                        if x and (best is None or abs(x) < best):
-                            best = abs(x)
-                            pivot = (i, j)
-            t += 1
-
-    diagonalize(0)
-
-    # enforce the divisibility chain d1 | d2 | ...
-    rank = min(nr, nc)
+    size = min(len(a), len(a[0]) if a else 0)
+    diag = []
     while True:
-        fixed = True
-        for t in range(rank - 1):
-            dt, ds = a[t][t], a[t + 1][t + 1]
-            if dt and ds and ds % dt:
-                # mixing the rows makes the gcd reachable at position t
-                row_sub(t, t + 1, -1)
-                diagonalize(t)
-                fixed = False
-                break
-            if dt == 0 and ds:
-                swap_rows(t, t + 1)
-                swap_cols(t, t + 1)
-                fixed = False
-        if fixed:
+        best = 0
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if x and (not best or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+            if best == 1:
+                break  # nothing smaller to find
+        if not best:
             break
-
-    return a, U, V
+        prow = a[pi]
+        p = prow[pj]
+        for i, row in enumerate(a):
+            if i != pi and row[pj]:
+                q = row[pj] // p
+                a[i] = [x - q * y for x, y in zip(row, prow)]
+        # column j -= q_j * column pj; rows with a zero at pj are unchanged
+        cols = [(j, x // p) for j, x in enumerate(prow) if j != pj and x]
+        for row in a:
+            y = row[pj]
+            if y:
+                for j, q in cols:
+                    row[j] -= q * y
+        if sum(map(abs, prow)) == abs(p) and all(row is prow or not row[pj] for row in a):
+            diag.append(abs(p))
+            del a[pi]
+            for row in a:
+                del row[pj]
+    diag += [0] * (size - len(diag))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return tuple(diag)
 
 
 @dataclass(frozen=True)
@@ -304,12 +250,10 @@ def complexity(g: Multigraph) -> int:
     """Number of spanning trees, computed from a reduced Laplacian
     determinant.  A single vertex has one spanning tree; a disconnected
     graph has none."""
-    n = g.num_vertices
-    if n == 0:
+    if g.num_vertices == 0:
         raise EmptyGraphError("complexity of the empty graph is undefined")
-    lap = laplacian_matrix(g)
-    reduced = [[-lap[i][j] for j in range(1, n)] for i in range(1, n)]
-    return det_bareiss(reduced)
+    pos = g._vpos
+    return _tree_count(g.num_vertices, [(pos[e.u], pos[e.v]) for e in g.edges])
 
 
 def _tree_count(n: int, pairs) -> int:
@@ -329,20 +273,24 @@ def picard_group(g: Multigraph) -> PicardGroup:
         raise EmptyGraphError("degree class group of the empty graph is undefined")
     if not g.is_connected():
         raise DisconnectedGraphError("degree class group is infinite: graph is disconnected")
-    d, _, _ = smith_normal_form(laplacian_matrix(g))
-    diag = [d[i][i] for i in range(g.num_vertices)]
-    nonzero = [x for x in diag if x]
-    factors = tuple(x for x in nonzero if x > 1)
-    return PicardGroup(invariant_factors=factors, order=prod(nonzero) if nonzero else 1)
+    factors = invariant_factors(laplacian_matrix(g))
+    return PicardGroup(
+        invariant_factors=tuple(x for x in factors if x > 1), order=_torsion_order(factors)
+    )
+
+
+def _torsion_order(factors) -> int:
+    """Order of the torsion subgroup presented by the invariant factors."""
+    return prod(x for x in factors if x)
 
 
 def same_class(g: Multigraph, d1: Cochain, d2: Cochain) -> bool:
     """Whether two multidegrees differ by a Laplacian image.
 
-    Solvability of Laplacian * x = d1 - d2 over the integers is decided
-    through the Smith transform: with U * L * V diagonal, the system is
-    solvable iff each diagonal entry divides the matching entry of
-    U * (d1 - d2) and the remaining entries vanish.
+    b = d1 - d2 has total zero, so on a connected graph its class lies in
+    the finite degree class group, and appending b to the Laplacian as a
+    column divides the torsion order by the order of that class.  The two
+    torsion orders agree exactly when b is in the Laplacian image.
     """
     for d in (d1, d2):
         if d.graph != g:
@@ -353,15 +301,8 @@ def same_class(g: Multigraph, d1: Cochain, d2: Cochain) -> bool:
         )
     if not g.is_connected():
         raise DisconnectedGraphError("multidegree classes need a connected graph")
-    n = g.num_vertices
-    dmat, U, _ = smith_normal_form(laplacian_matrix(g))
-    b = [d1.values[i] - d2.values[i] for i in range(n)]
-    c = [sum(U[i][j] * b[j] for j in range(n)) for i in range(n)]
-    for i in range(n):
-        di = dmat[i][i]
-        if di == 0:
-            if c[i] != 0:
-                return False
-        elif c[i] % di != 0:
-            return False
-    return True
+    lap = laplacian_matrix(g)
+    augmented = [row + [x - y] for row, x, y in zip(lap, d1.values, d2.values)]
+    return _torsion_order(invariant_factors(lap)) == _torsion_order(
+        invariant_factors(augmented)
+    )

@@ -352,9 +352,6 @@ class StratumContext:
                 f"total degree {d.total} does not meet the budget {self.budget}"
             )
 
-    def _rhs_bound(self) -> int:
-        return self._ints.rhs_bound()
-
     def _mask_to_set(self, mask: int) -> frozenset:
         verts = self.graph.vertices
         return frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)

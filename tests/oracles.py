@@ -3,7 +3,7 @@
 Everything here recomputes from first principles with exact arithmetic
 and naive algorithms: spanning trees by exhaustive edge selection,
 stability by checking every vertex subset with Fraction sums, lattice
-membership by rational elimination.  Nothing imports the kernels;
+membership by rational elimination, invariant factors from minors.  Nothing imports the kernels;
 ``defect_scan``, the subset scan that the minimum cut replaced, reads the
 kernel's bound tables as plain data.
 """
@@ -205,6 +205,34 @@ def in_laplacian_image(g, b_values) -> bool:
     # the dropped equation must also hold
     check = sum(lap[n - 1][j] * xs[j] for j in range(m))
     return check == b_values[n - 1]
+
+
+def invariant_factors(mat) -> tuple[int, ...]:
+    """Smith invariant factors as quotients D_k / D_(k-1) of the
+    determinantal divisors, D_k being the gcd of all k x k minors, each
+    minor by cofactor expansion.  Past the rank every D_k is 0."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    out = []
+    prev = 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for r in combinations(range(rows), k):
+            for c in combinations(range(cols), k):
+                dk = math.gcd(dk, _cofactor_det([[mat[i][j] for j in c] for i in r]))
+        out.append(dk // prev if prev else 0)
+        prev = dk
+    return tuple(out)
+
+
+def _cofactor_det(m) -> int:
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
 
 
 def adjusted_total(g, q, W) -> Fraction:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacgraph import cli
 from jacgraph.cli import main
 
 BANANA = {
@@ -313,6 +314,25 @@ class TestProblemFileValidation:
         rc, _, err = run(capsys, ["complexity", str(path)])
         assert rc == 2
         assert "invalid JSON" in err
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, problem, capsys, monkeypatch):
+        real = cli.build_parser
+        calls = []
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        cli._parser.cache_clear()
+        path = problem(BANANA)
+        for argv in (["complexity", path], ["enum", path, "--kind", "ss"], ["complexity", path]):
+            assert run(capsys, argv)[0] == 0
+        cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_handler_replaced_on_module_runs(self, problem, capsys, monkeypatch):
+        path = problem(BANANA)
+        assert run(capsys, ["complexity", path])[0] == 0
+        monkeypatch.setattr(cli, "cmd_complexity", lambda problem, args: {"replaced": True})
+        assert run(capsys, ["complexity", path])[1] == {"replaced": True}
 
 
 # -- fuzzed problem files ------------------------------------------------------

@@ -137,7 +137,7 @@ class TestBigValues:
 
     def test_routed_to_pure(self, banana):
         ctx = self._context(banana)
-        bound = ctx._rhs_bound()
+        bound = ctx._ints.rhs_bound()
         assert select(bound) is _kernel_py
 
     def test_enumeration_correct(self, banana):
