@@ -322,8 +322,6 @@ def cmd_strata(problem: Problem, args) -> dict:
             "connected": r.connected,
             "expected_count": r.expected_count,
             "multidegrees": [list(d.values) for d in r.multidegrees],
-            "normalization_multidegrees": [list(t) for t in r.normalization_multidegrees],
-            "closure_children": [list(c) for c in r.closure_children],
         }
         for r in report.rows
     ]

@@ -226,11 +226,12 @@ def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
             del a[pi]
             for row in a:
                 del row[pj]
-    diag += [0] * (size - len(diag))
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
-    return tuple(diag)
+    # units already divide everything, so only the other pivots are paired
+    rest = [x for x in diag if x != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            rest[i], rest[j] = gcd(rest[i], rest[j]), lcm(rest[i], rest[j])
+    return (1,) * (len(diag) - len(rest)) + tuple(rest) + (0,) * (size - len(diag))
 
 
 @dataclass(frozen=True)

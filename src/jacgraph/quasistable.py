@@ -78,7 +78,7 @@ class _ScaledStratum:
     """The integer data of a stratum context: endpoint index pairs, their
     stratum flags, stratum loops per vertex, q scaled by an even ``scale``
     clearing its denominators, the basepoint index and the degree budget.
-    The strata sweep builds one per stratum without any graph object.
+    Each ``StratumContext`` holds one; none of it refers to a graph object.
 
     Scaled by ``scale``, the deficit of a multidegree d on a vertex set W
     is ``sum(w_v for v in W) - scale/2 * val_{G-S}(W)`` with

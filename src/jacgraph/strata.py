@@ -1,13 +1,23 @@
-"""Stratification bookkeeping: per-stratum multidegree sets, the closure
-poset over edge subsets, pushforward degrees and the subdivision
-decomposition.
+"""Stratification bookkeeping: per-stratum multidegree sets, pushforward
+degrees and the subdivision decomposition.
 
-A stratum is an edge subset S.  Its multidegree set is computed on the
-loop-free core of the graph with the non-loop part of S as the deleted
-edges; the count always matches the spanning-tree number of the graph
-minus S.  Subdividing every edge at once packs all strata into a single
-quasistable enumeration whose exceptional vertices carry only -1 or 0;
-bucketing by the -1 positions recovers the strata.
+A stratum is an edge subset T, and its multidegrees are those of
+``StratumContext(g, q, basepoint, T)``: the budget is ``total(q) - |T|``
+and a stratum loop at v counts once inside every subset holding v.  Their
+count is the spanning-tree number of the graph minus T.
+
+The strata walk enumerates only the empty stratum.  Each larger stratum
+comes from its parent T - e by specialisation: a multidegree that is not
+free at the node e = (u, v) has one generalisation per branch, and the
+stability inequalities give
+
+    Q_T = (Q_{T-e} - delta_u) & (Q_{T-e} - delta_v)
+
+for every kind; a loop (u = v) is the single shift by delta_u.  Only the
+previous layer's sets are kept.  Subdividing every edge at once packs all
+strata into a single quasistable enumeration whose exceptional vertices
+carry only -1 or 0; bucketing by the -1 positions recovers the strata
+independently of the walk.
 """
 
 from __future__ import annotations
@@ -16,37 +26,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from . import _kernel
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
-from .graph import Multigraph, Vertex, _adjacency_masks, _mask_pieces
+from .graph import Multigraph, Vertex
 from .lattice import Cochain, _tree_count, complexity
 from .polarization import Polarization
-from .quasistable import StratumContext, _bfs_order, _ScaledStratum
+from .quasistable import StratumContext
 
 EDGE_GUARD_DEFAULT = 16
-
-
-def _stratum_sweep(g: Multigraph, basepoint: Vertex, q: Polarization):
-    """``f(chosen)``: the sorted quasistable value tuples of the stratum of
-    edge indices ``chosen``, from integer data computed once per graph.
-    Loops never matter: the scan runs on the graph without loops, with
-    the non-loop part of the stratum deleted, on the total-degree budget
-    ``total(q) - |non-loop part|``."""
-    g._check_vertex(basepoint)
-    _kernel.scan_guard(g.num_vertices, "stability")
-    pos = g._vpos
-    core = [i for i, e in enumerate(g.edges) if not e.is_loop]
-    pairs = [(pos[g.edges[i].u], pos[g.edges[i].v]) for i in core]
-    scale, scaled_q = q._scaled()
-    v0, total, zeros = pos[basepoint], q.total, [0] * g.num_vertices
-    order = _bfs_order(g.num_vertices, pairs, v0)
-
-    def multidegrees(chosen) -> list[tuple]:
-        s_flags = [i in chosen for i in core]
-        ints = _ScaledStratum(pairs, s_flags, zeros, scaled_q, scale, v0, total - sum(s_flags))
-        return ints.enumerate(_kernel.MODE_QUASISTABLE, order)
-
-    return multidegrees
 
 
 def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> list[tuple]:
@@ -63,19 +49,28 @@ def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> list[tuple]:
     return [(g._vpos[e.u], g._vpos[e.v]) for e in g.edges]
 
 
+def _specialise(parent: list[tuple], u: int, v: int) -> list[tuple]:
+    """The value tuples of stratum T from the sorted ones of T - e, where e
+    joins the vertex indices u and v: the d with d + delta_u and d + delta_v
+    both in the parent.  Translation keeps the order, so the result is
+    sorted too."""
+    members = set(parent)
+    out = []
+    for t in parent:
+        d = t[:u] + (t[u] - 1,) + t[u + 1 :]
+        if u == v or d[:v] + (d[v] + 1,) + d[v + 1 :] in members:
+            out.append(d)
+    return out
+
+
 def stratum_multidegrees(
     g: Multigraph,
     stratum: Iterable,
     basepoint: Vertex,
     q: Polarization,
 ) -> list[Cochain]:
-    """Quasistable multidegrees of one stratum, in enumeration coordinates,
-    bound to g (see ``_stratum_sweep`` for the loop-free scan)."""
-    if q.graph != g:
-        raise GraphMismatchError("polarization bound to a different graph")
-    S = g.edge_subset(stratum)
-    sweep = _stratum_sweep(g, basepoint, q)
-    return [Cochain(g, t) for t in sweep({i for i, e in enumerate(g.edges) if e.id in S})]
+    """Quasistable multidegrees of one stratum, bound to g."""
+    return StratumContext(g, q, basepoint, stratum).enumerate("quasistable")
 
 
 @dataclass(frozen=True)
@@ -85,8 +80,6 @@ class StratumRow:
     connected: bool
     expected_count: int
     multidegrees: tuple[Cochain, ...]
-    normalization_multidegrees: tuple[tuple, ...]
-    closure_children: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -108,10 +101,11 @@ def strata_report(
 ) -> StrataReport:
     """One row per edge subset up to the requested codimension.
 
-    Rows are ordered by size and then lexicographically in edge order.
-    ``closure_children`` lists the one-edge-larger subsets present in the
-    report: the immediate covers of the stratum in the closure order
-    (larger stratum = deeper in the closure).
+    Rows are ordered by size and then lexicographically in edge order; a
+    stratum lies in the closure of each of its subsets.  Only the empty
+    stratum is enumerated, every other row is specialised from its parent
+    (the row without its last edge).  ``expected_count`` is the Kirchhoff
+    count of the graph minus the stratum, computed apart from the sets.
     """
     if max_codim is not None and max_codim < 0:
         raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
@@ -119,28 +113,25 @@ def strata_report(
     pairs = _edge_pairs(g, basepoint, q, guard_edges, f"strata over {m} edges exceed")
     ids = g.edge_ids()
     depth = m if max_codim is None else min(max_codim, m)
-    sweep = _stratum_sweep(g, basepoint, q)
-    n, full = g.num_vertices, (1 << g.num_vertices) - 1
+    n = g.num_vertices
 
+    layer = {(): [d.values for d in StratumContext(g, q, basepoint).enumerate("quasistable")]}
     rows = []
     for size in range(depth + 1):
-        for combo in combinations(range(m), size):
-            kept = [p for i, p in enumerate(pairs) if i not in combo]
-            tuples = sweep(combo)
-            s_loops = [sum(pairs[i] == (v, v) for i in combo) for v in range(n)]
-            grow = range(m) if size < depth else ()
-            covers = [sorted(combo + (j,)) for j in grow if j not in combo]
+        if size:
+            layer = {
+                combo: _specialise(layer[combo[:-1]], *pairs[combo[-1]])
+                for combo in combinations(range(m), size)
+            }
+        for combo, tuples in layer.items():
+            count = _tree_count(n, [p for i, p in enumerate(pairs) if i not in combo])
             rows.append(
                 StratumRow(
                     stratum=tuple(ids[i] for i in combo),
                     codimension=size,
-                    connected=next(_mask_pieces(full, _adjacency_masks(n, kept))) == full,
-                    expected_count=_tree_count(n, kept),
+                    connected=count > 0,
+                    expected_count=count,
                     multidegrees=tuple(Cochain(g, t) for t in tuples),
-                    normalization_multidegrees=tuple(
-                        tuple(x - k for x, k in zip(t, s_loops)) for t in tuples
-                    ),
-                    closure_children=tuple(tuple(ids[i] for i in c) for c in covers),
                 )
             )
 

@@ -202,3 +202,20 @@ def test_criterion_8_basepoint_invariance(corpus_cases):
             for v0 in case.graph.vertices
         }
         assert len(set(counts.values())) == 1, case.index
+
+
+@criterion(9, "every stratum multidegree generalises along both branches of each node")
+def test_criterion_9_generalisations(corpus_cases):
+    for case in corpus_cases:
+        g, q, bp, T = case.graph, case.q, case.basepoint, case.stratum
+        found = StratumContext(g, q, bp, T).enumerate("quasistable")
+        for eid in T:
+            e = g.edge(eid)
+            parent = {
+                d.values for d in StratumContext(g, q, bp, T - {eid}).enumerate("quasistable")
+            }
+            for d in found:
+                for end in (e.u, e.v):
+                    i = g.vertices.index(end)
+                    up = d.values[:i] + (d.values[i] + 1,) + d.values[i + 1 :]
+                    assert up in parent, (case.index, eid, d.values)

@@ -239,6 +239,13 @@ class TestProblemFileValidation:
         assert rc == 2
         assert "zz" in err
 
+    def test_bare_endpoint_pair_rejected(self, problem, capsys):
+        data = {"vertices": ["u", "v"], "edges": [["u", "v"]]}
+        rc, payload, err = run(capsys, ["complexity", problem(data)])
+        assert rc == 2
+        assert payload is None
+        assert "cannot interpret edge entry ['u', 'v']" in err
+
     def test_unknown_stratum_edge(self, problem, capsys):
         rc, _, err = run(capsys, ["enum", problem(BANANA), "--stratum", "e9"])
         assert rc == 2

@@ -40,7 +40,7 @@ class TestStratumMultidegrees:
         g = Multigraph(["x"], [("x", "x")])
         q = Polarization(g, [0])
         mds = stratum_multidegrees(g, ["e0"], "x", q)
-        assert [d.values for d in mds] == [(0,)]
+        assert [d.values for d in mds] == [(-1,)]
 
     def test_polarization_graph_checked(self, banana, path2):
         with pytest.raises(GraphMismatchError):
@@ -67,27 +67,18 @@ class TestStrataReport:
         assert rep.subdivided_complexity == 4
         assert rep.complete
 
-    def test_closure_children(self, banana):
-        q = Polarization(banana, [1, 0])
-        rows = {r.stratum: r for r in strata_report(banana, "u", q).rows}
-        assert rows[()].closure_children == (("e0",), ("e1",))
-        assert rows[("e0",)].closure_children == (("e0", "e1"),)
-        assert rows[("e0", "e1")].closure_children == ()
-
     def test_normalization_subtracts_loops(self):
         g = Multigraph(["x"], [("x", "x")])
         q = Polarization(g, [0])
         rows = {r.stratum: r for r in strata_report(g, "x", q).rows}
-        assert rows[("e0",)].multidegrees[0].values == (0,)
-        assert rows[("e0",)].normalization_multidegrees == ((-1,),)
-        assert rows[()].normalization_multidegrees == ((0,),)
+        assert [d.values for d in rows[("e0",)].multidegrees] == [(-1,)]
+        assert [d.values for d in rows[()].multidegrees] == [(0,)]
 
     def test_max_codim_truncates(self, triangle):
         q = Polarization(triangle, [1, 0, 0])
         rep = strata_report(triangle, "a", q, max_codim=1)
         assert len(rep.rows) == 4
         assert not rep.complete
-        assert all(r.closure_children == () for r in rep.rows if r.codimension == 1)
         # the subdivision count is reported regardless of truncation
         assert rep.subdivided_complexity == complexity(
             triangle.subdivide_edges(triangle.edge_ids())[0]
@@ -115,6 +106,37 @@ class TestStrataReport:
                 if not row.connected:
                     assert row.expected_count == 0
             assert rep.total_multidegrees == rep.subdivided_complexity
+
+
+def _shift(t, i, by):
+    return t[:i] + (t[i] + by,) + t[i + 1 :]
+
+
+class TestSpecialisation:
+    def test_identity_against_direct_enumeration(self, corpus_cases):
+        # Q_T = (Q_{T-e} - delta_u) & (Q_{T-e} - delta_v) for every kind,
+        # a single shift for a loop
+        checks = 0
+        for case in corpus_cases:
+            g, q, bp, T = case.graph, case.q, case.basepoint, case.stratum
+            for kind in ("semistable", "quasistable", "stable"):
+                found = {d.values for d in StratumContext(g, q, bp, T).enumerate(kind)}
+                for eid in T:
+                    e = g.edge(eid)
+                    u, v = g.vertices.index(e.u), g.vertices.index(e.v)
+                    parent = StratumContext(g, q, bp, T - {eid}).enumerate(kind)
+                    down_u = {_shift(d.values, u, -1) for d in parent}
+                    down_v = {_shift(d.values, v, -1) for d in parent}
+                    assert found == down_u & down_v, (case.index, kind, eid)
+                    checks += 1
+        assert checks >= 1000
+
+    def test_rows_equal_direct_contexts(self):
+        for case in corpus_mod.small_cases():
+            g, q, bp = case.graph, case.q, case.basepoint
+            for row in strata_report(g, bp, q).rows:
+                direct = StratumContext(g, q, bp, row.stratum).enumerate("quasistable")
+                assert row.multidegrees == tuple(direct), (case.index, row.stratum)
 
 
 class TestPushforward:
@@ -208,15 +230,8 @@ class TestAgainstOracles:
             g, q, bp = case.graph, case.q, case.basepoint
             buckets = {b.stratum: b for b in blowup_decomposition(g, bp, q).buckets}
             for row in strata_report(g, bp, q).rows:
-                # the oracle counts stratum loops inside every subset at their
-                # vertex, which is the normalization's shift by one per loop
                 want = oracles.brute_force_multidegrees(g, q, bp, row.stratum, "quasistable")
-                assert list(row.normalization_multidegrees) == want, (case.index, row.stratum)
-                loops = [g.edge(e).u for e in row.stratum if g.edge(e).is_loop]
-                shift = [loops.count(v) for v in g.vertices]
-                assert [tuple(a + b for a, b in zip(t, shift)) for t in want] == [
-                    d.values for d in row.multidegrees
-                ], (case.index, row.stratum)
+                assert [d.values for d in row.multidegrees] == want, (case.index, row.stratum)
                 trees = oracles.spanning_tree_count(g.delete_edges(row.stratum))
                 assert row.expected_count == trees, (case.index, row.stratum)
                 assert row.connected == (trees > 0), (case.index, row.stratum)
