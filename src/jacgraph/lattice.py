@@ -162,27 +162,47 @@ def laplacian_pairing(g: Multigraph, V: Iterable[Vertex], W: Iterable[Vertex]) -
 
 def det_bareiss(mat: list[list[int]]) -> int:
     """Exact integer determinant (fraction-free Gaussian elimination)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    return _bareiss([list(map(int, row)) for row in mat])
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Bareiss elimination in place of the square block of the first
+    ``len(a)`` columns, carrying any further columns along; returns its
+    determinant.  Entries stay integers (minors), and a nonsingular block
+    ends upper triangular with the determinant, up to sign, as last pivot."""
+    n = len(a)
+    sign = prev = 1
+    for k in range(n):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        prow = a[k]
+        p = prow[k]
+        cols = range(k + 1, len(prow))
+        for row in a[k + 1 :]:
+            f = row[k]
+            for j in cols:
+                row[j] = (row[j] * p - f * prow[j]) // prev
+            row[k] = 0
+        prev = p
+    return sign * prev
+
+
+def _solve(a: list[list[int]]) -> tuple[int, list[int]]:
+    """``(D, D * x)`` for the solution x of the nonsingular square system
+    with augmented matrix ``a`` (eliminated in place), D being its
+    determinant up to sign: ``_bareiss``, then back substitution, whose
+    divisions are exact because ``D * x`` is integral (Cramer's rule)."""
+    _bareiss(a)
+    n = len(a)
+    top = a[-1][-2] if a else 1
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (top * a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))) // a[i][i]
+    return top, x
 
 
 def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
@@ -260,8 +280,18 @@ def complexity(g: Multigraph) -> int:
 def _tree_count(n: int, pairs) -> int:
     """``complexity`` of the multigraph on vertices 0..n-1 with the given
     endpoint index pairs."""
-    lap = _laplacian(n, pairs)
-    return det_bareiss([[-x for x in row[1:]] for row in lap[1:]])
+    return abs(_bareiss(_reduced_laplacian(n, pairs)))
+
+
+def _reduced_laplacian(n: int, pairs, drop: int = 0, rhs=()) -> list[list[int]]:
+    """``_laplacian(n, pairs)`` without the row and column of ``drop``, each
+    row followed by its entry of ``rhs`` if given; on a connected graph its
+    determinant is the spanning-tree count up to sign."""
+    return [
+        row[:drop] + row[drop + 1 :] + list(rhs[i : i + 1])
+        for i, row in enumerate(_laplacian(n, pairs))
+        if i != drop
+    ]
 
 
 def picard_group(g: Multigraph) -> PicardGroup:
@@ -276,34 +306,28 @@ def picard_group(g: Multigraph) -> PicardGroup:
         raise DisconnectedGraphError("degree class group is infinite: graph is disconnected")
     factors = invariant_factors(laplacian_matrix(g))
     return PicardGroup(
-        invariant_factors=tuple(x for x in factors if x > 1), order=_torsion_order(factors)
+        invariant_factors=tuple(x for x in factors if x > 1), order=prod(x for x in factors if x)
     )
-
-
-def _torsion_order(factors) -> int:
-    """Order of the torsion subgroup presented by the invariant factors."""
-    return prod(x for x in factors if x)
 
 
 def same_class(g: Multigraph, d1: Cochain, d2: Cochain) -> bool:
     """Whether two multidegrees differ by a Laplacian image.
 
-    b = d1 - d2 has total zero, so on a connected graph its class lies in
-    the finite degree class group, and appending b to the Laplacian as a
-    column divides the torsion order by the order of that class.  The two
-    torsion orders agree exactly when b is in the Laplacian image.
+    b = d1 - d2 has total zero, so on a connected graph L y = b has one
+    rational solution with y = 0 at the first vertex, that of the reduced
+    Laplacian system, whose determinant D is the tree count up to sign.  One
+    fraction-free elimination gives D * y, and b is a Laplacian image
+    exactly when y is integral: when D divides every entry of D * y.
     """
     for d in (d1, d2):
         if d.graph != g:
             raise GraphMismatchError("cochain bound to a different graph")
     if d1.total != d2.total:
-        raise DegreeMismatchError(
-            f"total degrees differ: {d1.total} vs {d2.total}"
-        )
+        raise DegreeMismatchError(f"total degrees differ: {d1.total} vs {d2.total}")
     if not g.is_connected():
         raise DisconnectedGraphError("multidegree classes need a connected graph")
-    lap = laplacian_matrix(g)
-    augmented = [row + [x - y] for row, x, y in zip(lap, d1.values, d2.values)]
-    return _torsion_order(invariant_factors(lap)) == _torsion_order(
-        invariant_factors(augmented)
-    )
+    pos = g._vpos
+    pairs = [(pos[e.u], pos[e.v]) for e in g.edges]
+    b = [x - y for x, y in zip(d1.values, d2.values)]
+    top, x = _solve(_reduced_laplacian(g.num_vertices, pairs, 0, b))
+    return all(v % top == 0 for v in x)

@@ -19,9 +19,12 @@ both.  The S-edges count modularly against W (half a unit per endpoint
 inside), so the deficit is a modular function of W minus half the
 crossing valence of W in the stratum-deleted graph, and its maximum is one
 s-t minimum cut (Picard & Ratliff, Networks 5, 1975).  The subsets
-maximizing either functional are closed under intersection and union; the
-reduction walks d along Laplacian images of the smallest maximizers until
-the distinguished quasistable representative of its class is reached.
+maximizing either functional are closed under intersection and union.
+
+The reduction jumps next to the stratum's rational centre by one exact
+solve of the reduced Laplacian system, which leaves every deficit at most
+half a cut, then walks d by unit Laplacian steps of the least maximizers
+to the distinguished quasistable representative of its class.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     ReductionGuardError,
 )
 from .graph import Multigraph, Vertex, _adjacency_masks
-from .lattice import Cochain
+from .lattice import Cochain, _reduced_laplacian, _solve
 from .polarization import Polarization
 
 KINDS = ("semistable", "quasistable", "stable")
@@ -93,25 +96,10 @@ class _ScaledStratum:
     def __init__(self, pairs, s_flags, s_loops, scaled_q, scale, v0, budget):
         self.pairs, self.s_flags, self.s_loops = pairs, s_flags, s_loops
         self.scaled_q, self.scale, self.v0, self.budget = scaled_q, scale, v0, budget
-        self._tables_cache: dict = {}
         self._net = None
 
     def rhs_bound(self) -> int:
         return sum(abs(x) for x in self.scaled_q) + 2 * self.scale * len(self.pairs) + 4
-
-    def tables(self, impl, order: tuple):
-        """Kernel tables with vertex ``order[k]`` at index k, cached."""
-        key = (impl.__name__, order)
-        if key not in self._tables_cache:
-            inv = _inverse(order)
-            self._tables_cache[key] = impl.build_tables(
-                len(order),
-                [(inv[a], inv[b]) for a, b in self.pairs],
-                self.s_flags,
-                [self.scaled_q[old] for old in order],
-                self.scale,
-            )
-        return self._tables_cache[key]
 
     def singleton_box(self) -> tuple[list[int], list[int]]:
         """Bounds from the one-vertex subsets and their complements:
@@ -146,9 +134,16 @@ class _ScaledStratum:
             + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)
         )
         impl = _kernel.select(bound)
-        inv = _inverse(order)
+        inv = sorted(range(len(order)), key=order.__getitem__)
+        tables = impl.build_tables(
+            len(order),
+            [(inv[a], inv[b]) for a, b in self.pairs],
+            self.s_flags,
+            [self.scaled_q[old] for old in order],
+            self.scale,
+        )
         raw = impl.box_enumerate(
-            self.tables(impl, order),
+            tables,
             inv[self.v0],
             self.budget,
             [lo[old] for old in order],
@@ -262,6 +257,24 @@ class _ScaledStratum:
         bp = self._reach(res, [self.v0]) if best == 0 else None
         return best, least, ((1 << len(vals)) - 1) ^ to_t, bp
 
+    def centre_jump(self, vals) -> list[int]:
+        """A rounding z of the solution y, 0 at the basepoint, of
+        ``L y = c - d`` for the multidegree d of ``vals``, with L the
+        Laplacian of the stratum-deleted graph, which must be connected,
+        and c the stratum's rational centre (``scale * c`` is the ``base``
+        of ``_network``).  With ``w = z - y``, ``|w| <= 1/2``, the deficit
+        of ``d + L z`` on W sums ``w_a - w_b - 1/2 <= 1/2`` over the edges
+        of that graph from a in W to b outside: every deficit is at most
+        half a cut."""
+        n, v0, scale = len(vals), self.v0, self.scale
+        kept = [p for p, flag in zip(self.pairs, self.s_flags) if not flag]
+        rhs = [b - scale * x for x, b in zip(vals, self._network()[0])]
+        top, x = _solve(_reduced_laplacian(n, kept, v0, rhs))
+        # y = x / (top * scale) rounded half up; // floors for either sign
+        z = [(2 * xv + top * scale) // (2 * top * scale) for xv in x]
+        z.insert(v0, 0)
+        return z
+
     def is_stable(self, vals) -> bool:
         """Whether the multidegree ``vals`` on the budget is stable: no
         positive deficit, and the least zero-deficit set through each
@@ -272,13 +285,6 @@ class _ScaledStratum:
         return not any(e > 0 for e in excess) and all(
             self._reach(res, [v]) == full for v in range(len(vals))
         )
-
-
-def _inverse(order) -> list[int]:
-    inv = [0] * len(order)
-    for new, old in enumerate(order):
-        inv[old] = new
-    return inv
 
 
 def _bfs_order(n: int, pairs, v0: int) -> tuple:
@@ -428,23 +434,15 @@ class StratumContext:
 
     # -- reduction -------------------------------------------------------
 
-    def _crossing(self, mask: int) -> list[tuple[int, int]]:
-        """(inside end, outside end) of every edge outside the stratum that
-        leaves the vertex bitmask ``mask``; loops never leave."""
-        ints = self._ints
-        return [
-            (a, b) if mask >> a & 1 else (b, a)
-            for (a, b), flag in zip(ints.pairs, ints.s_flags)
-            if not flag and (mask >> a ^ mask >> b) & 1
-        ]
-
-    def _apply_delta(self, vals, mask, multiplier):
-        """vals += multiplier * Laplacian(indicator of mask), in place, for
-        the Laplacian of the stratum-deleted graph: each edge leaving the
-        mask moves ``multiplier`` from its inside end to its outside end."""
-        for inside, outside in self._crossing(mask):
-            vals[inside] -= multiplier
-            vals[outside] += multiplier
+    def _apply_delta(self, vals, z):
+        """vals += Laplacian(z), in place, for the Laplacian of the
+        stratum-deleted graph: each edge (a, b) outside the stratum moves
+        ``z[a] - z[b]`` from a to b (loops move nothing)."""
+        for (a, b), flag in zip(self._ints.pairs, self._ints.s_flags):
+            if not flag:
+                move = z[a] - z[b]
+                vals[a] -= move
+                vals[b] += move
 
     def _reduce(self, d: Cochain, to_quasistable: bool):
         self._check_cochain(d)
@@ -457,54 +455,30 @@ class StratumContext:
         full = (1 << n) - 1
         vals = list(d.values)
         best, _, greatest, bp = self._ints.defect_cut(vals)
-        # generous: the worst deficit drops by >= 1/scale every at most
-        # 2**n passes, then the basepoint stage grows its core each pass
-        limit = (best + n + 2) * (1 << n) + 8
-        steps = 0
-        passes = 0
-        while best > 0:
-            core = full ^ greatest
-            # cut size of the core in the stratum-deleted graph
-            cut = len(self._crossing(core))
-            batch = max(1, best // (self.scale * cut)) if cut else 1
-            if batch > 1:
-                # one application lowers the core excess by the cut size;
-                # try the whole batch, keep it only if the worst defect
-                # actually dropped (far-away subsets may gain)
-                self._apply_delta(vals, core, batch)
-                nbest, _, ngreatest, nbp = self._ints.defect_cut(vals)
-                if nbest < best:
-                    steps += batch
-                    best, greatest, bp = nbest, ngreatest, nbp
-                    passes += 1
-                    if passes > limit:
-                        raise ReductionGuardError(
-                            "descent to semistability exceeded its iteration guard"
-                        )
-                    continue
-                self._apply_delta(vals, core, -batch)
-            self._apply_delta(vals, core, +1)
-            steps += 1
-            passes += 1
-            if passes > limit:
-                raise ReductionGuardError(
-                    "descent to semistability exceeded its iteration guard"
-                )
+        if best > 0:
+            self._apply_delta(vals, self._ints.centre_jump(vals))
             best, _, greatest, bp = self._ints.defect_cut(vals)
-        if to_quasistable:
-            while bp != full:
-                self._apply_delta(vals, bp, -1)
-                steps += 1
-                passes += 1
-                if passes > limit:
-                    raise ReductionGuardError(
-                        "descent to the basepoint representative exceeded its guard"
-                    )
-                best, _, greatest, bp = self._ints.defect_cut(vals)
-                if best != 0:
-                    raise ReductionGuardError(
-                        "internal error: semistability lost during basepoint descent"
-                    )
+        # Unit steps: a chip out along each edge leaving the least excess
+        # maximizer X while a deficit is positive, then a chip in along each
+        # edge entering the least zero-deficit set B through the basepoint.
+        # The excess is supermodular, so after a step none exceeds ``best``,
+        # and if ``best`` stays level the new X strictly contains the old
+        # (whose excess fell by its cut); likewise B strictly grows.  So
+        # ``best`` falls at least every n - 1 steps, B reaches every vertex
+        # within n - 1, and n * (best + 2) steps is past any correct walk.
+        limit = n * (best + 2)
+        steps = 0
+        while best > 0 or (to_quasistable and bp != full):
+            if steps == limit:
+                raise ReductionGuardError(f"reduction exceeded its step bound {limit}")
+            mask, sign = (full ^ greatest, 1) if best > 0 else (bp, -1)
+            self._apply_delta(vals, [sign * (mask >> v & 1) for v in range(n)])
+            steps += 1
+            best, _, greatest, bp = self._ints.defect_cut(vals)
+            if sign < 0 and best != 0:
+                raise ReductionGuardError(
+                    "internal error: semistability lost during basepoint descent"
+                )
         return Cochain(self.graph, vals), steps
 
     def reduce_to_semistable(self, d: Cochain) -> Cochain:

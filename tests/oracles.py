@@ -5,7 +5,8 @@ and naive algorithms: spanning trees by exhaustive edge selection,
 stability by checking every vertex subset with Fraction sums, lattice
 membership by rational elimination, invariant factors from minors.  Nothing imports the kernels;
 ``defect_scan``, the subset scan that the minimum cut replaced, reads the
-kernel's bound tables as plain data.
+kernel's bound tables as plain data, and ``same_class``, the class test
+that the single solve replaced, compares two invariant-factor eliminations.
 """
 
 from __future__ import annotations
@@ -205,6 +206,35 @@ def in_laplacian_image(g, b_values) -> bool:
     # the dropped equation must also hold
     check = sum(lap[n - 1][j] * xs[j] for j in range(m))
     return check == b_values[n - 1]
+
+
+def same_class(g, d1, d2) -> bool:
+    """Whether two multidegrees differ by a Laplacian image, by two
+    eliminations: b = d1 - d2 has total zero, so on a connected graph its
+    class lies in the finite degree class group, and appending b to the
+    Laplacian as a column divides the torsion order by the order of that
+    class.  The two torsion orders agree exactly when b is in the image.
+    Raises what ``jacgraph.same_class`` raises, in the same order."""
+    from jacgraph import (
+        DegreeMismatchError,
+        DisconnectedGraphError,
+        GraphMismatchError,
+        invariant_factors as factors,
+        laplacian_matrix,
+    )
+
+    for d in (d1, d2):
+        if d.graph != g:
+            raise GraphMismatchError("cochain bound to a different graph")
+    if d1.total != d2.total:
+        raise DegreeMismatchError(f"total degrees differ: {d1.total} vs {d2.total}")
+    if not g.is_connected():
+        raise DisconnectedGraphError("multidegree classes need a connected graph")
+    lap = laplacian_matrix(g)
+    augmented = [row + [x - y] for row, x, y in zip(lap, d1.values, d2.values)]
+    return math.prod(x for x in factors(lap) if x) == math.prod(
+        x for x in factors(augmented) if x
+    )
 
 
 def invariant_factors(mat) -> tuple[int, ...]:

@@ -9,8 +9,10 @@ import functools
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd, lcm
 
 from jacgraph import (
     Cochain,
@@ -219,3 +221,60 @@ def test_criterion_9_generalisations(corpus_cases):
                     i = g.vertices.index(end)
                     up = d.values[:i] + (d.values[i] + 1,) + d.values[i + 1 :]
                     assert up in parent, (case.index, eid, d.values)
+
+
+@criterion(10, "the group law of reduction on the quasistable set matches the invariant factors")
+def test_criterion_10_group_law(corpus_cases):
+    # With an origin o in Q, d1 + d2 := reduce(d1 + d2 - o) makes Q the degree
+    # class group of the stratum-deleted graph (the component group of the
+    # Neron model), so its element orders are those of the product of Z/f
+    # over picard_group's factors f.
+    def complete(n, mult):
+        names = [f"k{i}" for i in range(n)]
+        return Multigraph(names, [(a, b) for a, b in combinations(names, 2) for _ in range(mult)])
+
+    rng = random.Random(59)
+    # corpus groups are small (177 of them trivial); add some with two or
+    # three invariant factors
+    chain = Multigraph(
+        ["b0", "b1", "b2", "b3"],
+        [("b0", "b0")] + [("b0", "b1")] * 2 + [("b1", "b2")] * 3 + [("b2", "b3")] * 4,
+    )
+    extra = [complete(4, 1), complete(5, 1), complete(3, 2), chain]
+    contexts = [_context(case) for case in corpus_cases]
+    for g in extra:
+        values = [Fraction(rng.randint(-6, 6), 3) for _ in g.vertices[1:]]
+        values.insert(0, 1 - sum(values, Fraction(0)))
+        contexts.append(StratumContext(g, Polarization(g, values), g.vertices[0]))
+    checked = 0
+    for ctx in contexts:
+        gdel = ctx.deleted_graph
+        if not gdel.is_connected():
+            continue
+        qs = [d.values for d in ctx.enumerate("quasistable")]
+        origin = qs[0]
+
+        def add(a, b):
+            d = Cochain(ctx.graph, [x + y - o for x, y, o in zip(a, b, origin)])
+            return ctx.reduce_to_quasistable(d).values
+
+        order = {origin: 1}
+        for x in qs:
+            if x in order:
+                continue
+            multiples = [x]
+            while multiples[-1] != origin:
+                assert len(multiples) < len(qs), (ctx.graph, x)
+                multiples.append(add(multiples[-1], x))
+            m = len(multiples)
+            for k, y in enumerate(multiples, 1):
+                assert order.setdefault(y, m // gcd(k, m)) == m // gcd(k, m), qs
+        assert len(order) == len(qs)
+        factors = picard_group(gdel).invariant_factors
+        expected = Counter(
+            lcm(1, *(f // gcd(a, f) for a, f in zip(t, factors)))
+            for t in product(*(range(f) for f in factors))
+        )
+        assert Counter(order.values()) == expected, (ctx.graph, factors)
+        checked += 1
+    assert checked >= 200 + len(extra)

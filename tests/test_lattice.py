@@ -251,6 +251,47 @@ class TestSameClass:
                 expect = oracles.in_laplacian_image(g, shift)
                 assert same_class(g, d1, d2) == expect
 
+    def test_against_two_elimination_oracle(self):
+        # seeded multigraphs with loops and parallel edges, from 0 to 6
+        # vertices, connected or not; equal and unequal totals
+        rng = random.Random(31)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except (DegreeMismatchError, DisconnectedGraphError) as exc:
+                return type(exc)
+
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            names = [f"v{i}" for i in range(n)]
+            edges = [
+                (rng.choice(names), rng.choice(names))
+                for _ in range(rng.randint(0, 2 * n + 2) if n else 0)
+            ]
+            g = Multigraph(names, edges)
+            d1 = Cochain(g, [rng.randint(-4, 4) for _ in range(n)])
+            if n and rng.random() < 0.5:
+                # a Laplacian image plus, sometimes, a unit move
+                y = Cochain(g, [rng.randint(-2, 2) for _ in names])
+                shift = list(laplacian_apply(g, y).values)
+                if rng.random() < 0.5:
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    shift[i] += 1
+                    shift[j] -= 1
+            else:
+                shift = [rng.randint(-3, 3) for _ in range(n)]
+            d2 = Cochain(g, [a + b for a, b in zip(d1.values, shift)])
+            got = outcome(same_class, g, d1, d2)
+            assert got == outcome(oracles.same_class, g, d1, d2), (names, edges, d1, d2)
+            seen.add((n, got))
+        # every outcome occurs, the 0- and 1-vertex graphs included
+        assert {(0, True), (1, True)} <= seen
+        assert {got for _, got in seen} == {
+            True, False, DegreeMismatchError, DisconnectedGraphError
+        }
+
     def test_laplacian_shifts_are_trivial(self, corpus_cases):
         rng = random.Random(29)
         for case in corpus_cases[:30]:

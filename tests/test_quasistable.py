@@ -10,6 +10,7 @@ from jacgraph import (
     GuardLimitError,
     Multigraph,
     Polarization,
+    ReductionGuardError,
     StratumContext,
     UnknownVertexError,
     complexity,
@@ -318,43 +319,127 @@ class TestReduce:
             assert ctx.reduce_to_quasistable(out) == out
 
     def test_walk_goldens(self):
-        # steps and outputs pinned from the subset-scan walk: the batch size
-        # depends on the cut of each core, which the outputs alone hide
+        # outputs pinned from the subset-scan walk; steps count the unit
+        # moves after the jump to the centre, so they pin its rounding
         g = _chorded_cycle(12)
         q = Polarization(g, [Fraction(1, 3)] * 6 + [Fraction(2, 3)] * 6)
         ctx = StratumContext(g, q, "c0", ["e12"])
         for vals, steps, out in [
             (
                 [30, -30, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5],
-                33,
+                1,
                 (0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1),
             ),
             (
                 [-40, 13, 7, 25, -9, 0, 3, -17, 40, -22, 11, -6],
-                65,
+                1,
                 (0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0),
             ),
         ]:
             rep = ctx.reduce_report(Cochain(g, vals))
             assert (rep.steps, rep.output.values) == (steps, out)
 
+    def test_jump_bounds_every_deficit(self, corpus_cases):
+        import random
+
+        # after the jump every deficit is at most half a cut
+        rng = random.Random(43)
+        for case in corpus_cases:
+            ctx = _ctx(case)
+            if not ctx.deleted_graph.is_connected():
+                continue
+            n = case.graph.num_vertices
+            for _ in range(3):
+                vals = [rng.randint(-15, 15) for _ in range(n - 1)]
+                vals.append(ctx.budget - sum(vals))
+                ctx._apply_delta(vals, ctx._ints.centre_jump(vals))
+                d = Cochain(case.graph, vals)
+                for mask in range(1, 1 << n):
+                    W = ctx._mask_to_set(mask)
+                    cut = oracles.crossing_count(ctx.deleted_graph, W)
+                    assert ctx.deficit(d, W) <= Fraction(cut, 2), case.index
+
+    def test_walk_is_monotone(self, corpus_cases):
+        import random
+
+        # what the step bound rests on, checked without the jump: the worst
+        # deficit never rises, and while it stays level the least excess
+        # maximizer strictly grows; in the basepoint stage the least
+        # zero-deficit set through the basepoint strictly grows
+        rng = random.Random(53)
+        for case in corpus_cases:
+            ctx = _ctx(case)
+            if not ctx.deleted_graph.is_connected():
+                continue
+            n = case.graph.num_vertices
+            full = (1 << n) - 1
+            vals = [rng.randint(-15, 15) for _ in range(n - 1)]
+            vals.append(ctx.budget - sum(vals))
+            best, _, greatest, bp = ctx._ints.defect_cut(vals)
+            start, steps = best, 0
+            while best > 0 or bp != full:
+                grow = full ^ greatest if best > 0 else bp
+                sign = 1 if best > 0 else -1
+                ctx._apply_delta(vals, [sign * (grow >> v & 1) for v in range(n)])
+                steps += 1
+                nbest, _, greatest, bp = ctx._ints.defect_cut(vals)
+                now = full ^ greatest if nbest > 0 else bp
+                assert nbest <= best, case.index
+                if nbest == best:
+                    assert now & grow == grow != now, case.index
+                best = nbest
+            assert steps <= (n - 1) * (start + 1), case.index
+            assert Cochain(case.graph, vals) == ctx.reduce_to_quasistable(
+                Cochain(case.graph, vals)
+            )
+
+    def test_guard_at_its_bound(self, monkeypatch):
+        # a walk stubbed to make no progress stops after exactly
+        # n * (best + 2) unit moves, best being the scaled worst deficit
+        # after the jump (which the stub turns into a no-op as well)
+        g = _chorded_cycle(12)
+        ctx = StratumContext(g, Polarization(g, [HALF] * 12), "c0")
+        n = g.num_vertices
+        qs = set(ctx.enumerate("quasistable"))
+        stuck = next(d for d in ctx.enumerate("semistable") if d not in qs)
+        far = Cochain(g, [20, -20, 3, 0, 0, 0, 0, 0, 0, 0, 0, 3])
+        best = ctx._ints.defect_cut(far.values)[0]
+        assert best > 0
+        moves = []
+        monkeypatch.setattr(
+            StratumContext, "_apply_delta", lambda self, vals, z: moves.append(z)
+        )
+        # a semistable input takes no jump: 2n basepoint moves
+        for d, jumps, bound in [(stuck, 0, 2 * n), (far, 1, n * (best + 2))]:
+            moves.clear()
+            with pytest.raises(ReductionGuardError):
+                ctx.reduce_to_quasistable(d)
+            assert len(moves) == jumps + bound
+
     def test_beyond_subset_scan_guard(self):
         import random
 
-        # two chords in the stratum
-        n = 40
-        g = _chorded_cycle(n)
-        ctx = StratumContext(g, Polarization(g, [HALF] * n), "c0", ["e40", "e43"])
+        draw = random.Random(7).randint
+        seventh = [Fraction(draw(-3, 3), 7) for _ in range(99)]
+        inputs = [
+            # two chords in the stratum
+            (40, [HALF] * 40, ["e40", "e43"], 10),
+            (100, [HALF] * 100, [], 40),
+            (100, seventh + [1 - sum(seventh)], [], 40),
+        ]
         rng = random.Random(5)
-        vals = [rng.randint(-10, 10) for _ in range(n - 1)]
-        vals.append(ctx.budget - sum(vals))
-        d = Cochain(g, vals)
-        rep = ctx.reduce_report(d)
-        assert rep.steps > 0
-        assert ctx.is_quasistable(rep.output)
-        assert rep.output.total == d.total == ctx.budget
-        gdel = ctx.deleted_graph
-        assert same_class(gdel, d.rebind(gdel), rep.output.rebind(gdel))
+        for n, values, stratum, spread in inputs:
+            g = _chorded_cycle(n)
+            ctx = StratumContext(g, Polarization(g, values), "c0", stratum)
+            vals = [rng.randint(-spread, spread) for _ in range(n - 1)]
+            vals.append(ctx.budget - sum(vals))
+            d = Cochain(g, vals)
+            assert not ctx.is_semistable(d)
+            rep = ctx.reduce_report(d)
+            assert ctx.is_quasistable(rep.output)
+            assert rep.output.total == d.total == ctx.budget
+            gdel = ctx.deleted_graph
+            assert same_class(gdel, d.rebind(gdel), rep.output.rebind(gdel))
 
     def test_disconnected_stratum_rejected(self, banana):
         ctx = StratumContext(banana, Polarization(banana, [1, 0]), "u", ["e0", "e1"])
