@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import time
 from fractions import Fraction
-from math import lcm
 
 from jacgraph import Multigraph, Polarization, StratumContext
 from jacgraph._kernel import MODE_QUASISTABLE, implementations
@@ -29,14 +28,12 @@ def chorded_cycle(n: int) -> Multigraph:
 
 
 def kernel_inputs(g: Multigraph, q: Polarization, basepoint):
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    edges = [(pos[e.u], pos[e.v]) for e in g.edges]
-    s_flags = [False] * g.num_edges
-    scale = 2 * lcm(*(x.denominator for x in q.values))
-    scaled_q = [int(x * scale) for x in q.values]
+    """The context and the kernel arguments it passes: kept edges, scaled
+    polarization, scale, singleton box and basepoint index."""
     ctx = StratumContext(g, q, basepoint)
     lo, hi = ctx.singleton_box()
-    return ctx, edges, s_flags, scaled_q, scale, lo, hi, pos[basepoint]
+    ints = ctx._ints
+    return ctx, ints.kept, ints.base, ints.scale, lo, hi, ints.v0
 
 
 def best_of(repeat, fn, *args):
@@ -54,11 +51,11 @@ def impl_label(mod) -> str:
     return "compiled" if "speedups" in mod.__name__ else "pure"
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="10,12,14", help="comma-separated vertex counts")
     parser.add_argument("--repeat", type=int, default=3, help="take the best of this many runs")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
 
     mods = implementations()
@@ -78,9 +75,7 @@ def main() -> int:
         if n % 2:
             values[-1] = Fraction(1)  # keep the total an integer
         q = Polarization(g, values)
-        ctx, edges, s_flags, scaled_q, scale, lo, hi, v0 = kernel_inputs(
-            g, q, g.vertices[0]
-        )
+        ctx, edges, base, scale, lo, hi, v0 = kernel_inputs(g, q, g.vertices[0])
         d = list(range(n))
         d[-1] = ctx.budget - sum(d[:-1])
 
@@ -91,7 +86,7 @@ def main() -> int:
         counts = None
         for mod in mods:
             t_build, tables = best_of(
-                args.repeat, mod.build_tables, n, edges, s_flags, scaled_q, scale
+                args.repeat, mod.build_tables, n, edges, base, scale
             )
             rows["tables"].append(t_build)
             t_enum, found = best_of(

@@ -8,15 +8,15 @@ overflow.
 
 All quantities are pre-scaled integers: a context with rational vertex
 weights q scales everything by an even integer ``scale`` so that
-``scale * q_W`` and ``scale * val(W) / 2`` are integers.  For a vertex
-subset given as a bitmask ``m``:
-
-- ``floor_rhs[m]``  is the least allowed value of ``scale * d_m``,
-- ``ceil_rhs[m]``   is the greatest allowed value of ``scale * d_m``,
-
-for a semistable multidegree d (non-strict bounds).  The deficit of d on
-``m`` is ``floor_rhs[m] - scale * d_m``; its positive part measures how
-far d is from semistability.
+``scale * q_W`` and ``scale * val(W) / 2`` are integers.  A stratum
+context passes the data of its partial normalization (G - S, q_S): the
+non-loop edges of G - S and ``base == scale * q_S``.  For a vertex subset
+given as a bitmask ``m``, ``floor[m]`` is the least allowed value of
+``scale * d_m`` for a semistable multidegree d (non-strict bound), and
+the greatest is ``scale * total - floor[full ^ m]``, as the complement
+holds the rest of the total.  The deficit of d on ``m`` is
+``floor[m] - scale * d_m``; its positive part measures how far d is from
+semistability.
 """
 
 from __future__ import annotations
@@ -31,51 +31,25 @@ MODE_STABLE = 2
 class Tables(NamedTuple):
     n: int
     scale: int
-    floor_rhs: list
-    ceil_rhs: list
+    floor: list
 
 
-def build_tables(n, edges, s_flags, scaled_q, scale):
-    """Per-subset bound tables.
-
-    ``edges`` lists endpoint index pairs, ``s_flags`` marks the edges of
-    the stratum S, ``scaled_q[i] == scale * q_i``.
-    """
+def build_tables(n, edges, base, scale):
+    """The per-subset floor table ``sum(base[v] for v in m) - scale/2 *
+    cross(m)``, with ``cross(m)`` the number of ``edges`` (endpoint index
+    pairs) with exactly one end in ``m``."""
     size = 1 << n
     half = scale // 2
-    qsum = [0] * size
+    floor = [0] * size
     for m in range(1, size):
         lsb = m & -m
-        qsum[m] = qsum[m ^ lsb] + scaled_q[lsb.bit_length() - 1]
-    cross = [0] * size
-    cross_s = [0] * size
-    inside_s = [0] * size
-    for (a, b), flag in zip(edges, s_flags):
-        if a == b:
-            if flag:
-                bit = 1 << a
-                for m in range(size):
-                    if m & bit:
-                        inside_s[m] += 1
-            continue
+        floor[m] = floor[m ^ lsb] + base[lsb.bit_length() - 1]
+    for a, b in edges:
         abit, bbit = 1 << a, 1 << b
         for m in range(size):
-            a_in = m & abit
-            b_in = m & bbit
-            if bool(a_in) != bool(b_in):
-                cross[m] += 1
-                if flag:
-                    cross_s[m] += 1
-            elif flag and a_in:
-                inside_s[m] += 1
-    floor_rhs = [
-        qsum[m] - half * cross[m] - scale * inside_s[m] for m in range(size)
-    ]
-    ceil_rhs = [
-        qsum[m] + half * cross[m] - scale * (cross_s[m] + inside_s[m])
-        for m in range(size)
-    ]
-    return Tables(n, scale, floor_rhs, ceil_rhs)
+            if bool(m & abit) != bool(m & bbit):
+                floor[m] -= half
+    return Tables(n, scale, floor)
 
 
 def box_enumerate(tables, v0, total, lo, hi, mode):
@@ -89,12 +63,12 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     ``sums[m]`` holds ``scale * d_m``, so the subset checks need no
     multiplication.
     """
-    n, scale, floor_rhs, ceil_rhs = tables
+    n, scale, floor = tables
     size = 1 << n
     full = size - 1
 
-    low = list(floor_rhs)
-    high = list(ceil_rhs)
+    low = list(floor)
+    high = [scale * total - x for x in reversed(floor)]
     if mode == MODE_QUASISTABLE:
         vbit = 1 << v0
         for m in range(1, full):

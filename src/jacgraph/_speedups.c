@@ -1,14 +1,14 @@
-/* Compiled enumeration kernel: bound tables and box search.
+/* Compiled enumeration kernel: bound table and box search.
  *
  * Same contract and algorithms as jacgraph._kernel_py, which stays the
  * fallback and the reference, computed in signed 64-bit integers.  Tables
- * are the plain tuple (n, scale, floor, ceil) with floor and ceil as
- * read-only int64 memoryviews of 2**n entries, which index and convert to
- * lists like the pure kernel's.  Every integer read from Python must fit in
- * 64 bits or OverflowError is raised; the sums and products formed from
- * them are not checked, so callers keep operands below
- * jacgraph._kernel.FAST_BOUND (the dispatcher routes larger ones to the
- * pure kernel).
+ * are the plain tuple (n, scale, floor): one floor table over G - S, a
+ * read-only int64 memoryview of 2**n entries, which indexes and converts
+ * to a list like the pure kernel's; the upper bounds are derived from it.
+ * Every integer read from Python must fit in 64 bits or OverflowError is
+ * raised; the sums and products formed from them are not checked, so
+ * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
+ * routes larger ones to the pure kernel).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -74,56 +74,42 @@ static int load_table(PyObject *obj, size_t len, long long *out, const char *wha
 }
 
 PyDoc_STRVAR(build_tables_doc,
-"build_tables(n, edges, s_flags, scaled_q, scale) -> (n, scale, floor, ceil)\n\n"
-"Per-subset bound tables, as in jacgraph._kernel_py.build_tables.");
+"build_tables(n, edges, base, scale) -> (n, scale, floor)\n\n"
+"Per-subset floor table, as in jacgraph._kernel_py.build_tables.");
 
 static PyObject *build_tables(PyObject *self, PyObject *args)
 {
     int n;
     long long scale;
-    PyObject *edges, *s_flags, *scaled_q;
-    PyObject *es = NULL, *fs = NULL, *floor_table = NULL, *ceil_table = NULL, *result = NULL;
+    PyObject *edges, *base;
+    PyObject *es = NULL, *floor_table = NULL, *result = NULL;
 
-    if (!PyArg_ParseTuple(args, "iOOOL:build_tables",
-                          &n, &edges, &s_flags, &scaled_q, &scale))
+    if (!PyArg_ParseTuple(args, "iOOL:build_tables", &n, &edges, &base, &scale))
         return NULL;
     if (n < 0 || n > MAX_VERTICES)
         return PyErr_Format(PyExc_ValueError, "n = %d outside 0..%d", n, MAX_VERTICES);
     size_t size = (size_t)1 << n;
     long long half = scale / 2;
-    long long *buf = PyMem_Malloc((2 * size + n + 1) * sizeof(long long));
+    long long *buf = PyMem_Malloc((size + n + 1) * sizeof(long long));
     if (buf == NULL)
         return PyErr_NoMemory();
-    long long *lower = buf, *upper = buf + size, *q = buf + 2 * size;
+    long long *lower = buf, *q = buf + size;
 
-    if (load_ints(scaled_q, n, q, "scaled_q") < 0)
+    if (load_ints(base, n, q, "base") < 0 || (es = PySequence_Tuple(edges)) == NULL)
         goto done;
-    es = PySequence_Tuple(edges);
-    fs = es ? PySequence_Tuple(s_flags) : NULL;
-    if (fs == NULL)
-        goto done;
-    Py_ssize_t num_edges = PyTuple_GET_SIZE(es);
-    if (PyTuple_GET_SIZE(fs) != num_edges) {
-        PyErr_SetString(PyExc_ValueError, "edges and s_flags differ in length");
-        goto done;
-    }
 
-    /* scale * q_W, one top bit at a time */
+    /* the subset sums of base, one top bit at a time */
     lower[0] = 0;
     for (int i = 0; i < n; i++) {
         size_t bit = (size_t)1 << i;
         for (size_t m = 0; m < bit; m++)
             lower[m | bit] = lower[m] + q[i];
     }
-    memcpy(upper, lower, size * sizeof(long long));
 
-    /* per edge: -scale/2 below and +scale/2 above where it crosses, minus
-       scale above too for a crossing S-edge; minus scale on both sides
-       where an S-edge or S-loop lies inside */
-    for (Py_ssize_t e = 0; e < num_edges; e++) {
+    /* per edge: -scale/2 where it crosses */
+    for (Py_ssize_t e = 0; e < PyTuple_GET_SIZE(es); e++) {
         int a, b;
-        int flag = PyObject_IsTrue(PyTuple_GET_ITEM(fs, e));
-        if (flag < 0 || !PyArg_Parse(PyTuple_GET_ITEM(es, e), "(ii)", &a, &b))
+        if (!PyArg_Parse(PyTuple_GET_ITEM(es, e), "(ii)", &a, &b))
             goto done;
         if (a < 0 || a >= n || b < 0 || b >= n) {
             PyErr_Format(PyExc_ValueError, "edge (%d, %d) has an endpoint outside 0..%d",
@@ -131,29 +117,17 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
             goto done;
         }
         size_t abit = (size_t)1 << a, bbit = (size_t)1 << b;
-        long long cross_up = flag ? half - scale : half;
-        for (size_t m = 0; m < size; m++) {
-            int a_in = (m & abit) != 0, b_in = (m & bbit) != 0;
-            if (a_in != b_in) {
+        for (size_t m = 0; m < size; m++)
+            if (((m & abit) != 0) != ((m & bbit) != 0))
                 lower[m] -= half;
-                upper[m] += cross_up;
-            }
-            else if (flag && a_in) {
-                lower[m] -= scale;
-                upper[m] -= scale;
-            }
-        }
     }
 
     floor_table = to_table(lower, size);
-    ceil_table = floor_table ? to_table(upper, size) : NULL;
-    if (ceil_table != NULL)
-        result = Py_BuildValue("(iLOO)", n, scale, floor_table, ceil_table);
+    if (floor_table != NULL)
+        result = Py_BuildValue("(iLO)", n, scale, floor_table);
 done:
     Py_XDECREF(floor_table);
-    Py_XDECREF(ceil_table);
     Py_XDECREF(es);
-    Py_XDECREF(fs);
     PyMem_Free(buf);
     return result;
 }
@@ -227,15 +201,15 @@ PyDoc_STRVAR(box_enumerate_doc,
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
-    PyObject *tables, *floor_seq, *ceil_seq, *lo, *hi, *out = NULL;
+    PyObject *tables, *floor_seq, *lo, *hi, *out = NULL;
     int v0, mode, n;
     long long total, scale;
 
     if (!PyArg_ParseTuple(args, "O!iLOOi:box_enumerate", &PyTuple_Type,
                           &tables, &v0, &total, &lo, &hi, &mode))
         return NULL;
-    if (!PyArg_ParseTuple(tables, "iLOO;tables must be (n, scale, floor, ceil)",
-                          &n, &scale, &floor_seq, &ceil_seq))
+    if (!PyArg_ParseTuple(tables, "iLO;tables must be (n, scale, floor)",
+                          &n, &scale, &floor_seq))
         return NULL;
     if (n < 1 || n > MAX_VERTICES)
         return PyErr_Format(PyExc_ValueError, "n = %d outside 1..%d", n, MAX_VERTICES);
@@ -250,10 +224,12 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *d = suf_hi + n + 1;
 
     if (load_table(floor_seq, size, low, "floor table") < 0
-        || load_table(ceil_seq, size, high, "ceil table") < 0
         || load_ints(lo, n, clo, "lo") < 0
         || load_ints(hi, n, chi, "hi") < 0)
         goto done;
+    /* the complement holds the rest of the total */
+    for (m = 0; m < size; m++)
+        high[m] = scale * total - low[full ^ m];
     /* strict bounds on proper subsets: quasistable from below on those that
        hold v0 and from above on the others, stable both ways on all */
     for (m = 1; m < full; m++) {

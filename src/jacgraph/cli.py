@@ -159,7 +159,7 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
         except PolarizationTotalError as exc:
             raise ProblemFileError(str(exc)) from exc
 
-    basepoint = basepoint_flag or data.get("basepoint")
+    basepoint = basepoint_flag if basepoint_flag is not None else data.get("basepoint")
     if basepoint is None and names:
         basepoint = names[0]
     if basepoint is not None and not (isinstance(basepoint, str) and basepoint in genus):
@@ -197,16 +197,19 @@ def _context(problem: Problem) -> StratumContext:
     )
 
 
-def _edge_guard(args) -> int:
+def _edge_guard() -> int:
     env = os.environ.get("JACGRAPH_GUARD_EDGES")
     if env is None:
         return EDGE_GUARD_DEFAULT
     try:
-        return int(env)
+        guard = int(env)
     except ValueError:
         raise ProblemFileError(
             f"JACGRAPH_GUARD_EDGES must be an integer, got {env!r}"
         ) from None
+    if guard < 0:
+        raise ProblemFileError(f"JACGRAPH_GUARD_EDGES must be nonnegative, got {guard}")
+    return guard
 
 
 # -- subcommands -------------------------------------------------------------
@@ -313,7 +316,7 @@ def cmd_strata(problem: Problem, args) -> dict:
         problem.basepoint,
         q,
         max_codim=args.max_codim,
-        guard_edges=_edge_guard(args),
+        guard_edges=_edge_guard(),
     )
     rows = [
         {
@@ -351,7 +354,7 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
         problem.graph,
         problem.basepoint,
         q,
-        guard_edges=_edge_guard(args),
+        guard_edges=_edge_guard(),
     )
     buckets = [
         {

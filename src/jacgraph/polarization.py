@@ -133,8 +133,8 @@ class Polarization:
                 for eid in S
                 if not (e := g.edge(eid)).is_loop and v in (e.u, e.v)
             )
-            s_loops = sum(1 for eid in S if (e := g.edge(eid)).is_loop and e.u == v)
-            vals[v] = self[v] - Fraction(crossing, 2) - s_loops
+            loops = sum(1 for eid in S if (e := g.edge(eid)).is_loop and e.u == v)
+            vals[v] = self[v] - Fraction(crossing, 2) - loops
         return Polarization(gdel, vals)
 
     def blown_up(self, S: Iterable) -> "Polarization":

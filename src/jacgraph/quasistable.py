@@ -16,10 +16,12 @@ with val the crossing valence in the full graph.  A multidegree is
 
 ``excess(d, W) == deficit(d, complement(W))``, so one maximisation serves
 both.  The S-edges count modularly against W (half a unit per endpoint
-inside), so the deficit is a modular function of W minus half the
-crossing valence of W in the stratum-deleted graph, and its maximum is one
-s-t minimum cut (Picard & Ratliff, Networks 5, 1975).  The subsets
-maximizing either functional are closed under intersection and union.
+inside), so the deficit is ``q_S(W) - d_W`` minus half the crossing
+valence of W in G - S, with ``q_S = q.normalized(S)``: a stratum context
+has the stability data of the plain context on the partial normalization
+(G - S, q_S).  The maximal deficit is one s-t minimum cut (Picard &
+Ratliff, Networks 5, 1975), and the subsets maximizing either functional
+are closed under intersection and union.
 
 The reduction jumps next to the stratum's rational centre by one exact
 solve of the reduced Laplacian system, which leaves every deficit at most
@@ -40,7 +42,7 @@ from .errors import (
     GraphMismatchError,
     ReductionGuardError,
 )
-from .graph import Multigraph, Vertex, _adjacency_masks
+from .graph import Multigraph, Vertex, _adjacency_masks, _mask_pieces
 from .lattice import Cochain, _reduced_laplacian, _solve
 from .polarization import Polarization
 
@@ -78,68 +80,79 @@ class ReduceReport:
 
 
 class _ScaledStratum:
-    """The integer data of a stratum context: endpoint index pairs, their
-    stratum flags, stratum loops per vertex, q scaled by an even ``scale``
-    clearing its denominators, the basepoint index and the degree budget.
+    """The integer data of a stratum context, which is that of the partial
+    normalization (G - S, q_S): the non-loop edges ``kept`` of G - S as
+    endpoint index pairs, ``base == scale * q_S`` with ``scale`` even and
+    clearing the denominators, the basepoint index and the degree budget.
     Each ``StratumContext`` holds one; none of it refers to a graph object.
 
     Scaled by ``scale``, the deficit of a multidegree d on a vertex set W
     is ``sum(w_v for v in W) - scale/2 * val_{G-S}(W)`` with
-    ``w_v = scale*q_v - scale*S-loops(v) - scale/2*S-degree(v) - scale*d_v``.
-    In the network with a source s and a sink t, an arc ``s -> v`` of
-    capacity ``w_v`` when it is positive, ``v -> t`` of capacity ``-w_v``
-    when it is negative, and ``scale/2`` both ways per non-loop edge outside
-    S, the cut with source side ``{s} | W`` costs the sum of the positive
-    ``w_v`` minus ``deficit(W)``.  So a maximum flow gives the maximal
-    deficit, and its residual graph the least and greatest maximizers."""
+    ``w_v = base_v - scale*d_v``.  In the network with a source s and a
+    sink t, an arc ``s -> v`` of capacity ``w_v`` when it is positive,
+    ``v -> t`` of capacity ``-w_v`` when it is negative, and ``scale/2``
+    both ways per kept edge, the cut with source side ``{s} | W`` costs the
+    sum of the positive ``w_v`` minus ``deficit(W)``.  So a maximum flow
+    gives the maximal deficit, and its residual graph the least and
+    greatest maximizers."""
 
-    def __init__(self, pairs, s_flags, s_loops, scaled_q, scale, v0, budget):
-        self.pairs, self.s_flags, self.s_loops = pairs, s_flags, s_loops
-        self.scaled_q, self.scale, self.v0, self.budget = scaled_q, scale, v0, budget
+    def __init__(self, kept, base, scale, v0, budget):
+        self.kept, self.base, self.scale = kept, base, scale
+        self.v0, self.budget = v0, budget
+        self.adj = _adjacency_masks(len(base), kept)
         self._net = None
 
     def rhs_bound(self) -> int:
-        return sum(abs(x) for x in self.scaled_q) + 2 * self.scale * len(self.pairs) + 4
+        """A bound on every table entry either kernel forms: a floor entry
+        is a subset sum of ``base`` less ``scale/2`` per crossing kept edge,
+        and an upper bound is ``scale * budget == sum(base)`` minus a floor
+        entry, both moved by at most 1 for strictness."""
+        return 2 * sum(abs(x) for x in self.base) + self.scale // 2 * len(self.kept) + 1
 
     def singleton_box(self) -> tuple[list[int], list[int]]:
         """Bounds from the one-vertex subsets and their complements:
-        ``ceil(q_v - val(v)/2) - S-loops(v)`` up to
-        ``floor(q_v + val(v)/2) - S-crossings(v) - S-loops(v)``."""
-        n = len(self.scaled_q)
-        val = [0] * n
-        s_cross = [0] * n
-        for (a, b), flag in zip(self.pairs, self.s_flags):
-            if a != b:
-                val[a] += 1
-                val[b] += 1
-                if flag:
-                    s_cross[a] += 1
-                    s_cross[b] += 1
-        half, scale, loops = self.scale // 2, self.scale, self.s_loops
-        lo = [-((half * val[i] - x) // scale) - loops[i] for i, x in enumerate(self.scaled_q)]
-        hi = [
-            (x + half * val[i]) // scale - s_cross[i] - loops[i]
-            for i, x in enumerate(self.scaled_q)
-        ]
+        ``ceil((base_v - scale/2 * val(v)) / scale)`` up to
+        ``floor((base_v + scale/2 * val(v)) / scale)``, valences in G - S."""
+        val = [0] * len(self.base)
+        for a, b in self.kept:
+            val[a] += 1
+            val[b] += 1
+        half, scale = self.scale // 2, self.scale
+        lo = [-((half * k - x) // scale) for x, k in zip(self.base, val)]
+        hi = [(x + half * k) // scale for x, k in zip(self.base, val)]
         return lo, hi
 
-    def enumerate(self, mode, order) -> list[tuple]:
-        """Value tuples of every multidegree of the kernel mode, sorted;
-        the box search runs with the vertices in ``order``."""
+    def enumerate(self, mode) -> list[tuple]:
+        """Value tuples of every multidegree of the kernel mode, sorted.
+
+        The box search takes the vertices in breadth-first order from the
+        basepoint, each level by index, unreached vertices last: contiguous
+        prefixes then tend to be connected, which makes the per-prefix
+        bounds prune early."""
         lo, hi = self.singleton_box()
         if any(a > b for a, b in zip(lo, hi)):
             return []
+        n = len(self.base)
+        order, level, seen = [], [self.v0], 1 << self.v0
+        while level:
+            order += level
+            reached = 0
+            for i in level:
+                reached |= self.adj[i]
+            reached &= ~seen
+            seen |= reached
+            level = [j for j in range(n) if reached >> j & 1]
+        order += [i for i in range(n) if not seen >> i & 1]
         bound = (
             self.rhs_bound()
             + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)
         )
         impl = _kernel.select(bound)
-        inv = sorted(range(len(order)), key=order.__getitem__)
+        inv = sorted(range(n), key=order.__getitem__)
         tables = impl.build_tables(
-            len(order),
-            [(inv[a], inv[b]) for a, b in self.pairs],
-            self.s_flags,
-            [self.scaled_q[old] for old in order],
+            n,
+            [(inv[a], inv[b]) for a, b in self.kept],
+            [self.base[old] for old in order],
             self.scale,
         )
         raw = impl.box_enumerate(
@@ -155,24 +168,16 @@ class _ScaledStratum:
     # -- minimum cut -----------------------------------------------------
 
     def _network(self):
-        """``(base, cap, nbrs)``: ``w_v`` without its ``-scale*d_v`` term,
-        the capacity matrix between vertices and each vertex's neighbours
-        in the stratum-deleted graph."""
+        """``(cap, nbrs)``: the capacity matrix between vertices and each
+        vertex's neighbours in G - S."""
         if self._net is None:
-            n, half = len(self.scaled_q), self.scale // 2
-            base = [x - self.scale * k for x, k in zip(self.scaled_q, self.s_loops)]
+            n, half = len(self.base), self.scale // 2
             cap = [[0] * n for _ in range(n)]
-            for (a, b), flag in zip(self.pairs, self.s_flags):
-                if a == b:
-                    continue
-                if flag:
-                    base[a] -= half
-                    base[b] -= half
-                else:
-                    cap[a][b] += half
-                    cap[b][a] += half
+            for a, b in self.kept:
+                cap[a][b] += half
+                cap[b][a] += half
             nbrs = [[j for j in range(n) if cap[i][j]] for i in range(n)]
-            self._net = base, cap, nbrs
+            self._net = cap, nbrs
         return self._net
 
     def _max_flow(self, vals):
@@ -183,8 +188,8 @@ class _ScaledStratum:
         ``v -> t`` when negative, and ``res`` holds the residual capacities
         between vertices.  The maximal scaled deficit is the sum of the
         positive excesses."""
-        base, cap, nbrs = self._network()
-        excess = [x - self.scale * d for x, d in zip(base, vals)]
+        cap, nbrs = self._network()
+        excess = [x - self.scale * d for x, d in zip(self.base, vals)]
         res = [row[:] for row in cap]
         sources = [v for v, e in enumerate(excess) if e > 0]
         while sources:
@@ -226,7 +231,7 @@ class _ScaledStratum:
     def _reach(self, res, starts, forward: bool = True) -> int:
         """Bitmask of the vertices that the vertices ``starts`` reach in the
         residual graph, or that reach them when ``forward`` is false."""
-        nbrs = self._network()[2]
+        nbrs = self._network()[1]
         seen = 0
         queue = list(starts)
         for v in queue:
@@ -261,15 +266,14 @@ class _ScaledStratum:
         """A rounding z of the solution y, 0 at the basepoint, of
         ``L y = c - d`` for the multidegree d of ``vals``, with L the
         Laplacian of the stratum-deleted graph, which must be connected,
-        and c the stratum's rational centre (``scale * c`` is the ``base``
-        of ``_network``).  With ``w = z - y``, ``|w| <= 1/2``, the deficit
+        and c the stratum's rational centre q_S (``scale * c`` is
+        ``base``).  With ``w = z - y``, ``|w| <= 1/2``, the deficit
         of ``d + L z`` on W sums ``w_a - w_b - 1/2 <= 1/2`` over the edges
         of that graph from a in W to b outside: every deficit is at most
         half a cut."""
         n, v0, scale = len(vals), self.v0, self.scale
-        kept = [p for p, flag in zip(self.pairs, self.s_flags) if not flag]
-        rhs = [b - scale * x for x, b in zip(vals, self._network()[0])]
-        top, x = _solve(_reduced_laplacian(n, kept, v0, rhs))
+        rhs = [b - scale * x for x, b in zip(vals, self.base)]
+        top, x = _solve(_reduced_laplacian(n, self.kept, v0, rhs))
         # y = x / (top * scale) rounded half up; // floors for either sign
         z = [(2 * xv + top * scale) // (2 * top * scale) for xv in x]
         z.insert(v0, 0)
@@ -285,23 +289,6 @@ class _ScaledStratum:
         return not any(e > 0 for e in excess) and all(
             self._reach(res, [v]) == full for v in range(len(vals))
         )
-
-
-def _bfs_order(n: int, pairs, v0: int) -> tuple:
-    """Vertex indices ordered by breadth-first search from v0, each level
-    by index, unreached vertices last; contiguous prefixes then tend to be
-    connected, which makes the per-prefix bounds prune early."""
-    adj = _adjacency_masks(n, pairs)
-    order, level, seen = [], [v0], 1 << v0
-    while level:
-        order += level
-        reached = 0
-        for i in level:
-            reached |= adj[i]
-        reached &= ~seen
-        seen |= reached
-        level = [j for j in range(n) if reached >> j & 1]
-    return tuple(order + [i for i in range(n) if not seen >> i & 1])
 
 
 class StratumContext:
@@ -323,20 +310,20 @@ class StratumContext:
         self.stratum = graph.edge_subset(stratum)
         self.budget = q.total - len(self.stratum)
 
+        # the partial normalization (G - S, q_S): an S-edge takes half a
+        # unit from each end, an S-loop a whole unit from its vertex
         pos = graph._vpos
-        self.scale, scaled_q = q._scaled()
-        self._ints = _ScaledStratum(
-            [(pos[e.u], pos[e.v]) for e in graph.edges],
-            [e.id in self.stratum for e in graph.edges],
-            [
-                sum(1 for e in graph.edges if e.id in self.stratum and e.is_loop and e.u == v)
-                for v in graph.vertices
-            ],
-            scaled_q,
-            self.scale,
-            pos[basepoint],
-            self.budget,
-        )
+        self.scale, base = q._scaled()
+        half, kept = self.scale // 2, []
+        for e in graph.edges:
+            a, b = pos[e.u], pos[e.v]
+            if e.id not in self.stratum:
+                if a != b:
+                    kept.append((a, b))
+            else:
+                base[a] -= half
+                base[b] -= half
+        self._ints = _ScaledStratum(kept, base, self.scale, pos[basepoint], self.budget)
         self._deleted = None
 
     # -- plumbing --------------------------------------------------------
@@ -436,23 +423,22 @@ class StratumContext:
 
     def _apply_delta(self, vals, z):
         """vals += Laplacian(z), in place, for the Laplacian of the
-        stratum-deleted graph: each edge (a, b) outside the stratum moves
-        ``z[a] - z[b]`` from a to b (loops move nothing)."""
-        for (a, b), flag in zip(self._ints.pairs, self._ints.s_flags):
-            if not flag:
-                move = z[a] - z[b]
-                vals[a] -= move
-                vals[b] += move
+        stratum-deleted graph: each kept edge (a, b) moves ``z[a] - z[b]``
+        from a to b."""
+        for a, b in self._ints.kept:
+            move = z[a] - z[b]
+            vals[a] -= move
+            vals[b] += move
 
     def _reduce(self, d: Cochain, to_quasistable: bool):
         self._check_cochain(d)
         self._require_budget(d)
-        if not self.deleted_graph.is_connected():
+        n = self.graph.num_vertices
+        full = (1 << n) - 1
+        if next(_mask_pieces(full, self._ints.adj)) != full:
             raise DisconnectedGraphError(
                 "reduction needs the stratum-deleted graph to be connected"
             )
-        n = self.graph.num_vertices
-        full = (1 << n) - 1
         vals = list(d.values)
         best, _, greatest, bp = self._ints.defect_cut(vals)
         if best > 0:
@@ -507,8 +493,7 @@ class StratumContext:
         if kind not in _MODE:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         _kernel.scan_guard(self.graph.num_vertices, "enumeration")
-        order = _bfs_order(self.graph.num_vertices, self._ints.pairs, self._ints.v0)
-        return [Cochain(self.graph, t) for t in self._ints.enumerate(_MODE[kind], order)]
+        return [Cochain(self.graph, t) for t in self._ints.enumerate(_MODE[kind])]
 
 
 def semistable_equality_witness(g: Multigraph, q: Polarization):

@@ -4,9 +4,11 @@ Everything here recomputes from first principles with exact arithmetic
 and naive algorithms: spanning trees by exhaustive edge selection,
 stability by checking every vertex subset with Fraction sums, lattice
 membership by rational elimination, invariant factors from minors.  Nothing imports the kernels;
-``defect_scan``, the subset scan that the minimum cut replaced, reads the
-kernel's bound tables as plain data, and ``same_class``, the class test
-that the single solve replaced, compares two invariant-factor eliminations.
+``floor_table`` and ``ceil_table`` are the subset bounds from the whole
+graph with the stratum edges flagged, ``defect_scan``, the subset scan
+that the minimum cut replaced, reads a floor table as plain data, and
+``same_class``, the class test that the single solve replaced, compares
+two invariant-factor eliminations.
 """
 
 from __future__ import annotations
@@ -127,6 +129,45 @@ def brute_force_multidegrees(g, q, basepoint, S, kind):
     return sorted(results)
 
 
+def _subset_counts(m, edges, s_flags):
+    """``(cross, cross_s, inside_s)`` for the vertex bitmask m: edges with
+    one end in m, stratum edges among those, and stratum edges (loops
+    included) with both ends in m."""
+    cross = cross_s = inside_s = 0
+    for (a, b), flag in zip(edges, s_flags):
+        a_in, b_in = m >> a & 1, m >> b & 1
+        if a_in != b_in:
+            cross += 1
+            cross_s += flag
+        elif flag and a_in:
+            inside_s += 1
+    return cross, cross_s, inside_s
+
+
+def floor_table(n, edges, s_flags, scaled_q, scale):
+    """Per vertex bitmask W, the least allowed ``scale * d_W`` of a
+    semistable multidegree: ``scale * (q_W - val(W)/2 - |S inside W|)``
+    over the whole graph, for endpoint index pairs ``edges`` with the
+    stratum marked by ``s_flags`` and ``scaled_q[i] == scale * q_i``."""
+    out = []
+    for m in range(1 << n):
+        cross, _, inside_s = _subset_counts(m, edges, s_flags)
+        qsum = sum(x for i, x in enumerate(scaled_q) if m >> i & 1)
+        out.append(qsum - scale // 2 * cross - scale * inside_s)
+    return out
+
+
+def ceil_table(n, edges, s_flags, scaled_q, scale):
+    """Per vertex bitmask W, the greatest allowed ``scale * d_W``:
+    ``scale * (q_W + val(W)/2 - |S crossing W| - |S inside W|)``."""
+    out = []
+    for m in range(1 << n):
+        cross, cross_s, inside_s = _subset_counts(m, edges, s_flags)
+        qsum = sum(x for i, x in enumerate(scaled_q) if m >> i & 1)
+        out.append(qsum + scale // 2 * cross - scale * (cross_s + inside_s))
+    return out
+
+
 def defect_scan(tables, d, v0):
     """Max deficit over all vertex subsets plus the maximizer geometry.
 
@@ -137,7 +178,7 @@ def defect_scan(tables, d, v0):
     ``best == 0``).  The maximizer family is closed under intersection
     and union, so the accumulators are its least and greatest elements.
     """
-    n, scale, floor_rhs, _ = tables
+    n, scale, floor_rhs = tables
     size = 1 << n
     sums = [0] * size
     best = 0

@@ -278,3 +278,28 @@ def test_criterion_10_group_law(corpus_cases):
         assert Counter(order.values()) == expected, (ctx.graph, factors)
         checked += 1
     assert checked >= 200 + len(extra)
+
+
+@criterion(11, "a stratum context is the plain context of its partial normalization")
+def test_criterion_11_partial_normalization(corpus_cases):
+    # (G, q, S) and (G - S, q_S) have the same multidegrees of every kind
+    # and the same reduction, with q_S from the Fraction path of
+    # Polarization.normalized
+    rng = random.Random(61)
+    for case in corpus_cases:
+        g, q, bp, S = case.graph, case.q, case.basepoint, case.stratum
+        ctx = StratumContext(g, q, bp, S)
+        plain = StratumContext(g.delete_edges(S), q.normalized(S), bp)
+        assert plain.budget == ctx.budget, case.index
+        for kind in ("semistable", "quasistable", "stable"):
+            got = [d.values for d in ctx.enumerate(kind)]
+            assert got == [d.values for d in plain.enumerate(kind)], (case.index, kind)
+        n = g.num_vertices
+        for _ in range(3):
+            vals = [rng.randint(-8, 9) for _ in range(n - 1)]
+            vals.append(ctx.budget - sum(vals))
+            out = ctx.reduce_to_quasistable(Cochain(g, vals)).values
+            assert out == plain.reduce_to_quasistable(Cochain(plain.graph, vals)).values, (
+                case.index,
+                vals,
+            )

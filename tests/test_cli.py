@@ -81,6 +81,18 @@ class TestEnum:
         assert rc == 0
         assert payload["multidegrees"] == [[0, 1], [1, 0]]
 
+    def test_empty_basepoint_flag(self, problem, capsys):
+        # a vertex named "" is a valid basepoint and overrides the file's
+        data = {
+            "vertices": ["", "a"],
+            "edges": [{"endpoints": ["", "a"]}, {"endpoints": ["", "a"]}],
+            "polarization": {"": 1, "a": 0},
+            "basepoint": "a",
+        }
+        rc, payload, _ = run(capsys, ["enum", problem(data), "--basepoint", ""])
+        assert rc == 0
+        assert payload["multidegrees"] == [[1, 0], [2, -1]]
+
     def test_verbose_summary_on_stderr(self, problem, capsys):
         rc, _, err = run(capsys, ["enum", problem(BANANA), "--verbose"])
         assert rc == 0
@@ -194,6 +206,18 @@ class TestStrata:
         monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "lots")
         rc, _, _ = run(capsys, ["strata", problem(BANANA)])
         assert rc == 2
+
+    def test_negative_guard_env_rejected(self, problem, capsys, monkeypatch):
+        monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "-1")
+        for command in ("strata", "blowup-check"):
+            rc, payload, err = run(capsys, [command, problem(BANANA)])
+            assert rc == 2
+            assert payload is None
+            assert "JACGRAPH_GUARD_EDGES must be nonnegative" in err
+        # zero is a valid guard: the empty graph's strata still run
+        monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "0")
+        rc, payload, _ = run(capsys, ["strata", problem(dict(BANANA, edges=[]))])
+        assert rc == 0
 
 
 class TestBlowupCheck:

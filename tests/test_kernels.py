@@ -1,6 +1,8 @@
+import importlib.util
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -19,18 +21,20 @@ from jacgraph import _kernel_py
 import oracles
 
 
-def _kernel_args(g, q, stratum):
+def _kernel_args(ctx):
+    """The kernel inputs of a context: its partial normalization's kept
+    edges, scaled polarization and scale."""
+    return ctx._ints.kept, ctx._ints.base, ctx.scale
+
+
+def _whole_graph_args(g, q, stratum):
+    """The oracle inputs: every edge, the stratum flags and scale * q."""
     pos = {v: i for i, v in enumerate(g.vertices)}
     edges = [(pos[e.u], pos[e.v]) for e in g.edges]
     s_flags = [e.id in stratum for e in g.edges]
     scale = 2 * lcm(*(x.denominator for x in q.values))
     scaled_q = [int(x * scale) for x in q.values]
     return edges, s_flags, scaled_q, scale
-
-
-def _tables_lists(tables):
-    _, _, floor_rhs, ceil_rhs = tables
-    return list(floor_rhs), list(ceil_rhs)
 
 
 needs_speedups = pytest.mark.skipif(
@@ -65,13 +69,23 @@ class TestSelection:
 @needs_speedups
 class TestParity:
     def test_tables_agree(self, corpus_cases):
+        # both kernels' floor tables over G - S equal the whole-graph
+        # formula with S flagged, and the upper bounds derived from them
+        # equal its ceiling formula
         compiled = implementations()[0]
         for case in corpus_cases:
             g = case.graph
-            args = _kernel_args(g, case.q, case.stratum)
-            t_pure = _kernel_py.build_tables(g.num_vertices, *args[:2], *args[2:])
-            t_fast = compiled.build_tables(g.num_vertices, *args[:2], *args[2:])
-            assert _tables_lists(t_pure) == _tables_lists(t_fast)
+            n, full = g.num_vertices, (1 << g.num_vertices) - 1
+            ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
+            whole = _whole_graph_args(g, case.q, case.stratum)
+            want_floor = oracles.floor_table(n, *whole)
+            want_ceil = oracles.ceil_table(n, *whole)
+            for impl in (_kernel_py, compiled):
+                _, scale, floor = impl.build_tables(n, *_kernel_args(ctx))
+                assert scale == ctx.scale
+                assert list(floor) == want_floor, (case.index, impl.__name__)
+                ceil = [scale * ctx.budget - floor[full ^ m] for m in range(full + 1)]
+                assert ceil == want_ceil, (case.index, impl.__name__)
 
     def test_enumeration_agrees(self, corpus_cases):
         compiled = implementations()[0]
@@ -79,7 +93,7 @@ class TestParity:
             g = case.graph
             ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
             lo, hi = ctx.singleton_box()
-            args = _kernel_args(g, case.q, case.stratum)
+            args = _kernel_args(ctx)
             t_pure = _kernel_py.build_tables(g.num_vertices, *args)
             t_fast = compiled.build_tables(g.num_vertices, *args)
             for v0, mode in product(
@@ -103,24 +117,22 @@ class TestCompiledChecks:
         compiled = implementations()[0]
         for big in (1 << 63, -(1 << 63) - 1, 1 << 70):
             with pytest.raises(OverflowError):
-                compiled.build_tables(2, [(0, 1)], [False], [big, 0], 2)
+                compiled.build_tables(2, [(0, 1)], [big, 0], 2)
             with pytest.raises(OverflowError):
-                compiled.build_tables(2, [(0, 1)], [False], [0, 0], big)
+                compiled.build_tables(2, [(0, 1)], [0, 0], big)
 
     def test_malformed_input_rejected(self):
         compiled = implementations()[0]
-        tables = compiled.build_tables(2, [(0, 1)], [False], [1, 1], 2)
+        tables = compiled.build_tables(2, [(0, 1)], [1, 1], 2)
         for bad_edge in ((0, 2), (-1, 0)):
             with pytest.raises(ValueError):
-                compiled.build_tables(2, [bad_edge], [False], [1, 1], 2)
-        with pytest.raises(ValueError):
-            compiled.build_tables(2, [(0, 1)], [], [1, 1], 2)
+                compiled.build_tables(2, [bad_edge], [1, 1], 2)
         with pytest.raises(ValueError):
             compiled.box_enumerate(tables, 2, 1, [0, 0], [1, 1], MODE_QUASISTABLE)
-        n, scale, floor_rhs, ceil_rhs = tables
+        n, scale, floor = tables
         with pytest.raises(ValueError):
             compiled.box_enumerate(
-                (n, scale, floor_rhs[:-1], ceil_rhs), 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE
+                (n, scale, floor[:-1]), 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE
             )
         assert compiled.box_enumerate(tables, 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE) == [
             (0, 1),
@@ -172,3 +184,19 @@ class TestScaleHandling:
         got = sorted(d.values for d in ctx.enumerate("quasistable"))
         want = oracles.brute_force_multidegrees(g, q, "a", frozenset(), "quasistable")
         assert got == want
+
+
+class TestBenchScript:
+    def test_runs_on_every_kernel(self, capsys):
+        # benchmarks/bench_kernel.py calls the kernels directly, so a
+        # contract change that it misses fails here
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernel.py"
+        spec = importlib.util.spec_from_file_location("bench_kernel", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert bench.main(["--sizes", "6,7", "--repeat", "1"]) == 0
+        out = capsys.readouterr().out
+        labels = ", ".join(bench.impl_label(m) for m in implementations())
+        assert f"implementations: {labels}\n" in out
+        assert "(15 quasistable multidegrees)" in out
+        assert "(19 quasistable multidegrees)" in out

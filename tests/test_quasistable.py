@@ -18,8 +18,6 @@ from jacgraph import (
     semistable_equality_witness,
 )
 
-from jacgraph import _kernel_py
-
 import oracles
 
 HALF = Fraction(1, 2)
@@ -227,16 +225,17 @@ class TestEnumerate:
 
 
 def _oracle_scan(ctx, d):
-    """The subset-scan oracle on the kernel's bound tables of ctx."""
+    """The subset-scan oracle on the whole-graph floor table of ctx."""
     g = ctx.graph
     pos = {v: i for i, v in enumerate(g.vertices)}
-    tables = _kernel_py.build_tables(
+    floor = oracles.floor_table(
         g.num_vertices,
         [(pos[e.u], pos[e.v]) for e in g.edges],
         [e.id in ctx.stratum for e in g.edges],
         [int(x * ctx.scale) for x in ctx.q.values],
         ctx.scale,
     )
+    tables = (g.num_vertices, ctx.scale, floor)
     return oracles.defect_scan(tables, list(d.values), pos[ctx.basepoint])
 
 
