@@ -3,7 +3,9 @@
 Runs the two kernel entry points (table construction, box enumeration)
 on chorded cycle graphs of growing size and reports per-call times for
 every available implementation, plus the library's minimum-cut defect
-scan (one implementation, no kernel involved) on the same graphs.
+scan (one implementation, no kernel involved) on the same graphs.  For
+each size it also prints how many of the 2^n vertex subsets the box
+search's plan checks, and how many more it keeps only as prefixes.
 
     python benchmarks/bench_kernel.py
     python benchmarks/bench_kernel.py --sizes 12,14,16 --repeat 5
@@ -89,6 +91,7 @@ def main(argv=None) -> int:
                 args.repeat, mod.build_tables, n, edges, base, scale
             )
             rows["tables"].append(t_build)
+            _, _, _, plan = tables
             t_enum, found = best_of(
                 args.repeat,
                 mod.box_enumerate,
@@ -112,7 +115,13 @@ def main(argv=None) -> int:
             print(line)
         t_cut, _ = best_of(args.repeat, ctx._ints.defect_cut, d)
         print(f"{n:>3} {'min cut':<12}{t_cut * 1e3:>10.2f}ms")
+        checks = [c for level in plan for _, c in level]
+        checked = sum(1 for c in checks if c)
         print(f"    ({counts} quasistable multidegrees)")
+        print(
+            f"    (plan checks {checked} of {1 << n} subsets, "
+            f"keeps {len(checks) - checked} more as prefixes)"
+        )
     return 0
 
 

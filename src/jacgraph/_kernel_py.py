@@ -17,27 +17,46 @@ the greatest is ``scale * total - floor[full ^ m]``, as the complement
 holds the rest of the total.  The deficit of d on ``m`` is
 ``floor[m] - scale * d_m``; its positive part measures how far d is from
 semistability.
+
+Only connected subsets and subsets with a connected complement can bind.
+``floor`` is a sum over the vertices less ``scale/2`` per crossing edge,
+and an edge that crosses a piece of m (a part that no edge joins to the
+rest of m) crosses m, so the deficit on m is the sum of the deficits on
+its pieces.  A lower bound on a disconnected m therefore follows from the
+lower bounds on its pieces, and an upper bound on m, which is the lower
+bound on the complement, from the lower bounds on the complement's pieces.
+Strictness carries over: in quasistable mode the piece that holds the
+basepoint is strict and makes the sum strict, in stable mode every piece
+is strict.  ``build_tables`` lists the subsets the box search checks in a
+*plan*.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .graph import _adjacency_masks
+
 MODE_SEMISTABLE = 0
 MODE_QUASISTABLE = 1
 MODE_STABLE = 2
+
+# the checks a plan entry asks for; 0 keeps a mask for its sum alone
+CHECK_LOWER = 1
+CHECK_UPPER = 2
 
 
 class Tables(NamedTuple):
     n: int
     scale: int
     floor: list
+    plan: tuple
 
 
 def build_tables(n, edges, base, scale):
     """The per-subset floor table ``sum(base[v] for v in m) - scale/2 *
     cross(m)``, with ``cross(m)`` the number of ``edges`` (endpoint index
-    pairs) with exactly one end in ``m``."""
+    pairs) with exactly one end in ``m``, and the plan of ``edges``."""
     size = 1 << n
     half = scale // 2
     floor = [0] * size
@@ -49,7 +68,56 @@ def build_tables(n, edges, base, scale):
         for m in range(size):
             if bool(m & abit) != bool(m & bbit):
                 floor[m] -= half
-    return Tables(n, scale, floor)
+    return Tables(n, scale, floor, _build_plan(n, edges))
+
+
+def _connected_subsets(n, edges):
+    """Every nonempty vertex subset that ``edges`` connect, once each.
+
+    Each subset grows from its least vertex by one neighbour at a time; a
+    branch never adds a vertex that an earlier sibling branch added, so no
+    subset comes twice (Wernicke's ESU, IEEE/ACM TCBB 3(4), 2006).  The
+    cost is proportional to the number of subsets listed."""
+    adj = _adjacency_masks(n, edges)
+    out = []
+
+    def grow(m, ext, seen):
+        # ext: the neighbours of m outside seen, which holds m
+        out.append(m)
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            seen |= bit
+            grow(m | bit, ext | (adj[bit.bit_length() - 1] & ~seen), seen)
+
+    for v in range(n):
+        below = (2 << v) - 1
+        grow(1 << v, adj[v] & ~below, below)
+    return out
+
+
+def _build_plan(n, edges):
+    """The masks the box search keeps, by top vertex: ``plan[k]`` lists
+    ``(mask, checks)`` in increasing mask order for the masks whose top
+    vertex is k.  ``checks`` has CHECK_LOWER for a connected proper subset,
+    CHECK_UPPER for a proper subset with a connected complement, and is 0
+    for a prefix (a kept mask less its top vertex, repeated) that is kept
+    only because a kept mask's sum is built from it."""
+    full = (1 << n) - 1
+    checks = {}
+    for c in _connected_subsets(n, edges):
+        if c != full:
+            checks[c] = checks.get(c, 0) | CHECK_LOWER
+            checks[full ^ c] = checks.get(full ^ c, 0) | CHECK_UPPER
+    for m in list(checks):
+        m ^= 1 << (m.bit_length() - 1)
+        while m and m not in checks:
+            checks[m] = 0
+            m ^= 1 << (m.bit_length() - 1)
+    plan = [[] for _ in range(n)]
+    for m in sorted(checks):
+        plan[m.bit_length() - 1].append((m, checks[m]))
+    return tuple(map(tuple, plan))
 
 
 def box_enumerate(tables, v0, total, lo, hi, mode):
@@ -57,29 +125,22 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     per-subset bounds; strictness of the bounds depends on ``mode``.
 
     Depth-first over the vertices in index order.  When vertex k is
-    assigned, every subset whose top vertex is k becomes decided, so its
-    bounds are checked right away and failing branches are cut early.
-    The suffix sums of the box bounds prune on the total as well.
-    ``sums[m]`` holds ``scale * d_m``, so the subset checks need no
+    assigned, every subset whose top vertex is k becomes decided, so the
+    bounds the plan keeps among them are checked right away and failing
+    branches are cut early.  A bound the plan leaves out follows from kept
+    bounds on the pieces of its subset or of the complement, so the outputs
+    and their order are those of a search that checks every subset, though
+    a branch that such a search cuts by an upper bound may be cut here only
+    at a later level, once the complement's pieces are decided.  At the
+    last vertex the total fixes d, and each bound on a subset that holds
+    that vertex is the opposite bound on the complement, which the plan
+    checked on the way down, so nothing is checked there.  The suffix sums
+    of the box bounds prune on the total, and keep the last vertex in its
+    box.  ``sums[m]`` holds ``scale * d_m``, so the subset checks need no
     multiplication.
     """
-    n, scale, floor = tables
-    size = 1 << n
-    full = size - 1
-
-    low = list(floor)
-    high = [scale * total - x for x in reversed(floor)]
-    if mode == MODE_QUASISTABLE:
-        vbit = 1 << v0
-        for m in range(1, full):
-            if m & vbit:
-                low[m] += 1
-            else:
-                high[m] -= 1
-    elif mode == MODE_STABLE:
-        for m in range(1, full):
-            low[m] += 1
-            high[m] -= 1
+    n, scale, floor, plan = tables
+    full = (1 << n) - 1
 
     suf_lo = [0] * (n + 1)
     suf_hi = [0] * (n + 1)
@@ -89,40 +150,57 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     if suf_lo[0] > total or suf_hi[0] < total:
         return []
 
-    sums = [0] * size
+    # per level but the last: (mask, prefix, low, high) for the checked
+    # masks, with -big / big for a bound left out (no sum in the box reaches
+    # them), and (mask, prefix) for the masks kept for their sums alone.
+    # Strict bounds on proper subsets: quasistable from below on those that
+    # hold v0 and from above on the others, stable both ways on all.
+    big = scale * sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1
+    vbit = 1 << v0
+    stable, quasi = mode == MODE_STABLE, mode == MODE_QUASISTABLE
+    rows = []
+    for k, level in enumerate(plan[: n - 1]):
+        pbit = 1 << k
+        checked, prefixes = [], []
+        for m, checks in level:
+            if not checks:
+                prefixes.append((m, m ^ pbit))
+                continue
+            holds_v0 = m & vbit != 0
+            low, high = -big, big
+            if checks & CHECK_LOWER:
+                low = floor[m] + (stable or quasi and holds_v0)
+            if checks & CHECK_UPPER:
+                high = scale * total - floor[full ^ m] - (stable or quasi and not holds_v0)
+            checked.append((m, m ^ pbit, low, high))
+        rows.append((checked, prefixes))
+
+    sums = [0] * (full + 1)
     d = [0] * n
     out = []
 
     def place(k, partial):
-        base = 1 << k
         if k == n - 1:
-            dv = total - partial
-            if dv < lo[k] or dv > hi[k]:
-                return
-            step = scale * dv
-            for m in range(base, full):
-                sd = sums[m ^ base] + step
-                if sd < low[m] or sd > high[m]:
-                    return
-            d[k] = dv
+            # the suffix sums kept the rest of the total in this box
+            d[k] = total - partial
             out.append(tuple(d))
             return
+        checked, prefixes = rows[k]
         for dv in range(lo[k], hi[k] + 1):
             p2 = partial + dv
             if p2 + suf_lo[k + 1] > total or p2 + suf_hi[k + 1] < total:
                 continue
-            ok = True
             step = scale * dv
-            for m in range(base, base << 1):
-                sd = sums[m ^ base] + step
-                sums[m] = sd
-                if sd < low[m] or sd > high[m]:
-                    ok = False
+            for m, p, low, high in checked:
+                sd = sums[p] + step
+                if sd < low or sd > high:
                     break
-            if ok:
+                sums[m] = sd
+            else:
+                for m, p in prefixes:
+                    sums[m] = sums[p] + step
                 d[k] = dv
                 place(k + 1, p2)
 
     place(0, 0)
     return out
-

@@ -1,21 +1,40 @@
-/* Compiled enumeration kernel: bound table and box search.
+/* Compiled enumeration kernel: bound table, plan and box search.
  *
  * Same contract and algorithms as jacgraph._kernel_py, which stays the
  * fallback and the reference, computed in signed 64-bit integers.  Tables
- * are the plain tuple (n, scale, floor): one floor table over G - S, a
- * read-only int64 memoryview of 2**n entries, which indexes and converts
- * to a list like the pure kernel's; the upper bounds are derived from it.
+ * are the plain tuple (n, scale, floor, plan): one floor table over G - S,
+ * a read-only int64 memoryview of 2**n entries, which indexes and converts
+ * to a list like the pure kernel's, and the plan, the same tuple of
+ * (mask, checks) pairs per top vertex that the pure kernel builds.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
  * routes larger ones to the pure kernel).
+ *
+ * The plan keeps only the bounds that can bind.  The deficit
+ * floor[m] - scale * d_m is a sum over the vertices less scale/2 per
+ * crossing edge, so it is additive over the pieces of m that no edge
+ * joins: a lower bound on a disconnected m follows from the lower bounds
+ * on its pieces, and an upper bound on m, the lower bound on the
+ * complement, from those on the complement's pieces.  Strictness carries
+ * over, as the piece that holds v0 is strict in quasistable mode and every
+ * piece is strict in stable mode.  So the search checks lower bounds on
+ * connected proper subsets and upper bounds on subsets with a connected
+ * complement, and keeps the prefixes their sums are built from.  Under the
+ * last vertex it checks none: the total fixes d there, and each bound on a
+ * subset that holds that vertex is the opposite bound on the complement,
+ * checked on the way down.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <string.h>
 
 enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel_py */
+enum { CHECK_LOWER = 1, CHECK_UPPER = 2 };                 /* as in _kernel_py */
+/* build_tables' marks beside the checks: connected, and kept in the plan */
+enum { CONNECTED = 4, KEPT = 8 };
 
 /* tables hold 2**n entries; the library's subset-scan guard stops at 20 */
 #define MAX_VERTICES 24
@@ -74,8 +93,78 @@ static int load_table(PyObject *obj, size_t len, long long *out, const char *wha
 }
 
 PyDoc_STRVAR(build_tables_doc,
-"build_tables(n, edges, base, scale) -> (n, scale, floor)\n\n"
-"Per-subset floor table, as in jacgraph._kernel_py.build_tables.");
+"build_tables(n, edges, base, scale) -> (n, scale, floor, plan)\n\n"
+"Per-subset floor table and plan, as in jacgraph._kernel_py.build_tables.");
+
+/* Mark m and every connected subset grown from it by neighbours in ext,
+   never adding a vertex of seen (which holds m), as in
+   jacgraph._kernel_py._connected_subsets. */
+static void grow(const size_t *adj, int n, unsigned char *marks, size_t m, size_t ext,
+                 size_t seen)
+{
+    marks[m] |= CONNECTED;
+    for (int w = 0; w < n; w++) {
+        size_t bit = (size_t)1 << w;
+        if (ext & bit) {
+            ext ^= bit;
+            seen |= bit;
+            grow(adj, n, marks, m | bit, ext | (adj[w] & ~seen), seen);
+        }
+    }
+}
+
+/* The plan of the graph on n vertices with neighbour masks adj: per top
+   vertex k, a tuple of (mask, checks) pairs in increasing mask order. */
+static PyObject *make_plan(int n, const size_t *adj)
+{
+    size_t size = (size_t)1 << n, full = size - 1;
+    unsigned char *marks = PyMem_Calloc(size, 1);
+    if (marks == NULL)
+        return PyErr_NoMemory();
+    for (int v = 0; v < n; v++) {
+        size_t below = ((size_t)2 << v) - 1;
+        grow(adj, n, marks, (size_t)1 << v, adj[v] & ~below, below);
+    }
+    for (size_t m = 1; m < full; m++)
+        if (marks[m] & CONNECTED) {
+            marks[m] |= CHECK_LOWER | KEPT;
+            marks[full ^ m] |= CHECK_UPPER | KEPT;
+        }
+    /* a kept mask's prefix has a lower top vertex, so it is reached later */
+    for (int k = n - 1; k >= 0; k--) {
+        size_t base = (size_t)1 << k;
+        for (size_t m = base + 1; m < base << 1; m++)
+            if (marks[m] & KEPT)
+                marks[m ^ base] |= KEPT;
+    }
+
+    PyObject *plan = PyTuple_New(n);
+    for (int k = 0; plan != NULL && k < n; k++) {
+        size_t base = (size_t)1 << k, count = 0;
+        for (size_t m = base; m < base << 1; m++)
+            count += (marks[m] & KEPT) != 0;
+        PyObject *level = PyTuple_New((Py_ssize_t)count);
+        if (level == NULL) {
+            Py_CLEAR(plan);
+            break;
+        }
+        PyTuple_SET_ITEM(plan, k, level);
+        Py_ssize_t i = 0;
+        for (size_t m = base; m < base << 1; m++) {
+            if (!(marks[m] & KEPT))
+                continue;
+            PyObject *pair = Py_BuildValue("(Ki)", (unsigned long long)m,
+                                           marks[m] & (CHECK_LOWER | CHECK_UPPER));
+            if (pair == NULL) {
+                Py_CLEAR(plan);
+                break;
+            }
+            PyTuple_SET_ITEM(level, i++, pair);
+        }
+    }
+    PyMem_Free(marks);
+    return plan;
+}
 
 static PyObject *build_tables(PyObject *self, PyObject *args)
 {
@@ -94,6 +183,8 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
     if (buf == NULL)
         return PyErr_NoMemory();
     long long *lower = buf, *q = buf + size;
+    size_t adj[MAX_VERTICES] = {0};
+    PyObject *plan = NULL;
 
     if (load_ints(base, n, q, "base") < 0 || (es = PySequence_Tuple(edges)) == NULL)
         goto done;
@@ -120,48 +211,58 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
         for (size_t m = 0; m < size; m++)
             if (((m & abit) != 0) != ((m & bbit) != 0))
                 lower[m] -= half;
+        if (a != b) {
+            adj[a] |= bbit;
+            adj[b] |= abit;
+        }
     }
 
     floor_table = to_table(lower, size);
-    if (floor_table != NULL)
-        result = Py_BuildValue("(iLO)", n, scale, floor_table);
+    if (floor_table != NULL && (plan = make_plan(n, adj)) != NULL)
+        result = Py_BuildValue("(iLOO)", n, scale, floor_table, plan);
 done:
+    Py_XDECREF(plan);
     Py_XDECREF(floor_table);
     Py_XDECREF(es);
     PyMem_Free(buf);
     return result;
 }
 
+/* A checked plan mask: its sum is sums[p] + scale * d_k, with p the mask
+   less its top vertex k, and must lie in low..high. */
+typedef struct {
+    size_t m, p;
+    long long low, high;
+} Row;
+
+/* A plan mask kept for its sum alone. */
+typedef struct {
+    size_t m, p;
+} Prefix;
+
 typedef struct {
     int n;
     long long scale, total;
-    const long long *lo, *hi, *low, *high, *suf_lo, *suf_hi;
+    const long long *lo, *hi, *suf_lo, *suf_hi;
+    /* level k < n - 1: rows[row_at[k]] up to rows[row_at[k + 1]], and
+       likewise the prefixes by prefix_at */
+    const Row *rows;
+    const Prefix *prefixes;
+    const size_t *row_at, *prefix_at;
     long long *sums, *d;
     PyObject *out;
 } Search;
 
 /* Assign vertex k.  Every subset whose top vertex is k is decided once d_k is
-   chosen, so its bounds are checked at once; the suffix sums of the box prune
-   on the total.  sums[m] holds scale * d_m, so the inner loops need no
-   multiply.  Returns -1 with an exception set, else 0. */
+   chosen, so the bounds the plan keeps among them are checked at once; the
+   last vertex, fixed by the total, needs no check.  The suffix sums of the
+   box prune on the total.  sums[m] holds scale * d_m, so the inner loops
+   need no multiply.  Returns -1 with an exception set, else 0. */
 static int place(const Search *s, int k, long long partial)
 {
-    const long long *low = s->low, *high = s->high;
-    long long *sums = s->sums, scale = s->scale;
-    size_t base = (size_t)1 << k, m;
-
     if (k == s->n - 1) {
-        size_t full = (base << 1) - 1;
-        long long dv = s->total - partial;
-        if (dv < s->lo[k] || dv > s->hi[k])
-            return 0;
-        long long step = scale * dv;
-        for (m = base; m < full; m++) {
-            long long sd = sums[m ^ base] + step;
-            if (sd < low[m] || sd > high[m])
-                return 0;
-        }
-        s->d[k] = dv;
+        /* the suffix sums kept the rest of the total in this box */
+        s->d[k] = s->total - partial;
         PyObject *row = PyTuple_New(s->n);
         for (int i = 0; row != NULL && i < s->n; i++) {
             PyObject *v = PyLong_FromLongLong(s->d[i]);
@@ -174,24 +275,123 @@ static int place(const Search *s, int k, long long partial)
         Py_XDECREF(row);
         return rc;
     }
+    const Row *first = s->rows + s->row_at[k], *end = s->rows + s->row_at[k + 1], *r;
+    const Prefix *pfirst = s->prefixes + s->prefix_at[k];
+    const Prefix *pend = s->prefixes + s->prefix_at[k + 1];
+    long long *sums = s->sums, scale = s->scale;
     for (long long dv = s->lo[k]; dv <= s->hi[k]; dv++) {
         long long p2 = partial + dv;
         if (p2 + s->suf_lo[k + 1] > s->total || p2 + s->suf_hi[k + 1] < s->total)
             continue;
         long long step = scale * dv;
-        for (m = base; m < base << 1; m++) {
-            long long sd = sums[m ^ base] + step;
-            sums[m] = sd;
-            if (sd < low[m] || sd > high[m])
+        for (r = first; r < end; r++) {
+            long long sd = sums[r->p] + step;
+            if (sd < r->low || sd > r->high)
                 break;
+            sums[r->m] = sd;
         }
-        if (m == base << 1) {
+        if (r == end) {
+            for (const Prefix *q = pfirst; q < pend; q++)
+                sums[q->m] = sums[q->p] + step;
             s->d[k] = dv;
             if (place(s, k + 1, p2) < 0)
                 return -1;
         }
     }
     return 0;
+}
+
+/* Read the plan, a sequence of n levels of (mask, checks) pairs, into the
+   rows and prefixes of s with the bounds of the mode; floor is the floor
+   table.  Only the first n - 1 levels are read, as the search checks
+   nothing under the last vertex.  Every mask must have the level's top
+   vertex, and its prefix must be empty or listed before it.  Returns -1
+   with an exception set, else 0; on success the caller frees the rows,
+   prefixes and offsets (one block at s->row_at). */
+static int load_plan(Search *s, PyObject *plan, const long long *floor, int v0, int mode)
+{
+    int n = s->n, rc = -1;
+    size_t full = ((size_t)1 << n) - 1, count = 0;
+    PyObject *levels[MAX_VERTICES] = {NULL};
+    unsigned char *listed = NULL;
+    size_t *offsets = NULL;
+    PyObject *seq = PySequence_Tuple(plan);
+    if (seq == NULL)
+        return -1;
+    if (PyTuple_GET_SIZE(seq) != n) {
+        PyErr_Format(PyExc_ValueError, "plan: expected %d levels, got %zd", n,
+                     PyTuple_GET_SIZE(seq));
+        goto done;
+    }
+    for (int k = 0; k < n - 1; k++) {
+        if ((levels[k] = PySequence_Tuple(PyTuple_GET_ITEM(seq, k))) == NULL)
+            goto done;
+        count += (size_t)PyTuple_GET_SIZE(levels[k]);
+    }
+    /* offsets, then the rows and prefixes, at most count of each */
+    offsets = PyMem_Malloc(2 * (size_t)n * sizeof(size_t)
+                           + count * (sizeof(Row) + sizeof(Prefix)));
+    listed = PyMem_Calloc(full + 1, 1);
+    if (offsets == NULL || listed == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    size_t *row_at = offsets, *prefix_at = offsets + n;
+    Row *rows = (Row *)(prefix_at + n);
+    Prefix *prefixes = (Prefix *)(rows + count);
+    size_t nrows = 0, nprefixes = 0;
+    int stable = mode == MODE_STABLE, quasi = mode == MODE_QUASISTABLE;
+    listed[0] = 1;
+    for (int k = 0; k < n - 1; k++) {
+        size_t base = (size_t)1 << k;
+        row_at[k] = nrows;
+        prefix_at[k] = nprefixes;
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(levels[k]); i++) {
+            long long mask;
+            int checks;
+            if (!PyArg_Parse(PyTuple_GET_ITEM(levels[k], i), "(Li)", &mask, &checks))
+                goto done;
+            size_t m = (size_t)mask;
+            if (mask < (long long)base || m >= base << 1 || checks < 0
+                || checks > (CHECK_LOWER | CHECK_UPPER) || !listed[m ^ base]) {
+                PyErr_Format(PyExc_ValueError,
+                             "plan: entry (%lld, %d) at level %d is not a plan entry",
+                             mask, checks, k);
+                goto done;
+            }
+            listed[m] = 1;
+            if (checks == 0) {
+                prefixes[nprefixes++] = (Prefix){m, m ^ base};
+                continue;
+            }
+            /* strict bounds on proper subsets: quasistable from below on
+               those that hold v0 and from above on the others, stable both
+               ways on all; an unchecked bound is never reached */
+            int holds_v0 = (m >> v0) & 1;
+            Row *r = &rows[nrows++];
+            *r = (Row){m, m ^ base, LLONG_MIN, LLONG_MAX};
+            if (checks & CHECK_LOWER)
+                r->low = floor[m] + (stable || (quasi && holds_v0));
+            if (checks & CHECK_UPPER)
+                r->high = s->scale * s->total - floor[full ^ m]
+                          - (stable || (quasi && !holds_v0));
+        }
+    }
+    row_at[n - 1] = nrows;
+    prefix_at[n - 1] = nprefixes;
+    s->row_at = row_at;
+    s->prefix_at = prefix_at;
+    s->rows = rows;
+    s->prefixes = prefixes;
+    rc = 0;
+done:
+    if (rc < 0)
+        PyMem_Free(offsets);
+    PyMem_Free(listed);
+    for (int k = 0; k < n - 1; k++)
+        Py_XDECREF(levels[k]);
+    Py_DECREF(seq);
+    return rc;
 }
 
 PyDoc_STRVAR(box_enumerate_doc,
@@ -201,44 +401,35 @@ PyDoc_STRVAR(box_enumerate_doc,
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
-    PyObject *tables, *floor_seq, *lo, *hi, *out = NULL;
+    PyObject *tables, *floor_seq, *plan, *lo, *hi, *out = NULL;
     int v0, mode, n;
     long long total, scale;
 
     if (!PyArg_ParseTuple(args, "O!iLOOi:box_enumerate", &PyTuple_Type,
                           &tables, &v0, &total, &lo, &hi, &mode))
         return NULL;
-    if (!PyArg_ParseTuple(tables, "iLO;tables must be (n, scale, floor)",
-                          &n, &scale, &floor_seq))
+    if (!PyArg_ParseTuple(tables, "iLOO;tables must be (n, scale, floor, plan)",
+                          &n, &scale, &floor_seq, &plan))
         return NULL;
     if (n < 1 || n > MAX_VERTICES)
         return PyErr_Format(PyExc_ValueError, "n = %d outside 1..%d", n, MAX_VERTICES);
     if (v0 < 0 || v0 >= n)
         return PyErr_Format(PyExc_ValueError, "v0 = %d outside 0..%d", v0, n - 1);
-    size_t size = (size_t)1 << n, full = size - 1, m;
-    long long *buf = PyMem_Malloc((3 * size + 5 * ((size_t)n + 1)) * sizeof(long long));
+    size_t size = (size_t)1 << n;
+    long long *buf = PyMem_Malloc((2 * size + 5 * ((size_t)n + 1)) * sizeof(long long));
     if (buf == NULL)
         return PyErr_NoMemory();
-    long long *low = buf, *high = low + size, *sums = high + size;
+    long long *floor = buf, *sums = floor + size;
     long long *clo = sums + size, *chi = clo + n + 1;
     long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *d = suf_hi + n + 1;
+    Search s = {.n = n, .scale = scale, .total = total, .lo = clo, .hi = chi,
+                .suf_lo = suf_lo, .suf_hi = suf_hi, .sums = sums, .d = d};
 
-    if (load_table(floor_seq, size, low, "floor table") < 0
+    if (load_table(floor_seq, size, floor, "floor table") < 0
         || load_ints(lo, n, clo, "lo") < 0
-        || load_ints(hi, n, chi, "hi") < 0)
+        || load_ints(hi, n, chi, "hi") < 0
+        || load_plan(&s, plan, floor, v0, mode) < 0)
         goto done;
-    /* the complement holds the rest of the total */
-    for (m = 0; m < size; m++)
-        high[m] = scale * total - low[full ^ m];
-    /* strict bounds on proper subsets: quasistable from below on those that
-       hold v0 and from above on the others, stable both ways on all */
-    for (m = 1; m < full; m++) {
-        int holds_v0 = (m >> v0) & 1;
-        if (mode == MODE_STABLE || (mode == MODE_QUASISTABLE && holds_v0))
-            low[m] += 1;
-        if (mode == MODE_STABLE || (mode == MODE_QUASISTABLE && !holds_v0))
-            high[m] -= 1;
-    }
     suf_lo[n] = suf_hi[n] = 0;
     for (int k = n - 1; k >= 0; k--) {
         suf_lo[k] = suf_lo[k + 1] + clo[k];
@@ -246,11 +437,12 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     }
     out = PyList_New(0);
     if (out != NULL && suf_lo[0] <= total && suf_hi[0] >= total) {
-        Search s = {n, scale, total, clo, chi, low, high, suf_lo, suf_hi, sums, d, out};
+        s.out = out;
         sums[0] = 0;
         if (place(&s, 0, 0) < 0)
             Py_CLEAR(out);
     }
+    PyMem_Free((void *)s.row_at);
 done:
     PyMem_Free(buf);
     return out;

@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -17,7 +18,9 @@ from jacgraph._kernel import (
     select,
 )
 from jacgraph import _kernel_py
+from jacgraph._kernel_py import CHECK_LOWER, CHECK_UPPER
 
+import corpus
 import oracles
 
 
@@ -35,6 +38,57 @@ def _whole_graph_args(g, q, stratum):
     scale = 2 * lcm(*(x.denominator for x in q.values))
     scaled_q = [int(x * scale) for x in q.values]
     return edges, s_flags, scaled_q, scale
+
+
+def _random_problem(rng, n):
+    """A multigraph on n vertices with parallel edges and loops, neither it
+    nor G - S necessarily connected, a polarization with integer total, a
+    basepoint and a stratum S of any of its edges."""
+    names = [f"v{i}" for i in range(n)]
+    pick = rng.choice
+    edges = [(pick(names), pick(names)) for _ in range(rng.randint(0, 2 * n))]
+    g = Multigraph(names, edges)
+    stratum = [e for e in g.edge_ids() if rng.random() < 0.2]
+    return g, corpus._random_polarization(rng, g), rng.choice(names), stratum
+
+
+def _flood_connected(m, pairs):
+    """Whether the nonempty vertex bitmask m is connected by the endpoint
+    index pairs: grow from its least vertex until no pair adds a vertex."""
+    reached, grown = m & -m, True
+    while grown:
+        grown = False
+        for a, b in pairs:
+            if m >> a & 1 and m >> b & 1 and (reached >> a & 1) != (reached >> b & 1):
+                reached |= 1 << a | 1 << b
+                grown = True
+    return reached == m
+
+
+def _check_plan(n, pairs, plan):
+    """The plan checks the lower bound on exactly the connected proper
+    subsets and the upper bound on exactly the subsets with a connected
+    nonempty complement, and keeps besides only the prefixes (a mask less
+    its top vertex, repeated) of those, each mask once under its top
+    vertex, in increasing order."""
+    full = (1 << n) - 1
+    assert len(plan) == n
+    for k, level in enumerate(plan):
+        masks = [m for m, _ in level]
+        assert masks == sorted(set(masks))
+        assert all(m.bit_length() - 1 == k for m in masks)
+    entries = dict(e for level in plan for e in level)
+    assert sum(map(len, plan)) == len(entries)
+    lower = {m for m, c in entries.items() if c & CHECK_LOWER}
+    upper = {m for m, c in entries.items() if c & CHECK_UPPER}
+    assert lower == {m for m in range(1, full) if _flood_connected(m, pairs)}
+    assert upper == {m for m in range(1, full) if _flood_connected(full ^ m, pairs)}
+    closure = set()
+    for m in lower | upper:
+        while m:
+            closure.add(m)
+            m ^= 1 << (m.bit_length() - 1)
+    assert set(entries) == closure
 
 
 needs_speedups = pytest.mark.skipif(
@@ -66,26 +120,89 @@ class TestSelection:
         assert len(mods) == (2 if _kernel.HAVE_SPEEDUPS else 1)
 
 
+def _check_tables(impl, corpus_cases):
+    """The kernel's floor tables over G - S equal the whole-graph formula
+    with S flagged, and the upper bounds derived from them equal its
+    ceiling formula."""
+    for case in corpus_cases:
+        g = case.graph
+        n, full = g.num_vertices, (1 << g.num_vertices) - 1
+        ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
+        whole = _whole_graph_args(g, case.q, case.stratum)
+        _, scale, floor, _ = impl.build_tables(n, *_kernel_args(ctx))
+        assert scale == ctx.scale
+        assert list(floor) == oracles.floor_table(n, *whole), case.index
+        ceil = [scale * ctx.budget - floor[full ^ m] for m in range(full + 1)]
+        assert ceil == oracles.ceil_table(n, *whole), case.index
+
+
+class TestPureKernel:
+    """The pure kernel against independent formulas; these run with or
+    without the compiled kernel."""
+
+    def test_tables_match_formula(self, corpus_cases):
+        _check_tables(_kernel_py, corpus_cases)
+
+    def test_plan_matches_flood(self):
+        rng = random.Random(31)
+        disconnected = 0
+        for trial in range(240):
+            n = 1 + trial % 8
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            disconnected += not _flood_connected((1 << n) - 1, ctx._ints.kept)
+            for impl in implementations():
+                _, _, _, plan = impl.build_tables(n, *_kernel_args(ctx))
+                _check_plan(n, ctx._ints.kept, plan)
+        assert disconnected > 0  # G - S disconnected in some cases
+
+    def test_enumeration_matches_brute_force(self):
+        # in the kernels' own vertex order the outputs come in increasing
+        # order, as the brute force's do; up to 7 vertices, as the brute
+        # force takes seconds a graph from 8 on.  A box narrower than the
+        # singleton bounds cuts the outputs to those inside it.
+        rng = random.Random(37)
+        for trial, n in enumerate([*range(1, 7)] * 20 + [7] * 3):
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            lo, hi = ctx.singleton_box()
+            inner_lo, inner_hi = [a + 1 for a in lo], [b - 1 for b in hi]
+            for kind, mode in (
+                ("semistable", MODE_SEMISTABLE),
+                ("quasistable", MODE_QUASISTABLE),
+                ("stable", MODE_STABLE),
+            ):
+                want = oracles.brute_force_multidegrees(g, q, basepoint, stratum, kind)
+                for impl in implementations():
+                    tables = impl.build_tables(n, *_kernel_args(ctx))
+                    got = impl.box_enumerate(
+                        tables, ctx._ints.v0, ctx.budget, lo, hi, mode
+                    )
+                    assert got == want, (trial, kind, impl.__name__)
+                    got = impl.box_enumerate(
+                        tables, ctx._ints.v0, ctx.budget, inner_lo, inner_hi, mode
+                    )
+                    inside = [
+                        d for d in want
+                        if all(a <= x <= b for a, x, b in zip(inner_lo, d, inner_hi))
+                    ]
+                    assert got == inside, (trial, kind, impl.__name__)
+
+
 @needs_speedups
 class TestParity:
     def test_tables_agree(self, corpus_cases):
-        # both kernels' floor tables over G - S equal the whole-graph
-        # formula with S flagged, and the upper bounds derived from them
-        # equal its ceiling formula
+        # the compiled kernel's floor tables meet the formulas, and its
+        # plans are the pure kernel's
         compiled = implementations()[0]
-        for case in corpus_cases:
-            g = case.graph
-            n, full = g.num_vertices, (1 << g.num_vertices) - 1
-            ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
-            whole = _whole_graph_args(g, case.q, case.stratum)
-            want_floor = oracles.floor_table(n, *whole)
-            want_ceil = oracles.ceil_table(n, *whole)
-            for impl in (_kernel_py, compiled):
-                _, scale, floor = impl.build_tables(n, *_kernel_args(ctx))
-                assert scale == ctx.scale
-                assert list(floor) == want_floor, (case.index, impl.__name__)
-                ceil = [scale * ctx.budget - floor[full ^ m] for m in range(full + 1)]
-                assert ceil == want_ceil, (case.index, impl.__name__)
+        _check_tables(compiled, corpus_cases)
+        rng = random.Random(41)
+        for trial in range(120):
+            n = 1 + trial % 8
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            args = _kernel_args(StratumContext(g, q, basepoint, stratum))
+            want = _kernel_py.build_tables(n, *args).plan
+            assert compiled.build_tables(n, *args)[3] == want, trial
 
     def test_enumeration_agrees(self, corpus_cases):
         compiled = implementations()[0]
@@ -105,7 +222,7 @@ class TestParity:
                 got_fast = compiled.box_enumerate(
                     t_fast, v0, ctx.budget, lo, hi, mode
                 )
-                assert sorted(got_pure) == sorted(got_fast)
+                assert got_pure == got_fast
 
 
 @needs_speedups
@@ -129,15 +246,24 @@ class TestCompiledChecks:
                 compiled.build_tables(2, [bad_edge], [1, 1], 2)
         with pytest.raises(ValueError):
             compiled.box_enumerate(tables, 2, 1, [0, 0], [1, 1], MODE_QUASISTABLE)
-        n, scale, floor = tables
+        n, scale, floor, plan = tables
         with pytest.raises(ValueError):
             compiled.box_enumerate(
-                (n, scale, floor[:-1]), 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE
+                (n, scale, floor[:-1], plan), 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE
             )
         assert compiled.box_enumerate(tables, 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE) == [
             (0, 1),
             (1, 0),
         ]
+        # a level missing, a mask under the wrong top vertex, unknown
+        # checks, a prefix not listed before its mask
+        n, scale, floor, plan = compiled.build_tables(3, [(0, 1), (1, 2)], [1, 1, 0], 2)
+        bad_plans = (plan[:2], (((2, 1),), (), ()), (((1, 4),), (), ()), ((), ((3, 1),), ()))
+        for bad_plan in bad_plans:
+            with pytest.raises(ValueError):
+                compiled.box_enumerate(
+                    (n, scale, floor, bad_plan), 0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE
+                )
 
 
 class TestBigValues:
