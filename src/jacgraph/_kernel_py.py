@@ -56,19 +56,46 @@ class Tables(NamedTuple):
 def build_tables(n, edges, base, scale):
     """The per-subset floor table ``sum(base[v] for v in m) - scale/2 *
     cross(m)``, with ``cross(m)`` the number of ``edges`` (endpoint index
-    pairs) with exactly one end in ``m``, and the plan of ``edges``."""
-    size = 1 << n
+    pairs) with exactly one end in ``m``, and the plan of ``edges``.
+
+    One recurrence over the masks builds the table: with v the top vertex
+    of m and r = m - v,
+
+        floor[m] = floor[r] + own[v] + scale * e(v, r),
+
+    where ``own[v] = base[v] - scale/2 * deg(v)`` and e(v, r) counts the
+    edges from v into r, which crossed r and stop crossing (scale is even).
+    e(v, r) is the sum of ``(layer & r).bit_count()`` over v's multiplicity
+    layers, the k-th holding the neighbours joined to v by more than k
+    edges."""
     half = scale // 2
-    floor = [0] * size
-    for m in range(1, size):
-        lsb = m & -m
-        floor[m] = floor[m ^ lsb] + base[lsb.bit_length() - 1]
-    for a, b in edges:
-        abit, bbit = 1 << a, 1 << b
-        for m in range(size):
-            if bool(m & abit) != bool(m & bbit):
-                floor[m] -= half
+    floor = [0]
+    for v, layers in enumerate(_multiplicity_layers(n, edges)):
+        own = base[v] - half * sum(layer.bit_count() for layer in layers)
+        part = [f + own for f in floor]
+        for layer in layers:
+            layer &= len(floor) - 1  # r holds only vertices below v
+            if layer:
+                part = [f + scale * (r & layer).bit_count() for r, f in enumerate(part)]
+        floor += part
     return Tables(n, scale, floor, _build_plan(n, edges))
+
+
+def _multiplicity_layers(n, edges):
+    """Per vertex v, the masks whose k-th holds the neighbours joined to v
+    by more than k of ``edges``; loops are skipped."""
+    count = [{} for _ in range(n)]
+    for a, b in edges:
+        if a != b:
+            count[a][b] = count[a].get(b, 0) + 1
+            count[b][a] = count[b].get(a, 0) + 1
+    layers = []
+    for nbrs in count:
+        own = []
+        for k in range(max(nbrs.values(), default=0)):
+            own.append(sum(1 << w for w, c in nbrs.items() if c > k))
+        layers.append(own)
+    return layers
 
 
 def _connected_subsets(n, edges):
@@ -99,15 +126,17 @@ def _connected_subsets(n, edges):
 def _build_plan(n, edges):
     """The masks the box search keeps, by top vertex: ``plan[k]`` lists
     ``(mask, checks)`` in increasing mask order for the masks whose top
-    vertex is k.  ``checks`` has CHECK_LOWER for a connected proper subset,
-    CHECK_UPPER for a proper subset with a connected complement, and is 0
-    for a prefix (a kept mask less its top vertex, repeated) that is kept
-    only because a kept mask's sum is built from it."""
+    vertex is k.  ``checks`` has both bounds for a connected proper subset
+    (its upper bound holds as every subset's does, and costs no comparison
+    beside the lower one), CHECK_UPPER for a proper subset with a connected
+    complement, and is 0 for a prefix (a kept mask less its top vertex,
+    repeated) that is kept only because a kept mask's sum is built from
+    it."""
     full = (1 << n) - 1
     checks = {}
     for c in _connected_subsets(n, edges):
         if c != full:
-            checks[c] = checks.get(c, 0) | CHECK_LOWER
+            checks[c] = checks.get(c, 0) | CHECK_LOWER | CHECK_UPPER
             checks[full ^ c] = checks.get(full ^ c, 0) | CHECK_UPPER
     for m in list(checks):
         m ^= 1 << (m.bit_length() - 1)
@@ -129,15 +158,17 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     bounds the plan keeps among them are checked right away and failing
     branches are cut early.  A bound the plan leaves out follows from kept
     bounds on the pieces of its subset or of the complement, so the outputs
-    and their order are those of a search that checks every subset, though
-    a branch that such a search cuts by an upper bound may be cut here only
-    at a later level, once the complement's pieces are decided.  At the
-    last vertex the total fixes d, and each bound on a subset that holds
-    that vertex is the opposite bound on the complement, which the plan
-    checked on the way down, so nothing is checked there.  The suffix sums
-    of the box bounds prune on the total, and keep the last vertex in its
-    box.  ``sums[m]`` holds ``scale * d_m``, so the subset checks need no
-    multiplication.
+    and their order are those of a search that checks every subset.  When
+    ``scale * total == floor[full]``, as for every degree budget, the upper
+    bound is additive over the pieces of its subset too, so the plan cuts
+    each branch at the level such a search does; for another total an
+    upper-bound cut may come a level later, once the complement's pieces
+    are decided.  At the last vertex the total fixes d, and each bound on a
+    subset that holds that vertex is the opposite bound on the complement,
+    which the plan checked on the way down, so nothing is checked there.
+    The suffix sums of the box bounds prune on the total, and keep the last
+    vertex in its box.  ``sums[m]`` holds ``scale * d_m``, so the subset
+    checks need no multiplication.
     """
     n, scale, floor, plan = tables
     full = (1 << n) - 1

@@ -18,7 +18,7 @@
  * on its pieces, and an upper bound on m, the lower bound on the
  * complement, from those on the complement's pieces.  Strictness carries
  * over, as the piece that holds v0 is strict in quasistable mode and every
- * piece is strict in stable mode.  So the search checks lower bounds on
+ * piece is strict in stable mode.  So the search checks both bounds on
  * connected proper subsets and upper bounds on subsets with a connected
  * complement, and keeps the prefixes their sums are built from.  Under the
  * last vertex it checks none: the total fixes d there, and each bound on a
@@ -38,6 +38,18 @@ enum { CONNECTED = 4, KEPT = 8 };
 
 /* tables hold 2**n entries; the library's subset-scan guard stops at 20 */
 #define MAX_VERTICES 24
+
+#if defined(__GNUC__) || defined(__clang__)
+#define POPCOUNT(x) __builtin_popcountll(x)
+#else
+static int POPCOUNT(unsigned long long x)
+{
+    int c = 0;
+    for (; x; x &= x - 1)
+        c++;
+    return c;
+}
+#endif
 
 /* Copy a sequence of exactly len ints into out.  Sequences are read through
    a tuple copy, so conversions that run Python code cannot resize them. */
@@ -94,7 +106,12 @@ static int load_table(PyObject *obj, size_t len, long long *out, const char *wha
 
 PyDoc_STRVAR(build_tables_doc,
 "build_tables(n, edges, base, scale) -> (n, scale, floor, plan)\n\n"
-"Per-subset floor table and plan, as in jacgraph._kernel_py.build_tables.");
+"Per-subset floor table and plan, as in jacgraph._kernel_py.build_tables.\n"
+"One recurrence builds the table: with v the top vertex of m and r = m - v,\n"
+"floor[m] = floor[r] + base[v] - scale/2 * deg(v) + scale * e(v, r), where\n"
+"e(v, r), the edges from v into r, sums the popcounts of r under v's\n"
+"multiplicity layers (the k-th holds the neighbours joined to v by more\n"
+"than k edges).");
 
 /* Mark m and every connected subset grown from it by neighbours in ext,
    never adding a vertex of seen (which holds m), as in
@@ -125,9 +142,11 @@ static PyObject *make_plan(int n, const size_t *adj)
         size_t below = ((size_t)2 << v) - 1;
         grow(adj, n, marks, (size_t)1 << v, adj[v] & ~below, below);
     }
+    /* both bounds on a connected subset: its upper bound holds as every
+       subset's does, and costs no comparison beside the lower one */
     for (size_t m = 1; m < full; m++)
         if (marks[m] & CONNECTED) {
-            marks[m] |= CHECK_LOWER | KEPT;
+            marks[m] |= CHECK_LOWER | CHECK_UPPER | KEPT;
             marks[full ^ m] |= CHECK_UPPER | KEPT;
         }
     /* a kept mask's prefix has a lower top vertex, so it is reached later */
@@ -171,7 +190,9 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
     int n;
     long long scale;
     PyObject *edges, *base;
-    PyObject *es = NULL, *floor_table = NULL, *result = NULL;
+    PyObject *es = NULL, *floor_table = NULL, *plan = NULL, *result = NULL;
+    long long *mult = NULL;
+    size_t *layers = NULL;
 
     if (!PyArg_ParseTuple(args, "iOOL:build_tables", &n, &edges, &base, &scale))
         return NULL;
@@ -184,20 +205,18 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
         return PyErr_NoMemory();
     long long *lower = buf, *q = buf + size;
     size_t adj[MAX_VERTICES] = {0};
-    PyObject *plan = NULL;
+    /* layer_at[v] .. layer_at[v + 1]: v's multiplicity layers in layers */
+    size_t layer_at[MAX_VERTICES + 1] = {0};
 
     if (load_ints(base, n, q, "base") < 0 || (es = PySequence_Tuple(edges)) == NULL)
         goto done;
 
-    /* the subset sums of base, one top bit at a time */
-    lower[0] = 0;
-    for (int i = 0; i < n; i++) {
-        size_t bit = (size_t)1 << i;
-        for (size_t m = 0; m < bit; m++)
-            lower[m | bit] = lower[m] + q[i];
+    /* mult[a * n + b]: the edges joining a and b; loops never cross */
+    mult = PyMem_Calloc((size_t)n * n + 1, sizeof(long long));
+    if (mult == NULL) {
+        PyErr_NoMemory();
+        goto done;
     }
-
-    /* per edge: -scale/2 where it crosses */
     for (Py_ssize_t e = 0; e < PyTuple_GET_SIZE(es); e++) {
         int a, b;
         if (!PyArg_Parse(PyTuple_GET_ITEM(es, e), "(ii)", &a, &b))
@@ -207,13 +226,47 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
                          a, b, n - 1);
             goto done;
         }
-        size_t abit = (size_t)1 << a, bbit = (size_t)1 << b;
-        for (size_t m = 0; m < size; m++)
-            if (((m & abit) != 0) != ((m & bbit) != 0))
-                lower[m] -= half;
         if (a != b) {
-            adj[a] |= bbit;
-            adj[b] |= abit;
+            mult[a * n + b]++;
+            mult[b * n + a]++;
+            adj[a] |= (size_t)1 << b;
+            adj[b] |= (size_t)1 << a;
+        }
+    }
+
+    /* own[v] = base[v] - scale/2 * deg(v), kept in q; layer k of v holds
+       the neighbours joined to v by more than k edges */
+    for (int v = 0; v < n; v++) {
+        long long top = 0;
+        for (int w = 0; w < n; w++) {
+            q[v] -= half * mult[v * n + w];
+            if (mult[v * n + w] > top)
+                top = mult[v * n + w];
+        }
+        layer_at[v + 1] = layer_at[v] + (size_t)top;
+    }
+    layers = PyMem_Calloc(layer_at[n] + 1, sizeof(size_t));
+    if (layers == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int v = 0; v < n; v++)
+        for (int w = 0; w < n; w++)
+            for (long long k = 0; k < mult[v * n + w]; k++)
+                layers[layer_at[v] + k] |= (size_t)1 << w;
+
+    /* floor[m] = floor[r] + own[v] + scale * e(v, r), v the top vertex of
+       m and r = m - v, e(v, r) the edges from v into r: those crossed r and
+       stop crossing (scale is even) */
+    lower[0] = 0;
+    for (int v = 0; v < n; v++) {
+        size_t bit = (size_t)1 << v;
+        const size_t *first = layers + layer_at[v], *end = layers + layer_at[v + 1];
+        for (size_t r = 0; r < bit; r++) {
+            long long into = 0;
+            for (const size_t *layer = first; layer < end; layer++)
+                into += POPCOUNT(*layer & r);
+            lower[r | bit] = lower[r] + q[v] + scale * into;
         }
     }
 
@@ -224,6 +277,8 @@ done:
     Py_XDECREF(plan);
     Py_XDECREF(floor_table);
     Py_XDECREF(es);
+    PyMem_Free(layers);
+    PyMem_Free(mult);
     PyMem_Free(buf);
     return result;
 }

@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -384,6 +385,65 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
     }
 
 
+# -- output ------------------------------------------------------------------
+
+# the compact JSON of a list of nonempty int lists
+_INT_ROW = r"\[-?[0-9]+(?:, -?[0-9]+)*\]"
+_INT_ROWS = rf"\[{_INT_ROW}(?:, {_INT_ROW})*\]"
+_ROW_SLICE = 256
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(write, obj, indent: str):
+    """Write ``json.dumps(obj, indent=2)`` piece by piece, for a value that
+    starts ``indent`` spaces in.  ``json`` turns its C encoder off for an
+    indent, so a list of int rows is encoded a slice at a time by the
+    compact C encoder and re-indented; what the layout below does not cover
+    goes to ``json.dumps`` itself."""
+    inner = indent + "  "
+    if isinstance(obj, str):
+        write(_encode_str(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        write("[")
+        sep = "\n" + inner
+        for start in range(0, len(obj), _ROW_SLICE):
+            part = obj[start : start + _ROW_SLICE]
+            if isinstance(part[0], list) and re.fullmatch(_INT_ROWS, text := json.dumps(part)):
+                deep = inner + "  "
+                write(f"{sep}[\n{deep}")
+                write(
+                    text[2:-2]
+                    .replace("], [", f"\n{inner}],\n{inner}[\n{deep}")
+                    .replace(", ", ",\n" + deep)
+                )
+                write(f"\n{inner}]")
+                sep = ",\n" + inner
+                continue
+            for x in part:
+                write(sep)
+                _write_json(write, x, inner)
+                sep = ",\n" + inner
+        write(f"\n{indent}]")
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        write("{")
+        sep = "\n" + inner
+        for k, v in obj.items():
+            write(f"{sep}{_encode_str(k)}: ")
+            _write_json(write, v, inner)
+            sep = ",\n" + inner
+        write(f"\n{indent}}}")
+    else:
+        write(json.dumps(obj, indent=2).replace("\n", "\n" + indent))
+
+
 # -- wiring ------------------------------------------------------------------
 
 
@@ -478,8 +538,9 @@ def main(argv=None) -> int:
     except JacGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    write = sys.stdout.write
+    _write_json(write, payload, "")
+    write("\n")
     return 0
 
 

@@ -54,6 +54,15 @@ class Cochain:
                 )
         self.values = vals
 
+    @classmethod
+    def _of(cls, graph: Multigraph, values: tuple) -> "Cochain":
+        """A cochain on a tuple of ``graph.num_vertices`` plain ints that the
+        library computed itself, without the checks of the constructor."""
+        self = object.__new__(cls)
+        self.graph = graph
+        self.values = values
+        return self
+
     def __getitem__(self, v: Vertex) -> int:
         return self.values[self.graph._vpos[v]]
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
 from . import _kernel
@@ -163,7 +164,9 @@ class _ScaledStratum:
             [hi[old] for old in order],
             mode,
         )
-        return sorted(tuple(row[i] for i in inv) for row in raw)
+        if n == 1:
+            return raw  # itemgetter of one index gives a bare value
+        return sorted(map(itemgetter(*inv), raw))
 
     # -- minimum cut -----------------------------------------------------
 
@@ -490,10 +493,15 @@ class StratumContext:
     def enumerate(self, kind: str = "quasistable") -> list[Cochain]:
         """All multidegrees of the requested kind, sorted by their value
         tuples in vertex order."""
+        g = self.graph
+        return [Cochain._of(g, t) for t in self._value_tuples(kind)]
+
+    def _value_tuples(self, kind: str) -> list[tuple]:
+        """The value tuples of ``enumerate(kind)``."""
         if kind not in _MODE:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         _kernel.scan_guard(self.graph.num_vertices, "enumeration")
-        return [Cochain(self.graph, t) for t in self._ints.enumerate(_MODE[kind])]
+        return self._ints.enumerate(_MODE[kind])
 
 
 def semistable_equality_witness(g: Multigraph, q: Polarization):

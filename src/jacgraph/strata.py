@@ -115,7 +115,7 @@ def strata_report(
     depth = m if max_codim is None else min(max_codim, m)
     n = g.num_vertices
 
-    layer = {(): [d.values for d in StratumContext(g, q, basepoint).enumerate("quasistable")]}
+    layer = {(): StratumContext(g, q, basepoint)._value_tuples("quasistable")}
     rows = []
     for size in range(depth + 1):
         if size:
@@ -131,7 +131,7 @@ def strata_report(
                     codimension=size,
                     connected=count > 0,
                     expected_count=count,
-                    multidegrees=tuple(Cochain(g, t) for t in tuples),
+                    multidegrees=tuple(Cochain._of(g, t) for t in tuples),
                 )
             )
 

@@ -6,7 +6,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacgraph import cli
@@ -364,6 +364,103 @@ class TestParserReuse:
         assert run(capsys, ["complexity", path])[0] == 0
         monkeypatch.setattr(cli, "cmd_complexity", lambda problem, args: {"replaced": True})
         assert run(capsys, ["complexity", path])[1] == {"replaced": True}
+
+
+# -- output --------------------------------------------------------------------
+
+K5_DOUBLED = {
+    "vertices": list("abcde"),
+    "edges": [
+        {"endpoints": [u, v]} for i, u in enumerate("abcde") for v in "abcde"[i + 1 :]
+    ]
+    * 2,
+    "polarization": {"a": "1/2", "b": "-1/2", "c": 1, "d": 0, "e": 0},
+    "basepoint": "c",
+}
+LOOPED_TRIANGLE = {
+    "vertices": ["x", "y", "z"],
+    "edges": [{"endpoints": ["x", "x"]}]
+    + [{"endpoints": pair} for pair in (["x", "y"], ["y", "z"], ["z", "x"])] * 2,
+    "polarization": {"x": 1, "y": 0, "z": 0},
+}
+
+
+class TestOutput:
+    """stdout is the indent-2 JSON of the handler's payload, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["complexity"], K5_DOUBLED),
+            (["enum", "--kind", "ss"], K5_DOUBLED),
+            (["enum", "--kind", "stable", "--stratum", "e0,e10"], K5_DOUBLED),
+            (["reduce", "--multidegree=7,-9,2,0,1"], K5_DOUBLED),
+            (["check-pol"], K5_DOUBLED),
+            (["strata"], LOOPED_TRIANGLE),
+            (["blowup-check"], LOOPED_TRIANGLE),
+        ],
+    )
+    def test_stdout_is_indented_payload(self, problem, capsys, monkeypatch, argv, data):
+        name = "cmd_" + argv[0].replace("-", "_")
+        handler, payloads = getattr(cli, name), []
+        monkeypatch.setattr(
+            cli, name, lambda p, args: payloads.append(handler(p, args)) or payloads[-1]
+        )
+        assert main([argv[0], problem(data), *argv[1:]]) == 0
+        assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+
+    def test_rows_span_several_slices(self, problem, capsys):
+        # the ss enumeration above takes more than one slice of rows
+        assert main(["enum", problem(K5_DOUBLED), "--kind", "ss"]) == 0
+        count = json.loads(capsys.readouterr().out)["count"]
+        assert count > 2 * cli._ROW_SLICE
+
+
+TEXT = st.text(st.sampled_from(["a", "Z", "0", '"', "\\", "/", "\n", "\x00", "é", "€", "😀"]), max_size=5)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-(2**80), 2**80),
+    TEXT,
+)
+
+
+@st.composite
+def row_lists(draw):
+    """A list of nonempty int rows, of one row to a few slices, sometimes
+    with a value that is not an int, or a row that is empty or nested, in
+    any slice."""
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.sampled_from([1, 2, cli._ROW_SLICE, cli._ROW_SLICE + 1, 600]))
+    width = draw(st.integers(1, 4))
+    rows = [[rng.randint(-12, 12) for _ in range(width)] for _ in range(count)]
+    if draw(st.booleans()):
+        odd = draw(st.one_of(SCALARS, st.floats(), st.just([]), st.just([[1]])))
+        rows[rng.randrange(count)][rng.randrange(width)] = odd
+    if draw(st.booleans()):
+        rows[rng.randrange(count)] = draw(st.sampled_from([[], [[1, 2]], "row"]))
+    return rows
+
+
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, row_lists()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(PAYLOADS)
+@example([[1, 2]] * (cli._ROW_SLICE + 10) + [[3, "x"]])
+@example([[1]] * (cli._ROW_SLICE + 1) + [[True]])
+@example({"rows": [[-(2**70)]], "é\"\\": {}, "": [], "n": None, "t": [True, False]})
+def test_writer_matches_json_dumps(obj):
+    out = io.StringIO()
+    cli._write_json(out.write, obj, "")
+    assert out.getvalue() == json.dumps(obj, indent=2)
 
 
 # -- fuzzed problem files ------------------------------------------------------

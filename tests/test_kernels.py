@@ -67,10 +67,10 @@ def _flood_connected(m, pairs):
 
 def _check_plan(n, pairs, plan):
     """The plan checks the lower bound on exactly the connected proper
-    subsets and the upper bound on exactly the subsets with a connected
-    nonempty complement, and keeps besides only the prefixes (a mask less
-    its top vertex, repeated) of those, each mask once under its top
-    vertex, in increasing order."""
+    subsets and the upper bound on exactly those and the subsets with a
+    connected nonempty complement, and keeps besides only the prefixes (a
+    mask less its top vertex, repeated) of those, each mask once under its
+    top vertex, in increasing order."""
     full = (1 << n) - 1
     assert len(plan) == n
     for k, level in enumerate(plan):
@@ -81,8 +81,9 @@ def _check_plan(n, pairs, plan):
     assert sum(map(len, plan)) == len(entries)
     lower = {m for m, c in entries.items() if c & CHECK_LOWER}
     upper = {m for m, c in entries.items() if c & CHECK_UPPER}
-    assert lower == {m for m in range(1, full) if _flood_connected(m, pairs)}
-    assert upper == {m for m in range(1, full) if _flood_connected(full ^ m, pairs)}
+    connected = {m for m in range(1, full) if _flood_connected(m, pairs)}
+    assert lower == connected
+    assert upper == connected | {m for m in range(1, full) if _flood_connected(full ^ m, pairs)}
     closure = set()
     for m in lower | upper:
         while m:
@@ -123,10 +124,13 @@ class TestSelection:
 def _check_tables(impl, corpus_cases):
     """The kernel's floor tables over G - S equal the whole-graph formula
     with S flagged, and the upper bounds derived from them equal its
-    ceiling formula."""
+    ceiling formula.  Handed every edge of G, loops and parallel edges
+    included, the kernel's table equals the formula with nothing flagged."""
+    sizes = set()
     for case in corpus_cases:
         g = case.graph
         n, full = g.num_vertices, (1 << g.num_vertices) - 1
+        sizes.add(n)
         ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
         whole = _whole_graph_args(g, case.q, case.stratum)
         _, scale, floor, _ = impl.build_tables(n, *_kernel_args(ctx))
@@ -134,6 +138,12 @@ def _check_tables(impl, corpus_cases):
         assert list(floor) == oracles.floor_table(n, *whole), case.index
         ceil = [scale * ctx.budget - floor[full ^ m] for m in range(full + 1)]
         assert ceil == oracles.ceil_table(n, *whole), case.index
+        edges, flags, scaled_q, scale = whole
+        floor = impl.build_tables(n, edges, scaled_q, scale)[2]
+        assert list(floor) == oracles.floor_table(
+            n, edges, [False] * len(flags), scaled_q, scale
+        ), case.index
+    assert 1 in sizes
 
 
 class TestPureKernel:

@@ -18,6 +18,44 @@ import corpus as corpus_mod
 import oracles
 
 
+def _check_unchecked(d, g):
+    """A cochain the library built without the constructor's checks is the
+    one the constructor builds: a tuple of exactly num_vertices plain ints."""
+    assert type(d.values) is tuple
+    assert len(d.values) == g.num_vertices
+    assert all(type(x) is int for x in d.values)
+    assert d == Cochain(g, d.values)
+
+
+class TestUncheckedCochains:
+    def test_enumerations(self, corpus_cases):
+        sizes = set()
+        for case in corpus_cases:
+            g = case.graph
+            ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
+            for kind in ("semistable", "quasistable", "stable"):
+                for d in ctx.enumerate(kind):
+                    _check_unchecked(d, g)
+                    sizes.add(g.num_vertices)
+        assert 1 in sizes
+
+    def test_strata_and_blowup(self):
+        # the corpus cases of at most 7 edges: a blow-up of more takes
+        # seconds on the pure kernel
+        sizes = set()
+        for case in corpus_mod.small_cases(7):
+            g = case.graph
+            for row in strata_report(g, case.basepoint, case.q).rows:
+                for d in row.multidegrees:
+                    _check_unchecked(d, g)
+                    sizes.add(g.num_vertices)
+            dec = blowup_decomposition(g, case.basepoint, case.q)
+            for bucket in dec.buckets:
+                for d in bucket.multidegrees:
+                    _check_unchecked(d, dec.subdivided_graph)
+        assert 1 in sizes
+
+
 def _banana(k):
     """Two vertices joined by k parallel edges."""
     return Multigraph(["u", "v"], [("u", "v")] * k)
