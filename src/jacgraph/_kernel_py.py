@@ -28,7 +28,10 @@ bound on the complement, from the lower bounds on the complement's pieces.
 Strictness carries over: in quasistable mode the piece that holds the
 basepoint is strict and makes the sum strict, in stable mode every piece
 is strict.  ``build_tables`` lists the subsets the box search checks in a
-*plan*.
+*plan*.  It leaves out every subset that holds the last vertex, as the
+total fixes d there and such a bound is the opposite bound on the
+complement.  ``box_enumerate`` also drops each bound that the box and the
+total already imply.
 """
 
 from __future__ import annotations
@@ -131,12 +134,17 @@ def _build_plan(n, edges):
     beside the lower one), CHECK_UPPER for a proper subset with a connected
     complement, and is 0 for a prefix (a kept mask less its top vertex,
     repeated) that is kept only because a kept mask's sum is built from
-    it."""
+    it.  No mask holding the last vertex is kept, so ``plan[n - 1]`` is
+    empty: the total fixes d there, and a bound on such a mask is the
+    opposite bound on its complement, which is kept in its place."""
     full = (1 << n) - 1
     checks = {}
     for c in _connected_subsets(n, edges):
-        if c != full:
+        if c == full:
+            continue
+        if c <= full >> 1:  # c misses the last vertex
             checks[c] = checks.get(c, 0) | CHECK_LOWER | CHECK_UPPER
+        else:
             checks[full ^ c] = checks.get(full ^ c, 0) | CHECK_UPPER
     for m in list(checks):
         m ^= 1 << (m.bit_length() - 1)
@@ -163,12 +171,16 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     bound is additive over the pieces of its subset too, so the plan cuts
     each branch at the level such a search does; for another total an
     upper-bound cut may come a level later, once the complement's pieces
-    are decided.  At the last vertex the total fixes d, and each bound on a
-    subset that holds that vertex is the opposite bound on the complement,
-    which the plan checked on the way down, so nothing is checked there.
-    The suffix sums of the box bounds prune on the total, and keep the last
-    vertex in its box.  ``sums[m]`` holds ``scale * d_m``, so the subset
-    checks need no multiplication.
+    are decided.  The last vertex takes the rest of the total; the suffix
+    sums of the box, which prune on the total, keep it in its box.
+
+    A node that decides d_m has d_m between ``max(lo_m, total - hi_c)`` and
+    ``min(hi_m, total - lo_c)``, with c the complement of m and ``lo_m`` the
+    box's sum over m.  A bound that every such value meets is dropped, and
+    a mask that loses both is kept for its sum alone.  Dropped bounds never
+    cut, so the search visits the same nodes.  ``sums[m]`` holds
+    ``scale * d_m``, so the checks need no multiplication; at vertex n - 2
+    nothing reads them any more, so they are only checked there.
     """
     n, scale, floor, plan = tables
     full = (1 << n) - 1
@@ -180,47 +192,53 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
         suf_hi[k] = suf_hi[k + 1] + hi[k]
     if suf_lo[0] > total or suf_hi[0] < total:
         return []
+    if n == 1:
+        return [(total,)]
 
-    # per level but the last: (mask, prefix, low, high) for the checked
-    # masks, with -big / big for a bound left out (no sum in the box reaches
-    # them), and (mask, prefix) for the masks kept for their sums alone.
-    # Strict bounds on proper subsets: quasistable from below on those that
-    # hold v0 and from above on the others, stable both ways on all.
-    big = scale * sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1
+    # per level but the last: (mask, prefix, low, high) for the masks with
+    # a bound left to check, and (mask, prefix) for those kept for their
+    # sums alone.  Strict bounds on proper subsets: quasistable from below
+    # on those that hold v0 and from above on the others, stable both ways
+    # on all.  box[m] holds scale times the box sums lo_m and hi_m, built
+    # along the prefix chains.
     vbit = 1 << v0
     stable, quasi = mode == MODE_STABLE, mode == MODE_QUASISTABLE
+    top = scale * total
+    from_hi, from_lo = top - scale * suf_hi[0], top - scale * suf_lo[0]
+    box = {0: (0, 0)}
     rows = []
     for k, level in enumerate(plan[: n - 1]):
-        pbit = 1 << k
+        pbit, k_lo, k_hi = 1 << k, scale * lo[k], scale * hi[k]
         checked, prefixes = [], []
         for m, checks in level:
-            if not checks:
-                prefixes.append((m, m ^ pbit))
-                continue
-            holds_v0 = m & vbit != 0
-            low, high = -big, big
+            p = m ^ pbit
+            m_lo, m_hi = box[p]
+            box[m] = m_lo, m_hi = m_lo + k_lo, m_hi + k_hi
+            reach_lo = low = m_lo if m_lo > from_hi + m_hi else from_hi + m_hi
+            reach_hi = high = m_hi if m_hi < from_lo + m_lo else from_lo + m_lo
             if checks & CHECK_LOWER:
-                low = floor[m] + (stable or quasi and holds_v0)
+                bound = floor[m] + (stable or quasi and m & vbit != 0)
+                if bound > low:
+                    low = bound
             if checks & CHECK_UPPER:
-                high = scale * total - floor[full ^ m] - (stable or quasi and not holds_v0)
-            checked.append((m, m ^ pbit, low, high))
+                bound = top - floor[full ^ m] - (stable or quasi and not m & vbit)
+                if bound < high:
+                    high = bound
+            if low > reach_lo or high < reach_hi:
+                checked.append((m, p, low, high))
+            else:
+                prefixes.append((m, p))
         rows.append((checked, prefixes))
+    last = [(p, low, high) for _, p, low, high in rows.pop()[0]]
 
-    sums = [0] * (full + 1)
+    sums = [0] * ((full >> 1) + 1)
     d = [0] * n
     out = []
 
     def place(k, partial):
-        if k == n - 1:
-            # the suffix sums kept the rest of the total in this box
-            d[k] = total - partial
-            out.append(tuple(d))
-            return
         checked, prefixes = rows[k]
-        for dv in range(lo[k], hi[k] + 1):
-            p2 = partial + dv
-            if p2 + suf_lo[k + 1] > total or p2 + suf_hi[k + 1] < total:
-                continue
+        rest = total - partial
+        for dv in range(max(lo[k], rest - suf_hi[k + 1]), min(hi[k], rest - suf_lo[k + 1]) + 1):
             step = scale * dv
             for m, p, low, high in checked:
                 sd = sums[p] + step
@@ -231,7 +249,27 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
                 for m, p in prefixes:
                     sums[m] = sums[p] + step
                 d[k] = dv
-                place(k + 1, p2)
+                if k + 1 < n - 2:
+                    place(k + 1, partial + dv)
+                else:
+                    leaves(partial + dv)
 
-    place(0, 0)
+    def leaves(partial):
+        # vertex n - 2, checked without writing sums; n - 1 takes the rest
+        rest = total - partial
+        for dv in range(max(lo[-2], rest - hi[-1]), min(hi[-2], rest - lo[-1]) + 1):
+            step = scale * dv
+            for p, low, high in last:
+                sd = sums[p] + step
+                if sd < low or sd > high:
+                    break
+            else:
+                d[-2] = dv
+                d[-1] = rest - dv
+                out.append(tuple(d))
+
+    if n == 2:
+        leaves(0)
+    else:
+        place(0, 0)
     return out

@@ -20,15 +20,15 @@
  * over, as the piece that holds v0 is strict in quasistable mode and every
  * piece is strict in stable mode.  So the search checks both bounds on
  * connected proper subsets and upper bounds on subsets with a connected
- * complement, and keeps the prefixes their sums are built from.  Under the
- * last vertex it checks none: the total fixes d there, and each bound on a
- * subset that holds that vertex is the opposite bound on the complement,
- * checked on the way down.
+ * complement, and keeps the prefixes their sums are built from.  The plan
+ * keeps no subset that holds the last vertex: the total fixes d there, and
+ * each bound on such a subset is the opposite bound on the complement.
+ * box_enumerate drops each bound that the box and the total imply, and
+ * writes no sums at vertex n - 2, where nothing reads them.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <limits.h>
 #include <string.h>
 
 enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel_py */
@@ -143,14 +143,18 @@ static PyObject *make_plan(int n, const size_t *adj)
         grow(adj, n, marks, (size_t)1 << v, adj[v] & ~below, below);
     }
     /* both bounds on a connected subset: its upper bound holds as every
-       subset's does, and costs no comparison beside the lower one */
+       subset's does, and costs no comparison beside the lower one.  A mask
+       that holds the last vertex is not kept; its complement carries its
+       bounds. */
     for (size_t m = 1; m < full; m++)
         if (marks[m] & CONNECTED) {
-            marks[m] |= CHECK_LOWER | CHECK_UPPER | KEPT;
-            marks[full ^ m] |= CHECK_UPPER | KEPT;
+            if (m <= full >> 1)
+                marks[m] |= CHECK_LOWER | CHECK_UPPER | KEPT;
+            else
+                marks[full ^ m] |= CHECK_UPPER | KEPT;
         }
     /* a kept mask's prefix has a lower top vertex, so it is reached later */
-    for (int k = n - 1; k >= 0; k--) {
+    for (int k = n - 2; k >= 0; k--) {
         size_t base = (size_t)1 << k;
         for (size_t m = base + 1; m < base << 1; m++)
             if (marks[m] & KEPT)
@@ -308,37 +312,56 @@ typedef struct {
     PyObject *out;
 } Search;
 
-/* Assign vertex k.  Every subset whose top vertex is k is decided once d_k is
-   chosen, so the bounds the plan keeps among them are checked at once; the
-   last vertex, fixed by the total, needs no check.  The suffix sums of the
-   box prune on the total.  sums[m] holds scale * d_m, so the inner loops
-   need no multiply.  Returns -1 with an exception set, else 0. */
+/* Append d as a tuple.  Returns -1 with an exception set, else 0. */
+static int emit(const Search *s)
+{
+    PyObject *row = PyTuple_New(s->n);
+    for (int i = 0; row != NULL && i < s->n; i++) {
+        PyObject *v = PyLong_FromLongLong(s->d[i]);
+        if (v == NULL)
+            Py_CLEAR(row);
+        else
+            PyTuple_SET_ITEM(row, i, v);
+    }
+    int rc = row == NULL ? -1 : PyList_Append(s->out, row);
+    Py_XDECREF(row);
+    return rc;
+}
+
+/* Assign vertex k < n - 1; the last vertex takes the rest of the total.
+   Every subset whose top vertex is k is decided once d_k is chosen, so the
+   bounds the plan keeps among them are checked at once.  d_k runs over the
+   values that leave the rest of the total within the box of the vertices
+   after k.  sums[m] holds scale * d_m, so the inner loops need no
+   multiply; at k = n - 2 nothing reads them, so they are only checked.
+   Returns -1 with an exception set, else 0. */
 static int place(const Search *s, int k, long long partial)
 {
-    if (k == s->n - 1) {
-        /* the suffix sums kept the rest of the total in this box */
-        s->d[k] = s->total - partial;
-        PyObject *row = PyTuple_New(s->n);
-        for (int i = 0; row != NULL && i < s->n; i++) {
-            PyObject *v = PyLong_FromLongLong(s->d[i]);
-            if (v == NULL)
-                Py_CLEAR(row);
-            else
-                PyTuple_SET_ITEM(row, i, v);
-        }
-        int rc = row == NULL ? -1 : PyList_Append(s->out, row);
-        Py_XDECREF(row);
-        return rc;
-    }
     const Row *first = s->rows + s->row_at[k], *end = s->rows + s->row_at[k + 1], *r;
     const Prefix *pfirst = s->prefixes + s->prefix_at[k];
     const Prefix *pend = s->prefixes + s->prefix_at[k + 1];
-    long long *sums = s->sums, scale = s->scale;
-    for (long long dv = s->lo[k]; dv <= s->hi[k]; dv++) {
-        long long p2 = partial + dv;
-        if (p2 + s->suf_lo[k + 1] > s->total || p2 + s->suf_hi[k + 1] < s->total)
-            continue;
+    long long *sums = s->sums, scale = s->scale, rest = s->total - partial;
+    long long from = rest - s->suf_hi[k + 1], to = rest - s->suf_lo[k + 1];
+    if (from < s->lo[k])
+        from = s->lo[k];
+    if (to > s->hi[k])
+        to = s->hi[k];
+    for (long long dv = from; dv <= to; dv++) {
         long long step = scale * dv;
+        if (k == s->n - 2) {
+            for (r = first; r < end; r++) {
+                long long sd = sums[r->p] + step;
+                if (sd < r->low || sd > r->high)
+                    break;
+            }
+            if (r == end) {
+                s->d[k] = dv;
+                s->d[k + 1] = rest - dv;
+                if (emit(s) < 0)
+                    return -1;
+            }
+            continue;
+        }
         for (r = first; r < end; r++) {
             long long sd = sums[r->p] + step;
             if (sd < r->low || sd > r->high)
@@ -349,7 +372,7 @@ static int place(const Search *s, int k, long long partial)
             for (const Prefix *q = pfirst; q < pend; q++)
                 sums[q->m] = sums[q->p] + step;
             s->d[k] = dv;
-            if (place(s, k + 1, p2) < 0)
+            if (place(s, k + 1, partial + dv) < 0)
                 return -1;
         }
     }
@@ -358,11 +381,14 @@ static int place(const Search *s, int k, long long partial)
 
 /* Read the plan, a sequence of n levels of (mask, checks) pairs, into the
    rows and prefixes of s with the bounds of the mode; floor is the floor
-   table.  Only the first n - 1 levels are read, as the search checks
-   nothing under the last vertex.  Every mask must have the level's top
-   vertex, and its prefix must be empty or listed before it.  Returns -1
-   with an exception set, else 0; on success the caller frees the rows,
-   prefixes and offsets (one block at s->row_at). */
+   table, and the box and its suffix sums must be in s.  Only the first
+   n - 1 levels are read, as the search checks nothing under the last
+   vertex.  Every mask must have the level's top vertex, and its prefix
+   must be empty or listed before it.  A bound that every d_m the search
+   reaches meets is dropped, and a mask left with none is kept as a prefix
+   (below level n - 2) or not at all.  Returns -1 with an exception set,
+   else 0; on success the caller frees the rows, prefixes and offsets (one
+   block at s->row_at). */
 static int load_plan(Search *s, PyObject *plan, const long long *floor, int v0, int mode)
 {
     int n = s->n, rc = -1;
@@ -396,6 +422,8 @@ static int load_plan(Search *s, PyObject *plan, const long long *floor, int v0, 
     Prefix *prefixes = (Prefix *)(rows + count);
     size_t nrows = 0, nprefixes = 0;
     int stable = mode == MODE_STABLE, quasi = mode == MODE_QUASISTABLE;
+    long long scale = s->scale, top = scale * s->total;
+    long long from_hi = top - scale * s->suf_hi[0], from_lo = top - scale * s->suf_lo[0];
     listed[0] = 1;
     for (int k = 0; k < n - 1; k++) {
         size_t base = (size_t)1 << k;
@@ -415,21 +443,35 @@ static int load_plan(Search *s, PyObject *plan, const long long *floor, int v0, 
                 goto done;
             }
             listed[m] = 1;
-            if (checks == 0) {
-                prefixes[nprefixes++] = (Prefix){m, m ^ base};
-                continue;
-            }
+            /* every d_m the search reaches lies in reach_lo..reach_hi
+               (scaled), from the box on m and on its complement */
+            long long m_lo = 0, m_hi = 0;
+            for (int v = 0; v <= k; v++)
+                if ((m >> v) & 1) {
+                    m_lo += scale * s->lo[v];
+                    m_hi += scale * s->hi[v];
+                }
+            long long reach_lo = m_lo > from_hi + m_hi ? m_lo : from_hi + m_hi;
+            long long reach_hi = m_hi < from_lo + m_lo ? m_hi : from_lo + m_lo;
             /* strict bounds on proper subsets: quasistable from below on
                those that hold v0 and from above on the others, stable both
-               ways on all; an unchecked bound is never reached */
+               ways on all */
             int holds_v0 = (m >> v0) & 1;
-            Row *r = &rows[nrows++];
-            *r = (Row){m, m ^ base, LLONG_MIN, LLONG_MAX};
-            if (checks & CHECK_LOWER)
-                r->low = floor[m] + (stable || (quasi && holds_v0));
-            if (checks & CHECK_UPPER)
-                r->high = s->scale * s->total - floor[full ^ m]
-                          - (stable || (quasi && !holds_v0));
+            Row r = {m, m ^ base, reach_lo, reach_hi};
+            if (checks & CHECK_LOWER) {
+                long long bound = floor[m] + (stable || (quasi && holds_v0));
+                if (bound > r.low)
+                    r.low = bound;
+            }
+            if (checks & CHECK_UPPER) {
+                long long bound = top - floor[full ^ m] - (stable || (quasi && !holds_v0));
+                if (bound < r.high)
+                    r.high = bound;
+            }
+            if (r.low > reach_lo || r.high < reach_hi)
+                rows[nrows++] = r;
+            else if (k < n - 2)
+                prefixes[nprefixes++] = (Prefix){m, m ^ base};
         }
     }
     row_at[n - 1] = nrows;
@@ -482,19 +524,21 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
 
     if (load_table(floor_seq, size, floor, "floor table") < 0
         || load_ints(lo, n, clo, "lo") < 0
-        || load_ints(hi, n, chi, "hi") < 0
-        || load_plan(&s, plan, floor, v0, mode) < 0)
+        || load_ints(hi, n, chi, "hi") < 0)
         goto done;
     suf_lo[n] = suf_hi[n] = 0;
     for (int k = n - 1; k >= 0; k--) {
         suf_lo[k] = suf_lo[k + 1] + clo[k];
         suf_hi[k] = suf_hi[k + 1] + chi[k];
     }
+    if (load_plan(&s, plan, floor, v0, mode) < 0)
+        goto done;
     out = PyList_New(0);
     if (out != NULL && suf_lo[0] <= total && suf_hi[0] >= total) {
         s.out = out;
         sums[0] = 0;
-        if (place(&s, 0, 0) < 0)
+        d[0] = total; /* all of it, when there is one vertex */
+        if ((n == 1 ? emit(&s) : place(&s, 0, 0)) < 0)
             Py_CLEAR(out);
     }
     PyMem_Free((void *)s.row_at);

@@ -237,7 +237,7 @@ def cmd_complexity(problem: Problem, args) -> dict:
 def cmd_enum(problem: Problem, args) -> dict:
     kind = KIND_NAMES[args.kind]
     ctx = _context(problem)
-    found = ctx.enumerate(kind)
+    found = _IntRows(ctx._value_tuples(kind))
     if args.verbose:
         print(
             f"{len(found)} {kind} multidegrees "
@@ -248,7 +248,7 @@ def cmd_enum(problem: Problem, args) -> dict:
         "kind": kind,
         "vertices": list(problem.graph.vertices),
         "count": len(found),
-        "multidegrees": [list(d.values) for d in found],
+        "multidegrees": found,
     }
 
 
@@ -387,6 +387,10 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
 
 # -- output ------------------------------------------------------------------
 
+class _IntRows(list):
+    """Nonempty tuples of ints, which the writer takes as such unchecked."""
+
+
 # the compact JSON of a list of nonempty int lists
 _INT_ROW = r"\[-?[0-9]+(?:, -?[0-9]+)*\]"
 _INT_ROWS = rf"\[{_INT_ROW}(?:, {_INT_ROW})*\]"
@@ -399,7 +403,8 @@ def _write_json(write, obj, indent: str):
     starts ``indent`` spaces in.  ``json`` turns its C encoder off for an
     indent, so a list of int rows is encoded a slice at a time by the
     compact C encoder and re-indented; what the layout below does not cover
-    goes to ``json.dumps`` itself."""
+    goes to ``json.dumps`` itself.  The slices of ``_IntRows`` skip the
+    check that they hold int rows."""
     inner = indent + "  "
     if isinstance(obj, str):
         write(_encode_str(obj))
@@ -414,9 +419,11 @@ def _write_json(write, obj, indent: str):
     elif isinstance(obj, (list, tuple)) and obj:
         write("[")
         sep = "\n" + inner
+        trusted = type(obj) is _IntRows
         for start in range(0, len(obj), _ROW_SLICE):
             part = obj[start : start + _ROW_SLICE]
-            if isinstance(part[0], list) and re.fullmatch(_INT_ROWS, text := json.dumps(part)):
+            text = json.dumps(part) if trusted or isinstance(part[0], list) else ""
+            if trusted or re.fullmatch(_INT_ROWS, text):
                 deep = inner + "  "
                 write(f"{sep}[\n{deep}")
                 write(

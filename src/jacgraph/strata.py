@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+from ._kernel import SUBSET_SCAN_LIMIT
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
 from .graph import Multigraph, Vertex
 from .lattice import Cochain, _tree_count, complexity
@@ -227,12 +228,18 @@ def blowup_decomposition(
     Every exceptional vertex must carry -1 or 0 (anything else raises
     BlowupValueError), the bucket of a given -1 pattern S matches the
     stratum count of S, and the grand total is the spanning-tree count of
-    the subdivision.
+    the subdivision.  The subdivision has n + m vertices, so it is refused
+    past the subset-scan limit before it is built.
     """
     m = g.num_edges
     pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
     ids = g.edge_ids()
     n = g.num_vertices
+    if n + m > SUBSET_SCAN_LIMIT:
+        raise GuardLimitError(
+            f"subdividing {m} edges of a {n}-vertex graph gives {n + m} vertices, "
+            f"over the subset-scan limit of {SUBSET_SCAN_LIMIT}"
+        )
     q_sub = q.blown_up(ids)
     sub = q_sub.graph  # the middle vertex of edge k is vertex n + k
     found = StratumContext(sub, q_sub, basepoint).enumerate("quasistable")

@@ -5,7 +5,8 @@ and naive algorithms: spanning trees by exhaustive edge selection,
 stability by checking every vertex subset with Fraction sums, lattice
 membership by rational elimination, invariant factors from minors.  Nothing imports the kernels;
 ``floor_table`` and ``ceil_table`` are the subset bounds from the whole
-graph with the stratum edges flagged, ``defect_scan``, the subset scan
+graph with the stratum edges flagged, ``box_search`` is the kernels' box
+search checking every subset, ``defect_scan``, the subset scan
 that the minimum cut replaced, reads a floor table as plain data, and
 ``same_class``, the class test that the single solve replaced, compares
 two invariant-factor eliminations.
@@ -165,6 +166,43 @@ def ceil_table(n, edges, s_flags, scaled_q, scale):
         cross, cross_s, inside_s = _subset_counts(m, edges, s_flags)
         qsum = sum(x for i, x in enumerate(scaled_q) if m >> i & 1)
         out.append(qsum + scale // 2 * cross - scale * (cross_s + inside_s))
+    return out
+
+
+def box_search(n, scale, floor, v0, total, lo, hi, kind):
+    """The box search of the kernels without their plan or their dropped
+    bounds: depth-first over the vertices in index order, each value from
+    ``lo`` to ``hi``, a branch cut once some decided proper subset breaks a
+    bound or the rest of the total no longer fits the box of the vertices
+    left.  Every proper nonempty subset m has ``scale * d_m`` at least
+    ``floor[m]`` and at most ``scale * total - floor[full ^ m]``, strictly as
+    ``kind`` says.  The outputs come in increasing order."""
+    full = (1 << n) - 1
+    d = [0] * n
+    out = []
+
+    def fine(m):
+        sd = scale * sum(d[i] for i in range(n) if m >> i & 1)
+        low, high = floor[m], scale * total - floor[full ^ m]
+        if kind == "stable" or kind == "quasistable" and m >> v0 & 1:
+            low += 1
+        if kind == "stable" or kind == "quasistable" and not m >> v0 & 1:
+            high -= 1
+        return low <= sd <= high
+
+    def place(k, rest):
+        for x in range(lo[k], hi[k] + 1):
+            left = rest - x
+            if not sum(lo[k + 1 :]) <= left <= sum(hi[k + 1 :]):
+                continue
+            d[k] = x
+            if all(fine(m) for m in range(1 << k, min(2 << k, full))):
+                if k == n - 1:
+                    out.append(tuple(d))
+                else:
+                    place(k + 1, left)
+
+    place(0, total)
     return out
 
 

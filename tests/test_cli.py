@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -383,6 +384,13 @@ LOOPED_TRIANGLE = {
     + [{"endpoints": pair} for pair in (["x", "y"], ["y", "z"], ["z", "x"])] * 2,
     "polarization": {"x": 1, "y": 0, "z": 0},
 }
+ONE_VERTEX = {"vertices": ["x"], "edges": [{"endpoints": ["x", "x"]}], "polarization": {"x": 2}}
+# a bridge with half on each end has no stable multidegree
+BRIDGE = {
+    "vertices": ["u", "v"],
+    "edges": [{"endpoints": ["u", "v"]}],
+    "polarization": {"u": "1/2", "v": "1/2"},
+}
 
 
 class TestOutput:
@@ -398,6 +406,8 @@ class TestOutput:
             (["check-pol"], K5_DOUBLED),
             (["strata"], LOOPED_TRIANGLE),
             (["blowup-check"], LOOPED_TRIANGLE),
+            (["enum", "--kind", "ss"], ONE_VERTEX),
+            (["enum", "--kind", "stable"], BRIDGE),
         ],
     )
     def test_stdout_is_indented_payload(self, problem, capsys, monkeypatch, argv, data):
@@ -408,6 +418,12 @@ class TestOutput:
         )
         assert main([argv[0], problem(data), *argv[1:]]) == 0
         assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+
+    def test_one_vertex_and_empty_enumerations(self, problem, capsys):
+        assert main(["enum", problem(ONE_VERTEX)]) == 0
+        assert json.loads(capsys.readouterr().out)["multidegrees"] == [[2]]
+        assert main(["enum", problem(BRIDGE), "--kind", "stable"]) == 0
+        assert json.loads(capsys.readouterr().out)["multidegrees"] == []
 
     def test_rows_span_several_slices(self, problem, capsys):
         # the ss enumeration above takes more than one slice of rows
@@ -461,6 +477,21 @@ def test_writer_matches_json_dumps(obj):
     out = io.StringIO()
     cli._write_json(out.write, obj, "")
     assert out.getvalue() == json.dumps(obj, indent=2)
+
+
+def test_trusted_rows_match_json_dumps():
+    # the enumeration's rows reach the writer as tuples of ints, unchecked
+    rng = random.Random(7)
+    for count in (0, 1, 2, cli._ROW_SLICE, cli._ROW_SLICE + 1, 600):
+        for width in (1, 2, 5):
+            rows = cli._IntRows(
+                tuple(rng.choice([-(2**70), -3, 0, 7, 2**64]) for _ in range(width))
+                for _ in range(count)
+            )
+            payload = {"count": count, "multidegrees": rows, "tail": [rows]}
+            out = io.StringIO()
+            cli._write_json(out.write, payload, "")
+            assert out.getvalue() == json.dumps(payload, indent=2), (count, width)
 
 
 # -- fuzzed problem files ------------------------------------------------------

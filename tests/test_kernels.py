@@ -52,6 +52,13 @@ def _random_problem(rng, n):
     return g, corpus._random_polarization(rng, g), rng.choice(names), stratum
 
 
+KINDS = (
+    ("semistable", MODE_SEMISTABLE),
+    ("quasistable", MODE_QUASISTABLE),
+    ("stable", MODE_STABLE),
+)
+
+
 def _flood_connected(m, pairs):
     """Whether the nonempty vertex bitmask m is connected by the endpoint
     index pairs: grow from its least vertex until no pair adds a vertex."""
@@ -66,13 +73,15 @@ def _flood_connected(m, pairs):
 
 
 def _check_plan(n, pairs, plan):
-    """The plan checks the lower bound on exactly the connected proper
-    subsets and the upper bound on exactly those and the subsets with a
-    connected nonempty complement, and keeps besides only the prefixes (a
-    mask less its top vertex, repeated) of those, each mask once under its
-    top vertex, in increasing order."""
+    """Among the masks without the last vertex, the plan checks the lower
+    bound on exactly the connected proper subsets and the upper bound on
+    exactly those and the subsets with a connected nonempty complement.  It
+    keeps no mask that holds the last vertex, and besides the checked masks
+    only their prefixes (a mask less its top vertex, repeated), each mask
+    once under its top vertex, in increasing order."""
     full = (1 << n) - 1
     assert len(plan) == n
+    assert not plan[-1]
     for k, level in enumerate(plan):
         masks = [m for m, _ in level]
         assert masks == sorted(set(masks))
@@ -81,9 +90,10 @@ def _check_plan(n, pairs, plan):
     assert sum(map(len, plan)) == len(entries)
     lower = {m for m, c in entries.items() if c & CHECK_LOWER}
     upper = {m for m, c in entries.items() if c & CHECK_UPPER}
-    connected = {m for m in range(1, full) if _flood_connected(m, pairs)}
+    without_last = range(1, (full >> 1) + 1)
+    connected = {m for m in without_last if _flood_connected(m, pairs)}
     assert lower == connected
-    assert upper == connected | {m for m in range(1, full) if _flood_connected(full ^ m, pairs)}
+    assert upper == connected | {m for m in without_last if _flood_connected(full ^ m, pairs)}
     closure = set()
     for m in lower | upper:
         while m:
@@ -177,11 +187,7 @@ class TestPureKernel:
             ctx = StratumContext(g, q, basepoint, stratum)
             lo, hi = ctx.singleton_box()
             inner_lo, inner_hi = [a + 1 for a in lo], [b - 1 for b in hi]
-            for kind, mode in (
-                ("semistable", MODE_SEMISTABLE),
-                ("quasistable", MODE_QUASISTABLE),
-                ("stable", MODE_STABLE),
-            ):
+            for kind, mode in KINDS:
                 want = oracles.brute_force_multidegrees(g, q, basepoint, stratum, kind)
                 for impl in implementations():
                     tables = impl.build_tables(n, *_kernel_args(ctx))
@@ -197,6 +203,67 @@ class TestPureKernel:
                         if all(a <= x <= b for a, x, b in zip(inner_lo, d, inner_hi))
                     ]
                     assert got == inside, (trial, kind, impl.__name__)
+
+
+def _tight_bounds(n, scale, floor, v0, total, lo, hi, kind, pairs):
+    """How many bounds the plan keeps meet the box's reach exactly: a node
+    that decides d_m has d_m at least ``max(lo_m, total - hi_c)`` and at most
+    ``min(hi_m, total - lo_c)``, c the complement of m, and a bound equal to
+    that reach can never cut."""
+    full = (1 << n) - 1
+    hits = 0
+    for m in range(1, (full >> 1) + 1):
+        lo_m = sum(lo[i] for i in range(n) if m >> i & 1)
+        hi_m = sum(hi[i] for i in range(n) if m >> i & 1)
+        reach_lo = scale * max(lo_m, total - sum(hi) + hi_m)
+        reach_hi = scale * min(hi_m, total - sum(lo) + lo_m)
+        strict_low = kind == "stable" or kind == "quasistable" and m >> v0 & 1
+        strict_high = kind == "stable" or kind == "quasistable" and not m >> v0 & 1
+        if _flood_connected(m, pairs):
+            hits += reach_lo == floor[m] + strict_low
+        if _flood_connected(m, pairs) or _flood_connected(full ^ m, pairs):
+            hits += reach_hi == scale * total - floor[full ^ m] - strict_high
+    return hits
+
+
+class TestBoxSearch:
+    """Both kernels against the search that checks every subset."""
+
+    def test_matches_unpruned_search(self, corpus_cases):
+        # the singleton box with the degree budget, which the brute force
+        # also gives, then boxes drawn around a random point of it, whose
+        # reach meets the bounds exactly often enough to be counted
+        rng = random.Random(43)
+        tight = dict.fromkeys((kind for kind, _ in KINDS), 0)
+        for case in rng.sample(corpus_cases, 80):
+            g = case.graph
+            n = g.num_vertices
+            ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
+            kept, base, scale = _kernel_args(ctx)
+            floor = oracles.floor_table(n, kept, [False] * len(kept), base, scale)
+            lo, hi = ctx.singleton_box()
+            boxes = [(lo, hi, ctx.budget)]
+            for _ in range(6):
+                point = [rng.randint(a, max(a, b)) for a, b in zip(lo, hi)]
+                box_lo = [x - rng.randint(0, 1) for x in point]
+                box_hi = [x + rng.randint(0, 2) for x in point]
+                boxes.append((box_lo, box_hi, sum(point)))
+            tables = [impl.build_tables(n, kept, base, scale) for impl in implementations()]
+            for kind, mode in KINDS:
+                brute = oracles.brute_force_multidegrees(
+                    g, case.q, case.basepoint, case.stratum, kind
+                )
+                for i, (box_lo, box_hi, total) in enumerate(boxes):
+                    v0 = ctx._ints.v0 if i == 0 else rng.randrange(n)
+                    args = (n, scale, floor, v0, total, box_lo, box_hi, kind)
+                    want = oracles.box_search(*args)
+                    if i == 0:
+                        assert want == brute, case.index
+                    tight[kind] += _tight_bounds(*args, kept)
+                    for impl, t in zip(implementations(), tables):
+                        got = impl.box_enumerate(t, v0, total, box_lo, box_hi, mode)
+                        assert got == want, (case.index, i, kind, impl.__name__)
+        assert min(tight.values()) >= 100, tight
 
 
 @needs_speedups

@@ -247,6 +247,21 @@ class TestBlowup:
         with pytest.raises(GuardLimitError):
             blowup_decomposition(g, "u", Polarization(g, [1, 0]))
 
+    def test_subdivision_vertex_guard(self):
+        # a 10-cycle subdivides to 20 vertices, the subset-scan limit; a
+        # chord more gives 21 and is refused before the subdivision is built
+        names = [f"c{i}" for i in range(10)]
+        cycle = [(names[i], names[(i + 1) % 10]) for i in range(10)]
+        g = Multigraph(names, cycle)
+        dec = blowup_decomposition(g, "c0", Polarization(g, [1] + [0] * 9))
+        assert len(dec.subdivided_graph.vertices) == 20
+        assert dec.total == dec.expected_total == 20
+        g = Multigraph(names, [*cycle, ("c0", "c5")])
+        q = Polarization(g, [1] + [0] * 9)
+        with pytest.raises(GuardLimitError, match="11 edges of a 10-vertex graph gives 21 "
+                           "vertices, over the subset-scan limit of 20"):
+            blowup_decomposition(g, "c0", q)
+
     def test_agrees_with_strata_report(self, corpus_cases):
         for case in corpus_mod.small_cases()[:20]:
             rep = strata_report(case.graph, case.basepoint, case.q)
