@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import DisconnectedGraphError, JacGraphError, PolarizationTotalError
 from .graph import Multigraph
-from .lattice import Cochain, complexity, picard_group, same_class
+from .lattice import Cochain, complexity, laplacian_apply, picard_group
 from .polarization import Polarization
 from .quasistable import StratumContext
 from .strata import EDGE_GUARD_DEFAULT, blowup_decomposition, strata_report
@@ -268,8 +268,10 @@ def cmd_reduce(problem: Problem, args) -> dict:
         ) from None
     d = Cochain(g, values)
     report = ctx.reduce_report(d)
+    # an exact certificate: output - input is the Laplacian of the potential
     gdel = ctx.deleted_graph
-    checked = same_class(gdel, d.rebind(gdel), report.output.rebind(gdel))
+    moved = laplacian_apply(gdel, report.potential.rebind(gdel))
+    checked = moved == report.output.rebind(gdel) - d.rebind(gdel)
     if args.verbose:
         print(f"reduced in {report.steps} steps", file=sys.stderr)
     return {

@@ -144,12 +144,14 @@ def laplacian_apply(g: Multigraph, d: Cochain) -> Cochain:
     """Image of d under the Laplacian; the result always has total zero."""
     if d.graph != g:
         raise GraphMismatchError("cochain bound to a different graph")
-    mat = laplacian_matrix(g)
-    vals = tuple(
-        sum(mat[i][j] * d.values[j] for j in range(g.num_vertices))
-        for i in range(g.num_vertices)
-    )
-    return Cochain(g, vals)
+    pos, x = g._vpos, d.values
+    vals = [0] * g.num_vertices
+    for e in g.edges:
+        a, b = pos[e.u], pos[e.v]
+        move = x[a] - x[b]  # 0 on a loop
+        vals[a] -= move
+        vals[b] += move
+    return Cochain._of(g, tuple(vals))
 
 
 def laplacian_pairing(g: Multigraph, V: Iterable[Vertex], W: Iterable[Vertex]) -> int:
@@ -221,30 +223,40 @@ def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
 
     Row and column reduction by a pivot of least absolute value; once a
     pivot's row and column are clear it is recorded and both are dropped.
+    The gcd of all entries divides every entry ever formed, so the pivot
+    scan stops at the first entry that small.
     Only the diagonal is wanted, so the divisibility chain is then fixed
     on it alone: diag(a, b) and diag(gcd, lcm) present the same group.
     """
     a = [list(map(int, row)) for row in mat]
     size = min(len(a), len(a[0]) if a else 0)
     diag = []
+    content = 0
+    for row in a:
+        content = gcd(content, *row)
+        if content == 1:
+            break
     while True:
         best = 0
         for i, row in enumerate(a):
             for j, x in enumerate(row):
                 if x and (not best or abs(x) < best):
                     best, pi, pj = abs(x), i, j
-            if best == 1:
+            if best == content:
                 break  # nothing smaller to find
         if not best:
             break
         prow = a[pi]
         p = prow[pj]
-        for i, row in enumerate(a):
-            if i != pi and row[pj]:
+        # row i -= q_i * row pi, on the nonzero entries of row pi only
+        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        for row in a:
+            if row is not prow and row[pj]:
                 q = row[pj] // p
-                a[i] = [x - q * y for x, y in zip(row, prow)]
+                for j, y in nonzero:
+                    row[j] -= q * y
         # column j -= q_j * column pj; rows with a zero at pj are unchanged
-        cols = [(j, x // p) for j, x in enumerate(prow) if j != pj and x]
+        cols = [(j, x // p) for j, x in nonzero if j != pj]
         for row in a:
             y = row[pj]
             if y:
@@ -307,16 +319,75 @@ def picard_group(g: Multigraph) -> PicardGroup:
     """Degree class group: degree-zero cochains modulo the Laplacian image.
 
     The group is finite exactly when the graph is connected, and its order
-    equals the spanning-tree count.
+    equals the spanning-tree count.  It is also the discriminant group of
+    the integral flow lattice (Bacher, de la Harpe and Nagnibeda, Bull. SMF
+    125, 1997), presented by the Gram matrix of the b1 fundamental cycles of
+    a spanning tree.  That matrix is eliminated instead of the n x n
+    Laplacian when 2 * b1 <= n - 1.
     """
-    if g.num_vertices == 0:
+    n = g.num_vertices
+    if n == 0:
         raise EmptyGraphError("degree class group of the empty graph is undefined")
-    if not g.is_connected():
+    pos = g._vpos
+    pairs = [(pos[e.u], pos[e.v]) for e in g.edges if e.u != e.v]
+    tree = _spanning_tree(n, pairs)
+    if tree is None:
         raise DisconnectedGraphError("degree class group is infinite: graph is disconnected")
-    factors = invariant_factors(laplacian_matrix(g))
+    # loops are cycles of norm 1 and drop out: b1 counts the other cotree edges
+    if 2 * len(tree[2]) <= n - 1:
+        factors = invariant_factors(_cycle_gram(*tree))
+    else:
+        factors = invariant_factors(_laplacian(n, pairs))
     return PicardGroup(
         invariant_factors=tuple(x for x in factors if x > 1), order=prod(x for x in factors if x)
     )
+
+
+def _spanning_tree(n: int, pairs):
+    """``(parent, depth, cotree)`` of a breadth-first spanning tree from
+    vertex 0 of the loopless multigraph on 0..n-1 with the given endpoint
+    index pairs: the parent and depth of each vertex (the root is its own
+    parent) and the pairs left out of the tree; None when it is
+    disconnected."""
+    adj = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(pairs):
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    parent, depth, cotree = [0] + [-1] * (n - 1), [0] * n, list(pairs)
+    queue = [0]
+    for v in queue:
+        for w, k in adj[v]:
+            if parent[w] < 0:
+                parent[w], depth[w], cotree[k] = v, depth[v] + 1, None
+                queue.append(w)
+    if len(queue) < n:
+        return None
+    return parent, depth, [p for p in cotree if p]
+
+
+def _cycle_gram(parent, depth, cotree) -> list[list[int]]:
+    """Gram matrix I + C^T C of the fundamental cycles of the cotree pairs
+    of ``_spanning_tree``.  C[t][f] is +1 or -1 when the tree edge t lies on
+    the cycle of f, signed by its direction (tree edges point away from the
+    root, f from its first end to its second).  Each cycle walks from both
+    ends of f up to their common ancestor, and each tree edge then pairs
+    only the cycles through it."""
+    through = [[] for _ in parent]
+    for f, (a, b) in enumerate(cotree):
+        while a != b:
+            if depth[a] >= depth[b]:
+                through[a].append((f, 1))
+                a = parent[a]
+            else:
+                through[b].append((f, -1))
+                b = parent[b]
+    gram = [[int(f == h) for h in range(len(cotree))] for f in range(len(cotree))]
+    for cycles in through:
+        for f, s in cycles:
+            row = gram[f]
+            for h, t in cycles:
+                row[h] += s * t
+    return gram
 
 
 def same_class(g: Multigraph, d1: Cochain, d2: Cochain) -> bool:

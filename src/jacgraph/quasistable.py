@@ -76,8 +76,13 @@ class DefectReport:
 
 @dataclass(frozen=True)
 class ReduceReport:
+    """The reduced multidegree, the number of unit steps after the jump,
+    and the integral potential z with ``output - input`` the Laplacian of
+    z on the stratum-deleted graph (None when not recorded)."""
+
     output: "Cochain"
     steps: int
+    potential: "Cochain | None" = None
 
 
 class _ScaledStratum:
@@ -444,8 +449,9 @@ class StratumContext:
             )
         vals = list(d.values)
         best, _, greatest, bp = self._ints.defect_cut(vals)
+        z = self._ints.centre_jump(vals) if best > 0 else [0] * n
         if best > 0:
-            self._apply_delta(vals, self._ints.centre_jump(vals))
+            self._apply_delta(vals, z)
             best, _, greatest, bp = self._ints.defect_cut(vals)
         # Unit steps: a chip out along each edge leaving the least excess
         # maximizer X while a deficit is positive, then a chip in along each
@@ -461,14 +467,16 @@ class StratumContext:
             if steps == limit:
                 raise ReductionGuardError(f"reduction exceeded its step bound {limit}")
             mask, sign = (full ^ greatest, 1) if best > 0 else (bp, -1)
-            self._apply_delta(vals, [sign * (mask >> v & 1) for v in range(n)])
+            step = [sign * (mask >> v & 1) for v in range(n)]
+            self._apply_delta(vals, step)
+            z = [x + y for x, y in zip(z, step)]
             steps += 1
             best, _, greatest, bp = self._ints.defect_cut(vals)
             if sign < 0 and best != 0:
                 raise ReductionGuardError(
                     "internal error: semistability lost during basepoint descent"
                 )
-        return Cochain(self.graph, vals), steps
+        return Cochain._of(self.graph, tuple(vals)), steps, Cochain._of(self.graph, tuple(z))
 
     def reduce_to_semistable(self, d: Cochain) -> Cochain:
         """A semistable multidegree in the class of d (same total degree,
@@ -480,8 +488,8 @@ class StratumContext:
         return self._reduce(d, to_quasistable=True)[0]
 
     def reduce_report(self, d: Cochain) -> ReduceReport:
-        out, steps = self._reduce(d, to_quasistable=True)
-        return ReduceReport(output=out, steps=steps)
+        out, steps, z = self._reduce(d, to_quasistable=True)
+        return ReduceReport(output=out, steps=steps, potential=z)
 
     # -- enumeration -----------------------------------------------------
 

@@ -29,6 +29,15 @@ class Case:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+def chorded_cycle(n: int) -> Multigraph:
+    """Cycle c0..c(n-1) (edges e0..e(n-1)) plus chords c_i--c_(i+n/2) for
+    i = 0, 3, 6, ... below n/2 (edges e(n), e(n+1), ...)."""
+    names = [f"c{i}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    edges += [(names[i], names[i + n // 2]) for i in range(0, n // 2, 3)]
+    return Multigraph(names, edges)
+
+
 def _random_graph(rng: random.Random) -> Multigraph:
     n = rng.randint(1, 6)
     names = [f"v{i}" for i in range(n)]

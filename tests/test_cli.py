@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -133,6 +134,45 @@ class TestReduce:
             assert rc == 0
             assert payload["input"] == [-1, 2]
             assert payload["output"] == [1, 0]
+
+    def test_class_checked_on_corpus(self, problem, capsys, corpus_cases):
+        rng = random.Random(67)
+        for case in corpus_cases:
+            g = case.graph
+            data = {
+                "vertices": [{"name": v, "genus": g.genus_of(v)} for v in g.vertices],
+                "edges": [{"id": e.id, "endpoints": [e.u, e.v]} for e in g.edges],
+                "polarization": {v: str(case.q[v]) for v in g.vertices},
+                "basepoint": case.basepoint,
+                "stratum": sorted(case.stratum),
+            }
+            budget = int(sum((case.q[v] for v in g.vertices), Fraction(0))) - len(case.stratum)
+            values = [rng.randint(-12, 12) for _ in g.vertices[1:]]
+            values.insert(0, budget - sum(values))
+            arg = "--multidegree=" + ",".join(map(str, values))
+            rc, payload, _ = run(capsys, ["reduce", problem(data), arg])
+            assert rc == 0 and payload["class_checked"] is True, case.index
+
+    def test_wrong_potential_fails_the_certificate(self, problem, capsys, monkeypatch):
+        # output - input must be the Laplacian of the reported potential; a
+        # potential moved at one vertex gives another Laplacian image
+        from jacgraph import Cochain, StratumContext
+
+        real = StratumContext.reduce_report
+
+        def skewed(self, d):
+            rep = real(self, d)
+            z = rep.potential.values
+            return dataclasses.replace(rep, potential=Cochain(d.graph, (z[0] + 1,) + z[1:]))
+
+        path = problem(BANANA)
+        rc, payload, _ = run(capsys, ["reduce", path, "--multidegree", "0,1"])
+        assert payload["class_checked"] is True
+        monkeypatch.setattr(StratumContext, "reduce_report", skewed)
+        rc, payload, _ = run(capsys, ["reduce", path, "--multidegree", "0,1"])
+        assert rc == 0
+        assert payload["output"] == [2, -1]
+        assert payload["class_checked"] is False
 
     def test_disconnected_stratum_is_domain_error(self, problem, capsys):
         rc, _, err = run(

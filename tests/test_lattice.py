@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -19,11 +21,13 @@ from jacgraph import (
     laplacian_apply,
     laplacian_matrix,
     laplacian_pairing,
+    lattice,
     picard_group,
     same_class,
 )
 
 import oracles
+from corpus import chorded_cycle
 
 
 class TestCochain:
@@ -162,6 +166,19 @@ class TestSmithNormalForm:
         assert self._assert_valid([[1, 0], [0, 1]]) == [1, 1]
         assert invariant_factors([]) == ()
 
+    def test_content_multiples(self):
+        # no unit entry: the pivot scan stops at the gcd of all entries
+        rng = random.Random(37)
+        for _ in range(40):
+            m = self._random_matrix(rng, 4, 4)
+            for k in (2, 3, 6):
+                km = [[k * x for x in row] for row in m]
+                assert invariant_factors(km) == oracles.invariant_factors(km)
+                assert self._assert_valid(km) == [k * x for x in invariant_factors(m)]
+        for nr, nc in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+            zero = [[0] * nc for _ in range(nr)]
+            assert invariant_factors(zero) == oracles.invariant_factors(zero)
+
     def test_divisibility_needs_mixing(self):
         # diagonal (2, 3) must become (1, 6)
         assert self._assert_valid([[2, 0], [0, 3]]) == [1, 6]
@@ -219,6 +236,120 @@ class TestComplexityAndPicard:
             g = case.graph
             assert picard_group(g).order == complexity(g)
             assert complexity(g) == oracles.spanning_tree_count(g)
+
+
+def _laplacian_group(g):
+    """``picard_group`` of a connected graph by definition: the invariant
+    factors of the whole Laplacian."""
+    factors = invariant_factors(laplacian_matrix(g))
+    return tuple(x for x in factors if x > 1), math.prod(x for x in factors if x)
+
+
+def _cycle_factors(g):
+    """Invariant factors of the fundamental-cycle Gram matrix of g, whatever
+    the side rule would pick."""
+    pos = g._vpos
+    pairs = [(pos[e.u], pos[e.v]) for e in g.edges if e.u != e.v]
+    gram = lattice._cycle_gram(*lattice._spanning_tree(g.num_vertices, pairs))
+    return invariant_factors(gram), det_bareiss(gram)
+
+
+def _random_connected(rng, n, extra):
+    """A random spanning tree plus ``extra`` edges (loops, parallel copies
+    and fresh pairs), every edge in a random direction, listed shuffled."""
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    for _ in range(extra):
+        r = rng.random()
+        if r < 0.2 or n == 1:
+            edges.append((rng.choice(names),) * 2)
+        elif r < 0.4:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(tuple(rng.sample(names, 2)))
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    rng.shuffle(edges)
+    rng.shuffle(names)
+    return Multigraph(names, edges)
+
+
+def _banana_chain(k):
+    names = [f"b{i}" for i in range(k)]
+    return Multigraph(names, [(a, b) for a, b in zip(names, names[1:]) for _ in range(2)])
+
+
+class TestPicardSides:
+    def test_cycle_side_matches_laplacian(self):
+        rng = random.Random(41)
+        bridged = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = _random_connected(rng, n, rng.randint(0, 2 * n))
+            factors, det = _cycle_factors(g)
+            expect = _laplacian_group(g)
+            assert (tuple(x for x in factors if x > 1), math.prod(factors)) == expect
+            assert det == expect[1] == complexity(g)
+            p = picard_group(g)
+            assert (p.invariant_factors, p.order) == expect
+            bridged += bool(g.bridges())
+        assert bridged > 50
+
+    def test_trees_and_loops(self):
+        rng = random.Random(43)
+        for n in (1, 2, 5, 9):
+            tree = _random_connected(rng, n, 0)
+            assert _cycle_factors(tree) == ((), 1)
+            assert picard_group(tree).invariant_factors == ()
+            assert picard_group(tree).order == 1
+        lone = Multigraph(["a"], [("a", "a")] * 3)
+        assert _cycle_factors(lone) == ((), 1)
+        assert (picard_group(lone).invariant_factors, picard_group(lone).order) == ((), 1)
+
+    def test_side_rule_at_its_boundary(self, monkeypatch):
+        # cycle side exactly when 2 * b1 <= n - 1; loops do not count
+        calls = []
+        gram = lattice._cycle_gram
+        monkeypatch.setattr(lattice, "_cycle_gram", lambda *t: calls.append(1) or gram(*t))
+        rng = random.Random(47)
+        for _ in range(40):
+            n = rng.randrange(3, 14, 2)
+            for b1, cycle_side in [((n - 1) // 2, True), (n // 2 + 1, False)]:
+                g = _random_connected(rng, n, 0)
+                names = list(g.vertices)
+                extra = [tuple(rng.sample(names, 2)) for _ in range(b1)]
+                extra += [(v, v) for v in rng.sample(names, 2)]
+                g = Multigraph(names, list(g.edges) + extra)
+                calls.clear()
+                p = picard_group(g)
+                assert bool(calls) == cycle_side
+                assert (p.invariant_factors, p.order) == _laplacian_group(g)
+        # 2 * b1 == n: the Laplacian side
+        for n in (4, 6, 8):
+            g = _random_connected(rng, n, 0)
+            names = list(g.vertices)
+            g = Multigraph(names, list(g.edges) + [tuple(rng.sample(names, 2)) for _ in range(n // 2)])
+            calls.clear()
+            assert (picard_group(g).invariant_factors, picard_group(g).order) == _laplacian_group(g)
+            assert not calls
+
+    def test_pool_families(self):
+        for g in [chorded_cycle(n) for n in range(12, 81, 4)] + [_banana_chain(k) for k in (2, 5, 17, 40)]:
+            p = picard_group(g)
+            assert (p.invariant_factors, p.order) == _laplacian_group(g)
+
+    def test_errors_unchanged(self):
+        with pytest.raises(EmptyGraphError, match="^degree class group of the empty graph is undefined$"):
+            picard_group(Multigraph([]))
+        two_k4 = [(a, b) for part in ("abcd", "efgh") for a, b in itertools.combinations(part, 2)]
+        for g in [
+            Multigraph(["a", "b"], []),
+            Multigraph(["a", "b", "c"], [("a", "b"), ("c", "c")]),
+            Multigraph(list("abcdefgh"), two_k4 * 2),  # 2 * b1 > n - 1
+        ]:
+            with pytest.raises(
+                DisconnectedGraphError, match="^degree class group is infinite: graph is disconnected$"
+            ):
+                picard_group(g)
 
 
 class TestSameClass:

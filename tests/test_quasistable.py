@@ -10,30 +10,24 @@ from jacgraph import (
     GuardLimitError,
     Multigraph,
     Polarization,
+    ReduceReport,
     ReductionGuardError,
     StratumContext,
     UnknownVertexError,
     complexity,
+    laplacian_apply,
     same_class,
     semistable_equality_witness,
 )
 
 import oracles
+from corpus import chorded_cycle
 
 HALF = Fraction(1, 2)
 
 
 def _ctx(case):
     return StratumContext(case.graph, case.q, case.basepoint, case.stratum)
-
-
-def _chorded_cycle(n):
-    """Cycle c0..c(n-1) (edges e0..e(n-1)) plus chords c_i--c_(i+n/2) for
-    i = 0, 3, 6, ... below n/2 (edges e(n), e(n+1), ...)."""
-    names = [f"c{i}" for i in range(n)]
-    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
-    edges += [(names[i], names[i + n // 2]) for i in range(0, n // 2, 3)]
-    return Multigraph(names, edges)
 
 
 class TestContextValidation:
@@ -320,7 +314,7 @@ class TestReduce:
     def test_walk_goldens(self):
         # outputs pinned from the subset-scan walk; steps count the unit
         # moves after the jump to the centre, so they pin its rounding
-        g = _chorded_cycle(12)
+        g = chorded_cycle(12)
         q = Polarization(g, [Fraction(1, 3)] * 6 + [Fraction(2, 3)] * 6)
         ctx = StratumContext(g, q, "c0", ["e12"])
         for vals, steps, out in [
@@ -337,6 +331,21 @@ class TestReduce:
         ]:
             rep = ctx.reduce_report(Cochain(g, vals))
             assert (rep.steps, rep.output.values) == (steps, out)
+
+    def test_potential_certifies_the_class(self, corpus_cases):
+        import random
+
+        rng = random.Random(71)
+        for case in corpus_cases:
+            ctx = _ctx(case)
+            gdel = ctx.deleted_graph
+            vals = [rng.randint(-15, 15) for _ in range(case.graph.num_vertices - 1)]
+            vals.append(ctx.budget - sum(vals))
+            d = Cochain(case.graph, vals)
+            rep = ctx.reduce_report(d)
+            moved = laplacian_apply(gdel, rep.potential.rebind(gdel))
+            assert moved == rep.output.rebind(gdel) - d.rebind(gdel), case.index
+        assert ReduceReport(output=d, steps=0).potential is None
 
     def test_jump_bounds_every_deficit(self, corpus_cases):
         import random
@@ -396,7 +405,7 @@ class TestReduce:
         # a walk stubbed to make no progress stops after exactly
         # n * (best + 2) unit moves, best being the scaled worst deficit
         # after the jump (which the stub turns into a no-op as well)
-        g = _chorded_cycle(12)
+        g = chorded_cycle(12)
         ctx = StratumContext(g, Polarization(g, [HALF] * 12), "c0")
         n = g.num_vertices
         qs = set(ctx.enumerate("quasistable"))
@@ -428,7 +437,7 @@ class TestReduce:
         ]
         rng = random.Random(5)
         for n, values, stratum, spread in inputs:
-            g = _chorded_cycle(n)
+            g = chorded_cycle(n)
             ctx = StratumContext(g, Polarization(g, values), "c0", stratum)
             vals = [rng.randint(-spread, spread) for _ in range(n - 1)]
             vals.append(ctx.budget - sum(vals))
