@@ -1,0 +1,97 @@
+"""Write the stdout of a fixed list of CLI requests to one file, so that two
+checkouts, or the two kernels, can be compared byte for byte.
+
+The requests are ``enum`` of all three kinds and ``strata`` on every case
+of the test corpus (``tests/corpus.py``), ``blowup-check`` on the cases
+with at most 7 edges, and round 0 of perfbench's ``enumerate`` (seeds 5
+and 6) and ``sweep`` (seed 7).  Each runs through ``jacgraph.cli.main`` in
+this process.  The file holds, per request, a header line with its
+arguments (the problem directory written as ``W``) and exit code, then
+its stdout.
+
+    python setup.py build_ext --build-lib BUILD     # for the compiled kernel
+    python benchmarks/cli_snapshot.py CHECKOUT OUT [--ext BUILD/jacgraph]
+    cmp OUT_A OUT_B
+
+``jacgraph``, the corpus and the workloads are imported from CHECKOUT;
+``--ext`` adds a directory holding a built ``_speedups`` to the package
+path.  Without it the pure kernel runs unless CHECKOUT's ``src/`` holds a
+built extension.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROUNDS = (("enumerate", 5), ("enumerate", 6), ("sweep", 7))
+
+
+def corpus_requests(corpus, work: Path):
+    for case in corpus.corpus():
+        g = case.graph
+        data = {
+            "vertices": list(g.vertices),
+            "edges": [{"id": e.id, "endpoints": [e.u, e.v]} for e in g.edges],
+            "polarization": {v: str(x) for v, x in zip(g.vertices, case.q.values)},
+            "basepoint": case.basepoint,
+            "stratum": sorted(case.stratum),
+        }
+        path = work / f"case{case.index}.json"
+        path.write_text(json.dumps(data))
+        for kind in ("ss", "qs", "stable"):
+            yield ["enum", str(path), "--kind", kind]
+        yield ["strata", str(path)]
+        if g.num_edges <= 7:
+            yield ["blowup-check", str(path)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--ext", help="directory holding a built _speedups")
+    args = parser.parse_args(argv)
+    root = args.checkout.resolve()
+    sys.path[:0] = [str(root / d) for d in ("src", "benchmarks", "perfbench", "tests")]
+    spec = importlib.util.find_spec("jacgraph")
+    if args.ext:
+        spec.submodule_search_locations.append(str(Path(args.ext).resolve()))
+    jacgraph = importlib.util.module_from_spec(spec)
+    sys.modules["jacgraph"] = jacgraph
+    spec.loader.exec_module(jacgraph)
+    import corpus
+    import jacgraph.cli
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        requests = list(corpus_requests(corpus, work))
+        for name, seed in ROUNDS:
+            d = work / f"{name}-{seed}"
+            d.mkdir()
+            workload = workloads.WORKLOADS[name](seed)
+            workload.setup(d)
+            requests += [list(r.argv) for r in workload.round(0, d)]
+        with args.out.open("w") as fh:
+            for request in requests:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    try:
+                        code = jacgraph.cli.main(request)
+                    except SystemExit as exc:
+                        code = exc.code
+                shown = [a.replace(tmp, "W") for a in request]
+                fh.write(f"### {shown} -> {code}\n{out.getvalue()}\n")
+    print(f"{jacgraph.implementation_name()} kernel: {len(requests)} requests")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

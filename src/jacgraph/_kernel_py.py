@@ -1,10 +1,11 @@
 """Pure-Python subset-scan kernel for enumeration.
 
 The reference for the compiled module ``jacgraph._speedups`` (hand-written
-C): same interface, same algorithms, arbitrary-precision integers.  It is
-used when the extension was not built, and for operand bounds at or above
-``_kernel.FAST_BOUND``, where the compiled kernel's 64-bit arithmetic could
-overflow.
+C): same interface, same plan, same search tree, arbitrary-precision
+integers.  It is used when the extension was not built, and for operand
+bounds at or above ``_kernel.FAST_BOUND``, where the compiled kernel's
+64-bit arithmetic could overflow.  Its box search checks a whole level of
+subsets at once, on sums packed into one integer (``box_enumerate``).
 
 All quantities are pre-scaled integers: a context with rational vertex
 weights q scales everything by an even integer ``scale`` so that
@@ -47,6 +48,9 @@ MODE_STABLE = 2
 # the checks a plan entry asks for; 0 keeps a mask for its sum alone
 CHECK_LOWER = 1
 CHECK_UPPER = 2
+
+# per bit i, the table taking a byte to its bit i, for bytes.translate
+_BIT = [bytes(b >> i & 1 for b in range(256)) for i in range(8)]
 
 
 class Tables(NamedTuple):
@@ -178,9 +182,24 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     ``min(hi_m, total - lo_c)``, with c the complement of m and ``lo_m`` the
     box's sum over m.  A bound that every such value meets is dropped, and
     a mask that loses both is kept for its sum alone.  Dropped bounds never
-    cut, so the search visits the same nodes.  ``sums[m]`` holds
-    ``scale * d_m``, so the checks need no multiplication; at vertex n - 2
-    nothing reads them any more, so they are only checked there.
+    cut, so the search visits the same nodes.
+
+    The sums live in one integer, the *state*, with a W-bit field per mask
+    of levels 0 to n - 2 in level order (word-parallel arithmetic, Lamport,
+    CACM 18(8), 1975).  A field holds ``scale * d`` over the placed
+    vertices of its mask plus the bias ``2**(W - 1)``; placing d_k adds
+    ``d_k * step[k]``, which has ``scale`` in each field whose mask holds
+    k, and going down a level shifts out the fields of the level.  The
+    sign of a sum minus a bound is then a field's top bit: the lower bounds
+    of level k hold when ``(state + cl) & gl == gl``, with -low in cl and
+    the top bit in gl in each field with a lower check, and the upper
+    bounds when ``(state + cu) & gu == 0``, with -(high + 1) in cu.  The
+    plan is prefix-closed, so a field holds 0 or the sum over a kept mask,
+    which lies in that mask's box.  With B the largest magnitude of a box
+    end or kept bound, W = bits(2B + 2) + 1, rounded up to whole bytes,
+    keeps every field in [0, 2**W), with or without a bound taken off, so
+    no carry crosses a field and a test passes exactly when every row of
+    its level does.
     """
     n, scale, floor, plan = tables
     full = (1 << n) - 1
@@ -195,81 +214,99 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     if n == 1:
         return [(total,)]
 
-    # per level but the last: (mask, prefix, low, high) for the masks with
-    # a bound left to check, and (mask, prefix) for those kept for their
-    # sums alone.  Strict bounds on proper subsets: quasistable from below
-    # on those that hold v0 and from above on the others, stable both ways
-    # on all.  box[m] holds scale times the box sums lo_m and hi_m, built
-    # along the prefix chains.
+    # per level but the last, per mask: its scaled low and high bound, or
+    # None for a bound left unchecked.  Strict bounds on proper subsets:
+    # quasistable from below on those that hold v0 and from above on the
+    # others, stable both ways on all.  box[m] holds scale times the box
+    # sums lo_m and hi_m, built along the prefix chains.
     vbit = 1 << v0
     stable, quasi = mode == MODE_STABLE, mode == MODE_QUASISTABLE
     top = scale * total
     from_hi, from_lo = top - scale * suf_hi[0], top - scale * suf_lo[0]
     box = {0: (0, 0)}
-    rows = []
+    masks, lows, highs, ends = [], [], [], []
     for k, level in enumerate(plan[: n - 1]):
         pbit, k_lo, k_hi = 1 << k, scale * lo[k], scale * hi[k]
-        checked, prefixes = [], []
         for m, checks in level:
-            p = m ^ pbit
-            m_lo, m_hi = box[p]
+            m_lo, m_hi = box[m ^ pbit]
             box[m] = m_lo, m_hi = m_lo + k_lo, m_hi + k_hi
-            reach_lo = low = m_lo if m_lo > from_hi + m_hi else from_hi + m_hi
-            reach_hi = high = m_hi if m_hi < from_lo + m_lo else from_lo + m_lo
+            low = high = None
             if checks & CHECK_LOWER:
                 bound = floor[m] + (stable or quasi and m & vbit != 0)
-                if bound > low:
+                if bound > m_lo and bound > from_hi + m_hi:
                     low = bound
             if checks & CHECK_UPPER:
                 bound = top - floor[full ^ m] - (stable or quasi and not m & vbit)
-                if bound < high:
+                if bound < m_hi and bound < from_lo + m_lo:
                     high = bound
-            if low > reach_lo or high < reach_hi:
-                checked.append((m, p, low, high))
-            else:
-                prefixes.append((m, p))
-        rows.append((checked, prefixes))
-    last = [(p, low, high) for _, p, low, high in rows.pop()[0]]
+            masks.append(m)
+            lows.append(low)
+            highs.append(high)
+        ends.append(len(masks))
 
-    sums = [0] * ((full >> 1) + 1)
+    # W-bit fields, one per mask in level order, built as little-endian
+    # bytes.  B bounds every box end and kept bound (a kept low lies above
+    # the box's low end, a kept high below its high end).
+    least = min(min(map(min, box.values())), min(filter(None, highs), default=0))
+    most = max(max(map(max, box.values())), max(filter(None, lows), default=0))
+    nbytes = ((2 * max(most, -least) + 2).bit_length() + 8) // 8
+    zero, half, size = bytes(nbytes), 1 << (8 * nbytes - 1), len(masks) * nbytes
+    state = int.from_bytes((zero[1:] + b"\x80") * len(masks), "little")
+
+    def fields(bounds, less):
+        # the bias 2**(W - 1) in the fields with a bound, which is gl (gu),
+        # and 2**(W - 1) - bound - less in them, which is cl + gl (cu + gu)
+        tops = bytearray(size)
+        tops[nbytes - 1 :: nbytes] = bytes([0 if x is None else 0x80 for x in bounds])
+        cells = b"".join(
+            [zero if x is None else (half - x - less).to_bytes(nbytes, "little") for x in bounds]
+        )
+        return int.from_bytes(tops, "little"), int.from_bytes(cells, "little")
+
+    gl, cl = fields(lows, 0)
+    gu, cu = fields(highs, 1)
+    # lanes[j] holds byte j of each mask at the start of its field;
+    # translating it by _BIT leaves a 1 in the fields whose mask holds k
+    mask_bytes = (n + 6) // 8
+    packed = b"".join([m.to_bytes(mask_bytes, "little") for m in masks])
+    lanes = [bytearray(size) for _ in range(mask_bytes)]
+    for j, lane in enumerate(lanes):
+        lane[::nbytes] = packed[j::mask_bytes]
+
+    # per level k, on the state with the lower levels shifted out: step[k]
+    # (no mask below level k holds k), its part in the level's own fields,
+    # all of which hold k, the mask of those fields, the constants of the
+    # two tests and the level's width
+    levels, start = [], 0
+    for k, end in enumerate(ends):
+        shift, width = 8 * nbytes * start, 8 * nbytes * (end - start)
+        keep = (1 << width) - 1
+        step = scale * int.from_bytes(lanes[k >> 3].translate(_BIT[k & 7]), "little") >> shift
+        g_l, g_u = gl >> shift & keep, gu >> shift & keep
+        c_l, c_u = (cl >> shift & keep) - g_l, (cu >> shift & keep) - g_u
+        levels.append((step, step & keep, keep, c_l, g_l, c_u, g_u, width))
+        start = end
+
     d = [0] * n
     out = []
 
-    def place(k, partial):
-        checked, prefixes = rows[k]
+    def place(k, partial, state):
+        # the level's tests read only its own fields, ``here``
+        step, own, keep, cl, gl, cu, gu, width = levels[k]
         rest = total - partial
-        for dv in range(max(lo[k], rest - suf_hi[k + 1]), min(hi[k], rest - suf_lo[k + 1]) + 1):
-            step = scale * dv
-            for m, p, low, high in checked:
-                sd = sums[p] + step
-                if sd < low or sd > high:
-                    break
-                sums[m] = sd
-            else:
-                for m, p in prefixes:
-                    sums[m] = sums[p] + step
+        first, last = rest - suf_hi[k + 1], rest - suf_lo[k + 1]
+        first = lo[k] if lo[k] > first else first  # max and min cost a call
+        last = hi[k] if hi[k] < last else last
+        here = (state & keep) + first * own
+        for dv in range(first, last + 1):
+            if (here + cl) & gl == gl and not (here + cu) & gu:
                 d[k] = dv
-                if k + 1 < n - 2:
-                    place(k + 1, partial + dv)
+                if k < n - 2:
+                    place(k + 1, partial + dv, (state + dv * step) >> width)
                 else:
-                    leaves(partial + dv)
+                    d[-1] = rest - dv
+                    out.append(tuple(d))
+            here += own
 
-    def leaves(partial):
-        # vertex n - 2, checked without writing sums; n - 1 takes the rest
-        rest = total - partial
-        for dv in range(max(lo[-2], rest - hi[-1]), min(hi[-2], rest - lo[-1]) + 1):
-            step = scale * dv
-            for p, low, high in last:
-                sd = sums[p] + step
-                if sd < low or sd > high:
-                    break
-            else:
-                d[-2] = dv
-                d[-1] = rest - dv
-                out.append(tuple(d))
-
-    if n == 2:
-        leaves(0)
-    else:
-        place(0, 0)
+    place(0, 0, state)
     return out

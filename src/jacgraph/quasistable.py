@@ -338,9 +338,10 @@ class StratumContext:
 
     @property
     def deleted_graph(self) -> Multigraph:
-        """The graph with the stratum edges removed (same vertices)."""
+        """The graph with the stratum edges removed (same vertices): the
+        graph itself for the empty stratum, as a Multigraph never changes."""
         if self._deleted is None:
-            self._deleted = self.graph.delete_edges(self.stratum)
+            self._deleted = self.graph.delete_edges(self.stratum) if self.stratum else self.graph
         return self._deleted
 
     def _check_cochain(self, d: Cochain):

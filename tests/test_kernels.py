@@ -266,6 +266,184 @@ class TestBoxSearch:
         assert min(tight.values()) >= 100, tight
 
 
+def _kept_per_level(tables, v0, total, lo, hi, mode):
+    """Per level k < n - 1 of the plan: how many of its lower and of its
+    upper bounds can cut, and how many of its masks the plan keeps as
+    prefixes only.  A bound cuts when it is tighter than the box's reach,
+    as in ``_tight_bounds``."""
+    n, scale, floor, plan = tables
+    full = (1 << n) - 1
+    out = []
+    for k in range(n - 1):
+        lower = upper = prefixes = 0
+        for m, checks in plan[k]:
+            lo_m = sum(lo[i] for i in range(n) if m >> i & 1)
+            hi_m = sum(hi[i] for i in range(n) if m >> i & 1)
+            reach_lo = scale * max(lo_m, total - sum(hi) + hi_m)
+            reach_hi = scale * min(hi_m, total - sum(lo) + lo_m)
+            strict_low = mode == MODE_STABLE or mode == MODE_QUASISTABLE and m >> v0 & 1
+            strict_high = mode == MODE_STABLE or mode == MODE_QUASISTABLE and not m >> v0 & 1
+            if checks & CHECK_LOWER:
+                lower += floor[m] + strict_low > reach_lo
+            if checks & CHECK_UPPER:
+                upper += scale * total - floor[full ^ m] - strict_high < reach_hi
+            prefixes += not checks
+        out.append((lower, upper, prefixes))
+    return out
+
+
+class TestPackedSearch:
+    """The pure kernel's box search keeps its partial sums in the fields of
+    one integer.  These cases sit at the edges of that packing: operand
+    sizes and field widths, signs, the smallest vertex counts and levels
+    with nothing to check; each against the search that checks every
+    subset.  They run with or without the compiled kernel."""
+
+    def _agrees(self, n, edges, base, scale, v0, total, lo, hi):
+        """The pure kernel's outputs, in order, for every kind equal the
+        unplanned search's; returns how many there were."""
+        tables = _kernel_py.build_tables(n, edges, base, scale)
+        count = 0
+        for kind, mode in KINDS:
+            want = oracles.box_search(n, scale, tables.floor, v0, total, lo, hi, kind)
+            got = _kernel_py.box_enumerate(tables, v0, total, lo, hi, mode)
+            assert got == want, (n, edges, base, scale, v0, total, lo, hi, kind)
+            count += len(got)
+        return count
+
+    def test_every_basepoint_and_kind_on_corpus(self, corpus_cases):
+        # the sweep of TestParity::test_enumeration_agrees, here against the
+        # unplanned search, so that the order is checked without a compiler
+        swept = 0
+        for case in corpus_cases:
+            g = case.graph
+            n = g.num_vertices
+            if n > 7:
+                continue
+            ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
+            lo, hi = ctx.singleton_box()
+            tables = _kernel_py.build_tables(n, *_kernel_args(ctx))
+            for v0, (kind, mode) in product(range(n), KINDS):
+                want = oracles.box_search(
+                    n, ctx.scale, tables.floor, v0, ctx.budget, lo, hi, kind
+                )
+                got = _kernel_py.box_enumerate(tables, v0, ctx.budget, lo, hi, mode)
+                assert got == want, (case.index, v0, kind)
+                swept += 1
+        assert swept > 2000
+
+    def test_operands_past_fast_bound(self):
+        # five and six vertices whose box ends and floors lie past 2**60
+        # and past 2**64, the box entries of alternating sign
+        rng = random.Random(53)
+        outputs = 0
+        for n, big in product((5, 6), (1 << 60, 3 << 61, 1 << 64, 5 << 70)):
+            for _ in range(4):
+                edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)]
+                scale = rng.choice((2, 4, 6))
+                center = [(-1) ** i * (big + rng.randrange(1000)) for i in range(n)]
+                base = [scale * x + rng.randint(-scale, scale) for x in center]
+                base[-1] -= sum(base) % scale
+                total = sum(base) // scale
+                lo = [x - rng.randint(1, 2) for x in center]
+                hi = [x + rng.randint(1, 2) for x in center]
+                assert max(map(abs, base)) >= FAST_BOUND
+                outputs += self._agrees(n, edges, base, scale, rng.randrange(n), total, lo, hi)
+        assert outputs > 500, outputs
+
+    def test_sums_cancel_over_the_whole_set(self):
+        # entries of opposite signs: the total and the sum of the box over
+        # all vertices are about 0, the partial sums are not
+        rng = random.Random(59)
+        outputs = 0
+        for trial in range(60):
+            n = 3 + trial % 4
+            edges = [(i, i + 1) for i in range(n - 1)]
+            edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+            scale = 2 * rng.randint(1, 3)
+            big = rng.choice((7, 10**3, 10**9))
+            center = [(-1) ** i * rng.randint(big, 2 * big) for i in range(n)]
+            center[-1] -= sum(center)
+            base = [scale * x + rng.randint(-scale, scale) for x in center]
+            base[-1] -= sum(base) % scale
+            lo = [x - rng.randint(0, 2) for x in center]
+            hi = [x + rng.randint(0, 2) for x in center]
+            total = sum(base) // scale + rng.choice((0, 0, 1, -1))
+            outputs += self._agrees(n, edges, base, scale, rng.randrange(n), total, lo, hi)
+        assert outputs > 500, outputs
+
+    def test_bounds_beyond_the_box_at_byte_edges(self):
+        # vertex 0 boxed at about sign * K (or K / 8), its floor or its
+        # ceiling at about -sign * K, beyond the box: its field then holds
+        # about 2 * scale * K (or 9/8 of it) below or above the bias.
+        # scale * K is 3/4 of 2**(w - 2), so 2B + 2 has w bits, for w on
+        # both sides of each byte edge up to 9 bytes; vertices 1 to n - 1
+        # alternate in sign
+        outputs = 0
+        for w, scale, n, sign, shrink in product(
+            (7, 8, 9, 16, 17, 63, 64, 72, 73), (2, 4), (2, 3, 5), (1, -1), (1, 8)
+        ):
+            k = (3 << (w - 3)) // scale
+            center = [sign * (-1) ** i * (k // shrink) for i in range(n)]
+            lo, hi = [x - 1 for x in center], [x + 1 for x in center]
+            total = sum(center)
+            edges = [(i, i + 1) for i in range(n - 1)]
+            for b0 in (-sign * scale * k, scale * center[0]):
+                base = [b0] + [scale * x for x in center[1:]]
+                base[-1] += scale * total - sum(base)
+                outputs += self._agrees(n, edges, base, scale, 0, total, lo, hi)
+        assert outputs > 100, outputs
+
+    def test_one_and_two_vertices(self):
+        outputs = 0
+        for total, lo, hi in ((0, [0], [0]), (3, [-2], [5]), (-1, [0], [4]), (9, [0], [8])):
+            for scale in (2, 6):
+                outputs += self._agrees(1, [(0, 0)], [scale * total], scale, 0, total, lo, hi)
+        for edges, scale, base in product(
+            ([], [(0, 1)], [(0, 1)] * 3 + [(1, 1)]), (2, 4), ([2, 2], [3, 1], [-9, 13])
+        ):
+            total = sum(base) // scale
+            for lo, hi in (([-4, -4], [6, 6]), ([1, -3], [1, 8]), ([0, 0], [-1, 9])):
+                for v0 in (0, 1):
+                    outputs += self._agrees(2, edges, base, scale, v0, total, lo, hi)
+        assert outputs > 100, outputs
+
+    def test_levels_without_checks(self):
+        # random problems with boxes around a random point of the singleton
+        # box: some level keeps no bound, as the box implies every bound
+        # there, both when its masks all carry bounds in the plan and when
+        # some are prefixes in the plan already; others keep only lower or
+        # only upper bounds
+        rng = random.Random(61)
+        seen = dict.fromkeys(("all checked", "with prefixes", "lower only", "upper only"), 0)
+        for trial in range(150):
+            n = 3 + trial % 5
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            kept, base, scale = _kernel_args(ctx)
+            tables = _kernel_py.build_tables(n, kept, base, scale)
+            lo, hi = ctx.singleton_box()
+            if any(a > b for a, b in zip(lo, hi)):
+                continue
+            point = [rng.randint(a, b) for a, b in zip(lo, hi)]
+            lo = [max(a, x - rng.randint(0, 1)) for a, x in zip(lo, point)]
+            hi = [min(b, x + rng.randint(0, 1)) for b, x in zip(hi, point)]
+            total = ctx.budget
+            for kind, mode in KINDS:
+                levels = _kept_per_level(tables, ctx._ints.v0, total, lo, hi, mode)
+                if not any(low or high for low, high, _ in levels):
+                    continue  # nothing cuts anywhere
+                for low, high, prefixes in levels:
+                    if not low and not high:
+                        seen["with prefixes" if prefixes else "all checked"] += 1
+                    elif not high:
+                        seen["lower only"] += 1
+                    elif not low:
+                        seen["upper only"] += 1
+            self._agrees(n, kept, base, scale, ctx._ints.v0, total, lo, hi)
+        assert min(seen.values()) >= 20, seen
+
+
 @needs_speedups
 class TestParity:
     def test_tables_agree(self, corpus_cases):

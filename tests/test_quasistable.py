@@ -61,6 +61,15 @@ class TestContextValidation:
         assert not ctx.is_semistable(Cochain(banana, [0, 0]))
 
 
+    def test_deleted_graph(self, banana):
+        q = Polarization(banana, [1, 0])
+        assert StratumContext(banana, q, "u").deleted_graph is banana
+        ctx = StratumContext(banana, q, "u", [banana.edges[0].id])
+        gdel = ctx.deleted_graph
+        assert gdel.vertices == banana.vertices
+        assert gdel.edges == banana.edges[1:]
+
+
 class TestDefects:
     def test_banana_worked_example(self, banana):
         ctx = StratumContext(banana, Polarization(banana, [1, 0]), "u")
