@@ -27,7 +27,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,7 +326,7 @@ def cmd_strata(problem: Problem, args) -> dict:
             "codimension": r.codimension,
             "connected": r.connected,
             "expected_count": r.expected_count,
-            "multidegrees": [list(d.values) for d in r.multidegrees],
+            "multidegrees": _IntRows(d.values for d in r.multidegrees),
         }
         for r in report.rows
     ]
@@ -364,7 +363,7 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
             "stratum": list(b.stratum),
             "count": b.count,
             "expected_count": b.expected_count,
-            "multidegrees": [list(d.values) for d in b.multidegrees],
+            "multidegrees": _IntRows(d.values for d in b.multidegrees),
         }
         for b in dec.buckets
     ]
@@ -393,9 +392,6 @@ class _IntRows(list):
     """Nonempty tuples of ints, which the writer takes as such unchecked."""
 
 
-# the compact JSON of a list of nonempty int lists
-_INT_ROW = r"\[-?[0-9]+(?:, -?[0-9]+)*\]"
-_INT_ROWS = rf"\[{_INT_ROW}(?:, {_INT_ROW})*\]"
 _ROW_SLICE = 256
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -403,30 +399,21 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _write_json(write, obj, indent: str):
     """Write ``json.dumps(obj, indent=2)`` piece by piece, for a value that
     starts ``indent`` spaces in.  ``json`` turns its C encoder off for an
-    indent, so a list of int rows is encoded a slice at a time by the
-    compact C encoder and re-indented; what the layout below does not cover
-    goes to ``json.dumps`` itself.  The slices of ``_IntRows`` skip the
-    check that they hold int rows."""
-    inner = indent + "  "
-    if isinstance(obj, str):
-        write(_encode_str(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
-        write("[")
+    indent, so the rows of ``_IntRows`` are encoded a slice at a time by
+    the compact C encoder and re-indented, unchecked; a list of strings is
+    joined in one go, and int and bool dict values are written in place.
+    What the layout below does not cover goes to ``json.dumps`` itself."""
+    if isinstance(obj, (list, tuple)) or isinstance(obj, dict) and {*map(type, obj)} <= {str}:
+        if not obj:
+            write("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = indent + "  "
         sep = "\n" + inner
-        trusted = type(obj) is _IntRows
-        for start in range(0, len(obj), _ROW_SLICE):
-            part = obj[start : start + _ROW_SLICE]
-            text = json.dumps(part) if trusted or isinstance(part[0], list) else ""
-            if trusted or re.fullmatch(_INT_ROWS, text):
-                deep = inner + "  "
+        if type(obj) is _IntRows:
+            deep = inner + "  "
+            write("[")
+            for start in range(0, len(obj), _ROW_SLICE):
+                text = json.dumps(obj[start : start + _ROW_SLICE])
                 write(f"{sep}[\n{deep}")
                 write(
                     text[2:-2]
@@ -435,20 +422,37 @@ def _write_json(write, obj, indent: str):
                 )
                 write(f"\n{inner}]")
                 sep = ",\n" + inner
-                continue
-            for x in part:
+            write(f"\n{indent}]")
+        elif isinstance(obj, dict):
+            write("{")
+            for k, v in obj.items():
+                kind = type(v)
+                if kind is int:
+                    write(f"{sep}{_encode_str(k)}: {int.__repr__(v)}")
+                elif kind is bool:
+                    write(f"{sep}{_encode_str(k)}: {'true' if v else 'false'}")
+                else:
+                    write(f"{sep}{_encode_str(k)}: ")
+                    _write_json(write, v, inner)
+                sep = ",\n" + inner
+            write(f"\n{indent}}}")
+        elif {*map(type, obj)} == {str}:
+            write(f"[{sep}{(',' + sep).join(map(_encode_str, obj))}\n{indent}]")
+        else:
+            write("[")
+            for x in obj:
                 write(sep)
                 _write_json(write, x, inner)
                 sep = ",\n" + inner
-        write(f"\n{indent}]")
-    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        write("{")
-        sep = "\n" + inner
-        for k, v in obj.items():
-            write(f"{sep}{_encode_str(k)}: ")
-            _write_json(write, v, inner)
-            sep = ",\n" + inner
-        write(f"\n{indent}}}")
+            write(f"\n{indent}]")
+    elif isinstance(obj, str):
+        write(_encode_str(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True or obj is False:
+        write("true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
     else:
         write(json.dumps(obj, indent=2).replace("\n", "\n" + indent))
 

@@ -13,17 +13,19 @@ stability inequalities give
 
     Q_T = (Q_{T-e} - delta_u) & (Q_{T-e} - delta_v)
 
-for every kind; a loop (u = v) is the single shift by delta_u.  Only the
-previous layer's sets are kept.  Subdividing every edge at once packs all
-strata into a single quasistable enumeration whose exceptional vertices
-carry only -1 or 0; bucketing by the -1 positions recovers the strata
-independently of the walk.
+for every kind; a loop (u = v) is the single shift by delta_u.  Beside each
+set the walk carries the spanning trees of G that avoid T, filtered from
+the parent row's (the trees of G - (T - e) that do not hold e), so the
+expected count comes from the graph alone.  Only the previous layer is
+kept.  Subdividing every edge at once packs all strata into a single
+quasistable enumeration whose exceptional vertices carry only -1 or 0;
+bucketing by the -1 positions recovers the strata independently of the
+walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from ._kernel import SUBSET_SCAN_LIMIT
@@ -50,18 +52,126 @@ def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> list[tuple]:
     return [(g._vpos[e.u], g._vpos[e.v]) for e in g.edges]
 
 
-def _specialise(parent: list[tuple], u: int, v: int) -> list[tuple]:
+def _specialise(parent: list[tuple], members: set, u: int, v: int) -> list[tuple]:
     """The value tuples of stratum T from the sorted ones of T - e, where e
-    joins the vertex indices u and v: the d with d + delta_u and d + delta_v
-    both in the parent.  Translation keeps the order, so the result is
-    sorted too."""
-    members = set(parent)
+    joins the vertex indices u and v and ``members`` is the parent as a
+    set: the d with d + delta_u and d + delta_v both in the parent.
+    Translation keeps the order, so the result is sorted too."""
     out = []
     for t in parent:
         d = t[:u] + (t[u] - 1,) + t[u + 1 :]
         if u == v or d[:v] + (d[v] + 1,) + d[v + 1 :] in members:
             out.append(d)
     return out
+
+
+def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
+    """The spanning trees of the multigraph on the vertices 0..n-1 (n > 0)
+    with the given endpoint index pairs, as bitmasks over the pair indices;
+    loops never enter.
+
+    The edges are taken in breadth-first order, and the partial forests are
+    grouped by the blocks they make on the vertices that still have edges
+    to come, the only part the later edges see.  An edge is left out only
+    while the later edges still join its ends, so every forest carried
+    extends to a tree and the work is proportional to the trees.
+    """
+    adj = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    pos = [0] + [-1] * (n - 1)
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if pos[w] < 0:
+                pos[w] = len(order)
+                order.append(w)
+    if len(order) < n:
+        return []
+    steps = sorted(
+        (k for k, (a, b) in enumerate(pairs) if a != b),
+        key=lambda k: sorted(map(pos.__getitem__, pairs[k]), reverse=True),
+    )
+    # after[s][v] - n names the component of v in the graph of the edges
+    # after step s
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    after = []
+    for k in reversed(steps):
+        after.append([find(v) + n for v in range(n)])
+        a, b = pairs[k]
+        root[find(a)] = find(b)
+    after.reverse()
+    last = {v: s for s, k in enumerate(steps) for v in pairs[k]}
+
+    live = set()  # the vertices met that have edges to come
+    states = {tuple(range(n)): [0]}  # block names (-1 once done) -> forests
+    for s, k in enumerate(steps):
+        a, b = pairs[k]
+        bit = 1 << k
+        comp = after[s]
+        live.update((a, b))
+        done = [v for v in (a, b) if last[v] == s]
+        live.difference_update(done)
+        nxt = {}
+        for names, forests in states.items():
+            x, y = names[a], names[b]
+            if x == y:
+                out = [(list(names), forests)]
+            else:
+                lo, hi = min(x, y), max(x, y)
+                out = [([lo if c == hi else c for c in names], [t | bit for t in forests])]
+                seen, ends = {comp[a], x}, {comp[b], y}
+                grow = True
+                while grow and not seen & ends:
+                    grow = False
+                    for v in live:
+                        if (comp[v] in seen) != (names[v] in seen):
+                            seen.update((comp[v], names[v]))
+                            grow = True
+                if seen & ends:
+                    out.append((list(names), forests))
+            for new, got in out:
+                for r in done:
+                    c, new[r] = new[r], -1
+                    if c == r:  # rename the block after its least live vertex
+                        mates = [v for v in live if new[v] == c]
+                        least = min(mates, default=-1)
+                        for v in mates:
+                            new[v] = least
+                key = tuple(new)
+                nxt[key] = nxt[key] + got if key in nxt else got
+        states = nxt
+    return states[(-1,) * n] if steps else [0]
+
+
+def _avoiding(trees: list[int], e: int) -> list[int]:
+    """The trees that do not hold edge index e."""
+    bit = 1 << e
+    return [t for t in trees if not t & bit]
+
+
+def _walk(m: int, depth: int, root, children):
+    """(T, value) for the subsets T of at most ``depth`` of the edge indices
+    0..m-1, by size and then lexicographically.  ``children(value, edges)``
+    gives the values of T + (e,) for the e in ``edges``, the indices past
+    the last of T, from the value of T; only the previous layer is kept."""
+    layer = {(): root}
+    for size in range(depth + 1):
+        yield from layer.items()
+        if size < depth:
+            nxt = {}
+            for combo, value in layer.items():
+                edges = range(combo[-1] + 1 if combo else 0, m)
+                if edges:
+                    nxt.update(zip([combo + (e,) for e in edges], children(value, edges)))
+            layer = nxt
 
 
 def stratum_multidegrees(
@@ -105,8 +215,9 @@ def strata_report(
     Rows are ordered by size and then lexicographically in edge order; a
     stratum lies in the closure of each of its subsets.  Only the empty
     stratum is enumerated, every other row is specialised from its parent
-    (the row without its last edge).  ``expected_count`` is the Kirchhoff
-    count of the graph minus the stratum, computed apart from the sets.
+    (the row without its last edge).  ``expected_count`` is the number of
+    the spanning trees of G that avoid the stratum, filtered from the parent
+    row's, so it is computed apart from the sets.
     """
     if max_codim is not None and max_codim < 0:
         raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
@@ -116,25 +227,22 @@ def strata_report(
     depth = m if max_codim is None else min(max_codim, m)
     n = g.num_vertices
 
-    layer = {(): StratumContext(g, q, basepoint)._value_tuples("quasistable")}
-    rows = []
-    for size in range(depth + 1):
-        if size:
-            layer = {
-                combo: _specialise(layer[combo[:-1]], *pairs[combo[-1]])
-                for combo in combinations(range(m), size)
-            }
-        for combo, tuples in layer.items():
-            count = _tree_count(n, [p for i, p in enumerate(pairs) if i not in combo])
-            rows.append(
-                StratumRow(
-                    stratum=tuple(ids[i] for i in combo),
-                    codimension=size,
-                    connected=count > 0,
-                    expected_count=count,
-                    multidegrees=tuple(Cochain._of(g, t) for t in tuples),
-                )
-            )
+    def children(parent, edges):
+        tuples, trees = parent
+        members = set(tuples)
+        return [(_specialise(tuples, members, *pairs[e]), _avoiding(trees, e)) for e in edges]
+
+    root = (StratumContext(g, q, basepoint)._value_tuples("quasistable"), _spanning_trees(n, pairs))
+    rows = [
+        StratumRow(
+            stratum=tuple(ids[i] for i in combo),
+            codimension=len(combo),
+            connected=len(trees) > 0,
+            expected_count=len(trees),
+            multidegrees=tuple(Cochain._of(g, t) for t in tuples),
+        )
+        for combo, (tuples, trees) in _walk(m, depth, root, children)
+    ]
 
     # the subdivision puts vertex n + k in the middle of edge k
     halves = [p for k, (a, b) in enumerate(pairs) for p in ((a, n + k), (n + k, b))]
@@ -252,15 +360,17 @@ def blowup_decomposition(
         neg = tuple(k for k, value in enumerate(d.values[n:]) if value == -1)
         grouped.setdefault(neg, []).append(d)
 
+    walk = _walk(
+        m, m, _spanning_trees(n, pairs), lambda trees, edges: [_avoiding(trees, e) for e in edges]
+    )
     buckets = [
         BlowupBucket(
             stratum=tuple(ids[i] for i in combo),
             count=len(grouped.get(combo, ())),
-            expected_count=_tree_count(n, [p for i, p in enumerate(pairs) if i not in combo]),
+            expected_count=len(trees),
             multidegrees=tuple(grouped.get(combo, ())),
         )
-        for size in range(m + 1)
-        for combo in combinations(range(m), size)
+        for combo, trees in walk
     ]
     return BlowupDecomposition(
         graph=g,

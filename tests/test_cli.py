@@ -513,6 +513,22 @@ PAYLOADS = st.recursive(
 @example([[1, 2]] * (cli._ROW_SLICE + 10) + [[3, "x"]])
 @example([[1]] * (cli._ROW_SLICE + 1) + [[True]])
 @example({"rows": [[-(2**70)]], "é\"\\": {}, "": [], "n": None, "t": [True, False]})
+@example({"t": True, "f": False, "z": 0, "o": 1, "l": [True, 0, False, 1]})
+@example([", ", "], [", '"', "\\", '\\"', "é€😀", "\n", ""])
+@example({"a": [[], {}, cli._IntRows()], "b": {"c": {"d": [], "e": {}, "f": cli._IntRows()}}})
+@example(
+    {
+        "rows": [
+            {
+                "stratum": ["e0", "e1"],
+                "codimension": 2,
+                "connected": False,
+                "expected_count": 0,
+                "multidegrees": cli._IntRows(),
+            }
+        ]
+    }
+)
 def test_writer_matches_json_dumps(obj):
     out = io.StringIO()
     cli._write_json(out.write, obj, "")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from jacgraph import (
@@ -12,6 +14,7 @@ from jacgraph import (
     pushforward_multidegree,
     strata_report,
     stratum_multidegrees,
+    lattice,
 )
 
 import corpus as corpus_mod
@@ -295,3 +298,81 @@ class TestAgainstOracles:
         q = Polarization(triangle, [1, 0, 0])
         with pytest.raises(ValueError, match="max_codim"):
             strata_report(triangle, "a", q, max_codim=-1)
+
+
+def _tree_count_graph(rng, n, m, *, connected=True, loops=0):
+    """A multigraph on n vertices and m edges: a random spanning tree (no
+    edge to the last vertex when not ``connected``), ``loops`` loops, and
+    random further edges, parallel ones included, in shuffled order."""
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n - (not connected))]
+    edges += [(v, v) for v in rng.choices(names, k=loops)]
+    while len(edges) < m:
+        u, v = rng.choice(names[: n - (not connected)]), rng.choice(names)
+        if connected or names[-1] not in (u, v):
+            edges.append((u, v))
+    rng.shuffle(edges)
+    return Multigraph(names, edges)
+
+
+class TestTreeCounts:
+    # the spanning-tree counts are cheap beside the multidegree oracle, so
+    # they are checked on graphs up to nine vertices and the edge guard
+    def _check(self, g, max_codim=None, blowup=False):
+        q = Polarization(g, [1] + [0] * (g.num_vertices - 1))
+        bp = g.vertices[0]
+        rep = strata_report(g, bp, q, max_codim=max_codim)
+        counts = {}
+        for row in rep.rows:
+            trees = oracles.spanning_tree_count(g.delete_edges(row.stratum))
+            assert row.expected_count == trees, (g, row.stratum)
+            assert row.connected == (trees > 0), (g, row.stratum)
+            counts[row.stratum] = trees
+        if blowup:
+            buckets = blowup_decomposition(g, bp, q).buckets
+            assert [b.stratum for b in buckets] == [r.stratum for r in rep.rows]
+            for b in buckets:
+                assert b.expected_count == b.count == counts[b.stratum], (g, b.stratum)
+        return rep
+
+    def test_random_multigraphs(self):
+        rng = random.Random(1414)
+        seen = set()
+        for k in range(200):
+            n = rng.randint(1, 9)
+            connected = n == 1 or k % 8 != 0
+            loops = rng.choice([0, 0, 1, 2])
+            m = rng.randint(n - 1, n + 3)
+            g = _tree_count_graph(rng, n, m, connected=connected, loops=loops)
+            m = g.num_edges
+            depth = None if m <= 7 else rng.choice([0, 1, 2, 3])
+            rep = self._check(g, depth, blowup=depth is None and n + m <= 11)
+            counts = [row.expected_count for row in rep.rows]
+            seen.add(("n", n))
+            seen.add(("loop", any(e.is_loop for e in g.edges)))
+            seen.add(("parallel", len({frozenset((e.u, e.v)) for e in g.edges}) < m))
+            seen.add(("disconnected", not any(counts)))
+            seen.add(("bridge", 0 in counts[1 : m + 1] and counts[0] > 0))
+            seen.add(("truncated", not rep.complete))
+        assert {("n", n) for n in range(1, 10)} <= seen
+        for flag in ("loop", "parallel", "disconnected", "bridge", "truncated"):
+            assert (flag, True) in seen, flag
+
+    def test_at_the_edge_guard(self):
+        g = _tree_count_graph(random.Random(16), 6, 16, loops=1)
+        rep = self._check(g, max_codim=2)
+        assert len(rep.rows) == 1 + 16 + 120
+        assert rep.rows[0].expected_count == complexity(g) > 0
+
+    def test_one_elimination_per_call(self, monkeypatch):
+        # the rows and buckets count trees; only the subdivision's count is
+        # an elimination, one per call
+        sizes = []
+        real = lattice._bareiss
+        monkeypatch.setattr(lattice, "_bareiss", lambda a: sizes.append(len(a)) or real(a))
+        for case in corpus_mod.small_cases()[:20]:
+            g = case.graph
+            strata_report(g, case.basepoint, case.q)
+            blowup_decomposition(g, case.basepoint, case.q)
+            assert sizes == [g.num_vertices + g.num_edges - 1] * 2, case.index
+            sizes.clear()
