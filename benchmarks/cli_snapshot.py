@@ -1,13 +1,15 @@
-"""Write the stdout of a fixed list of CLI requests to one file, so that two
+"""Write the stdout and stderr of a fixed list of CLI requests to one file, so that two
 checkouts, or the two kernels, can be compared byte for byte.
 
-The requests are ``enum`` of all three kinds and ``strata`` on every case
-of the test corpus (``tests/corpus.py``), ``blowup-check`` on the cases
-with at most 7 edges, and round 0 of perfbench's ``enumerate`` (seeds 5
-and 6) and ``sweep`` (seed 7).  Each runs through ``jacgraph.cli.main`` in
-this process.  The file holds, per request, a header line with its
-arguments (the problem directory written as ``W``) and exit code, then
-its stdout.
+The requests are ``enum`` of all three kinds, ``strata`` and ``strata
+--max-codim=1 --verbose`` on every case of the test corpus
+(``tests/corpus.py``), ``blowup-check`` and ``blowup-check --verbose`` on
+the cases with at most 7 edges, and round 0 of perfbench's ``enumerate``
+(seeds 5 and 6) and ``sweep`` (seed 7).  Each runs through
+``jacgraph.cli.main`` in this process.  The file holds, per request, a
+header line with its arguments (the problem directory written as ``W``)
+and exit code, then its stdout, then its stderr, if any, under a
+``--- stderr`` line.
 
     python setup.py build_ext --build-lib BUILD     # for the compiled kernel
     python benchmarks/cli_snapshot.py CHECKOUT OUT [--ext BUILD/jacgraph]
@@ -48,8 +50,10 @@ def corpus_requests(corpus, work: Path):
         for kind in ("ss", "qs", "stable"):
             yield ["enum", str(path), "--kind", kind]
         yield ["strata", str(path)]
+        yield ["strata", str(path), "--max-codim=1", "--verbose"]
         if g.num_edges <= 7:
             yield ["blowup-check", str(path)]
+            yield ["blowup-check", str(path), "--verbose"]
 
 
 def main(argv=None) -> int:
@@ -89,6 +93,8 @@ def main(argv=None) -> int:
                         code = exc.code
                 shown = [a.replace(tmp, "W") for a in request]
                 fh.write(f"### {shown} -> {code}\n{out.getvalue()}\n")
+                if err.getvalue():
+                    fh.write(f"--- stderr\n{err.getvalue().replace(tmp, 'W')}\n")
     print(f"{jacgraph.implementation_name()} kernel: {len(requests)} requests")
     return 0
 

@@ -36,7 +36,7 @@ from .graph import Multigraph
 from .lattice import Cochain, complexity, laplacian_apply, picard_group
 from .polarization import Polarization
 from .quasistable import StratumContext
-from .strata import EDGE_GUARD_DEFAULT, blowup_decomposition, strata_report
+from .strata import EDGE_GUARD_DEFAULT, blowup_rows, strata_rows
 
 KIND_NAMES = {"ss": "semistable", "qs": "quasistable", "stable": "stable"}
 
@@ -313,131 +313,159 @@ def cmd_strata(problem: Problem, args) -> dict:
     q = _require_polarization(problem)
     if args.max_codim is not None and args.max_codim < 0:
         raise ProblemFileError(f"--max-codim must be nonnegative, got {args.max_codim}")
-    report = strata_report(
+    rows, complete, total, subdivided = strata_rows(
         problem.graph,
         problem.basepoint,
         q,
         max_codim=args.max_codim,
         guard_edges=_edge_guard(),
     )
-    rows = [
-        {
-            "stratum": list(r.stratum),
-            "codimension": r.codimension,
-            "connected": r.connected,
-            "expected_count": r.expected_count,
-            "multidegrees": _IntRows(d.values for d in r.multidegrees),
-        }
-        for r in report.rows
-    ]
     if args.verbose:
         print(
-            f"{len(rows)} strata, {report.total_multidegrees} multidegrees"
-            + (
-                f", subdivision has {report.subdivided_complexity}"
-                if report.complete
-                else " (truncated)"
-            ),
+            f"{len(rows)} strata, {total} multidegrees"
+            + (f", subdivision has {subdivided}" if complete else " (truncated)"),
             file=sys.stderr,
         )
     return {
         "vertices": list(problem.graph.vertices),
         "basepoint": problem.basepoint,
-        "complete": report.complete,
-        "total_multidegrees": report.total_multidegrees,
-        "subdivided_complexity": report.subdivided_complexity,
-        "rows": rows,
+        "complete": complete,
+        "total_multidegrees": total,
+        "subdivided_complexity": subdivided,
+        "rows": _Table(
+            {
+                "stratum": stratum,
+                "codimension": len(stratum),
+                "connected": count > 0,
+                "expected_count": count,
+                "multidegrees": _IntRows(tuples),
+            }
+            for stratum, tuples, count in rows
+        ),
     }
 
 
 def cmd_blowup_check(problem: Problem, args) -> dict:
     q = _require_polarization(problem)
-    dec = blowup_decomposition(
-        problem.graph,
+    g = problem.graph
+    sub, rows, total, expected_total = blowup_rows(
+        g,
         problem.basepoint,
         q,
         guard_edges=_edge_guard(),
     )
-    buckets = [
-        {
-            "stratum": list(b.stratum),
-            "count": b.count,
-            "expected_count": b.expected_count,
-            "multidegrees": _IntRows(d.values for d in b.multidegrees),
-        }
-        for b in dec.buckets
-    ]
     if args.verbose:
-        ok = dec.total == dec.expected_total and all(
-            b.count == b.expected_count for b in dec.buckets
-        )
+        ok = total == expected_total and all(len(t) == count for _, t, count in rows)
         print(
-            f"total {dec.total}, expected {dec.expected_total}, "
+            f"total {total}, expected {expected_total}, "
             f"buckets {'consistent' if ok else 'INCONSISTENT'}",
             file=sys.stderr,
         )
     return {
-        "vertices": list(problem.graph.vertices),
-        "subdivided_vertices": list(dec.subdivided_graph.vertices),
-        "exceptional_vertices": {eid: x for eid, x in dec.exceptional_vertices},
-        "total": dec.total,
-        "expected_total": dec.expected_total,
-        "buckets": buckets,
+        "vertices": list(g.vertices),
+        "subdivided_vertices": list(sub.vertices),
+        "exceptional_vertices": dict(zip(g.edge_ids(), sub.vertices[g.num_vertices :])),
+        "total": total,
+        "expected_total": expected_total,
+        "buckets": _Table(
+            {
+                "stratum": stratum,
+                "count": len(tuples),
+                "expected_count": count,
+                "multidegrees": _IntRows(tuples),
+            }
+            for stratum, tuples, count in rows
+        ),
     }
 
 
 # -- output ------------------------------------------------------------------
 
 class _IntRows(list):
-    """Nonempty tuples of ints, which the writer takes as such unchecked."""
+    """Nonempty tuples of ints, all of one length, which the writer takes
+    as such unchecked."""
+
+
+class _Table(list):
+    """Nonempty dicts with the same keys in the same order, each key holding
+    ints in every row, or bools, or lists or tuples of strings, or
+    ``_IntRows``: the writer takes the first row's layout for all rows,
+    unchecked."""
 
 
 _ROW_SLICE = 256
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+@functools.cache
+def _row_template(width: int, indent: str) -> str:
+    """The ``%`` template of an int row of ``width`` values at ``indent``."""
+    deep = indent + "  "
+    return f"[\n{deep}" + f",\n{deep}".join(["%d"] * width) + f"\n{indent}]"
+
+
+def _int_rows(rows, indent: str) -> str:
+    """The int rows of nonempty ``rows`` at ``indent``, joined by commas."""
+    return f",\n{indent}".join(map(_row_template(len(rows[0]), indent).__mod__, rows))
+
+
+def _table(rows: _Table, indent: str) -> str:
+    """The text of nonempty ``rows`` starting ``indent`` spaces in: each
+    key is encoded once and each column formatted by its first value's
+    type, and every row is one ``%`` of the row template."""
+    inner = indent + "  "
+    deep = inner + "  "
+    fields, columns = [], []
+    for key, first in rows[0].items():
+        column = [r[key] for r in rows]
+        kind = type(first)
+        if kind is bool:
+            column = [("false", "true")[v] for v in column]
+        elif kind is _IntRows:
+            column = [
+                f"[\n{deep}  {_int_rows(v, deep + '  ')}\n{deep}]" if v else "[]"
+                for v in column
+            ]
+        elif kind is not int:
+            sep = f",\n{deep}  "
+            column = [
+                f"[\n{deep}  {sep.join(map(_encode_str, v))}\n{deep}]" if v else "[]"
+                for v in column
+            ]
+        fields.append(_encode_str(key).replace("%", "%%") + (": %d" if kind is int else ": %s"))
+        columns.append(column)
+    template = f"{{\n{deep}" + f",\n{deep}".join(fields) + f"\n{inner}}}"
+    texts = map(template.__mod__, zip(*columns))
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
+
+
 def _write_json(write, obj, indent: str):
     """Write ``json.dumps(obj, indent=2)`` piece by piece, for a value that
     starts ``indent`` spaces in.  ``json`` turns its C encoder off for an
-    indent, so the rows of ``_IntRows`` are encoded a slice at a time by
-    the compact C encoder and re-indented, unchecked; a list of strings is
-    joined in one go, and int and bool dict values are written in place.
-    What the layout below does not cover goes to ``json.dumps`` itself."""
+    indent, so a nonempty ``_Table`` or ``_IntRows`` is laid out by the
+    templates above, unchecked, and written at once or a slice of rows at a
+    time; other lists and dicts with string keys are walked here, and what
+    is left goes to ``json.dumps`` itself."""
     if isinstance(obj, (list, tuple)) or isinstance(obj, dict) and {*map(type, obj)} <= {str}:
         if not obj:
             write("{}" if isinstance(obj, dict) else "[]")
             return
         inner = indent + "  "
         sep = "\n" + inner
-        if type(obj) is _IntRows:
-            deep = inner + "  "
-            write("[")
+        if type(obj) is _Table:
+            write(_table(obj, indent))
+        elif type(obj) is _IntRows:
             for start in range(0, len(obj), _ROW_SLICE):
-                text = json.dumps(obj[start : start + _ROW_SLICE])
-                write(f"{sep}[\n{deep}")
-                write(
-                    text[2:-2]
-                    .replace("], [", f"\n{inner}],\n{inner}[\n{deep}")
-                    .replace(", ", ",\n" + deep)
-                )
-                write(f"\n{inner}]")
-                sep = ",\n" + inner
+                rows = _int_rows(obj[start : start + _ROW_SLICE], inner)
+                write(f"{',' if start else '['}{sep}{rows}")
             write(f"\n{indent}]")
         elif isinstance(obj, dict):
             write("{")
             for k, v in obj.items():
-                kind = type(v)
-                if kind is int:
-                    write(f"{sep}{_encode_str(k)}: {int.__repr__(v)}")
-                elif kind is bool:
-                    write(f"{sep}{_encode_str(k)}: {'true' if v else 'false'}")
-                else:
-                    write(f"{sep}{_encode_str(k)}: ")
-                    _write_json(write, v, inner)
+                write(f"{sep}{_encode_str(k)}: ")
+                _write_json(write, v, inner)
                 sep = ",\n" + inner
             write(f"\n{indent}}}")
-        elif {*map(type, obj)} == {str}:
-            write(f"[{sep}{(',' + sep).join(map(_encode_str, obj))}\n{indent}]")
         else:
             write("[")
             for x in obj:

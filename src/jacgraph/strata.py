@@ -203,6 +203,41 @@ class StrataReport:
     subdivided_complexity: int
 
 
+def strata_rows(
+    g: Multigraph,
+    basepoint: Vertex,
+    q: Polarization,
+    max_codim: int | None = None,
+    guard_edges: int = EDGE_GUARD_DEFAULT,
+) -> tuple[list[tuple], bool, int, int]:
+    """The rows of ``strata_report`` as plain data, with its ``complete``,
+    ``total_multidegrees`` and ``subdivided_complexity``.  A row is
+    ``(stratum, value tuples, expected count)``, the stratum a tuple of
+    edge ids."""
+    if max_codim is not None and max_codim < 0:
+        raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
+    m = g.num_edges
+    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"strata over {m} edges exceed")
+    ids = g.edge_ids()
+    depth = m if max_codim is None else min(max_codim, m)
+    n = g.num_vertices
+
+    def children(parent, edges):
+        tuples, trees = parent
+        members = set(tuples)
+        return [(_specialise(tuples, members, *pairs[e]), _avoiding(trees, e)) for e in edges]
+
+    root = (StratumContext(g, q, basepoint)._value_tuples("quasistable"), _spanning_trees(n, pairs))
+    rows = [
+        (tuple(map(ids.__getitem__, combo)), tuples, len(trees))
+        for combo, (tuples, trees) in _walk(m, depth, root, children)
+    ]
+    # the subdivision puts vertex n + k in the middle of edge k
+    halves = [p for k, (a, b) in enumerate(pairs) for p in ((a, n + k), (n + k, b))]
+    total = sum(len(tuples) for _, tuples, _ in rows)
+    return rows, depth == m, total, _tree_count(n + m, halves)
+
+
 def strata_report(
     g: Multigraph,
     basepoint: Vertex,
@@ -219,40 +254,23 @@ def strata_report(
     the spanning trees of G that avoid the stratum, filtered from the parent
     row's, so it is computed apart from the sets.
     """
-    if max_codim is not None and max_codim < 0:
-        raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
-    m = g.num_edges
-    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"strata over {m} edges exceed")
-    ids = g.edge_ids()
-    depth = m if max_codim is None else min(max_codim, m)
-    n = g.num_vertices
-
-    def children(parent, edges):
-        tuples, trees = parent
-        members = set(tuples)
-        return [(_specialise(tuples, members, *pairs[e]), _avoiding(trees, e)) for e in edges]
-
-    root = (StratumContext(g, q, basepoint)._value_tuples("quasistable"), _spanning_trees(n, pairs))
-    rows = [
-        StratumRow(
-            stratum=tuple(ids[i] for i in combo),
-            codimension=len(combo),
-            connected=len(trees) > 0,
-            expected_count=len(trees),
-            multidegrees=tuple(Cochain._of(g, t) for t in tuples),
-        )
-        for combo, (tuples, trees) in _walk(m, depth, root, children)
-    ]
-
-    # the subdivision puts vertex n + k in the middle of edge k
-    halves = [p for k, (a, b) in enumerate(pairs) for p in ((a, n + k), (n + k, b))]
+    rows, complete, total, subdivided = strata_rows(g, basepoint, q, max_codim, guard_edges)
     return StrataReport(
         graph=g,
         basepoint=basepoint,
-        rows=tuple(rows),
-        complete=depth == m,
-        total_multidegrees=sum(len(r.multidegrees) for r in rows),
-        subdivided_complexity=_tree_count(n + m, halves),
+        rows=tuple(
+            StratumRow(
+                stratum=stratum,
+                codimension=len(stratum),
+                connected=count > 0,
+                expected_count=count,
+                multidegrees=tuple(Cochain._of(g, t) for t in tuples),
+            )
+            for stratum, tuples, count in rows
+        ),
+        complete=complete,
+        total_multidegrees=total,
+        subdivided_complexity=subdivided,
     )
 
 
@@ -324,6 +342,45 @@ class BlowupDecomposition:
     buckets: tuple[BlowupBucket, ...]
 
 
+def blowup_rows(
+    g: Multigraph,
+    basepoint: Vertex,
+    q: Polarization,
+    guard_edges: int = EDGE_GUARD_DEFAULT,
+) -> tuple[Multigraph, list[tuple], int, int]:
+    """The buckets of ``blowup_decomposition`` as plain data: the
+    subdivision, the rows ``(stratum, value tuples, expected count)`` with
+    the value tuples on the subdivision, ``total`` and ``expected_total``."""
+    m = g.num_edges
+    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
+    ids = g.edge_ids()
+    n = g.num_vertices
+    if n + m > SUBSET_SCAN_LIMIT:
+        raise GuardLimitError(
+            f"subdividing {m} edges of a {n}-vertex graph gives {n + m} vertices, "
+            f"over the subset-scan limit of {SUBSET_SCAN_LIMIT}"
+        )
+    q_sub = q.blown_up(ids)
+    sub = q_sub.graph  # the middle vertex of edge k is vertex n + k
+    found = StratumContext(sub, q_sub, basepoint)._value_tuples("quasistable")
+    grouped: dict[tuple, list[tuple]] = {}
+    for t in found:
+        for eid, value in zip(ids, t[n:]):
+            if value not in (-1, 0):
+                raise BlowupValueError(f"exceptional vertex for edge {eid!r} carries {value}")
+        neg = tuple(k for k, value in enumerate(t[n:]) if value == -1)
+        grouped.setdefault(neg, []).append(t)
+
+    walk = _walk(
+        m, m, _spanning_trees(n, pairs), lambda trees, edges: [_avoiding(trees, e) for e in edges]
+    )
+    rows = [
+        (tuple(map(ids.__getitem__, combo)), grouped.get(combo, []), len(trees))
+        for combo, trees in walk
+    ]
+    return sub, rows, len(found), complexity(sub)
+
+
 def blowup_decomposition(
     g: Multigraph,
     basepoint: Vertex,
@@ -339,45 +396,21 @@ def blowup_decomposition(
     the subdivision.  The subdivision has n + m vertices, so it is refused
     past the subset-scan limit before it is built.
     """
-    m = g.num_edges
-    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
-    ids = g.edge_ids()
-    n = g.num_vertices
-    if n + m > SUBSET_SCAN_LIMIT:
-        raise GuardLimitError(
-            f"subdividing {m} edges of a {n}-vertex graph gives {n + m} vertices, "
-            f"over the subset-scan limit of {SUBSET_SCAN_LIMIT}"
-        )
-    q_sub = q.blown_up(ids)
-    sub = q_sub.graph  # the middle vertex of edge k is vertex n + k
-    found = StratumContext(sub, q_sub, basepoint).enumerate("quasistable")
-
-    grouped: dict[tuple, list[Cochain]] = {}
-    for d in found:
-        for eid, value in zip(ids, d.values[n:]):
-            if value not in (-1, 0):
-                raise BlowupValueError(f"exceptional vertex for edge {eid!r} carries {value}")
-        neg = tuple(k for k, value in enumerate(d.values[n:]) if value == -1)
-        grouped.setdefault(neg, []).append(d)
-
-    walk = _walk(
-        m, m, _spanning_trees(n, pairs), lambda trees, edges: [_avoiding(trees, e) for e in edges]
-    )
-    buckets = [
-        BlowupBucket(
-            stratum=tuple(ids[i] for i in combo),
-            count=len(grouped.get(combo, ())),
-            expected_count=len(trees),
-            multidegrees=tuple(grouped.get(combo, ())),
-        )
-        for combo, trees in walk
-    ]
+    sub, rows, total, expected_total = blowup_rows(g, basepoint, q, guard_edges)
     return BlowupDecomposition(
         graph=g,
         subdivided_graph=sub,
         basepoint=basepoint,
-        exceptional_vertices=tuple(zip(ids, sub.vertices[n:])),
-        total=len(found),
-        expected_total=complexity(sub),
-        buckets=tuple(buckets),
+        exceptional_vertices=tuple(zip(g.edge_ids(), sub.vertices[g.num_vertices :])),
+        total=total,
+        expected_total=expected_total,
+        buckets=tuple(
+            BlowupBucket(
+                stratum=stratum,
+                count=len(tuples),
+                expected_count=count,
+                multidegrees=tuple(Cochain._of(sub, t) for t in tuples),
+            )
+            for stratum, tuples, count in rows
+        ),
     )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacgraph import cli
+from jacgraph import blowup_decomposition, cli, strata_report
 from jacgraph.cli import main
 
 BANANA = {
@@ -20,6 +20,18 @@ BANANA = {
     "polarization": {"u": 1, "v": 0},
     "basepoint": "u",
 }
+
+
+def _case_data(case):
+    """The problem file of a corpus case."""
+    g = case.graph
+    return {
+        "vertices": [{"name": v, "genus": g.genus_of(v)} for v in g.vertices],
+        "edges": [{"id": e.id, "endpoints": [e.u, e.v]} for e in g.edges],
+        "polarization": {v: str(case.q[v]) for v in g.vertices},
+        "basepoint": case.basepoint,
+        "stratum": sorted(case.stratum),
+    }
 
 
 @pytest.fixture
@@ -139,13 +151,7 @@ class TestReduce:
         rng = random.Random(67)
         for case in corpus_cases:
             g = case.graph
-            data = {
-                "vertices": [{"name": v, "genus": g.genus_of(v)} for v in g.vertices],
-                "edges": [{"id": e.id, "endpoints": [e.u, e.v]} for e in g.edges],
-                "polarization": {v: str(case.q[v]) for v in g.vertices},
-                "basepoint": case.basepoint,
-                "stratum": sorted(case.stratum),
-            }
+            data = _case_data(case)
             budget = int(sum((case.q[v] for v in g.vertices), Fraction(0))) - len(case.stratum)
             values = [rng.randint(-12, 12) for _ in g.vertices[1:]]
             values.insert(0, budget - sum(values))
@@ -222,6 +228,40 @@ class TestStrata:
             ["e0", "e1"],
         ]
         assert [len(r["multidegrees"]) for r in payload["rows"]] == [2, 1, 1, 0]
+
+    def test_rows_match_the_library_on_corpus(self, problem, capsys, corpus_cases):
+        # the CLI writes the plain rows, the library wraps them: both must
+        # give the same strata and buckets
+        for case in corpus_cases:
+            g = case.graph
+            path = problem(_case_data(case))
+            rc, payload, _ = run(capsys, ["strata", path])
+            assert rc == 0, case.index
+            rows = [
+                {
+                    "stratum": list(r.stratum),
+                    "codimension": r.codimension,
+                    "connected": r.connected,
+                    "expected_count": r.expected_count,
+                    "multidegrees": [list(d.values) for d in r.multidegrees],
+                }
+                for r in strata_report(g, case.basepoint, case.q).rows
+            ]
+            assert payload["rows"] == rows, case.index
+            if g.num_edges > 7:
+                continue
+            rc, payload, _ = run(capsys, ["blowup-check", path])
+            assert rc == 0, case.index
+            buckets = [
+                {
+                    "stratum": list(b.stratum),
+                    "count": b.count,
+                    "expected_count": b.expected_count,
+                    "multidegrees": [list(d.values) for d in b.multidegrees],
+                }
+                for b in blowup_decomposition(g, case.basepoint, case.q).buckets
+            ]
+            assert payload["buckets"] == buckets, case.index
 
     def test_max_codim(self, problem, capsys):
         rc, payload, _ = run(
@@ -431,6 +471,32 @@ BRIDGE = {
     "edges": [{"endpoints": ["u", "v"]}],
     "polarization": {"u": "1/2", "v": "1/2"},
 }
+ODD_IDS = {
+    "vertices": ["p", "q"],
+    "edges": [
+        {"id": 'a"b', "endpoints": ["p", "q"]},
+        {"id": "c\\d", "endpoints": ["p", "q"]},
+        {"id": "é😀", "endpoints": ["q", "q"]},
+    ],
+    "polarization": {"p": "1/2", "q": "1/2"},
+}
+
+
+def _verbose_summary(argv, problem):
+    """The --verbose line of ``strata`` and ``blowup-check``, from the
+    library's report."""
+    args = cli._parser().parse_args(argv[:1] + ["file"] + argv[1:])
+    g, q, bp = problem.graph, problem.polarization, problem.basepoint
+    if args.command == "strata":
+        rep = strata_report(g, bp, q, max_codim=args.max_codim)
+        tail = f", subdivision has {rep.subdivided_complexity}" if rep.complete else " (truncated)"
+        return f"{len(rep.rows)} strata, {rep.total_multidegrees} multidegrees{tail}\n"
+    dec = blowup_decomposition(g, bp, q)
+    ok = dec.total == dec.expected_total and all(b.count == b.expected_count for b in dec.buckets)
+    return (
+        f"total {dec.total}, expected {dec.expected_total}, "
+        f"buckets {'consistent' if ok else 'INCONSISTENT'}\n"
+    )
 
 
 class TestOutput:
@@ -448,6 +514,11 @@ class TestOutput:
             (["blowup-check"], LOOPED_TRIANGLE),
             (["enum", "--kind", "ss"], ONE_VERTEX),
             (["enum", "--kind", "stable"], BRIDGE),
+            (["strata", "--max-codim=0"], LOOPED_TRIANGLE),
+            (["strata", "--max-codim=1"], LOOPED_TRIANGLE),
+            (["strata"], ONE_VERTEX),
+            (["strata"], ODD_IDS),
+            (["blowup-check"], ODD_IDS),
         ],
     )
     def test_stdout_is_indented_payload(self, problem, capsys, monkeypatch, argv, data):
@@ -456,8 +527,16 @@ class TestOutput:
         monkeypatch.setattr(
             cli, name, lambda p, args: payloads.append(handler(p, args)) or payloads[-1]
         )
-        assert main([argv[0], problem(data), *argv[1:]]) == 0
-        assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+        path = problem(data)
+        assert main([argv[0], path, *argv[1:]]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(payloads[0], indent=2) + "\n"
+        # --verbose adds its summary on stderr and leaves stdout as it is
+        assert main([argv[0], path, "--verbose", *argv[1:]]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == out
+        if argv[0] in ("strata", "blowup-check"):
+            assert verbose.err == _verbose_summary(argv, cli.load_problem(path))
 
     def test_one_vertex_and_empty_enumerations(self, problem, capsys):
         assert main(["enum", problem(ONE_VERTEX)]) == 0
@@ -472,7 +551,7 @@ class TestOutput:
         assert count > 2 * cli._ROW_SLICE
 
 
-TEXT = st.text(st.sampled_from(["a", "Z", "0", '"', "\\", "/", "\n", "\x00", "é", "€", "😀"]), max_size=5)
+TEXT = st.text(st.sampled_from(["a", "Z", "0", '"', "\\", "/", "%", "\n", "\x00", "é", "€", "😀"]), max_size=5)
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -499,8 +578,35 @@ def row_lists(draw):
     return rows
 
 
+def int_rows(width):
+    """An ``_IntRows`` of ``width`` ints a row: empty, one row, or a few
+    slices of rows."""
+    row = st.tuples(*[st.integers(-(2**70), 2**70)] * width)
+    return st.sampled_from([0, 1, 3, cli._ROW_SLICE + 1]).flatmap(
+        lambda count: st.lists(row, min_size=count, max_size=count).map(cli._IntRows)
+    )
+
+
+COLUMNS = [
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.lists(TEXT, max_size=3),
+    st.integers(1, 3).flatmap(int_rows),
+]
+
+
+@st.composite
+def table_lists(draw):
+    """A ``_Table`` of no row to a few, with one to four keys, each holding
+    ints, bools, lists of strings or ``_IntRows`` in every row."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    columns = [draw(st.sampled_from(COLUMNS)) for _ in keys]
+    count = draw(st.integers(0, 3))
+    return cli._Table({k: draw(c) for k, c in zip(keys, columns)} for _ in range(count))
+
+
 PAYLOADS = st.recursive(
-    st.one_of(SCALARS, row_lists()),
+    st.one_of(SCALARS, row_lists(), table_lists()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)
     ),
@@ -528,6 +634,12 @@ PAYLOADS = st.recursive(
             }
         ]
     }
+)
+@example(
+    cli._Table(
+        {"%d": k, "%s": k > 0, "é\"\\": ["e%", "\x00"][:k], "m": cli._IntRows([(k, -k)] * k)}
+        for k in range(3)
+    )
 )
 def test_writer_matches_json_dumps(obj):
     out = io.StringIO()
