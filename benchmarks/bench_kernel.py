@@ -101,6 +101,7 @@ def main(argv=None) -> int:
                 lo,
                 hi,
                 MODE_QUASISTABLE,
+                range(n),  # rows in the search's own vertex order
             )
             rows["enumerate"].append(t_enum)
             if counts is None:

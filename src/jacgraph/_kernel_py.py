@@ -31,8 +31,9 @@ basepoint is strict and makes the sum strict, in stable mode every piece
 is strict.  ``build_tables`` lists the subsets the box search checks in a
 *plan*.  It leaves out every subset that holds the last vertex, as the
 total fixes d there and such a bound is the opposite bound on the
-complement.  ``box_enumerate`` also drops each bound that the box and the
-total already imply.
+complement.  It keeps ``floor`` only where the search reads it, on the
+plan's subsets and their complements.  ``box_enumerate`` also drops each
+bound that the box and the total already imply.
 """
 
 from __future__ import annotations
@@ -56,36 +57,42 @@ _BIT = [bytes(b >> i & 1 for b in range(256)) for i in range(8)]
 class Tables(NamedTuple):
     n: int
     scale: int
-    floor: list
+    floor: dict
     plan: tuple
 
 
 def build_tables(n, edges, base, scale):
-    """The per-subset floor table ``sum(base[v] for v in m) - scale/2 *
-    cross(m)``, with ``cross(m)`` the number of ``edges`` (endpoint index
-    pairs) with exactly one end in ``m``, and the plan of ``edges``.
+    """The plan of ``edges`` (endpoint index pairs) and the floor values
+    its search reads: ``floor[m] == sum(base[v] for v in m) - scale/2 *
+    cut(m)``, with ``cut(m)`` the number of ``edges`` with exactly one end
+    in m, for every plan mask m and its complement, and for no other mask.
 
-    One recurrence over the masks builds the table: with v the top vertex
-    of m and r = m - v,
+    The plan is prefix-closed, so each plan mask m extends a plan mask (or
+    the empty set) r = m - k, k its top vertex, of a lower level:
 
-        floor[m] = floor[r] + own[v] + scale * e(v, r),
+        base(m) = base(r) + base[k],  cut(m) = cut(r) + deg(k) - 2 e(k, r),
 
-    where ``own[v] = base[v] - scale/2 * deg(v)`` and e(v, r) counts the
-    edges from v into r, which crossed r and stop crossing (scale is even).
-    e(v, r) is the sum of ``(layer & r).bit_count()`` over v's multiplicity
-    layers, the k-th holding the neighbours joined to v by more than k
-    edges."""
-    half = scale // 2
-    floor = [0]
-    for v, layers in enumerate(_multiplicity_layers(n, edges)):
-        own = base[v] - half * sum(layer.bit_count() for layer in layers)
-        part = [f + own for f in floor]
-        for layer in layers:
-            layer &= len(floor) - 1  # r holds only vertices below v
-            if layer:
-                part = [f + scale * (r & layer).bit_count() for r, f in enumerate(part)]
-        floor += part
-    return Tables(n, scale, floor, _build_plan(n, edges))
+    where e(k, r) counts the edges from k into r, which crossed r and stop
+    crossing.  A complement crosses the same edges, so ``floor[full ^ m]
+    == base(full) - base(m) - scale/2 * cut(m)``.  e(k, r) is the sum of
+    ``(layer & r).bit_count()`` over k's multiplicity layers, the j-th
+    holding the neighbours joined to k by more than j edges."""
+    half, full, whole = scale // 2, (1 << n) - 1, sum(base)
+    plan = _build_plan(n, edges)
+    sums = {0: (0, 0)}  # plan mask: (base(m), cut(m))
+    floor = {}
+    for k, (level, layers) in enumerate(zip(plan, _multiplicity_layers(n, edges))):
+        own, bit = base[k], 1 << k
+        deg = sum(layer.bit_count() for layer in layers)
+        for m, _ in level:
+            r = m ^ bit
+            b, c = sums[r]
+            for layer in layers:
+                c -= 2 * (layer & r).bit_count()
+            sums[m] = b, c = b + own, c + deg
+            floor[m] = b - half * c
+            floor[full ^ m] = whole - b - half * c
+    return Tables(n, scale, floor, plan)
 
 
 def _multiplicity_layers(n, edges):
@@ -161,19 +168,22 @@ def _build_plan(n, edges):
     return tuple(map(tuple, plan))
 
 
-def box_enumerate(tables, v0, total, lo, hi, mode):
+def box_enumerate(tables, v0, total, lo, hi, mode, at):
     """All integer vectors in the box with the given total that satisfy the
-    per-subset bounds; strictness of the bounds depends on ``mode``.
+    per-subset bounds; strictness of the bounds depends on ``mode``.  Each
+    output has the value of vertex k at position ``at[k]``, for ``at`` a
+    permutation of ``range(n)``.
 
     Depth-first over the vertices in index order.  When vertex k is
     assigned, every subset whose top vertex is k becomes decided, so the
     bounds the plan keeps among them are checked right away and failing
     branches are cut early.  A bound the plan leaves out follows from kept
     bounds on the pieces of its subset or of the complement, so the outputs
-    and their order are those of a search that checks every subset.  When
-    ``scale * total == floor[full]``, as for every degree budget, the upper
-    bound is additive over the pieces of its subset too, so the plan cuts
-    each branch at the level such a search does; for another total an
+    and their order (before ``at`` places them) are those of a search that
+    checks every subset.  When ``scale * total`` is the floor of the whole
+    vertex set, as for every degree budget, the upper bound is additive
+    over the pieces of its subset too, so the plan cuts each branch at the
+    level such a search does; for another total an
     upper-bound cut may come a level later, once the complement's pieces
     are decided.  The last vertex takes the rest of the total; the suffix
     sums of the box, which prune on the total, keep it in its box.
@@ -276,7 +286,7 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
     # per level k, on the state with the lower levels shifted out: step[k]
     # (no mask below level k holds k), its part in the level's own fields,
     # all of which hold k, the mask of those fields, the constants of the
-    # two tests and the level's width
+    # two tests, the level's width and its vertex's place in an output
     levels, start = [], 0
     for k, end in enumerate(ends):
         shift, width = 8 * nbytes * start, 8 * nbytes * (end - start)
@@ -284,15 +294,21 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
         step = scale * int.from_bytes(lanes[k >> 3].translate(_BIT[k & 7]), "little") >> shift
         g_l, g_u = gl >> shift & keep, gu >> shift & keep
         c_l, c_u = (cl >> shift & keep) - g_l, (cu >> shift & keep) - g_u
-        levels.append((step, step & keep, keep, c_l, g_l, c_u, g_u, width))
+        levels.append((step, step & keep, keep, c_l, g_l, c_u, g_u, width, at[k]))
         start = end
 
-    d = [0] * n
+    d, last_at = [0] * n, at[n - 1]
     out = []
+
+    # level n - 2, the last with checks, runs inside the loop of level
+    # n - 3, which saves a call per parent of outputs; with two vertices
+    # it is level 0, and place runs it as any other level
+    _, own2, keep2, cl2, gl2, cu2, gu2, _, pos2 = levels[n - 2]
+    lo2, hi2, lo_last, hi_last = lo[n - 2], hi[n - 2], lo[n - 1], hi[n - 1]
 
     def place(k, partial, state):
         # the level's tests read only its own fields, ``here``
-        step, own, keep, cl, gl, cu, gu, width = levels[k]
+        step, own, keep, cl, gl, cu, gu, width, pos = levels[k]
         rest = total - partial
         first, last = rest - suf_hi[k + 1], rest - suf_lo[k + 1]
         first = lo[k] if lo[k] > first else first  # max and min cost a call
@@ -300,11 +316,23 @@ def box_enumerate(tables, v0, total, lo, hi, mode):
         here = (state & keep) + first * own
         for dv in range(first, last + 1):
             if (here + cl) & gl == gl and not (here + cu) & gu:
-                d[k] = dv
-                if k < n - 2:
+                d[pos] = dv
+                if k < n - 3:
                     place(k + 1, partial + dv, (state + dv * step) >> width)
+                elif k == n - 3:
+                    rest2 = rest - dv
+                    first2, last2 = rest2 - hi_last, rest2 - lo_last
+                    first2 = lo2 if lo2 > first2 else first2
+                    last2 = hi2 if hi2 < last2 else last2
+                    here2 = ((state + dv * step) >> width & keep2) + first2 * own2
+                    for dv2 in range(first2, last2 + 1):
+                        if (here2 + cl2) & gl2 == gl2 and not (here2 + cu2) & gu2:
+                            d[pos2] = dv2
+                            d[last_at] = rest2 - dv2
+                            out.append(tuple(d))
+                        here2 += own2
                 else:
-                    d[-1] = rest - dv
+                    d[last_at] = rest - dv
                     out.append(tuple(d))
             here += own
 

@@ -2,10 +2,11 @@
  *
  * Same contract and algorithms as jacgraph._kernel_py, which stays the
  * fallback and the reference, computed in signed 64-bit integers.  Tables
- * are the plain tuple (n, scale, floor, plan): one floor table over G - S,
- * a read-only int64 memoryview of 2**n entries, which indexes and converts
- * to a list like the pure kernel's, and the plan, the same tuple of
- * (mask, checks) pairs per top vertex that the pure kernel builds.
+ * are the plain tuple (n, scale, floor, plan): the floor table over all
+ * 2**n subsets of G - S, a read-only int64 memoryview (the pure kernel
+ * keeps only the entries its search reads, in a dict), and the plan, the
+ * same tuple of (mask, checks) pairs per top vertex that the pure kernel
+ * builds.  box_enumerate writes each output in the caller's vertex order.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
@@ -106,7 +107,8 @@ static int load_table(PyObject *obj, size_t len, long long *out, const char *wha
 
 PyDoc_STRVAR(build_tables_doc,
 "build_tables(n, edges, base, scale) -> (n, scale, floor, plan)\n\n"
-"Per-subset floor table and plan, as in jacgraph._kernel_py.build_tables.\n"
+"Floor table over all 2**n subsets and plan, as in\n"
+"jacgraph._kernel_py.build_tables, which keeps only the masks it reads.\n"
 "One recurrence builds the table: with v the top vertex of m and r = m - v,\n"
 "floor[m] = floor[r] + base[v] - scale/2 * deg(v) + scale * e(v, r), where\n"
 "e(v, r), the edges from v into r, sums the popcounts of r under v's\n"
@@ -302,7 +304,7 @@ typedef struct {
 typedef struct {
     int n;
     long long scale, total;
-    const long long *lo, *hi, *suf_lo, *suf_hi;
+    const long long *lo, *hi, *suf_lo, *suf_hi, *at;
     /* level k < n - 1: rows[row_at[k]] up to rows[row_at[k + 1]], and
        likewise the prefixes by prefix_at */
     const Row *rows;
@@ -312,16 +314,17 @@ typedef struct {
     PyObject *out;
 } Search;
 
-/* Append d as a tuple.  Returns -1 with an exception set, else 0. */
+/* Append d as a tuple, d_k at position at[k].  Returns -1 with an
+   exception set, else 0. */
 static int emit(const Search *s)
 {
     PyObject *row = PyTuple_New(s->n);
-    for (int i = 0; row != NULL && i < s->n; i++) {
-        PyObject *v = PyLong_FromLongLong(s->d[i]);
+    for (int k = 0; row != NULL && k < s->n; k++) {
+        PyObject *v = PyLong_FromLongLong(s->d[k]);
         if (v == NULL)
             Py_CLEAR(row);
         else
-            PyTuple_SET_ITEM(row, i, v);
+            PyTuple_SET_ITEM(row, s->at[k], v);
     }
     int rc = row == NULL ? -1 : PyList_Append(s->out, row);
     Py_XDECREF(row);
@@ -492,18 +495,19 @@ done:
 }
 
 PyDoc_STRVAR(box_enumerate_doc,
-"box_enumerate(tables, v0, total, lo, hi, mode) -> list of tuples\n\n"
+"box_enumerate(tables, v0, total, lo, hi, mode, at) -> list of tuples\n\n"
 "Integer vectors in the box with the given total that satisfy the\n"
-"per-subset bounds, as in jacgraph._kernel_py.box_enumerate.");
+"per-subset bounds, as in jacgraph._kernel_py.box_enumerate, each with the\n"
+"value of vertex k at position at[k], for at a permutation of range(n).");
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
-    PyObject *tables, *floor_seq, *plan, *lo, *hi, *out = NULL;
+    PyObject *tables, *floor_seq, *plan, *lo, *hi, *at, *out = NULL;
     int v0, mode, n;
     long long total, scale;
 
-    if (!PyArg_ParseTuple(args, "O!iLOOi:box_enumerate", &PyTuple_Type,
-                          &tables, &v0, &total, &lo, &hi, &mode))
+    if (!PyArg_ParseTuple(args, "O!iLOOiO:box_enumerate", &PyTuple_Type,
+                          &tables, &v0, &total, &lo, &hi, &mode, &at))
         return NULL;
     if (!PyArg_ParseTuple(tables, "iLOO;tables must be (n, scale, floor, plan)",
                           &n, &scale, &floor_seq, &plan))
@@ -513,19 +517,28 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     if (v0 < 0 || v0 >= n)
         return PyErr_Format(PyExc_ValueError, "v0 = %d outside 0..%d", v0, n - 1);
     size_t size = (size_t)1 << n;
-    long long *buf = PyMem_Malloc((2 * size + 5 * ((size_t)n + 1)) * sizeof(long long));
+    long long *buf = PyMem_Malloc((2 * size + 6 * ((size_t)n + 1)) * sizeof(long long));
     if (buf == NULL)
         return PyErr_NoMemory();
     long long *floor = buf, *sums = floor + size;
     long long *clo = sums + size, *chi = clo + n + 1;
     long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *d = suf_hi + n + 1;
+    long long *cat = d + n + 1;
     Search s = {.n = n, .scale = scale, .total = total, .lo = clo, .hi = chi,
-                .suf_lo = suf_lo, .suf_hi = suf_hi, .sums = sums, .d = d};
+                .suf_lo = suf_lo, .suf_hi = suf_hi, .at = cat, .sums = sums, .d = d};
 
     if (load_table(floor_seq, size, floor, "floor table") < 0
         || load_ints(lo, n, clo, "lo") < 0
-        || load_ints(hi, n, chi, "hi") < 0)
+        || load_ints(hi, n, chi, "hi") < 0
+        || load_ints(at, n, cat, "at") < 0)
         goto done;
+    unsigned char placed[MAX_VERTICES] = {0};
+    for (int k = 0; k < n; k++) {
+        if (cat[k] < 0 || cat[k] >= n || placed[cat[k]]++) {
+            PyErr_SetString(PyExc_ValueError, "at: not a permutation of range(n)");
+            goto done;
+        }
+    }
     suf_lo[n] = suf_hi[n] = 0;
     for (int k = n - 1; k >= 0; k--) {
         suf_lo[k] = suf_lo[k + 1] + clo[k];

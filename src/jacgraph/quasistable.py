@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable
 
 from . import _kernel
@@ -134,7 +133,8 @@ class _ScaledStratum:
         The box search takes the vertices in breadth-first order from the
         basepoint, each level by index, unreached vertices last: contiguous
         prefixes then tend to be connected, which makes the per-prefix
-        bounds prune early."""
+        bounds prune early.  The kernel writes each row back in vertex
+        order, so one sort finishes the list."""
         lo, hi = self.singleton_box()
         if any(a > b for a, b in zip(lo, hi)):
             return []
@@ -168,10 +168,10 @@ class _ScaledStratum:
             [lo[old] for old in order],
             [hi[old] for old in order],
             mode,
+            order,
         )
-        if n == 1:
-            return raw  # itemgetter of one index gives a bare value
-        return sorted(map(itemgetter(*inv), raw))
+        raw.sort()
+        return raw
 
     # -- minimum cut -----------------------------------------------------
 

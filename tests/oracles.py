@@ -6,7 +6,7 @@ stability by checking every vertex subset with Fraction sums, lattice
 membership by rational elimination, invariant factors from minors.  Nothing imports the kernels;
 ``floor_table`` and ``ceil_table`` are the subset bounds from the whole
 graph with the stratum edges flagged, ``box_search`` is the kernels' box
-search checking every subset, ``defect_scan``, the subset scan
+search checking every subset against ``floor_table``, ``defect_scan``, the subset scan
 that the minimum cut replaced, reads a floor table as plain data, and
 ``same_class``, the class test that the single solve replaced, compares
 two invariant-factor eliminations.
@@ -169,15 +169,17 @@ def ceil_table(n, edges, s_flags, scaled_q, scale):
     return out
 
 
-def box_search(n, scale, floor, v0, total, lo, hi, kind):
+def box_search(n, edges, scaled_q, scale, v0, total, lo, hi, kind):
     """The box search of the kernels without their plan or their dropped
     bounds: depth-first over the vertices in index order, each value from
     ``lo`` to ``hi``, a branch cut once some decided proper subset breaks a
     bound or the rest of the total no longer fits the box of the vertices
-    left.  Every proper nonempty subset m has ``scale * d_m`` at least
+    left.  With ``floor`` the ``floor_table`` of ``edges`` (nothing
+    flagged), every proper nonempty subset m has ``scale * d_m`` at least
     ``floor[m]`` and at most ``scale * total - floor[full ^ m]``, strictly as
     ``kind`` says.  The outputs come in increasing order."""
     full = (1 << n) - 1
+    floor = floor_table(n, edges, [False] * len(edges), scaled_q, scale)
     d = [0] * n
     out = []
 

@@ -131,11 +131,25 @@ class TestSelection:
         assert len(mods) == (2 if _kernel.HAVE_SPEEDUPS else 1)
 
 
+def _kept_floor(impl, n, tables):
+    """The floor values a kernel's tables keep, by mask, after checking that
+    they cover the right masks: every mask for the compiled kernel, exactly
+    the plan's masks and their complements, which its search reads, for the
+    pure kernel."""
+    _, _, floor, plan = tables
+    if impl is not _kernel_py:
+        assert len(floor) == 1 << n
+        return dict(enumerate(floor))
+    planned = {m for level in plan for m, _ in level}
+    assert set(floor) == planned | {((1 << n) - 1) ^ m for m in planned}
+    return floor
+
+
 def _check_tables(impl, corpus_cases):
-    """The kernel's floor tables over G - S equal the whole-graph formula
-    with S flagged, and the upper bounds derived from them equal its
-    ceiling formula.  Handed every edge of G, loops and parallel edges
-    included, the kernel's table equals the formula with nothing flagged."""
+    """The floor values a kernel keeps over G - S equal the whole-graph
+    formula with S flagged, and the upper bounds derived from them equal
+    its ceiling formula.  Handed every edge of G, loops and parallel edges
+    included, the values it keeps equal the formula with nothing flagged."""
     sizes = set()
     for case in corpus_cases:
         g = case.graph
@@ -143,16 +157,18 @@ def _check_tables(impl, corpus_cases):
         sizes.add(n)
         ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
         whole = _whole_graph_args(g, case.q, case.stratum)
-        _, scale, floor, _ = impl.build_tables(n, *_kernel_args(ctx))
-        assert scale == ctx.scale
-        assert list(floor) == oracles.floor_table(n, *whole), case.index
-        ceil = [scale * ctx.budget - floor[full ^ m] for m in range(full + 1)]
-        assert ceil == oracles.ceil_table(n, *whole), case.index
+        tables = impl.build_tables(n, *_kernel_args(ctx))
+        assert tables[1] == ctx.scale
+        floor = _kept_floor(impl, n, tables)
+        want = oracles.floor_table(n, *whole)
+        assert floor == {m: want[m] for m in floor}, case.index
+        ceil = oracles.ceil_table(n, *whole)
+        for m in floor:  # the kept masks are closed under complement
+            assert ctx.scale * ctx.budget - floor[full ^ m] == ceil[m], (case.index, m)
         edges, flags, scaled_q, scale = whole
-        floor = impl.build_tables(n, edges, scaled_q, scale)[2]
-        assert list(floor) == oracles.floor_table(
-            n, edges, [False] * len(flags), scaled_q, scale
-        ), case.index
+        floor = _kept_floor(impl, n, impl.build_tables(n, edges, scaled_q, scale))
+        want = oracles.floor_table(n, edges, [False] * len(flags), scaled_q, scale)
+        assert floor == {m: want[m] for m in floor}, case.index
     assert 1 in sizes
 
 
@@ -192,11 +208,11 @@ class TestPureKernel:
                 for impl in implementations():
                     tables = impl.build_tables(n, *_kernel_args(ctx))
                     got = impl.box_enumerate(
-                        tables, ctx._ints.v0, ctx.budget, lo, hi, mode
+                        tables, ctx._ints.v0, ctx.budget, lo, hi, mode, range(n)
                     )
                     assert got == want, (trial, kind, impl.__name__)
                     got = impl.box_enumerate(
-                        tables, ctx._ints.v0, ctx.budget, inner_lo, inner_hi, mode
+                        tables, ctx._ints.v0, ctx.budget, inner_lo, inner_hi, mode, range(n)
                     )
                     inside = [
                         d for d in want
@@ -255,15 +271,39 @@ class TestBoxSearch:
                 )
                 for i, (box_lo, box_hi, total) in enumerate(boxes):
                     v0 = ctx._ints.v0 if i == 0 else rng.randrange(n)
-                    args = (n, scale, floor, v0, total, box_lo, box_hi, kind)
-                    want = oracles.box_search(*args)
+                    box = (v0, total, box_lo, box_hi, kind)
+                    want = oracles.box_search(n, kept, base, scale, *box)
                     if i == 0:
                         assert want == brute, case.index
-                    tight[kind] += _tight_bounds(*args, kept)
+                    tight[kind] += _tight_bounds(n, scale, floor, *box, kept)
                     for impl, t in zip(implementations(), tables):
-                        got = impl.box_enumerate(t, v0, total, box_lo, box_hi, mode)
+                        got = impl.box_enumerate(t, v0, total, box_lo, box_hi, mode, range(n))
                         assert got == want, (case.index, i, kind, impl.__name__)
         assert min(tight.values()) >= 100, tight
+
+    def test_rows_placed_by_at(self):
+        # a random permutation at re-indexes the identity-order rows: the
+        # value of search vertex k goes to position at[k], rows in the
+        # search's order.  Every size has outputs, among them n = 1 (no
+        # search), n = 2 (level 0 runs the last checked level itself) and
+        # n = 3 (level 0 runs level 1 inside its own loop).
+        rng = random.Random(67)
+        outputs = dict.fromkeys(range(1, 9), 0)
+        for trial in range(200):
+            n = 1 + trial % 8
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            lo, hi = ctx.singleton_box()
+            at = rng.sample(range(n), n)
+            inv = sorted(range(n), key=at.__getitem__)
+            for impl, (_, mode) in product(implementations(), KINDS):
+                tables = impl.build_tables(n, *_kernel_args(ctx))
+                args = (tables, ctx._ints.v0, ctx.budget, lo, hi, mode)
+                plain = impl.box_enumerate(*args, range(n))
+                got = impl.box_enumerate(*args, at)
+                assert got == [tuple(d[k] for k in inv) for d in plain], (trial, mode)
+                outputs[n] += len(got)
+        assert min(outputs.values()) >= 20, outputs
 
 
 def _kept_per_level(tables, v0, total, lo, hi, mode):
@@ -305,8 +345,8 @@ class TestPackedSearch:
         tables = _kernel_py.build_tables(n, edges, base, scale)
         count = 0
         for kind, mode in KINDS:
-            want = oracles.box_search(n, scale, tables.floor, v0, total, lo, hi, kind)
-            got = _kernel_py.box_enumerate(tables, v0, total, lo, hi, mode)
+            want = oracles.box_search(n, edges, base, scale, v0, total, lo, hi, kind)
+            got = _kernel_py.box_enumerate(tables, v0, total, lo, hi, mode, range(n))
             assert got == want, (n, edges, base, scale, v0, total, lo, hi, kind)
             count += len(got)
         return count
@@ -322,12 +362,13 @@ class TestPackedSearch:
                 continue
             ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
             lo, hi = ctx.singleton_box()
-            tables = _kernel_py.build_tables(n, *_kernel_args(ctx))
+            args = _kernel_args(ctx)
+            tables = _kernel_py.build_tables(n, *args)
             for v0, (kind, mode) in product(range(n), KINDS):
-                want = oracles.box_search(
-                    n, ctx.scale, tables.floor, v0, ctx.budget, lo, hi, kind
+                want = oracles.box_search(n, *args, v0, ctx.budget, lo, hi, kind)
+                got = _kernel_py.box_enumerate(
+                    tables, v0, ctx.budget, lo, hi, mode, range(n)
                 )
-                got = _kernel_py.box_enumerate(tables, v0, ctx.budget, lo, hi, mode)
                 assert got == want, (case.index, v0, kind)
                 swept += 1
         assert swept > 2000
@@ -468,14 +509,15 @@ class TestParity:
             args = _kernel_args(ctx)
             t_pure = _kernel_py.build_tables(g.num_vertices, *args)
             t_fast = compiled.build_tables(g.num_vertices, *args)
+            at = range(g.num_vertices)
             for v0, mode in product(
                 range(g.num_vertices), (MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE)
             ):
                 got_pure = _kernel_py.box_enumerate(
-                    t_pure, v0, ctx.budget, lo, hi, mode
+                    t_pure, v0, ctx.budget, lo, hi, mode, at
                 )
                 got_fast = compiled.box_enumerate(
-                    t_fast, v0, ctx.budget, lo, hi, mode
+                    t_fast, v0, ctx.budget, lo, hi, mode, at
                 )
                 assert got_pure == got_fast
 
@@ -500,16 +542,15 @@ class TestCompiledChecks:
             with pytest.raises(ValueError):
                 compiled.build_tables(2, [bad_edge], [1, 1], 2)
         with pytest.raises(ValueError):
-            compiled.box_enumerate(tables, 2, 1, [0, 0], [1, 1], MODE_QUASISTABLE)
+            compiled.box_enumerate(tables, 2, 1, [0, 0], [1, 1], MODE_QUASISTABLE, [0, 1])
         n, scale, floor, plan = tables
         with pytest.raises(ValueError):
             compiled.box_enumerate(
-                (n, scale, floor[:-1], plan), 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE
+                (n, scale, floor[:-1], plan), 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1]
             )
-        assert compiled.box_enumerate(tables, 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE) == [
-            (0, 1),
-            (1, 0),
-        ]
+        assert compiled.box_enumerate(
+            tables, 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1]
+        ) == [(0, 1), (1, 0)]
         # a level missing, a mask under the wrong top vertex, unknown
         # checks, a prefix not listed before its mask
         n, scale, floor, plan = compiled.build_tables(3, [(0, 1), (1, 2)], [1, 1, 0], 2)
@@ -517,8 +558,23 @@ class TestCompiledChecks:
         for bad_plan in bad_plans:
             with pytest.raises(ValueError):
                 compiled.box_enumerate(
-                    (n, scale, floor, bad_plan), 0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE
+                    (n, scale, floor, bad_plan), 0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE, [0, 1, 2]
                 )
+
+    def test_at_not_a_permutation_raises(self):
+        # a repeated position, one past the end, a negative one, and too
+        # few or too many; one vertex, whose search never reads ``at``
+        # beyond its check, included
+        compiled = implementations()[0]
+        tables = compiled.build_tables(3, [(0, 1), (1, 2)], [1, 1, 0], 2)
+        for bad_at in ([0, 1, 1], [0, 1, 3], [-1, 0, 1], [0, 1], [0, 1, 2, 3]):
+            with pytest.raises(ValueError):
+                compiled.box_enumerate(tables, 0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE, bad_at)
+        one = compiled.build_tables(1, [], [4], 2)
+        for bad_at in ([1], [-1], []):
+            with pytest.raises(ValueError):
+                compiled.box_enumerate(one, 0, 2, [0], [5], MODE_SEMISTABLE, bad_at)
+        assert compiled.box_enumerate(one, 0, 2, [0], [5], MODE_SEMISTABLE, [0]) == [(2,)]
 
 
 class TestBigValues:
