@@ -300,12 +300,6 @@ def box_enumerate(tables, v0, total, lo, hi, mode, at):
     d, last_at = [0] * n, at[n - 1]
     out = []
 
-    # level n - 2, the last with checks, runs inside the loop of level
-    # n - 3, which saves a call per parent of outputs; with two vertices
-    # it is level 0, and place runs it as any other level
-    _, own2, keep2, cl2, gl2, cu2, gu2, _, pos2 = levels[n - 2]
-    lo2, hi2, lo_last, hi_last = lo[n - 2], hi[n - 2], lo[n - 1], hi[n - 1]
-
     def place(k, partial, state):
         # the level's tests read only its own fields, ``here``
         step, own, keep, cl, gl, cu, gu, width, pos = levels[k]
@@ -317,20 +311,8 @@ def box_enumerate(tables, v0, total, lo, hi, mode, at):
         for dv in range(first, last + 1):
             if (here + cl) & gl == gl and not (here + cu) & gu:
                 d[pos] = dv
-                if k < n - 3:
+                if k < n - 2:
                     place(k + 1, partial + dv, (state + dv * step) >> width)
-                elif k == n - 3:
-                    rest2 = rest - dv
-                    first2, last2 = rest2 - hi_last, rest2 - lo_last
-                    first2 = lo2 if lo2 > first2 else first2
-                    last2 = hi2 if hi2 < last2 else last2
-                    here2 = ((state + dv * step) >> width & keep2) + first2 * own2
-                    for dv2 in range(first2, last2 + 1):
-                        if (here2 + cl2) & gl2 == gl2 and not (here2 + cu2) & gu2:
-                            d[pos2] = dv2
-                            d[last_at] = rest2 - dv2
-                            out.append(tuple(d))
-                        here2 += own2
                 else:
                     d[last_at] = rest - dv
                     out.append(tuple(d))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -169,6 +170,12 @@ def ceil_table(n, edges, s_flags, scaled_q, scale):
     return out
 
 
+@lru_cache(maxsize=16)
+def _plain_floor(n, edges, scaled_q, scale):
+    # box_search runs many boxes on one graph; the table depends only on it
+    return floor_table(n, edges, [False] * len(edges), scaled_q, scale)
+
+
 def box_search(n, edges, scaled_q, scale, v0, total, lo, hi, kind):
     """The box search of the kernels without their plan or their dropped
     bounds: depth-first over the vertices in index order, each value from
@@ -179,7 +186,7 @@ def box_search(n, edges, scaled_q, scale, v0, total, lo, hi, kind):
     ``floor[m]`` and at most ``scale * total - floor[full ^ m]``, strictly as
     ``kind`` says.  The outputs come in increasing order."""
     full = (1 << n) - 1
-    floor = floor_table(n, edges, [False] * len(edges), scaled_q, scale)
+    floor = _plain_floor(n, tuple(map(tuple, edges)), tuple(scaled_q), scale)
     d = [0] * n
     out = []
 

@@ -285,8 +285,7 @@ class TestBoxSearch:
         # a random permutation at re-indexes the identity-order rows: the
         # value of search vertex k goes to position at[k], rows in the
         # search's order.  Every size has outputs, among them n = 1 (no
-        # search), n = 2 (level 0 runs the last checked level itself) and
-        # n = 3 (level 0 runs level 1 inside its own loop).
+        # search), n = 2 (level 0 is the last checked level) and n = 3.
         rng = random.Random(67)
         outputs = dict.fromkeys(range(1, 9), 0)
         for trial in range(200):
