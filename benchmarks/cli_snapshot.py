@@ -2,10 +2,12 @@
 checkouts, or the two kernels, can be compared byte for byte.
 
 The requests are ``enum`` of all three kinds, ``strata`` and ``strata
---max-codim=1 --verbose`` on every case of the test corpus
-(``tests/corpus.py``), ``blowup-check`` and ``blowup-check --verbose`` on
-the cases with at most 7 edges, and round 0 of perfbench's ``enumerate``
-(seeds 5 and 6) and ``sweep`` (seed 7).  Each runs through
+--max-codim=1 --verbose``, ``check-pol --verbose``, ``complexity`` and
+``reduce`` of the multidegree with the whole budget on the first vertex on
+every case of the test corpus (``tests/corpus.py``), ``blowup-check`` and
+``blowup-check --verbose`` on the cases with at most 7 edges, and round 0
+of perfbench's ``enumerate`` (seeds 5 and 6), ``sweep`` (seed 7) and
+``query`` (seed 3).  Each runs through
 ``jacgraph.cli.main`` in this process.  The file holds, per request, a
 header line with its arguments (the problem directory written as ``W``)
 and exit code, then its stdout, then its stderr, if any, under a
@@ -32,7 +34,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-ROUNDS = (("enumerate", 5), ("enumerate", 6), ("sweep", 7))
+ROUNDS = (("enumerate", 5), ("enumerate", 6), ("sweep", 7), ("query", 3))
 
 
 def corpus_requests(corpus, work: Path):
@@ -51,6 +53,11 @@ def corpus_requests(corpus, work: Path):
             yield ["enum", str(path), "--kind", kind]
         yield ["strata", str(path)]
         yield ["strata", str(path), "--max-codim=1", "--verbose"]
+        yield ["check-pol", str(path), "--verbose"]
+        yield ["complexity", str(path)]
+        budget = case.q.total - len(case.stratum)
+        degrees = [budget] + [0] * (g.num_vertices - 1)
+        yield ["reduce", str(path), "--multidegree=" + ",".join(map(str, degrees))]
         if g.num_edges <= 7:
             yield ["blowup-check", str(path)]
             yield ["blowup-check", str(path), "--verbose"]

@@ -6,6 +6,10 @@ Conventions used throughout the package:
   listing (components, subsets, new graphs) is deterministic;
 - loops are stored like any other edge but never contribute to valences,
   crossing counts or bridges;
+- the endpoint index pairs of the edges, in edge order and with a loop at
+  the vertex of index i as ``(i, i)``, are computed once at construction;
+  the queries below and the numeric modules read them, with vertex subsets
+  as bitmasks over the vertex indices;
 - surgeries (edge deletion, subdivision, contraction, ...) build new
   graphs; a Multigraph is never mutated after construction.
 """
@@ -71,18 +75,13 @@ class Multigraph:
 
     Parallel edges and loops are allowed.  Edges carry stable ids; when an
     edge is given as a plain endpoint pair the id defaults to ``e<k>`` with
-    ``k`` the position in the input listing.
+    ``k`` the position in the input listing.  The constructor also records
+    each edge's endpoint index pair ``(pos[u], pos[v])`` in ``_pairs``, in
+    edge order, a loop as ``(i, i)``.  Malformed input raises
+    GraphConstructionError or, for an unknown vertex, UnknownVertexError.
     """
 
-    __slots__ = (
-        "vertices",
-        "edges",
-        "_genus",
-        "_vpos",
-        "_edge_by_id",
-        "_adj",
-        "_loops",
-    )
+    __slots__ = ("vertices", "edges", "_genus", "_vpos", "_edge_by_id", "_pairs")
 
     def __init__(
         self,
@@ -96,22 +95,26 @@ class Multigraph:
         self.vertices = vs
         self._vpos = {v: i for i, v in enumerate(vs)}
 
-        norm = []
+        norm, pairs, pos = [], [], self._vpos
         for k, item in enumerate(edges):
-            if isinstance(item, Edge):
-                eid, u, v = item
-            elif len(item) == 2:
+            try:
+                size = len(item)  # an Edge is an (id, u, v) triple
+            except TypeError:
+                size = None
+            if size == 2:
                 (u, v), eid = item, f"e{k}"
-            elif len(item) == 3:
+            elif size == 3:
                 eid, u, v = item
             else:
                 raise GraphConstructionError(f"cannot interpret edge entry {item!r}")
-            if u not in self._vpos:
-                raise UnknownVertexError(f"edge {eid!r} endpoint {u!r} is not a vertex")
-            if v not in self._vpos:
-                raise UnknownVertexError(f"edge {eid!r} endpoint {v!r} is not a vertex")
+            a, b = pos.get(u), pos.get(v)
+            if a is None or b is None:
+                w = u if a is None else v
+                raise UnknownVertexError(f"edge {eid!r} endpoint {w!r} is not a vertex")
             norm.append(Edge(eid, u, v))
+            pairs.append((a, b))
         self.edges = tuple(norm)
+        self._pairs = tuple(pairs)
         self._edge_by_id = {e.id: e for e in self.edges}
         if len(self._edge_by_id) != len(self.edges):
             raise GraphConstructionError("duplicate edge ids")
@@ -120,22 +123,14 @@ class Multigraph:
         for v, gv in (genus or {}).items():
             if v not in self._vpos:
                 raise UnknownVertexError(f"genus given for unknown vertex {v!r}")
-            if int(gv) != gv or gv < 0:
+            try:
+                ok = int(gv) == gv and gv >= 0
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
                 raise GraphConstructionError(f"genus of {v!r} must be a nonnegative integer")
             g[v] = int(gv)
         self._genus = g
-
-        # adjacency with multiplicities, loops kept separate
-        adj: dict[Vertex, dict[Vertex, int]] = {v: {} for v in vs}
-        loops: dict[Vertex, int] = {v: 0 for v in vs}
-        for e in self.edges:
-            if e.is_loop:
-                loops[e.u] += 1
-            else:
-                adj[e.u][e.v] = adj[e.u].get(e.v, 0) + 1
-                adj[e.v][e.u] = adj[e.v].get(e.u, 0) + 1
-        self._adj = adj
-        self._loops = loops
 
     # -- basic queries ---------------------------------------------------
 
@@ -165,7 +160,8 @@ class Multigraph:
 
     def loops_at(self, v: Vertex) -> int:
         self._check_vertex(v)
-        return self._loops[v]
+        i = self._vpos[v]
+        return self._pairs.count((i, i))
 
     def adjacency(self, u: Vertex, v: Vertex) -> int:
         """Number of non-loop edges joining two distinct vertices."""
@@ -173,11 +169,21 @@ class Multigraph:
         self._check_vertex(v)
         if u == v:
             return 0
-        return self._adj[u].get(v, 0)
+        i, j = self._vpos[u], self._vpos[v]
+        return self._pairs.count((i, j)) + self._pairs.count((j, i))
 
     def _check_vertex(self, v):
         if v not in self._vpos:
             raise UnknownVertexError(f"unknown vertex {v!r}")
+
+    def _mask(self, W) -> int:
+        """Bitmask over the vertex indices of the checked vertex set W."""
+        pos = self._vpos
+        return sum(1 << pos[v] for v in W)
+
+    def _vertex_set(self, mask: int) -> frozenset:
+        """The vertices whose index bits are set in ``mask``."""
+        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
     def vertex_subset(self, ws: Iterable[Vertex]) -> frozenset:
         W = frozenset(ws)
@@ -214,56 +220,43 @@ class Multigraph:
     ) -> int:
         """Like :meth:`valence` but only edges from the set S are counted."""
         S = self.edge_subset(S)
-        W1 = self.vertex_subset(W1)
-        W2 = self.complement(W1) if W2 is None else self.vertex_subset(W2)
-        if W1 & W2:
+        m1 = self._mask(self.vertex_subset(W1))
+        full = (1 << self.num_vertices) - 1
+        m2 = full ^ m1 if W2 is None else self._mask(self.vertex_subset(W2))
+        if m1 & m2:
             raise InvalidSubsetError("valence requires disjoint vertex subsets")
-        count = 0
-        for eid in S:
-            e = self._edge_by_id[eid]
-            if e.is_loop:
-                continue
-            if (e.u in W1 and e.v in W2) or (e.u in W2 and e.v in W1):
-                count += 1
-        return count
+        # a loop never counts: its one end cannot lie in both subsets
+        return sum(
+            1
+            for e, (a, b) in zip(self.edges, self._pairs)
+            if (m1 >> a & m2 >> b | m2 >> a & m1 >> b) & 1 and e.id in S
+        )
 
     def induced_edge_count(self, S: Iterable, W: Iterable[Vertex]) -> int:
         """Number of edges of S with both endpoints in W; loops at W count."""
         S = self.edge_subset(S)
-        W = self.vertex_subset(W)
+        m = self._mask(self.vertex_subset(W))
         return sum(
-            1
-            for eid in S
-            if (e := self._edge_by_id[eid]).u in W and e.v in W
+            1 for e, (a, b) in zip(self.edges, self._pairs) if m >> a & m >> b & 1 and e.id in S
         )
 
     # -- connectivity ----------------------------------------------------
 
+    def _pieces(self):
+        """The components as vertex bitmasks, ordered by lowest vertex."""
+        n = self.num_vertices
+        return _mask_pieces((1 << n) - 1, _adjacency_masks(n, self._pairs))
+
     def components(self) -> list[frozenset]:
         """Connected components as vertex sets, ordered by first vertex."""
-        seen: set = set()
-        out = []
-        for root in self.vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
+        return [self._vertex_set(piece) for piece in self._pieces()]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(list(self._pieces())) <= 1
 
     def first_betti(self) -> int:
         """Cycle rank |E| - |V| + (number of components); loops contribute."""
-        return self.num_edges - self.num_vertices + len(self.components())
+        return self.num_edges - self.num_vertices + len(list(self._pieces()))
 
     def subcurve_genus(self, W: Iterable[Vertex]) -> int:
         """Total genus carried by W: vertex genera plus the cycle rank of
@@ -279,61 +272,50 @@ class Multigraph:
     def bridges(self) -> frozenset:
         """Edge ids whose removal disconnects their component.
 
-        Iterative depth-first search with low-links; a parallel edge is
-        never a bridge because the twin edge provides the back link, and
-        loops are ignored outright.
+        Iterative depth-first search with low-links over the incidence
+        lists of the edge indices; a parallel edge is never a bridge because
+        the twin edge provides the back link, and loops are ignored outright.
         """
-        disc: dict[Vertex, int] = {}
-        low: dict[Vertex, int] = {}
-        out = set()
-        counter = 0
-        for root in self.vertices:
-            if root in disc:
+        n = self.num_vertices
+        incident = [[] for _ in range(n)]
+        for k, (a, b) in enumerate(self._pairs):
+            if a != b:
+                incident[a].append((k, b))
+                incident[b].append((k, a))
+        disc, low, out, counter = [-1] * n, [0] * n, [], 0
+        for root in range(n):
+            if disc[root] >= 0:
                 continue
-            stack = [(root, None, None, self._iter_incident(root))]
             disc[root] = low[root] = counter
             counter += 1
+            stack = [(root, -1, iter(incident[root]))]
             while stack:
-                x, parent_edge, parent, it = stack[-1]
-                advanced = False
-                for eid, y in it:
-                    if eid == parent_edge or y == x:
+                x, via, it = stack[-1]
+                for k, y in it:
+                    if k == via:
                         continue
-                    if y not in disc:
+                    if disc[y] < 0:
                         disc[y] = low[y] = counter
                         counter += 1
-                        stack.append((y, eid, x, self._iter_incident(y)))
-                        advanced = True
+                        stack.append((y, k, iter(incident[y])))
                         break
                     low[x] = min(low[x], disc[y])
-                if advanced:
-                    continue
-                stack.pop()
-                if parent is not None:
-                    low[parent] = min(low[parent], low[x])
-                    if low[x] > disc[parent]:
-                        out.add(parent_edge)
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        low[parent] = min(low[parent], low[x])
+                        if low[x] > disc[parent]:
+                            out.append(self.edges[via].id)
         return frozenset(out)
-
-    def _iter_incident(self, x):
-        for e in self.edges:
-            if e.is_loop:
-                continue
-            if e.u == x:
-                yield e.id, e.v
-            elif e.v == x:
-                yield e.id, e.u
 
     def is_spine(self, W: Iterable[Vertex]) -> bool:
         """True when every edge crossing from W to its complement is a bridge."""
-        W = self.vertex_subset(W)
+        m = self._mask(self.vertex_subset(W))
         br = self.bridges()
-        for e in self.edges:
-            if e.is_loop:
-                continue
-            if (e.u in W) != (e.v in W) and e.id not in br:
-                return False
-        return True
+        return all(
+            e.id in br for e, (a, b) in zip(self.edges, self._pairs) if (m >> a ^ m >> b) & 1
+        )
 
     # -- surgeries -------------------------------------------------------
 

@@ -123,8 +123,7 @@ def laplacian_matrix(g: Multigraph) -> list[list[int]]:
     """Matrix of d -> Laplacian(d) in the vertex basis: off-diagonal entries
     are edge multiplicities, the diagonal is minus the vertex valence.
     Loops do not appear."""
-    pos = g._vpos
-    return _laplacian(g.num_vertices, [(pos[e.u], pos[e.v]) for e in g.edges])
+    return _laplacian(g.num_vertices, g._pairs)
 
 
 def _laplacian(n: int, pairs) -> list[list[int]]:
@@ -144,10 +143,8 @@ def laplacian_apply(g: Multigraph, d: Cochain) -> Cochain:
     """Image of d under the Laplacian; the result always has total zero."""
     if d.graph != g:
         raise GraphMismatchError("cochain bound to a different graph")
-    pos, x = g._vpos, d.values
-    vals = [0] * g.num_vertices
-    for e in g.edges:
-        a, b = pos[e.u], pos[e.v]
+    x, vals = d.values, [0] * g.num_vertices
+    for a, b in g._pairs:
         move = x[a] - x[b]  # 0 on a loop
         vals[a] -= move
         vals[b] += move
@@ -294,8 +291,7 @@ def complexity(g: Multigraph) -> int:
     graph has none."""
     if g.num_vertices == 0:
         raise EmptyGraphError("complexity of the empty graph is undefined")
-    pos = g._vpos
-    return _tree_count(g.num_vertices, [(pos[e.u], pos[e.v]) for e in g.edges])
+    return _tree_count(g.num_vertices, g._pairs)
 
 
 def _tree_count(n: int, pairs) -> int:
@@ -328,8 +324,7 @@ def picard_group(g: Multigraph) -> PicardGroup:
     n = g.num_vertices
     if n == 0:
         raise EmptyGraphError("degree class group of the empty graph is undefined")
-    pos = g._vpos
-    pairs = [(pos[e.u], pos[e.v]) for e in g.edges if e.u != e.v]
+    pairs = [(a, b) for a, b in g._pairs if a != b]
     tree = _spanning_tree(n, pairs)
     if tree is None:
         raise DisconnectedGraphError("degree class group is infinite: graph is disconnected")
@@ -406,8 +401,6 @@ def same_class(g: Multigraph, d1: Cochain, d2: Cochain) -> bool:
         raise DegreeMismatchError(f"total degrees differ: {d1.total} vs {d2.total}")
     if not g.is_connected():
         raise DisconnectedGraphError("multidegree classes need a connected graph")
-    pos = g._vpos
-    pairs = [(pos[e.u], pos[e.v]) for e in g.edges]
     b = [x - y for x, y in zip(d1.values, d2.values)]
-    top, x = _solve(_reduced_laplacian(g.num_vertices, pairs, 0, b))
+    top, x = _solve(_reduced_laplacian(g.num_vertices, g._pairs, 0, b))
     return all(v % top == 0 for v in x)

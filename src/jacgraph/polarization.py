@@ -125,17 +125,13 @@ class Polarization:
         """
         g = self.graph
         S = g.edge_subset(S)
-        gdel = g.delete_edges(S)
-        vals = {}
-        for v in g.vertices:
-            crossing = sum(
-                1
-                for eid in S
-                if not (e := g.edge(eid)).is_loop and v in (e.u, e.v)
-            )
-            loops = sum(1 for eid in S if (e := g.edge(eid)).is_loop and e.u == v)
-            vals[v] = self[v] - Fraction(crossing, 2) - loops
-        return Polarization(gdel, vals)
+        halves = [0] * g.num_vertices  # an S-loop pays both halves at its vertex
+        for e, (a, b) in zip(g.edges, g._pairs):
+            if e.id in S:
+                halves[a] += 1
+                halves[b] += 1
+        vals = [x - Fraction(h, 2) for x, h in zip(self.values, halves)]
+        return Polarization(g.delete_edges(S), vals)
 
     def blown_up(self, S: Iterable) -> "Polarization":
         """Transfer to the subdivision of the edges of S: old vertices keep
@@ -166,7 +162,7 @@ class Polarization:
         piece of the mask and of its complement."""
         g = self.graph
         scale, resid = self._scaled()
-        pairs = [(g._vpos[e.u], g._vpos[e.v]) for e in g.edges if not e.is_loop]
+        pairs = [(a, b) for a, b in g._pairs if a != b]
         for a, b in pairs:
             resid[a] -= scale // 2
             resid[b] -= scale // 2
@@ -189,7 +185,7 @@ class Polarization:
         W = g.vertex_subset(W)
         if not W or len(W) == g.num_vertices:
             raise InvalidSubsetError("integrality is tested on proper nonempty subsets")
-        return self._integrality()[2](sum(1 << g._vpos[v] for v in W))
+        return self._integrality()[2](g._mask(W))
 
     def _integral_masks(self):
         """Integral proper subsets as ``(mask, is_spine)``, in bitmask order.
@@ -201,7 +197,7 @@ class Polarization:
         scan_guard(n, "classification")
         scale, resid, test = self._integrality()
         br = g.bridges()
-        kept = [(g._vpos[e.u], g._vpos[e.v]) for e in g.edges if e.id not in br]
+        kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
         sums = [0]  # residue sums mod scale, indexed by mask
         for k in range(n):
             sums += [(s + resid[k]) % scale for s in sums]
@@ -235,8 +231,7 @@ class Polarization:
                 break
         if hit is None:
             return None
-        verts = self.graph.vertices
-        return frozenset(v for i, v in enumerate(verts) if hit[0] >> i & 1), hit[1]
+        return self.graph._vertex_set(hit[0]), hit[1]
 
 
 def canonical_polarization(g: Multigraph, degree: int) -> Polarization:

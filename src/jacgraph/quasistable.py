@@ -320,18 +320,16 @@ class StratumContext:
 
         # the partial normalization (G - S, q_S): an S-edge takes half a
         # unit from each end, an S-loop a whole unit from its vertex
-        pos = graph._vpos
         self.scale, base = q._scaled()
         half, kept = self.scale // 2, []
-        for e in graph.edges:
-            a, b = pos[e.u], pos[e.v]
+        for e, (a, b) in zip(graph.edges, graph._pairs):
             if e.id not in self.stratum:
                 if a != b:
                     kept.append((a, b))
             else:
                 base[a] -= half
                 base[b] -= half
-        self._ints = _ScaledStratum(kept, base, self.scale, pos[basepoint], self.budget)
+        self._ints = _ScaledStratum(kept, base, self.scale, graph._vpos[basepoint], self.budget)
         self._deleted = None
 
     # -- plumbing --------------------------------------------------------
@@ -353,10 +351,6 @@ class StratumContext:
             raise DegreeBudgetError(
                 f"total degree {d.total} does not meet the budget {self.budget}"
             )
-
-    def _mask_to_set(self, mask: int) -> frozenset:
-        verts = self.graph.vertices
-        return frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
 
     # -- pointwise defect functionals ------------------------------------
 
@@ -395,17 +389,16 @@ class StratumContext:
     def defects(self, d: Cochain) -> DefectReport:
         self._check_cochain(d)
         self._require_budget(d)
-        full = (1 << self.graph.num_vertices) - 1
+        g = self.graph
+        full = (1 << g.num_vertices) - 1
         best, least, greatest, bp = self._ints.defect_cut(d.values)
         worst = Fraction(best, self.scale)
         return DefectReport(
             max_excess=worst,
             max_deficit=worst,
-            excess_core=self._mask_to_set(full ^ greatest),
-            deficit_core=self._mask_to_set(least),
-            basepoint_deficit_core=(
-                self._mask_to_set(bp) if bp is not None else None
-            ),
+            excess_core=g._vertex_set(full ^ greatest),
+            deficit_core=g._vertex_set(least),
+            basepoint_deficit_core=g._vertex_set(bp) if bp is not None else None,
         )
 
     # -- stability predicates --------------------------------------------

@@ -38,7 +38,7 @@ from .quasistable import StratumContext
 EDGE_GUARD_DEFAULT = 16
 
 
-def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> list[tuple]:
+def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> tuple:
     """Endpoint index pairs of g, after the checks both whole-graph sweeps
     make: the polarization's graph, the basepoint and the edge guard."""
     if q.graph != g:
@@ -49,7 +49,7 @@ def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> list[tuple]:
             f"{action} the guard of {guard_edges} "
             "(JACGRAPH_GUARD_EDGES overrides it on the command line)"
         )
-    return [(g._vpos[e.u], g._vpos[e.v]) for e in g.edges]
+    return g._pairs
 
 
 def _specialise(parent: list[tuple], members: set, u: int, v: int) -> list[tuple]:
@@ -308,13 +308,11 @@ def pushforward_multidegree(
         raise GraphMismatchError(
             "multidegree lives on a graph with a different vertex listing"
         )
-    loops = [
-        sum(1 for eid in S if (e := g.edge(eid)).is_loop and e.u == v)
-        for v in g.vertices
-    ]
-    vertex_degrees = Cochain(
-        g, tuple(d.values[i] + loops[i] for i in range(g.num_vertices))
-    )
+    loops = [0] * g.num_vertices
+    for e, (a, b) in zip(g.edges, g._pairs):
+        if a == b and e.id in S:
+            loops[a] += 1
+    vertex_degrees = Cochain(g, tuple(x + k for x, k in zip(d.values, loops)))
     return PushforwardDegrees(
         graph=g,
         stratum=S,

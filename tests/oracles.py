@@ -66,6 +66,43 @@ def stratum_inside_count(g, S, W) -> int:
     return total
 
 
+def valence_between(g, S, W1, W2) -> int:
+    """Edges of S with one endpoint in W1 and the other in W2."""
+    W1, W2 = set(W1), set(W2)
+    return sum(
+        1
+        for e in g.edges
+        if e.id in S and ((e.u in W1 and e.v in W2) or (e.u in W2 and e.v in W1))
+    )
+
+
+def adjacency(g, u, v) -> int:
+    """Non-loop edges joining the distinct vertices u and v."""
+    return sum(1 for e in g.edges if u != v and {e.u, e.v} == {u, v})
+
+
+def loops_at(g, v) -> int:
+    return sum(1 for e in g.edges if e.u == e.v == v)
+
+
+def components(g) -> list[frozenset]:
+    """Connected components by a union-find on the vertex labels, ordered
+    by their first vertex."""
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for e in g.edges:
+        root[find(e.u)] = find(e.v)
+    groups: dict = {}
+    for v in g.vertices:
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(c) for c in groups.values()]
+
+
 def brute_force_multidegrees(g, q, basepoint, S, kind):
     """All multidegrees of the given kind, straight from the definition.
 
@@ -316,7 +353,7 @@ def same_class(g, d1, d2) -> bool:
             raise GraphMismatchError("cochain bound to a different graph")
     if d1.total != d2.total:
         raise DegreeMismatchError(f"total degrees differ: {d1.total} vs {d2.total}")
-    if not g.is_connected():
+    if len(components(g)) > 1:
         raise DisconnectedGraphError("multidegree classes need a connected graph")
     lap = laplacian_matrix(g)
     augmented = [row + [x - y] for row, x, y in zip(lap, d1.values, d2.values)]
@@ -360,7 +397,7 @@ def adjusted_total(g, q, W) -> Fraction:
 
 def is_bridge(g, eid) -> bool:
     """Whether deleting the edge raises the number of components."""
-    return len(g.delete_edges([eid]).components()) > len(g.components())
+    return len(components(g.delete_edges([eid]))) > len(components(g))
 
 
 def is_integral_at(g, q, W) -> bool:
@@ -368,7 +405,7 @@ def is_integral_at(g, q, W) -> bool:
     induced subgraphs, has an integer adjusted total."""
     W = frozenset(W)
     for side in (W, g.complement(W)):
-        for piece in g.induced_subgraph(side).components():
+        for piece in components(g.induced_subgraph(side)):
             if adjusted_total(g, q, piece).denominator != 1:
                 return False
     return True

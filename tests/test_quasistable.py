@@ -227,6 +227,11 @@ class TestEnumerate:
         assert ctx.deficit(d, names[1:]) == Fraction(3, 2)
 
 
+def _subset(g, mask):
+    """The vertices of g whose index bits are set in mask."""
+    return frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+
+
 def _oracle_scan(ctx, d):
     """The subset-scan oracle on the whole-graph floor table of ctx."""
     g = ctx.graph
@@ -263,10 +268,10 @@ class TestCutAgainstOracle:
                     rep = ctx.defects(d)
                     where = (case.index, v0, vals)
                     assert rep.max_deficit == Fraction(best, ctx.scale), where
-                    assert rep.deficit_core == ctx._mask_to_set(and_acc), where
-                    assert rep.excess_core == ctx._mask_to_set(full ^ or_acc), where
+                    assert rep.deficit_core == _subset(ctx.graph, and_acc), where
+                    assert rep.excess_core == _subset(ctx.graph, full ^ or_acc), where
                     assert rep.basepoint_deficit_core == (
-                        None if bp is None else ctx._mask_to_set(bp)
+                        None if bp is None else _subset(ctx.graph, bp)
                     ), where
                     assert ctx.is_semistable(d) == (best == 0), where
                     assert ctx.is_quasistable(d) == (best == 0 and bp == full), where
@@ -372,7 +377,7 @@ class TestReduce:
                 ctx._apply_delta(vals, ctx._ints.centre_jump(vals))
                 d = Cochain(case.graph, vals)
                 for mask in range(1, 1 << n):
-                    W = ctx._mask_to_set(mask)
+                    W = _subset(ctx.graph, mask)
                     cut = oracles.crossing_count(ctx.deleted_graph, W)
                     assert ctx.deficit(d, W) <= Fraction(cut, 2), case.index
 
