@@ -77,8 +77,9 @@ class Multigraph:
     edge is given as a plain endpoint pair the id defaults to ``e<k>`` with
     ``k`` the position in the input listing.  The constructor also records
     each edge's endpoint index pair ``(pos[u], pos[v])`` in ``_pairs``, in
-    edge order, a loop as ``(i, i)``.  Malformed input raises
-    GraphConstructionError or, for an unknown vertex, UnknownVertexError.
+    edge order, a loop as ``(i, i)``.  A malformed edge entry or genus raises
+    GraphConstructionError, an endpoint that is not a vertex
+    UnknownVertexError.
     """
 
     __slots__ = ("vertices", "edges", "_genus", "_vpos", "_edge_by_id", "_pairs")
