@@ -2,13 +2,18 @@
 
 Runs the two kernel entry points (table construction, box enumeration)
 on chorded cycle graphs of growing size and reports per-call times for
-every available implementation, plus the library's minimum-cut defect
-scan (one implementation, no kernel involved) on the same graphs.  For
-each size it also prints how many of the 2^n vertex subsets the box
-search's plan checks, and how many more it keeps only as prefixes.
+every available implementation, plus two library calls with one
+implementation and no kernel involved: the minimum-cut defect scan, and
+the degree class group (``picard_group``) of the graph, which it takes on
+the cycle side, and of the graph with every edge doubled, which it takes
+on the Laplacian side.  For each size it also prints how many of the 2^n
+vertex subsets the box search's plan checks, and how many more it keeps
+only as prefixes.  Above the kernels' 20-vertex limit only the degree
+class group rows are printed.
 
     python benchmarks/bench_kernel.py
     python benchmarks/bench_kernel.py --sizes 12,14,16 --repeat 5
+    python benchmarks/bench_kernel.py --sizes 40,80,120 --repeat 11
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import argparse
 import time
 from fractions import Fraction
 
-from jacgraph import Multigraph, Polarization, StratumContext
-from jacgraph._kernel import MODE_QUASISTABLE, implementations
+from jacgraph import Multigraph, Polarization, StratumContext, picard_group
+from jacgraph._kernel import MODE_QUASISTABLE, SUBSET_SCAN_LIMIT, implementations
 
 
 def chorded_cycle(n: int) -> Multigraph:
@@ -72,6 +77,13 @@ def main(argv=None) -> int:
 
     for n in sizes:
         g = chorded_cycle(n)
+        doubled = Multigraph(g.vertices, [(e.u, e.v) for e in g.edges] * 2)
+        for label, graph in (("picard", g), ("picard x2", doubled)):
+            t_pic, _ = best_of(args.repeat, picard_group, graph)
+            print(f"{n:>3} {label:<12}{t_pic * 1e3:>10.2f}ms")
+        if n > SUBSET_SCAN_LIMIT:
+            print(f"    (no kernel rows above {SUBSET_SCAN_LIMIT} vertices)")
+            continue
         half = Fraction(1, 2)
         values = [half] * n
         if n % 2:

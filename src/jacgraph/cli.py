@@ -31,8 +31,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DisconnectedGraphError, JacGraphError, PolarizationTotalError
-from .graph import Multigraph
+from .errors import DisconnectedGraphError, JacGraphError
+from .graph import Edge, Multigraph
 from .lattice import Cochain, complexity, laplacian_apply, picard_group
 from .polarization import Polarization
 from .quasistable import StratumContext
@@ -46,14 +46,10 @@ class ProblemFileError(Exception):
 
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ProblemFileError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:  # not a bool
         return Fraction(value)
     if isinstance(value, float):
-        raise ProblemFileError(
-            f"float {value!r} rejected; write rationals as \"p/q\" strings"
-        )
+        raise ProblemFileError(f'float {value!r} rejected; write rationals as "p/q" strings')
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
@@ -88,32 +84,24 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list):
         raise ProblemFileError("'vertices' must be a list")
-    names = []
-    genus = {}
+    pos, genus = {}, {}
     for entry in raw_vertices:
         if isinstance(entry, str):
             name, gv = entry, 0
         elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
-            name = entry["name"]
-            gv = entry.get("genus", 0)
+            name, gv = entry["name"], entry.get("genus", 0)
             if not isinstance(gv, int) or isinstance(gv, bool) or gv < 0:
-                raise ProblemFileError(
-                    f"genus of {name!r} must be a nonnegative integer"
-                )
+                raise ProblemFileError(f"genus of {name!r} must be a nonnegative integer")
         else:
             raise ProblemFileError(f"cannot interpret vertex entry {entry!r}")
-        if name in genus:
+        if name in pos:
             raise ProblemFileError(f"duplicate vertex name {name!r}")
-        names.append(name)
-        genus[name] = gv
+        pos[name], genus[name] = len(pos), gv
 
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ProblemFileError("'edges' must be a list")
-    edges = []
-    explicit = {
-        e.get("id") for e in raw_edges if isinstance(e, dict) and isinstance(e.get("id"), str)
-    }
+    by_id, pairs, explicit = {}, [], None
     for k, entry in enumerate(raw_edges):
         if not isinstance(entry, dict) or "endpoints" not in entry:
             raise ProblemFileError(f"cannot interpret edge entry {entry!r}")
@@ -122,58 +110,50 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
             raise ProblemFileError(f"edge {k} needs exactly two endpoints")
         u, v = ends
         for w in (u, v):
-            if not isinstance(w, str) or w not in genus:
+            if not isinstance(w, str) or w not in pos:
                 raise ProblemFileError(f"edge {k} endpoint {w!r} is not a vertex")
         eid = entry.get("id")
         if eid is None:
             eid = f"e{k}"
+            if explicit is None:  # the ids given anywhere in the file
+                ids = (e.get("id") for e in raw_edges if isinstance(e, dict))
+                explicit = {x for x in ids if isinstance(x, str)}
             if eid in explicit:
-                raise ProblemFileError(
-                    f"default id {eid!r} collides with an explicit edge id"
-                )
+                raise ProblemFileError(f"default id {eid!r} collides with an explicit edge id")
         elif not isinstance(eid, str):
             raise ProblemFileError(f"edge id {eid!r} must be a string")
-        edges.append((eid, u, v))
-    if len({e[0] for e in edges}) != len(edges):
+        by_id[eid] = Edge(eid, u, v)
+        pairs.append((pos[u], pos[v]))
+    if len(by_id) != len(pairs):
         raise ProblemFileError("duplicate edge ids")
-
-    try:
-        graph = Multigraph(names, edges, genus)
-    except JacGraphError as exc:
-        raise ProblemFileError(str(exc)) from exc
+    graph = Multigraph._of(pos, by_id, tuple(pairs), genus)
 
     pol = None
     if "polarization" in data:
         raw_pol = data["polarization"]
         if not isinstance(raw_pol, dict):
             raise ProblemFileError("'polarization' must be an object")
-        unknown = [k for k in raw_pol if k not in genus]
-        if unknown:
+        if unknown := [k for k in raw_pol if k not in pos]:
             raise ProblemFileError(f"polarization names unknown vertices {unknown!r}")
-        missing = [v for v in names if v not in raw_pol]
-        if missing:
+        if missing := [v for v in pos if v not in raw_pol]:
             raise ProblemFileError(f"polarization misses vertices {missing!r}")
-        values = {k: parse_rational(v) for k, v in raw_pol.items()}
-        try:
-            pol = Polarization(graph, values)
-        except PolarizationTotalError as exc:
-            raise ProblemFileError(str(exc)) from exc
+        parsed = {k: parse_rational(v) for k, v in raw_pol.items()}  # errors in file order
+        values = tuple(parsed[v] for v in pos)
+        total = sum(values, Fraction(0))
+        if total.denominator != 1:
+            raise ProblemFileError(f"polarization total {total} is not an integer")
+        pol = Polarization._of(graph, values)
 
     basepoint = basepoint_flag if basepoint_flag is not None else data.get("basepoint")
-    if basepoint is None and names:
-        basepoint = names[0]
-    if basepoint is not None and not (isinstance(basepoint, str) and basepoint in genus):
+    if basepoint is None and pos:
+        basepoint = graph.vertices[0]
+    if basepoint is not None and not (isinstance(basepoint, str) and basepoint in pos):
         raise ProblemFileError(f"basepoint {basepoint!r} is not a vertex")
 
-    if stratum_flag is not None:
-        raw_stratum = stratum_flag
-    else:
-        raw_stratum = data.get("stratum", [])
-        if not isinstance(raw_stratum, list):
-            raise ProblemFileError("'stratum' must be a list of edge ids")
-    known = {e[0] for e in edges}
-    bad = [eid for eid in raw_stratum if not isinstance(eid, str) or eid not in known]
-    if bad:
+    raw_stratum = stratum_flag if stratum_flag is not None else data.get("stratum", [])
+    if stratum_flag is None and not isinstance(raw_stratum, list):
+        raise ProblemFileError("'stratum' must be a list of edge ids")
+    if bad := [eid for eid in raw_stratum if not isinstance(eid, str) or eid not in by_id]:
         raise ProblemFileError(f"stratum names unknown edges {bad!r}")
     stratum = frozenset(raw_stratum)
     if len(stratum) != len(list(raw_stratum)):

@@ -133,6 +133,15 @@ class Multigraph:
             g[v] = int(gv)
         self._genus = g
 
+    @classmethod
+    def _of(cls, vpos: dict, edge_by_id: dict, pairs: tuple, genus: dict) -> "Multigraph":
+        """A graph from parts the caller has checked: the vertex positions,
+        the ``Edge``s keyed by id in edge order, their index pairs, the genus."""
+        self = object.__new__(cls)
+        self.vertices, self._vpos, self._genus = tuple(vpos), vpos, genus
+        self.edges, self._edge_by_id, self._pairs = tuple(edge_by_id.values()), edge_by_id, pairs
+        return self
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -211,7 +220,7 @@ class Multigraph:
         With W2 omitted it counts the edges crossing from W1 to its
         complement.  W1 and W2 must be disjoint; loops never count.
         """
-        return self.valence_in(self.edge_ids(), W1, W2)
+        return sum(self._crossing(W1, W2))
 
     def valence_in(
         self,
@@ -221,17 +230,18 @@ class Multigraph:
     ) -> int:
         """Like :meth:`valence` but only edges from the set S are counted."""
         S = self.edge_subset(S)
+        return sum(c for e, c in zip(self.edges, self._crossing(W1, W2)) if e.id in S)
+
+    def _crossing(self, W1, W2):
+        """Per edge, in edge order, 1 when it joins W1 to W2 (the complement
+        of W1 when None) and 0 otherwise; W1 and W2 are checked first."""
         m1 = self._mask(self.vertex_subset(W1))
         full = (1 << self.num_vertices) - 1
         m2 = full ^ m1 if W2 is None else self._mask(self.vertex_subset(W2))
         if m1 & m2:
             raise InvalidSubsetError("valence requires disjoint vertex subsets")
         # a loop never counts: its one end cannot lie in both subsets
-        return sum(
-            1
-            for e, (a, b) in zip(self.edges, self._pairs)
-            if (m1 >> a & m2 >> b | m2 >> a & m1 >> b) & 1 and e.id in S
-        )
+        return [(m1 >> a & m2 >> b | m2 >> a & m1 >> b) & 1 for a, b in self._pairs]
 
     def induced_edge_count(self, S: Iterable, W: Iterable[Vertex]) -> int:
         """Number of edges of S with both endpoints in W; loops at W count."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
@@ -205,18 +206,127 @@ def _solve(a: list[list[int]]) -> tuple[int, list[int]]:
     determinant up to sign: ``_bareiss``, then back substitution, whose
     divisions are exact because ``D * x`` is integral (Cramer's rule)."""
     _bareiss(a)
-    n = len(a)
     top = a[-1][-2] if a else 1
+    return top, _back_substitute(a, top, len(a))
+
+
+def _back_substitute(a: list[list[int]], top: int, t: int) -> list[int]:
+    """``top * x`` for the solution x of the square system that ``_bareiss``
+    left in ``a``, with right-hand side its column t; ``top`` is the last
+    pivot, and every division is exact."""
+    n = len(a)
     x = [0] * n
     for i in range(n - 1, -1, -1):
-        x[i] = (top * a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))) // a[i][i]
-    return top, x
+        row = a[i]
+        x[i] = (top * row[t] - sum(row[j] * x[j] for j in range(i + 1, n))) // row[i]
+    return x
 
 
 def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith normal form of an integer matrix: its
     min(rows, cols) invariant factors, nonnegative, each dividing the
-    next, zeros last.
+    next, zeros last."""
+    return _smith(
+        [{j: x for j, x in enumerate(map(int, row)) if x} for row in mat],
+        len(mat[0]) if mat else 0,
+    )
+
+
+def _smith(rows: list[dict], ncols: int) -> tuple[int, ...]:
+    """``invariant_factors`` of the matrix with ``ncols`` columns whose rows
+    are given sparse, as dicts column -> nonzero entry (consumed).
+
+    SNF(c * A) = c * SNF(A), so the content c, the gcd of all entries, is
+    divided out first.  Then unit pivots are eliminated in Markowitz order
+    (Management Sci. 3, 1957): the shortest row that holds a +-1, and in it
+    the unit of the shortest column.  Clearing that column touches only the
+    rows that hold it, after which the pivot's row and column drop out with
+    an invariant factor 1.  What is left holds no unit; it goes to
+    ``_core_factors``.
+    """
+    size = min(len(rows), ncols)
+    content = 0
+    for row in rows:
+        content = gcd(content, *row.values())
+        if content == 1:
+            break
+    if not content:
+        return (0,) * size
+    if content > 1:
+        rows = [{j: x // content for j, x in row.items()} for row in rows]
+    cols = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    units = 0
+    while heap:
+        length, r = heappop(heap)
+        prow = rows[r]
+        if prow is None or len(prow) != length:
+            continue  # eliminated, or pushed again since it changed
+        pivots = [(len(cols[j]), j) for j, x in prow.items() if x == 1 or x == -1]
+        if not pivots:
+            continue  # pushed again if an elimination gives it a unit
+        c = min(pivots)[1]
+        p = prow.pop(c)
+        rows[r] = None
+        units += 1
+        for j in prow:
+            cols[j].discard(r)
+        hit = cols[c]
+        hit.discard(r)
+        step = [(j, -p * x) for j, x in prow.items()]  # 1/p = p for a unit
+        for i in hit:
+            row = rows[i]
+            f = row.pop(c)
+            for j, x in step:
+                y = row.get(j, 0) + f * x
+                if y:
+                    row[j] = y
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            heappush(heap, (len(row), i))
+    core = [row for row in rows if row]
+    left = sorted({j for row in core for j in row})
+    factors = (1,) * units + _core_factors([[row.get(j, 0) for j in left] for row in core])
+    return tuple(content * x for x in factors) + (0,) * (size - len(factors))
+
+
+def _core_factors(a: list[list[int]]) -> tuple[int, ...]:
+    """``invariant_factors`` of a dense matrix without unit entries.
+
+    A square nonsingular A of order k is read off its determinantal
+    divisors where they suffice: c, the gcd of its entries; g, the gcd of
+    its minors of order k - 1, which are the entries of its adjugate; and
+    |det A|.  The factors are c, ..., c, |det A| / g when g = c^(k-1), and
+    c, g / c, |det A| / g when k = 3.  One Bareiss elimination of [A | I]
+    gives det A and, in its last row, one row of the adjugate up to sign;
+    when that row leaves g = c^(k-1) open, ``_back_substitute`` gives the
+    other rows.  Any other matrix goes to the dense loop.
+    """
+    k = len(a)
+    if k and k == len(a[0]):
+        aug = [row + [int(i == t) for t in range(k)] for i, row in enumerate(a)]
+        det = abs(_bareiss(aug))
+        if det:
+            c = gcd(*(x for row in a for x in row))
+            g = gcd(*aug[-1][k:])
+            if g != c ** (k - 1):
+                for t in range(k, 2 * k):
+                    g = gcd(g, *_back_substitute(aug, aug[-1][k - 1], t))
+            if g == c ** (k - 1):
+                return (c,) * (k - 1) + (det // g,)
+            if k == 3:
+                return (c, g // c, det // g)
+    return _euclid_factors(a)
+
+
+def _euclid_factors(a: list[list[int]]) -> tuple[int, ...]:
+    """``invariant_factors`` of a dense matrix, eliminated in place.
 
     Row and column reduction by a pivot of least absolute value; once a
     pivot's row and column are clear it is recorded and both are dropped.
@@ -225,7 +335,6 @@ def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
     Only the diagonal is wanted, so the divisibility chain is then fixed
     on it alone: diag(a, b) and diag(gcd, lcm) present the same group.
     """
-    a = [list(map(int, row)) for row in mat]
     size = min(len(a), len(a[0]) if a else 0)
     diag = []
     content = 0
@@ -245,15 +354,18 @@ def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
             break
         prow = a[pi]
         p = prow[pj]
-        # row i -= q_i * row pi, on the nonzero entries of row pi only
+        # row i -= q_i * row pi, on the nonzero entries of row pi only, q_i
+        # the nearest integer to row[pj] / p, so that the remainders are at
+        # most |p| / 2
+        p2 = 2 * p
         nonzero = [(j, x) for j, x in enumerate(prow) if x]
         for row in a:
             if row is not prow and row[pj]:
-                q = row[pj] // p
+                q = (2 * row[pj] + p) // p2
                 for j, y in nonzero:
                     row[j] -= q * y
         # column j -= q_j * column pj; rows with a zero at pj are unchanged
-        cols = [(j, x // p) for j, x in nonzero if j != pj]
+        cols = [(j, (2 * x + p) // p2) for j, x in nonzero if j != pj]
         for row in a:
             y = row[pj]
             if y:
@@ -329,10 +441,11 @@ def picard_group(g: Multigraph) -> PicardGroup:
     if tree is None:
         raise DisconnectedGraphError("degree class group is infinite: graph is disconnected")
     # loops are cycles of norm 1 and drop out: b1 counts the other cotree edges
-    if 2 * len(tree[2]) <= n - 1:
-        factors = invariant_factors(_cycle_gram(*tree))
+    b1 = len(tree[2])
+    if 2 * b1 <= n - 1:
+        factors = _smith(_cycle_gram(*tree), b1)
     else:
-        factors = invariant_factors(_laplacian(n, pairs))
+        factors = _smith(_laplacian_rows(n, pairs), n - 1)
     return PicardGroup(
         invariant_factors=tuple(x for x in factors if x > 1), order=prod(x for x in factors if x)
     )
@@ -360,13 +473,28 @@ def _spanning_tree(n: int, pairs):
     return parent, depth, [p for p in cotree if p]
 
 
-def _cycle_gram(parent, depth, cotree) -> list[list[int]]:
+def _laplacian_rows(n: int, pairs) -> list[dict]:
+    """The Laplacian of the loopless multigraph on 0..n-1 with the given
+    endpoint index pairs, without the row and column of vertex 0, as sparse
+    rows (vertex v at index v - 1, the degree on the diagonal); on a
+    connected graph it is nonsingular, of determinant the tree count."""
+    rows = [{v: 0} for v in range(n)]
+    for a, b in pairs:
+        rows[a][a] += 1
+        rows[b][b] += 1
+        rows[a][b] = rows[a].get(b, 0) - 1
+        rows[b][a] = rows[b].get(a, 0) - 1
+    return [{j - 1: x for j, x in row.items() if j} for row in rows[1:]]
+
+
+def _cycle_gram(parent, depth, cotree) -> list[dict]:
     """Gram matrix I + C^T C of the fundamental cycles of the cotree pairs
-    of ``_spanning_tree``.  C[t][f] is +1 or -1 when the tree edge t lies on
-    the cycle of f, signed by its direction (tree edges point away from the
-    root, f from its first end to its second).  Each cycle walks from both
-    ends of f up to their common ancestor, and each tree edge then pairs
-    only the cycles through it."""
+    of ``_spanning_tree``, as sparse rows.  C[t][f] is +1 or -1 when the tree
+    edge t lies on the cycle of f, signed by its direction (tree edges point
+    away from the root, f from its first end to its second).  Each cycle
+    walks from both ends of f up to their common ancestor, and each tree
+    edge then pairs only the cycles through it.  Two cycles share one tree
+    path, which each runs through in one direction, so no entry cancels."""
     through = [[] for _ in parent]
     for f, (a, b) in enumerate(cotree):
         while a != b:
@@ -376,12 +504,12 @@ def _cycle_gram(parent, depth, cotree) -> list[list[int]]:
             else:
                 through[b].append((f, -1))
                 b = parent[b]
-    gram = [[int(f == h) for h in range(len(cotree))] for f in range(len(cotree))]
+    gram = [{f: 1} for f in range(len(cotree))]
     for cycles in through:
         for f, s in cycles:
             row = gram[f]
             for h, t in cycles:
-                row[h] += s * t
+                row[h] = row.get(h, 0) + s * t
     return gram
 
 

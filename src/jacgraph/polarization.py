@@ -65,6 +65,13 @@ class Polarization:
         if tot.denominator != 1:
             raise PolarizationTotalError(f"polarization total {tot} is not an integer")
 
+    @classmethod
+    def _of(cls, graph: Multigraph, values: tuple) -> "Polarization":
+        """Unchecked: one Fraction per vertex, with an integer total."""
+        self = object.__new__(cls)
+        self.graph, self.values = graph, values
+        return self
+
     def __getitem__(self, v: Vertex) -> Fraction:
         return self.values[self.graph._vpos[v]]
 

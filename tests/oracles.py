@@ -3,7 +3,8 @@
 Everything here recomputes from first principles with exact arithmetic
 and naive algorithms: spanning trees by exhaustive edge selection,
 stability by checking every vertex subset with Fraction sums, lattice
-membership by rational elimination, invariant factors from minors.  Nothing imports the kernels;
+membership by rational elimination, invariant factors from minors and
+by the dense elimination the library used to run.  Nothing imports the kernels;
 ``floor_table`` and ``ceil_table`` are the subset bounds from the whole
 graph with the stratum edges flagged, ``box_search`` is the kernels' box
 search checking every subset against ``floor_table``, ``defect_scan``, the subset scan
@@ -15,6 +16,7 @@ two invariant-factor eliminations.
 from __future__ import annotations
 
 import math
+from math import gcd, lcm
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -344,7 +346,6 @@ def same_class(g, d1, d2) -> bool:
         DegreeMismatchError,
         DisconnectedGraphError,
         GraphMismatchError,
-        invariant_factors as factors,
         laplacian_matrix,
     )
 
@@ -357,8 +358,8 @@ def same_class(g, d1, d2) -> bool:
         raise DisconnectedGraphError("multidegree classes need a connected graph")
     lap = laplacian_matrix(g)
     augmented = [row + [x - y] for row, x, y in zip(lap, d1.values, d2.values)]
-    return math.prod(x for x in factors(lap) if x) == math.prod(
-        x for x in factors(augmented) if x
+    return math.prod(x for x in dense_invariant_factors(lap) if x) == math.prod(
+        x for x in dense_invariant_factors(augmented) if x
     )
 
 
@@ -378,6 +379,66 @@ def invariant_factors(mat) -> tuple[int, ...]:
         out.append(dk // prev if prev else 0)
         prev = dk
     return tuple(out)
+
+
+def dense_invariant_factors(mat) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of an integer matrix, by the dense
+    elimination ``jacgraph.invariant_factors`` ran before it worked on
+    sparse rows with unit pivots: its min(rows, cols) invariant factors,
+    nonnegative, each dividing the next, zeros last.
+
+    Row and column reduction by a pivot of least absolute value; once a
+    pivot's row and column are clear it is recorded and both are dropped.
+    The gcd of all entries divides every entry ever formed, so the pivot
+    scan stops at the first entry that small.
+    Only the diagonal is wanted, so the divisibility chain is then fixed
+    on it alone: diag(a, b) and diag(gcd, lcm) present the same group.
+    """
+    a = [list(map(int, row)) for row in mat]
+    size = min(len(a), len(a[0]) if a else 0)
+    diag = []
+    content = 0
+    for row in a:
+        content = gcd(content, *row)
+        if content == 1:
+            break
+    while True:
+        best = 0
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if x and (not best or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+            if best == content:
+                break  # nothing smaller to find
+        if not best:
+            break
+        prow = a[pi]
+        p = prow[pj]
+        # row i -= q_i * row pi, on the nonzero entries of row pi only
+        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        for row in a:
+            if row is not prow and row[pj]:
+                q = row[pj] // p
+                for j, y in nonzero:
+                    row[j] -= q * y
+        # column j -= q_j * column pj; rows with a zero at pj are unchanged
+        cols = [(j, x // p) for j, x in nonzero if j != pj]
+        for row in a:
+            y = row[pj]
+            if y:
+                for j, q in cols:
+                    row[j] -= q * y
+        if sum(map(abs, prow)) == abs(p) and all(row is prow or not row[pj] for row in a):
+            diag.append(abs(p))
+            del a[pi]
+            for row in a:
+                del row[pj]
+    # units already divide everything, so only the other pivots are paired
+    rest = [x for x in diag if x != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            rest[i], rest[j] = gcd(rest[i], rest[j]), lcm(rest[i], rest[j])
+    return (1,) * (len(diag) - len(rest)) + tuple(rest) + (0,) * (size - len(diag))
 
 
 def _cofactor_det(m) -> int:

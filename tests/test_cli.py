@@ -428,6 +428,176 @@ class TestProblemFileValidation:
         assert "invalid JSON" in err
 
 
+def _edge(u, v, **kw):
+    return dict(kw, endpoints=[u, v])
+
+
+AB = ["a", "b"]
+AB_EDGE = [_edge("a", "b")]
+POL = {"a": 1, "b": 0}
+
+# Files with two or more faults each, and the one message the loader gives:
+# the checks run in a fixed order, and these pin that order.
+MULTI_FAULT_FILES = [
+    pytest.param(
+        "complexity",
+        {"vertices": AB, "edges": [_edge("a", "b", id="x"), _edge("a", "b", id="x"), _edge("a", "zz")]},
+        "edge 2 endpoint 'zz' is not a vertex",
+        id="bad endpoint after a duplicate id",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": AB, "edges": [_edge("a", "b", id="x"), _edge("b", "a", id="x"), _edge("a", "a", id=3)]},
+        "edge id 3 must be a string",
+        id="non-string id after a duplicate id",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": AB, "edges": [_edge("a", "b"), _edge("a", "b", id="e0"), _edge("a", "b", id="e0")]},
+        "default id 'e0' collides with an explicit edge id",
+        id="default id collides, duplicate id later",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": AB, "edges": [_edge("a", "b"), {"id": "e0"}]},
+        "default id 'e0' collides with an explicit edge id",
+        id="default id collides with a later malformed entry",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": AB, "edges": [_edge("a", "b", id="e1"), _edge("a", "b"), _edge("a", "q")]},
+        "default id 'e1' collides with an explicit edge id",
+        id="default id collides with an earlier id, bad endpoint later",
+    ),
+    pytest.param(
+        "enum",
+        {
+            "vertices": AB,
+            "edges": [_edge("a", "b", id="x"), _edge("a", "b", id="x")],
+            "polarization": POL,
+            "stratum": ["zz"],
+        },
+        "duplicate edge ids",
+        id="duplicate ids, unknown stratum edge",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": AB, "edges": [{"id": 5, "endpoints": ["a"]}]},
+        "edge 0 needs exactly two endpoints",
+        id="wrong endpoint count next to a bad id",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": AB, "edges": [_edge(["a"], "zz")]},
+        "edge 0 endpoint ['a'] is not a vertex",
+        id="list endpoint next to an unknown one",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": AB_EDGE, "polarization": {"a": 1, "zz": 0}},
+        "polarization names unknown vertices ['zz']",
+        id="unknown polarization vertex next to a missing one",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": AB_EDGE, "polarization": {"a": 1}, "stratum": ["zz"]},
+        "polarization misses vertices ['b']",
+        id="missing polarization vertex, unknown stratum edge",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": AB_EDGE, "polarization": {"b": 0.5, "a": "p/q"}},
+        'float 0.5 rejected; write rationals as "p/q" strings',
+        id="float value next to a bad rational",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": AB_EDGE, "polarization": {"a": "1/0", "b": 0.5}},
+        "cannot parse rational '1/0'",
+        id="bad rational next to a float value",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": AB_EDGE, "polarization": {"a": "1/2", "b": "1/3"}, "basepoint": "zz"},
+        "polarization total 5/6 is not an integer",
+        id="fractional total, unknown basepoint",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": AB_EDGE, "polarization": [1, 0], "stratum": "e0"},
+        "'polarization' must be an object",
+        id="polarization not an object, bad stratum",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": [{"name": "a", "genus": -1}, "a"], "edges": []},
+        "genus of 'a' must be a nonnegative integer",
+        id="bad genus next to a duplicate name",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": ["a", "a", {"name": "b", "genus": 1.5}], "edges": []},
+        "duplicate vertex name 'a'",
+        id="duplicate name, then a bad genus",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": ["a", {"name": "a", "genus": True}], "edges": []},
+        "genus of 'a' must be a nonnegative integer",
+        id="boolean genus on a duplicate name",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": ["a", {"genus": 1}], "edges": {}},
+        "cannot interpret vertex entry {'genus': 1}",
+        id="nameless vertex, edges not a list",
+    ),
+    pytest.param(
+        "complexity",
+        {"vertices": AB, "edges": "e0"},
+        "'edges' must be a list",
+        id="edges not a list, no edge entries",
+    ),
+    pytest.param(
+        "enum",
+        {
+            "vertices": AB,
+            "edges": [_edge("a", "b"), _edge("a", "b")],
+            "polarization": POL,
+            "basepoint": ["a"],
+            "stratum": ["e0", "e0"],
+        },
+        "basepoint ['a'] is not a vertex",
+        id="list basepoint, repeated stratum edge",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": AB_EDGE, "polarization": POL, "stratum": ["e0", "e0", "zz"]},
+        "stratum names unknown edges ['zz']",
+        id="repeated stratum edge next to an unknown one",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": [_edge("a", "b"), _edge("a", "b")], "stratum": ["e1", "e1"]},
+        "stratum lists an edge twice",
+        id="repeated stratum edge, enum without polarization",
+    ),
+    pytest.param(
+        "enum",
+        {"vertices": AB, "edges": AB_EDGE, "stratum": {"e0": 1}},
+        "'stratum' must be a list of edge ids",
+        id="stratum not a list, no polarization",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, data, message", MULTI_FAULT_FILES)
+def test_first_fault_reported(problem, capsys, command, data, message):
+    rc = main([command, problem(data)])
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (2, "", f"error: {message}\n")
+
+
 class TestParserReuse:
     def test_parser_built_once_per_process(self, problem, capsys, monkeypatch):
         real = cli.build_parser

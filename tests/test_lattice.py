@@ -179,6 +179,34 @@ class TestSmithNormalForm:
             zero = [[0] * nc for _ in range(nr)]
             assert invariant_factors(zero) == oracles.invariant_factors(zero)
 
+    def test_against_dense_oracle(self):
+        # 1-8 x 1-8, sparse or dense, small or large entries, content 1, 2,
+        # 3 and 6, with zero rows and columns
+        rng = random.Random(53)
+        for _ in range(250):
+            nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+            density, top = rng.choice((0.3, 0.6, 1.0)), rng.choice((2, 9))
+            m = [
+                [rng.randint(-top, top) if rng.random() < density else 0 for _ in range(nc)]
+                for _ in range(nr)
+            ]
+            if rng.random() < 0.3:
+                m[rng.randrange(nr)] = [0] * nc
+            if rng.random() < 0.3:
+                j = rng.randrange(nc)
+                for row in m:
+                    row[j] = 0
+            for k in (1, 2, 3, 6):
+                km = [[k * x for x in row] for row in m]
+                assert invariant_factors(km) == oracles.dense_invariant_factors(km), km
+
+    def test_square_cores(self):
+        # content 1, no unit entry, nonsingular: the first two have minors of
+        # order k - 1 with a common factor, so they are not cyclic
+        assert invariant_factors([[2, 0, 0], [0, 2, 0], [0, 0, 3]]) == (1, 2, 6)
+        assert invariant_factors([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
+        assert invariant_factors([[2, 3], [3, 2]]) == (1, 5)
+
     def test_divisibility_needs_mixing(self):
         # diagonal (2, 3) must become (1, 6)
         assert self._assert_valid([[2, 0], [0, 3]]) == [1, 6]
@@ -240,8 +268,8 @@ class TestComplexityAndPicard:
 
 def _laplacian_group(g):
     """``picard_group`` of a connected graph by definition: the invariant
-    factors of the whole Laplacian."""
-    factors = invariant_factors(laplacian_matrix(g))
+    factors of the whole Laplacian, by the independent dense elimination."""
+    factors = oracles.dense_invariant_factors(laplacian_matrix(g))
     return tuple(x for x in factors if x > 1), math.prod(x for x in factors if x)
 
 
@@ -250,7 +278,9 @@ def _cycle_factors(g):
     the side rule would pick."""
     pos = g._vpos
     pairs = [(pos[e.u], pos[e.v]) for e in g.edges if e.u != e.v]
-    gram = lattice._cycle_gram(*lattice._spanning_tree(g.num_vertices, pairs))
+    rows = lattice._cycle_gram(*lattice._spanning_tree(g.num_vertices, pairs))
+    gram = [[row.get(h, 0) for h in range(len(rows))] for row in rows]
+    assert all(all(row.values()) for row in rows)  # no entry cancels
     return invariant_factors(gram), det_bareiss(gram)
 
 
@@ -336,6 +366,52 @@ class TestPicardSides:
         for g in [chorded_cycle(n) for n in range(12, 81, 4)] + [_banana_chain(k) for k in (2, 5, 17, 40)]:
             p = picard_group(g)
             assert (p.invariant_factors, p.order) == _laplacian_group(g)
+
+    def test_complete_graphs(self):
+        # K_n has the non-cyclic group (Z/n)^(n-2); K_3 is on the cycle side
+        for n in range(3, 10):
+            names = [f"k{i}" for i in range(n)]
+            p = picard_group(Multigraph(names, list(itertools.combinations(names, 2))))
+            assert (p.invariant_factors, p.order) == ((n,) * (n - 2), n ** (n - 2))
+
+    def test_doubled_multigraphs(self):
+        # every edge twice: the reduced Laplacian has content 2
+        rng = random.Random(59)
+        for _ in range(40):
+            n = rng.randint(2, 25)
+            g = _random_connected(rng, n, rng.randint(0, n))
+            doubled = Multigraph(g.vertices, [(e.u, e.v) for e in g.edges] * 2)
+            p = picard_group(doubled)
+            assert (p.invariant_factors, p.order) == _laplacian_group(doubled)
+            assert p.order == lattice._tree_count(n, doubled._pairs)
+
+    def test_banana_chains_need_no_core(self, monkeypatch):
+        # content 2 divided out leaves a path Laplacian, all units
+        cores = []
+        core_factors = lattice._core_factors
+        monkeypatch.setattr(lattice, "_core_factors", lambda a: cores.append(a) or core_factors(a))
+        for k in (2, 5, 40):
+            p = picard_group(_banana_chain(k))
+            assert (p.invariant_factors, p.order) == ((2,) * (k - 1), 2 ** (k - 1))
+        assert cores == [[], [], []]
+
+    def test_large_random_multigraphs(self):
+        # 20-60 vertices, loops and parallel edges, on both sides of the rule
+        rng = random.Random(61)
+        sides = set()
+        for _ in range(16):
+            n = rng.randint(20, 60)
+            if rng.random() < 0.5:
+                extra = rng.randint(0, (n - 1) // 2)
+            else:
+                extra = rng.randint(n // 2 + 4, 2 * n)
+            g = _random_connected(rng, n, extra)
+            b1 = sum(1 for a, b in g._pairs if a != b) - n + 1
+            sides.add(2 * b1 <= n - 1)
+            p = picard_group(g)
+            assert (p.invariant_factors, p.order) == _laplacian_group(g)
+            assert p.order == lattice._tree_count(n, g._pairs)
+        assert sides == {True, False}
 
     def test_errors_unchanged(self):
         with pytest.raises(EmptyGraphError, match="^degree class group of the empty graph is undefined$"):
