@@ -1,8 +1,11 @@
 """Timing comparison of the compiled and pure subset-scan kernels.
 
-Runs the two kernel entry points (table construction, box enumeration)
-on chorded cycle graphs of growing size and reports per-call times for
-every available implementation, plus two library calls with one
+Runs the two kernel entry points (table construction, box enumeration in
+the kernel's own vertex order) on chorded cycle graphs of growing size and
+reports per-call times for every available implementation.  The ``enum``
+rows time what the library runs for the quasistable and semistable sets
+(``StratumContext._value_tuples``: its level order, the kernel it picks,
+labelled, and the sort).  Two more library calls run with one
 implementation and no kernel involved: the minimum-cut defect scan, and
 the degree class group (``picard_group``) of the graph, which it takes on
 the cycle side, and of the graph with every edge doubled, which it takes
@@ -23,7 +26,12 @@ import time
 from fractions import Fraction
 
 from jacgraph import Multigraph, Polarization, StratumContext, picard_group
-from jacgraph._kernel import MODE_QUASISTABLE, SUBSET_SCAN_LIMIT, implementations
+from jacgraph._kernel import (
+    MODE_QUASISTABLE,
+    SUBSET_SCAN_LIMIT,
+    implementation_name,
+    implementations,
+)
 
 
 def chorded_cycle(n: int) -> Multigraph:
@@ -126,6 +134,13 @@ def main(argv=None) -> int:
             if len(times) > 1:
                 line += f"{times[-1] / times[0]:>9.1f}x"
             print(line)
+        for kind in ("quasistable", "semistable"):
+            t_enum, got = best_of(args.repeat, ctx._value_tuples, kind)
+            label = f"enum {kind[:1]}s"
+            print(
+                f"{n:>3} {label:<12}{t_enum * 1e3:>10.2f}ms"
+                f"  ({implementation_name()}, {len(got)} rows)"
+            )
         t_cut, _ = best_of(args.repeat, ctx._ints.defect_cut, d)
         print(f"{n:>3} {'min cut':<12}{t_cut * 1e3:>10.2f}ms")
         checks = [c for level in plan for _, c in level]

@@ -33,7 +33,8 @@ is strict.  ``build_tables`` lists the subsets the box search checks in a
 total fixes d there and such a bound is the opposite bound on the
 complement.  It keeps ``floor`` only where the search reads it, on the
 plan's subsets and their complements.  ``box_enumerate`` also drops each
-bound that the box and the total already imply.
+bound that the box and the total already imply, gives a mask left without
+a bound no field, and takes a level's passing values as one interval.
 """
 
 from __future__ import annotations
@@ -191,25 +192,30 @@ def box_enumerate(tables, v0, total, lo, hi, mode, at):
     A node that decides d_m has d_m between ``max(lo_m, total - hi_c)`` and
     ``min(hi_m, total - lo_c)``, with c the complement of m and ``lo_m`` the
     box's sum over m.  A bound that every such value meets is dropped, and
-    a mask that loses both is kept for its sum alone.  Dropped bounds never
-    cut, so the search visits the same nodes.
+    a mask that loses both gets no field.  Dropped bounds never cut, so the
+    search visits the same nodes.
 
     The sums live in one integer, the *state*, with a W-bit field per mask
-    of levels 0 to n - 2 in level order (word-parallel arithmetic, Lamport,
-    CACM 18(8), 1975).  A field holds ``scale * d`` over the placed
-    vertices of its mask plus the bias ``2**(W - 1)``; placing d_k adds
-    ``d_k * step[k]``, which has ``scale`` in each field whose mask holds
-    k, and going down a level shifts out the fields of the level.  The
-    sign of a sum minus a bound is then a field's top bit: the lower bounds
-    of level k hold when ``(state + cl) & gl == gl``, with -low in cl and
-    the top bit in gl in each field with a lower check, and the upper
-    bounds when ``(state + cu) & gu == 0``, with -(high + 1) in cu.  The
-    plan is prefix-closed, so a field holds 0 or the sum over a kept mask,
-    which lies in that mask's box.  With B the largest magnitude of a box
-    end or kept bound, W = bits(2B + 2) + 1, rounded up to whole bytes,
-    keeps every field in [0, 2**W), with or without a bound taken off, so
-    no carry crosses a field and a test passes exactly when every row of
-    its level does.
+    of levels 0 to n - 2 that keeps a bound, in level order (word-parallel
+    arithmetic, Lamport, CACM 18(8), 1975).  A field holds ``scale * d``
+    over the placed vertices of its mask plus the bias ``2**(W - 1)``;
+    placing d_k adds ``d_k * step[k]``, which has ``scale`` in each field
+    whose mask holds k, and going down a level shifts out the fields of the
+    level.  The sign of a sum minus a bound is then a field's top bit: the
+    lower bounds of level k hold when ``(state + cl) & gl == gl``, with
+    -low in cl and the top bit in gl in each field with a lower check, and
+    the upper bounds when ``(state + cu) & gu == 0``, with -(high + 1) in
+    cu.  The plan is prefix-closed, so a field holds 0 or the sum over a
+    plan mask, which lies in that mask's box.  With B the largest magnitude
+    of a box end or kept bound, W = bits(2B + 2) + 1, rounded up to whole
+    bytes, keeps every field in [0, 2**W), with or without a bound taken
+    off, so no carry crosses a field and a test passes exactly when every
+    row of its level does.
+
+    Each field of level k has a mask that holds k, so it grows with d_k:
+    the lower tests pass from some value of d_k on, the upper ones up to
+    some value.  A node scans in from each end with one test alone and
+    takes the values between untested.
     """
     n, scale, floor, plan = tables
     full = (1 << n) - 1
@@ -224,11 +230,11 @@ def box_enumerate(tables, v0, total, lo, hi, mode, at):
     if n == 1:
         return [(total,)]
 
-    # per level but the last, per mask: its scaled low and high bound, or
-    # None for a bound left unchecked.  Strict bounds on proper subsets:
-    # quasistable from below on those that hold v0 and from above on the
-    # others, stable both ways on all.  box[m] holds scale times the box
-    # sums lo_m and hi_m, built along the prefix chains.
+    # per level but the last, per mask with a bound: its scaled low and high
+    # bound, or None for a bound left unchecked.  Strict bounds on proper
+    # subsets: quasistable from below on those that hold v0 and from above
+    # on the others, stable both ways on all.  box[m] holds scale times the
+    # box sums lo_m and hi_m, built along the prefix chains of the plan.
     vbit = 1 << v0
     stable, quasi = mode == MODE_STABLE, mode == MODE_QUASISTABLE
     top = scale * total
@@ -249,14 +255,15 @@ def box_enumerate(tables, v0, total, lo, hi, mode, at):
                 bound = top - floor[full ^ m] - (stable or quasi and not m & vbit)
                 if bound < m_hi and bound < from_lo + m_lo:
                     high = bound
-            masks.append(m)
-            lows.append(low)
-            highs.append(high)
+            if low is not None or high is not None:
+                masks.append(m)
+                lows.append(low)
+                highs.append(high)
         ends.append(len(masks))
 
-    # W-bit fields, one per mask in level order, built as little-endian
-    # bytes.  B bounds every box end and kept bound (a kept low lies above
-    # the box's low end, a kept high below its high end).
+    # W-bit fields, one per mask with a bound, in level order, built as
+    # little-endian bytes.  B bounds every box end and kept bound (a kept
+    # low lies above the box's low end, a kept high below its high end).
     least = min(min(map(min, box.values())), min(filter(None, highs), default=0))
     most = max(max(map(max, box.values())), max(filter(None, lows), default=0))
     nbytes = ((2 * max(most, -least) + 2).bit_length() + 8) // 8
@@ -308,15 +315,21 @@ def box_enumerate(tables, v0, total, lo, hi, mode, at):
         first = lo[k] if lo[k] > first else first  # max and min cost a call
         last = hi[k] if hi[k] < last else last
         here = (state & keep) + first * own
-        for dv in range(first, last + 1):
-            if (here + cl) & gl == gl and not (here + cu) & gu:
-                d[pos] = dv
-                if k < n - 2:
-                    place(k + 1, partial + dv, (state + dv * step) >> width)
-                else:
-                    d[last_at] = rest - dv
-                    out.append(tuple(d))
+        while first <= last and (here + cl) & gl != gl:
+            first += 1
             here += own
+        here += (last - first) * own
+        while last >= first and (here + cu) & gu:
+            last -= 1
+            here -= own
+        if k < n - 2:
+            for dv in range(first, last + 1):
+                d[pos] = dv
+                place(k + 1, partial + dv, (state + dv * step) >> width)
+        else:
+            for dv in range(first, last + 1):
+                d[pos], d[last_at] = dv, rest - dv
+                out.append(tuple(d))
 
     place(0, 0, state)
     return out

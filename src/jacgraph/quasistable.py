@@ -130,25 +130,26 @@ class _ScaledStratum:
     def enumerate(self, mode) -> list[tuple]:
         """Value tuples of every multidegree of the kernel mode, sorted.
 
-        The box search takes the vertices in breadth-first order from the
-        basepoint, each level by index, unreached vertices last: contiguous
-        prefixes then tend to be connected, which makes the per-prefix
-        bounds prune early.  The kernel writes each row back in vertex
-        order, so one sort finishes the list."""
+        The box search takes the breadth-first layers from vertex n - 1,
+        farthest first and each by index, after the vertices they miss.  The
+        last vertex, whose value the total fixes, is then n - 1, the least
+        significant sort key: along the innermost level only it and a lower
+        vertex change, the lower one rising, so the rows, which the kernel
+        writes in vertex order, come in sorted runs for the one sort."""
         lo, hi = self.singleton_box()
         if any(a > b for a, b in zip(lo, hi)):
             return []
         n = len(self.base)
-        order, level, seen = [], [self.v0], 1 << self.v0
+        order, level, seen = [], [n - 1], 1 << (n - 1)
         while level:
-            order += level
+            order[:0] = level
             reached = 0
             for i in level:
                 reached |= self.adj[i]
             reached &= ~seen
             seen |= reached
             level = [j for j in range(n) if reached >> j & 1]
-        order += [i for i in range(n) if not seen >> i & 1]
+        order[:0] = [i for i in range(n) if not seen >> i & 1]
         bound = (
             self.rhs_bound()
             + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)

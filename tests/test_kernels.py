@@ -304,6 +304,80 @@ class TestBoxSearch:
                 outputs[n] += len(got)
         assert min(outputs.values()) >= 20, outputs
 
+    def test_level_order_changes_only_cost(self):
+        # search level j takes problem vertex order[j]: the edges, the
+        # scaled polarization, the box and v0 relabelled, and ``at``
+        # composed with the order.  The rows, sorted, are those of the
+        # search in vertex order, on every kernel; G - S is disconnected
+        # in some problems, and n = 1 and n = 2 have outputs
+        rng = random.Random(71)
+        outputs = dict.fromkeys(range(1, 9), 0)
+        disconnected = 0
+        for trial in range(200):
+            n = 1 + trial % 8
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            kept, base, scale = _kernel_args(ctx)
+            disconnected += not _flood_connected((1 << n) - 1, kept)
+            lo, hi = ctx.singleton_box()
+            v0 = rng.randrange(n)
+            at = rng.sample(range(n), n)
+            order = rng.sample(range(n), n)
+            inv = sorted(range(n), key=order.__getitem__)
+            for impl, (_, mode) in product(implementations(), KINDS):
+                plain = impl.box_enumerate(
+                    impl.build_tables(n, kept, base, scale), v0, ctx.budget, lo, hi, mode, at
+                )
+                tables = impl.build_tables(
+                    n, [(inv[a], inv[b]) for a, b in kept], [base[v] for v in order], scale
+                )
+                got = impl.box_enumerate(
+                    tables,
+                    inv[v0],
+                    ctx.budget,
+                    [lo[v] for v in order],
+                    [hi[v] for v in order],
+                    mode,
+                    [at[v] for v in order],
+                )
+                assert sorted(got) == sorted(plain), (trial, mode, impl.__name__)
+                outputs[n] += len(got)
+        assert disconnected > 0
+        assert min(outputs.values()) >= 20, outputs
+
+    def test_library_order_on_every_kernel(self, corpus_cases, monkeypatch):
+        # the library's own order, with the kernel chosen by hand: at every
+        # basepoint of the corpus, and on random problems whose G - S may
+        # be disconnected, n = 1 and n = 2 among them, the rows equal the
+        # search's in vertex order
+        rng = random.Random(73)
+        contexts = [
+            StratumContext(case.graph, case.q, v, case.stratum)
+            for case in corpus_cases
+            for v in case.graph.vertices
+        ]
+        disconnected = 0
+        for trial in range(80):
+            n = 1 + trial % 8
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            contexts.append(StratumContext(g, q, basepoint, stratum))
+            disconnected += not _flood_connected((1 << n) - 1, contexts[-1]._ints.kept)
+        sizes = set()
+        for ctx in contexts:
+            n = ctx.graph.num_vertices
+            lo, hi = ctx.singleton_box()
+            for kind, _ in KINDS:
+                want = oracles.box_search(
+                    n, *_kernel_args(ctx), ctx._ints.v0, ctx.budget, lo, hi, kind
+                )
+                for impl in implementations():
+                    monkeypatch.setattr(_kernel, "select", lambda bound, impl=impl: impl)
+                    assert ctx._value_tuples(kind) == want, (kind, impl.__name__)
+                if want:
+                    sizes.add(n)
+        assert disconnected > 0
+        assert {1, 2} <= sizes
+
 
 def _kept_per_level(tables, v0, total, lo, hi, mode):
     """Per level k < n - 1 of the plan: how many of its lower and of its
@@ -329,6 +403,55 @@ def _kept_per_level(tables, v0, total, lo, hi, mode):
             prefixes += not checks
         out.append((lower, upper, prefixes))
     return out
+
+
+def _interval_edges(tables, v0, total, lo, hi, mode, seen):
+    """Walk the plan's search in index order, each node testing every value
+    of its range against every bound of its level on plain sums, and count
+    into ``seen`` the nodes where no value of a nonempty range meets the
+    lower bounds, where the upper bounds cut some but not all of the values
+    that meet the lower ones, and where one value passes.  Asserts that the
+    values meeting the lower bounds are a top part of the range and those
+    meeting the upper bounds a bottom part."""
+    n, scale, floor, plan = tables
+    full = (1 << n) - 1
+    d = [0] * n
+
+    def holds(k, check):
+        for m, checks in plan[k]:
+            if checks & check:
+                s = scale * sum(d[i] for i in range(k + 1) if m >> i & 1)
+                if check == CHECK_LOWER:
+                    strict = mode == MODE_STABLE or mode == MODE_QUASISTABLE and m >> v0 & 1
+                    if s < floor[m] + strict:
+                        return False
+                else:
+                    strict = mode == MODE_STABLE or mode == MODE_QUASISTABLE and not m >> v0 & 1
+                    if s > scale * total - floor[full ^ m] - strict:
+                        return False
+        return True
+
+    def place(k, rest):
+        first = max(lo[k], rest - sum(hi[k + 1 :]))
+        last = min(hi[k], rest - sum(lo[k + 1 :]))
+        lower, upper = [], []
+        for x in range(first, last + 1):
+            d[k] = x
+            lower.append(holds(k, CHECK_LOWER))
+            upper.append(holds(k, CHECK_UPPER))
+        assert lower == sorted(lower) and upper == sorted(upper, reverse=True)
+        values = [x for x, a, b in zip(range(first, last + 1), lower, upper) if a and b]
+        after_lower = sum(lower)
+        seen["lower empties"] += bool(lower) and not after_lower
+        seen["upper trims"] += 0 < len(values) < after_lower
+        seen["one value"] += len(values) == 1
+        if k < n - 2:
+            for x in values:
+                d[k] = x
+                place(k + 1, rest - x)
+
+    if n > 1:
+        place(0, total)
 
 
 class TestPackedSearch:
@@ -481,6 +604,34 @@ class TestPackedSearch:
                     elif not low:
                         seen["upper only"] += 1
             self._agrees(n, kept, base, scale, ctx._ints.v0, total, lo, hi)
+        assert min(seen.values()) >= 20, seen
+
+    def test_interval_scan_edges(self):
+        # the passing values of a node are one interval, found by scanning
+        # in from both ends: nodes where the lower scan empties the range,
+        # where the upper scan trims it, and where one value is left; the
+        # singleton box and boxes around a random point of it
+        rng = random.Random(79)
+        seen = dict.fromkeys(("lower empties", "upper trims", "one value"), 0)
+        for trial in range(150):
+            n = 2 + trial % 6
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            kept, base, scale = _kernel_args(ctx)
+            tables = _kernel_py.build_tables(n, kept, base, scale)
+            lo, hi = ctx.singleton_box()
+            if any(a > b for a, b in zip(lo, hi)):
+                continue
+            point = [rng.randint(a, b) for a, b in zip(lo, hi)]
+            narrow = (
+                [max(a, x - rng.randint(0, 2)) for a, x in zip(lo, point)],
+                [min(b, x + rng.randint(0, 2)) for b, x in zip(hi, point)],
+            )
+            v0 = rng.randrange(n)
+            for box_lo, box_hi in ((lo, hi), narrow):
+                for _, mode in KINDS:
+                    _interval_edges(tables, v0, ctx.budget, box_lo, box_hi, mode, seen)
+                self._agrees(n, kept, base, scale, v0, ctx.budget, box_lo, box_hi)
         assert min(seen.values()) >= 20, seen
 
 
@@ -636,3 +787,8 @@ class TestBenchScript:
         assert f"implementations: {labels}\n" in out
         assert "(15 quasistable multidegrees)" in out
         assert "(19 quasistable multidegrees)" in out
+        # the library's enum rows, labelled with the kernel it picks
+        kernel = _kernel.implementation_name()
+        assert f"  ({kernel}, 15 rows)\n" in out
+        assert f"  ({kernel}, 19 rows)\n" in out
+        assert out.count(" enum ss ") == 2
