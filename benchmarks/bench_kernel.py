@@ -11,8 +11,9 @@ the degree class group (``picard_group``) of the graph, which it takes on
 the cycle side, and of the graph with every edge doubled, which it takes
 on the Laplacian side.  For each size it also prints how many of the 2^n
 vertex subsets the box search's plan checks, and how many more it keeps
-only as prefixes.  Above the kernels' 20-vertex limit only the degree
-class group rows are printed.
+only as prefixes, counted on the pure kernel's plan (the compiled kernel
+keeps the same plan, one byte per mask).  Above the kernels' 20-vertex
+limit only the degree class group rows are printed.
 
     python benchmarks/bench_kernel.py
     python benchmarks/bench_kernel.py --sizes 12,14,16 --repeat 5
@@ -26,6 +27,7 @@ import time
 from fractions import Fraction
 
 from jacgraph import Multigraph, Polarization, StratumContext, picard_group
+from jacgraph import _kernel_py
 from jacgraph._kernel import (
     MODE_QUASISTABLE,
     SUBSET_SCAN_LIMIT,
@@ -111,7 +113,6 @@ def main(argv=None) -> int:
                 args.repeat, mod.build_tables, n, edges, base, scale
             )
             rows["tables"].append(t_build)
-            _, _, _, plan = tables
             t_enum, found = best_of(
                 args.repeat,
                 mod.box_enumerate,
@@ -143,6 +144,7 @@ def main(argv=None) -> int:
             )
         t_cut, _ = best_of(args.repeat, ctx._ints.defect_cut, d)
         print(f"{n:>3} {'min cut':<12}{t_cut * 1e3:>10.2f}ms")
+        plan = _kernel_py.build_tables(n, edges, base, scale).plan
         checks = [c for level in plan for _, c in level]
         checked = sum(1 for c in checks if c)
         print(f"    ({counts} quasistable multidegrees)")

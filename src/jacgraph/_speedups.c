@@ -2,11 +2,12 @@
  *
  * Same contract and algorithms as jacgraph._kernel_py, which stays the
  * fallback and the reference, computed in signed 64-bit integers.  Tables
- * are the plain tuple (n, scale, floor, plan): the floor table over all
- * 2**n subsets of G - S, a read-only int64 memoryview (the pure kernel
- * keeps only the entries its search reads, in a dict), and the plan, the
- * same tuple of (mask, checks) pairs per top vertex that the pure kernel
- * builds.  box_enumerate writes each output in the caller's vertex order.
+ * are the plain tuple (n, scale, floor, plan) with two flat bytes tables
+ * over all 2**n subsets of G - S: floor holds one native int64 per mask,
+ * and plan one byte per mask, its CHECK_LOWER and CHECK_UPPER bits and KEPT
+ * when the search keeps it (the pure kernel keeps the floor entries its
+ * search reads in a dict, and its plan as (mask, checks) pairs per top
+ * vertex).  box_enumerate writes each output in the caller's vertex order.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
@@ -34,7 +35,8 @@
 
 enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel_py */
 enum { CHECK_LOWER = 1, CHECK_UPPER = 2 };                 /* as in _kernel_py */
-/* build_tables' marks beside the checks: connected, and kept in the plan */
+/* a plan byte's flag beside the checks: the search keeps the mask; and
+   build_tables' own mark of a connected subset, cleared before it returns */
 enum { CONNECTED = 4, KEPT = 8 };
 
 /* tables hold 2**n entries; the library's subset-scan guard stops at 20 */
@@ -74,41 +76,28 @@ static int load_ints(PyObject *obj, Py_ssize_t len, long long *out, const char *
     return rc;
 }
 
-/* A table: a read-only int64 ("q") memoryview over a copy of values. */
-static PyObject *to_table(const long long *values, size_t len)
-{
-    PyObject *bytes = PyBytes_FromStringAndSize((const char *)values, len * sizeof(long long));
-    if (bytes == NULL)
-        return NULL;
-    PyObject *raw = PyMemoryView_FromObject(bytes);
-    Py_DECREF(bytes);
-    if (raw == NULL)
-        return NULL;
-    PyObject *table = PyObject_CallMethod(raw, "cast", "s", "q");
-    Py_DECREF(raw);
-    return table;
-}
-
-/* Copy a table of exactly len int64 entries into out. */
-static int load_table(PyObject *obj, size_t len, long long *out, const char *what)
+/* Copy a buffer of exactly len bytes into out. */
+static int load_bytes(PyObject *obj, size_t len, void *out, const char *what)
 {
     Py_buffer view;
-    if (PyObject_GetBuffer(obj, &view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+    if (PyObject_GetBuffer(obj, &view, PyBUF_SIMPLE) < 0)
         return -1;
-    int ok = view.itemsize == sizeof(long long) && strcmp(view.format, "q") == 0
-             && (size_t)view.len == len * sizeof(long long);
+    int ok = (size_t)view.len == len;
     if (ok)
-        memcpy(out, view.buf, (size_t)view.len);
+        memcpy(out, view.buf, len);
     else
-        PyErr_Format(PyExc_ValueError, "%s: expected %zu int64 entries", what, len);
+        PyErr_Format(PyExc_ValueError, "%s: expected %zu bytes, got %zd", what, len, view.len);
     PyBuffer_Release(&view);
     return ok ? 0 : -1;
 }
 
 PyDoc_STRVAR(build_tables_doc,
 "build_tables(n, edges, base, scale) -> (n, scale, floor, plan)\n\n"
-"Floor table over all 2**n subsets and plan, as in\n"
-"jacgraph._kernel_py.build_tables, which keeps only the masks it reads.\n"
+"Floor table and plan over all 2**n subsets, as in\n"
+"jacgraph._kernel_py.build_tables, which keeps only the masks it reads:\n"
+"floor as bytes holding 2**n native int64 values, plan as bytes holding\n"
+"one byte per mask, its CHECK_LOWER and CHECK_UPPER bits and KEPT (8) when\n"
+"the search keeps it.\n"
 "One recurrence builds the table: with v the top vertex of m and r = m - v,\n"
 "floor[m] = floor[r] + base[v] - scale/2 * deg(v) + scale * e(v, r), where\n"
 "e(v, r), the edges from v into r, sums the popcounts of r under v's\n"
@@ -132,14 +121,16 @@ static void grow(const size_t *adj, int n, unsigned char *marks, size_t m, size_
     }
 }
 
-/* The plan of the graph on n vertices with neighbour masks adj: per top
-   vertex k, a tuple of (mask, checks) pairs in increasing mask order. */
+/* The plan of the graph on n vertices with neighbour masks adj: per mask,
+   one byte of checks, with KEPT when the search keeps the mask. */
 static PyObject *make_plan(int n, const size_t *adj)
 {
     size_t size = (size_t)1 << n, full = size - 1;
-    unsigned char *marks = PyMem_Calloc(size, 1);
-    if (marks == NULL)
-        return PyErr_NoMemory();
+    PyObject *plan = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)size);
+    if (plan == NULL)
+        return NULL;
+    unsigned char *marks = (unsigned char *)PyBytes_AS_STRING(plan);
+    memset(marks, 0, size);
     for (int v = 0; v < n; v++) {
         size_t below = ((size_t)2 << v) - 1;
         grow(adj, n, marks, (size_t)1 << v, adj[v] & ~below, below);
@@ -148,11 +139,12 @@ static PyObject *make_plan(int n, const size_t *adj)
        subset's does, and costs no comparison beside the lower one.  A mask
        that holds the last vertex is not kept; its complement carries its
        bounds. */
-    for (size_t m = 1; m < full; m++)
+    for (size_t m = 1; m <= full; m++)
         if (marks[m] & CONNECTED) {
+            marks[m] ^= CONNECTED;
             if (m <= full >> 1)
                 marks[m] |= CHECK_LOWER | CHECK_UPPER | KEPT;
-            else
+            else if (m < full)
                 marks[full ^ m] |= CHECK_UPPER | KEPT;
         }
     /* a kept mask's prefix has a lower top vertex, so it is reached later */
@@ -162,32 +154,6 @@ static PyObject *make_plan(int n, const size_t *adj)
             if (marks[m] & KEPT)
                 marks[m ^ base] |= KEPT;
     }
-
-    PyObject *plan = PyTuple_New(n);
-    for (int k = 0; plan != NULL && k < n; k++) {
-        size_t base = (size_t)1 << k, count = 0;
-        for (size_t m = base; m < base << 1; m++)
-            count += (marks[m] & KEPT) != 0;
-        PyObject *level = PyTuple_New((Py_ssize_t)count);
-        if (level == NULL) {
-            Py_CLEAR(plan);
-            break;
-        }
-        PyTuple_SET_ITEM(plan, k, level);
-        Py_ssize_t i = 0;
-        for (size_t m = base; m < base << 1; m++) {
-            if (!(marks[m] & KEPT))
-                continue;
-            PyObject *pair = Py_BuildValue("(Ki)", (unsigned long long)m,
-                                           marks[m] & (CHECK_LOWER | CHECK_UPPER));
-            if (pair == NULL) {
-                Py_CLEAR(plan);
-                break;
-            }
-            PyTuple_SET_ITEM(level, i++, pair);
-        }
-    }
-    PyMem_Free(marks);
     return plan;
 }
 
@@ -276,7 +242,7 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
         }
     }
 
-    floor_table = to_table(lower, size);
+    floor_table = PyBytes_FromStringAndSize((const char *)lower, size * sizeof(long long));
     if (floor_table != NULL && (plan = make_plan(n, adj)) != NULL)
         result = Py_BuildValue("(iLOO)", n, scale, floor_table, plan);
 done:
@@ -382,43 +348,28 @@ static int place(const Search *s, int k, long long partial)
     return 0;
 }
 
-/* Read the plan, a sequence of n levels of (mask, checks) pairs, into the
-   rows and prefixes of s with the bounds of the mode; floor is the floor
-   table, and the box and its suffix sums must be in s.  Only the first
-   n - 1 levels are read, as the search checks nothing under the last
-   vertex.  Every mask must have the level's top vertex, and its prefix
-   must be empty or listed before it.  A bound that every d_m the search
-   reaches meets is dropped, and a mask left with none is kept as a prefix
-   (below level n - 2) or not at all.  Returns -1 with an exception set,
-   else 0; on success the caller frees the rows, prefixes and offsets (one
-   block at s->row_at). */
-static int load_plan(Search *s, PyObject *plan, const long long *floor, int v0, int mode)
+/* Read the plan, one byte per mask, into the rows and prefixes of s with
+   the bounds of the mode; floor is the floor table, and the box and its
+   suffix sums must be in s.  Only the masks below level n - 1 are read, as
+   the search checks nothing under the last vertex.  A kept mask's prefix
+   must be empty or kept.  A bound that every d_m the search reaches meets
+   is dropped, and a mask left with none is kept as a prefix (below level
+   n - 2) or not at all.  Returns -1 with an exception set, else 0; on
+   success the caller frees the rows, prefixes and offsets (one block at
+   s->row_at). */
+static int load_plan(Search *s, const unsigned char *plan, const long long *floor, int v0,
+                     int mode)
 {
-    int n = s->n, rc = -1;
+    int n = s->n;
     size_t full = ((size_t)1 << n) - 1, count = 0;
-    PyObject *levels[MAX_VERTICES] = {NULL};
-    unsigned char *listed = NULL;
-    size_t *offsets = NULL;
-    PyObject *seq = PySequence_Tuple(plan);
-    if (seq == NULL)
-        return -1;
-    if (PyTuple_GET_SIZE(seq) != n) {
-        PyErr_Format(PyExc_ValueError, "plan: expected %d levels, got %zd", n,
-                     PyTuple_GET_SIZE(seq));
-        goto done;
-    }
-    for (int k = 0; k < n - 1; k++) {
-        if ((levels[k] = PySequence_Tuple(PyTuple_GET_ITEM(seq, k))) == NULL)
-            goto done;
-        count += (size_t)PyTuple_GET_SIZE(levels[k]);
-    }
+    for (size_t m = 1; m <= full >> 1; m++)
+        count += (plan[m] & KEPT) != 0;
     /* offsets, then the rows and prefixes, at most count of each */
-    offsets = PyMem_Malloc(2 * (size_t)n * sizeof(size_t)
-                           + count * (sizeof(Row) + sizeof(Prefix)));
-    listed = PyMem_Calloc(full + 1, 1);
-    if (offsets == NULL || listed == NULL) {
+    size_t *offsets = PyMem_Malloc(2 * (size_t)n * sizeof(size_t)
+                                   + count * (sizeof(Row) + sizeof(Prefix)));
+    if (offsets == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
     size_t *row_at = offsets, *prefix_at = offsets + n;
     Row *rows = (Row *)(prefix_at + n);
@@ -427,25 +378,19 @@ static int load_plan(Search *s, PyObject *plan, const long long *floor, int v0, 
     int stable = mode == MODE_STABLE, quasi = mode == MODE_QUASISTABLE;
     long long scale = s->scale, top = scale * s->total;
     long long from_hi = top - scale * s->suf_hi[0], from_lo = top - scale * s->suf_lo[0];
-    listed[0] = 1;
     for (int k = 0; k < n - 1; k++) {
         size_t base = (size_t)1 << k;
         row_at[k] = nrows;
         prefix_at[k] = nprefixes;
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(levels[k]); i++) {
-            long long mask;
-            int checks;
-            if (!PyArg_Parse(PyTuple_GET_ITEM(levels[k], i), "(Li)", &mask, &checks))
-                goto done;
-            size_t m = (size_t)mask;
-            if (mask < (long long)base || m >= base << 1 || checks < 0
-                || checks > (CHECK_LOWER | CHECK_UPPER) || !listed[m ^ base]) {
-                PyErr_Format(PyExc_ValueError,
-                             "plan: entry (%lld, %d) at level %d is not a plan entry",
-                             mask, checks, k);
-                goto done;
+        for (size_t m = base; m < base << 1; m++) {
+            if (!(plan[m] & KEPT))
+                continue;
+            if (m != base && !(plan[m ^ base] & KEPT)) {
+                PyErr_Format(PyExc_ValueError, "plan: mask %zu is kept, its prefix %zu is not",
+                             m, m ^ base);
+                PyMem_Free(offsets);
+                return -1;
             }
-            listed[m] = 1;
             /* every d_m the search reaches lies in reach_lo..reach_hi
                (scaled), from the box on m and on its complement */
             long long m_lo = 0, m_hi = 0;
@@ -461,12 +406,12 @@ static int load_plan(Search *s, PyObject *plan, const long long *floor, int v0, 
                ways on all */
             int holds_v0 = (m >> v0) & 1;
             Row r = {m, m ^ base, reach_lo, reach_hi};
-            if (checks & CHECK_LOWER) {
+            if (plan[m] & CHECK_LOWER) {
                 long long bound = floor[m] + (stable || (quasi && holds_v0));
                 if (bound > r.low)
                     r.low = bound;
             }
-            if (checks & CHECK_UPPER) {
+            if (plan[m] & CHECK_UPPER) {
                 long long bound = top - floor[full ^ m] - (stable || (quasi && !holds_v0));
                 if (bound < r.high)
                     r.high = bound;
@@ -483,15 +428,7 @@ static int load_plan(Search *s, PyObject *plan, const long long *floor, int v0, 
     s->prefix_at = prefix_at;
     s->rows = rows;
     s->prefixes = prefixes;
-    rc = 0;
-done:
-    if (rc < 0)
-        PyMem_Free(offsets);
-    PyMem_Free(listed);
-    for (int k = 0; k < n - 1; k++)
-        Py_XDECREF(levels[k]);
-    Py_DECREF(seq);
-    return rc;
+    return 0;
 }
 
 PyDoc_STRVAR(box_enumerate_doc,
@@ -502,7 +439,7 @@ PyDoc_STRVAR(box_enumerate_doc,
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
-    PyObject *tables, *floor_seq, *plan, *lo, *hi, *at, *out = NULL;
+    PyObject *tables, *floor_table, *plan_table, *lo, *hi, *at, *out = NULL;
     int v0, mode, n;
     long long total, scale;
 
@@ -510,24 +447,27 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
                           &tables, &v0, &total, &lo, &hi, &mode, &at))
         return NULL;
     if (!PyArg_ParseTuple(tables, "iLOO;tables must be (n, scale, floor, plan)",
-                          &n, &scale, &floor_seq, &plan))
+                          &n, &scale, &floor_table, &plan_table))
         return NULL;
     if (n < 1 || n > MAX_VERTICES)
         return PyErr_Format(PyExc_ValueError, "n = %d outside 1..%d", n, MAX_VERTICES);
     if (v0 < 0 || v0 >= n)
         return PyErr_Format(PyExc_ValueError, "v0 = %d outside 0..%d", v0, n - 1);
     size_t size = (size_t)1 << n;
-    long long *buf = PyMem_Malloc((2 * size + 6 * ((size_t)n + 1)) * sizeof(long long));
+    /* the int64 arrays, then the plan's bytes */
+    long long *buf = PyMem_Malloc((2 * size + 6 * ((size_t)n + 1)) * sizeof(long long) + size);
     if (buf == NULL)
         return PyErr_NoMemory();
     long long *floor = buf, *sums = floor + size;
     long long *clo = sums + size, *chi = clo + n + 1;
     long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *d = suf_hi + n + 1;
     long long *cat = d + n + 1;
+    unsigned char *plan = (unsigned char *)(cat + n + 1);
     Search s = {.n = n, .scale = scale, .total = total, .lo = clo, .hi = chi,
                 .suf_lo = suf_lo, .suf_hi = suf_hi, .at = cat, .sums = sums, .d = d};
 
-    if (load_table(floor_seq, size, floor, "floor table") < 0
+    if (load_bytes(floor_table, size * sizeof(long long), floor, "floor table") < 0
+        || load_bytes(plan_table, size, plan, "plan") < 0
         || load_ints(lo, n, clo, "lo") < 0
         || load_ints(hi, n, chi, "hi") < 0
         || load_ints(at, n, cat, "at") < 0)

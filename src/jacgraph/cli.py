@@ -202,7 +202,7 @@ def cmd_complexity(problem: Problem, args) -> dict:
     try:
         pic = picard_group(g)
     except DisconnectedGraphError as exc:
-        c = complexity(g)
+        c = 0  # a disconnected graph has no spanning tree
         payload = {"complexity": c, "picard": None, "picard_error": str(exc)}
     else:
         # on a connected graph the group's order is the spanning-tree count
@@ -264,17 +264,17 @@ def cmd_reduce(problem: Problem, args) -> dict:
 
 def cmd_check_pol(problem: Problem, args) -> dict:
     q = _require_polarization(problem)
-    general = q.is_general()
-    nondegenerate = q.is_nondegenerate()
+    # one scan: the witness is a non-spine whenever an integral one exists
+    hit = q.integral_witness()
+    general = hit is None
+    nondegenerate = general or hit[1]
     witness = None
-    if not general:
-        hit = q.integral_witness()
-        if hit is not None:
-            W, spine = hit
-            witness = {
-                "vertices": [v for v in problem.graph.vertices if v in W],
-                "is_spine": spine,
-            }
+    if hit is not None:
+        W, spine = hit
+        witness = {
+            "vertices": [v for v in problem.graph.vertices if v in W],
+            "is_spine": spine,
+        }
     if args.verbose:
         msg = f"general: {'yes' if general else 'no'}"
         msg += f", nondegenerate: {'yes' if nondegenerate else 'no'}"

@@ -375,17 +375,7 @@ class StratumContext:
         the complement."""
         self._check_cochain(d)
         self._require_budget(d)
-        g = self.graph
-        W = g.vertex_subset(W)
-        if not W:
-            return Fraction(0)
-        return (
-            d.sum_over(W)
-            + g.induced_edge_count(self.stratum, W)
-            - self.q.sum_over(W)
-            - Fraction(g.valence(W), 2)
-            + g.valence_in(self.stratum, W)
-        )
+        return self.deficit(d, self.graph.complement(W))
 
     def defects(self, d: Cochain) -> DefectReport:
         self._check_cochain(d)

@@ -23,6 +23,9 @@ from jacgraph._kernel_py import CHECK_LOWER, CHECK_UPPER
 import corpus
 import oracles
 
+# the compiled plan byte's flag for a mask its search keeps
+KEPT = 8
+
 
 def _kernel_args(ctx):
     """The kernel inputs of a context: its partial normalization's kept
@@ -102,6 +105,21 @@ def _check_plan(n, pairs, plan):
     assert set(entries) == closure
 
 
+def _plan_levels(n, plan):
+    """The compiled kernel's plan, one byte per mask, as the pure kernel's
+    levels: per top vertex, the kept masks' (mask, checks) pairs in
+    increasing mask order.  A byte holds nothing but its checks and KEPT,
+    and checks only with KEPT."""
+    assert len(plan) == 1 << n
+    levels = [[] for _ in range(n)]
+    for m, byte in enumerate(plan):
+        assert not byte & ~(CHECK_LOWER | CHECK_UPPER | KEPT), m
+        if byte:
+            assert byte & KEPT, m
+            levels[m.bit_length() - 1].append((m, byte ^ KEPT))
+    return tuple(map(tuple, levels))
+
+
 needs_speedups = pytest.mark.skipif(
     not _kernel.HAVE_SPEEDUPS, reason="compiled kernel not built: no C compiler on PATH"
 )
@@ -138,8 +156,9 @@ def _kept_floor(impl, n, tables):
     pure kernel."""
     _, _, floor, plan = tables
     if impl is not _kernel_py:
-        assert len(floor) == 1 << n
-        return dict(enumerate(floor))
+        values = memoryview(floor).cast("q")
+        assert len(values) == 1 << n
+        return dict(enumerate(values))
     planned = {m for level in plan for m, _ in level}
     assert set(floor) == planned | {((1 << n) - 1) ^ m for m in planned}
     return floor
@@ -189,6 +208,8 @@ class TestPureKernel:
             disconnected += not _flood_connected((1 << n) - 1, ctx._ints.kept)
             for impl in implementations():
                 _, _, _, plan = impl.build_tables(n, *_kernel_args(ctx))
+                if impl is not _kernel_py:
+                    plan = _plan_levels(n, plan)
                 _check_plan(n, ctx._ints.kept, plan)
         assert disconnected > 0  # G - S disconnected in some cases
 
@@ -648,7 +669,7 @@ class TestParity:
             g, q, basepoint, stratum = _random_problem(rng, n)
             args = _kernel_args(StratumContext(g, q, basepoint, stratum))
             want = _kernel_py.build_tables(n, *args).plan
-            assert compiled.build_tables(n, *args)[3] == want, trial
+            assert _plan_levels(n, compiled.build_tables(n, *args)[3]) == want, trial
 
     def test_enumeration_agrees(self, corpus_cases):
         compiled = implementations()[0]
@@ -693,23 +714,20 @@ class TestCompiledChecks:
                 compiled.build_tables(2, [bad_edge], [1, 1], 2)
         with pytest.raises(ValueError):
             compiled.box_enumerate(tables, 2, 1, [0, 0], [1, 1], MODE_QUASISTABLE, [0, 1])
-        n, scale, floor, plan = tables
-        with pytest.raises(ValueError):
-            compiled.box_enumerate(
-                (n, scale, floor[:-1], plan), 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1]
-            )
         assert compiled.box_enumerate(
             tables, 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1]
         ) == [(0, 1), (1, 0)]
-        # a level missing, a mask under the wrong top vertex, unknown
-        # checks, a prefix not listed before its mask
+        # a floor short by one entry, a plan short by one byte, and a kept
+        # mask, {0, 1}, whose prefix {0} is not kept
         n, scale, floor, plan = compiled.build_tables(3, [(0, 1), (1, 2)], [1, 1, 0], 2)
-        bad_plans = (plan[:2], (((2, 1),), (), ()), (((1, 4),), (), ()), ((), ((3, 1),), ()))
-        for bad_plan in bad_plans:
+        assert plan[3] & KEPT
+        unkept = bytearray(plan)
+        unkept[1] = 0
+        args = (0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE, [0, 1, 2])
+        assert compiled.box_enumerate((n, scale, floor, plan), *args)
+        for bad in ((floor[:-8], plan), (floor, plan[:-1]), (floor, bytes(unkept))):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(
-                    (n, scale, floor, bad_plan), 0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE, [0, 1, 2]
-                )
+                compiled.box_enumerate((n, scale, *bad), *args)
 
     def test_at_not_a_permutation_raises(self):
         # a repeated position, one past the end, a negative one, and too

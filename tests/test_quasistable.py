@@ -130,6 +130,15 @@ class TestDefects:
                         - oracles.stratum_inside_count(g, S, W)
                     )
                 assert ctx.deficit(d, W) == expect
+                rest = set(vs) - W
+                excess = (
+                    d.sum_over(W)
+                    + oracles.stratum_inside_count(g, S, W)
+                    - q.sum_over(W)
+                    - Fraction(oracles.crossing_count(g, W), 2)
+                    + oracles.valence_between(g, S, W, rest)
+                )
+                assert ctx.excess(d, W) == excess
 
 
 class TestPredicates:
