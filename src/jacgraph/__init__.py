@@ -54,20 +54,26 @@ from .quasistable import (
     StratumContext,
     semistable_equality_witness,
 )
-from .strata import (
-    BlowupBucket,
-    BlowupDecomposition,
-    PushforwardDegrees,
-    StrataReport,
-    StratumRow,
-    blowup_decomposition,
-    pushforward_multidegree,
-    strata_report,
-    stratum_multidegrees,
-)
 from ._kernel import HAVE_SPEEDUPS, implementation_name
 
 __version__ = "0.1.0"
+
+
+# ``strata`` and its names load on first use (PEP 562), so a command that
+# builds no stratum report does not compile the module; they are the only
+# names of ``__all__`` not bound at import
+def __getattr__(name):
+    if name == "strata" or name in __all__:
+        import importlib
+
+        strata = importlib.import_module(".strata", __name__)
+        return strata if name == "strata" else getattr(strata, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "strata"})
+
 
 __all__ = [
     "BlowupBucket",

@@ -8,7 +8,6 @@ extension was not built.
 
 from __future__ import annotations
 
-from . import _kernel_py
 from .errors import EmptyGraphError, GuardLimitError
 
 try:
@@ -18,9 +17,9 @@ except ImportError:  # pragma: no cover - build dependent
 
 HAVE_SPEEDUPS = _speedups is not None
 
-MODE_SEMISTABLE = _kernel_py.MODE_SEMISTABLE
-MODE_QUASISTABLE = _kernel_py.MODE_QUASISTABLE
-MODE_STABLE = _kernel_py.MODE_STABLE
+MODE_SEMISTABLE = 0
+MODE_QUASISTABLE = 1
+MODE_STABLE = 2
 
 # headroom below 2**63 for the products and sums formed inside the kernel
 FAST_BOUND = 1 << 60
@@ -43,11 +42,15 @@ def select(value_bound: int):
     """The kernel module to use for operands bounded by ``value_bound``."""
     if _speedups is not None and value_bound < FAST_BOUND:
         return _speedups
+    from . import _kernel_py
+
     return _kernel_py
 
 
 def implementations():
     """Available kernel modules, compiled one first."""
+    from . import _kernel_py
+
     mods = []
     if _speedups is not None:
         mods.append(_speedups)

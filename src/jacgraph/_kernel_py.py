@@ -41,11 +41,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
 from .graph import _adjacency_masks
-
-MODE_SEMISTABLE = 0
-MODE_QUASISTABLE = 1
-MODE_STABLE = 2
 
 # the checks a plan entry asks for; 0 keeps a mask for its sum alone
 CHECK_LOWER = 1

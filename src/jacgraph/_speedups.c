@@ -33,7 +33,7 @@
 #include <Python.h>
 #include <string.h>
 
-enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel_py */
+enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel */
 enum { CHECK_LOWER = 1, CHECK_UPPER = 2 };                 /* as in _kernel_py */
 /* a plan byte's flag beside the checks: the search keeps the mask; and
    build_tables' own mark of a connected subset, cleared before it returns */

@@ -28,15 +28,14 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DisconnectedGraphError, JacGraphError
 from .graph import Edge, Multigraph
 from .lattice import Cochain, complexity, laplacian_apply, picard_group
 from .polarization import Polarization
 from .quasistable import StratumContext
-from .strata import EDGE_GUARD_DEFAULT, blowup_rows, strata_rows
 
 KIND_NAMES = {"ss": "semistable", "qs": "quasistable", "stable": "stable"}
 
@@ -58,12 +57,7 @@ def parse_rational(value) -> Fraction:
     raise ProblemFileError(f"not a rational: {value!r}")
 
 
-def format_rational(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     graph: Multigraph
     polarization: Polarization | None
     basepoint: str
@@ -180,6 +174,8 @@ def _context(problem: Problem) -> StratumContext:
 def _edge_guard() -> int:
     env = os.environ.get("JACGRAPH_GUARD_EDGES")
     if env is None:
+        from .strata import EDGE_GUARD_DEFAULT
+
         return EDGE_GUARD_DEFAULT
     try:
         guard = int(env)
@@ -290,6 +286,8 @@ def cmd_check_pol(problem: Problem, args) -> dict:
 
 
 def cmd_strata(problem: Problem, args) -> dict:
+    from .strata import strata_rows
+
     q = _require_polarization(problem)
     if args.max_codim is not None and args.max_codim < 0:
         raise ProblemFileError(f"--max-codim must be nonnegative, got {args.max_codim}")
@@ -326,6 +324,8 @@ def cmd_strata(problem: Problem, args) -> dict:
 
 
 def cmd_blowup_check(problem: Problem, args) -> dict:
+    from .strata import blowup_rows
+
     q = _require_polarization(problem)
     g = problem.graph
     sub, rows, total, expected_total = blowup_rows(

@@ -8,10 +8,9 @@ determinant.  No floats anywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DegreeMismatchError,
@@ -384,8 +383,7 @@ def _euclid_factors(a: list[list[int]]) -> tuple[int, ...]:
     return (1,) * (len(diag) - len(rest)) + tuple(rest) + (0,) * (size - len(diag))
 
 
-@dataclass(frozen=True)
-class PicardGroup:
+class PicardGroup(NamedTuple):
     """Finite abelian group presented by its invariant factors (> 1 only)."""
 
     invariant_factors: tuple[int, ...]

@@ -31,9 +31,8 @@ to the distinguished quasistable representative of its class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import _kernel
 from .errors import (
@@ -55,8 +54,7 @@ _MODE = {
 }
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Worst-case defect data of a multidegree.
 
     ``max_excess == max_deficit`` always (complement symmetry).  The core
@@ -73,8 +71,7 @@ class DefectReport:
     basepoint_deficit_core: frozenset | None
 
 
-@dataclass(frozen=True)
-class ReduceReport:
+class ReduceReport(NamedTuple):
     """The reduced multidegree, the number of unit steps after the jump,
     and the integral potential z with ``output - input`` the Laplacian of
     z on the stratum-deleted graph (None when not recorded)."""

@@ -25,8 +25,7 @@ walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ._kernel import SUBSET_SCAN_LIMIT
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
@@ -184,8 +183,7 @@ def stratum_multidegrees(
     return StratumContext(g, q, basepoint, stratum).enumerate("quasistable")
 
 
-@dataclass(frozen=True)
-class StratumRow:
+class StratumRow(NamedTuple):
     stratum: tuple
     codimension: int
     connected: bool
@@ -193,8 +191,7 @@ class StratumRow:
     multidegrees: tuple[Cochain, ...]
 
 
-@dataclass(frozen=True)
-class StrataReport:
+class StrataReport(NamedTuple):
     graph: Multigraph
     basepoint: Vertex
     rows: tuple[StratumRow, ...]
@@ -274,8 +271,7 @@ def strata_report(
     )
 
 
-@dataclass(frozen=True)
-class PushforwardDegrees:
+class PushforwardDegrees(NamedTuple):
     """Degrees seen on the original graph after a stratum normalization.
 
     Per vertex: the normalization value plus one for each stratum loop at
@@ -321,16 +317,14 @@ def pushforward_multidegree(
     )
 
 
-@dataclass(frozen=True)
-class BlowupBucket:
+class BlowupBucket(NamedTuple):
     stratum: tuple
     count: int
     expected_count: int
     multidegrees: tuple[Cochain, ...]
 
 
-@dataclass(frozen=True)
-class BlowupDecomposition:
+class BlowupDecomposition(NamedTuple):
     graph: Multigraph
     subdivided_graph: Multigraph
     basepoint: Vertex

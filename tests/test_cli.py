@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -169,7 +168,7 @@ class TestReduce:
         def skewed(self, d):
             rep = real(self, d)
             z = rep.potential.values
-            return dataclasses.replace(rep, potential=Cochain(d.graph, (z[0] + 1,) + z[1:]))
+            return rep._replace(potential=Cochain(d.graph, (z[0] + 1,) + z[1:]))
 
         path = problem(BANANA)
         rc, payload, _ = run(capsys, ["reduce", path, "--multidegree", "0,1"])
