@@ -49,8 +49,7 @@ def kernel_inputs(g: Multigraph, q: Polarization, basepoint):
     polarization, scale, singleton box and basepoint index."""
     ctx = StratumContext(g, q, basepoint)
     lo, hi = ctx.singleton_box()
-    ints = ctx._ints
-    return ctx, ints.kept, ints.base, ints.scale, lo, hi, ints.v0
+    return ctx, ctx._kept, ctx._base, ctx.scale, lo, hi, ctx._v0
 
 
 def best_of(repeat, fn, *args):
@@ -142,7 +141,7 @@ def main(argv=None) -> int:
                 f"{n:>3} {label:<12}{t_enum * 1e3:>10.2f}ms"
                 f"  ({implementation_name()}, {len(got)} rows)"
             )
-        t_cut, _ = best_of(args.repeat, ctx._ints.defect_cut, d)
+        t_cut, _ = best_of(args.repeat, ctx._defect_cut, d)
         print(f"{n:>3} {'min cut':<12}{t_cut * 1e3:>10.2f}ms")
         plan = _kernel_py.build_tables(n, edges, base, scale).plan
         checks = [c for level in plan for _, c in level]

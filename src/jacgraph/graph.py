@@ -457,3 +457,66 @@ class Multigraph:
         return (
             f"Multigraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
         )
+
+
+class _VertexValues:
+    """One value per vertex of a graph, in vertex order: the base of
+    ``Cochain`` and ``Polarization``.  A subclass names its ``_noun`` for
+    the error messages, the ``_convert`` applied to each given value and the
+    ``_zero`` that sums start from."""
+
+    __slots__ = ("graph", "values")
+
+    def __init__(self, graph: Multigraph, values):
+        self.graph = graph
+        convert, noun = self._convert, self._noun
+        if isinstance(values, Mapping):
+            missing = [v for v in graph.vertices if v not in values]
+            if missing:
+                raise GraphConstructionError(f"{noun} misses values for {missing!r}")
+            if len(values) != len(graph.vertices):
+                extra = [v for v in values if v not in graph._vpos]
+                raise GraphConstructionError(f"{noun} has values for non-vertices {extra!r}")
+            vals = tuple(convert(values[v]) for v in graph.vertices)
+        else:
+            vals = tuple(map(convert, values))
+            if len(vals) != len(graph.vertices):
+                raise GraphConstructionError(
+                    f"expected {len(graph.vertices)} values, got {len(vals)}"
+                )
+        self.values = vals
+
+    @classmethod
+    def _of(cls, graph: Multigraph, values: tuple):
+        """An instance on a tuple of ``graph.num_vertices`` values that the
+        library computed itself, without the checks of the constructor."""
+        self = object.__new__(cls)
+        self.graph = graph
+        self.values = values
+        return self
+
+    def __getitem__(self, v: Vertex):
+        return self.values[self.graph._vpos[v]]
+
+    @property
+    def total(self) -> int:
+        return int(sum(self.values, self._zero))
+
+    def sum_over(self, W: Iterable[Vertex]):
+        W = self.graph.vertex_subset(W)
+        return sum((self[v] for v in W), self._zero)
+
+    def as_dict(self) -> dict:
+        return dict(zip(self.graph.vertices, self.values))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.values == other.values and self.graph == other.graph
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        pairs = ", ".join(f"{v!r}: {x}" for v, x in zip(self.graph.vertices, self.values))
+        return f"{type(self).__name__}({{{pairs}}})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DegreeMismatchError,
@@ -19,7 +19,7 @@ from .errors import (
     GraphMismatchError,
     GraphConstructionError,
 )
-from .graph import Multigraph, Vertex
+from .graph import Multigraph, Vertex, _VertexValues
 
 
 def _integer(x) -> int:
@@ -31,51 +31,11 @@ def _integer(x) -> int:
         raise GraphConstructionError(f"cochain value {x!r} is not an integer") from None
 
 
-class Cochain:
+class Cochain(_VertexValues):
     """An integer value per vertex (a multidegree), bound to its graph."""
 
-    __slots__ = ("graph", "values")
-
-    def __init__(self, graph: Multigraph, values):
-        self.graph = graph
-        if isinstance(values, Mapping):
-            missing = [v for v in graph.vertices if v not in values]
-            if missing:
-                raise GraphConstructionError(f"cochain misses values for {missing!r}")
-            if len(values) != len(graph.vertices):
-                extra = [v for v in values if v not in graph._vpos]
-                raise GraphConstructionError(f"cochain has values for non-vertices {extra!r}")
-            vals = tuple(_integer(values[v]) for v in graph.vertices)
-        else:
-            vals = tuple(map(_integer, values))
-            if len(vals) != len(graph.vertices):
-                raise GraphConstructionError(
-                    f"expected {len(graph.vertices)} values, got {len(vals)}"
-                )
-        self.values = vals
-
-    @classmethod
-    def _of(cls, graph: Multigraph, values: tuple) -> "Cochain":
-        """A cochain on a tuple of ``graph.num_vertices`` plain ints that the
-        library computed itself, without the checks of the constructor."""
-        self = object.__new__(cls)
-        self.graph = graph
-        self.values = values
-        return self
-
-    def __getitem__(self, v: Vertex) -> int:
-        return self.values[self.graph._vpos[v]]
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
-    def sum_over(self, W: Iterable[Vertex]) -> int:
-        W = self.graph.vertex_subset(W)
-        return sum(self[v] for v in W)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.graph.vertices, self.values))
+    __slots__ = ()
+    _noun, _convert, _zero = "cochain", staticmethod(_integer), 0
 
     def rebind(self, graph: Multigraph) -> "Cochain":
         """The same values on another graph with an identical vertex listing."""
@@ -99,18 +59,6 @@ class Cochain:
             raise TypeError(f"expected a Cochain, got {type(other).__name__}")
         if other.graph != self.graph:
             raise GraphMismatchError("cochains bound to different graphs")
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return self.values == other.values and self.graph == other.graph
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        pairs = ", ".join(f"{v!r}: {x}" for v, x in zip(self.graph.vertices, self.values))
-        return f"Cochain({{{pairs}}})"
 
 
 def characteristic(g: Multigraph, W: Iterable[Vertex]) -> Cochain:

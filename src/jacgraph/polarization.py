@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ._kernel import scan_guard
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     NonIntegralRestrictionError,
     PolarizationTotalError,
 )
-from .graph import Multigraph, Vertex, _adjacency_masks, _mask_pieces
+from .graph import Multigraph, Vertex, _VertexValues, _adjacency_masks, _mask_pieces
 
 
 def _to_fraction(x) -> Fraction:
@@ -37,66 +37,17 @@ def _to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-class Polarization:
+class Polarization(_VertexValues):
     """Exact rational values on the vertices of a graph, integer total."""
 
-    __slots__ = ("graph", "values")
+    __slots__ = ()
+    _noun, _convert, _zero = "polarization", staticmethod(_to_fraction), Fraction(0)
 
     def __init__(self, graph: Multigraph, values):
-        self.graph = graph
-        if isinstance(values, Mapping):
-            missing = [v for v in graph.vertices if v not in values]
-            if missing:
-                raise GraphConstructionError(f"polarization misses values for {missing!r}")
-            if len(values) != len(graph.vertices):
-                extra = [v for v in values if v not in graph._vpos]
-                raise GraphConstructionError(
-                    f"polarization has values for non-vertices {extra!r}"
-                )
-            vals = tuple(_to_fraction(values[v]) for v in graph.vertices)
-        else:
-            vals = tuple(_to_fraction(x) for x in values)
-            if len(vals) != len(graph.vertices):
-                raise GraphConstructionError(
-                    f"expected {len(graph.vertices)} values, got {len(vals)}"
-                )
-        self.values = vals
-        tot = sum(vals, Fraction(0))
+        super().__init__(graph, values)
+        tot = sum(self.values, Fraction(0))
         if tot.denominator != 1:
             raise PolarizationTotalError(f"polarization total {tot} is not an integer")
-
-    @classmethod
-    def _of(cls, graph: Multigraph, values: tuple) -> "Polarization":
-        """Unchecked: one Fraction per vertex, with an integer total."""
-        self = object.__new__(cls)
-        self.graph, self.values = graph, values
-        return self
-
-    def __getitem__(self, v: Vertex) -> Fraction:
-        return self.values[self.graph._vpos[v]]
-
-    @property
-    def total(self) -> int:
-        return int(sum(self.values, Fraction(0)))
-
-    def sum_over(self, W: Iterable[Vertex]) -> Fraction:
-        W = self.graph.vertex_subset(W)
-        return sum((self[v] for v in W), Fraction(0))
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.graph.vertices, self.values))
-
-    def __eq__(self, other):
-        if not isinstance(other, Polarization):
-            return NotImplemented
-        return self.values == other.values and self.graph == other.graph
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        pairs = ", ".join(f"{v!r}: {x}" for v, x in zip(self.graph.vertices, self.values))
-        return f"Polarization({{{pairs}}})"
 
     # -- derived polarizations ------------------------------------------
 

@@ -81,12 +81,14 @@ class ReduceReport(NamedTuple):
     potential: "Cochain | None" = None
 
 
-class _ScaledStratum:
-    """The integer data of a stratum context, which is that of the partial
-    normalization (G - S, q_S): the non-loop edges ``kept`` of G - S as
-    endpoint index pairs, ``base == scale * q_S`` with ``scale`` even and
-    clearing the denominators, the basepoint index and the degree budget.
-    Each ``StratumContext`` holds one; none of it refers to a graph object.
+class StratumContext:
+    """Ambient data for multidegree stability questions.
+
+    The context keeps the integer data of the partial normalization
+    (G - S, q_S): the non-loop edges ``_kept`` of G - S as endpoint index
+    pairs, their neighbour masks ``_adj``, ``_base == scale * q_S`` with
+    ``scale`` even and clearing the denominators, the basepoint index
+    ``_v0`` and the degree budget.
 
     Scaled by ``scale``, the deficit of a multidegree d on a vertex set W
     is ``sum(w_v for v in W) - scale/2 * val_{G-S}(W)`` with
@@ -96,80 +98,126 @@ class _ScaledStratum:
     both ways per kept edge, the cut with source side ``{s} | W`` costs the
     sum of the positive ``w_v`` minus ``deficit(W)``.  So a maximum flow
     gives the maximal deficit, and its residual graph the least and
-    greatest maximizers."""
+    greatest maximizers.
+    """
 
-    def __init__(self, kept, base, scale, v0, budget):
-        self.kept, self.base, self.scale = kept, base, scale
-        self.v0, self.budget = v0, budget
-        self.adj = _adjacency_masks(len(base), kept)
+    def __init__(
+        self,
+        graph: Multigraph,
+        q: Polarization,
+        basepoint: Vertex,
+        stratum: Iterable = (),
+    ):
+        if q.graph != graph:
+            raise GraphMismatchError("polarization bound to a different graph")
+        graph._check_vertex(basepoint)
+        self.graph = graph
+        self.q = q
+        self.basepoint = basepoint
+        self.stratum = graph.edge_subset(stratum)
+        self.budget = q.total - len(self.stratum)
+
+        # the partial normalization (G - S, q_S): an S-edge takes half a
+        # unit from each end, an S-loop a whole unit from its vertex
+        self.scale, base = q._scaled()
+        half, kept = self.scale // 2, []
+        for e, (a, b) in zip(graph.edges, graph._pairs):
+            if e.id not in self.stratum:
+                if a != b:
+                    kept.append((a, b))
+            else:
+                base[a] -= half
+                base[b] -= half
+        self._kept, self._base, self._v0 = kept, base, graph._vpos[basepoint]
+        self._adj = _adjacency_masks(len(base), kept)
         self._net = None
+        self._deleted = None
 
-    def rhs_bound(self) -> int:
-        """A bound on every table entry either kernel forms: a floor entry
-        is a subset sum of ``base`` less ``scale/2`` per crossing kept edge,
-        and an upper bound is ``scale * budget == sum(base)`` minus a floor
-        entry, both moved by at most 1 for strictness."""
-        return 2 * sum(abs(x) for x in self.base) + self.scale // 2 * len(self.kept) + 1
+    # -- plumbing --------------------------------------------------------
 
-    def singleton_box(self) -> tuple[list[int], list[int]]:
-        """Bounds from the one-vertex subsets and their complements:
-        ``ceil((base_v - scale/2 * val(v)) / scale)`` up to
-        ``floor((base_v + scale/2 * val(v)) / scale)``, valences in G - S."""
-        val = [0] * len(self.base)
-        for a, b in self.kept:
-            val[a] += 1
-            val[b] += 1
-        half, scale = self.scale // 2, self.scale
-        lo = [-((half * k - x) // scale) for x, k in zip(self.base, val)]
-        hi = [(x + half * k) // scale for x, k in zip(self.base, val)]
-        return lo, hi
+    @property
+    def deleted_graph(self) -> Multigraph:
+        """The graph with the stratum edges removed (same vertices): the
+        graph itself for the empty stratum, as a Multigraph never changes."""
+        if self._deleted is None:
+            self._deleted = self.graph.delete_edges(self.stratum) if self.stratum else self.graph
+        return self._deleted
 
-    def enumerate(self, mode) -> list[tuple]:
-        """Value tuples of every multidegree of the kernel mode, sorted.
+    def _check_cochain(self, d: Cochain):
+        if d.graph != self.graph:
+            raise GraphMismatchError("multidegree bound to a different graph")
 
-        The box search takes the breadth-first layers from vertex n - 1,
-        farthest first and each by index, after the vertices they miss.  The
-        last vertex, whose value the total fixes, is then n - 1, the least
-        significant sort key: along the innermost level only it and a lower
-        vertex change, the lower one rising, so the rows, which the kernel
-        writes in vertex order, come in sorted runs for the one sort."""
-        lo, hi = self.singleton_box()
-        if any(a > b for a, b in zip(lo, hi)):
-            return []
-        n = len(self.base)
-        order, level, seen = [], [n - 1], 1 << (n - 1)
-        while level:
-            order[:0] = level
-            reached = 0
-            for i in level:
-                reached |= self.adj[i]
-            reached &= ~seen
-            seen |= reached
-            level = [j for j in range(n) if reached >> j & 1]
-        order[:0] = [i for i in range(n) if not seen >> i & 1]
-        bound = (
-            self.rhs_bound()
-            + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)
+    def _require_budget(self, d: Cochain):
+        if d.total != self.budget:
+            raise DegreeBudgetError(
+                f"total degree {d.total} does not meet the budget {self.budget}"
+            )
+
+    # -- pointwise defect functionals ------------------------------------
+
+    def deficit(self, d: Cochain, W: Iterable[Vertex]) -> Fraction:
+        """How far d falls below its floor on W; exact rational."""
+        self._check_cochain(d)
+        self._require_budget(d)
+        g = self.graph
+        W = g.vertex_subset(W)
+        if not W:
+            return Fraction(0)
+        return (
+            self.q.sum_over(W)
+            - Fraction(g.valence(W), 2)
+            - d.sum_over(W)
+            - g.induced_edge_count(self.stratum, W)
         )
-        impl = _kernel.select(bound)
-        inv = sorted(range(n), key=order.__getitem__)
-        tables = impl.build_tables(
-            n,
-            [(inv[a], inv[b]) for a, b in self.kept],
-            [self.base[old] for old in order],
-            self.scale,
+
+    def excess(self, d: Cochain, W: Iterable[Vertex]) -> Fraction:
+        """How far d rises above its ceiling on W; equals the deficit of
+        the complement."""
+        self._check_cochain(d)
+        self._require_budget(d)
+        return self.deficit(d, self.graph.complement(W))
+
+    def defects(self, d: Cochain) -> DefectReport:
+        self._check_cochain(d)
+        self._require_budget(d)
+        g = self.graph
+        full = (1 << g.num_vertices) - 1
+        best, least, greatest, bp = self._defect_cut(d.values)
+        worst = Fraction(best, self.scale)
+        return DefectReport(
+            max_excess=worst,
+            max_deficit=worst,
+            excess_core=g._vertex_set(full ^ greatest),
+            deficit_core=g._vertex_set(least),
+            basepoint_deficit_core=g._vertex_set(bp) if bp is not None else None,
         )
-        raw = impl.box_enumerate(
-            tables,
-            inv[self.v0],
-            self.budget,
-            [lo[old] for old in order],
-            [hi[old] for old in order],
-            mode,
-            order,
+
+    # -- stability predicates --------------------------------------------
+
+    def is_semistable(self, d: Cochain) -> bool:
+        self._check_cochain(d)
+        if d.total != self.budget:
+            return False
+        return self._defect_cut(d.values)[0] == 0
+
+    def is_quasistable(self, d: Cochain) -> bool:
+        self._check_cochain(d)
+        if d.total != self.budget:
+            return False
+        return self._defect_cut(d.values)[3] == (1 << self.graph.num_vertices) - 1
+
+    def is_stable(self, d: Cochain) -> bool:
+        """No positive deficit, and the least zero-deficit set through each
+        vertex is the whole vertex set (n forced cuts, as in
+        ``_defect_cut``)."""
+        self._check_cochain(d)
+        if d.total != self.budget:
+            return False
+        excess, res = self._max_flow(d.values)
+        full = (1 << len(excess)) - 1
+        return not any(e > 0 for e in excess) and all(
+            self._reach(res, [v]) == full for v in range(len(excess))
         )
-        raw.sort()
-        return raw
 
     # -- minimum cut -----------------------------------------------------
 
@@ -177,9 +225,9 @@ class _ScaledStratum:
         """``(cap, nbrs)``: the capacity matrix between vertices and each
         vertex's neighbours in G - S."""
         if self._net is None:
-            n, half = len(self.base), self.scale // 2
+            n, half = len(self._base), self.scale // 2
             cap = [[0] * n for _ in range(n)]
-            for a, b in self.kept:
+            for a, b in self._kept:
                 cap[a][b] += half
                 cap[b][a] += half
             nbrs = [[j for j in range(n) if cap[i][j]] for i in range(n)]
@@ -195,7 +243,7 @@ class _ScaledStratum:
         between vertices.  The maximal scaled deficit is the sum of the
         positive excesses."""
         cap, nbrs = self._network()
-        excess = [x - self.scale * d for x, d in zip(self.base, vals)]
+        excess = [x - self.scale * d for x, d in zip(self._base, vals)]
         res = [row[:] for row in cap]
         sources = [v for v, e in enumerate(excess) if e > 0]
         while sources:
@@ -249,7 +297,7 @@ class _ScaledStratum:
                     queue.append(x)
         return seen
 
-    def defect_cut(self, vals):
+    def _defect_cut(self, vals):
         """``(best, least, greatest, bp)`` for a multidegree ``vals`` on the
         budget: the maximal scaled deficit, the least and greatest vertex
         bitmasks attaining it, and, when ``best == 0``, the least
@@ -265,157 +313,33 @@ class _ScaledStratum:
         best = sum(e for e in excess if e > 0)
         least = self._reach(res, [v for v, e in enumerate(excess) if e > 0])
         to_t = self._reach(res, [v for v, e in enumerate(excess) if e < 0], forward=False)
-        bp = self._reach(res, [self.v0]) if best == 0 else None
+        bp = self._reach(res, [self._v0]) if best == 0 else None
         return best, least, ((1 << len(vals)) - 1) ^ to_t, bp
 
-    def centre_jump(self, vals) -> list[int]:
+    # -- reduction -------------------------------------------------------
+
+    def _centre_jump(self, vals) -> list[int]:
         """A rounding z of the solution y, 0 at the basepoint, of
         ``L y = c - d`` for the multidegree d of ``vals``, with L the
         Laplacian of the stratum-deleted graph, which must be connected,
         and c the stratum's rational centre q_S (``scale * c`` is
-        ``base``).  With ``w = z - y``, ``|w| <= 1/2``, the deficit
+        ``_base``).  With ``w = z - y``, ``|w| <= 1/2``, the deficit
         of ``d + L z`` on W sums ``w_a - w_b - 1/2 <= 1/2`` over the edges
         of that graph from a in W to b outside: every deficit is at most
         half a cut."""
-        n, v0, scale = len(vals), self.v0, self.scale
-        rhs = [b - scale * x for x, b in zip(vals, self.base)]
-        top, x = _solve(_reduced_laplacian(n, self.kept, v0, rhs))
+        n, v0, scale = len(vals), self._v0, self.scale
+        rhs = [b - scale * x for x, b in zip(vals, self._base)]
+        top, x = _solve(_reduced_laplacian(n, self._kept, v0, rhs))
         # y = x / (top * scale) rounded half up; // floors for either sign
         z = [(2 * xv + top * scale) // (2 * top * scale) for xv in x]
         z.insert(v0, 0)
         return z
 
-    def is_stable(self, vals) -> bool:
-        """Whether the multidegree ``vals`` on the budget is stable: no
-        positive deficit, and the least zero-deficit set through each
-        vertex is the whole vertex set (n forced cuts, as in
-        ``defect_cut``)."""
-        excess, res = self._max_flow(vals)
-        full = (1 << len(vals)) - 1
-        return not any(e > 0 for e in excess) and all(
-            self._reach(res, [v]) == full for v in range(len(vals))
-        )
-
-
-class StratumContext:
-    """Ambient data for multidegree stability questions."""
-
-    def __init__(
-        self,
-        graph: Multigraph,
-        q: Polarization,
-        basepoint: Vertex,
-        stratum: Iterable = (),
-    ):
-        if q.graph != graph:
-            raise GraphMismatchError("polarization bound to a different graph")
-        graph._check_vertex(basepoint)
-        self.graph = graph
-        self.q = q
-        self.basepoint = basepoint
-        self.stratum = graph.edge_subset(stratum)
-        self.budget = q.total - len(self.stratum)
-
-        # the partial normalization (G - S, q_S): an S-edge takes half a
-        # unit from each end, an S-loop a whole unit from its vertex
-        self.scale, base = q._scaled()
-        half, kept = self.scale // 2, []
-        for e, (a, b) in zip(graph.edges, graph._pairs):
-            if e.id not in self.stratum:
-                if a != b:
-                    kept.append((a, b))
-            else:
-                base[a] -= half
-                base[b] -= half
-        self._ints = _ScaledStratum(kept, base, self.scale, graph._vpos[basepoint], self.budget)
-        self._deleted = None
-
-    # -- plumbing --------------------------------------------------------
-
-    @property
-    def deleted_graph(self) -> Multigraph:
-        """The graph with the stratum edges removed (same vertices): the
-        graph itself for the empty stratum, as a Multigraph never changes."""
-        if self._deleted is None:
-            self._deleted = self.graph.delete_edges(self.stratum) if self.stratum else self.graph
-        return self._deleted
-
-    def _check_cochain(self, d: Cochain):
-        if d.graph != self.graph:
-            raise GraphMismatchError("multidegree bound to a different graph")
-
-    def _require_budget(self, d: Cochain):
-        if d.total != self.budget:
-            raise DegreeBudgetError(
-                f"total degree {d.total} does not meet the budget {self.budget}"
-            )
-
-    # -- pointwise defect functionals ------------------------------------
-
-    def deficit(self, d: Cochain, W: Iterable[Vertex]) -> Fraction:
-        """How far d falls below its floor on W; exact rational."""
-        self._check_cochain(d)
-        self._require_budget(d)
-        g = self.graph
-        W = g.vertex_subset(W)
-        if not W:
-            return Fraction(0)
-        return (
-            self.q.sum_over(W)
-            - Fraction(g.valence(W), 2)
-            - d.sum_over(W)
-            - g.induced_edge_count(self.stratum, W)
-        )
-
-    def excess(self, d: Cochain, W: Iterable[Vertex]) -> Fraction:
-        """How far d rises above its ceiling on W; equals the deficit of
-        the complement."""
-        self._check_cochain(d)
-        self._require_budget(d)
-        return self.deficit(d, self.graph.complement(W))
-
-    def defects(self, d: Cochain) -> DefectReport:
-        self._check_cochain(d)
-        self._require_budget(d)
-        g = self.graph
-        full = (1 << g.num_vertices) - 1
-        best, least, greatest, bp = self._ints.defect_cut(d.values)
-        worst = Fraction(best, self.scale)
-        return DefectReport(
-            max_excess=worst,
-            max_deficit=worst,
-            excess_core=g._vertex_set(full ^ greatest),
-            deficit_core=g._vertex_set(least),
-            basepoint_deficit_core=g._vertex_set(bp) if bp is not None else None,
-        )
-
-    # -- stability predicates --------------------------------------------
-
-    def is_semistable(self, d: Cochain) -> bool:
-        self._check_cochain(d)
-        if d.total != self.budget:
-            return False
-        return self._ints.defect_cut(d.values)[0] == 0
-
-    def is_quasistable(self, d: Cochain) -> bool:
-        self._check_cochain(d)
-        if d.total != self.budget:
-            return False
-        return self._ints.defect_cut(d.values)[3] == (1 << self.graph.num_vertices) - 1
-
-    def is_stable(self, d: Cochain) -> bool:
-        self._check_cochain(d)
-        if d.total != self.budget:
-            return False
-        return self._ints.is_stable(d.values)
-
-    # -- reduction -------------------------------------------------------
-
     def _apply_delta(self, vals, z):
         """vals += Laplacian(z), in place, for the Laplacian of the
         stratum-deleted graph: each kept edge (a, b) moves ``z[a] - z[b]``
         from a to b."""
-        for a, b in self._ints.kept:
+        for a, b in self._kept:
             move = z[a] - z[b]
             vals[a] -= move
             vals[b] += move
@@ -425,16 +349,16 @@ class StratumContext:
         self._require_budget(d)
         n = self.graph.num_vertices
         full = (1 << n) - 1
-        if next(_mask_pieces(full, self._ints.adj)) != full:
+        if next(_mask_pieces(full, self._adj)) != full:
             raise DisconnectedGraphError(
                 "reduction needs the stratum-deleted graph to be connected"
             )
         vals = list(d.values)
-        best, _, greatest, bp = self._ints.defect_cut(vals)
-        z = self._ints.centre_jump(vals) if best > 0 else [0] * n
+        best, _, greatest, bp = self._defect_cut(vals)
+        z = self._centre_jump(vals) if best > 0 else [0] * n
         if best > 0:
             self._apply_delta(vals, z)
-            best, _, greatest, bp = self._ints.defect_cut(vals)
+            best, _, greatest, bp = self._defect_cut(vals)
         # Unit steps: a chip out along each edge leaving the least excess
         # maximizer X while a deficit is positive, then a chip in along each
         # edge entering the least zero-deficit set B through the basepoint.
@@ -453,7 +377,7 @@ class StratumContext:
             self._apply_delta(vals, step)
             z = [x + y for x, y in zip(z, step)]
             steps += 1
-            best, _, greatest, bp = self._ints.defect_cut(vals)
+            best, _, greatest, bp = self._defect_cut(vals)
             if sign < 0 and best != 0:
                 raise ReductionGuardError(
                     "internal error: semistability lost during basepoint descent"
@@ -477,8 +401,24 @@ class StratumContext:
 
     def singleton_box(self) -> tuple[list[int], list[int]]:
         """Componentwise bounds satisfied by every semistable multidegree,
-        derived from the one-vertex subsets and their complements."""
-        return self._ints.singleton_box()
+        from the one-vertex subsets and their complements:
+        ``ceil((base_v - scale/2 * val(v)) / scale)`` up to
+        ``floor((base_v + scale/2 * val(v)) / scale)``, valences in G - S."""
+        val = [0] * len(self._base)
+        for a, b in self._kept:
+            val[a] += 1
+            val[b] += 1
+        half, scale = self.scale // 2, self.scale
+        lo = [-((half * k - x) // scale) for x, k in zip(self._base, val)]
+        hi = [(x + half * k) // scale for x, k in zip(self._base, val)]
+        return lo, hi
+
+    def _rhs_bound(self) -> int:
+        """A bound on every table entry either kernel forms: a floor entry
+        is a subset sum of ``_base`` less ``scale/2`` per crossing kept edge,
+        and an upper bound is ``scale * budget == sum(_base)`` minus a floor
+        entry, both moved by at most 1 for strictness."""
+        return 2 * sum(abs(x) for x in self._base) + self.scale // 2 * len(self._kept) + 1
 
     def enumerate(self, kind: str = "quasistable") -> list[Cochain]:
         """All multidegrees of the requested kind, sorted by their value
@@ -487,11 +427,54 @@ class StratumContext:
         return [Cochain._of(g, t) for t in self._value_tuples(kind)]
 
     def _value_tuples(self, kind: str) -> list[tuple]:
-        """The value tuples of ``enumerate(kind)``."""
+        """The value tuples of ``enumerate(kind)``, sorted.
+
+        The box search takes the breadth-first layers from vertex n - 1,
+        farthest first and each by index, after the vertices they miss.  The
+        last vertex, whose value the total fixes, is then n - 1, the least
+        significant sort key: along the innermost level only it and a lower
+        vertex change, the lower one rising, so the rows, which the kernel
+        writes in vertex order, come in sorted runs for the one sort."""
         if kind not in _MODE:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         _kernel.scan_guard(self.graph.num_vertices, "enumeration")
-        return self._ints.enumerate(_MODE[kind])
+        lo, hi = self.singleton_box()
+        if any(a > b for a, b in zip(lo, hi)):
+            return []
+        n = len(self._base)
+        order, level, seen = [], [n - 1], 1 << (n - 1)
+        while level:
+            order[:0] = level
+            reached = 0
+            for i in level:
+                reached |= self._adj[i]
+            reached &= ~seen
+            seen |= reached
+            level = [j for j in range(n) if reached >> j & 1]
+        order[:0] = [i for i in range(n) if not seen >> i & 1]
+        bound = (
+            self._rhs_bound()
+            + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)
+        )
+        impl = _kernel.select(bound)
+        inv = sorted(range(n), key=order.__getitem__)
+        tables = impl.build_tables(
+            n,
+            [(inv[a], inv[b]) for a, b in self._kept],
+            [self._base[old] for old in order],
+            self.scale,
+        )
+        raw = impl.box_enumerate(
+            tables,
+            inv[self._v0],
+            self.budget,
+            [lo[old] for old in order],
+            [hi[old] for old in order],
+            _MODE[kind],
+            order,
+        )
+        raw.sort()
+        return raw
 
 
 def semistable_equality_witness(g: Multigraph, q: Polarization):

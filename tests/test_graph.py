@@ -1,13 +1,17 @@
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from jacgraph import (
+    Cochain,
     Edge,
     GraphConstructionError,
     InvalidSubsetError,
     Multigraph,
+    Polarization,
     UnknownEdgeError,
     UnknownVertexError,
 )
@@ -293,3 +297,56 @@ class TestAgainstOracles:
     )
     def test_small_shapes(self, vertices, edges):
         _check_queries(Multigraph(vertices, edges), random.Random(0))
+
+
+class TestVertexValues:
+    """The shared contract of ``Cochain`` and ``Polarization``: one value
+    per vertex, bound to a graph."""
+
+    @pytest.mark.parametrize("cls, noun", [(Cochain, "cochain"), (Polarization, "polarization")])
+    def test_shape_messages(self, banana, cls, noun):
+        cases = [
+            ({"u": 1}, f"{noun} misses values for ['v']"),
+            ({"u": 1, "v": 0, "w": 2}, f"{noun} has values for non-vertices ['w']"),
+            ([1], "expected 2 values, got 1"),
+            ([1, 0, 0], "expected 2 values, got 3"),
+        ]
+        for values, message in cases:
+            with pytest.raises(GraphConstructionError, match=f"^{re.escape(message)}$"):
+                cls(banana, values)
+
+    def test_wrong_length_before_total(self, banana):
+        # a single half would also fail the integer-total check
+        with pytest.raises(GraphConstructionError, match="^expected 2 values, got 1$"):
+            Polarization(banana, [Fraction(1, 2)])
+
+    def test_repr(self, banana):
+        assert repr(Cochain(banana, [2, -1])) == "Cochain({'u': 2, 'v': -1})"
+        q = Polarization(banana, [Fraction(1, 2), Fraction(3, 2)])
+        assert repr(q) == "Polarization({'u': 1/2, 'v': 3/2})"
+
+    def test_kinds_never_equal(self, banana):
+        d, q = Cochain(banana, [1, 1]), Polarization(banana, [1, 1])
+        assert d.values == q.values
+        assert d != q and q != d
+        assert hash(d) == hash(q)
+        assert d == Cochain(banana, {"v": 1, "u": 1})
+        assert q == Polarization(banana, {"v": 1, "u": 1})
+
+    def test_empty_sums(self, banana):
+        zero = Cochain(banana, [1, 0]).sum_over([])
+        assert zero == 0 and type(zero) is int
+        zero = Polarization(banana, [1, 0]).sum_over([])
+        assert zero == 0 and type(zero) is Fraction
+        assert type(Polarization(banana, [1, 0]).total) is int
+
+    def test_no_instance_dict(self, banana):
+        for x in (Cochain(banana, [1, 0]), Polarization(banana, [1, 0])):
+            with pytest.raises(AttributeError):
+                x.extra = 1
+
+    def test_of_skips_checks(self, banana):
+        d = Cochain._of(banana, (1.5,))
+        assert d.values == (1.5,) and d.graph is banana
+        q = Polarization._of(banana, (Fraction(1, 2), Fraction(0)))
+        assert q.values == (Fraction(1, 2), 0) and type(q) is Polarization

@@ -30,7 +30,7 @@ KEPT = 8
 def _kernel_args(ctx):
     """The kernel inputs of a context: its partial normalization's kept
     edges, scaled polarization and scale."""
-    return ctx._ints.kept, ctx._ints.base, ctx.scale
+    return ctx._kept, ctx._base, ctx.scale
 
 
 def _whole_graph_args(g, q, stratum):
@@ -205,12 +205,12 @@ class TestPureKernel:
             n = 1 + trial % 8
             g, q, basepoint, stratum = _random_problem(rng, n)
             ctx = StratumContext(g, q, basepoint, stratum)
-            disconnected += not _flood_connected((1 << n) - 1, ctx._ints.kept)
+            disconnected += not _flood_connected((1 << n) - 1, ctx._kept)
             for impl in implementations():
                 _, _, _, plan = impl.build_tables(n, *_kernel_args(ctx))
                 if impl is not _kernel_py:
                     plan = _plan_levels(n, plan)
-                _check_plan(n, ctx._ints.kept, plan)
+                _check_plan(n, ctx._kept, plan)
         assert disconnected > 0  # G - S disconnected in some cases
 
     def test_enumeration_matches_brute_force(self):
@@ -229,11 +229,11 @@ class TestPureKernel:
                 for impl in implementations():
                     tables = impl.build_tables(n, *_kernel_args(ctx))
                     got = impl.box_enumerate(
-                        tables, ctx._ints.v0, ctx.budget, lo, hi, mode, range(n)
+                        tables, ctx._v0, ctx.budget, lo, hi, mode, range(n)
                     )
                     assert got == want, (trial, kind, impl.__name__)
                     got = impl.box_enumerate(
-                        tables, ctx._ints.v0, ctx.budget, inner_lo, inner_hi, mode, range(n)
+                        tables, ctx._v0, ctx.budget, inner_lo, inner_hi, mode, range(n)
                     )
                     inside = [
                         d for d in want
@@ -291,7 +291,7 @@ class TestBoxSearch:
                     g, case.q, case.basepoint, case.stratum, kind
                 )
                 for i, (box_lo, box_hi, total) in enumerate(boxes):
-                    v0 = ctx._ints.v0 if i == 0 else rng.randrange(n)
+                    v0 = ctx._v0 if i == 0 else rng.randrange(n)
                     box = (v0, total, box_lo, box_hi, kind)
                     want = oracles.box_search(n, kept, base, scale, *box)
                     if i == 0:
@@ -318,7 +318,7 @@ class TestBoxSearch:
             inv = sorted(range(n), key=at.__getitem__)
             for impl, (_, mode) in product(implementations(), KINDS):
                 tables = impl.build_tables(n, *_kernel_args(ctx))
-                args = (tables, ctx._ints.v0, ctx.budget, lo, hi, mode)
+                args = (tables, ctx._v0, ctx.budget, lo, hi, mode)
                 plain = impl.box_enumerate(*args, range(n))
                 got = impl.box_enumerate(*args, at)
                 assert got == [tuple(d[k] for k in inv) for d in plain], (trial, mode)
@@ -382,14 +382,14 @@ class TestBoxSearch:
             n = 1 + trial % 8
             g, q, basepoint, stratum = _random_problem(rng, n)
             contexts.append(StratumContext(g, q, basepoint, stratum))
-            disconnected += not _flood_connected((1 << n) - 1, contexts[-1]._ints.kept)
+            disconnected += not _flood_connected((1 << n) - 1, contexts[-1]._kept)
         sizes = set()
         for ctx in contexts:
             n = ctx.graph.num_vertices
             lo, hi = ctx.singleton_box()
             for kind, _ in KINDS:
                 want = oracles.box_search(
-                    n, *_kernel_args(ctx), ctx._ints.v0, ctx.budget, lo, hi, kind
+                    n, *_kernel_args(ctx), ctx._v0, ctx.budget, lo, hi, kind
                 )
                 for impl in implementations():
                     monkeypatch.setattr(_kernel, "select", lambda bound, impl=impl: impl)
@@ -614,7 +614,7 @@ class TestPackedSearch:
             hi = [min(b, x + rng.randint(0, 1)) for b, x in zip(hi, point)]
             total = ctx.budget
             for kind, mode in KINDS:
-                levels = _kept_per_level(tables, ctx._ints.v0, total, lo, hi, mode)
+                levels = _kept_per_level(tables, ctx._v0, total, lo, hi, mode)
                 if not any(low or high for low, high, _ in levels):
                     continue  # nothing cuts anywhere
                 for low, high, prefixes in levels:
@@ -624,7 +624,7 @@ class TestPackedSearch:
                         seen["lower only"] += 1
                     elif not low:
                         seen["upper only"] += 1
-            self._agrees(n, kept, base, scale, ctx._ints.v0, total, lo, hi)
+            self._agrees(n, kept, base, scale, ctx._v0, total, lo, hi)
         assert min(seen.values()) >= 20, seen
 
     def test_interval_scan_edges(self):
@@ -754,7 +754,7 @@ class TestBigValues:
 
     def test_routed_to_pure(self, banana):
         ctx = self._context(banana)
-        bound = ctx._ints.rhs_bound()
+        bound = ctx._rhs_bound()
         assert select(bound) is _kernel_py
 
     def test_enumeration_correct(self, banana):

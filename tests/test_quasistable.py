@@ -383,7 +383,7 @@ class TestReduce:
             for _ in range(3):
                 vals = [rng.randint(-15, 15) for _ in range(n - 1)]
                 vals.append(ctx.budget - sum(vals))
-                ctx._apply_delta(vals, ctx._ints.centre_jump(vals))
+                ctx._apply_delta(vals, ctx._centre_jump(vals))
                 d = Cochain(case.graph, vals)
                 for mask in range(1, 1 << n):
                     W = _subset(ctx.graph, mask)
@@ -406,14 +406,14 @@ class TestReduce:
             full = (1 << n) - 1
             vals = [rng.randint(-15, 15) for _ in range(n - 1)]
             vals.append(ctx.budget - sum(vals))
-            best, _, greatest, bp = ctx._ints.defect_cut(vals)
+            best, _, greatest, bp = ctx._defect_cut(vals)
             start, steps = best, 0
             while best > 0 or bp != full:
                 grow = full ^ greatest if best > 0 else bp
                 sign = 1 if best > 0 else -1
                 ctx._apply_delta(vals, [sign * (grow >> v & 1) for v in range(n)])
                 steps += 1
-                nbest, _, greatest, bp = ctx._ints.defect_cut(vals)
+                nbest, _, greatest, bp = ctx._defect_cut(vals)
                 now = full ^ greatest if nbest > 0 else bp
                 assert nbest <= best, case.index
                 if nbest == best:
@@ -434,7 +434,7 @@ class TestReduce:
         qs = set(ctx.enumerate("quasistable"))
         stuck = next(d for d in ctx.enumerate("semistable") if d not in qs)
         far = Cochain(g, [20, -20, 3, 0, 0, 0, 0, 0, 0, 0, 0, 3])
-        best = ctx._ints.defect_cut(far.values)[0]
+        best = ctx._defect_cut(far.values)[0]
         assert best > 0
         moves = []
         monkeypatch.setattr(
