@@ -51,7 +51,8 @@ class NonIntegralRestrictionError(JacGraphError):
 
 
 class CanonicalPolarizationError(JacGraphError):
-    """The canonical polarization needs 2g - 2 != 0 for the total genus g."""
+    """The canonical polarization needs 2g - 2 != 0 for the arithmetic genus
+    g (the total genus on a connected graph)."""
 
 
 class BlowupValueError(JacGraphError):

@@ -116,9 +116,22 @@ def laplacian_pairing(g: Multigraph, V: Iterable[Vertex], W: Iterable[Vertex]) -
 # -- determinants and invariant factors ---------------------------------------
 
 
+def _integer_rows(mat) -> list[list[int]]:
+    """A copy of the integer matrix ``mat``, entries converted by
+    ``operator.index``; rows of different lengths raise ValueError."""
+    rows = [list(map(operator.index, row)) for row in mat]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows differ in length")
+    return rows
+
+
 def det_bareiss(mat: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    return _bareiss([list(map(int, row)) for row in mat])
+    """Exact integer determinant (fraction-free Gaussian elimination) of a
+    square matrix; any other shape raises ValueError."""
+    rows = _integer_rows(mat)
+    if rows and len(rows[0]) != len(rows):
+        raise ValueError(f"determinant of a non-square {len(rows)} x {len(rows[0])} matrix")
+    return _bareiss(rows)
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -172,10 +185,11 @@ def _back_substitute(a: list[list[int]], top: int, t: int) -> list[int]:
 def invariant_factors(mat: list[list[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith normal form of an integer matrix: its
     min(rows, cols) invariant factors, nonnegative, each dividing the
-    next, zeros last."""
+    next, zeros last.  Ragged rows raise ValueError."""
+    rows = _integer_rows(mat)
     return _smith(
-        [{j: x for j, x in enumerate(map(int, row)) if x} for row in mat],
-        len(mat[0]) if mat else 0,
+        [{j: x for j, x in enumerate(row) if x} for row in rows],
+        len(rows[0]) if rows else 0,
     )
 
 

@@ -196,21 +196,19 @@ def canonical_polarization(g: Multigraph, degree: int) -> Polarization:
     """The weighting proportional to 2*genus - 2 + valence at each vertex
     (loops count twice), scaled to the requested total degree.
 
-    Needs the total genus g to satisfy 2g - 2 != 0.
+    The weights sum to 2g - 2 for the arithmetic genus g = sum of the vertex
+    genera + |E| - |V| + 1, which is the total genus on a connected graph;
+    it must not vanish.
     """
     if g.num_vertices == 0:
         raise EmptyGraphError("canonical polarization needs at least one vertex")
-    total_genus = g.subcurve_genus(g.vertices)
-    denom = 2 * total_genus - 2
+    weights = [2 * g._genus[v] - 2 for v in g.vertices]
+    for a, b in g._pairs:  # a loop adds 2 at its vertex
+        weights[a] += 1
+        weights[b] += 1
+    denom = sum(weights)
     if denom == 0:
         raise CanonicalPolarizationError(
             "canonical polarization undefined: 2g - 2 vanishes"
         )
-    vals = {
-        v: Fraction(
-            degree * (2 * g.genus_of(v) - 2 + g.valence({v}) + 2 * g.loops_at(v)),
-            denom,
-        )
-        for v in g.vertices
-    }
-    return Polarization(g, vals)
+    return Polarization(g, [Fraction(degree * w, denom) for w in weights])

@@ -119,6 +119,21 @@ class TestDeterminant:
         assert det_bareiss([[0, 1], [1, 0]]) == -1
         assert det_bareiss([[1, 0], [0, 0]]) == 0
 
+    def test_shape_and_entries_checked(self):
+        for bad in ([[1, 2]], [[2, 3, 4], [1, 1, 1]], [[1], [2]], [[1, 2], [3]], [[]]):
+            with pytest.raises(ValueError):
+                det_bareiss(bad)
+        for bad in ([[2, 0], [0]], [[1], [2, 3]]):
+            with pytest.raises(ValueError):
+                invariant_factors(bad)
+        for f in (det_bareiss, invariant_factors):
+            with pytest.raises(TypeError):
+                f([[1.5]])
+            with pytest.raises(TypeError):
+                f([[Fraction(3, 2)]])
+        assert invariant_factors([[2, 3, 4], [1, 1, 1]]) == (1, 1)
+        assert det_bareiss([[True, 0], [0, 3]]) == 3
+
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(11)

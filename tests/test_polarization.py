@@ -240,6 +240,26 @@ class TestCanonical:
         g = Multigraph(["a"])
         assert canonical_polarization(g, 5).as_dict() == {"a": 5}
 
+    def test_disconnected_keeps_degree(self):
+        # divided by the weights' sum, not by 2g - 2 for the components' total genus
+        g = Multigraph(["a", "b"], genus={"a": 2, "b": 2})
+        q = canonical_polarization(g, 3)
+        assert q.as_dict() == {"a": Fraction(3, 2), "b": Fraction(3, 2)}
+        g = Multigraph(["a", "b", "c"], [("a", "b"), ("a", "b"), ("c", "c")], {"c": 1})
+        q = canonical_polarization(g, 4)
+        assert q.as_dict() == {"a": 0, "b": 0, "c": 4} and q.total == 4
+
+    def test_connected_against_genus(self, corpus_cases):
+        for case in corpus_cases:
+            g = case.graph
+            denom = 2 * g.subcurve_genus(g.vertices) - 2
+            if not g.is_connected() or denom == 0:
+                continue
+            q = canonical_polarization(g, 5)
+            for v in g.vertices:
+                w = 2 * g.genus_of(v) - 2 + g.valence({v}) + 2 * g.loops_at(v)
+                assert q[v] == Fraction(5 * w, denom)
+
     def test_vanishing_denominator(self, triangle, banana):
         for g in (triangle, banana):  # total genus 1
             with pytest.raises(CanonicalPolarizationError):
