@@ -56,7 +56,7 @@ static int POPCOUNT(unsigned long long x)
 
 /* Copy a sequence of exactly len ints into out.  Sequences are read through
    a tuple copy, so conversions that run Python code cannot resize them. */
-static int load_ints(PyObject *obj, Py_ssize_t len, long long *out, const char *what)
+static int load_int64s(PyObject *obj, Py_ssize_t len, long long *out, const char *what)
 {
     PyObject *seq = PySequence_Tuple(obj);
     if (seq == NULL)
@@ -180,7 +180,7 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
     /* layer_at[v] .. layer_at[v + 1]: v's multiplicity layers in layers */
     size_t layer_at[MAX_VERTICES + 1] = {0};
 
-    if (load_ints(base, n, q, "base") < 0 || (es = PySequence_Tuple(edges)) == NULL)
+    if (load_int64s(base, n, q, "base") < 0 || (es = PySequence_Tuple(edges)) == NULL)
         goto done;
 
     /* mult[a * n + b]: the edges joining a and b; loops never cross */
@@ -468,9 +468,9 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
 
     if (load_bytes(floor_table, size * sizeof(long long), floor, "floor table") < 0
         || load_bytes(plan_table, size, plan, "plan") < 0
-        || load_ints(lo, n, clo, "lo") < 0
-        || load_ints(hi, n, chi, "hi") < 0
-        || load_ints(at, n, cat, "at") < 0)
+        || load_int64s(lo, n, clo, "lo") < 0
+        || load_int64s(hi, n, chi, "hi") < 0
+        || load_int64s(at, n, cat, "at") < 0)
         goto done;
     unsigned char placed[MAX_VERTICES] = {0};
     for (int k = 0; k < n; k++) {
