@@ -1,8 +1,10 @@
 """Timing comparison of the compiled and pure subset-scan kernels.
 
-Runs the two kernel entry points (table construction, box enumeration in
-the kernel's own vertex order) on chorded cycle graphs of growing size and
-reports per-call times for every available implementation.  The ``enum``
+Runs the kernel entry point (``box_enumerate``: table construction and box
+search, in the kernel's own vertex order) on chorded cycle graphs of
+growing size and reports per-call times for every available
+implementation, and the pure kernel's table step (``build_tables``) alone
+in a ``pure tables`` row.  The ``enum``
 rows time what the library runs for the quasistable and semistable sets
 (``StratumContext._value_tuples``: its level order, the kernel it picks,
 labelled, and the sort).  Two more library calls run with one
@@ -102,20 +104,16 @@ def main(argv=None) -> int:
         d = list(range(n))
         d[-1] = ctx.budget - sum(d[:-1])
 
-        rows = {
-            "tables": [],
-            "enumerate": [],
-        }
+        times = []
         counts = None
         for mod in mods:
-            t_build, tables = best_of(
-                args.repeat, mod.build_tables, n, edges, base, scale
-            )
-            rows["tables"].append(t_build)
             t_enum, found = best_of(
                 args.repeat,
                 mod.box_enumerate,
-                tables,
+                n,
+                edges,
+                base,
+                scale,
                 v0,
                 ctx.budget,
                 lo,
@@ -123,17 +121,21 @@ def main(argv=None) -> int:
                 MODE_QUASISTABLE,
                 range(n),  # rows in the search's own vertex order
             )
-            rows["enumerate"].append(t_enum)
+            times.append(t_enum)
             if counts is None:
                 counts = len(found)
             elif counts != len(found):
                 raise SystemExit("implementations disagree on the enumeration")
-
-        for op, times in rows.items():
-            line = f"{n:>3} {op:<12}" + "".join(f"{t * 1e3:>10.2f}ms" for t in times)
-            if len(times) > 1:
-                line += f"{times[-1] / times[0]:>9.1f}x"
-            print(line)
+        line = f"{n:>3} {'enumerate':<12}" + "".join(f"{t * 1e3:>10.2f}ms" for t in times)
+        if len(times) > 1:
+            line += f"{times[-1] / times[0]:>9.1f}x"
+        print(line)
+        # the pure kernel's table step alone, in the pure column
+        t_build, (_, plan) = best_of(
+            args.repeat, _kernel_py.build_tables, n, edges, base, scale
+        )
+        pad = " " * 12 * (len(mods) - 1)
+        print(f"{n:>3} {'pure tables':<12}{pad}{t_build * 1e3:>10.2f}ms")
         for kind in ("quasistable", "semistable"):
             t_enum, got = best_of(args.repeat, ctx._value_tuples, kind)
             label = f"enum {kind[:1]}s"
@@ -143,7 +145,6 @@ def main(argv=None) -> int:
             )
         t_cut, _ = best_of(args.repeat, ctx._defect_cut, d)
         print(f"{n:>3} {'min cut':<12}{t_cut * 1e3:>10.2f}ms")
-        plan = _kernel_py.build_tables(n, edges, base, scale).plan
         checks = [c for level in plan for _, c in level]
         checked = sum(1 for c in checks if c)
         print(f"    ({counts} quasistable multidegrees)")

@@ -19,8 +19,9 @@ and exit code, then its stdout, then its stderr, if any, under a
 
 ``jacgraph``, the corpus and the workloads are imported from CHECKOUT;
 ``--ext`` adds a directory holding a built ``_speedups`` to the package
-path.  Without it the pure kernel runs unless CHECKOUT's ``src/`` holds a
-built extension.
+path, and the script exits with code 2 before any request when the
+compiled kernel does not load.  Without it the pure kernel runs unless
+CHECKOUT's ``src/`` holds a built extension.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def main(argv=None) -> int:
     jacgraph = importlib.util.module_from_spec(spec)
     sys.modules["jacgraph"] = jacgraph
     spec.loader.exec_module(jacgraph)
+    if args.ext and jacgraph.implementation_name() != "compiled":
+        print(f"--ext {args.ext}: the compiled kernel did not load from it", file=sys.stderr)
+        return 2
     import corpus
     import jacgraph.cli
     import workloads

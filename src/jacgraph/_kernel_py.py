@@ -1,11 +1,11 @@
 """Pure-Python subset-scan kernel for enumeration.
 
 The reference for the compiled module ``jacgraph._speedups`` (hand-written
-C): same interface, same plan, same search tree, arbitrary-precision
-integers.  It is used when the extension was not built, and for operand
-bounds at or above ``_kernel.FAST_BOUND``, where the compiled kernel's
-64-bit arithmetic could overflow.  Its box search checks a whole level of
-subsets at once, on sums packed into one integer (``box_enumerate``).
+C): same entry point, ``box_enumerate``, same plan, same search tree,
+arbitrary-precision integers.  It is used when the extension was not
+built, and for operand bounds at or above ``_kernel.FAST_BOUND``, where the
+compiled kernel's 64-bit arithmetic could overflow.  Its box search checks
+a whole level of subsets at once, on sums packed into one integer.
 
 All quantities are pre-scaled integers: a context with rational vertex
 weights q scales everything by an even integer ``scale`` so that
@@ -39,8 +39,6 @@ a bound no field, and takes a level's passing values as one interval.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
 from .graph import _adjacency_masks
 
@@ -52,18 +50,12 @@ CHECK_UPPER = 2
 _BIT = [bytes(b >> i & 1 for b in range(256)) for i in range(8)]
 
 
-class Tables(NamedTuple):
-    n: int
-    scale: int
-    floor: dict
-    plan: tuple
-
-
 def build_tables(n, edges, base, scale):
-    """The plan of ``edges`` (endpoint index pairs) and the floor values
-    its search reads: ``floor[m] == sum(base[v] for v in m) - scale/2 *
-    cut(m)``, with ``cut(m)`` the number of ``edges`` with exactly one end
-    in m, for every plan mask m and its complement, and for no other mask.
+    """``(floor, plan)``: the plan of ``edges`` (endpoint index pairs) and
+    the floor values its search reads, ``floor[m] == sum(base[v] for v in
+    m) - scale/2 * cut(m)``, with ``cut(m)`` the number of ``edges`` with
+    exactly one end in m, for every plan mask m and its complement, and for
+    no other mask.
 
     The plan is prefix-closed, so each plan mask m extends a plan mask (or
     the empty set) r = m - k, k its top vertex, of a lower level:
@@ -90,7 +82,7 @@ def build_tables(n, edges, base, scale):
             sums[m] = b, c = b + own, c + deg
             floor[m] = b - half * c
             floor[full ^ m] = whole - b - half * c
-    return Tables(n, scale, floor, plan)
+    return floor, plan
 
 
 def _multiplicity_layers(n, edges):
@@ -166,11 +158,12 @@ def _build_plan(n, edges):
     return tuple(map(tuple, plan))
 
 
-def box_enumerate(tables, v0, total, lo, hi, mode, at):
+def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
     """All integer vectors in the box with the given total that satisfy the
-    per-subset bounds; strictness of the bounds depends on ``mode``.  Each
-    output has the value of vertex k at position ``at[k]``, for ``at`` a
-    permutation of ``range(n)``.
+    per-subset bounds of ``build_tables(n, edges, base, scale)``;
+    strictness of the bounds depends on ``mode``.  Each output has the
+    value of vertex k at position ``at[k]``, for ``at`` a permutation of
+    ``range(n)``.
 
     Depth-first over the vertices in index order.  When vertex k is
     assigned, every subset whose top vertex is k becomes decided, so the
@@ -214,9 +207,6 @@ def box_enumerate(tables, v0, total, lo, hi, mode, at):
     some value.  A node scans in from each end with one test alone and
     takes the values between untested.
     """
-    n, scale, floor, plan = tables
-    full = (1 << n) - 1
-
     suf_lo = [0] * (n + 1)
     suf_hi = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -226,6 +216,8 @@ def box_enumerate(tables, v0, total, lo, hi, mode, at):
         return []
     if n == 1:
         return [(total,)]
+    floor, plan = build_tables(n, edges, base, scale)
+    full = (1 << n) - 1
 
     # per level but the last, per mask with a bound: its scaled low and high
     # bound, or None for a bound left unchecked.  Strict bounds on proper

@@ -1,13 +1,13 @@
 /* Compiled enumeration kernel: bound table, plan and box search.
  *
  * Same contract and algorithms as jacgraph._kernel_py, which stays the
- * fallback and the reference, computed in signed 64-bit integers.  Tables
- * are the plain tuple (n, scale, floor, plan) with two flat bytes tables
- * over all 2**n subsets of G - S: floor holds one native int64 per mask,
- * and plan one byte per mask, its CHECK_LOWER and CHECK_UPPER bits and KEPT
+ * fallback and the reference, computed in signed 64-bit integers.  The one
+ * entry point, box_enumerate, builds two flat tables over all 2**n subsets
+ * of G - S in the block it allocates: floor holds one int64 per mask, and
+ * plan one byte per mask, its CHECK_LOWER and CHECK_UPPER bits and KEPT
  * when the search keeps it (the pure kernel keeps the floor entries its
  * search reads in a dict, and its plan as (mask, checks) pairs per top
- * vertex).  box_enumerate writes each output in the caller's vertex order.
+ * vertex).  It writes each output in the caller's vertex order.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
@@ -36,7 +36,7 @@
 enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel */
 enum { CHECK_LOWER = 1, CHECK_UPPER = 2 };                 /* as in _kernel_py */
 /* a plan byte's flag beside the checks: the search keeps the mask; and
-   build_tables' own mark of a connected subset, cleared before it returns */
+   make_plan's own mark of a connected subset, cleared before it returns */
 enum { CONNECTED = 4, KEPT = 8 };
 
 /* tables hold 2**n entries; the library's subset-scan guard stops at 20 */
@@ -76,34 +76,6 @@ static int load_int64s(PyObject *obj, Py_ssize_t len, long long *out, const char
     return rc;
 }
 
-/* Copy a buffer of exactly len bytes into out. */
-static int load_bytes(PyObject *obj, size_t len, void *out, const char *what)
-{
-    Py_buffer view;
-    if (PyObject_GetBuffer(obj, &view, PyBUF_SIMPLE) < 0)
-        return -1;
-    int ok = (size_t)view.len == len;
-    if (ok)
-        memcpy(out, view.buf, len);
-    else
-        PyErr_Format(PyExc_ValueError, "%s: expected %zu bytes, got %zd", what, len, view.len);
-    PyBuffer_Release(&view);
-    return ok ? 0 : -1;
-}
-
-PyDoc_STRVAR(build_tables_doc,
-"build_tables(n, edges, base, scale) -> (n, scale, floor, plan)\n\n"
-"Floor table and plan over all 2**n subsets, as in\n"
-"jacgraph._kernel_py.build_tables, which keeps only the masks it reads:\n"
-"floor as bytes holding 2**n native int64 values, plan as bytes holding\n"
-"one byte per mask, its CHECK_LOWER and CHECK_UPPER bits and KEPT (8) when\n"
-"the search keeps it.\n"
-"One recurrence builds the table: with v the top vertex of m and r = m - v,\n"
-"floor[m] = floor[r] + base[v] - scale/2 * deg(v) + scale * e(v, r), where\n"
-"e(v, r), the edges from v into r, sums the popcounts of r under v's\n"
-"multiplicity layers (the k-th holds the neighbours joined to v by more\n"
-"than k edges).");
-
 /* Mark m and every connected subset grown from it by neighbours in ext,
    never adding a vertex of seen (which holds m), as in
    jacgraph._kernel_py._connected_subsets. */
@@ -121,15 +93,12 @@ static void grow(const size_t *adj, int n, unsigned char *marks, size_t m, size_
     }
 }
 
-/* The plan of the graph on n vertices with neighbour masks adj: per mask,
-   one byte of checks, with KEPT when the search keeps the mask. */
-static PyObject *make_plan(int n, const size_t *adj)
+/* Write the plan of the graph on n vertices with neighbour masks adj to
+   marks: per mask, one byte of checks, with KEPT when the search keeps the
+   mask. */
+static void make_plan(int n, const size_t *adj, unsigned char *marks)
 {
     size_t size = (size_t)1 << n, full = size - 1;
-    PyObject *plan = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)size);
-    if (plan == NULL)
-        return NULL;
-    unsigned char *marks = (unsigned char *)PyBytes_AS_STRING(plan);
     memset(marks, 0, size);
     for (int v = 0; v < n; v++) {
         size_t below = ((size_t)2 << v) - 1;
@@ -154,41 +123,28 @@ static PyObject *make_plan(int n, const size_t *adj)
             if (marks[m] & KEPT)
                 marks[m ^ base] |= KEPT;
     }
-    return plan;
 }
 
-static PyObject *build_tables(PyObject *self, PyObject *args)
+/* Write the floor table of the graph on n vertices with the given edges to
+   floor, all 2**n masks, and its neighbour masks to adj; own holds base on
+   entry and base[v] - scale/2 * deg(v) on return.  One recurrence builds
+   the table: with v the top vertex of m and r = m - v, floor[m] = floor[r]
+   + own[v] + scale * e(v, r), where e(v, r), the edges from v into r (they
+   crossed r and stop crossing; scale is even), sums the popcounts of r
+   under v's multiplicity layers, the k-th holding the neighbours joined to
+   v by more than k edges.  Returns -1 with an exception set, else 0. */
+static int build_tables(int n, PyObject *edges, long long scale, long long *own,
+                        long long *floor, size_t *adj)
 {
-    int n;
-    long long scale;
-    PyObject *edges, *base;
-    PyObject *es = NULL, *floor_table = NULL, *plan = NULL, *result = NULL;
-    long long *mult = NULL;
+    PyObject *es = PySequence_Tuple(edges);
+    if (es == NULL)
+        return -1;
+    int rc = -1;
     size_t *layers = NULL;
-
-    if (!PyArg_ParseTuple(args, "iOOL:build_tables", &n, &edges, &base, &scale))
-        return NULL;
-    if (n < 0 || n > MAX_VERTICES)
-        return PyErr_Format(PyExc_ValueError, "n = %d outside 0..%d", n, MAX_VERTICES);
-    size_t size = (size_t)1 << n;
-    long long half = scale / 2;
-    long long *buf = PyMem_Malloc((size + n + 1) * sizeof(long long));
-    if (buf == NULL)
-        return PyErr_NoMemory();
-    long long *lower = buf, *q = buf + size;
-    size_t adj[MAX_VERTICES] = {0};
+    /* mult[a * n + b]: the edges joining a and b; loops never cross */
+    long long mult[MAX_VERTICES * MAX_VERTICES] = {0};
     /* layer_at[v] .. layer_at[v + 1]: v's multiplicity layers in layers */
     size_t layer_at[MAX_VERTICES + 1] = {0};
-
-    if (load_int64s(base, n, q, "base") < 0 || (es = PySequence_Tuple(edges)) == NULL)
-        goto done;
-
-    /* mult[a * n + b]: the edges joining a and b; loops never cross */
-    mult = PyMem_Calloc((size_t)n * n + 1, sizeof(long long));
-    if (mult == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
     for (Py_ssize_t e = 0; e < PyTuple_GET_SIZE(es); e++) {
         int a, b;
         if (!PyArg_Parse(PyTuple_GET_ITEM(es, e), "(ii)", &a, &b))
@@ -205,13 +161,10 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
             adj[b] |= (size_t)1 << a;
         }
     }
-
-    /* own[v] = base[v] - scale/2 * deg(v), kept in q; layer k of v holds
-       the neighbours joined to v by more than k edges */
     for (int v = 0; v < n; v++) {
         long long top = 0;
         for (int w = 0; w < n; w++) {
-            q[v] -= half * mult[v * n + w];
+            own[v] -= scale / 2 * mult[v * n + w];
             if (mult[v * n + w] > top)
                 top = mult[v * n + w];
         }
@@ -226,11 +179,7 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
         for (int w = 0; w < n; w++)
             for (long long k = 0; k < mult[v * n + w]; k++)
                 layers[layer_at[v] + k] |= (size_t)1 << w;
-
-    /* floor[m] = floor[r] + own[v] + scale * e(v, r), v the top vertex of
-       m and r = m - v, e(v, r) the edges from v into r: those crossed r and
-       stop crossing (scale is even) */
-    lower[0] = 0;
+    floor[0] = 0;
     for (int v = 0; v < n; v++) {
         size_t bit = (size_t)1 << v;
         const size_t *first = layers + layer_at[v], *end = layers + layer_at[v + 1];
@@ -238,21 +187,14 @@ static PyObject *build_tables(PyObject *self, PyObject *args)
             long long into = 0;
             for (const size_t *layer = first; layer < end; layer++)
                 into += POPCOUNT(*layer & r);
-            lower[r | bit] = lower[r] + q[v] + scale * into;
+            floor[r | bit] = floor[r] + own[v] + scale * into;
         }
     }
-
-    floor_table = PyBytes_FromStringAndSize((const char *)lower, size * sizeof(long long));
-    if (floor_table != NULL && (plan = make_plan(n, adj)) != NULL)
-        result = Py_BuildValue("(iLOO)", n, scale, floor_table, plan);
+    rc = 0;
 done:
-    Py_XDECREF(plan);
-    Py_XDECREF(floor_table);
-    Py_XDECREF(es);
     PyMem_Free(layers);
-    PyMem_Free(mult);
-    PyMem_Free(buf);
-    return result;
+    Py_DECREF(es);
+    return rc;
 }
 
 /* A checked plan mask: its sum is sums[p] + scale * d_k, with p the mask
@@ -351,9 +293,9 @@ static int place(const Search *s, int k, long long partial)
 /* Read the plan, one byte per mask, into the rows and prefixes of s with
    the bounds of the mode; floor is the floor table, and the box and its
    suffix sums must be in s.  Only the masks below level n - 1 are read, as
-   the search checks nothing under the last vertex.  A kept mask's prefix
-   must be empty or kept.  A bound that every d_m the search reaches meets
-   is dropped, and a mask left with none is kept as a prefix (below level
+   the search checks nothing under the last vertex; make_plan keeps each
+   kept mask's prefix.  A bound that every d_m the search reaches meets is
+   dropped, and a mask left with none is kept as a prefix (below level
    n - 2) or not at all.  Returns -1 with an exception set, else 0; on
    success the caller frees the rows, prefixes and offsets (one block at
    s->row_at). */
@@ -385,12 +327,6 @@ static int load_plan(Search *s, const unsigned char *plan, const long long *floo
         for (size_t m = base; m < base << 1; m++) {
             if (!(plan[m] & KEPT))
                 continue;
-            if (m != base && !(plan[m ^ base] & KEPT)) {
-                PyErr_Format(PyExc_ValueError, "plan: mask %zu is kept, its prefix %zu is not",
-                             m, m ^ base);
-                PyMem_Free(offsets);
-                return -1;
-            }
             /* every d_m the search reaches lies in reach_lo..reach_hi
                (scaled), from the box on m and on its complement */
             long long m_lo = 0, m_hi = 0;
@@ -432,42 +368,40 @@ static int load_plan(Search *s, const unsigned char *plan, const long long *floo
 }
 
 PyDoc_STRVAR(box_enumerate_doc,
-"box_enumerate(tables, v0, total, lo, hi, mode, at) -> list of tuples\n\n"
+"box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at) -> list of tuples\n\n"
 "Integer vectors in the box with the given total that satisfy the\n"
-"per-subset bounds, as in jacgraph._kernel_py.box_enumerate, each with the\n"
-"value of vertex k at position at[k], for at a permutation of range(n).");
+"per-subset bounds of the graph on n vertices with the given edges (index\n"
+"pairs) and scaled polarization base, as in jacgraph._kernel_py.box_enumerate,\n"
+"each with the value of vertex k at position at[k], for at a permutation\n"
+"of range(n).  The floor table and the plan are built within the call.");
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
-    PyObject *tables, *floor_table, *plan_table, *lo, *hi, *at, *out = NULL;
-    int v0, mode, n;
-    long long total, scale;
+    PyObject *edges, *base, *lo, *hi, *at, *out = NULL;
+    int n, v0, mode;
+    long long scale, total;
 
-    if (!PyArg_ParseTuple(args, "O!iLOOiO:box_enumerate", &PyTuple_Type,
-                          &tables, &v0, &total, &lo, &hi, &mode, &at))
-        return NULL;
-    if (!PyArg_ParseTuple(tables, "iLOO;tables must be (n, scale, floor, plan)",
-                          &n, &scale, &floor_table, &plan_table))
+    if (!PyArg_ParseTuple(args, "iOOLiLOOiO:box_enumerate", &n, &edges, &base, &scale,
+                          &v0, &total, &lo, &hi, &mode, &at))
         return NULL;
     if (n < 1 || n > MAX_VERTICES)
         return PyErr_Format(PyExc_ValueError, "n = %d outside 1..%d", n, MAX_VERTICES);
     if (v0 < 0 || v0 >= n)
         return PyErr_Format(PyExc_ValueError, "v0 = %d outside 0..%d", v0, n - 1);
-    size_t size = (size_t)1 << n;
+    size_t size = (size_t)1 << n, adj[MAX_VERTICES] = {0};
     /* the int64 arrays, then the plan's bytes */
-    long long *buf = PyMem_Malloc((2 * size + 6 * ((size_t)n + 1)) * sizeof(long long) + size);
+    long long *buf = PyMem_Malloc((2 * size + 7 * ((size_t)n + 1)) * sizeof(long long) + size);
     if (buf == NULL)
         return PyErr_NoMemory();
     long long *floor = buf, *sums = floor + size;
     long long *clo = sums + size, *chi = clo + n + 1;
     long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *d = suf_hi + n + 1;
-    long long *cat = d + n + 1;
-    unsigned char *plan = (unsigned char *)(cat + n + 1);
+    long long *cat = d + n + 1, *own = cat + n + 1;
+    unsigned char *plan = (unsigned char *)(own + n + 1);
     Search s = {.n = n, .scale = scale, .total = total, .lo = clo, .hi = chi,
                 .suf_lo = suf_lo, .suf_hi = suf_hi, .at = cat, .sums = sums, .d = d};
 
-    if (load_bytes(floor_table, size * sizeof(long long), floor, "floor table") < 0
-        || load_bytes(plan_table, size, plan, "plan") < 0
+    if (load_int64s(base, n, own, "base") < 0
         || load_int64s(lo, n, clo, "lo") < 0
         || load_int64s(hi, n, chi, "hi") < 0
         || load_int64s(at, n, cat, "at") < 0)
@@ -484,6 +418,9 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
         suf_lo[k] = suf_lo[k + 1] + clo[k];
         suf_hi[k] = suf_hi[k + 1] + chi[k];
     }
+    if (build_tables(n, edges, scale, own, floor, adj) < 0)
+        goto done;
+    make_plan(n, adj, plan);
     if (load_plan(&s, plan, floor, v0, mode) < 0)
         goto done;
     out = PyList_New(0);
@@ -501,7 +438,6 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"build_tables", build_tables, METH_VARARGS, build_tables_doc},
     {"box_enumerate", box_enumerate, METH_VARARGS, box_enumerate_doc},
     {NULL, NULL, 0, NULL},
 };

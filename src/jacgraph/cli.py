@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -38,6 +39,10 @@ from .polarization import Polarization
 from .quasistable import StratumContext
 
 KIND_NAMES = {"ss": "semistable", "qs": "quasistable", "stable": "stable"}
+
+# one value of --multidegree: ASCII digits only, unlike int(), which also
+# reads "1_0" and non-ASCII digits
+_INTEGER = r"[+-]?[0-9]+"
 
 
 class ProblemFileError(Exception):
@@ -235,12 +240,11 @@ def cmd_reduce(problem: Problem, args) -> dict:
         raise ProblemFileError(
             f"--multidegree needs {g.num_vertices} integers, got {len(parts)}"
         )
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
+    if not all(re.fullmatch(_INTEGER, p) for p in parts):
         raise ProblemFileError(
             f"--multidegree must be comma-separated integers, got {args.multidegree!r}"
-        ) from None
+        )
+    values = [int(p) for p in parts]
     d = Cochain(g, values)
     report = ctx.reduce_report(d)
     # an exact certificate: output - input is the Laplacian of the potential

@@ -458,14 +458,11 @@ class StratumContext:
         )
         impl = _kernel.select(bound)
         inv = sorted(range(n), key=order.__getitem__)
-        tables = impl.build_tables(
+        raw = impl.box_enumerate(
             n,
             [(inv[a], inv[b]) for a, b in self._kept],
             [self._base[old] for old in order],
             self.scale,
-        )
-        raw = impl.box_enumerate(
-            tables,
             inv[self._v0],
             self.budget,
             [lo[old] for old in order],

@@ -138,6 +138,16 @@ class TestReduce:
         rc, _, _ = run(capsys, ["reduce", problem(BANANA), "--multidegree", "a,b"])
         assert rc == 2
 
+    def test_ascii_integers_only(self, problem, capsys):
+        # int() alone would read "1_0" as 10 and an Arabic-Indic three as 3
+        path = problem(BANANA)
+        for bad in ("1_0,2", "\u0663,-2", "1,0x1", "1.0,0", "1,", "+-1,2"):
+            rc, _, err = run(capsys, ["reduce", path, f"--multidegree={bad}"])
+            assert rc == 2, bad
+            assert "--multidegree must be comma-separated integers" in err, bad
+        rc, payload, _ = run(capsys, ["reduce", path, "--multidegree= +1 , -0"])
+        assert rc == 0 and payload["input"] == [1, 0]
+
     def test_negative_leading_multidegree(self, problem, capsys):
         path = problem(BANANA)
         for argv in (["--multidegree", "-1,2"], ["--multidegree=-1,2"]):

@@ -1,6 +1,9 @@
 import importlib.util
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import product
 from math import lcm
 from pathlib import Path
@@ -22,9 +25,6 @@ from jacgraph._kernel_py import CHECK_LOWER, CHECK_UPPER
 
 import corpus
 import oracles
-
-# the compiled plan byte's flag for a mask its search keeps
-KEPT = 8
 
 
 def _kernel_args(ctx):
@@ -105,21 +105,6 @@ def _check_plan(n, pairs, plan):
     assert set(entries) == closure
 
 
-def _plan_levels(n, plan):
-    """The compiled kernel's plan, one byte per mask, as the pure kernel's
-    levels: per top vertex, the kept masks' (mask, checks) pairs in
-    increasing mask order.  A byte holds nothing but its checks and KEPT,
-    and checks only with KEPT."""
-    assert len(plan) == 1 << n
-    levels = [[] for _ in range(n)]
-    for m, byte in enumerate(plan):
-        assert not byte & ~(CHECK_LOWER | CHECK_UPPER | KEPT), m
-        if byte:
-            assert byte & KEPT, m
-            levels[m.bit_length() - 1].append((m, byte ^ KEPT))
-    return tuple(map(tuple, levels))
-
-
 needs_speedups = pytest.mark.skipif(
     not _kernel.HAVE_SPEEDUPS, reason="compiled kernel not built: no C compiler on PATH"
 )
@@ -149,46 +134,14 @@ class TestSelection:
         assert len(mods) == (2 if _kernel.HAVE_SPEEDUPS else 1)
 
 
-def _kept_floor(impl, n, tables):
-    """The floor values a kernel's tables keep, by mask, after checking that
-    they cover the right masks: every mask for the compiled kernel, exactly
-    the plan's masks and their complements, which its search reads, for the
-    pure kernel."""
-    _, _, floor, plan = tables
-    if impl is not _kernel_py:
-        values = memoryview(floor).cast("q")
-        assert len(values) == 1 << n
-        return dict(enumerate(values))
+def _kept_floor(n, tables):
+    """The floor values the pure kernel's tables keep, by mask, after
+    checking that they cover exactly the plan's masks and their
+    complements, which its search reads."""
+    floor, plan = tables
     planned = {m for level in plan for m, _ in level}
     assert set(floor) == planned | {((1 << n) - 1) ^ m for m in planned}
     return floor
-
-
-def _check_tables(impl, corpus_cases):
-    """The floor values a kernel keeps over G - S equal the whole-graph
-    formula with S flagged, and the upper bounds derived from them equal
-    its ceiling formula.  Handed every edge of G, loops and parallel edges
-    included, the values it keeps equal the formula with nothing flagged."""
-    sizes = set()
-    for case in corpus_cases:
-        g = case.graph
-        n, full = g.num_vertices, (1 << g.num_vertices) - 1
-        sizes.add(n)
-        ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
-        whole = _whole_graph_args(g, case.q, case.stratum)
-        tables = impl.build_tables(n, *_kernel_args(ctx))
-        assert tables[1] == ctx.scale
-        floor = _kept_floor(impl, n, tables)
-        want = oracles.floor_table(n, *whole)
-        assert floor == {m: want[m] for m in floor}, case.index
-        ceil = oracles.ceil_table(n, *whole)
-        for m in floor:  # the kept masks are closed under complement
-            assert ctx.scale * ctx.budget - floor[full ^ m] == ceil[m], (case.index, m)
-        edges, flags, scaled_q, scale = whole
-        floor = _kept_floor(impl, n, impl.build_tables(n, edges, scaled_q, scale))
-        want = oracles.floor_table(n, edges, [False] * len(flags), scaled_q, scale)
-        assert floor == {m: want[m] for m in floor}, case.index
-    assert 1 in sizes
 
 
 class TestPureKernel:
@@ -196,7 +149,28 @@ class TestPureKernel:
     without the compiled kernel."""
 
     def test_tables_match_formula(self, corpus_cases):
-        _check_tables(_kernel_py, corpus_cases)
+        # the floor values kept over G - S equal the whole-graph formula
+        # with S flagged, and the upper bounds derived from them equal its
+        # ceiling formula.  Handed every edge of G, loops and parallel edges
+        # included, the values kept equal the formula with nothing flagged
+        sizes = set()
+        for case in corpus_cases:
+            g = case.graph
+            n, full = g.num_vertices, (1 << g.num_vertices) - 1
+            sizes.add(n)
+            ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
+            whole = _whole_graph_args(g, case.q, case.stratum)
+            floor = _kept_floor(n, _kernel_py.build_tables(n, *_kernel_args(ctx)))
+            want = oracles.floor_table(n, *whole)
+            assert floor == {m: want[m] for m in floor}, case.index
+            ceil = oracles.ceil_table(n, *whole)
+            for m in floor:  # the kept masks are closed under complement
+                assert ctx.scale * ctx.budget - floor[full ^ m] == ceil[m], (case.index, m)
+            edges, flags, scaled_q, scale = whole
+            floor = _kept_floor(n, _kernel_py.build_tables(n, edges, scaled_q, scale))
+            want = oracles.floor_table(n, edges, [False] * len(flags), scaled_q, scale)
+            assert floor == {m: want[m] for m in floor}, case.index
+        assert 1 in sizes
 
     def test_plan_matches_flood(self):
         rng = random.Random(31)
@@ -206,11 +180,8 @@ class TestPureKernel:
             g, q, basepoint, stratum = _random_problem(rng, n)
             ctx = StratumContext(g, q, basepoint, stratum)
             disconnected += not _flood_connected((1 << n) - 1, ctx._kept)
-            for impl in implementations():
-                _, _, _, plan = impl.build_tables(n, *_kernel_args(ctx))
-                if impl is not _kernel_py:
-                    plan = _plan_levels(n, plan)
-                _check_plan(n, ctx._kept, plan)
+            _, plan = _kernel_py.build_tables(n, *_kernel_args(ctx))
+            _check_plan(n, ctx._kept, plan)
         assert disconnected > 0  # G - S disconnected in some cases
 
     def test_enumeration_matches_brute_force(self):
@@ -227,14 +198,10 @@ class TestPureKernel:
             for kind, mode in KINDS:
                 want = oracles.brute_force_multidegrees(g, q, basepoint, stratum, kind)
                 for impl in implementations():
-                    tables = impl.build_tables(n, *_kernel_args(ctx))
-                    got = impl.box_enumerate(
-                        tables, ctx._v0, ctx.budget, lo, hi, mode, range(n)
-                    )
+                    args = (n, *_kernel_args(ctx), ctx._v0, ctx.budget)
+                    got = impl.box_enumerate(*args, lo, hi, mode, range(n))
                     assert got == want, (trial, kind, impl.__name__)
-                    got = impl.box_enumerate(
-                        tables, ctx._v0, ctx.budget, inner_lo, inner_hi, mode, range(n)
-                    )
+                    got = impl.box_enumerate(*args, inner_lo, inner_hi, mode, range(n))
                     inside = [
                         d for d in want
                         if all(a <= x <= b for a, x, b in zip(inner_lo, d, inner_hi))
@@ -285,7 +252,6 @@ class TestBoxSearch:
                 box_lo = [x - rng.randint(0, 1) for x in point]
                 box_hi = [x + rng.randint(0, 2) for x in point]
                 boxes.append((box_lo, box_hi, sum(point)))
-            tables = [impl.build_tables(n, kept, base, scale) for impl in implementations()]
             for kind, mode in KINDS:
                 brute = oracles.brute_force_multidegrees(
                     g, case.q, case.basepoint, case.stratum, kind
@@ -297,8 +263,10 @@ class TestBoxSearch:
                     if i == 0:
                         assert want == brute, case.index
                     tight[kind] += _tight_bounds(n, scale, floor, *box, kept)
-                    for impl, t in zip(implementations(), tables):
-                        got = impl.box_enumerate(t, v0, total, box_lo, box_hi, mode, range(n))
+                    for impl in implementations():
+                        got = impl.box_enumerate(
+                            n, kept, base, scale, v0, total, box_lo, box_hi, mode, range(n)
+                        )
                         assert got == want, (case.index, i, kind, impl.__name__)
         assert min(tight.values()) >= 100, tight
 
@@ -317,8 +285,7 @@ class TestBoxSearch:
             at = rng.sample(range(n), n)
             inv = sorted(range(n), key=at.__getitem__)
             for impl, (_, mode) in product(implementations(), KINDS):
-                tables = impl.build_tables(n, *_kernel_args(ctx))
-                args = (tables, ctx._v0, ctx.budget, lo, hi, mode)
+                args = (n, *_kernel_args(ctx), ctx._v0, ctx.budget, lo, hi, mode)
                 plain = impl.box_enumerate(*args, range(n))
                 got = impl.box_enumerate(*args, at)
                 assert got == [tuple(d[k] for k in inv) for d in plain], (trial, mode)
@@ -346,14 +313,12 @@ class TestBoxSearch:
             order = rng.sample(range(n), n)
             inv = sorted(range(n), key=order.__getitem__)
             for impl, (_, mode) in product(implementations(), KINDS):
-                plain = impl.box_enumerate(
-                    impl.build_tables(n, kept, base, scale), v0, ctx.budget, lo, hi, mode, at
-                )
-                tables = impl.build_tables(
-                    n, [(inv[a], inv[b]) for a, b in kept], [base[v] for v in order], scale
-                )
+                plain = impl.box_enumerate(n, kept, base, scale, v0, ctx.budget, lo, hi, mode, at)
                 got = impl.box_enumerate(
-                    tables,
+                    n,
+                    [(inv[a], inv[b]) for a, b in kept],
+                    [base[v] for v in order],
+                    scale,
                     inv[v0],
                     ctx.budget,
                     [lo[v] for v in order],
@@ -400,12 +365,12 @@ class TestBoxSearch:
         assert {1, 2} <= sizes
 
 
-def _kept_per_level(tables, v0, total, lo, hi, mode):
-    """Per level k < n - 1 of the plan: how many of its lower and of its
-    upper bounds can cut, and how many of its masks the plan keeps as
-    prefixes only.  A bound cuts when it is tighter than the box's reach,
-    as in ``_tight_bounds``."""
-    n, scale, floor, plan = tables
+def _kept_per_level(n, scale, tables, v0, total, lo, hi, mode):
+    """Per level k < n - 1 of the plan of the pure kernel's tables: how many
+    of its lower and of its upper bounds can cut, and how many of its masks
+    the plan keeps as prefixes only.  A bound cuts when it is tighter than
+    the box's reach, as in ``_tight_bounds``."""
+    floor, plan = tables
     full = (1 << n) - 1
     out = []
     for k in range(n - 1):
@@ -426,15 +391,15 @@ def _kept_per_level(tables, v0, total, lo, hi, mode):
     return out
 
 
-def _interval_edges(tables, v0, total, lo, hi, mode, seen):
-    """Walk the plan's search in index order, each node testing every value
-    of its range against every bound of its level on plain sums, and count
-    into ``seen`` the nodes where no value of a nonempty range meets the
-    lower bounds, where the upper bounds cut some but not all of the values
-    that meet the lower ones, and where one value passes.  Asserts that the
-    values meeting the lower bounds are a top part of the range and those
-    meeting the upper bounds a bottom part."""
-    n, scale, floor, plan = tables
+def _interval_edges(n, scale, tables, v0, total, lo, hi, mode, seen):
+    """Walk the search of the pure kernel's tables in index order, each node
+    testing every value of its range against every bound of its level on
+    plain sums, and count into ``seen`` the nodes where no value of a
+    nonempty range meets the lower bounds, where the upper bounds cut some
+    but not all of the values that meet the lower ones, and where one value
+    passes.  Asserts that the values meeting the lower bounds are a top part
+    of the range and those meeting the upper bounds a bottom part."""
+    floor, plan = tables
     full = (1 << n) - 1
     d = [0] * n
 
@@ -485,11 +450,12 @@ class TestPackedSearch:
     def _agrees(self, n, edges, base, scale, v0, total, lo, hi):
         """The pure kernel's outputs, in order, for every kind equal the
         unplanned search's; returns how many there were."""
-        tables = _kernel_py.build_tables(n, edges, base, scale)
         count = 0
         for kind, mode in KINDS:
             want = oracles.box_search(n, edges, base, scale, v0, total, lo, hi, kind)
-            got = _kernel_py.box_enumerate(tables, v0, total, lo, hi, mode, range(n))
+            got = _kernel_py.box_enumerate(
+                n, edges, base, scale, v0, total, lo, hi, mode, range(n)
+            )
             assert got == want, (n, edges, base, scale, v0, total, lo, hi, kind)
             count += len(got)
         return count
@@ -506,11 +472,10 @@ class TestPackedSearch:
             ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
             lo, hi = ctx.singleton_box()
             args = _kernel_args(ctx)
-            tables = _kernel_py.build_tables(n, *args)
             for v0, (kind, mode) in product(range(n), KINDS):
                 want = oracles.box_search(n, *args, v0, ctx.budget, lo, hi, kind)
                 got = _kernel_py.box_enumerate(
-                    tables, v0, ctx.budget, lo, hi, mode, range(n)
+                    n, *args, v0, ctx.budget, lo, hi, mode, range(n)
                 )
                 assert got == want, (case.index, v0, kind)
                 swept += 1
@@ -614,7 +579,7 @@ class TestPackedSearch:
             hi = [min(b, x + rng.randint(0, 1)) for b, x in zip(hi, point)]
             total = ctx.budget
             for kind, mode in KINDS:
-                levels = _kept_per_level(tables, ctx._v0, total, lo, hi, mode)
+                levels = _kept_per_level(n, scale, tables, ctx._v0, total, lo, hi, mode)
                 if not any(low or high for low, high, _ in levels):
                     continue  # nothing cuts anywhere
                 for low, high, prefixes in levels:
@@ -651,46 +616,55 @@ class TestPackedSearch:
             v0 = rng.randrange(n)
             for box_lo, box_hi in ((lo, hi), narrow):
                 for _, mode in KINDS:
-                    _interval_edges(tables, v0, ctx.budget, box_lo, box_hi, mode, seen)
+                    _interval_edges(n, scale, tables, v0, ctx.budget, box_lo, box_hi, mode, seen)
                 self._agrees(n, kept, base, scale, v0, ctx.budget, box_lo, box_hi)
         assert min(seen.values()) >= 20, seen
 
 
 @needs_speedups
 class TestParity:
-    def test_tables_agree(self, corpus_cases):
-        # the compiled kernel's floor tables meet the formulas, and its
-        # plans are the pure kernel's
-        compiled = implementations()[0]
-        _check_tables(compiled, corpus_cases)
-        rng = random.Random(41)
-        for trial in range(120):
-            n = 1 + trial % 8
-            g, q, basepoint, stratum = _random_problem(rng, n)
-            args = _kernel_args(StratumContext(g, q, basepoint, stratum))
-            want = _kernel_py.build_tables(n, *args).plan
-            assert _plan_levels(n, compiled.build_tables(n, *args)[3]) == want, trial
-
     def test_enumeration_agrees(self, corpus_cases):
         compiled = implementations()[0]
         for case in corpus_cases:
             g = case.graph
+            n = g.num_vertices
             ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
             lo, hi = ctx.singleton_box()
-            args = _kernel_args(ctx)
-            t_pure = _kernel_py.build_tables(g.num_vertices, *args)
-            t_fast = compiled.build_tables(g.num_vertices, *args)
-            at = range(g.num_vertices)
-            for v0, mode in product(
-                range(g.num_vertices), (MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE)
-            ):
-                got_pure = _kernel_py.box_enumerate(
-                    t_pure, v0, ctx.budget, lo, hi, mode, at
-                )
-                got_fast = compiled.box_enumerate(
-                    t_fast, v0, ctx.budget, lo, hi, mode, at
-                )
-                assert got_pure == got_fast
+            args = (n, *_kernel_args(ctx))
+            for v0, (_, mode) in product(range(n), KINDS):
+                rest = (v0, ctx.budget, lo, hi, mode, range(n))
+                got_pure = _kernel_py.box_enumerate(*args, *rest)
+                assert compiled.box_enumerate(*args, *rest) == got_pure
+
+    def test_enumeration_agrees_beyond_corpus(self):
+        # the sizes the corpus (up to 6 vertices) and the random-problem
+        # tests (up to 8) do not reach: chorded cycles of 10, 12 and 14
+        # vertices at q = 1/2 with one chord as the stratum, and random
+        # problems of 9 to 12 vertices, each at two random basepoints, in
+        # every mode, with a random ``at``
+        compiled = implementations()[0]
+        rng = random.Random(83)
+        problems = []
+        for n in (10, 12, 14):
+            g = corpus.chorded_cycle(n)  # edge e(n) is its first chord
+            problems.append((g, Polarization(g, [Fraction(1, 2)] * n), [f"e{n}"]))
+        for n in (9, 10, 11, 12):
+            for _ in range(3):
+                g, q, _, stratum = _random_problem(rng, n)
+                problems.append((g, q, stratum))
+        rows = 0
+        for g, q, stratum in problems:
+            n = g.num_vertices
+            for basepoint in rng.sample(g.vertices, 2):
+                ctx = StratumContext(g, q, basepoint, stratum)
+                lo, hi = ctx.singleton_box()
+                at = rng.sample(range(n), n)
+                for _, mode in KINDS:
+                    args = (n, *_kernel_args(ctx), ctx._v0, ctx.budget, lo, hi, mode, at)
+                    want = _kernel_py.box_enumerate(*args)
+                    assert compiled.box_enumerate(*args) == want, (n, basepoint, mode)
+                    rows += len(want)
+        assert rows > 10_000, rows
 
 
 @needs_speedups
@@ -700,49 +674,49 @@ class TestCompiledChecks:
 
     def test_values_beyond_64_bits_raise(self):
         compiled = implementations()[0]
+        box = (0, 1, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
         for big in (1 << 63, -(1 << 63) - 1, 1 << 70):
             with pytest.raises(OverflowError):
-                compiled.build_tables(2, [(0, 1)], [big, 0], 2)
+                compiled.box_enumerate(2, [(0, 1)], [big, 0], 2, *box)
             with pytest.raises(OverflowError):
-                compiled.build_tables(2, [(0, 1)], [0, 0], big)
+                compiled.box_enumerate(2, [(0, 1)], [0, 0], big, *box)
 
     def test_malformed_input_rejected(self):
+        # an edge endpoint outside 0..n - 1, n outside 1..24, v0 outside
+        # 0..n - 1 and a base of the wrong length
         compiled = implementations()[0]
-        tables = compiled.build_tables(2, [(0, 1)], [1, 1], 2)
+        box = ([0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
+        assert compiled.box_enumerate(2, [(0, 1)], [1, 1], 2, 0, 1, *box) == [(0, 1), (1, 0)]
         for bad_edge in ((0, 2), (-1, 0)):
             with pytest.raises(ValueError):
-                compiled.build_tables(2, [bad_edge], [1, 1], 2)
-        with pytest.raises(ValueError):
-            compiled.box_enumerate(tables, 2, 1, [0, 0], [1, 1], MODE_QUASISTABLE, [0, 1])
-        assert compiled.box_enumerate(
-            tables, 0, 1, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1]
-        ) == [(0, 1), (1, 0)]
-        # a floor short by one entry, a plan short by one byte, and a kept
-        # mask, {0, 1}, whose prefix {0} is not kept
-        n, scale, floor, plan = compiled.build_tables(3, [(0, 1), (1, 2)], [1, 1, 0], 2)
-        assert plan[3] & KEPT
-        unkept = bytearray(plan)
-        unkept[1] = 0
-        args = (0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE, [0, 1, 2])
-        assert compiled.box_enumerate((n, scale, floor, plan), *args)
-        for bad in ((floor[:-8], plan), (floor, plan[:-1]), (floor, bytes(unkept))):
+                compiled.box_enumerate(2, [bad_edge], [1, 1], 2, 0, 1, *box)
+        for bad_n in (0, 25):
             with pytest.raises(ValueError):
-                compiled.box_enumerate((n, scale, *bad), *args)
+                compiled.box_enumerate(
+                    bad_n, [], [0] * bad_n, 2, 0, 0,
+                    [0] * bad_n, [0] * bad_n, MODE_SEMISTABLE, range(bad_n),
+                )
+        for bad_v0 in (2, -1):
+            with pytest.raises(ValueError):
+                compiled.box_enumerate(2, [(0, 1)], [1, 1], 2, bad_v0, 1, *box)
+        for bad_base in ([1], [1, 1, 0]):
+            with pytest.raises(ValueError):
+                compiled.box_enumerate(2, [(0, 1)], bad_base, 2, 0, 1, *box)
 
     def test_at_not_a_permutation_raises(self):
         # a repeated position, one past the end, a negative one, and too
         # few or too many; one vertex, whose search never reads ``at``
         # beyond its check, included
         compiled = implementations()[0]
-        tables = compiled.build_tables(3, [(0, 1), (1, 2)], [1, 1, 0], 2)
+        graph = (3, [(0, 1), (1, 2)], [1, 1, 0], 2, 0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE)
         for bad_at in ([0, 1, 1], [0, 1, 3], [-1, 0, 1], [0, 1], [0, 1, 2, 3]):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(tables, 0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE, bad_at)
-        one = compiled.build_tables(1, [], [4], 2)
+                compiled.box_enumerate(*graph, bad_at)
+        one = (1, [], [4], 2, 0, 2, [0], [5], MODE_SEMISTABLE)
         for bad_at in ([1], [-1], []):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(one, 0, 2, [0], [5], MODE_SEMISTABLE, bad_at)
-        assert compiled.box_enumerate(one, 0, 2, [0], [5], MODE_SEMISTABLE, [0]) == [(2,)]
+                compiled.box_enumerate(*one, bad_at)
+        assert compiled.box_enumerate(*one, [0]) == [(2,)]
 
 
 class TestBigValues:
@@ -810,3 +784,32 @@ class TestBenchScript:
         assert f"  ({kernel}, 15 rows)\n" in out
         assert f"  ({kernel}, 19 rows)\n" in out
         assert out.count(" enum ss ") == 2
+        # one enumerate row per size, and the pure kernel's table step
+        # alone, its time in the pure column
+        assert out.count(" enumerate ") == 2
+        assert out.count(" pure tables ") == 2
+        header = next(line for line in out.splitlines() if " operation " in line)
+        for line in out.splitlines():
+            if " pure tables " in line:
+                assert len(line) == header.index("pure") + 4 and line.endswith("ms"), line
+
+
+class TestSnapshotScript:
+    def test_ext_that_does_not_load_exits_2(self, tmp_path):
+        # benchmarks/cli_snapshot.py --ext must not fall back to the pure
+        # kernel, or a compiled-vs-pure comparison passes vacuously; it
+        # stops before building any request
+        root = Path(__file__).resolve().parent.parent
+        package = root / "src" / "jacgraph"
+        if any((package / f"_speedups{suffix}").exists() for suffix in EXTENSION_SUFFIXES):
+            pytest.skip("src/ holds a built extension, which loads without --ext")
+        out = tmp_path / "snapshot.txt"
+        done = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "cli_snapshot.py"), str(root), str(out),
+             "--ext", str(tmp_path / "nonexistent")],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "the compiled kernel did not load" in done.stderr
+        assert not out.exists()
