@@ -69,11 +69,12 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
     with the given endpoint index pairs, as bitmasks over the pair indices;
     loops never enter.
 
-    The edges are taken in breadth-first order, and the partial forests are
-    grouped by the blocks they make on the vertices that still have edges
-    to come, the only part the later edges see.  An edge is left out only
-    while the later edges still join its ends, so every forest carried
-    extends to a tree and the work is proportional to the trees.
+    One frontier pass: the non-loop edges are taken in breadth-first order
+    and the partial forests are grouped by the partition they make of the
+    frontier, the vertices met that still have edges to come, which is all
+    the later edges see.  Taking an edge merges two blocks, leaving it out
+    keeps the partition; a block that loses its last frontier vertex can
+    never be joined again, so its forests go unless it is the only block.
     """
     adj = [[] for _ in range(n)]
     for a, b in pairs:
@@ -88,66 +89,45 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
                 order.append(w)
     if len(order) < n:
         return []
-    steps = sorted(
-        (k for k, (a, b) in enumerate(pairs) if a != b),
-        key=lambda k: sorted(map(pos.__getitem__, pairs[k]), reverse=True),
-    )
-    # after[s][v] - n names the component of v in the graph of the edges
-    # after step s
-    root = list(range(n))
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    after = []
-    for k in reversed(steps):
-        after.append([find(v) + n for v in range(n)])
-        a, b = pairs[k]
-        root[find(a)] = find(b)
-    after.reverse()
-    last = {v: s for s, k in enumerate(steps) for v in pairs[k]}
-
-    live = set()  # the vertices met that have edges to come
-    states = {tuple(range(n)): [0]}  # block names (-1 once done) -> forests
-    for s, k in enumerate(steps):
-        a, b = pairs[k]
-        bit = 1 << k
-        comp = after[s]
-        live.update((a, b))
-        done = [v for v in (a, b) if last[v] == s]
-        live.difference_update(done)
+    ranked = (sorted((pos[a], pos[b]), reverse=True) + [1 << k] for k, (a, b) in enumerate(pairs))
+    steps = sorted(r for r in ranked if r[0] != r[1])  # [later rank, earlier rank, edge bit]
+    last = {v: s for s, step in enumerate(steps) for v in step[:2]}
+    front = []  # the frontier ranks in the order met
+    states = {(): [0]}  # the block of each, named by its least rank -> forests
+    for s, (a, b, bit) in enumerate(steps):
+        for v in (b, a):
+            if v not in front:
+                front.append(v)
+                states = {names + (v,): forests for names, forests in states.items()}
+        i, j = front.index(a), front.index(b)
+        gone = [v for v in (a, b) if last[v] == s]
+        if gone:
+            out = [front.index(v) for v in gone]
+            keep = [t for t in range(len(front)) if t not in out]
+            front = [front[t] for t in keep]
         nxt = {}
         for names, forests in states.items():
-            x, y = names[a], names[b]
-            if x == y:
-                out = [(list(names), forests)]
-            else:
-                lo, hi = min(x, y), max(x, y)
-                out = [([lo if c == hi else c for c in names], [t | bit for t in forests])]
-                seen, ends = {comp[a], x}, {comp[b], y}
-                grow = True
-                while grow and not seen & ends:
-                    grow = False
-                    for v in live:
-                        if (comp[v] in seen) != (names[v] in seen):
-                            seen.update((comp[v], names[v]))
-                            grow = True
-                if seen & ends:
-                    out.append((list(names), forests))
-            for new, got in out:
-                for r in done:
-                    c, new[r] = new[r], -1
-                    if c == r:  # rename the block after its least live vertex
-                        mates = [v for v in live if new[v] == c]
-                        least = min(mates, default=-1)
-                        for v in mates:
-                            new[v] = least
-                key = tuple(new)
-                nxt[key] = nxt[key] + got if key in nxt else got
+            x, y = names[i], names[j]
+            branches = [(names, forests)]
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                merged = tuple([x if c == y else c for c in names])
+                branches.append((merged, [t | bit for t in forests]))
+            for names, got in branches:
+                if gone:
+                    kept = [names[t] for t in keep]
+                    lost = {names[t] for t in out}.difference(kept)
+                    if lost and (kept or len(lost) > 1):
+                        continue
+                    for c in gone:
+                        if c in kept:  # its least remaining vertex names the block now
+                            kept = [front[kept.index(c)] if z == c else z for z in kept]
+                    names = tuple(kept)
+                if (had := nxt.setdefault(names, got)) is not got:
+                    had += got
         states = nxt
-    return states[(-1,) * n] if steps else [0]
+    return states[()]
 
 
 def _avoiding(trees: list[int], e: int) -> list[int]:
