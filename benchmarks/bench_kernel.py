@@ -7,8 +7,10 @@ implementation, and the pure kernel's table step (``build_tables``) alone
 in a ``pure tables`` row.  The ``enum``
 rows time what the library runs for the quasistable and semistable sets
 (``StratumContext._value_tuples``: its level order, the kernel it picks,
-labelled, and the sort).  Two more library calls run with one
-implementation and no kernel involved: the minimum-cut defect scan, and
+labelled, and the sort).  Three more library calls run with one
+implementation and no kernel involved: the minimum-cut defect scan, the
+spanning-tree lister of the strata walk (``strata._spanning_trees``, its
+``trees`` row giving the count, which equals the quasistable count), and
 the degree class group (``picard_group``) of the graph, which it takes on
 the cycle side, and of the graph with every edge doubled, which it takes
 on the Laplacian side.  For each size it also prints how many of the 2^n
@@ -75,6 +77,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=3, help="take the best of this many runs")
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
+    # imported here, not at the top: perfbench imports this file for
+    # chorded_cycle and leaves the first load of strata to a timed request
+    from jacgraph import strata
 
     mods = implementations()
     print(f"implementations: {', '.join(impl_label(m) for m in mods)}")
@@ -145,6 +150,10 @@ def main(argv=None) -> int:
             )
         t_cut, _ = best_of(args.repeat, ctx._defect_cut, d)
         print(f"{n:>3} {'min cut':<12}{t_cut * 1e3:>10.2f}ms")
+        t_trees, trees = best_of(args.repeat, strata._spanning_trees, n, g._pairs)
+        if len(trees) != counts:
+            raise SystemExit("the spanning trees and the quasistable multidegrees disagree")
+        print(f"{n:>3} {'trees':<12}{t_trees * 1e3:>10.2f}ms  ({len(trees)} spanning trees)")
         checks = [c for level in plan for _, c in level]
         checked = sum(1 for c in checks if c)
         print(f"    ({counts} quasistable multidegrees)")

@@ -40,13 +40,24 @@ from .quasistable import StratumContext
 
 KIND_NAMES = {"ss": "semistable", "qs": "quasistable", "stable": "stable"}
 
-# one value of --multidegree: ASCII digits only, unlike int(), which also
-# reads "1_0" and non-ASCII digits
+# integers and rationals as text: ASCII digits only, unlike int() and
+# Fraction(), which also read "1_0" and non-ASCII digits, and Fraction()
+# decimals and exponents
 _INTEGER = r"[+-]?[0-9]+"
+_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
 class ProblemFileError(Exception):
     """Anything wrong with the problem file or the request itself."""
+
+
+def _ascii_int(text: str) -> int:
+    if not re.fullmatch(_INTEGER, text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_ascii_int.__name__ = "int"  # argparse names the type in its message
 
 
 def parse_rational(value) -> Fraction:
@@ -55,10 +66,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise ProblemFileError(f'float {value!r} rejected; write rationals as "p/q" strings')
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemFileError(f"cannot parse rational {value!r}") from exc
+        if re.fullmatch(_RATIONAL, text := value.strip()):
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                pass
+        raise ProblemFileError(f"cannot parse rational {value!r}")
     raise ProblemFileError(f"not a rational: {value!r}")
 
 
@@ -183,7 +196,7 @@ def _edge_guard() -> int:
 
         return EDGE_GUARD_DEFAULT
     try:
-        guard = int(env)
+        guard = _ascii_int(env)
     except ValueError:
         raise ProblemFileError(
             f"JACGRAPH_GUARD_EDGES must be an integer, got {env!r}"
@@ -240,11 +253,12 @@ def cmd_reduce(problem: Problem, args) -> dict:
         raise ProblemFileError(
             f"--multidegree needs {g.num_vertices} integers, got {len(parts)}"
         )
-    if not all(re.fullmatch(_INTEGER, p) for p in parts):
+    try:
+        values = [_ascii_int(p) for p in parts]
+    except ValueError:
         raise ProblemFileError(
             f"--multidegree must be comma-separated integers, got {args.multidegree!r}"
-        )
-    values = [int(p) for p in parts]
+        ) from None
     d = Cochain(g, values)
     report = ctx.reduce_report(d)
     # an exact certificate: output - input is the Laplacian of the potential
@@ -516,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strata", help="stratum-by-stratum report")
     common(p, basepoint=True)
-    p.add_argument("--max-codim", type=int, default=None, help="truncate the report")
+    p.add_argument("--max-codim", type=_ascii_int, default=None, help="truncate the report")
 
     p = sub.add_parser("blowup-check", help="subdivision decomposition consistency")
     common(p, basepoint=True)
@@ -569,9 +583,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def _process_main() -> int:
+    """``main()`` for a process of its own: a reader that closes stdout
+    early (``| head``) ends it with status 1 and no traceback."""
+    try:
+        status = main()
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
 def entry_point():  # pragma: no cover - console script shim
-    raise SystemExit(main())
+    raise SystemExit(_process_main())
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(_process_main())

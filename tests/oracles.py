@@ -22,15 +22,12 @@ from functools import lru_cache
 from itertools import combinations
 
 
-def spanning_tree_count(g) -> int:
-    """Count spanning trees by trying every (n-1)-subset of non-loop edges."""
-    names = list(g.vertices)
-    n = len(names)
-    if n == 0:
-        raise ValueError("empty graph")
-    pos = {v: i for i, v in enumerate(names)}
-    non_loops = [e for e in g.edges if e.u != e.v]
-    count = 0
+def spanning_trees(n: int, pairs) -> list[int]:
+    """The spanning trees of the multigraph on the vertices 0..n-1 with the
+    given endpoint index pairs, as bitmasks over the pair indices: every
+    (n-1)-subset of the non-loop pairs that union-find accepts as a forest."""
+    non_loops = [k for k, (a, b) in enumerate(pairs) if a != b]
+    trees = []
     for pick in combinations(non_loops, n - 1):
         parent = list(range(n))
 
@@ -41,15 +38,24 @@ def spanning_tree_count(g) -> int:
             return i
 
         acyclic = True
-        for e in pick:
-            ru, rv = find(pos[e.u]), find(pos[e.v])
+        for k in pick:
+            ru, rv = find(pairs[k][0]), find(pairs[k][1])
             if ru == rv:
                 acyclic = False
                 break
             parent[ru] = rv
         if acyclic:
-            count += 1
-    return count
+            trees.append(sum(1 << k for k in pick))
+    return trees
+
+
+def spanning_tree_count(g) -> int:
+    """Count spanning trees by trying every (n-1)-subset of non-loop edges."""
+    names = list(g.vertices)
+    if not names:
+        raise ValueError("empty graph")
+    pos = {v: i for i, v in enumerate(names)}
+    return len(spanning_trees(len(names), [(pos[e.u], pos[e.v]) for e in g.edges]))
 
 
 def crossing_count(g, W) -> int:

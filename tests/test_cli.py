@@ -297,6 +297,27 @@ class TestStrata:
         rc, _, _ = run(capsys, ["strata", problem(BANANA)])
         assert rc == 2
 
+    def test_max_codim_ascii_only(self, problem, capsys):
+        # int() alone would read "1_0" as 10 and an Arabic-Indic one as 1
+        path = problem(BANANA)
+        for bad in ("1_0", "\u0661", "1.0", "0x1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["strata", path, f"--max-codim={bad}"])
+            assert exc.value.code == 2, bad
+            assert f"argument --max-codim: invalid int value: {bad!r}" in capsys.readouterr().err
+        rc, payload, _ = run(capsys, ["strata", path, "--max-codim= +1 "])
+        assert rc == 0 and len(payload["rows"]) == 3
+
+    def test_guard_env_ascii_only(self, problem, capsys, monkeypatch):
+        for bad in ("\u0661", "1_6", "1e2", "16.0"):
+            monkeypatch.setenv("JACGRAPH_GUARD_EDGES", bad)
+            rc, _, err = run(capsys, ["strata", problem(BANANA)])
+            assert rc == 2, bad
+            assert f"JACGRAPH_GUARD_EDGES must be an integer, got {bad!r}" in err, bad
+        monkeypatch.setenv("JACGRAPH_GUARD_EDGES", " +1 ")
+        rc, _, err = run(capsys, ["strata", problem(BANANA)])
+        assert rc == 3 and "guard of 1 " in err
+
     def test_negative_guard_env_rejected(self, problem, capsys, monkeypatch):
         monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "-1")
         for command in ("strata", "blowup-check"):
@@ -340,6 +361,18 @@ class TestProblemFileValidation:
         rc, _, err = run(capsys, ["enum", problem(data)])
         assert rc == 2
         assert "float" in err
+
+    def test_ascii_rationals_only(self, problem, capsys):
+        # Fraction() alone would read "1_0" as 10, Arabic-Indic digits as
+        # theirs, and decimals and exponents
+        for bad in ("1_0", "\u0661/\u0662", "0.5", "1e3", "1/-2", "1/", "/2", "1/2/3", "\u00bd"):
+            data = dict(BANANA, polarization={"u": bad, "v": "0"})
+            rc, _, err = run(capsys, ["enum", problem(data)])
+            assert rc == 2, bad
+            assert f"cannot parse rational {bad!r}" in err, bad
+        data = dict(BANANA, polarization={"u": " +3/2 ", "v": "-1/2"})
+        rc, payload, _ = run(capsys, ["enum", problem(data)])
+        assert rc == 0 and payload["count"] == 2
 
     def test_fractional_total_rejected(self, problem, capsys):
         data = dict(BANANA, polarization={"u": "1/2", "v": 0})

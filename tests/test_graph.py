@@ -28,6 +28,9 @@ class TestConstruction:
         assert g.edge_ids() == ("e0", "x1", "x2")
         assert g.edge("x2").is_loop
         assert g.edge("e0").other("a") == "b"
+        assert g.edge("e0").other("b") == "a"
+        with pytest.raises(UnknownVertexError, match="not an endpoint"):
+            g.edge("x2").other("a")
 
     def test_default_ids_positional(self):
         g = Multigraph(["a"], [("a", "a"), ("a", "a")])
@@ -213,6 +216,10 @@ class TestSurgery:
         g, middle = g0.subdivide_edges(["e0"])
         assert middle["e0"] not in ("a", "e0*")
         assert g.num_vertices == 3
+        # a half-edge id that is taken gets a prime
+        g0 = Multigraph(["a", "b"], [("a", "b"), ("e0:a", "a", "b")])
+        g, _ = g0.subdivide_edges(["e0"])
+        assert g.edge_ids() == ("e0:a'", "e0:b", "e0:a")
 
     def test_contract_bridges_dumbbell(self, dumbbell):
         g, mapping = dumbbell.contract_bridges()
@@ -225,6 +232,11 @@ class TestSurgery:
         g, _ = g0.contract_bridges()
         assert g.vertices == ("u",)
         assert g.genus_of("u") == 2
+        # a bridge listed later vertex first still merges into the earlier one
+        g0 = Multigraph(["a", "b", "c"], [("b", "a"), ("b", "c"), ("c", "b")], {"a": 1, "b": 2})
+        g, mapping = g0.contract_bridges()
+        assert mapping == {"a": "a", "b": "a", "c": "c"}
+        assert g.genus_of("a") == 3
 
     def test_contract_bridges_no_bridges(self, triangle):
         g, mapping = triangle.contract_bridges()

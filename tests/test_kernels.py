@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -788,6 +789,9 @@ class TestBenchScript:
         # alone, its time in the pure column
         assert out.count(" enumerate ") == 2
         assert out.count(" pure tables ") == 2
+        # the strata walk's tree lister, as many trees as multidegrees
+        assert len(re.findall(r"^  6 trees +[0-9.]+ms  \(15 spanning trees\)$", out, re.M)) == 1
+        assert len(re.findall(r"^  7 trees +[0-9.]+ms  \(19 spanning trees\)$", out, re.M)) == 1
         header = next(line for line in out.splitlines() if " operation " in line)
         for line in out.splitlines():
             if " pure tables " in line:

@@ -57,6 +57,8 @@ class TestCochain:
     def test_mixed_graph_arithmetic_rejected(self, banana, path2):
         with pytest.raises(GraphMismatchError):
             Cochain(banana, [1, 0]) + Cochain(path2, [1, 0])
+        with pytest.raises(TypeError, match="expected a Cochain, got tuple"):
+            Cochain(banana, [1, 0]) + (1, 0)
 
     def test_rebind(self, banana):
         other = banana.delete_edges(["e0"])
@@ -83,6 +85,10 @@ class TestLaplacian:
 
     def test_loops_invisible(self, dumbbell):
         assert laplacian_matrix(dumbbell) == [[-1, 1], [1, -1]]
+
+    def test_apply_rejects_other_graph(self, banana, path2):
+        with pytest.raises(GraphMismatchError):
+            laplacian_apply(banana, Cochain(path2, [1, 0]))
 
     def test_apply_matches_matrix(self, corpus_cases):
         rng = random.Random(5)

@@ -5,6 +5,7 @@ import pytest
 
 from jacgraph import (
     CanonicalPolarizationError,
+    EmptyGraphError,
     GraphConstructionError,
     GuardLimitError,
     InvalidSubsetError,
@@ -239,6 +240,10 @@ class TestCanonical:
     def test_single_vertex(self):
         g = Multigraph(["a"])
         assert canonical_polarization(g, 5).as_dict() == {"a": 5}
+
+    def test_empty_graph(self):
+        with pytest.raises(EmptyGraphError):
+            canonical_polarization(Multigraph([]), 1)
 
     def test_disconnected_keeps_degree(self):
         # divided by the weights' sum, not by 2g - 2 for the components' total genus

@@ -153,6 +153,9 @@ class TestPredicates:
         assert not ctx.is_quasistable(Cochain(banana, (0, 1)))
         assert ctx.is_stable(Cochain(banana, (1, 0)))
         assert not ctx.is_stable(Cochain(banana, (2, -1)))
+        # off the budget of 1 nothing is quasistable or stable
+        assert not ctx.is_quasistable(Cochain(banana, (2, 0)))
+        assert not ctx.is_stable(Cochain(banana, (1, 1)))
 
     def test_single_vertex_always_stable(self):
         g = Multigraph(["a"], [("a", "a")])
@@ -503,6 +506,13 @@ class TestEqualityWitness:
         assert ctx.deficit(d, Z) == 0
         assert triangle.induced_subgraph(Z).is_connected()
         assert triangle.induced_subgraph(triangle.complement(Z)).is_connected()
+
+    def test_bad_inputs_rejected(self, triangle, banana):
+        with pytest.raises(GraphMismatchError):
+            semistable_equality_witness(triangle, Polarization(banana, [1, 0]))
+        g = Multigraph(["a", "b"])
+        with pytest.raises(DisconnectedGraphError):
+            semistable_equality_witness(g, Polarization(g, [1, 0]))
 
     def test_none_when_general(self, triangle):
         third = Fraction(1, 3)

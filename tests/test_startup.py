@@ -19,12 +19,12 @@ SRC = Path(jacgraph.__file__).resolve().parent.parent
 NOT_AT_STARTUP = ("dataclasses", "inspect", "jacgraph.strata", "jacgraph._kernel_py")
 
 
-def _python(*args, cwd=None):
+def _python(*args, cwd=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("JACGRAPH_GUARD_EDGES", None)
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True
+        [sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
     )
 
 
@@ -111,3 +111,23 @@ def test_fresh_process_commands_match_in_process_main(corpus_cases, tmp_path, ca
         assert done.stdout == expected, argv
         assert expected.strip(), argv
 
+
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path):
+    # the read end of the pipe is closed before the child writes, as
+    # `jacgraph ... | head -1` may do on a long report
+    path = tmp_path / "problem.json"
+    edges = [{"endpoints": ["u", "v"]}] * 2
+    data = {"vertices": ["u", "v"], "edges": edges, "polarization": {"u": 1, "v": 0}}
+    path.write_text(json.dumps(data))
+    shim = "from jacgraph.cli import entry_point; entry_point()"
+    for runner in (["-m", "jacgraph.cli"], ["-c", shim]):
+        for argv in (["enum", str(path), "--kind", "ss"], ["complexity", str(path)]):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                done = _python(*runner, *argv, stdout=write)
+            finally:
+                os.close(write)
+            assert done.returncode == 1, (runner, argv, done.stderr)
+            assert "Traceback" not in done.stderr, (runner, argv)

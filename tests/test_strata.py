@@ -16,6 +16,7 @@ from jacgraph import (
     stratum_multidegrees,
     lattice,
 )
+from jacgraph.strata import _spanning_trees
 
 import corpus as corpus_mod
 import oracles
@@ -194,6 +195,9 @@ class TestPushforward:
         assert push.degree_of({"u"}) == 1
         assert push.degree_of({"u", "v"}) == 1  # the stratum edge joins in
         assert push.total == 1
+        swapped = Multigraph(["v", "u"], [("v", "u")])
+        with pytest.raises(GraphMismatchError, match="different vertex listing"):
+            pushforward_multidegree(path2, ["e0"], Cochain(swapped, [1, -1]))
 
     def test_total_matches_whole_graph_degree(self, corpus_cases):
         for case in corpus_cases[:25]:
@@ -376,3 +380,38 @@ class TestTreeCounts:
             blowup_decomposition(g, case.basepoint, case.q)
             assert sizes == [g.num_vertices + g.num_edges - 1] * 2, case.index
             sizes.clear()
+
+
+class TestTreeSets:
+    # the tree bitmasks themselves, which the rows filter edge by edge,
+    # against every (n-1)-subset of the non-loop edges
+    def _check(self, g):
+        n, pairs = g.num_vertices, g._pairs
+        trees = _spanning_trees(n, pairs)
+        assert len(set(trees)) == len(trees), g
+        assert sorted(trees) == sorted(oracles.spanning_trees(n, pairs)), g
+        return trees
+
+    def test_random_multigraphs(self):
+        rng = random.Random(2424)
+        seen = set()
+        for k in range(300):
+            n = rng.randint(1, 8)
+            connected = n == 1 or k % 6 != 0
+            loops = rng.choice([0, 0, 1, 2])
+            m = rng.randint(max(n - 1, loops), 12)
+            g = _tree_count_graph(rng, n, m, connected=connected, loops=loops)
+            trees = self._check(g)
+            seen.add(("n", n))
+            seen.add(("loop", any(e.is_loop for e in g.edges)))
+            seen.add(("parallel", len({frozenset((e.u, e.v)) for e in g.edges}) < g.num_edges))
+            seen.add(("disconnected", not trees))
+        assert {("n", n) for n in range(1, 9)} <= seen
+        for flag in ("loop", "parallel", "disconnected"):
+            assert (flag, True) in seen, flag
+
+    def test_chorded_cycle_and_doubled_k5(self):
+        g = corpus_mod.chorded_cycle(10)
+        assert len(self._check(g)) == complexity(g) == 120
+        k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        assert len(self._check(Multigraph(range(5), k5 + k5))) == 125 * 2**4
