@@ -93,7 +93,7 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
     steps = sorted(r for r in ranked if r[0] != r[1])  # [later rank, earlier rank, edge bit]
     last = {v: s for s, step in enumerate(steps) for v in step[:2]}
     front = []  # the frontier ranks in the order met
-    states = {(): [0]}  # the block of each, named by its least rank -> forests
+    states = {(): [0]}  # block of each, named by its least rank -> forests
     for s, (a, b, bit) in enumerate(steps):
         for v in (b, a):
             if v not in front:
@@ -125,7 +125,7 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
                             kept = [front[kept.index(c)] if z == c else z for z in kept]
                     names = tuple(kept)
                 if (had := nxt.setdefault(names, got)) is not got:
-                    had += got
+                    had += got  # no older state reads its list again
         states = nxt
     return states[()]
 
