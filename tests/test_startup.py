@@ -112,7 +112,6 @@ def test_fresh_process_commands_match_in_process_main(corpus_cases, tmp_path, ca
         assert expected.strip(), argv
 
 
-
 def test_closed_stdout_ends_without_a_traceback(tmp_path):
     # the read end of the pipe is closed before the child writes, as
     # `jacgraph ... | head -1` may do on a long report
