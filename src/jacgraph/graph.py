@@ -371,31 +371,23 @@ class Multigraph:
         edge_items: list[Edge] = []
         used_ids = {e.id for e in self.edges if e.id not in S}
 
-        def fresh_vertex(base):
-            label = base
-            while label in taken:
+        def fresh(label, used):
+            while label in used:
                 label = label + "'" if isinstance(label, str) else (label, "'")
-            taken.add(label)
+            used.add(label)
             return label
-
-        def fresh_edge_id(base):
-            eid = base
-            while eid in used_ids:
-                eid = eid + "'" if isinstance(eid, str) else (eid, "'")
-            used_ids.add(eid)
-            return eid
 
         for e in self.edges:
             if e.id not in S:
                 edge_items.append(e)
                 continue
-            x = fresh_vertex(f"{e.id}*" if isinstance(e.id, str) else (e.id, "*"))
+            x = fresh(f"{e.id}*" if isinstance(e.id, str) else (e.id, "*"), taken)
             new_vertices.append(x)
             genus[x] = 0
             middle[e.id] = x
             base = e.id if isinstance(e.id, str) else str(e.id)
-            edge_items.append(Edge(fresh_edge_id(f"{base}:a"), e.u, x))
-            edge_items.append(Edge(fresh_edge_id(f"{base}:b"), x, e.v))
+            edge_items.append(Edge(fresh(f"{base}:a", used_ids), e.u, x))
+            edge_items.append(Edge(fresh(f"{base}:b", used_ids), x, e.v))
         return Multigraph(new_vertices, edge_items, genus), middle
 
     def contract_bridges(self) -> tuple["Multigraph", dict]:
@@ -407,28 +399,16 @@ class Multigraph:
         merge becomes a loop.
         """
         br = self.bridges()
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for e in self.edges:
-            if e.id in br:
-                a, b = find(e.u), find(e.v)
-                if a != b:
-                    # keep the earlier vertex as the class representative
-                    if self._vpos[a] > self._vpos[b]:
-                        a, b = b, a
-                    parent[b] = a
-
-        mapping = {v: find(v) for v in self.vertices}
-        reps = []
-        for v in self.vertices:
-            if mapping[v] == v:
-                reps.append(v)
+        n, vs = self.num_vertices, self.vertices
+        adj = _adjacency_masks(n, [p for e, p in zip(self.edges, self._pairs) if e.id in br])
+        rep = list(range(n))  # the merged classes are the pieces of the bridge forest
+        for piece in _mask_pieces(sum(1 << i for i, nb in enumerate(adj) if nb), adj):
+            low = (piece & -piece).bit_length() - 1
+            for i in range(low, piece.bit_length()):
+                if piece >> i & 1:
+                    rep[i] = low
+        mapping = {v: vs[r] for v, r in zip(vs, rep)}
+        reps = [vs[i] for i, r in enumerate(rep) if r == i]
         genus = {r: 0 for r in reps}
         for v in self.vertices:
             genus[mapping[v]] += self._genus[v]

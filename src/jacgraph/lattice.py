@@ -403,7 +403,7 @@ def picard_group(g: Multigraph) -> PicardGroup:
     # loops are cycles of norm 1 and drop out: b1 counts the other cotree edges
     b1 = len(tree[2])
     if 2 * b1 <= n - 1:
-        factors = _smith(_cycle_gram(*tree), b1)
+        factors = _smith(_cycle_gram(*tree[:3]), b1)
     else:
         factors = _smith(_laplacian_rows(n, pairs), n - 1)
     return PicardGroup(
@@ -412,11 +412,11 @@ def picard_group(g: Multigraph) -> PicardGroup:
 
 
 def _spanning_tree(n: int, pairs):
-    """``(parent, depth, cotree)`` of a breadth-first spanning tree from
-    vertex 0 of the loopless multigraph on 0..n-1 with the given endpoint
-    index pairs: the parent and depth of each vertex (the root is its own
-    parent) and the pairs left out of the tree; None when it is
-    disconnected."""
+    """``(parent, depth, cotree, queue)`` of a breadth-first spanning tree
+    from vertex 0 of the multigraph on 0..n-1 with the given endpoint index
+    pairs, neighbours walked in pair order: the parent and depth of each
+    vertex (the root is its own parent), the pairs left out of the tree
+    (loops too) and the vertices in the order met; None when disconnected."""
     adj = [[] for _ in range(n)]
     for k, (a, b) in enumerate(pairs):
         adj[a].append((b, k))
@@ -430,7 +430,7 @@ def _spanning_tree(n: int, pairs):
                 queue.append(w)
     if len(queue) < n:
         return None
-    return parent, depth, [p for p in cotree if p]
+    return parent, depth, [p for p in cotree if p], queue
 
 
 def _laplacian_rows(n: int, pairs) -> list[dict]:

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 from ._kernel import SUBSET_SCAN_LIMIT
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
 from .graph import Multigraph, Vertex
-from .lattice import Cochain, _tree_count, complexity
+from .lattice import Cochain, _spanning_tree
 from .polarization import Polarization
 from .quasistable import StratumContext
 
@@ -67,7 +67,8 @@ def _specialise(parent: list[tuple], members: set, u: int, v: int) -> list[tuple
 def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
     """The spanning trees of the multigraph on the vertices 0..n-1 (n > 0)
     with the given endpoint index pairs, as bitmasks over the pair indices;
-    loops never enter.
+    loops never enter, and a disconnected graph has none.  The breadth-first
+    order below is that of ``_spanning_tree``.
 
     One frontier pass: the non-loop edges are taken in breadth-first order
     and the partial forests are grouped by the partition they make of the
@@ -76,19 +77,12 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
     keeps the partition; a block that loses its last frontier vertex can
     never be joined again, so its forests go unless it is the only block.
     """
-    adj = [[] for _ in range(n)]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    pos = [0] + [-1] * (n - 1)
-    order = [0]
-    for v in order:
-        for w in adj[v]:
-            if pos[w] < 0:
-                pos[w] = len(order)
-                order.append(w)
-    if len(order) < n:
+    tree = _spanning_tree(n, pairs)
+    if tree is None:
         return []
+    pos = [0] * n
+    for rank, v in enumerate(tree[3]):
+        pos[v] = rank
     ranked = (sorted((pos[a], pos[b]), reverse=True) + [1 << k] for k, (a, b) in enumerate(pairs))
     steps = sorted(r for r in ranked if r[0] != r[1])  # [later rank, earlier rank, edge bit]
     last = {v: s for s, step in enumerate(steps) for v in step[:2]}
@@ -199,20 +193,22 @@ def strata_rows(
     depth = m if max_codim is None else min(max_codim, m)
     n = g.num_vertices
 
-    def children(parent, edges):
-        tuples, trees = parent
-        members = set(tuples)
-        return [(_specialise(tuples, members, *pairs[e]), _avoiding(trees, e)) for e in edges]
+    trees = _spanning_trees(n, pairs)
 
-    root = (StratumContext(g, q, basepoint)._value_tuples("quasistable"), _spanning_trees(n, pairs))
+    def children(parent, edges):
+        tuples, left = parent
+        members = set(tuples)
+        return [(_specialise(tuples, members, *pairs[e]), _avoiding(left, e)) for e in edges]
+
+    root = (StratumContext(g, q, basepoint)._value_tuples("quasistable"), trees)
     rows = [
-        (tuple(map(ids.__getitem__, combo)), tuples, len(trees))
-        for combo, (tuples, trees) in _walk(m, depth, root, children)
+        (tuple(map(ids.__getitem__, combo)), tuples, len(left))
+        for combo, (tuples, left) in _walk(m, depth, root, children)
     ]
-    # the subdivision puts vertex n + k in the middle of edge k
-    halves = [p for k, (a, b) in enumerate(pairs) for p in ((a, n + k), (n + k, b))]
     total = sum(len(tuples) for _, tuples, _ in rows)
-    return rows, depth == m, total, _tree_count(n + m, halves)
+    # a spanning tree of the subdivision takes both halves of each edge of a
+    # spanning tree of g and one of the two halves of every other edge
+    return rows, depth == m, total, len(trees) << (m - n + 1) if trees else 0
 
 
 def strata_report(
@@ -343,14 +339,13 @@ def blowup_rows(
         neg = tuple(k for k, value in enumerate(t[n:]) if value == -1)
         grouped.setdefault(neg, []).append(t)
 
-    walk = _walk(
-        m, m, _spanning_trees(n, pairs), lambda trees, edges: [_avoiding(trees, e) for e in edges]
-    )
+    trees = _spanning_trees(n, pairs)
+    walk = _walk(m, m, trees, lambda left, edges: [_avoiding(left, e) for e in edges])
     rows = [
-        (tuple(map(ids.__getitem__, combo)), grouped.get(combo, []), len(trees))
-        for combo, trees in walk
+        (tuple(map(ids.__getitem__, combo)), grouped.get(combo, []), len(left))
+        for combo, left in walk
     ]
-    return sub, rows, len(found), complexity(sub)
+    return sub, rows, len(found), len(trees) << (m - n + 1) if trees else 0  # as in strata_rows
 
 
 def blowup_decomposition(

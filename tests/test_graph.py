@@ -249,6 +249,46 @@ class TestSurgery:
             contracted, _ = g.contract_bridges()
             assert contracted.first_betti() == g.first_betti()
 
+    def test_contract_bridges_against_oracle(self):
+        # vertex labels in shuffled order, so the earliest member of a class
+        # is not its least label
+        rng = random.Random(2626)
+        seen = set()
+        for k in range(300):
+            names = [f"v{i}" for i in range(1 if k < 10 else rng.randint(2, 9))]
+            rng.shuffle(names)
+            n = len(names)
+            edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n) if rng.random() < 0.8]
+            edges += [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 4))]
+            rng.shuffle(edges)
+            g = Multigraph(names, edges, {v: rng.randint(0, 2) for v in names})
+            contracted, mapping = g.contract_bridges()
+            want, want_mapping = _contract_oracle(g)
+            assert contracted == want, g
+            assert list(mapping.items()) == list(want_mapping.items()), g
+            assert contracted.genus_map() == want.genus_map(), g
+            seen.add(("n", n))
+            seen.add(("merged", contracted.num_vertices < n))
+            seen.add(("disconnected", not g.is_connected()))
+        assert {("n", n) for n in range(1, 10)} <= seen
+        assert ("merged", True) in seen and ("disconnected", True) in seen
+
+
+def _contract_oracle(g):
+    """``contract_bridges`` from the definitions: the classes are the
+    components of g with only its bridges kept, each named after its
+    earliest vertex, and every other edge survives between the classes."""
+    bridges = {e.id for e in g.edges if not e.is_loop and oracles.is_bridge(g, e.id)}
+    name = {}
+    for comp in oracles.components(g.delete_edges(set(g.edge_ids()) - bridges)):
+        first = next(v for v in g.vertices if v in comp)
+        name.update(dict.fromkeys(comp, first))
+    mapping = {v: name[v] for v in g.vertices}
+    reps = [v for v in g.vertices if name[v] == v]
+    genus = {r: sum(g.genus_of(v) for v in g.vertices if name[v] == r) for r in reps}
+    edges = [Edge(e.id, name[e.u], name[e.v]) for e in g.edges if e.id not in bridges]
+    return Multigraph(reps, edges, genus), mapping
+
 
 def _check_queries(g, rng):
     """Every query that reads the endpoint index pairs, against the

@@ -299,7 +299,7 @@ def _cycle_factors(g):
     the side rule would pick."""
     pos = g._vpos
     pairs = [(pos[e.u], pos[e.v]) for e in g.edges if e.u != e.v]
-    rows = lattice._cycle_gram(*lattice._spanning_tree(g.num_vertices, pairs))
+    rows = lattice._cycle_gram(*lattice._spanning_tree(g.num_vertices, pairs)[:3])
     gram = [[row.get(h, 0) for h in range(len(rows))] for row in rows]
     assert all(all(row.values()) for row in rows)  # no entry cancels
     return invariant_factors(gram), det_bareiss(gram)

@@ -16,7 +16,7 @@ from jacgraph import (
     stratum_multidegrees,
     lattice,
 )
-from jacgraph.strata import _spanning_trees
+from jacgraph.strata import _spanning_trees, blowup_rows, strata_rows
 
 import corpus as corpus_mod
 import oracles
@@ -369,8 +369,8 @@ class TestTreeCounts:
         assert rep.rows[0].expected_count == complexity(g) > 0
 
     def test_one_elimination_per_call(self, monkeypatch):
-        # the rows and buckets count trees; only the subdivision's count is
-        # an elimination, one per call
+        # the rows, the buckets and the subdivision's count all come from
+        # the tree list: no call eliminates at all
         sizes = []
         real = lattice._bareiss
         monkeypatch.setattr(lattice, "_bareiss", lambda a: sizes.append(len(a)) or real(a))
@@ -378,8 +378,34 @@ class TestTreeCounts:
             g = case.graph
             strata_report(g, case.basepoint, case.q)
             blowup_decomposition(g, case.basepoint, case.q)
-            assert sizes == [g.num_vertices + g.num_edges - 1] * 2, case.index
-            sizes.clear()
+            assert sizes == [], case.index
+
+    def test_subdivided_count_closed_form(self):
+        # tau(subdivision) = tau(g) * 2^(m - n + 1), against an elimination
+        # on the subdivision itself
+        rng = random.Random(2525)
+        seen = set()
+        for k in range(300):
+            n = rng.randint(1, 8)
+            connected = n == 1 or k % 5 != 0
+            loops = rng.choice([0, 0, 1, 2])
+            m = rng.randint(max(n - 1, loops), 12)
+            g = _tree_count_graph(rng, n, m, connected=connected, loops=loops)
+            m = g.num_edges
+            want = complexity(g.subdivide_edges(g.edge_ids())[0])
+            q = Polarization(g, [1] + [0] * (n - 1))
+            bp = g.vertices[0]
+            assert strata_rows(g, bp, q, max_codim=0)[3] == want, g
+            if n + m <= 12:
+                assert blowup_rows(g, bp, q)[3] == want, g
+                seen.add(("blowup", True))
+            seen.add(("n", n))
+            seen.add(("loop", any(e.is_loop for e in g.edges)))
+            seen.add(("parallel", len({frozenset((e.u, e.v)) for e in g.edges}) < m))
+            seen.add(("disconnected", want == 0))
+        assert {("n", n) for n in range(1, 9)} <= seen
+        for flag in ("blowup", "loop", "parallel", "disconnected"):
+            assert (flag, True) in seen, flag
 
 
 class TestTreeSets:
