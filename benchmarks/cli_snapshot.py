@@ -5,9 +5,13 @@ The requests are ``enum`` of all three kinds, ``strata`` and ``strata
 --max-codim=1 --verbose``, ``check-pol --verbose``, ``complexity`` and
 ``reduce`` of the multidegree with the whole budget on the first vertex on
 every case of the test corpus (``tests/corpus.py``), ``blowup-check`` and
-``blowup-check --verbose`` on the cases with at most 7 edges, and round 0
-of perfbench's ``enumerate`` (seeds 5 and 6), ``sweep`` (seed 7) and
-``query`` (seed 3).  Each runs through
+``blowup-check --verbose`` on the cases with at most 7 edges, then
+``strata``, ``strata --max-codim=1 --verbose``, ``blowup-check --verbose``,
+``check-pol --verbose`` and ``complexity`` on three fixed graphs the corpus,
+connected by construction, never holds (two components, one vertex with two
+loops, two chorded 4-cycles joined by a bridge), and round 0 of perfbench's
+``enumerate`` (seeds 5 and 6), ``sweep`` (seed 7) and ``query`` (seed 3).
+Each runs through
 ``jacgraph.cli.main`` in this process.  The file holds, per request, a
 header line with its arguments (the problem directory written as ``W``)
 and exit code, then its stdout, then its stderr, if any, under a
@@ -36,6 +40,34 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROUNDS = (("enumerate", 5), ("enumerate", 6), ("sweep", 7), ("query", 3))
+
+# the tree count 0, the disconnected branch of the tree lister and bridges
+_CHORDED = [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0"), ("0", "2")]
+FIXED = {
+    "two-components": (["a", "b", "c", "d"], [("a", "b"), ("a", "b"), ("c", "d"), ("c", "c")]),
+    "two-loops": (["x"], [("x", "x"), ("x", "x")]),
+    "bridged-chorded": (
+        [f"{side}{i}" for side in "pq" for i in range(4)],
+        [(side + u, side + v) for side in "pq" for u, v in _CHORDED] + [("p2", "q0")],
+    ),
+}
+
+
+def fixed_requests(work: Path):
+    for name, (vertices, edges) in FIXED.items():
+        data = {
+            "vertices": vertices,
+            "edges": [{"endpoints": list(pair)} for pair in edges],
+            "polarization": {v: "1" if k == 0 else "0" for k, v in enumerate(vertices)},
+            "basepoint": vertices[0],
+        }
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(data))
+        yield ["strata", str(path)]
+        yield ["strata", str(path), "--max-codim=1", "--verbose"]
+        yield ["blowup-check", str(path), "--verbose"]
+        yield ["check-pol", str(path), "--verbose"]
+        yield ["complexity", str(path)]
 
 
 def corpus_requests(corpus, work: Path):
@@ -87,7 +119,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        requests = list(corpus_requests(corpus, work))
+        requests = list(corpus_requests(corpus, work)) + list(fixed_requests(work))
         for name, seed in ROUNDS:
             d = work / f"{name}-{seed}"
             d.mkdir()

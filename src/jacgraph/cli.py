@@ -35,16 +35,14 @@ from typing import NamedTuple
 from .errors import DisconnectedGraphError, JacGraphError
 from .graph import Edge, Multigraph
 from .lattice import Cochain, complexity, laplacian_apply, picard_group
-from .polarization import Polarization
+from .polarization import Polarization, _text_fraction
 from .quasistable import StratumContext
 
 KIND_NAMES = {"ss": "semistable", "qs": "quasistable", "stable": "stable"}
 
-# integers and rationals as text: ASCII digits only, unlike int() and
-# Fraction(), which also read "1_0" and non-ASCII digits, and Fraction()
-# decimals and exponents
+# integers as text: ASCII digits only, unlike int(), which also reads "1_0"
+# and non-ASCII digits; rationals follow polarization._RATIONAL
 _INTEGER = r"[+-]?[0-9]+"
-_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
 class ProblemFileError(Exception):
@@ -66,11 +64,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise ProblemFileError(f'float {value!r} rejected; write rationals as "p/q" strings')
     if isinstance(value, str):
-        if re.fullmatch(_RATIONAL, text := value.strip()):
-            try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                pass
+        if (parsed := _text_fraction(value)) is not None:
+            return parsed
         raise ProblemFileError(f"cannot parse rational {value!r}")
     raise ProblemFileError(f"not a rational: {value!r}")
 

@@ -13,6 +13,7 @@ predicates used downstream:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -29,11 +30,34 @@ from .errors import (
 from .graph import Multigraph, Vertex, _VertexValues, _adjacency_masks, _mask_pieces
 
 
+# a rational as text, matched after a strip: ASCII digits only, unlike
+# int() and Fraction(), which also read "1_0" and non-ASCII digits, and
+# Fraction() decimals and exponents
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _text_fraction(text: str) -> Fraction | None:
+    """The rational ``text`` spells in the grammar ``_RATIONAL``; None when
+    it does not match or its denominator is zero."""
+    if _RATIONAL.fullmatch(text := text.strip()):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    return None
+
+
 def _to_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise GraphConstructionError(
             f"refusing float polarization value {x!r}; use Fraction, int or 'p/q'"
         )
+    if isinstance(x, str):
+        if (value := _text_fraction(x)) is None:
+            raise GraphConstructionError(
+                f"cannot parse rational {x!r}; write 'p/q' in ASCII digits, q > 0"
+            )
+        return value
     return Fraction(x)
 
 

@@ -207,17 +207,18 @@ class StratumContext:
         return self._defect_cut(d.values)[3] == (1 << self.graph.num_vertices) - 1
 
     def is_stable(self, d: Cochain) -> bool:
-        """No positive deficit, and the least zero-deficit set through each
-        vertex is the whole vertex set (n forced cuts, as in
-        ``_defect_cut``)."""
+        """No positive deficit, and no nonempty proper subset of deficit 0.
+        On the budget the excesses sum to 0, so with none positive after the
+        flow all are 0; the zero-deficit sets are then the residual-closed
+        ones, and none is proper exactly when the residual graph is strongly
+        connected: the basepoint reaches every vertex and every vertex
+        reaches it."""
         self._check_cochain(d)
         if d.total != self.budget:
             return False
         excess, res = self._max_flow(d.values)
-        full = (1 << len(excess)) - 1
-        return not any(e > 0 for e in excess) and all(
-            self._reach(res, [v]) == full for v in range(len(excess))
-        )
+        full, v0 = (1 << len(excess)) - 1, [self._v0]
+        return not any(excess) and self._reach(res, v0) == full == self._reach(res, v0, False)
 
     # -- minimum cut -----------------------------------------------------
 
@@ -492,19 +493,11 @@ def semistable_equality_witness(g: Multigraph, q: Polarization):
     hit = q.integral_witness()
     if hit is None:
         return None
+    # Y is already connected: a piece of an integral subset is integral,
+    # has a smaller mask, and is not a spine when the subset is not
     Y, y_is_spine = hit
-
-    def first_component(h, want_nonspine):
-        comps = h.components()
-        if want_nonspine:
-            for c in comps:
-                if not g.is_spine(c):
-                    return c
-        return comps[0]
-
-    want_nonspine = not y_is_spine
-    Zp = first_component(g.induced_subgraph(Y), want_nonspine)
-    Z = first_component(g.induced_subgraph(g.complement(Zp)), want_nonspine)
+    comps = g.induced_subgraph(g.complement(Y)).components()
+    Z = next((c for c in comps if not (y_is_spine or g.is_spine(c))), comps[0])
     Zc = g.complement(Z)
 
     sub = g.induced_subgraph(Z)

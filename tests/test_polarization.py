@@ -39,6 +39,14 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError):
             Polarization(banana, [0.5, 0.5])
 
+    def test_strings_follow_the_cli_grammar(self, banana):
+        # ASCII digits, an optional sign and denominator, spaces around
+        assert Polarization(banana, [" 1/2", "-1/2 "]).values == (HALF, -HALF)
+        assert Polarization(banana, ["+3", "-03"]).values == (3, -3)
+        for bad in ("1_0", "-\u0669", "0.5", "1e3", "abc", "", "1/0", "1/-2", "1 /2"):
+            with pytest.raises(GraphConstructionError, match="cannot parse rational"):
+                Polarization(banana, [bad, "0"])
+
     def test_shape_checked(self, banana):
         with pytest.raises(GraphConstructionError):
             Polarization(banana, [1])
@@ -224,6 +232,31 @@ class TestClassificationOracle:
                 seen.add(want[:2])
         # general, non-degenerate only and degenerate all occur
         assert seen == {(True, True), (False, True), (False, False)}
+
+
+    def test_witness_is_connected(self, corpus_cases):
+        # the first integral subset in bitmask order, and the first non-spine
+        # one, is connected: a piece of an integral subset is integral, has
+        # a smaller mask, and is not a spine when the subset is not
+        rng = random.Random("witness")
+        problems = [(case.graph, case.q) for case in corpus_cases]
+        for family in ("bridged", "looped", "parallel", "disconnected"):
+            for _ in range(15):
+                if family == "disconnected":  # uniform endpoints, isolated vertices too
+                    names = [f"v{i}" for i in range(rng.randint(2, 7))]
+                    edges = [tuple(rng.choices(names, k=2)) for _ in range(rng.randint(0, 7))]
+                    g = Multigraph(names, edges)
+                else:
+                    g = _family_graph(rng, family)
+                for kind in ("integer", "half", "generic", "spine"):
+                    problems.append((g, _family_polarization(rng, g, kind)))
+        seen = set()
+        for g, q in problems:
+            hit = q.integral_witness()
+            if hit is not None:
+                assert g.induced_subgraph(hit[0]).is_connected(), (g, q)
+                seen.add((hit[1], g.is_connected()))
+        assert seen == {(spine, linked) for spine in (True, False) for linked in (True, False)}
 
 
 class TestCanonical:
