@@ -7,16 +7,18 @@ implementation, and the pure kernel's table step (``build_tables``) alone
 in a ``pure tables`` row.  The ``enum``
 rows time what the library runs for the quasistable and semistable sets
 (``StratumContext._value_tuples``: its level order, the kernel it picks,
-labelled, and the sort).  Three more library calls run with one
+labelled, and the sort).  Four more library calls run with one
 implementation and no kernel involved: the minimum-cut defect scan, the
 spanning-tree lister of the strata walk (``strata._spanning_trees``, its
-``trees`` row giving the count, which equals the quasistable count), and
-the degree class group (``picard_group``) of the graph, which it takes on
-the cycle side, and of the graph with every edge doubled, which it takes
-on the Laplacian side.  For each size it also prints how many of the 2^n
-vertex subsets the box search's plan checks, and how many more it keeps
-only as prefixes, counted on the pure kernel's plan (the compiled kernel
-keeps the same plan, one byte per mask).  Above the kernels' 20-vertex
+``trees`` row giving the count, which equals the quasistable count), the
+tile points of those trees (``strata._tile_point``, its ``tiles`` row; the
+script checks that they are the quasistable set), and the degree class
+group (``picard_group``) of the graph, which it takes on the cycle side,
+and of the graph with every edge doubled, which it takes on the Laplacian
+side.  For each size it also prints how many of the 2^n vertex subsets the
+box search's plan checks, and how many more it keeps only as prefixes,
+counted on the pure kernel's plan (the compiled kernel keeps the same plan,
+one byte per mask).  Above the kernels' 20-vertex
 limit only the degree class group rows are printed.
 
     python benchmarks/bench_kernel.py
@@ -154,6 +156,12 @@ def main(argv=None) -> int:
         if len(trees) != counts:
             raise SystemExit("the spanning trees and the quasistable multidegrees disagree")
         print(f"{n:>3} {'trees':<12}{t_trees * 1e3:>10.2f}ms  ({len(trees)} spanning trees)")
+        t_tiles, tiles = best_of(
+            args.repeat, lambda: [strata._tile_point(ctx, g._pairs, t) for t in trees]
+        )
+        if sorted(d for d, _ in tiles) != ctx._value_tuples("quasistable"):
+            raise SystemExit("the tile points and the quasistable multidegrees disagree")
+        print(f"{n:>3} {'tiles':<12}{t_tiles * 1e3:>10.2f}ms  ({len(tiles)} tile points)")
         checks = [c for level in plan for _, c in level]
         checked = sum(1 for c in checks if c)
         print(f"    ({counts} quasistable multidegrees)")

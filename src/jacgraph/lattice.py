@@ -412,25 +412,27 @@ def picard_group(g: Multigraph) -> PicardGroup:
 
 
 def _spanning_tree(n: int, pairs):
-    """``(parent, depth, cotree, queue)`` of a breadth-first spanning tree
-    from vertex 0 of the multigraph on 0..n-1 with the given endpoint index
-    pairs, neighbours walked in pair order: the parent and depth of each
-    vertex (the root is its own parent), the pairs left out of the tree
-    (loops too) and the vertices in the order met; None when disconnected."""
+    """``(parent, depth, cotree, queue, mask)`` of a breadth-first spanning
+    tree from vertex 0 of the multigraph on 0..n-1 with the given endpoint
+    index pairs, neighbours walked in pair order: the parent and depth of
+    each vertex (the root is its own parent), the pairs left out of the tree
+    (loops too), the vertices in the order met and the tree as a bitmask
+    over the pair indices; None when disconnected."""
     adj = [[] for _ in range(n)]
     for k, (a, b) in enumerate(pairs):
         adj[a].append((b, k))
         adj[b].append((a, k))
     parent, depth, cotree = [0] + [-1] * (n - 1), [0] * n, list(pairs)
-    queue = [0]
+    queue, mask = [0], 0
     for v in queue:
         for w, k in adj[v]:
             if parent[w] < 0:
                 parent[w], depth[w], cotree[k] = v, depth[v] + 1, None
                 queue.append(w)
+                mask |= 1 << k
     if len(queue) < n:
         return None
-    return parent, depth, [p for p in cotree if p], queue
+    return parent, depth, [p for p in cotree if p], queue, mask
 
 
 def _laplacian_rows(n: int, pairs) -> list[dict]:

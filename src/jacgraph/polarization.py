@@ -58,7 +58,10 @@ def _to_fraction(x) -> Fraction:
                 f"cannot parse rational {x!r}; write 'p/q' in ASCII digits, q > 0"
             )
         return value
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):  # None, a list, bytes, complex, a NaN
+        raise GraphConstructionError(f"polarization value {x!r} is not a rational") from None
 
 
 class Polarization(_VertexValues):

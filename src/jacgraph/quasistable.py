@@ -42,7 +42,7 @@ from .errors import (
     ReductionGuardError,
 )
 from .graph import Multigraph, Vertex, _adjacency_masks, _mask_pieces
-from .lattice import Cochain, _reduced_laplacian, _solve
+from .lattice import Cochain, _reduced_laplacian, _solve, _spanning_tree
 from .polarization import Polarization
 
 KINDS = ("semistable", "quasistable", "stable")
@@ -484,8 +484,11 @@ def semistable_equality_witness(g: Multigraph, q: Polarization):
     is degenerate (not non-degenerate) the subset is moreover not a spine.
     The multidegree is assembled from quasistable pieces on the subset
     (with its restricted polarization) and on the complement (with the
-    polarization pushed up by half the crossing valence).
+    polarization pushed up by half the crossing valence): on each side the
+    point of the tile of its breadth-first spanning tree.
     """
+    from .strata import _tile_point
+
     if q.graph != g:
         raise GraphMismatchError("polarization bound to a different graph")
     if not g.is_connected():
@@ -500,17 +503,13 @@ def semistable_equality_witness(g: Multigraph, q: Polarization):
     Z = next((c for c in comps if not (y_is_spine or g.is_spine(c))), comps[0])
     Zc = g.complement(Z)
 
+    def piece(side: Multigraph, pol: Polarization) -> dict:
+        ctx, pairs = StratumContext(side, pol, side.vertices[0]), side._pairs
+        point, _ = _tile_point(ctx, pairs, _spanning_tree(side.num_vertices, pairs)[4])
+        return dict(zip(side.vertices, point))
+
     sub = g.induced_subgraph(Z)
-    ctx_in = StratumContext(sub, q.restrict(Z), sub.vertices[0])
-    d_in = ctx_in.enumerate("quasistable")[0]
-
     rest = g.induced_subgraph(Zc)
-    lifted = Polarization(
-        rest,
-        {v: q[v] + Fraction(g.valence({v}, Z), 2) for v in rest.vertices},
-    )
-    ctx_out = StratumContext(rest, lifted, rest.vertices[0])
-    d_out = ctx_out.enumerate("quasistable")[0]
-
-    vals = {v: (d_in[v] if v in Z else d_out[v]) for v in g.vertices}
+    lifted = {v: q[v] + Fraction(g.valence({v}, Z), 2) for v in rest.vertices}
+    vals = piece(sub, q.restrict(Z)) | piece(rest, Polarization(rest, lifted))
     return Z, Cochain(g, vals)

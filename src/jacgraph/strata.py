@@ -6,28 +6,31 @@ A stratum is an edge subset T, and its multidegrees are those of
 and a stratum loop at v counts once inside every subset holding v.  Their
 count is the spanning-tree number of the graph minus T.
 
-The strata walk enumerates only the empty stratum.  Each larger stratum
-comes from its parent T - e by specialisation: a multidegree that is not
-free at the node e = (u, v) has one generalisation per branch, and the
-stability inequalities give
+The strata walk runs no box search.  Each spanning tree B of G has one
+quasistable point d_B, the one in its tile of the graphical zonotope
+(Shephard, Canad. J. Math. 26, 1974; Backman-Baker-Yuen, Forum Math.
+Sigma 7, 2019), and one vertex w_B(e) per edge e outside it
+(``_tile_point``).  The spanning trees of G - T are those of G that avoid
+T, and
 
-    Q_T = (Q_{T-e} - delta_u) & (Q_{T-e} - delta_v)
+    Q_T = { d_B - sum of delta_{w_B(e)} over e in T : B avoids T }
 
-for every kind; a loop (u = v) is the single shift by delta_u.  Beside each
-set the walk carries the spanning trees of G that avoid T, filtered from
-the parent row's (the trees of G - (T - e) that do not hold e), so the
-expected count comes from the graph alone.  Only the previous layer is
-kept.  Subdividing every edge at once packs all strata into a single
-quasistable enumeration whose exceptional vertices carry only -1 or 0;
-bucketing by the -1 positions recovers the strata independently of the
-walk.
+with one point per tree: deleting e lowers by one whole unit each tile
+coordinate whose vertex set holds w_B(e), which the rounding passes
+through, and leaves the signs of the other edges as they are.  So the walk
+carries the (point, w_B) pairs of T - e to T, keeps those of the trees that
+avoid e and lowers each at w_B(e); a row's count is its length.  Only the
+previous layer is kept.  Subdividing every edge at once packs all strata
+into a single quasistable enumeration whose exceptional vertices carry only
+-1 or 0; bucketing by the -1 positions recovers the strata independently
+of the walk.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from ._kernel import SUBSET_SCAN_LIMIT
+from ._kernel import SUBSET_SCAN_LIMIT, scan_guard
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
 from .graph import Multigraph, Vertex
 from .lattice import Cochain, _spanning_tree
@@ -49,19 +52,6 @@ def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> tuple:
             "(JACGRAPH_GUARD_EDGES overrides it on the command line)"
         )
     return g._pairs
-
-
-def _specialise(parent: list[tuple], members: set, u: int, v: int) -> list[tuple]:
-    """The value tuples of stratum T from the sorted ones of T - e, where e
-    joins the vertex indices u and v and ``members`` is the parent as a
-    set: the d with d + delta_u and d + delta_v both in the parent.
-    Translation keeps the order, so the result is sorted too."""
-    out = []
-    for t in parent:
-        d = t[:u] + (t[u] - 1,) + t[u + 1 :]
-        if u == v or d[:v] + (d[v] + 1,) + d[v + 1 :] in members:
-            out.append(d)
-    return out
 
 
 def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
@@ -124,26 +114,91 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
     return states[()]
 
 
+def _tile_point(ctx: StratumContext, pairs, tree: int) -> tuple[tuple, list]:
+    """The quasistable multidegree of ``ctx`` in the tile of one spanning
+    tree of G - S, and the tree's w_B.  ``pairs`` are the endpoint index
+    pairs of G - S in edge order, loops included, and ``tree`` is a bitmask
+    over them.  w_B gives, per pair outside the tree, the vertex index whose
+    value drops by one when the pair is deleted (the pair's first end for a
+    loop), and None per tree pair.
+
+    The tree is rooted at the basepoint.  A pair e = (a, b) outside it
+    takes the sign s_e = -1 when e has the largest index on its fundamental
+    cycle, and otherwise +1 when the tree path from a to b crosses that
+    largest edge from its first end to its second, else -1; w_B(e) is a
+    for s_e = +1 and b for s_e = -1.  The point has
+    ``d_C = ceil((base_C + scale/2 * sum(s_e * (v_e)_C) - scale/2) / scale)``
+    on the vertex set C below each tree edge, with v_e = delta_a - delta_b,
+    and the basepoint takes the rest of the budget.
+    """
+    n, scale, v0 = len(ctx._base), ctx.scale, ctx._v0
+    half = scale // 2
+    adj, cotree = [[] for _ in range(n)], []
+    for k, (a, b) in enumerate(pairs):
+        if tree >> k & 1:
+            adj[a].append((b, k))
+            adj[b].append((a, k))
+        else:
+            cotree.append(k)
+    # breadth first from the basepoint: x's tree edge up[x] to parent[x],
+    # and fwd[x] = +1 when that edge runs from x to its parent, else -1
+    up, parent, depth, fwd, order = [-1] * n, [v0] * n, [0] * n, [0] * n, [v0]
+    for v in order:
+        for x, k in adj[v]:
+            if k != up[v]:
+                up[x], parent[x], depth[x] = k, v, depth[v] + 1
+                fwd[x] = 1 if pairs[k][0] == x else -1
+                order.append(x)
+    acc, w = [0] * n, [None] * len(pairs)
+    for k in cotree:
+        a, b = pairs[k]
+        top, sign, x, y = k, -1, a, b
+        while x != y:  # up from both ends to their common ancestor
+            if depth[x] >= depth[y]:
+                if up[x] > top:
+                    top, sign = up[x], fwd[x]
+                x = parent[x]
+            else:
+                if up[y] > top:
+                    top, sign = up[y], -fwd[y]
+                y = parent[y]
+        acc[a] += sign  # a loop (a == b) adds nothing and has w = a
+        acc[b] -= sign
+        w[k] = a if sign > 0 else b
+    total = [x + half * s for x, s in zip(ctx._base, acc)]  # subtree sums, leaves up
+    d = [0] * n
+    for v in reversed(order[1:]):
+        c = -((half - total[v]) // scale)
+        total[parent[v]] += total[v]
+        d[v] += c
+        d[parent[v]] -= c
+    d[v0] += ctx.budget
+    return tuple(d), w
+
+
 def _avoiding(trees: list[int], e: int) -> list[int]:
     """The trees that do not hold edge index e."""
     bit = 1 << e
     return [t for t in trees if not t & bit]
 
 
-def _walk(m: int, depth: int, root, children):
-    """(T, value) for the subsets T of at most ``depth`` of the edge indices
-    0..m-1, by size and then lexicographically.  ``children(value, edges)``
-    gives the values of T + (e,) for the e in ``edges``, the indices past
-    the last of T, from the value of T; only the previous layer is kept."""
-    layer = {(): root}
+def _walk(ids: list, depth: int, root, children):
+    """(T, value) for the subsets T of at most ``depth`` of the edges, as
+    tuples of the edge ids ``ids``, by size and then lexicographically in
+    edge order.  ``children(value, edges)`` gives the values of T + (e,)
+    for the edge indices e in ``edges``, those past the last of T, from the
+    value of T; only the previous layer is kept."""
+    layer = [(0, (), root)]  # (the first index past T, T, value)
     for size in range(depth + 1):
-        yield from layer.items()
+        for _, stratum, value in layer:
+            yield stratum, value
         if size < depth:
-            nxt = {}
-            for combo, value in layer.items():
-                edges = range(combo[-1] + 1 if combo else 0, m)
+            nxt = []
+            for start, stratum, value in layer:
+                edges = range(start, len(ids))
                 if edges:
-                    nxt.update(zip([combo + (e,) for e in edges], children(value, edges)))
+                    values = children(value, edges)
+                    nxt += [(e + 1, stratum + (ids[e],), v) for e, v in zip(edges, values)]
             layer = nxt
 
 
@@ -192,18 +247,27 @@ def strata_rows(
     ids = g.edge_ids()
     depth = m if max_codim is None else min(max_codim, m)
     n = g.num_vertices
-
+    scan_guard(n, "strata")  # the vertex limit of the whole-graph commands
     trees = _spanning_trees(n, pairs)
+    ctx = StratumContext(g, q, basepoint)
 
     def children(parent, edges):
-        tuples, left = parent
-        members = set(tuples)
-        return [(_specialise(tuples, members, *pairs[e]), _avoiding(left, e)) for e in edges]
+        # the trees that avoid e keep their point, lowered at w_B(e)
+        out = []
+        for e in edges:
+            kept = []
+            for d, w in parent:
+                if (u := w[e]) is not None:
+                    d = [*d]
+                    d[u] -= 1
+                    kept.append((tuple(d), w))
+            out.append(kept)
+        return out
 
-    root = (StratumContext(g, q, basepoint)._value_tuples("quasistable"), trees)
+    root = [_tile_point(ctx, pairs, t) for t in trees]
     rows = [
-        (tuple(map(ids.__getitem__, combo)), tuples, len(left))
-        for combo, (tuples, left) in _walk(m, depth, root, children)
+        (stratum, sorted([d for d, _ in points]), len(points))
+        for stratum, points in _walk(ids, depth, root, children)
     ]
     total = sum(len(tuples) for _, tuples, _ in rows)
     # a spanning tree of the subdivision takes both halves of each edge of a
@@ -221,11 +285,13 @@ def strata_report(
     """One row per edge subset up to the requested codimension.
 
     Rows are ordered by size and then lexicographically in edge order; a
-    stratum lies in the closure of each of its subsets.  Only the empty
-    stratum is enumerated, every other row is specialised from its parent
-    (the row without its last edge).  ``expected_count`` is the number of
-    the spanning trees of G that avoid the stratum, filtered from the parent
-    row's, so it is computed apart from the sets.
+    stratum lies in the closure of each of its subsets.  A row holds one
+    tile point per spanning tree of G that avoids its stratum, carried down
+    from its parent (the row without its last edge), and ``expected_count``
+    is their number, so the count and the set agree by construction.  Two
+    checks stay independent of the walk: the tests compare every row with a
+    direct box search of its stratum, and ``blowup_decomposition`` (the
+    ``blowup-check`` command) enumerates the subdivision apart.
     """
     rows, complete, total, subdivided = strata_rows(g, basepoint, q, max_codim, guard_edges)
     return StrataReport(
@@ -336,15 +402,12 @@ def blowup_rows(
         for eid, value in zip(ids, t[n:]):
             if value not in (-1, 0):
                 raise BlowupValueError(f"exceptional vertex for edge {eid!r} carries {value}")
-        neg = tuple(k for k, value in enumerate(t[n:]) if value == -1)
+        neg = tuple([eid for eid, value in zip(ids, t[n:]) if value == -1])
         grouped.setdefault(neg, []).append(t)
 
     trees = _spanning_trees(n, pairs)
-    walk = _walk(m, m, trees, lambda left, edges: [_avoiding(left, e) for e in edges])
-    rows = [
-        (tuple(map(ids.__getitem__, combo)), grouped.get(combo, []), len(left))
-        for combo, left in walk
-    ]
+    walk = _walk(ids, m, trees, lambda left, edges: [_avoiding(left, e) for e in edges])
+    rows = [(stratum, grouped.get(stratum, []), len(left)) for stratum, left in walk]
     return sub, rows, len(found), len(trees) << (m - n + 1) if trees else 0  # as in strata_rows
 
 

@@ -11,6 +11,11 @@ search checking every subset against ``floor_table``, ``defect_scan``, the subse
 that the minimum cut replaced, reads a floor table as plain data, and
 ``same_class``, the class test that the single solve replaced, compares
 two invariant-factor eliminations.
+
+``tile_points`` is the one exception: it runs the library's spanning-tree
+lister and tile function, one quasistable point per spanning tree, as a
+fast second oracle for the quasistable kind where the brute force is too
+slow.  ``test_strata`` checks it against the box search.
 """
 
 from __future__ import annotations
@@ -47,6 +52,17 @@ def spanning_trees(n: int, pairs) -> list[int]:
         if acyclic:
             trees.append(sum(1 << k for k in pick))
     return trees
+
+
+def tile_points(g, q, basepoint, S=()) -> list[tuple]:
+    """The sorted tile points of the stratum context (g, q, basepoint, S):
+    ``strata._tile_point`` for every spanning tree of G - S."""
+    from jacgraph import StratumContext
+    from jacgraph.strata import _spanning_trees, _tile_point
+
+    ctx = StratumContext(g, q, basepoint, S)
+    pairs = [p for e, p in zip(g.edges, g._pairs) if e.id not in ctx.stratum]
+    return sorted(_tile_point(ctx, pairs, t)[0] for t in _spanning_trees(g.num_vertices, pairs))
 
 
 def spanning_tree_count(g) -> int:

@@ -622,6 +622,44 @@ class TestPackedSearch:
         assert min(seen.values()) >= 20, seen
 
 
+class TestTileOracle:
+    def test_box_search_matches_tile_points(self):
+        # the tile points, one per spanning tree of G - S, are a second
+        # quasistable oracle where the brute force is too slow: chorded
+        # cycles of 8 to 12 vertices at q = 1/2 with their first chord as
+        # the stratum, and random multigraphs of 8 to 12 vertices with loops,
+        # parallel edges and a random stratum, some with G - S disconnected
+        rng = random.Random(91)
+        problems = []
+        for n in range(8, 13):
+            g = corpus.chorded_cycle(n)
+            values = [Fraction(1, 2)] * n
+            values[-1] += n % 2 * Fraction(1, 2)
+            problems.append((g, Polarization(g, values), [f"e{n}"]))
+        for _ in range(40):
+            n = rng.randint(8, 12)
+            names = [f"v{i}" for i in range(n)]
+            edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+            edges += [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(3, 8))]
+            rng.shuffle(edges)
+            g = Multigraph(names, edges)
+            stratum = [e for e in g.edge_ids() if rng.random() < 0.1]
+            problems.append((g, corpus._random_polarization(rng, g), stratum))
+        empty = points = 0
+        for g, q, stratum in problems:
+            n = g.num_vertices
+            basepoint = rng.choice(g.vertices)
+            want = oracles.tile_points(g, q, basepoint, stratum)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            lo, hi = ctx.singleton_box()
+            args = (n, *_kernel_args(ctx), ctx._v0, ctx.budget, lo, hi, MODE_QUASISTABLE, range(n))
+            for impl in implementations():
+                assert sorted(impl.box_enumerate(*args)) == want, (g, stratum, impl.__name__)
+            empty += not want
+            points += len(want)
+        assert empty > 0 and points > 5000, (empty, points)
+
+
 @needs_speedups
 class TestParity:
     def test_enumeration_agrees(self, corpus_cases):
@@ -792,6 +830,9 @@ class TestBenchScript:
         # the strata walk's tree lister, as many trees as multidegrees
         assert len(re.findall(r"^  6 trees +[0-9.]+ms  \(15 spanning trees\)$", out, re.M)) == 1
         assert len(re.findall(r"^  7 trees +[0-9.]+ms  \(19 spanning trees\)$", out, re.M)) == 1
+        # their tile points, which the script checks against the quasistable set
+        assert len(re.findall(r"^  6 tiles +[0-9.]+ms  \(15 tile points\)$", out, re.M)) == 1
+        assert len(re.findall(r"^  7 tiles +[0-9.]+ms  \(19 tile points\)$", out, re.M)) == 1
         header = next(line for line in out.splitlines() if " operation " in line)
         for line in out.splitlines():
             if " pure tables " in line:

@@ -39,6 +39,11 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError):
             Polarization(banana, [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [None, [1], b"1", 1j], ids=["none", "list", "bytes", "complex"])
+    def test_non_rationals_rejected(self, banana, bad):
+        with pytest.raises(GraphConstructionError, match="is not a rational"):
+            Polarization(banana, [bad, 1])
+
     def test_strings_follow_the_cli_grammar(self, banana):
         # ASCII digits, an optional sign and denominator, spaces around
         assert Polarization(banana, [" 1/2", "-1/2 "]).values == (HALF, -HALF)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from jacgraph import (
     stratum_multidegrees,
     lattice,
 )
-from jacgraph.strata import _spanning_trees, blowup_rows, strata_rows
+from jacgraph.strata import _spanning_trees, _tile_point, blowup_rows, strata_rows
 
 import corpus as corpus_mod
 import oracles
@@ -441,3 +442,61 @@ class TestTreeSets:
         assert len(self._check(g)) == complexity(g) == 120
         k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         assert len(self._check(Multigraph(range(5), k5 + k5))) == 125 * 2**4
+
+
+class TestTilePoints:
+    # one quasistable point per spanning tree: the points of the trees of
+    # G - T, and those of the trees of G that avoid T lowered at w_B over T,
+    # both equal the box search of the stratum T
+    def _check(self, g, q, bp, T):
+        want = StratumContext(g, q, bp, T)._value_tuples("quasistable")
+        assert oracles.tile_points(g, q, bp, T) == want, (g, q, bp, T)
+        ctx, pairs = StratumContext(g, q, bp), g._pairs
+        cut = [k for k, eid in enumerate(g.edge_ids()) if eid in T]
+        lowered = []
+        for tree in _spanning_trees(g.num_vertices, pairs):
+            d, w = _tile_point(ctx, pairs, tree)
+            if not any(tree >> k & 1 for k in cut):
+                d = list(d)
+                for k in cut:
+                    d[w[k]] -= 1
+                lowered.append(tuple(d))
+        assert sorted(lowered) == want, (g, q, bp, T)
+        return want
+
+    def test_corpus_every_basepoint(self, corpus_cases):
+        contexts = 0
+        for case in corpus_cases:
+            g = case.graph
+            for bp in g.vertices:
+                for T in dict.fromkeys([frozenset(), case.stratum]):
+                    assert self._check(g, case.q, bp, T), (case.index, bp, T)
+                    contexts += 1
+        assert contexts >= 1300
+
+    def test_random_multigraphs(self):
+        rng = random.Random(2626)
+        seen = set()
+        for k in range(400):
+            n = rng.randint(1, 7)
+            connected = n == 1 or k % 6 != 0
+            loops = rng.choice([0, 0, 1, 2])
+            m = rng.randint(max(n - 1, loops), 11)
+            g = _tree_count_graph(rng, n, m, connected=connected, loops=loops)
+            den = rng.randint(1, 12)
+            values = [Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(n - 1)]
+            values.append(rng.randint(-2, 4) - sum(values))
+            q = Polarization(g, values)
+            T = frozenset(e for e in g.edge_ids() if rng.random() < 0.25)
+            found = self._check(g, q, rng.choice(g.vertices), T)
+            seen.add(("n", n))
+            seen.add(("den", den))
+            seen.add(("loop", any(e.is_loop for e in g.edges)))
+            seen.add(("parallel", len({frozenset((e.u, e.v)) for e in g.edges}) < g.num_edges))
+            seen.add(("disconnected", not connected))
+            seen.add(("empty", not found))
+            if not connected:
+                assert not found
+        assert {("n", n) for n in range(1, 8)} | {("den", d) for d in range(1, 13)} <= seen
+        for flag in ("loop", "parallel", "disconnected", "empty"):
+            assert (flag, True) in seen, flag
