@@ -25,22 +25,39 @@ and an edge that crosses a piece of m (a part that no edge joins to the
 rest of m) crosses m, so the deficit on m is the sum of the deficits on
 its pieces.  A lower bound on a disconnected m therefore follows from the
 lower bounds on its pieces, and an upper bound on m, which is the lower
-bound on the complement, from the lower bounds on the complement's pieces.
-Strictness carries over: in quasistable mode the piece that holds the
-basepoint is strict and makes the sum strict, in stable mode every piece
-is strict.  ``build_tables`` lists the subsets the box search checks in a
-*plan*.  It leaves out every subset that holds the last vertex, as the
-total fixes d there and such a bound is the opposite bound on the
-complement.  It keeps ``floor`` only where the search reads it, on the
-plan's subsets and their complements.  ``box_enumerate`` also drops each
-bound that the box and the total already imply, gives a mask left without
-a bound no field, and takes a level's passing values as one interval.
+bound on the complement, from the lower bounds on the complement's
+pieces.  Strictness carries over: in quasistable mode the piece that holds
+the basepoint is strict and makes the sum strict, in stable mode every
+piece is strict.
+
+When ``scale * total == sum(base)``, as for every degree budget, fewer
+still bind.  The upper bound on m is then ``base(m) + scale/2 * cut(m)``,
+additive over the pieces of m as the lower bound is.  Take a connected W
+whose remainder K - W in its component K of the graph falls into pieces;
+call C1 the one with the highest vertex of K - W and C2 the union of the
+others, so that W + C2 holds the last vertex only if W does.  Every edge
+that leaves C2 ends in W, so the bounds on W + C2 are those on W plus the
+opposite bounds on C2, and a search that checks W + C2 and the pieces of
+C2 need not check W; of the two bounds combined, one is strict whenever
+the bound on W is.  W + C2 and each piece of C2 have a connected
+remainder in K.  So at the budget the plan checks both bounds on each
+connected subset whose remainder in its component is connected or empty,
+and for another total both bounds on each connected proper subset and the
+upper bound on each subset with a connected complement.
+
+``build_tables`` lists the subsets the box search checks in a *plan*.  It
+leaves out every subset that holds the last vertex, as the total fixes d
+there and such a bound is the opposite bound on the complement.  It keeps
+``floor`` only where the search reads it, on the plan's subsets and their
+complements.  ``box_enumerate`` also drops each bound that the box and the
+total already imply, gives a mask left without a bound no field, and takes
+a level's passing values as one interval.
 """
 
 from __future__ import annotations
 
 from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
-from .graph import _adjacency_masks
+from .graph import _adjacency_masks, _mask_pieces
 
 # the checks a plan entry asks for; 0 keeps a mask for its sum alone
 CHECK_LOWER = 1
@@ -50,12 +67,12 @@ CHECK_UPPER = 2
 _BIT = [bytes(b >> i & 1 for b in range(256)) for i in range(8)]
 
 
-def build_tables(n, edges, base, scale):
-    """``(floor, plan)``: the plan of ``edges`` (endpoint index pairs) and
-    the floor values its search reads, ``floor[m] == sum(base[v] for v in
-    m) - scale/2 * cut(m)``, with ``cut(m)`` the number of ``edges`` with
-    exactly one end in m, for every plan mask m and its complement, and for
-    no other mask.
+def build_tables(n, edges, base, scale, total):
+    """``(floor, plan)``: the plan of ``edges`` (endpoint index pairs) for
+    ``total`` and the floor values its search reads, ``floor[m] ==
+    sum(base[v] for v in m) - scale/2 * cut(m)``, with ``cut(m)`` the
+    number of ``edges`` with exactly one end in m, for every plan mask m
+    and its complement, and for no other mask.
 
     The plan is prefix-closed, so each plan mask m extends a plan mask (or
     the empty set) r = m - k, k its top vertex, of a lower level:
@@ -68,7 +85,7 @@ def build_tables(n, edges, base, scale):
     ``(layer & r).bit_count()`` over k's multiplicity layers, the j-th
     holding the neighbours joined to k by more than j edges."""
     half, full, whole = scale // 2, (1 << n) - 1, sum(base)
-    plan = _build_plan(n, edges)
+    plan = _build_plan(n, edges, scale * total == whole)
     sums = {0: (0, 0)}  # plan mask: (base(m), cut(m))
     floor = {}
     for k, (level, layers) in enumerate(zip(plan, _multiplicity_layers(n, edges))):
@@ -102,14 +119,14 @@ def _multiplicity_layers(n, edges):
     return layers
 
 
-def _connected_subsets(n, edges):
-    """Every nonempty vertex subset that ``edges`` connect, once each.
+def _connected_subsets(n, adj):
+    """Every nonempty vertex subset that is connected under the neighbour
+    masks ``adj``, once each.
 
     Each subset grows from its least vertex by one neighbour at a time; a
     branch never adds a vertex that an earlier sibling branch added, so no
     subset comes twice (Wernicke's ESU, IEEE/ACM TCBB 3(4), 2006).  The
     cost is proportional to the number of subsets listed."""
-    adj = _adjacency_masks(n, edges)
     out = []
 
     def grow(m, ext, seen):
@@ -127,26 +144,32 @@ def _connected_subsets(n, edges):
     return out
 
 
-def _build_plan(n, edges):
+def _build_plan(n, edges, bonds):
     """The masks the box search keeps, by top vertex: ``plan[k]`` lists
     ``(mask, checks)`` in increasing mask order for the masks whose top
     vertex is k.  ``checks`` has both bounds for a connected proper subset
     (its upper bound holds as every subset's does, and costs no comparison
-    beside the lower one), CHECK_UPPER for a proper subset with a connected
-    complement, and is 0 for a prefix (a kept mask less its top vertex,
-    repeated) that is kept only because a kept mask's sum is built from
-    it.  No mask holding the last vertex is kept, so ``plan[n - 1]`` is
-    empty: the total fixes d there, and a bound on such a mask is the
-    opposite bound on its complement, which is kept in its place."""
+    beside the lower one), where ``bonds`` (the total is the budget) keeps
+    only those whose remainder in their component is connected or empty;
+    without ``bonds`` it has CHECK_UPPER for a proper subset with a
+    connected complement.  It is 0 for a prefix (a kept mask less its top
+    vertex, repeated) that is kept only because a kept mask's sum is built
+    from it.  No mask holding the last vertex is kept, so ``plan[n - 1]``
+    is empty: the total fixes d there, and a bound on such a mask is the
+    opposite bound on its complement."""
     full = (1 << n) - 1
+    adj = _adjacency_masks(n, edges)
+    subsets = _connected_subsets(n, adj)
+    if bonds:
+        connected = set(subsets)
+        home = {v: piece for piece in _mask_pieces(full, adj) for v in range(n) if piece >> v & 1}
     checks = {}
-    for c in _connected_subsets(n, edges):
-        if c == full:
-            continue
-        if c <= full >> 1:  # c misses the last vertex
+    for c in subsets:
+        if c > full >> 1:  # c holds the last vertex
+            if not bonds and c != full:
+                checks[full ^ c] = checks.get(full ^ c, 0) | CHECK_UPPER
+        elif not bonds or (rest := home[c.bit_length() - 1] ^ c) == 0 or rest in connected:
             checks[c] = checks.get(c, 0) | CHECK_LOWER | CHECK_UPPER
-        else:
-            checks[full ^ c] = checks.get(full ^ c, 0) | CHECK_UPPER
     for m in list(checks):
         m ^= 1 << (m.bit_length() - 1)
         while m and m not in checks:
@@ -160,7 +183,7 @@ def _build_plan(n, edges):
 
 def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
     """All integer vectors in the box with the given total that satisfy the
-    per-subset bounds of ``build_tables(n, edges, base, scale)``;
+    per-subset bounds of ``build_tables(n, edges, base, scale, total)``;
     strictness of the bounds depends on ``mode``.  Each output has the
     value of vertex k at position ``at[k]``, for ``at`` a permutation of
     ``range(n)``.
@@ -169,15 +192,19 @@ def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
     assigned, every subset whose top vertex is k becomes decided, so the
     bounds the plan keeps among them are checked right away and failing
     branches are cut early.  A bound the plan leaves out follows from kept
-    bounds on the pieces of its subset or of the complement, so the outputs
-    and their order (before ``at`` places them) are those of a search that
-    checks every subset.  When ``scale * total`` is the floor of the whole
-    vertex set, as for every degree budget, the upper bound is additive
-    over the pieces of its subset too, so the plan cuts each branch at the
-    level such a search does; for another total an
-    upper-bound cut may come a level later, once the complement's pieces
-    are decided.  The last vertex takes the rest of the total; the suffix
-    sums of the box, which prune on the total, keep it in its box.
+    bounds, so the outputs and their order (before ``at`` places them) are
+    those of a search that checks every subset; a cut comes once the
+    subsets of those kept bounds are decided.  At the budget, in the level
+    order of ``StratumContext._value_tuples`` (breadth-first layers from
+    the highest vertex of each component, farthest first), that is the
+    level such a search cuts at.  The pieces of a disconnected subset lie
+    below its top vertex.  For a connected W, each piece of C2 (see the
+    module docstring) is cut off by W from the highest vertex of K, so it
+    lies in farther layers than W's top vertex, which is then the top
+    vertex of W + C2 too.  In another order a cut may come later, and so
+    may an upper-bound cut for another total, which waits for the pieces
+    of the complement.  The last vertex takes the rest of the total; the
+    suffix sums of the box, which prune on the total, keep it in its box.
 
     A node that decides d_m has d_m between ``max(lo_m, total - hi_c)`` and
     ``min(hi_m, total - lo_c)``, with c the complement of m and ``lo_m`` the
@@ -216,7 +243,7 @@ def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
         return []
     if n == 1:
         return [(total,)]
-    floor, plan = build_tables(n, edges, base, scale)
+    floor, plan = build_tables(n, edges, base, scale, total)
     full = (1 << n) - 1
 
     # per level but the last, per mask with a bound: its scaled low and high

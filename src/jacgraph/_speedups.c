@@ -4,10 +4,11 @@
  * fallback and the reference, computed in signed 64-bit integers.  The one
  * entry point, box_enumerate, builds two flat tables over all 2**n subsets
  * of G - S in the block it allocates: floor holds one int64 per mask, and
- * plan one byte per mask, its CHECK_LOWER and CHECK_UPPER bits and KEPT
- * when the search keeps it (the pure kernel keeps the floor entries its
- * search reads in a dict, and its plan as (mask, checks) pairs per top
- * vertex).  It writes each output in the caller's vertex order.
+ * plan one byte per mask, its CHECK_LOWER and CHECK_UPPER bits, CONNECTED
+ * when it is connected and KEPT when the search keeps it (the pure kernel
+ * keeps the floor entries its search reads in a dict, and its plan as
+ * (mask, checks) pairs per top vertex).  It writes each output in the
+ * caller's vertex order.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
@@ -20,13 +21,22 @@
  * on its pieces, and an upper bound on m, the lower bound on the
  * complement, from those on the complement's pieces.  Strictness carries
  * over, as the piece that holds v0 is strict in quasistable mode and every
- * piece is strict in stable mode.  So the search checks both bounds on
- * connected proper subsets and upper bounds on subsets with a connected
- * complement, and keeps the prefixes their sums are built from.  The plan
- * keeps no subset that holds the last vertex: the total fixes d there, and
- * each bound on such a subset is the opposite bound on the complement.
- * box_enumerate drops each bound that the box and the total imply, and
- * writes no sums at vertex n - 2, where nothing reads them.
+ * piece is strict in stable mode.  When scale * total == sum(base), as for
+ * every degree budget, the upper bound on m is base(m) + scale/2 * cut(m),
+ * additive over the pieces of m too.  Then a connected W whose remainder
+ * in its component K falls into pieces, C1 the one with the highest vertex
+ * and C2 the rest, need not be checked: every edge that leaves C2 ends in
+ * W, so the bounds on W are those on W + C2 less the opposite bounds on
+ * C2, and W + C2 and each piece of C2 have a connected remainder in K.  So
+ * at the budget the search checks both bounds on each connected subset
+ * whose remainder in its component is connected or empty; for another
+ * total, both bounds on connected proper subsets and upper bounds on
+ * subsets with a connected complement.  It keeps the prefixes their sums
+ * are built from.  The plan keeps no subset that holds the last vertex:
+ * the total fixes d there, and each bound on such a subset is the opposite
+ * bound on the complement.  box_enumerate drops each bound that the box
+ * and the total imply, and writes no sums at vertex n - 2, where nothing
+ * reads them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -35,8 +45,8 @@
 
 enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel */
 enum { CHECK_LOWER = 1, CHECK_UPPER = 2 };                 /* as in _kernel_py */
-/* a plan byte's flag beside the checks: the search keeps the mask; and
-   make_plan's own mark of a connected subset, cleared before it returns */
+/* a plan byte's flags beside the checks: make_plan's mark of a connected
+   subset, and that the search keeps the mask */
 enum { CONNECTED = 4, KEPT = 8 };
 
 /* tables hold 2**n entries; the library's subset-scan guard stops at 20 */
@@ -95,8 +105,8 @@ static void grow(const size_t *adj, int n, unsigned char *marks, size_t m, size_
 
 /* Write the plan of the graph on n vertices with neighbour masks adj to
    marks: per mask, one byte of checks, with KEPT when the search keeps the
-   mask. */
-static void make_plan(int n, const size_t *adj, unsigned char *marks)
+   mask.  bonds asks for the plan at the budget. */
+static void make_plan(int n, const size_t *adj, unsigned char *marks, int bonds)
 {
     size_t size = (size_t)1 << n, full = size - 1;
     memset(marks, 0, size);
@@ -104,18 +114,35 @@ static void make_plan(int n, const size_t *adj, unsigned char *marks)
         size_t below = ((size_t)2 << v) - 1;
         grow(adj, n, marks, (size_t)1 << v, adj[v] & ~below, below);
     }
+    /* comp[v]: the component that holds v, grown until no vertex joins */
+    size_t comp[MAX_VERTICES];
+    for (int v = 0; v < n; v++) {
+        size_t piece = (size_t)1 << v, last = 0;
+        while (piece != last) {
+            last = piece;
+            for (int w = 0; w < n; w++)
+                if ((last >> w) & 1)
+                    piece |= adj[w];
+        }
+        comp[v] = piece;
+    }
     /* both bounds on a connected subset: its upper bound holds as every
        subset's does, and costs no comparison beside the lower one.  A mask
-       that holds the last vertex is not kept; its complement carries its
-       bounds. */
-    for (size_t m = 1; m <= full; m++)
-        if (marks[m] & CONNECTED) {
-            marks[m] ^= CONNECTED;
-            if (m <= full >> 1)
+       that holds the last vertex (level n - 1) is not kept; off the budget
+       its complement carries its bounds. */
+    for (int k = 0; k < n; k++) {
+        size_t top = (size_t)1 << k;
+        for (size_t m = top; m < top << 1 && m < full; m++) {
+            if (!(marks[m] & CONNECTED))
+                continue;
+            size_t rest = comp[k] ^ m; /* m's remainder in its component */
+            if (k == n - 1) {
+                if (!bonds)
+                    marks[full ^ m] |= CHECK_UPPER | KEPT;
+            } else if (!bonds || rest == 0 || (marks[rest] & CONNECTED))
                 marks[m] |= CHECK_LOWER | CHECK_UPPER | KEPT;
-            else if (m < full)
-                marks[full ^ m] |= CHECK_UPPER | KEPT;
         }
+    }
     /* a kept mask's prefix has a lower top vertex, so it is reached later */
     for (int k = n - 2; k >= 0; k--) {
         size_t base = (size_t)1 << k;
@@ -420,7 +447,10 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     }
     if (build_tables(n, edges, scale, own, floor, adj) < 0)
         goto done;
-    make_plan(n, adj, plan);
+    /* the whole set crosses no edge, so floor[size - 1] is sum(base), and
+       the balance test needs no product that could overflow */
+    make_plan(n, adj, plan,
+              scale > 0 && floor[size - 1] % scale == 0 && floor[size - 1] / scale == total);
     if (load_plan(&s, plan, floor, v0, mode) < 0)
         goto done;
     out = PyList_New(0);

@@ -431,11 +431,16 @@ class StratumContext:
         """The value tuples of ``enumerate(kind)``, sorted.
 
         The box search takes the breadth-first layers from vertex n - 1,
-        farthest first and each by index, after the vertices they miss.  The
-        last vertex, whose value the total fixes, is then n - 1, the least
+        farthest first and each by index, after those of the other
+        components, each taken likewise from its highest vertex.  The last
+        vertex, whose value the total fixes, is then n - 1, the least
         significant sort key: along the innermost level only it and a lower
         vertex change, the lower one rising, so the rows, which the kernel
-        writes in vertex order, come in sorted runs for the one sort."""
+        writes in vertex order, come in sorted runs for the one sort.  In
+        each component, a piece that a connected W cuts off from the
+        highest vertex lies in farther layers than W's top vertex, so the
+        kernel decides the bounds that imply W's at W's own level (see
+        ``_kernel_py.box_enumerate``)."""
         if kind not in _MODE:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         _kernel.scan_guard(self.graph.num_vertices, "enumeration")
@@ -443,16 +448,19 @@ class StratumContext:
         if any(a > b for a, b in zip(lo, hi)):
             return []
         n = len(self._base)
-        order, level, seen = [], [n - 1], 1 << (n - 1)
-        while level:
-            order[:0] = level
-            reached = 0
-            for i in level:
-                reached |= self._adj[i]
-            reached &= ~seen
-            seen |= reached
-            level = [j for j in range(n) if reached >> j & 1]
-        order[:0] = [i for i in range(n) if not seen >> i & 1]
+        order, seen = [], 0
+        for root in range(n - 1, -1, -1):
+            if seen >> root & 1:
+                continue
+            level, seen = [root], seen | 1 << root
+            while level:
+                order[:0] = level
+                reached = 0
+                for i in level:
+                    reached |= self._adj[i]
+                reached &= ~seen
+                seen |= reached
+                level = [j for j in range(n) if reached >> j & 1]
         bound = (
             self._rhs_bound()
             + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)

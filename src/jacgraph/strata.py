@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from ._kernel import SUBSET_SCAN_LIMIT, scan_guard
+from ._kernel import SUBSET_SCAN_LIMIT
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
 from .graph import Multigraph, Vertex
 from .lattice import Cochain, _spanning_tree
@@ -246,8 +246,7 @@ def strata_rows(
     pairs = _edge_pairs(g, basepoint, q, guard_edges, f"strata over {m} edges exceed")
     ids = g.edge_ids()
     depth = m if max_codim is None else min(max_codim, m)
-    n = g.num_vertices
-    scan_guard(n, "strata")  # the vertex limit of the whole-graph commands
+    n = g.num_vertices  # at least one: the basepoint is a vertex
     trees = _spanning_trees(n, pairs)
     ctx = StratumContext(g, q, basepoint)
 

@@ -76,14 +76,43 @@ def _flood_connected(m, pairs):
     return reached == m
 
 
-def _check_plan(n, pairs, plan):
-    """Among the masks without the last vertex, the plan checks the lower
-    bound on exactly the connected proper subsets and the upper bound on
-    exactly those and the subsets with a connected nonempty complement.  It
-    keeps no mask that holds the last vertex, and besides the checked masks
-    only their prefixes (a mask less its top vertex, repeated), each mask
-    once under its top vertex, in increasing order."""
+def _component(m, pairs):
+    """The union of the components that the vertex bitmask m meets: grow m
+    along the endpoint index pairs until no pair adds a vertex."""
+    grown = True
+    while grown:
+        grown = False
+        for a, b in pairs:
+            if (m >> a & 1) != (m >> b & 1):
+                m |= 1 << a | 1 << b
+                grown = True
+    return m
+
+
+def _planned(n, pairs, bonds):
+    """The masks without the last vertex whose lower and whose upper bound
+    the plan checks.  At the budget (``bonds``): both bounds on each
+    connected subset whose remainder in its component is connected or
+    empty.  For another total: the lower bound on each connected proper
+    subset, the upper bound on those and on each subset with a connected
+    nonempty complement."""
     full = (1 << n) - 1
+    without_last = range(1, (full >> 1) + 1)
+    connected = {m for m in without_last if _flood_connected(m, pairs)}
+    if bonds:
+        lower = {
+            m for m in connected
+            if (rest := _component(m, pairs) ^ m) == 0 or _flood_connected(rest, pairs)
+        }
+        return lower, lower
+    return connected, connected | {m for m in without_last if _flood_connected(full ^ m, pairs)}
+
+
+def _check_plan(n, pairs, plan, bonds):
+    """The plan checks the bounds ``_planned`` gives.  It keeps no mask
+    that holds the last vertex, and besides the checked masks only their
+    prefixes (a mask less its top vertex, repeated), each mask once under
+    its top vertex, in increasing order."""
     assert len(plan) == n
     assert not plan[-1]
     for k, level in enumerate(plan):
@@ -94,10 +123,7 @@ def _check_plan(n, pairs, plan):
     assert sum(map(len, plan)) == len(entries)
     lower = {m for m, c in entries.items() if c & CHECK_LOWER}
     upper = {m for m, c in entries.items() if c & CHECK_UPPER}
-    without_last = range(1, (full >> 1) + 1)
-    connected = {m for m in without_last if _flood_connected(m, pairs)}
-    assert lower == connected
-    assert upper == connected | {m for m in without_last if _flood_connected(full ^ m, pairs)}
+    assert (lower, upper) == _planned(n, pairs, bonds)
     closure = set()
     for m in lower | upper:
         while m:
@@ -161,19 +187,21 @@ class TestPureKernel:
             sizes.add(n)
             ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
             whole = _whole_graph_args(g, case.q, case.stratum)
-            floor = _kept_floor(n, _kernel_py.build_tables(n, *_kernel_args(ctx)))
+            floor = _kept_floor(n, _kernel_py.build_tables(n, *_kernel_args(ctx), ctx.budget))
             want = oracles.floor_table(n, *whole)
             assert floor == {m: want[m] for m in floor}, case.index
             ceil = oracles.ceil_table(n, *whole)
             for m in floor:  # the kept masks are closed under complement
                 assert ctx.scale * ctx.budget - floor[full ^ m] == ceil[m], (case.index, m)
             edges, flags, scaled_q, scale = whole
-            floor = _kept_floor(n, _kernel_py.build_tables(n, edges, scaled_q, scale))
+            total = sum(scaled_q) // scale
+            floor = _kept_floor(n, _kernel_py.build_tables(n, edges, scaled_q, scale, total))
             want = oracles.floor_table(n, edges, [False] * len(flags), scaled_q, scale)
             assert floor == {m: want[m] for m in floor}, case.index
         assert 1 in sizes
 
     def test_plan_matches_flood(self):
+        # at the budget and one off it, where the plan keeps more
         rng = random.Random(31)
         disconnected = 0
         for trial in range(240):
@@ -181,8 +209,9 @@ class TestPureKernel:
             g, q, basepoint, stratum = _random_problem(rng, n)
             ctx = StratumContext(g, q, basepoint, stratum)
             disconnected += not _flood_connected((1 << n) - 1, ctx._kept)
-            _, plan = _kernel_py.build_tables(n, *_kernel_args(ctx))
-            _check_plan(n, ctx._kept, plan)
+            for total in (ctx.budget, ctx.budget + 1):
+                _, plan = _kernel_py.build_tables(n, *_kernel_args(ctx), total)
+                _check_plan(n, ctx._kept, plan, total == ctx.budget)
         assert disconnected > 0  # G - S disconnected in some cases
 
     def test_enumeration_matches_brute_force(self):
@@ -214,8 +243,10 @@ def _tight_bounds(n, scale, floor, v0, total, lo, hi, kind, pairs):
     """How many bounds the plan keeps meet the box's reach exactly: a node
     that decides d_m has d_m at least ``max(lo_m, total - hi_c)`` and at most
     ``min(hi_m, total - lo_c)``, c the complement of m, and a bound equal to
-    that reach can never cut."""
+    that reach can never cut.  The whole set crosses no edge, so its floor
+    is the sum the budget test compares with."""
     full = (1 << n) - 1
+    lower, upper = _planned(n, pairs, scale * total == floor[full])
     hits = 0
     for m in range(1, (full >> 1) + 1):
         lo_m = sum(lo[i] for i in range(n) if m >> i & 1)
@@ -224,9 +255,9 @@ def _tight_bounds(n, scale, floor, v0, total, lo, hi, kind, pairs):
         reach_hi = scale * min(hi_m, total - sum(lo) + lo_m)
         strict_low = kind == "stable" or kind == "quasistable" and m >> v0 & 1
         strict_high = kind == "stable" or kind == "quasistable" and not m >> v0 & 1
-        if _flood_connected(m, pairs):
+        if m in lower:
             hits += reach_lo == floor[m] + strict_low
-        if _flood_connected(m, pairs) or _flood_connected(full ^ m, pairs):
+        if m in upper:
             hits += reach_hi == scale * total - floor[full ^ m] - strict_high
     return hits
 
@@ -270,6 +301,29 @@ class TestBoxSearch:
                         )
                         assert got == want, (case.index, i, kind, impl.__name__)
         assert min(tight.values()) >= 100, tight
+
+    def test_budget_plan_beyond_brute_force(self):
+        # at the budget the kernels share a plan that checks only some
+        # connected subsets, so their parity is no check of it, and the
+        # brute force stops at 7 vertices: random problems of 8 to 10
+        # vertices at the degree budget, G - S disconnected in some, in
+        # every kind, against the search that checks every subset
+        rng = random.Random(89)
+        disconnected = rows = 0
+        for trial in range(24):
+            n = 8 + trial % 3
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            kept, base, scale = _kernel_args(ctx)
+            disconnected += not _flood_connected((1 << n) - 1, kept)
+            box = (ctx._v0, ctx.budget, *ctx.singleton_box())
+            for kind, mode in KINDS:
+                want = oracles.box_search(n, kept, base, scale, *box, kind)
+                for impl in implementations():
+                    got = impl.box_enumerate(n, kept, base, scale, *box, mode, range(n))
+                    assert got == want, (trial, kind, impl.__name__)
+                rows += len(want)
+        assert 0 < disconnected < 24 and rows > 1000, (disconnected, rows)
 
     def test_rows_placed_by_at(self):
         # a random permutation at re-indexes the identity-order rows: the
@@ -571,7 +625,7 @@ class TestPackedSearch:
             g, q, basepoint, stratum = _random_problem(rng, n)
             ctx = StratumContext(g, q, basepoint, stratum)
             kept, base, scale = _kernel_args(ctx)
-            tables = _kernel_py.build_tables(n, kept, base, scale)
+            tables = _kernel_py.build_tables(n, kept, base, scale, ctx.budget)
             lo, hi = ctx.singleton_box()
             if any(a > b for a, b in zip(lo, hi)):
                 continue
@@ -605,7 +659,7 @@ class TestPackedSearch:
             g, q, basepoint, stratum = _random_problem(rng, n)
             ctx = StratumContext(g, q, basepoint, stratum)
             kept, base, scale = _kernel_args(ctx)
-            tables = _kernel_py.build_tables(n, kept, base, scale)
+            tables = _kernel_py.build_tables(n, kept, base, scale, ctx.budget)
             lo, hi = ctx.singleton_box()
             if any(a > b for a, b in zip(lo, hi)):
                 continue

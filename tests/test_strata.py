@@ -141,6 +141,22 @@ class TestStrataReport:
         with pytest.raises(GuardLimitError):
             strata_report(g, "u", Polarization(g, [1, 0]), max_codim=0)
 
+    def test_no_vertex_limit(self):
+        # the walk scans no vertex subsets, so past the 20-vertex limit of
+        # enumeration: 21 isolated vertices have no spanning tree and give
+        # one empty row, and a 22-vertex path its one point and empty
+        # rows below it
+        g = Multigraph([f"v{i}" for i in range(21)], [])
+        assert strata_rows(g, "v0", Polarization(g, [0] * 21)) == ([((), [], 0)], True, 0, 0)
+        names = [f"v{i}" for i in range(22)]
+        g = Multigraph(names, list(zip(names, names[1:])))
+        rows, complete, total, _ = strata_rows(
+            g, "v0", Polarization(g, [0] * 22), max_codim=1, guard_edges=21
+        )
+        assert rows[0] == ((), [(0,) * 22], 1)
+        assert [row[1:] for row in rows[1:]] == [([], 0)] * 21
+        assert (complete, total) == (False, 1)
+
     def test_counts_and_totals(self, corpus_cases):
         for case in corpus_mod.small_cases()[:30]:
             rep = strata_report(case.graph, case.basepoint, case.q)
