@@ -1,0 +1,98 @@
+"""Per-phase times of the CLI on perfbench's request streams, in process.
+
+Replays rounds of one perfbench workload (``perfbench/workloads.py``,
+imported read-only) through the four steps of ``jacgraph.cli.main``:
+parse the arguments, load the problem file, run the command and write its
+JSON.  Each request runs ``--repeat`` times, each after a ``gc.collect()``
+as perfbench runs it, and each phase keeps its best time; an answer that
+the workload can check without reference answers is checked once.  The
+script prints, per command, the request count and the sums of those best
+times in ms.
+
+    python benchmarks/bench_cli.py --workload query
+    python benchmarks/bench_cli.py --workload sweep --seed 3 --rounds 2 --repeat 5
+
+``jacgraph`` and the workloads are imported from this checkout, so the
+kernel is the pure one unless an extension was built into ``src/``; its
+name heads the output.  ``bench_kernel.py`` times the kernel layer.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import io
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PHASES = ("parse", "load", "command", "write")
+
+
+def phase_times(cli, argv, write) -> tuple:
+    """The times of the four phases of one request, as ``cli.main`` runs them."""
+    t0 = time.perf_counter()
+    args = cli._parser().parse_args(cli._join_negative_multidegree(argv))
+    t1 = time.perf_counter()
+    stratum = getattr(args, "stratum", None)
+    problem = cli.load_problem(
+        args.file,
+        basepoint_flag=getattr(args, "basepoint", None),
+        stratum_flag=None if stratum is None else [s for s in stratum.split(",") if s],
+    )
+    t2 = time.perf_counter()
+    payload = getattr(cli, "cmd_" + args.command.replace("-", "_"))(problem, args)
+    t3 = time.perf_counter()
+    cli._write_json(write, payload, "")
+    t4 = time.perf_counter()
+    return t1 - t0, t2 - t1, t3 - t2, t4 - t3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="query", choices=("enumerate", "sweep", "query"))
+    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=2, help="play rounds 0 to ROUNDS - 1")
+    parser.add_argument("--repeat", type=int, default=5, help="take the best of this many runs")
+    args = parser.parse_args(argv)
+    for d in ("perfbench", "benchmarks", "src"):
+        if str(ROOT / d) not in sys.path:
+            sys.path.insert(0, str(ROOT / d))
+    import workloads
+    from jacgraph import _kernel, cli
+
+    sums = {}  # command -> [requests, parse, load, command, write]
+    with tempfile.TemporaryDirectory() as tmp:
+        workload = workloads.WORKLOADS[args.workload](args.seed)
+        workload.setup(Path(tmp))
+        for k in range(args.rounds):
+            (work := Path(tmp) / f"round-{k}").mkdir()
+            for request in workload.round(k, work):
+                best = [float("inf")] * len(PHASES)
+                for _ in range(args.repeat):
+                    gc.collect()
+                    out = io.StringIO()
+                    best = list(map(min, best, phase_times(cli, request.argv, out.write)))
+                check = request.check or (lambda payload: None)
+                if fault := check(json.loads(out.getvalue())):
+                    raise SystemExit(f"{' '.join(request.argv)}: {fault}")
+                row = sums.setdefault(request.command, [0] + [0.0] * len(PHASES))
+                row[0] += 1
+                row[1:] = map(sum, zip(row[1:], best))
+    print(
+        f"{args.workload}, seed {args.seed}, rounds 0-{args.rounds - 1}, "
+        f"best of {args.repeat}, {_kernel.implementation_name()} kernel (ms)"
+    )
+    print(f"{'command':<14}{'requests':>9}" + "".join(f"{p:>10}" for p in (*PHASES, "total")))
+    sums["all"] = [sum(column) for column in zip(*sums.values())]
+    for command, (count, *times) in sums.items():
+        cells = "".join(f"{t * 1e3:>10.2f}" for t in (*times, sum(times)))
+        print(f"{command:<14}{count:>9}{cells}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -59,14 +59,15 @@ _ascii_int.__name__ = "int"  # argparse names the type in its message
 
 
 def parse_rational(value) -> Fraction:
-    if type(value) is int:  # not a bool
+    # json yields exact types, and a bool is not an int here
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, float):
-        raise ProblemFileError(f'float {value!r} rejected; write rationals as "p/q" strings')
-    if isinstance(value, str):
+    if type(value) is str:
         if (parsed := _text_fraction(value)) is not None:
             return parsed
         raise ProblemFileError(f"cannot parse rational {value!r}")
+    if type(value) is float:
+        raise ProblemFileError(f'float {value!r} rejected; write rationals as "p/q" strings')
     raise ProblemFileError(f"not a rational: {value!r}")
 
 
@@ -78,6 +79,9 @@ class Problem(NamedTuple):
 
 
 def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
+    """The problem in the file at ``path``, checked in one pass.  ``json``
+    yields exact types, so every entry is checked by ``type(x) is ...``,
+    which also keeps a bool from passing for an int."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -85,19 +89,19 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise ProblemFileError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise ProblemFileError("problem file must be a JSON object")
 
     raw_vertices = data.get("vertices")
-    if not isinstance(raw_vertices, list):
+    if type(raw_vertices) is not list:
         raise ProblemFileError("'vertices' must be a list")
     pos, genus = {}, {}
     for entry in raw_vertices:
-        if isinstance(entry, str):
+        if type(entry) is str:
             name, gv = entry, 0
-        elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
-            name, gv = entry["name"], entry.get("genus", 0)
-            if not isinstance(gv, int) or isinstance(gv, bool) or gv < 0:
+        elif type(entry) is dict and type(name := entry.get("name")) is str:
+            gv = entry.get("genus", 0)
+            if type(gv) is not int or gv < 0:
                 raise ProblemFileError(f"genus of {name!r} must be a nonnegative integer")
         else:
             raise ProblemFileError(f"cannot interpret vertex entry {entry!r}")
@@ -106,31 +110,34 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
         pos[name], genus[name] = len(pos), gv
 
     raw_edges = data.get("edges", [])
-    if not isinstance(raw_edges, list):
+    if type(raw_edges) is not list:
         raise ProblemFileError("'edges' must be a list")
-    by_id, pairs, explicit = {}, [], None
+    by_id, pairs, explicit, new = {}, [], None, tuple.__new__
     for k, entry in enumerate(raw_edges):
-        if not isinstance(entry, dict) or "endpoints" not in entry:
+        if type(entry) is not dict or "endpoints" not in entry:
             raise ProblemFileError(f"cannot interpret edge entry {entry!r}")
         ends = entry["endpoints"]
-        if not (isinstance(ends, list) and len(ends) == 2):
+        if type(ends) is not list or len(ends) != 2:
             raise ProblemFileError(f"edge {k} needs exactly two endpoints")
         u, v = ends
-        for w in (u, v):
-            if not isinstance(w, str) or w not in pos:
-                raise ProblemFileError(f"edge {k} endpoint {w!r} is not a vertex")
+        try:
+            a, b = pos.get(u), pos.get(v)
+        except TypeError:  # a list or an object; only a string names a vertex
+            a, b = pos.get(u) if type(u) is str else None, None
+        if a is None or b is None:
+            raise ProblemFileError(f"edge {k} endpoint {u if a is None else v!r} is not a vertex")
         eid = entry.get("id")
         if eid is None:
             eid = f"e{k}"
             if explicit is None:  # the ids given anywhere in the file
-                ids = (e.get("id") for e in raw_edges if isinstance(e, dict))
-                explicit = {x for x in ids if isinstance(x, str)}
+                ids = (e.get("id") for e in raw_edges if type(e) is dict)
+                explicit = {x for x in ids if type(x) is str}
             if eid in explicit:
                 raise ProblemFileError(f"default id {eid!r} collides with an explicit edge id")
-        elif not isinstance(eid, str):
+        elif type(eid) is not str:
             raise ProblemFileError(f"edge id {eid!r} must be a string")
-        by_id[eid] = Edge(eid, u, v)
-        pairs.append((pos[u], pos[v]))
+        by_id[eid] = new(Edge, (eid, u, v))  # one tuple, not the namedtuple's __new__
+        pairs.append((a, b))
     if len(by_id) != len(pairs):
         raise ProblemFileError("duplicate edge ids")
     graph = Multigraph._of(pos, by_id, tuple(pairs), genus)
@@ -138,32 +145,31 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
     pol = None
     if "polarization" in data:
         raw_pol = data["polarization"]
-        if not isinstance(raw_pol, dict):
+        if type(raw_pol) is not dict:
             raise ProblemFileError("'polarization' must be an object")
         if unknown := [k for k in raw_pol if k not in pos]:
             raise ProblemFileError(f"polarization names unknown vertices {unknown!r}")
-        if missing := [v for v in pos if v not in raw_pol]:
+        if len(raw_pol) != len(pos):  # every name is a vertex, so some vertex is missing
+            missing = [v for v in pos if v not in raw_pol]
             raise ProblemFileError(f"polarization misses vertices {missing!r}")
         parsed = {k: parse_rational(v) for k, v in raw_pol.items()}  # errors in file order
-        values = tuple(parsed[v] for v in pos)
-        total = sum(values, Fraction(0))
-        if total.denominator != 1:
-            raise ProblemFileError(f"polarization total {total} is not an integer")
-        pol = Polarization._of(graph, values)
+        pol = Polarization._of(graph, tuple(parsed[v] for v in pos))
+        if (fault := pol._total_fault()) is not None:
+            raise ProblemFileError(fault)
 
     basepoint = basepoint_flag if basepoint_flag is not None else data.get("basepoint")
     if basepoint is None and pos:
         basepoint = graph.vertices[0]
-    if basepoint is not None and not (isinstance(basepoint, str) and basepoint in pos):
+    if basepoint is not None and not (type(basepoint) is str and basepoint in pos):
         raise ProblemFileError(f"basepoint {basepoint!r} is not a vertex")
 
     raw_stratum = stratum_flag if stratum_flag is not None else data.get("stratum", [])
-    if stratum_flag is None and not isinstance(raw_stratum, list):
+    if stratum_flag is None and type(raw_stratum) is not list:
         raise ProblemFileError("'stratum' must be a list of edge ids")
-    if bad := [eid for eid in raw_stratum if not isinstance(eid, str) or eid not in by_id]:
+    if bad := [eid for eid in raw_stratum if type(eid) is not str or eid not in by_id]:
         raise ProblemFileError(f"stratum names unknown edges {bad!r}")
     stratum = frozenset(raw_stratum)
-    if len(stratum) != len(list(raw_stratum)):
+    if len(stratum) != len(raw_stratum):
         raise ProblemFileError("stratum lists an edge twice")
 
     return Problem(graph, pol, basepoint, stratum)
@@ -258,8 +264,8 @@ def cmd_reduce(problem: Problem, args) -> dict:
     report = ctx.reduce_report(d)
     # an exact certificate: output - input is the Laplacian of the potential
     gdel = ctx.deleted_graph
-    moved = laplacian_apply(gdel, report.potential.rebind(gdel))
-    checked = moved == report.output.rebind(gdel) - d.rebind(gdel)
+    moved = laplacian_apply(gdel, Cochain._of(gdel, report.potential.values)).values
+    checked = moved == tuple(map(int.__sub__, report.output.values, values))
     if args.verbose:
         print(f"reduced in {report.steps} steps", file=sys.stderr)
     return {
@@ -437,8 +443,10 @@ def _write_json(write, obj, indent: str):
     starts ``indent`` spaces in.  ``json`` turns its C encoder off for an
     indent, so a nonempty ``_Table`` or ``_IntRows`` is laid out by the
     templates above, unchecked, and written at once or a slice of rows at a
-    time; other lists and dicts with string keys are walked here, and what
-    is left goes to ``json.dumps`` itself."""
+    time; a list of ints alone (a bool is not one) takes the row template
+    and a list of strings alone one join; other lists and dicts with
+    string keys are walked here, and what is left goes to ``json.dumps``
+    itself."""
     if isinstance(obj, (list, tuple)) or isinstance(obj, dict) and {*map(type, obj)} <= {str}:
         if not obj:
             write("{}" if isinstance(obj, dict) else "[]")
@@ -459,6 +467,10 @@ def _write_json(write, obj, indent: str):
                 _write_json(write, v, inner)
                 sep = ",\n" + inner
             write(f"\n{indent}}}")
+        elif (kinds := {*map(type, obj)}) == {int}:
+            write(_row_template(len(obj), indent) % tuple(obj))
+        elif kinds == {str}:
+            write(f"[{sep}" + f",{sep}".join(map(_encode_str, obj)) + f"\n{indent}]")
         else:
             write("[")
             for x in obj:

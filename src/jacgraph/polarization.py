@@ -33,17 +33,18 @@ from .graph import Multigraph, Vertex, _VertexValues, _adjacency_masks, _mask_pi
 # a rational as text, matched after a strip: ASCII digits only, unlike
 # int() and Fraction(), which also read "1_0" and non-ASCII digits, and
 # Fraction() decimals and exponents
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _text_fraction(text: str) -> Fraction | None:
-    """The rational ``text`` spells in the grammar ``_RATIONAL``; None when
-    it does not match or its denominator is zero."""
-    if _RATIONAL.fullmatch(text := text.strip()):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            pass
+    """The rational ``text`` spells in the grammar ``_RATIONAL``, built from
+    its digits; None when it does not match or its denominator is zero."""
+    if match := _RATIONAL.fullmatch(text.strip()):
+        num, den = match.groups()
+        if den is None:
+            return Fraction(int(num))
+        if den := int(den):
+            return Fraction(int(num), den)
     return None
 
 
@@ -72,9 +73,16 @@ class Polarization(_VertexValues):
 
     def __init__(self, graph: Multigraph, values):
         super().__init__(graph, values)
-        tot = sum(self.values, Fraction(0))
-        if tot.denominator != 1:
-            raise PolarizationTotalError(f"polarization total {tot} is not an integer")
+        if (fault := self._total_fault()) is not None:
+            raise PolarizationTotalError(fault)
+
+    def _total_fault(self) -> str | None:
+        """What is wrong with the total, or None when it is an integer: the
+        scaled values must sum to a multiple of the scale."""
+        scale, scaled = self._scaled()
+        if sum(scaled) % scale:
+            return f"polarization total {sum(self.values, Fraction(0))} is not an integer"
+        return None
 
     # -- derived polarizations ------------------------------------------
 

@@ -115,10 +115,10 @@ class StratumContext:
         self.q = q
         self.basepoint = basepoint
         self.stratum = graph.edge_subset(stratum)
-        self.budget = q.total - len(self.stratum)
 
         # the partial normalization (G - S, q_S): an S-edge takes half a
-        # unit from each end, an S-loop a whole unit from its vertex
+        # unit from each end, an S-loop a whole unit from its vertex, so
+        # the scaled values sum to scale * (total(q) - |S|)
         self.scale, base = q._scaled()
         half, kept = self.scale // 2, []
         for e, (a, b) in zip(graph.edges, graph._pairs):
@@ -129,6 +129,7 @@ class StratumContext:
                 base[a] -= half
                 base[b] -= half
         self._kept, self._base, self._v0 = kept, base, graph._vpos[basepoint]
+        self.budget = sum(base) // self.scale
         self._adj = _adjacency_masks(len(base), kept)
         self._net = None
         self._deleted = None

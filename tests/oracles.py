@@ -12,6 +12,11 @@ that the minimum cut replaced, reads a floor table as plain data, and
 ``same_class``, the class test that the single solve replaced, compares
 two invariant-factor eliminations.
 
+``load_problem_reference`` is the CLI's problem-file loader as it stood
+before its one-pass rewrite, with the rational parser it called, kept
+verbatim: ``isinstance`` checks, ``Edge(...)`` calls and a ``Fraction``
+total.  ``test_cli`` checks the loader against it.
+
 ``tile_points`` is the one exception: it runs the library's spanning-tree
 lister and tile function, one quasistable point per spanning tree, as a
 fast second oracle for the quasistable kind where the brute force is too
@@ -20,11 +25,17 @@ slow.  ``test_strata`` checks it against the box search.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from math import gcd, lcm
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+
+from jacgraph.cli import Problem, ProblemFileError
+from jacgraph.graph import Edge, Multigraph
+from jacgraph.polarization import Polarization
 
 
 def spanning_trees(n: int, pairs) -> list[int]:
@@ -526,3 +537,123 @@ def classification(g, q):
         if spine_hit is None:
             spine_hit = W
     return general, True, (None if spine_hit is None else (spine_hit, True))
+
+
+# -- the problem-file loader before its one-pass rewrite ------------------------
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _text_fraction(text: str) -> Fraction | None:
+    """The rational ``text`` spells in the grammar ``_RATIONAL``; None when
+    it does not match or its denominator is zero."""
+    if _RATIONAL.fullmatch(text := text.strip()):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    return None
+
+
+def parse_rational(value) -> Fraction:
+    if type(value) is int:  # not a bool
+        return Fraction(value)
+    if isinstance(value, float):
+        raise ProblemFileError(f'float {value!r} rejected; write rationals as "p/q" strings')
+    if isinstance(value, str):
+        if (parsed := _text_fraction(value)) is not None:
+            return parsed
+        raise ProblemFileError(f"cannot parse rational {value!r}")
+    raise ProblemFileError(f"not a rational: {value!r}")
+
+
+def load_problem_reference(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
+        raise ProblemFileError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ProblemFileError("problem file must be a JSON object")
+
+    raw_vertices = data.get("vertices")
+    if not isinstance(raw_vertices, list):
+        raise ProblemFileError("'vertices' must be a list")
+    pos, genus = {}, {}
+    for entry in raw_vertices:
+        if isinstance(entry, str):
+            name, gv = entry, 0
+        elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
+            name, gv = entry["name"], entry.get("genus", 0)
+            if not isinstance(gv, int) or isinstance(gv, bool) or gv < 0:
+                raise ProblemFileError(f"genus of {name!r} must be a nonnegative integer")
+        else:
+            raise ProblemFileError(f"cannot interpret vertex entry {entry!r}")
+        if name in pos:
+            raise ProblemFileError(f"duplicate vertex name {name!r}")
+        pos[name], genus[name] = len(pos), gv
+
+    raw_edges = data.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise ProblemFileError("'edges' must be a list")
+    by_id, pairs, explicit = {}, [], None
+    for k, entry in enumerate(raw_edges):
+        if not isinstance(entry, dict) or "endpoints" not in entry:
+            raise ProblemFileError(f"cannot interpret edge entry {entry!r}")
+        ends = entry["endpoints"]
+        if not (isinstance(ends, list) and len(ends) == 2):
+            raise ProblemFileError(f"edge {k} needs exactly two endpoints")
+        u, v = ends
+        for w in (u, v):
+            if not isinstance(w, str) or w not in pos:
+                raise ProblemFileError(f"edge {k} endpoint {w!r} is not a vertex")
+        eid = entry.get("id")
+        if eid is None:
+            eid = f"e{k}"
+            if explicit is None:  # the ids given anywhere in the file
+                ids = (e.get("id") for e in raw_edges if isinstance(e, dict))
+                explicit = {x for x in ids if isinstance(x, str)}
+            if eid in explicit:
+                raise ProblemFileError(f"default id {eid!r} collides with an explicit edge id")
+        elif not isinstance(eid, str):
+            raise ProblemFileError(f"edge id {eid!r} must be a string")
+        by_id[eid] = Edge(eid, u, v)
+        pairs.append((pos[u], pos[v]))
+    if len(by_id) != len(pairs):
+        raise ProblemFileError("duplicate edge ids")
+    graph = Multigraph._of(pos, by_id, tuple(pairs), genus)
+
+    pol = None
+    if "polarization" in data:
+        raw_pol = data["polarization"]
+        if not isinstance(raw_pol, dict):
+            raise ProblemFileError("'polarization' must be an object")
+        if unknown := [k for k in raw_pol if k not in pos]:
+            raise ProblemFileError(f"polarization names unknown vertices {unknown!r}")
+        if missing := [v for v in pos if v not in raw_pol]:
+            raise ProblemFileError(f"polarization misses vertices {missing!r}")
+        parsed = {k: parse_rational(v) for k, v in raw_pol.items()}  # errors in file order
+        values = tuple(parsed[v] for v in pos)
+        total = sum(values, Fraction(0))
+        if total.denominator != 1:
+            raise ProblemFileError(f"polarization total {total} is not an integer")
+        pol = Polarization._of(graph, values)
+
+    basepoint = basepoint_flag if basepoint_flag is not None else data.get("basepoint")
+    if basepoint is None and pos:
+        basepoint = graph.vertices[0]
+    if basepoint is not None and not (isinstance(basepoint, str) and basepoint in pos):
+        raise ProblemFileError(f"basepoint {basepoint!r} is not a vertex")
+
+    raw_stratum = stratum_flag if stratum_flag is not None else data.get("stratum", [])
+    if stratum_flag is None and not isinstance(raw_stratum, list):
+        raise ProblemFileError("'stratum' must be a list of edge ids")
+    if bad := [eid for eid in raw_stratum if not isinstance(eid, str) or eid not in by_id]:
+        raise ProblemFileError(f"stratum names unknown edges {bad!r}")
+    stratum = frozenset(raw_stratum)
+    if len(stratum) != len(list(raw_stratum)):
+        raise ProblemFileError("stratum lists an edge twice")
+
+    return Problem(graph, pol, basepoint, stratum)

@@ -1,17 +1,21 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import random
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacgraph import blowup_decomposition, cli, strata_report
+from jacgraph import _kernel, blowup_decomposition, cli, strata_report
 from jacgraph.cli import main
+
+import oracles
 
 BANANA = {
     "vertices": ["u", "v"],
@@ -834,6 +838,12 @@ PAYLOADS = st.recursive(
 @example({"t": True, "f": False, "z": 0, "o": 1, "l": [True, 0, False, 1]})
 @example([", ", "], [", '"', "\\", '\\"', "é€😀", "\n", ""])
 @example({"a": [[], {}, cli._IntRows()], "b": {"c": {"d": [], "e": {}, "f": cli._IntRows()}}})
+# a plain list of ints alone or of strings alone takes one template; a bool is not an int
+@example([True, 1])
+@example([1, True])
+@example(["a", 1])
+@example([2**70, -1, 0])
+@example(["é\"\\", ""])
 @example(
     {
         "rows": [
@@ -965,3 +975,138 @@ def test_fuzzed_problem_files_exit_cleanly(data, command):
     assert rc in (0, 2, 3), err.getvalue()
     if rc == 0:
         json.loads(out.getvalue())
+
+
+# -- the loader against the one it replaced --------------------------------------
+
+
+def _loaded(load, path, basepoint_flag=None, stratum_flag=None):
+    """What ``load`` makes of a file: its error message, or the parts of
+    the problem."""
+    try:
+        p = load(path, basepoint_flag=basepoint_flag, stratum_flag=stratum_flag)
+    except cli.ProblemFileError as exc:
+        return "error", str(exc)
+    g, q = p.graph, p.polarization
+    return (
+        g.vertices,
+        [(type(e), e.id, e.u, e.v) for e in g.edges],
+        g._pairs,
+        g._genus,
+        None if q is None else [(type(x), x) for x in q.values],
+        p.basepoint,
+        p.stratum,
+    )
+
+
+def _rational_text(rng, x: Fraction):
+    """``x`` as a JSON int or a "p/q" string with a sign, leading zeros or
+    spaces, sometimes not in lowest terms."""
+    if x.denominator == 1 and rng.random() < 0.3:
+        return int(x)
+    k = rng.choice([1, 1, 2, 3])
+    num, den = abs(x.numerator) * k, x.denominator * k
+    sign = "-" if x < 0 else rng.choice(["", "", "+"])
+    zeros = "0" * rng.choice([0, 0, 1, 2])
+    text = f"{sign}{zeros}{num}" + ("" if den == 1 and rng.random() < 0.5 else f"/{zeros}{den}")
+    return rng.choice(["", " "]) + text + rng.choice(["", "  "])
+
+
+def perfbench_shaped(rng):
+    """A problem file like perfbench's: bare and genus vertices, explicit
+    and default edge ids, loops and parallel edges, rationals written in
+    every way the grammar allows, and now and then one fault."""
+    names = [f"v{i}" for i in range(rng.randint(1, 14))]
+    rng.shuffle(names)
+    vertices = [
+        {"name": v, "genus": rng.randint(1, 2)} if rng.random() < 0.2 else v for v in names
+    ]
+    edges = []
+    for k in range(rng.randint(0, 2 * len(names))):
+        edge = {"endpoints": [rng.choice(names), rng.choice(names)]}
+        if rng.random() < 0.7:
+            edge["id"] = rng.choice([f"x{k}"] * 12 + [f"e{k}", f"e{k + 1}"])
+        edges.append(edge)
+    values = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6])) for _ in names]
+    if rng.random() < 0.9:
+        values[-1] -= sum(values) % 1  # an integer total
+    data = {
+        "vertices": vertices,
+        "edges": edges,
+        "polarization": {v: _rational_text(rng, x) for v, x in zip(names, values)},
+    }
+    if rng.random() < 0.5:
+        data["basepoint"] = rng.choice(names)
+    if edges and rng.random() < 0.5:
+        ids = [e.get("id", f"e{k}") for k, e in enumerate(edges)]
+        data["stratum"] = rng.sample(ids, rng.randint(0, min(2, len(ids))))
+    if rng.random() < 0.15:
+        fault = rng.choice(
+            [
+                ("vertices", vertices + [True]),
+                ("vertices", vertices + [{"name": names[0]}]),
+                ("edges", edges + [{"endpoints": [names[0], ["x"]]}]),
+                ("edges", edges + [{"endpoints": [{"a": 1}, names[0]]}]),
+                ("edges", edges + [{"endpoints": [names[0]], "id": 7}]),
+                ("polarization", dict(data["polarization"], **{names[0]: "1/00"})),
+                ("polarization", dict(data["polarization"], **{names[0]: True})),
+                ("stratum", ["zz", "zz"]),
+            ]
+        )
+        data[fault[0]] = fault[1]
+    return data
+
+
+class TestLoaderAgainstReference:
+    """The one-pass loader gives what the loader it replaced gave: the same
+    problem, or the same message."""
+
+    def _same(self, path, *flags):
+        got = _loaded(cli.load_problem, path, *flags)
+        assert got == _loaded(oracles.load_problem_reference, path, *flags)
+        return got
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        data=problem_files(),
+        basepoint=st.none() | st.sampled_from(NAMES + ["zz"]),
+        stratum=st.none() | st.lists(st.sampled_from(["x", "y", "e0", "e1", "zz"]), max_size=3),
+    )
+    def test_fuzzed_files(self, data, basepoint, stratum):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "problem.json")
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+            self._same(path)
+            self._same(path, basepoint, stratum)
+
+    @pytest.mark.parametrize("command, data, message", MULTI_FAULT_FILES)
+    def test_multi_fault_files(self, problem, command, data, message):
+        assert self._same(problem(data)) == ("error", message)
+
+    def test_perfbench_shaped_files(self, problem):
+        rng = random.Random(28)
+        outcomes = set()
+        for _ in range(400):
+            got = self._same(problem(perfbench_shaped(rng)))
+            outcomes.add(got[1] if got[0] == "error" else "loaded")
+        # most files load; each kind of fault shows up
+        assert "loaded" in outcomes and len(outcomes) > 8, outcomes
+
+
+class TestCliBenchScript:
+    def test_one_query_round(self, capsys):
+        # benchmarks/bench_cli.py runs the steps of main one by one, so a
+        # change to them that it misses fails here
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_cli.py"
+        spec = importlib.util.spec_from_file_location("bench_cli", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert bench.main(["--workload", "query", "--rounds", "1", "--repeat", "1"]) == 0
+        head, columns, *rows = capsys.readouterr().out.splitlines()
+        kernel = _kernel.implementation_name()
+        assert head == f"query, seed 3, rounds 0-0, best of 1, {kernel} kernel (ms)"
+        assert columns.split() == ["command", "requests", *bench.PHASES, "total"]
+        counts = {row.split()[0]: int(row.split()[1]) for row in rows}
+        # a query round: three variants of four reductions, fourteen complexity graphs
+        assert counts == {"reduce": 12, "complexity": 14, "all": 26}

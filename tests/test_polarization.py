@@ -15,6 +15,7 @@ from jacgraph import (
     PolarizationTotalError,
     canonical_polarization,
 )
+from jacgraph.polarization import _text_fraction
 
 import oracles
 
@@ -51,6 +52,11 @@ class TestConstruction:
         for bad in ("1_0", "-\u0669", "0.5", "1e3", "abc", "", "1/0", "1/-2", "1 /2"):
             with pytest.raises(GraphConstructionError, match="cannot parse rational"):
                 Polarization(banana, [bad, "0"])
+        # the value is built from the matched digits, as Fraction reads them
+        for text in ("+3", "-0/5", "007/010", " 1/2 "):
+            assert _text_fraction(text) == Fraction(text.strip()), text
+        for text in ("1/00", "0/0"):
+            assert _text_fraction(text) is None, text
 
     def test_shape_checked(self, banana):
         with pytest.raises(GraphConstructionError):
