@@ -16,11 +16,10 @@ script checks that they are the quasistable set), and the degree class
 group (``picard_group``) of the graph, which it takes on the cycle side,
 and of the graph with every edge doubled, which it takes on the Laplacian
 side.  For each size it also prints how many of the 2^n vertex subsets the
-box search's plan checks at the degree budget, as every library call
-builds it, and how many more it keeps only as prefixes, counted on the
-pure kernel's plan (the compiled kernel keeps the same plan, one byte per
-mask).  Above the kernels' 20-vertex
-limit only the degree class group rows are printed.
+box search's plan checks and how many more it keeps only as prefixes,
+counted on the pure kernel's plan (the compiled kernel keeps the same plan,
+one byte per mask).  Above the kernels' 20-vertex limit only the degree
+class group rows are printed.
 
     python benchmarks/bench_kernel.py
     python benchmarks/bench_kernel.py --sizes 12,14,16 --repeat 5
@@ -123,7 +122,6 @@ def main(argv=None) -> int:
                 base,
                 scale,
                 v0,
-                ctx.budget,
                 lo,
                 hi,
                 MODE_QUASISTABLE,
@@ -139,9 +137,7 @@ def main(argv=None) -> int:
             line += f"{times[-1] / times[0]:>9.1f}x"
         print(line)
         # the pure kernel's table step alone, in the pure column
-        t_build, (_, plan) = best_of(
-            args.repeat, _kernel_py.build_tables, n, edges, base, scale, ctx.budget
-        )
+        t_build, (_, plan) = best_of(args.repeat, _kernel_py.build_tables, n, edges, base, scale)
         pad = " " * 12 * (len(mods) - 1)
         print(f"{n:>3} {'pure tables':<12}{pad}{t_build * 1e3:>10.2f}ms")
         for kind in ("quasistable", "semistable"):

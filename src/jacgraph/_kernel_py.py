@@ -11,28 +11,21 @@ All quantities are pre-scaled integers: a context with rational vertex
 weights q scales everything by an even integer ``scale`` so that
 ``scale * q_W`` and ``scale * val(W) / 2`` are integers.  A stratum
 context passes the data of its partial normalization (G - S, q_S): the
-non-loop edges of G - S and ``base == scale * q_S``.  For a vertex subset
-given as a bitmask ``m``, ``floor[m]`` is the least allowed value of
-``scale * d_m`` for a semistable multidegree d (non-strict bound), and
-the greatest is ``scale * total - floor[full ^ m]``, as the complement
-holds the rest of the total.  The deficit of d on ``m`` is
-``floor[m] - scale * d_m``; its positive part measures how far d is from
-semistability.
+non-loop edges of G - S and ``base == scale * q_S``.  The total is the
+degree budget ``sum(base) / scale``.  For a vertex subset given as a
+bitmask ``m``, with ``base(m)`` the sum of ``base`` over m and ``cut(m)``
+the number of edges with exactly one end in m, a semistable multidegree d
+has ``base(m) - scale/2 * cut(m) <= scale * d_m <= base(m) + scale/2 *
+cut(m)`` (non-strict bounds).  The complement holds the rest of the
+total, so the upper bound on m is the lower bound on its complement.
 
-Only connected subsets and subsets with a connected complement can bind.
-``floor`` is a sum over the vertices less ``scale/2`` per crossing edge,
-and an edge that crosses a piece of m (a part that no edge joins to the
-rest of m) crosses m, so the deficit on m is the sum of the deficits on
-its pieces.  A lower bound on a disconnected m therefore follows from the
-lower bounds on its pieces, and an upper bound on m, which is the lower
-bound on the complement, from the lower bounds on the complement's
-pieces.  Strictness carries over: in quasistable mode the piece that holds
-the basepoint is strict and makes the sum strict, in stable mode every
-piece is strict.
-
-When ``scale * total == sum(base)``, as for every degree budget, fewer
-still bind.  The upper bound on m is then ``base(m) + scale/2 * cut(m)``,
-additive over the pieces of m as the lower bound is.  Take a connected W
+Only some subsets can bind.  Both bounds are a sum over the vertices less
+or plus ``scale/2`` per crossing edge, and an edge that crosses a piece of
+m (a part that no edge joins to the rest of m) crosses m, so each bound on
+m is the sum of the bounds on its pieces, and the bounds on a disconnected
+m follow from those on its pieces.  Strictness carries over: in
+quasistable mode the piece that holds the basepoint is strict and makes
+the sum strict, in stable mode every piece is strict.  Take a connected W
 whose remainder K - W in its component K of the graph falls into pieces;
 call C1 the one with the highest vertex of K - W and C2 the union of the
 others, so that W + C2 holds the last vertex only if W does.  Every edge
@@ -40,18 +33,16 @@ that leaves C2 ends in W, so the bounds on W + C2 are those on W plus the
 opposite bounds on C2, and a search that checks W + C2 and the pieces of
 C2 need not check W; of the two bounds combined, one is strict whenever
 the bound on W is.  W + C2 and each piece of C2 have a connected
-remainder in K.  So at the budget the plan checks both bounds on each
-connected subset whose remainder in its component is connected or empty,
-and for another total both bounds on each connected proper subset and the
-upper bound on each subset with a connected complement.
+remainder in K.  So the plan checks both bounds on each connected subset
+whose remainder in its component is connected or empty.
 
 ``build_tables`` lists the subsets the box search checks in a *plan*.  It
 leaves out every subset that holds the last vertex, as the total fixes d
-there and such a bound is the opposite bound on the complement.  It keeps
-``floor`` only where the search reads it, on the plan's subsets and their
-complements.  ``box_enumerate`` also drops each bound that the box and the
-total already imply, gives a mask left without a bound no field, and takes
-a level's passing values as one interval.
+there and such a bound is the opposite bound on the complement.  It
+computes the two bounds only on the plan's masks.  ``box_enumerate`` also
+drops each bound that the box and the total already imply, gives a mask
+left without a bound no field, and takes a level's passing values as one
+interval.
 """
 
 from __future__ import annotations
@@ -59,20 +50,16 @@ from __future__ import annotations
 from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
 from .graph import _adjacency_masks, _mask_pieces
 
-# the checks a plan entry asks for; 0 keeps a mask for its sum alone
-CHECK_LOWER = 1
-CHECK_UPPER = 2
-
 # per bit i, the table taking a byte to its bit i, for bytes.translate
 _BIT = [bytes(b >> i & 1 for b in range(256)) for i in range(8)]
 
 
-def build_tables(n, edges, base, scale, total):
-    """``(floor, plan)``: the plan of ``edges`` (endpoint index pairs) for
-    ``total`` and the floor values its search reads, ``floor[m] ==
-    sum(base[v] for v in m) - scale/2 * cut(m)``, with ``cut(m)`` the
-    number of ``edges`` with exactly one end in m, for every plan mask m
-    and its complement, and for no other mask.
+def build_tables(n, edges, base, scale):
+    """``(bounds, plan)``: the plan of ``edges`` (endpoint index pairs) and
+    the bounds its search reads, ``bounds[m] == (base(m) - scale/2 *
+    cut(m), base(m) + scale/2 * cut(m))``, with ``cut(m)`` the number of
+    ``edges`` with exactly one end in m, for every plan mask m and for no
+    other mask.
 
     The plan is prefix-closed, so each plan mask m extends a plan mask (or
     the empty set) r = m - k, k its top vertex, of a lower level:
@@ -80,26 +67,25 @@ def build_tables(n, edges, base, scale, total):
         base(m) = base(r) + base[k],  cut(m) = cut(r) + deg(k) - 2 e(k, r),
 
     where e(k, r) counts the edges from k into r, which crossed r and stop
-    crossing.  A complement crosses the same edges, so ``floor[full ^ m]
-    == base(full) - base(m) - scale/2 * cut(m)``.  e(k, r) is the sum of
-    ``(layer & r).bit_count()`` over k's multiplicity layers, the j-th
-    holding the neighbours joined to k by more than j edges."""
-    half, full, whole = scale // 2, (1 << n) - 1, sum(base)
-    plan = _build_plan(n, edges, scale * total == whole)
-    sums = {0: (0, 0)}  # plan mask: (base(m), cut(m))
-    floor = {}
+    crossing.  e(k, r) is the sum of ``(layer & r).bit_count()`` over k's
+    multiplicity layers, the j-th holding the neighbours joined to k by
+    more than j edges."""
+    half = scale // 2
+    plan = _build_plan(n, edges)
+    bounds = {0: (0, 0)}
     for k, (level, layers) in enumerate(zip(plan, _multiplicity_layers(n, edges))):
         own, bit = base[k], 1 << k
         deg = sum(layer.bit_count() for layer in layers)
         for m, _ in level:
             r = m ^ bit
-            b, c = sums[r]
+            cross = deg
             for layer in layers:
-                c -= 2 * (layer & r).bit_count()
-            sums[m] = b, c = b + own, c + deg
-            floor[m] = b - half * c
-            floor[full ^ m] = whole - b - half * c
-    return floor, plan
+                cross -= 2 * (layer & r).bit_count()
+            low, high = bounds[r]
+            cross *= half
+            bounds[m] = low + own - cross, high + own + cross
+    del bounds[0]
+    return bounds, plan
 
 
 def _multiplicity_layers(n, edges):
@@ -144,15 +130,12 @@ def _connected_subsets(n, adj):
     return out
 
 
-def _build_plan(n, edges, bonds):
+def _build_plan(n, edges):
     """The masks the box search keeps, by top vertex: ``plan[k]`` lists
-    ``(mask, checks)`` in increasing mask order for the masks whose top
-    vertex is k.  ``checks`` has both bounds for a connected proper subset
-    (its upper bound holds as every subset's does, and costs no comparison
-    beside the lower one), where ``bonds`` (the total is the budget) keeps
-    only those whose remainder in their component is connected or empty;
-    without ``bonds`` it has CHECK_UPPER for a proper subset with a
-    connected complement.  It is 0 for a prefix (a kept mask less its top
+    ``(mask, checked)`` in increasing mask order for the masks whose top
+    vertex is k.  ``checked`` is true for a connected subset whose
+    remainder in its component is connected or empty: the search checks
+    both its bounds.  It is false for a prefix (a kept mask less its top
     vertex, repeated) that is kept only because a kept mask's sum is built
     from it.  No mask holding the last vertex is kept, so ``plan[n - 1]``
     is empty: the total fixes d there, and a bound on such a mask is the
@@ -160,33 +143,32 @@ def _build_plan(n, edges, bonds):
     full = (1 << n) - 1
     adj = _adjacency_masks(n, edges)
     subsets = _connected_subsets(n, adj)
-    if bonds:
-        connected = set(subsets)
-        home = {v: piece for piece in _mask_pieces(full, adj) for v in range(n) if piece >> v & 1}
-    checks = {}
-    for c in subsets:
-        if c > full >> 1:  # c holds the last vertex
-            if not bonds and c != full:
-                checks[full ^ c] = checks.get(full ^ c, 0) | CHECK_UPPER
-        elif not bonds or (rest := home[c.bit_length() - 1] ^ c) == 0 or rest in connected:
-            checks[c] = checks.get(c, 0) | CHECK_LOWER | CHECK_UPPER
-    for m in list(checks):
+    connected = set(subsets)
+    home = {v: piece for piece in _mask_pieces(full, adj) for v in range(n) if piece >> v & 1}
+    checked = {
+        c: True
+        for c in subsets
+        if c <= full >> 1  # c lacks the last vertex
+        and ((rest := home[c.bit_length() - 1] ^ c) == 0 or rest in connected)
+    }
+    for m in list(checked):
         m ^= 1 << (m.bit_length() - 1)
-        while m and m not in checks:
-            checks[m] = 0
+        while m and m not in checked:
+            checked[m] = False
             m ^= 1 << (m.bit_length() - 1)
     plan = [[] for _ in range(n)]
-    for m in sorted(checks):
-        plan[m.bit_length() - 1].append((m, checks[m]))
+    for m in sorted(checked):
+        plan[m.bit_length() - 1].append((m, checked[m]))
     return tuple(map(tuple, plan))
 
 
-def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
-    """All integer vectors in the box with the given total that satisfy the
-    per-subset bounds of ``build_tables(n, edges, base, scale, total)``;
-    strictness of the bounds depends on ``mode``.  Each output has the
-    value of vertex k at position ``at[k]``, for ``at`` a permutation of
-    ``range(n)``.
+def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
+    """All integer vectors in the box with total ``sum(base) / scale`` that
+    satisfy the per-subset bounds of ``build_tables(n, edges, base,
+    scale)``; strictness of the bounds depends on ``mode``.  Each output
+    has the value of vertex k at position ``at[k]``, for ``at`` a
+    permutation of ``range(n)``.  Raises ValueError unless ``scale`` is
+    positive and divides ``sum(base)``.
 
     Depth-first over the vertices in index order.  When vertex k is
     assigned, every subset whose top vertex is k becomes decided, so the
@@ -194,17 +176,16 @@ def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
     branches are cut early.  A bound the plan leaves out follows from kept
     bounds, so the outputs and their order (before ``at`` places them) are
     those of a search that checks every subset; a cut comes once the
-    subsets of those kept bounds are decided.  At the budget, in the level
-    order of ``StratumContext._value_tuples`` (breadth-first layers from
-    the highest vertex of each component, farthest first), that is the
-    level such a search cuts at.  The pieces of a disconnected subset lie
-    below its top vertex.  For a connected W, each piece of C2 (see the
-    module docstring) is cut off by W from the highest vertex of K, so it
-    lies in farther layers than W's top vertex, which is then the top
-    vertex of W + C2 too.  In another order a cut may come later, and so
-    may an upper-bound cut for another total, which waits for the pieces
-    of the complement.  The last vertex takes the rest of the total; the
-    suffix sums of the box, which prune on the total, keep it in its box.
+    subsets of those kept bounds are decided.  In the level order of
+    ``StratumContext._value_tuples`` (breadth-first layers from the
+    highest vertex of each component, farthest first), that is the level
+    such a search cuts at.  The pieces of a disconnected subset lie below
+    its top vertex.  For a connected W, each piece of C2 (see the module
+    docstring) is cut off by W from the highest vertex of K, so it lies in
+    farther layers than W's top vertex, which is then the top vertex of
+    W + C2 too.  In another order a cut may come later.  The last vertex
+    takes the rest of the total; the suffix sums of the box, which prune
+    on the total, keep it in its box.
 
     A node that decides d_m has d_m between ``max(lo_m, total - hi_c)`` and
     ``min(hi_m, total - lo_c)``, with c the complement of m and ``lo_m`` the
@@ -234,6 +215,12 @@ def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
     some value.  A node scans in from each end with one test alone and
     takes the values between untested.
     """
+    whole = sum(base)
+    if scale <= 0:
+        raise ValueError(f"scale = {scale} is not positive")
+    if whole % scale:
+        raise ValueError(f"base sums to {whole}, not a multiple of scale = {scale}")
+    total = whole // scale
     suf_lo = [0] * (n + 1)
     suf_hi = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -243,8 +230,7 @@ def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
         return []
     if n == 1:
         return [(total,)]
-    floor, plan = build_tables(n, edges, base, scale, total)
-    full = (1 << n) - 1
+    bounds, plan = build_tables(n, edges, base, scale)
 
     # per level but the last, per mask with a bound: its scaled low and high
     # bound, or None for a bound left unchecked.  Strict bounds on proper
@@ -253,24 +239,23 @@ def box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at):
     # box sums lo_m and hi_m, built along the prefix chains of the plan.
     vbit = 1 << v0
     stable, quasi = mode == MODE_STABLE, mode == MODE_QUASISTABLE
-    top = scale * total
-    from_hi, from_lo = top - scale * suf_hi[0], top - scale * suf_lo[0]
+    from_hi, from_lo = whole - scale * suf_hi[0], whole - scale * suf_lo[0]
     box = {0: (0, 0)}
     masks, lows, highs, ends = [], [], [], []
     for k, level in enumerate(plan[: n - 1]):
         pbit, k_lo, k_hi = 1 << k, scale * lo[k], scale * hi[k]
-        for m, checks in level:
+        for m, checked in level:
             m_lo, m_hi = box[m ^ pbit]
             box[m] = m_lo, m_hi = m_lo + k_lo, m_hi + k_hi
-            low = high = None
-            if checks & CHECK_LOWER:
-                bound = floor[m] + (stable or quasi and m & vbit != 0)
-                if bound > m_lo and bound > from_hi + m_hi:
-                    low = bound
-            if checks & CHECK_UPPER:
-                bound = top - floor[full ^ m] - (stable or quasi and not m & vbit)
-                if bound < m_hi and bound < from_lo + m_lo:
-                    high = bound
+            if not checked:
+                continue
+            low, high = bounds[m]
+            low += stable or quasi and m & vbit != 0
+            high -= stable or quasi and not m & vbit
+            if low <= m_lo or low <= from_hi + m_hi:
+                low = None
+            if high >= m_hi or high >= from_lo + m_lo:
+                high = None
             if low is not None or high is not None:
                 masks.append(m)
                 lows.append(low)

@@ -4,39 +4,36 @@
  * fallback and the reference, computed in signed 64-bit integers.  The one
  * entry point, box_enumerate, builds two flat tables over all 2**n subsets
  * of G - S in the block it allocates: floor holds one int64 per mask, and
- * plan one byte per mask, its CHECK_LOWER and CHECK_UPPER bits, CONNECTED
- * when it is connected and KEPT when the search keeps it (the pure kernel
- * keeps the floor entries its search reads in a dict, and its plan as
- * (mask, checks) pairs per top vertex).  It writes each output in the
- * caller's vertex order.
+ * plan one byte per mask, CHECKED when the search checks both its bounds,
+ * CONNECTED when it is connected and KEPT when the search keeps it (the
+ * pure kernel keeps the two bounds of each plan mask in a dict, and its
+ * plan as (mask, checked) pairs per top vertex).  It writes each output in
+ * the caller's vertex order.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
  * routes larger ones to the pure kernel).
  *
- * The plan keeps only the bounds that can bind.  The deficit
- * floor[m] - scale * d_m is a sum over the vertices less scale/2 per
- * crossing edge, so it is additive over the pieces of m that no edge
- * joins: a lower bound on a disconnected m follows from the lower bounds
- * on its pieces, and an upper bound on m, the lower bound on the
- * complement, from those on the complement's pieces.  Strictness carries
+ * The total is the degree budget sum(base) / scale, which is
+ * floor[full] / scale, so the upper bound on m, the lower bound on its
+ * complement, is floor[full] - floor[full ^ m] = base(m) + scale/2 * cut(m).
+ * The plan keeps only the bounds that can bind.  Both bounds are a sum
+ * over the vertices less or plus scale/2 per crossing edge, so they are
+ * additive over the pieces of m that no edge joins, and the bounds on a
+ * disconnected m follow from those on its pieces.  Strictness carries
  * over, as the piece that holds v0 is strict in quasistable mode and every
- * piece is strict in stable mode.  When scale * total == sum(base), as for
- * every degree budget, the upper bound on m is base(m) + scale/2 * cut(m),
- * additive over the pieces of m too.  Then a connected W whose remainder
- * in its component K falls into pieces, C1 the one with the highest vertex
- * and C2 the rest, need not be checked: every edge that leaves C2 ends in
+ * piece is strict in stable mode.  A connected W whose remainder in its
+ * component K falls into pieces, C1 the one with the highest vertex and C2
+ * the rest, need not be checked either: every edge that leaves C2 ends in
  * W, so the bounds on W are those on W + C2 less the opposite bounds on
  * C2, and W + C2 and each piece of C2 have a connected remainder in K.  So
- * at the budget the search checks both bounds on each connected subset
- * whose remainder in its component is connected or empty; for another
- * total, both bounds on connected proper subsets and upper bounds on
- * subsets with a connected complement.  It keeps the prefixes their sums
- * are built from.  The plan keeps no subset that holds the last vertex:
- * the total fixes d there, and each bound on such a subset is the opposite
- * bound on the complement.  box_enumerate drops each bound that the box
- * and the total imply, and writes no sums at vertex n - 2, where nothing
- * reads them.
+ * the search checks both bounds on each connected subset whose remainder
+ * in its component is connected or empty, and keeps the prefixes their
+ * sums are built from.  The plan keeps no subset that holds the last
+ * vertex: the total fixes d there, and each bound on such a subset is the
+ * opposite bound on the complement.  box_enumerate drops each bound that
+ * the box and the total imply, and writes no sums at vertex n - 2, where
+ * nothing reads them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -44,10 +41,9 @@
 #include <string.h>
 
 enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel */
-enum { CHECK_LOWER = 1, CHECK_UPPER = 2 };                 /* as in _kernel_py */
-/* a plan byte's flags beside the checks: make_plan's mark of a connected
-   subset, and that the search keeps the mask */
-enum { CONNECTED = 4, KEPT = 8 };
+/* a plan byte's flags: that the search checks both bounds of the mask,
+   make_plan's mark of a connected subset, and that the search keeps it */
+enum { CHECKED = 1, CONNECTED = 2, KEPT = 4 };
 
 /* tables hold 2**n entries; the library's subset-scan guard stops at 20 */
 #define MAX_VERTICES 24
@@ -104,12 +100,11 @@ static void grow(const size_t *adj, int n, unsigned char *marks, size_t m, size_
 }
 
 /* Write the plan of the graph on n vertices with neighbour masks adj to
-   marks: per mask, one byte of checks, with KEPT when the search keeps the
-   mask.  bonds asks for the plan at the budget. */
-static void make_plan(int n, const size_t *adj, unsigned char *marks, int bonds)
+   marks: per mask, one byte of flags, with KEPT when the search keeps the
+   mask. */
+static void make_plan(int n, const size_t *adj, unsigned char *marks)
 {
-    size_t size = (size_t)1 << n, full = size - 1;
-    memset(marks, 0, size);
+    memset(marks, 0, (size_t)1 << n);
     for (int v = 0; v < n; v++) {
         size_t below = ((size_t)2 << v) - 1;
         grow(adj, n, marks, (size_t)1 << v, adj[v] & ~below, below);
@@ -126,21 +121,14 @@ static void make_plan(int n, const size_t *adj, unsigned char *marks, int bonds)
         }
         comp[v] = piece;
     }
-    /* both bounds on a connected subset: its upper bound holds as every
-       subset's does, and costs no comparison beside the lower one.  A mask
-       that holds the last vertex (level n - 1) is not kept; off the budget
-       its complement carries its bounds. */
-    for (int k = 0; k < n; k++) {
+    /* a connected subset whose remainder in its component is connected or
+       empty; a mask that holds the last vertex (level n - 1) is not kept */
+    for (int k = 0; k < n - 1; k++) {
         size_t top = (size_t)1 << k;
-        for (size_t m = top; m < top << 1 && m < full; m++) {
-            if (!(marks[m] & CONNECTED))
-                continue;
+        for (size_t m = top; m < top << 1; m++) {
             size_t rest = comp[k] ^ m; /* m's remainder in its component */
-            if (k == n - 1) {
-                if (!bonds)
-                    marks[full ^ m] |= CHECK_UPPER | KEPT;
-            } else if (!bonds || rest == 0 || (marks[rest] & CONNECTED))
-                marks[m] |= CHECK_LOWER | CHECK_UPPER | KEPT;
+            if ((marks[m] & CONNECTED) && (rest == 0 || (marks[rest] & CONNECTED)))
+                marks[m] |= CHECKED | KEPT;
         }
     }
     /* a kept mask's prefix has a lower top vertex, so it is reached later */
@@ -345,7 +333,7 @@ static int load_plan(Search *s, const unsigned char *plan, const long long *floo
     Prefix *prefixes = (Prefix *)(rows + count);
     size_t nrows = 0, nprefixes = 0;
     int stable = mode == MODE_STABLE, quasi = mode == MODE_QUASISTABLE;
-    long long scale = s->scale, top = scale * s->total;
+    long long scale = s->scale, top = floor[full];
     long long from_hi = top - scale * s->suf_hi[0], from_lo = top - scale * s->suf_lo[0];
     for (int k = 0; k < n - 1; k++) {
         size_t base = (size_t)1 << k;
@@ -369,15 +357,13 @@ static int load_plan(Search *s, const unsigned char *plan, const long long *floo
                ways on all */
             int holds_v0 = (m >> v0) & 1;
             Row r = {m, m ^ base, reach_lo, reach_hi};
-            if (plan[m] & CHECK_LOWER) {
-                long long bound = floor[m] + (stable || (quasi && holds_v0));
-                if (bound > r.low)
-                    r.low = bound;
-            }
-            if (plan[m] & CHECK_UPPER) {
-                long long bound = top - floor[full ^ m] - (stable || (quasi && !holds_v0));
-                if (bound < r.high)
-                    r.high = bound;
+            if (plan[m] & CHECKED) {
+                long long low = floor[m] + (stable || (quasi && holds_v0));
+                long long high = top - floor[full ^ m] - (stable || (quasi && !holds_v0));
+                if (low > r.low)
+                    r.low = low;
+                if (high < r.high)
+                    r.high = high;
             }
             if (r.low > reach_lo || r.high < reach_hi)
                 rows[nrows++] = r;
@@ -395,26 +381,29 @@ static int load_plan(Search *s, const unsigned char *plan, const long long *floo
 }
 
 PyDoc_STRVAR(box_enumerate_doc,
-"box_enumerate(n, edges, base, scale, v0, total, lo, hi, mode, at) -> list of tuples\n\n"
-"Integer vectors in the box with the given total that satisfy the\n"
+"box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at) -> list of tuples\n\n"
+"Integer vectors in the box with total sum(base) / scale that satisfy the\n"
 "per-subset bounds of the graph on n vertices with the given edges (index\n"
 "pairs) and scaled polarization base, as in jacgraph._kernel_py.box_enumerate,\n"
 "each with the value of vertex k at position at[k], for at a permutation\n"
-"of range(n).  The floor table and the plan are built within the call.");
+"of range(n).  The floor table and the plan are built within the call.\n"
+"Raises ValueError unless scale is positive and divides sum(base).");
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
     PyObject *edges, *base, *lo, *hi, *at, *out = NULL;
     int n, v0, mode;
-    long long scale, total;
+    long long scale;
 
-    if (!PyArg_ParseTuple(args, "iOOLiLOOiO:box_enumerate", &n, &edges, &base, &scale,
-                          &v0, &total, &lo, &hi, &mode, &at))
+    if (!PyArg_ParseTuple(args, "iOOLiOOiO:box_enumerate", &n, &edges, &base, &scale, &v0,
+                          &lo, &hi, &mode, &at))
         return NULL;
     if (n < 1 || n > MAX_VERTICES)
         return PyErr_Format(PyExc_ValueError, "n = %d outside 1..%d", n, MAX_VERTICES);
     if (v0 < 0 || v0 >= n)
         return PyErr_Format(PyExc_ValueError, "v0 = %d outside 0..%d", v0, n - 1);
+    if (scale <= 0)
+        return PyErr_Format(PyExc_ValueError, "scale = %lld is not positive", scale);
     size_t size = (size_t)1 << n, adj[MAX_VERTICES] = {0};
     /* the int64 arrays, then the plan's bytes */
     long long *buf = PyMem_Malloc((2 * size + 7 * ((size_t)n + 1)) * sizeof(long long) + size);
@@ -425,7 +414,7 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *d = suf_hi + n + 1;
     long long *cat = d + n + 1, *own = cat + n + 1;
     unsigned char *plan = (unsigned char *)(own + n + 1);
-    Search s = {.n = n, .scale = scale, .total = total, .lo = clo, .hi = chi,
+    Search s = {.n = n, .scale = scale, .lo = clo, .hi = chi,
                 .suf_lo = suf_lo, .suf_hi = suf_hi, .at = cat, .sums = sums, .d = d};
 
     if (load_int64s(base, n, own, "base") < 0
@@ -448,16 +437,21 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     if (build_tables(n, edges, scale, own, floor, adj) < 0)
         goto done;
     /* the whole set crosses no edge, so floor[size - 1] is sum(base), and
-       the balance test needs no product that could overflow */
-    make_plan(n, adj, plan,
-              scale > 0 && floor[size - 1] % scale == 0 && floor[size - 1] / scale == total);
+       the budget needs no product that could overflow */
+    if (floor[size - 1] % scale != 0) {
+        PyErr_Format(PyExc_ValueError, "base sums to %lld, not a multiple of scale = %lld",
+                     floor[size - 1], scale);
+        goto done;
+    }
+    s.total = floor[size - 1] / scale;
+    make_plan(n, adj, plan);
     if (load_plan(&s, plan, floor, v0, mode) < 0)
         goto done;
     out = PyList_New(0);
-    if (out != NULL && suf_lo[0] <= total && suf_hi[0] >= total) {
+    if (out != NULL && suf_lo[0] <= s.total && suf_hi[0] >= s.total) {
         s.out = out;
         sums[0] = 0;
-        d[0] = total; /* all of it, when there is one vertex */
+        d[0] = s.total; /* all of it, when there is one vertex */
         if ((n == 1 ? emit(&s) : place(&s, 0, 0)) < 0)
             Py_CLEAR(out);
     }

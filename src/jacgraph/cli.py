@@ -42,7 +42,7 @@ KIND_NAMES = {"ss": "semistable", "qs": "quasistable", "stable": "stable"}
 
 # integers as text: ASCII digits only, unlike int(), which also reads "1_0"
 # and non-ASCII digits; rationals follow polarization._RATIONAL
-_INTEGER = r"[+-]?[0-9]+"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class ProblemFileError(Exception):
@@ -50,7 +50,7 @@ class ProblemFileError(Exception):
 
 
 def _ascii_int(text: str) -> int:
-    if not re.fullmatch(_INTEGER, text.strip()):
+    if not _INTEGER.fullmatch(text.strip()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 

@@ -474,7 +474,6 @@ class StratumContext:
             [self._base[old] for old in order],
             self.scale,
             inv[self._v0],
-            self.budget,
             [lo[old] for old in order],
             [hi[old] for old in order],
             _MODE[kind],

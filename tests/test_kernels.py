@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import random
 import re
 import subprocess
@@ -22,7 +23,6 @@ from jacgraph._kernel import (
     select,
 )
 from jacgraph import _kernel_py
-from jacgraph._kernel_py import CHECK_LOWER, CHECK_UPPER
 
 import corpus
 import oracles
@@ -89,27 +89,20 @@ def _component(m, pairs):
     return m
 
 
-def _planned(n, pairs, bonds):
-    """The masks without the last vertex whose lower and whose upper bound
-    the plan checks.  At the budget (``bonds``): both bounds on each
-    connected subset whose remainder in its component is connected or
-    empty.  For another total: the lower bound on each connected proper
-    subset, the upper bound on those and on each subset with a connected
-    nonempty complement."""
-    full = (1 << n) - 1
-    without_last = range(1, (full >> 1) + 1)
-    connected = {m for m in without_last if _flood_connected(m, pairs)}
-    if bonds:
-        lower = {
-            m for m in connected
-            if (rest := _component(m, pairs) ^ m) == 0 or _flood_connected(rest, pairs)
-        }
-        return lower, lower
-    return connected, connected | {m for m in without_last if _flood_connected(full ^ m, pairs)}
+def _planned(n, pairs):
+    """The masks without the last vertex whose two bounds the plan checks:
+    each connected subset whose remainder in its component is connected or
+    empty."""
+    return {
+        m
+        for m in range(1, (1 << (n - 1)))
+        if _flood_connected(m, pairs)
+        and ((rest := _component(m, pairs) ^ m) == 0 or _flood_connected(rest, pairs))
+    }
 
 
-def _check_plan(n, pairs, plan, bonds):
-    """The plan checks the bounds ``_planned`` gives.  It keeps no mask
+def _check_plan(n, pairs, plan):
+    """The plan checks the masks ``_planned`` gives.  It keeps no mask
     that holds the last vertex, and besides the checked masks only their
     prefixes (a mask less its top vertex, repeated), each mask once under
     its top vertex, in increasing order."""
@@ -121,11 +114,10 @@ def _check_plan(n, pairs, plan, bonds):
         assert all(m.bit_length() - 1 == k for m in masks)
     entries = dict(e for level in plan for e in level)
     assert sum(map(len, plan)) == len(entries)
-    lower = {m for m, c in entries.items() if c & CHECK_LOWER}
-    upper = {m for m, c in entries.items() if c & CHECK_UPPER}
-    assert (lower, upper) == _planned(n, pairs, bonds)
+    checked = {m for m, c in entries.items() if c}
+    assert checked == _planned(n, pairs)
     closure = set()
-    for m in lower | upper:
+    for m in checked:
         while m:
             closure.add(m)
             m ^= 1 << (m.bit_length() - 1)
@@ -161,14 +153,12 @@ class TestSelection:
         assert len(mods) == (2 if _kernel.HAVE_SPEEDUPS else 1)
 
 
-def _kept_floor(n, tables):
-    """The floor values the pure kernel's tables keep, by mask, after
-    checking that they cover exactly the plan's masks and their
-    complements, which its search reads."""
-    floor, plan = tables
-    planned = {m for level in plan for m, _ in level}
-    assert set(floor) == planned | {((1 << n) - 1) ^ m for m in planned}
-    return floor
+def _kept_bounds(tables):
+    """The bounds the pure kernel's tables keep, by mask, after checking
+    that they cover exactly the plan's masks, which its search reads."""
+    bounds, plan = tables
+    assert set(bounds) == {m for level in plan for m, _ in level}
+    return bounds
 
 
 class TestPureKernel:
@@ -176,32 +166,27 @@ class TestPureKernel:
     without the compiled kernel."""
 
     def test_tables_match_formula(self, corpus_cases):
-        # the floor values kept over G - S equal the whole-graph formula
-        # with S flagged, and the upper bounds derived from them equal its
-        # ceiling formula.  Handed every edge of G, loops and parallel edges
-        # included, the values kept equal the formula with nothing flagged
+        # the lower and upper bounds kept over G - S equal the whole-graph
+        # floor and ceiling formulas with S flagged.  Handed every edge of
+        # G, loops and parallel edges included, the bounds kept equal the
+        # formulas with nothing flagged
         sizes = set()
         for case in corpus_cases:
             g = case.graph
-            n, full = g.num_vertices, (1 << g.num_vertices) - 1
+            n = g.num_vertices
             sizes.add(n)
             ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
-            whole = _whole_graph_args(g, case.q, case.stratum)
-            floor = _kept_floor(n, _kernel_py.build_tables(n, *_kernel_args(ctx), ctx.budget))
-            want = oracles.floor_table(n, *whole)
-            assert floor == {m: want[m] for m in floor}, case.index
-            ceil = oracles.ceil_table(n, *whole)
-            for m in floor:  # the kept masks are closed under complement
-                assert ctx.scale * ctx.budget - floor[full ^ m] == ceil[m], (case.index, m)
-            edges, flags, scaled_q, scale = whole
-            total = sum(scaled_q) // scale
-            floor = _kept_floor(n, _kernel_py.build_tables(n, edges, scaled_q, scale, total))
-            want = oracles.floor_table(n, edges, [False] * len(flags), scaled_q, scale)
-            assert floor == {m: want[m] for m in floor}, case.index
+            edges, flags, scaled_q, scale = whole = _whole_graph_args(g, case.q, case.stratum)
+            bounds = _kept_bounds(_kernel_py.build_tables(n, *_kernel_args(ctx)))
+            floor, ceil = oracles.floor_table(n, *whole), oracles.ceil_table(n, *whole)
+            assert bounds == {m: (floor[m], ceil[m]) for m in bounds}, case.index
+            bounds = _kept_bounds(_kernel_py.build_tables(n, edges, scaled_q, scale))
+            plain = (edges, [False] * len(flags), scaled_q, scale)
+            floor, ceil = oracles.floor_table(n, *plain), oracles.ceil_table(n, *plain)
+            assert bounds == {m: (floor[m], ceil[m]) for m in bounds}, case.index
         assert 1 in sizes
 
     def test_plan_matches_flood(self):
-        # at the budget and one off it, where the plan keeps more
         rng = random.Random(31)
         disconnected = 0
         for trial in range(240):
@@ -209,9 +194,8 @@ class TestPureKernel:
             g, q, basepoint, stratum = _random_problem(rng, n)
             ctx = StratumContext(g, q, basepoint, stratum)
             disconnected += not _flood_connected((1 << n) - 1, ctx._kept)
-            for total in (ctx.budget, ctx.budget + 1):
-                _, plan = _kernel_py.build_tables(n, *_kernel_args(ctx), total)
-                _check_plan(n, ctx._kept, plan, total == ctx.budget)
+            _, plan = _kernel_py.build_tables(n, *_kernel_args(ctx))
+            _check_plan(n, ctx._kept, plan)
         assert disconnected > 0  # G - S disconnected in some cases
 
     def test_enumeration_matches_brute_force(self):
@@ -228,7 +212,7 @@ class TestPureKernel:
             for kind, mode in KINDS:
                 want = oracles.brute_force_multidegrees(g, q, basepoint, stratum, kind)
                 for impl in implementations():
-                    args = (n, *_kernel_args(ctx), ctx._v0, ctx.budget)
+                    args = (n, *_kernel_args(ctx), ctx._v0)
                     got = impl.box_enumerate(*args, lo, hi, mode, range(n))
                     assert got == want, (trial, kind, impl.__name__)
                     got = impl.box_enumerate(*args, inner_lo, inner_hi, mode, range(n))
@@ -243,22 +227,18 @@ def _tight_bounds(n, scale, floor, v0, total, lo, hi, kind, pairs):
     """How many bounds the plan keeps meet the box's reach exactly: a node
     that decides d_m has d_m at least ``max(lo_m, total - hi_c)`` and at most
     ``min(hi_m, total - lo_c)``, c the complement of m, and a bound equal to
-    that reach can never cut.  The whole set crosses no edge, so its floor
-    is the sum the budget test compares with."""
+    that reach can never cut."""
     full = (1 << n) - 1
-    lower, upper = _planned(n, pairs, scale * total == floor[full])
     hits = 0
-    for m in range(1, (full >> 1) + 1):
+    for m in _planned(n, pairs):
         lo_m = sum(lo[i] for i in range(n) if m >> i & 1)
         hi_m = sum(hi[i] for i in range(n) if m >> i & 1)
         reach_lo = scale * max(lo_m, total - sum(hi) + hi_m)
         reach_hi = scale * min(hi_m, total - sum(lo) + lo_m)
         strict_low = kind == "stable" or kind == "quasistable" and m >> v0 & 1
         strict_high = kind == "stable" or kind == "quasistable" and not m >> v0 & 1
-        if m in lower:
-            hits += reach_lo == floor[m] + strict_low
-        if m in upper:
-            hits += reach_hi == scale * total - floor[full ^ m] - strict_high
+        hits += reach_lo == floor[m] + strict_low
+        hits += reach_hi == scale * total - floor[full ^ m] - strict_high
     return hits
 
 
@@ -266,9 +246,11 @@ class TestBoxSearch:
     """Both kernels against the search that checks every subset."""
 
     def test_matches_unpruned_search(self, corpus_cases):
-        # the singleton box with the degree budget, which the brute force
-        # also gives, then boxes drawn around a random point of it, whose
-        # reach meets the bounds exactly often enough to be counted
+        # the singleton box with the context's base, which the brute force
+        # also gives, then boxes drawn around a random point of it, with
+        # base[0] moved by scale times the point's distance from the budget,
+        # so that the point's total is the budget; their reach meets the
+        # bounds exactly often enough to be counted
         rng = random.Random(43)
         tight = dict.fromkeys((kind for kind, _ in KINDS), 0)
         for case in rng.sample(corpus_cases, 80):
@@ -276,35 +258,39 @@ class TestBoxSearch:
             n = g.num_vertices
             ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
             kept, base, scale = _kernel_args(ctx)
-            floor = oracles.floor_table(n, kept, [False] * len(kept), base, scale)
             lo, hi = ctx.singleton_box()
-            boxes = [(lo, hi, ctx.budget)]
+            boxes = [(lo, hi, base)]
             for _ in range(6):
                 point = [rng.randint(a, max(a, b)) for a, b in zip(lo, hi)]
                 box_lo = [x - rng.randint(0, 1) for x in point]
                 box_hi = [x + rng.randint(0, 2) for x in point]
-                boxes.append((box_lo, box_hi, sum(point)))
+                moved = [base[0] + scale * (sum(point) - ctx.budget), *base[1:]]
+                boxes.append((box_lo, box_hi, moved))
+            floors = [
+                oracles.floor_table(n, kept, [False] * len(kept), box_base, scale)
+                for _, _, box_base in boxes
+            ]
             for kind, mode in KINDS:
                 brute = oracles.brute_force_multidegrees(
                     g, case.q, case.basepoint, case.stratum, kind
                 )
-                for i, (box_lo, box_hi, total) in enumerate(boxes):
+                for i, (box_lo, box_hi, box_base) in enumerate(boxes):
                     v0 = ctx._v0 if i == 0 else rng.randrange(n)
-                    box = (v0, total, box_lo, box_hi, kind)
-                    want = oracles.box_search(n, kept, base, scale, *box)
+                    box = (v0, sum(box_base) // scale, box_lo, box_hi, kind)
+                    want = oracles.box_search(n, kept, box_base, scale, *box)
                     if i == 0:
                         assert want == brute, case.index
-                    tight[kind] += _tight_bounds(n, scale, floor, *box, kept)
+                    tight[kind] += _tight_bounds(n, scale, floors[i], *box, kept)
                     for impl in implementations():
                         got = impl.box_enumerate(
-                            n, kept, base, scale, v0, total, box_lo, box_hi, mode, range(n)
+                            n, kept, box_base, scale, v0, box_lo, box_hi, mode, range(n)
                         )
                         assert got == want, (case.index, i, kind, impl.__name__)
         assert min(tight.values()) >= 100, tight
 
     def test_budget_plan_beyond_brute_force(self):
-        # at the budget the kernels share a plan that checks only some
-        # connected subsets, so their parity is no check of it, and the
+        # the kernels share a plan that checks only some connected
+        # subsets, so their parity is no check of it, and the
         # brute force stops at 7 vertices: random problems of 8 to 10
         # vertices at the degree budget, G - S disconnected in some, in
         # every kind, against the search that checks every subset
@@ -316,14 +302,39 @@ class TestBoxSearch:
             ctx = StratumContext(g, q, basepoint, stratum)
             kept, base, scale = _kernel_args(ctx)
             disconnected += not _flood_connected((1 << n) - 1, kept)
-            box = (ctx._v0, ctx.budget, *ctx.singleton_box())
+            lo, hi = ctx.singleton_box()
             for kind, mode in KINDS:
-                want = oracles.box_search(n, kept, base, scale, *box, kind)
+                want = oracles.box_search(n, kept, base, scale, ctx._v0, ctx.budget, lo, hi, kind)
                 for impl in implementations():
-                    got = impl.box_enumerate(n, kept, base, scale, *box, mode, range(n))
+                    got = impl.box_enumerate(n, kept, base, scale, ctx._v0, lo, hi, mode, range(n))
                     assert got == want, (trial, kind, impl.__name__)
                 rows += len(want)
         assert 0 < disconnected < 24 and rows > 1000, (disconnected, rows)
+
+    def test_base_off_the_budget_rejected(self):
+        # the total is sum(base) / scale: a scale that is not positive, or
+        # a base whose sum it does not divide, is refused before any search,
+        # with a box that holds outputs and with an empty one, at one
+        # vertex (no search) and at three; the same graph with its base on
+        # the budget enumerates
+        path = [(0, 1), (1, 2)]
+        refused = (
+            (1, [], [3], 2),
+            (3, path, [1, 1, -1], 2),
+            (3, path, [2, 2, 2], 4),
+            (3, path, [1, -4, 0], 2),
+            (3, path, [2, 2, 0], 0),
+            (3, path, [2, 2, 0], -2),
+        )
+        for impl in implementations():
+            for (n, edges, base, scale), ends in product(refused, ((-5, 5), (5, 5))):
+                box = ([ends[0]] * n, [ends[1]] * n, MODE_SEMISTABLE, range(n))
+                with pytest.raises(ValueError, match="scale"):
+                    impl.box_enumerate(n, edges, base, scale, 0, *box)
+            wide = ([-5] * 3, [5] * 3)
+            got = impl.box_enumerate(3, path, [2, 2, 0], 2, 0, *wide, MODE_SEMISTABLE, range(3))
+            assert got == oracles.box_search(3, path, [2, 2, 0], 2, 0, 2, *wide, "semistable")
+            assert got, impl.__name__
 
     def test_rows_placed_by_at(self):
         # a random permutation at re-indexes the identity-order rows: the
@@ -340,7 +351,7 @@ class TestBoxSearch:
             at = rng.sample(range(n), n)
             inv = sorted(range(n), key=at.__getitem__)
             for impl, (_, mode) in product(implementations(), KINDS):
-                args = (n, *_kernel_args(ctx), ctx._v0, ctx.budget, lo, hi, mode)
+                args = (n, *_kernel_args(ctx), ctx._v0, lo, hi, mode)
                 plain = impl.box_enumerate(*args, range(n))
                 got = impl.box_enumerate(*args, at)
                 assert got == [tuple(d[k] for k in inv) for d in plain], (trial, mode)
@@ -368,14 +379,13 @@ class TestBoxSearch:
             order = rng.sample(range(n), n)
             inv = sorted(range(n), key=order.__getitem__)
             for impl, (_, mode) in product(implementations(), KINDS):
-                plain = impl.box_enumerate(n, kept, base, scale, v0, ctx.budget, lo, hi, mode, at)
+                plain = impl.box_enumerate(n, kept, base, scale, v0, lo, hi, mode, at)
                 got = impl.box_enumerate(
                     n,
                     [(inv[a], inv[b]) for a, b in kept],
                     [base[v] for v in order],
                     scale,
                     inv[v0],
-                    ctx.budget,
                     [lo[v] for v in order],
                     [hi[v] for v in order],
                     mode,
@@ -425,23 +435,23 @@ def _kept_per_level(n, scale, tables, v0, total, lo, hi, mode):
     of its lower and of its upper bounds can cut, and how many of its masks
     the plan keeps as prefixes only.  A bound cuts when it is tighter than
     the box's reach, as in ``_tight_bounds``."""
-    floor, plan = tables
-    full = (1 << n) - 1
+    bounds, plan = tables
     out = []
     for k in range(n - 1):
         lower = upper = prefixes = 0
-        for m, checks in plan[k]:
+        for m, checked in plan[k]:
+            if not checked:
+                prefixes += 1
+                continue
             lo_m = sum(lo[i] for i in range(n) if m >> i & 1)
             hi_m = sum(hi[i] for i in range(n) if m >> i & 1)
             reach_lo = scale * max(lo_m, total - sum(hi) + hi_m)
             reach_hi = scale * min(hi_m, total - sum(lo) + lo_m)
             strict_low = mode == MODE_STABLE or mode == MODE_QUASISTABLE and m >> v0 & 1
             strict_high = mode == MODE_STABLE or mode == MODE_QUASISTABLE and not m >> v0 & 1
-            if checks & CHECK_LOWER:
-                lower += floor[m] + strict_low > reach_lo
-            if checks & CHECK_UPPER:
-                upper += scale * total - floor[full ^ m] - strict_high < reach_hi
-            prefixes += not checks
+            low, high = bounds[m]
+            lower += low + strict_low > reach_lo
+            upper += high - strict_high < reach_hi
         out.append((lower, upper, prefixes))
     return out
 
@@ -454,21 +464,21 @@ def _interval_edges(n, scale, tables, v0, total, lo, hi, mode, seen):
     but not all of the values that meet the lower ones, and where one value
     passes.  Asserts that the values meeting the lower bounds are a top part
     of the range and those meeting the upper bounds a bottom part."""
-    floor, plan = tables
-    full = (1 << n) - 1
+    bounds, plan = tables
     d = [0] * n
 
-    def holds(k, check):
-        for m, checks in plan[k]:
-            if checks & check:
+    def holds(k, upper):
+        for m, checked in plan[k]:
+            if checked:
                 s = scale * sum(d[i] for i in range(k + 1) if m >> i & 1)
-                if check == CHECK_LOWER:
-                    strict = mode == MODE_STABLE or mode == MODE_QUASISTABLE and m >> v0 & 1
-                    if s < floor[m] + strict:
+                low, high = bounds[m]
+                if upper:
+                    strict = mode == MODE_STABLE or mode == MODE_QUASISTABLE and not m >> v0 & 1
+                    if s > high - strict:
                         return False
                 else:
-                    strict = mode == MODE_STABLE or mode == MODE_QUASISTABLE and not m >> v0 & 1
-                    if s > scale * total - floor[full ^ m] - strict:
+                    strict = mode == MODE_STABLE or mode == MODE_QUASISTABLE and m >> v0 & 1
+                    if s < low + strict:
                         return False
         return True
 
@@ -478,8 +488,8 @@ def _interval_edges(n, scale, tables, v0, total, lo, hi, mode, seen):
         lower, upper = [], []
         for x in range(first, last + 1):
             d[k] = x
-            lower.append(holds(k, CHECK_LOWER))
-            upper.append(holds(k, CHECK_UPPER))
+            lower.append(holds(k, False))
+            upper.append(holds(k, True))
         assert lower == sorted(lower) and upper == sorted(upper, reverse=True)
         values = [x for x, a, b in zip(range(first, last + 1), lower, upper) if a and b]
         after_lower = sum(lower)
@@ -502,16 +512,15 @@ class TestPackedSearch:
     with nothing to check; each against the search that checks every
     subset.  They run with or without the compiled kernel."""
 
-    def _agrees(self, n, edges, base, scale, v0, total, lo, hi):
+    def _agrees(self, n, edges, base, scale, v0, lo, hi):
         """The pure kernel's outputs, in order, for every kind equal the
-        unplanned search's; returns how many there were."""
-        count = 0
+        unplanned search's at the total ``sum(base) / scale``; returns how
+        many there were."""
+        count, total = 0, sum(base) // scale
         for kind, mode in KINDS:
             want = oracles.box_search(n, edges, base, scale, v0, total, lo, hi, kind)
-            got = _kernel_py.box_enumerate(
-                n, edges, base, scale, v0, total, lo, hi, mode, range(n)
-            )
-            assert got == want, (n, edges, base, scale, v0, total, lo, hi, kind)
+            got = _kernel_py.box_enumerate(n, edges, base, scale, v0, lo, hi, mode, range(n))
+            assert got == want, (n, edges, base, scale, v0, lo, hi, kind)
             count += len(got)
         return count
 
@@ -529,9 +538,7 @@ class TestPackedSearch:
             args = _kernel_args(ctx)
             for v0, (kind, mode) in product(range(n), KINDS):
                 want = oracles.box_search(n, *args, v0, ctx.budget, lo, hi, kind)
-                got = _kernel_py.box_enumerate(
-                    n, *args, v0, ctx.budget, lo, hi, mode, range(n)
-                )
+                got = _kernel_py.box_enumerate(n, *args, v0, lo, hi, mode, range(n))
                 assert got == want, (case.index, v0, kind)
                 swept += 1
         assert swept > 2000
@@ -548,16 +555,16 @@ class TestPackedSearch:
                 center = [(-1) ** i * (big + rng.randrange(1000)) for i in range(n)]
                 base = [scale * x + rng.randint(-scale, scale) for x in center]
                 base[-1] -= sum(base) % scale
-                total = sum(base) // scale
                 lo = [x - rng.randint(1, 2) for x in center]
                 hi = [x + rng.randint(1, 2) for x in center]
                 assert max(map(abs, base)) >= FAST_BOUND
-                outputs += self._agrees(n, edges, base, scale, rng.randrange(n), total, lo, hi)
+                outputs += self._agrees(n, edges, base, scale, rng.randrange(n), lo, hi)
         assert outputs > 500, outputs
 
     def test_sums_cancel_over_the_whole_set(self):
         # entries of opposite signs: the total and the sum of the box over
-        # all vertices are about 0, the partial sums are not
+        # all vertices are about 0, the partial sums are not; base[-1]
+        # moved by 0 or +-scale moves the total off the box's centre
         rng = random.Random(59)
         outputs = 0
         for trial in range(60):
@@ -572,8 +579,8 @@ class TestPackedSearch:
             base[-1] -= sum(base) % scale
             lo = [x - rng.randint(0, 2) for x in center]
             hi = [x + rng.randint(0, 2) for x in center]
-            total = sum(base) // scale + rng.choice((0, 0, 1, -1))
-            outputs += self._agrees(n, edges, base, scale, rng.randrange(n), total, lo, hi)
+            base[-1] += scale * rng.choice((0, 0, 1, -1))
+            outputs += self._agrees(n, edges, base, scale, rng.randrange(n), lo, hi)
         assert outputs > 500, outputs
 
     def test_bounds_beyond_the_box_at_byte_edges(self):
@@ -595,21 +602,20 @@ class TestPackedSearch:
             for b0 in (-sign * scale * k, scale * center[0]):
                 base = [b0] + [scale * x for x in center[1:]]
                 base[-1] += scale * total - sum(base)
-                outputs += self._agrees(n, edges, base, scale, 0, total, lo, hi)
+                outputs += self._agrees(n, edges, base, scale, 0, lo, hi)
         assert outputs > 100, outputs
 
     def test_one_and_two_vertices(self):
         outputs = 0
         for total, lo, hi in ((0, [0], [0]), (3, [-2], [5]), (-1, [0], [4]), (9, [0], [8])):
             for scale in (2, 6):
-                outputs += self._agrees(1, [(0, 0)], [scale * total], scale, 0, total, lo, hi)
+                outputs += self._agrees(1, [(0, 0)], [scale * total], scale, 0, lo, hi)
         for edges, scale, base in product(
             ([], [(0, 1)], [(0, 1)] * 3 + [(1, 1)]), (2, 4), ([2, 2], [3, 1], [-9, 13])
         ):
-            total = sum(base) // scale
             for lo, hi in (([-4, -4], [6, 6]), ([1, -3], [1, 8]), ([0, 0], [-1, 9])):
                 for v0 in (0, 1):
-                    outputs += self._agrees(2, edges, base, scale, v0, total, lo, hi)
+                    outputs += self._agrees(2, edges, base, scale, v0, lo, hi)
         assert outputs > 100, outputs
 
     def test_levels_without_checks(self):
@@ -625,7 +631,7 @@ class TestPackedSearch:
             g, q, basepoint, stratum = _random_problem(rng, n)
             ctx = StratumContext(g, q, basepoint, stratum)
             kept, base, scale = _kernel_args(ctx)
-            tables = _kernel_py.build_tables(n, kept, base, scale, ctx.budget)
+            tables = _kernel_py.build_tables(n, kept, base, scale)
             lo, hi = ctx.singleton_box()
             if any(a > b for a, b in zip(lo, hi)):
                 continue
@@ -644,7 +650,7 @@ class TestPackedSearch:
                         seen["lower only"] += 1
                     elif not low:
                         seen["upper only"] += 1
-            self._agrees(n, kept, base, scale, ctx._v0, total, lo, hi)
+            self._agrees(n, kept, base, scale, ctx._v0, lo, hi)
         assert min(seen.values()) >= 20, seen
 
     def test_interval_scan_edges(self):
@@ -659,7 +665,7 @@ class TestPackedSearch:
             g, q, basepoint, stratum = _random_problem(rng, n)
             ctx = StratumContext(g, q, basepoint, stratum)
             kept, base, scale = _kernel_args(ctx)
-            tables = _kernel_py.build_tables(n, kept, base, scale, ctx.budget)
+            tables = _kernel_py.build_tables(n, kept, base, scale)
             lo, hi = ctx.singleton_box()
             if any(a > b for a, b in zip(lo, hi)):
                 continue
@@ -672,7 +678,7 @@ class TestPackedSearch:
             for box_lo, box_hi in ((lo, hi), narrow):
                 for _, mode in KINDS:
                     _interval_edges(n, scale, tables, v0, ctx.budget, box_lo, box_hi, mode, seen)
-                self._agrees(n, kept, base, scale, v0, ctx.budget, box_lo, box_hi)
+                self._agrees(n, kept, base, scale, v0, box_lo, box_hi)
         assert min(seen.values()) >= 20, seen
 
 
@@ -706,7 +712,7 @@ class TestTileOracle:
             want = oracles.tile_points(g, q, basepoint, stratum)
             ctx = StratumContext(g, q, basepoint, stratum)
             lo, hi = ctx.singleton_box()
-            args = (n, *_kernel_args(ctx), ctx._v0, ctx.budget, lo, hi, MODE_QUASISTABLE, range(n))
+            args = (n, *_kernel_args(ctx), ctx._v0, lo, hi, MODE_QUASISTABLE, range(n))
             for impl in implementations():
                 assert sorted(impl.box_enumerate(*args)) == want, (g, stratum, impl.__name__)
             empty += not want
@@ -716,6 +722,17 @@ class TestTileOracle:
 
 @needs_speedups
 class TestParity:
+    def test_one_signature(self):
+        # the compiled kernel's docstring opens with its parameter list,
+        # which names the pure kernel's parameters in the same order, so the
+        # two entry points cannot drift apart
+        compiled = implementations()[0]
+        first = compiled.box_enumerate.__doc__.splitlines()[0]
+        head = re.fullmatch(r"box_enumerate\((.*)\) -> list of tuples", first)
+        assert head, first
+        names = [name.strip() for name in head.group(1).split(",")]
+        assert names == list(inspect.signature(_kernel_py.box_enumerate).parameters)
+
     def test_enumeration_agrees(self, corpus_cases):
         compiled = implementations()[0]
         for case in corpus_cases:
@@ -725,7 +742,7 @@ class TestParity:
             lo, hi = ctx.singleton_box()
             args = (n, *_kernel_args(ctx))
             for v0, (_, mode) in product(range(n), KINDS):
-                rest = (v0, ctx.budget, lo, hi, mode, range(n))
+                rest = (v0, lo, hi, mode, range(n))
                 got_pure = _kernel_py.box_enumerate(*args, *rest)
                 assert compiled.box_enumerate(*args, *rest) == got_pure
 
@@ -753,7 +770,7 @@ class TestParity:
                 lo, hi = ctx.singleton_box()
                 at = rng.sample(range(n), n)
                 for _, mode in KINDS:
-                    args = (n, *_kernel_args(ctx), ctx._v0, ctx.budget, lo, hi, mode, at)
+                    args = (n, *_kernel_args(ctx), ctx._v0, lo, hi, mode, at)
                     want = _kernel_py.box_enumerate(*args)
                     assert compiled.box_enumerate(*args) == want, (n, basepoint, mode)
                     rows += len(want)
@@ -767,7 +784,7 @@ class TestCompiledChecks:
 
     def test_values_beyond_64_bits_raise(self):
         compiled = implementations()[0]
-        box = (0, 1, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
+        box = (0, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
         for big in (1 << 63, -(1 << 63) - 1, 1 << 70):
             with pytest.raises(OverflowError):
                 compiled.box_enumerate(2, [(0, 1)], [big, 0], 2, *box)
@@ -779,33 +796,33 @@ class TestCompiledChecks:
         # 0..n - 1 and a base of the wrong length
         compiled = implementations()[0]
         box = ([0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
-        assert compiled.box_enumerate(2, [(0, 1)], [1, 1], 2, 0, 1, *box) == [(0, 1), (1, 0)]
+        assert compiled.box_enumerate(2, [(0, 1)], [1, 1], 2, 0, *box) == [(0, 1), (1, 0)]
         for bad_edge in ((0, 2), (-1, 0)):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(2, [bad_edge], [1, 1], 2, 0, 1, *box)
+                compiled.box_enumerate(2, [bad_edge], [1, 1], 2, 0, *box)
         for bad_n in (0, 25):
             with pytest.raises(ValueError):
                 compiled.box_enumerate(
-                    bad_n, [], [0] * bad_n, 2, 0, 0,
+                    bad_n, [], [0] * bad_n, 2, 0,
                     [0] * bad_n, [0] * bad_n, MODE_SEMISTABLE, range(bad_n),
                 )
         for bad_v0 in (2, -1):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(2, [(0, 1)], [1, 1], 2, bad_v0, 1, *box)
+                compiled.box_enumerate(2, [(0, 1)], [1, 1], 2, bad_v0, *box)
         for bad_base in ([1], [1, 1, 0]):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(2, [(0, 1)], bad_base, 2, 0, 1, *box)
+                compiled.box_enumerate(2, [(0, 1)], bad_base, 2, 0, *box)
 
     def test_at_not_a_permutation_raises(self):
         # a repeated position, one past the end, a negative one, and too
         # few or too many; one vertex, whose search never reads ``at``
         # beyond its check, included
         compiled = implementations()[0]
-        graph = (3, [(0, 1), (1, 2)], [1, 1, 0], 2, 0, 1, [0] * 3, [1] * 3, MODE_SEMISTABLE)
+        graph = (3, [(0, 1), (1, 2)], [1, 1, 0], 2, 0, [0] * 3, [1] * 3, MODE_SEMISTABLE)
         for bad_at in ([0, 1, 1], [0, 1, 3], [-1, 0, 1], [0, 1], [0, 1, 2, 3]):
             with pytest.raises(ValueError):
                 compiled.box_enumerate(*graph, bad_at)
-        one = (1, [], [4], 2, 0, 2, [0], [5], MODE_SEMISTABLE)
+        one = (1, [], [4], 2, 0, [0], [5], MODE_SEMISTABLE)
         for bad_at in ([1], [-1], []):
             with pytest.raises(ValueError):
                 compiled.box_enumerate(*one, bad_at)
