@@ -7,19 +7,21 @@ implementation, and the pure kernel's table step (``build_tables``) alone
 in a ``pure tables`` row.  The ``enum``
 rows time what the library runs for the quasistable and semistable sets
 (``StratumContext._value_tuples``: its level order, the kernel it picks,
-labelled, and the sort).  Four more library calls run with one
+labelled, and the sort).  Five more library calls run with one
 implementation and no kernel involved: the minimum-cut defect scan, the
 spanning-tree lister of the strata walk (``strata._spanning_trees``, its
 ``trees`` row giving the count, which equals the quasistable count), the
 tile points of those trees (``strata._tile_point``, its ``tiles`` row; the
-script checks that they are the quasistable set), and the degree class
-group (``picard_group``) of the graph, which it takes on the cycle side,
-and of the graph with every edge doubled, which it takes on the Laplacian
-side.  For each size it also prints how many of the 2^n vertex subsets the
-box search's plan checks and how many more it keeps only as prefixes,
-counted on the pure kernel's plan (the compiled kernel keeps the same plan,
-one byte per mask).  Above the kernels' 20-vertex limit only the degree
-class group rows are printed.
+script checks that they are the quasistable set), the degree class group
+(``picard_group``) of the graph, which it takes on the cycle side, and of
+the graph with every edge doubled, which it takes on the Laplacian side,
+and the spanning-tree count of the graph (``complexity``, the group's
+order), in the ``complexity`` row.  For each size it also prints how many
+of the 2^n vertex subsets the box search's plan checks and how many more it
+keeps only as prefixes, counted on the pure kernel's plan (the compiled
+kernel keeps the same plan, one byte per mask).  Above the kernels'
+20-vertex limit only the degree class group and complexity rows are
+printed.
 
     python benchmarks/bench_kernel.py
     python benchmarks/bench_kernel.py --sizes 12,14,16 --repeat 5
@@ -32,7 +34,7 @@ import argparse
 import time
 from fractions import Fraction
 
-from jacgraph import Multigraph, Polarization, StratumContext, picard_group
+from jacgraph import Multigraph, Polarization, StratumContext, complexity, picard_group
 from jacgraph import _kernel_py
 from jacgraph._kernel import (
     MODE_QUASISTABLE,
@@ -96,9 +98,13 @@ def main(argv=None) -> int:
     for n in sizes:
         g = chorded_cycle(n)
         doubled = Multigraph(g.vertices, [(e.u, e.v) for e in g.edges] * 2)
-        for label, graph in (("picard", g), ("picard x2", doubled)):
-            t_pic, _ = best_of(args.repeat, picard_group, graph)
-            print(f"{n:>3} {label:<12}{t_pic * 1e3:>10.2f}ms")
+        for label, fn, graph in (
+            ("picard", picard_group, g),
+            ("complexity", complexity, g),
+            ("picard x2", picard_group, doubled),
+        ):
+            t_call, _ = best_of(args.repeat, fn, graph)
+            print(f"{n:>3} {label:<12}{t_call * 1e3:>10.2f}ms")
         if n > SUBSET_SCAN_LIMIT:
             print(f"    (no kernel rows above {SUBSET_SCAN_LIMIT} vertices)")
             continue

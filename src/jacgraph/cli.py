@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DisconnectedGraphError, JacGraphError
+from .errors import DisconnectedGraphError, EmptyGraphError, JacGraphError
 from .graph import Edge, Multigraph
 from .lattice import Cochain, complexity, laplacian_apply, picard_group
 from .polarization import Polarization, _text_fraction
@@ -181,13 +181,16 @@ def _require_polarization(problem: Problem) -> Polarization:
     return problem.polarization
 
 
-def _context(problem: Problem) -> StratumContext:
-    return StratumContext(
-        problem.graph,
-        _require_polarization(problem),
-        problem.basepoint,
-        problem.stratum,
-    )
+def _basepoint(problem: Problem, command: str) -> str:
+    """The problem's basepoint, which only a graph without vertices lacks."""
+    if problem.basepoint is None:
+        raise EmptyGraphError(f"{command} needs at least one vertex")
+    return problem.basepoint
+
+
+def _context(problem: Problem, command: str) -> StratumContext:
+    q = _require_polarization(problem)
+    return StratumContext(problem.graph, q, _basepoint(problem, command), problem.stratum)
 
 
 def _edge_guard() -> int:
@@ -230,7 +233,7 @@ def cmd_complexity(problem: Problem, args) -> dict:
 
 def cmd_enum(problem: Problem, args) -> dict:
     kind = KIND_NAMES[args.kind]
-    ctx = _context(problem)
+    ctx = _context(problem, "enum")
     found = _IntRows(ctx._value_tuples(kind))
     if args.verbose:
         print(
@@ -247,7 +250,7 @@ def cmd_enum(problem: Problem, args) -> dict:
 
 
 def cmd_reduce(problem: Problem, args) -> dict:
-    ctx = _context(problem)
+    ctx = _context(problem, "reduce")
     g = problem.graph
     parts = [p.strip() for p in args.multidegree.split(",")]
     if len(parts) != g.num_vertices:
@@ -310,12 +313,13 @@ def cmd_strata(problem: Problem, args) -> dict:
     q = _require_polarization(problem)
     if args.max_codim is not None and args.max_codim < 0:
         raise ProblemFileError(f"--max-codim must be nonnegative, got {args.max_codim}")
+    guard = _edge_guard()
     rows, complete, total, subdivided = strata_rows(
         problem.graph,
-        problem.basepoint,
+        _basepoint(problem, "strata"),
         q,
         max_codim=args.max_codim,
-        guard_edges=_edge_guard(),
+        guard_edges=guard,
     )
     if args.verbose:
         print(
@@ -346,12 +350,12 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
     from .strata import blowup_rows
 
     q = _require_polarization(problem)
-    g = problem.graph
+    g, guard = problem.graph, _edge_guard()
     sub, rows, total, expected_total = blowup_rows(
         g,
-        problem.basepoint,
+        _basepoint(problem, "blowup-check"),
         q,
-        guard_edges=_edge_guard(),
+        guard_edges=guard,
     )
     if args.verbose:
         ok = total == expected_total and all(len(t) == count for _, t, count in rows)

@@ -38,6 +38,34 @@ def _adjacency_masks(n: int, pairs) -> list[int]:
     return adj
 
 
+def _bfs_forest(n: int, pairs, roots, within: int = -1):
+    """``(parent, up, depth, queue)`` of the breadth-first forest on the
+    vertices 0..n-1 over the endpoint index pairs whose bit is set in
+    ``within`` (all of them by default): a tree grows from each of
+    ``roots`` not yet reached, neighbours walked in pair order.  A root is
+    its own parent and an unreached vertex has parent -1; ``up[v]`` is the
+    index of the pair from v to its parent (-1 at a root), ``depth[v]`` the
+    distance from its root, and ``queue`` the reached vertices in the order
+    met, tree after tree."""
+    adj = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(pairs):
+        if within >> k & 1:
+            adj[a].append((b, k))
+            adj[b].append((a, k))
+    parent, up, depth, queue = [-1] * n, [-1] * n, [0] * n, []
+    for root in roots:
+        if parent[root] < 0:
+            parent[root] = root
+            tree = [root]
+            for v in tree:
+                for w, k in adj[v]:
+                    if parent[w] < 0:
+                        parent[w], up[w], depth[w] = v, k, depth[v] + 1
+                        tree.append(w)
+            queue += tree
+    return parent, up, depth, queue
+
+
 def _mask_pieces(mask: int, adj: list[int]):
     """Connected pieces of the vertex bitmask ``mask`` under the neighbour
     masks ``adj``, as bitmasks, ordered by their lowest vertex."""

@@ -1,8 +1,8 @@
 """Integer cochains, the graph Laplacian and the degree class group.
 
 Everything here is exact integer arithmetic: the Laplacian image lattice,
-its invariant factors, and the spanning-tree count via a fraction-free
-determinant.  No floats anywhere.
+its invariant factors, and the spanning-tree count as the order of the
+group they present.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (
     GraphMismatchError,
     GraphConstructionError,
 )
-from .graph import Multigraph, Vertex, _VertexValues
+from .graph import Multigraph, Vertex, _VertexValues, _bfs_forest
 
 
 def _integer(x) -> int:
@@ -358,18 +358,15 @@ class PicardGroup(NamedTuple):
 
 
 def complexity(g: Multigraph) -> int:
-    """Number of spanning trees, computed from a reduced Laplacian
-    determinant.  A single vertex has one spanning tree; a disconnected
-    graph has none."""
+    """Number of spanning trees: the order of the degree class group
+    (``picard_group``) on a connected graph, 0 on a disconnected one.  A
+    single vertex has one spanning tree."""
     if g.num_vertices == 0:
         raise EmptyGraphError("complexity of the empty graph is undefined")
-    return _tree_count(g.num_vertices, g._pairs)
-
-
-def _tree_count(n: int, pairs) -> int:
-    """``complexity`` of the multigraph on vertices 0..n-1 with the given
-    endpoint index pairs."""
-    return abs(_bareiss(_reduced_laplacian(n, pairs)))
+    try:
+        return picard_group(g).order
+    except DisconnectedGraphError:
+        return 0
 
 
 def _reduced_laplacian(n: int, pairs, drop: int = 0, rhs=()) -> list[list[int]]:
@@ -397,42 +394,20 @@ def picard_group(g: Multigraph) -> PicardGroup:
     if n == 0:
         raise EmptyGraphError("degree class group of the empty graph is undefined")
     pairs = [(a, b) for a, b in g._pairs if a != b]
-    tree = _spanning_tree(n, pairs)
-    if tree is None:
+    parent, up, depth, queue = _bfs_forest(n, pairs, (0,))
+    if len(queue) < n:
         raise DisconnectedGraphError("degree class group is infinite: graph is disconnected")
     # loops are cycles of norm 1 and drop out: b1 counts the other cotree edges
-    b1 = len(tree[2])
+    tree = set(up)
+    cotree = [p for k, p in enumerate(pairs) if k not in tree]
+    b1 = len(cotree)
     if 2 * b1 <= n - 1:
-        factors = _smith(_cycle_gram(*tree[:3]), b1)
+        factors = _smith(_cycle_gram(parent, depth, cotree), b1)
     else:
         factors = _smith(_laplacian_rows(n, pairs), n - 1)
     return PicardGroup(
         invariant_factors=tuple(x for x in factors if x > 1), order=prod(x for x in factors if x)
     )
-
-
-def _spanning_tree(n: int, pairs):
-    """``(parent, depth, cotree, queue, mask)`` of a breadth-first spanning
-    tree from vertex 0 of the multigraph on 0..n-1 with the given endpoint
-    index pairs, neighbours walked in pair order: the parent and depth of
-    each vertex (the root is its own parent), the pairs left out of the tree
-    (loops too), the vertices in the order met and the tree as a bitmask
-    over the pair indices; None when disconnected."""
-    adj = [[] for _ in range(n)]
-    for k, (a, b) in enumerate(pairs):
-        adj[a].append((b, k))
-        adj[b].append((a, k))
-    parent, depth, cotree = [0] + [-1] * (n - 1), [0] * n, list(pairs)
-    queue, mask = [0], 0
-    for v in queue:
-        for w, k in adj[v]:
-            if parent[w] < 0:
-                parent[w], depth[w], cotree[k] = v, depth[v] + 1, None
-                queue.append(w)
-                mask |= 1 << k
-    if len(queue) < n:
-        return None
-    return parent, depth, [p for p in cotree if p], queue, mask
 
 
 def _laplacian_rows(n: int, pairs) -> list[dict]:
@@ -451,12 +426,13 @@ def _laplacian_rows(n: int, pairs) -> list[dict]:
 
 def _cycle_gram(parent, depth, cotree) -> list[dict]:
     """Gram matrix I + C^T C of the fundamental cycles of the cotree pairs
-    of ``_spanning_tree``, as sparse rows.  C[t][f] is +1 or -1 when the tree
-    edge t lies on the cycle of f, signed by its direction (tree edges point
-    away from the root, f from its first end to its second).  Each cycle
-    walks from both ends of f up to their common ancestor, and each tree
-    edge then pairs only the cycles through it.  Two cycles share one tree
-    path, which each runs through in one direction, so no entry cancels."""
+    of a breadth-first spanning tree (``graph._bfs_forest``), as sparse
+    rows.  C[t][f] is +1 or -1 when the tree edge t lies on the cycle of f,
+    signed by its direction (tree edges point away from the root, f from
+    its first end to its second).  Each cycle walks from both ends of f up
+    to their common ancestor, and each tree edge then pairs only the cycles
+    through it.  Two cycles share one tree path, which each runs through in
+    one direction, so no entry cancels."""
     through = [[] for _ in parent]
     for f, (a, b) in enumerate(cotree):
         while a != b:

@@ -41,8 +41,8 @@ from .errors import (
     GraphMismatchError,
     ReductionGuardError,
 )
-from .graph import Multigraph, Vertex, _adjacency_masks, _mask_pieces
-from .lattice import Cochain, _reduced_laplacian, _solve, _spanning_tree
+from .graph import Multigraph, Vertex, _bfs_forest
+from .lattice import Cochain, _reduced_laplacian, _solve
 from .polarization import Polarization
 
 KINDS = ("semistable", "quasistable", "stable")
@@ -86,7 +86,7 @@ class StratumContext:
 
     The context keeps the integer data of the partial normalization
     (G - S, q_S): the non-loop edges ``_kept`` of G - S as endpoint index
-    pairs, their neighbour masks ``_adj``, ``_base == scale * q_S`` with
+    pairs, ``_base == scale * q_S`` with
     ``scale`` even and clearing the denominators, the basepoint index
     ``_v0`` and the degree budget.
 
@@ -130,7 +130,6 @@ class StratumContext:
                 base[b] -= half
         self._kept, self._base, self._v0 = kept, base, graph._vpos[basepoint]
         self.budget = sum(base) // self.scale
-        self._adj = _adjacency_masks(len(base), kept)
         self._net = None
         self._deleted = None
 
@@ -351,7 +350,7 @@ class StratumContext:
         self._require_budget(d)
         n = self.graph.num_vertices
         full = (1 << n) - 1
-        if next(_mask_pieces(full, self._adj)) != full:
+        if len(_bfs_forest(n, self._kept, (self._v0,))[3]) < n:
             raise DisconnectedGraphError(
                 "reduction needs the stratum-deleted graph to be connected"
             )
@@ -433,14 +432,16 @@ class StratumContext:
 
         The box search takes the breadth-first layers from vertex n - 1,
         farthest first and each by index, after those of the other
-        components, each taken likewise from its highest vertex.  The last
-        vertex, whose value the total fixes, is then n - 1, the least
-        significant sort key: along the innermost level only it and a lower
-        vertex change, the lower one rising, so the rows, which the kernel
-        writes in vertex order, come in sorted runs for the one sort.  In
-        each component, a piece that a connected W cuts off from the
-        highest vertex lies in farther layers than W's top vertex, so the
-        kernel decides the bounds that imply W's at W's own level (see
+        components, each taken likewise from its highest vertex: the forest
+        that ``graph._bfs_forest`` grows from the roots n - 1, ..., 0,
+        sorted by tree (the one met last first), depth (descending) and
+        index.  The last vertex, whose value the total fixes, is then n - 1,
+        the least significant sort key: along the innermost level only it
+        and a lower vertex change, the lower one rising, so the rows, which
+        the kernel writes in vertex order, come in sorted runs for the one
+        sort.  In each component, a piece that a connected W cuts off from
+        the highest vertex lies in farther layers than W's top vertex, so
+        the kernel decides the bounds that imply W's at W's own level (see
         ``_kernel_py.box_enumerate``)."""
         if kind not in _MODE:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -449,19 +450,12 @@ class StratumContext:
         if any(a > b for a, b in zip(lo, hi)):
             return []
         n = len(self._base)
-        order, seen = [], 0
-        for root in range(n - 1, -1, -1):
-            if seen >> root & 1:
-                continue
-            level, seen = [root], seen | 1 << root
-            while level:
-                order[:0] = level
-                reached = 0
-                for i in level:
-                    reached |= self._adj[i]
-                reached &= ~seen
-                seen |= reached
-                level = [j for j in range(n) if reached >> j & 1]
+        parent, _, depth, queue = _bfs_forest(n, self._kept, range(n - 1, -1, -1))
+        tree, met = 0, [0] * n  # minus the count of trees grown up to v's
+        for v in queue:
+            tree -= parent[v] == v
+            met[v] = tree
+        order = sorted(range(n), key=lambda v: (met[v], -depth[v], v))
         bound = (
             self._rhs_bound()
             + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)
@@ -490,10 +484,14 @@ def semistable_equality_witness(g: Multigraph, q: Polarization):
 
     Returns ``(subset, multidegree)`` or None when q is general.  When q
     is degenerate (not non-degenerate) the subset is moreover not a spine.
-    The multidegree is assembled from quasistable pieces on the subset
-    (with its restricted polarization) and on the complement (with the
-    polarization pushed up by half the crossing valence): on each side the
-    point of the tile of its breadth-first spanning tree.
+    The multidegree is one tile point of G (``strata._tile_point``).  Its
+    tree is the first edge f = (a, b) crossing from the complement into the
+    subset Z, moved to the last index, plus breadth-first trees of the two
+    sides grown from a and b over the edges that do not cross; it is
+    rooted at a.  So f tops the fundamental cycle of every other crossing
+    edge, each of which takes half a unit from Z, and the point has
+    ``d_Z = ceil(q_Z - val(Z)/2)``, which is Z's floor as Z is integral
+    (rooted at b the same tree gives the floor plus one).
     """
     from .strata import _tile_point
 
@@ -509,15 +507,13 @@ def semistable_equality_witness(g: Multigraph, q: Polarization):
     Y, y_is_spine = hit
     comps = g.induced_subgraph(g.complement(Y)).components()
     Z = next((c for c in comps if not (y_is_spine or g.is_spine(c))), comps[0])
-    Zc = g.complement(Z)
 
-    def piece(side: Multigraph, pol: Polarization) -> dict:
-        ctx, pairs = StratumContext(side, pol, side.vertices[0]), side._pairs
-        point, _ = _tile_point(ctx, pairs, _spanning_tree(side.num_vertices, pairs)[4])
-        return dict(zip(side.vertices, point))
-
-    sub = g.induced_subgraph(Z)
-    rest = g.induced_subgraph(Zc)
-    lifted = {v: q[v] + Fraction(g.valence({v}, Z), 2) for v in rest.vertices}
-    vals = piece(sub, q.restrict(Z)) | piece(rest, Polarization(rest, lifted))
-    return Z, Cochain(g, vals)
+    z = g._mask(Z)
+    f = next(k for k, (x, y) in enumerate(g._pairs) if (z >> x ^ z >> y) & 1)
+    a, b = g._pairs[f] if z >> g._pairs[f][1] & 1 else g._pairs[f][::-1]
+    pairs = [*g._pairs[:f], *g._pairs[f + 1 :], (a, b)]
+    within = sum(1 << k for k, (x, y) in enumerate(pairs) if not (z >> x ^ z >> y) & 1)
+    up = _bfs_forest(g.num_vertices, pairs, (a, b), within)[1]
+    tree = sum(1 << k for k in up if k >= 0) | 1 << (len(pairs) - 1)
+    point, _ = _tile_point(StratumContext(g, q, g.vertices[a]), pairs, tree)
+    return Z, Cochain._of(g, point)

@@ -32,8 +32,8 @@ from typing import Iterable, NamedTuple
 
 from ._kernel import SUBSET_SCAN_LIMIT
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
-from .graph import Multigraph, Vertex
-from .lattice import Cochain, _spanning_tree
+from .graph import Multigraph, Vertex, _bfs_forest
+from .lattice import Cochain
 from .polarization import Polarization
 from .quasistable import StratumContext
 
@@ -58,7 +58,7 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
     """The spanning trees of the multigraph on the vertices 0..n-1 (n > 0)
     with the given endpoint index pairs, as bitmasks over the pair indices;
     loops never enter, and a disconnected graph has none.  The breadth-first
-    order below is that of ``_spanning_tree``.
+    order below is that of ``graph._bfs_forest`` from vertex 0.
 
     One frontier pass: the non-loop edges are taken in breadth-first order
     and the partial forests are grouped by the partition they make of the
@@ -67,11 +67,11 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
     keeps the partition; a block that loses its last frontier vertex can
     never be joined again, so its forests go unless it is the only block.
     """
-    tree = _spanning_tree(n, pairs)
-    if tree is None:
+    queue = _bfs_forest(n, pairs, (0,))[3]
+    if len(queue) < n:
         return []
     pos = [0] * n
-    for rank, v in enumerate(tree[3]):
+    for rank, v in enumerate(queue):
         pos[v] = rank
     ranked = (sorted((pos[a], pos[b]), reverse=True) + [1 << k] for k, (a, b) in enumerate(pairs))
     steps = sorted(r for r in ranked if r[0] != r[1])  # [later rank, earlier rank, edge bit]
@@ -117,12 +117,15 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
 def _tile_point(ctx: StratumContext, pairs, tree: int) -> tuple[tuple, list]:
     """The quasistable multidegree of ``ctx`` in the tile of one spanning
     tree of G - S, and the tree's w_B.  ``pairs`` are the endpoint index
-    pairs of G - S in edge order, loops included, and ``tree`` is a bitmask
-    over them.  w_B gives, per pair outside the tree, the vertex index whose
-    value drops by one when the pair is deleted (the pair's first end for a
-    loop), and None per tree pair.
+    pairs of G - S, loops included, and ``tree`` is a bitmask over them.
+    Their order and orientation are any fixed choice (the strata walk takes
+    edge order, the equality witness moves one pair last): each gives a
+    tiling with one tile per tree.  w_B gives, per pair outside the tree,
+    the vertex index whose value drops by one when the pair is deleted (the
+    pair's first end for a loop), and None per tree pair.
 
-    The tree is rooted at the basepoint.  A pair e = (a, b) outside it
+    The tree is rooted at the basepoint, read as the breadth-first forest
+    over its pairs (``graph._bfs_forest``).  A pair e = (a, b) outside it
     takes the sign s_e = -1 when e has the largest index on its fundamental
     cycle, and otherwise +1 when the tree path from a to b crosses that
     largest edge from its first end to its second, else -1; w_B(e) is a
@@ -133,34 +136,22 @@ def _tile_point(ctx: StratumContext, pairs, tree: int) -> tuple[tuple, list]:
     """
     n, scale, v0 = len(ctx._base), ctx.scale, ctx._v0
     half = scale // 2
-    adj, cotree = [[] for _ in range(n)], []
-    for k, (a, b) in enumerate(pairs):
-        if tree >> k & 1:
-            adj[a].append((b, k))
-            adj[b].append((a, k))
-        else:
-            cotree.append(k)
-    # breadth first from the basepoint: x's tree edge up[x] to parent[x],
-    # and fwd[x] = +1 when that edge runs from x to its parent, else -1
-    up, parent, depth, fwd, order = [-1] * n, [v0] * n, [0] * n, [0] * n, [v0]
-    for v in order:
-        for x, k in adj[v]:
-            if k != up[v]:
-                up[x], parent[x], depth[x] = k, v, depth[v] + 1
-                fwd[x] = 1 if pairs[k][0] == x else -1
-                order.append(x)
+    # breadth first from the basepoint: x's tree edge up[x] to parent[x]
+    parent, up, depth, order = _bfs_forest(n, pairs, (v0,), tree)
     acc, w = [0] * n, [None] * len(pairs)
-    for k in cotree:
+    for k in range(len(pairs)):
+        if tree >> k & 1:
+            continue
         a, b = pairs[k]
         top, sign, x, y = k, -1, a, b
         while x != y:  # up from both ends to their common ancestor
             if depth[x] >= depth[y]:
-                if up[x] > top:
-                    top, sign = up[x], fwd[x]
+                if up[x] > top:  # the tree path from a to b runs x -> parent
+                    top, sign = up[x], 1 if pairs[up[x]][0] == x else -1
                 x = parent[x]
             else:
-                if up[y] > top:
-                    top, sign = up[y], -fwd[y]
+                if up[y] > top:  # ... and parent -> y
+                    top, sign = up[y], -1 if pairs[up[y]][0] == y else 1
                 y = parent[y]
         acc[a] += sign  # a loop (a == b) adds nothing and has w = a
         acc[b] -= sign

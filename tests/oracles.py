@@ -17,6 +17,11 @@ before its one-pass rewrite, with the rational parser it called, kept
 verbatim: ``isinstance`` checks, ``Edge(...)`` calls and a ``Fraction``
 total.  ``test_cli`` checks the loader against it.
 
+``kirchhoff_count`` is the matrix-tree determinant by rational
+elimination, for graphs too large for ``spanning_tree_count``.
+``level_order`` is the layered bitmask search that ordered the box
+search's vertices before the breadth-first forest did.
+
 ``tile_points`` is the one exception: it runs the library's spanning-tree
 lister and tile function, one quasistable point per spanning tree, as a
 fast second oracle for the quasistable kind where the brute force is too
@@ -83,6 +88,60 @@ def spanning_tree_count(g) -> int:
         raise ValueError("empty graph")
     pos = {v: i for i, v in enumerate(names)}
     return len(spanning_trees(len(names), [(pos[e.u], pos[e.v]) for e in g.edges]))
+
+
+def kirchhoff_count(g) -> int:
+    """Count spanning trees by the matrix-tree theorem: the determinant of
+    the Laplacian less the first row and column, by Gaussian elimination
+    over Fraction; loops add nothing, and a disconnected graph gives 0."""
+    names = list(g.vertices)
+    if not names:
+        raise ValueError("empty graph")
+    pos = {v: i for i, v in enumerate(names)}
+    size = len(names) - 1
+    lap = [[Fraction(0)] * len(names) for _ in names]
+    for e in g.edges:
+        a, b = pos[e.u], pos[e.v]
+        if a != b:
+            lap[a][a] += 1
+            lap[b][b] += 1
+            lap[a][b] -= 1
+            lap[b][a] -= 1
+    rows = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for i in range(size):
+        pivot = next((r for r in range(i, size) if rows[r][i]), None)
+        if pivot is None:
+            return 0
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        det *= rows[i][i] if pivot == i else -rows[i][i]
+        for r in range(i + 1, size):
+            if rows[r][i]:
+                factor = rows[r][i] / rows[i][i]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[i])]
+    assert det.denominator == 1 and det >= 0
+    return int(det)
+
+
+def level_order(n: int, adj: list[int]) -> list[int]:
+    """The vertex order of the box search by layered bitmask search over the
+    neighbour masks ``adj``: the breadth-first layers from vertex n - 1,
+    farthest first and each by index, after those of the other components,
+    each taken likewise from its highest vertex."""
+    order, seen = [], 0
+    for root in range(n - 1, -1, -1):
+        if seen >> root & 1:
+            continue
+        level, seen = [root], seen | 1 << root
+        while level:
+            order[:0] = level
+            reached = 0
+            for i in level:
+                reached |= adj[i]
+            reached &= ~seen
+            seen |= reached
+            level = [j for j in range(n) if reached >> j & 1]
+    return order
 
 
 def crossing_count(g, W) -> int:

@@ -473,6 +473,24 @@ class TestProblemFileValidation:
         assert rc == 2
         assert "invalid JSON" in err
 
+    def test_empty_graph(self, problem, capsys):
+        # a graph without vertices has no basepoint: each command says it
+        # needs a vertex, with exit code 3, as complexity and check-pol do
+        path = problem({"vertices": [], "edges": [], "polarization": {}})
+        for argv, message in (
+            (["complexity"], "complexity of the empty graph is undefined"),
+            (["check-pol"], "classification needs at least one vertex"),
+            (["enum"], "enum needs at least one vertex"),
+            (["reduce", "--multidegree", ""], "reduce needs at least one vertex"),
+            (["strata"], "strata needs at least one vertex"),
+            (["blowup-check"], "blowup-check needs at least one vertex"),
+        ):
+            rc, payload, err = run(capsys, [argv[0], path, *argv[1:]])
+            assert (rc, payload, err) == (3, None, f"error: {message}\n"), argv
+        # without a polarization the missing entry is reported first
+        rc, _, err = run(capsys, ["enum", problem({"vertices": [], "edges": []})])
+        assert rc == 2 and "polarization" in err
+
 
 def _edge(u, v, **kw):
     return dict(kw, endpoints=[u, v])

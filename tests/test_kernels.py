@@ -9,6 +9,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import product
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -395,6 +396,37 @@ class TestBoxSearch:
                 outputs[n] += len(got)
         assert disconnected > 0
         assert min(outputs.values()) >= 20, outputs
+
+    def test_library_order_is_the_layered_search(self, monkeypatch):
+        # the order ``_value_tuples`` hands the kernel is that of the
+        # layered bitmask search (``oracles.level_order``).  The rows come
+        # out sorted whatever the order, but the order decides how early
+        # the plan's bounds cut.  Random multigraphs on 1 to 12 vertices
+        # with loops, parallel edges and strata, G - S disconnected in some
+        seen = []
+        monkeypatch.setattr(
+            _kernel,
+            "select",
+            lambda bound: SimpleNamespace(box_enumerate=lambda *args: seen.append(args[-1]) or []),
+        )
+        rng = random.Random(79)
+        sizes, disconnected = set(), 0
+        for trial in range(600):
+            n = 1 + trial % 12
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            adj = [0] * n
+            for a, b in ctx._kept:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            seen.clear()
+            ctx._value_tuples("semistable")
+            if seen:  # the box is not empty
+                assert seen == [oracles.level_order(n, adj)], trial
+                sizes.add(n)
+                disconnected += not _flood_connected((1 << n) - 1, ctx._kept)
+        assert sizes == set(range(1, 13))
+        assert disconnected >= 20, disconnected
 
     def test_library_order_on_every_kernel(self, corpus_cases, monkeypatch):
         # the library's own order, with the kernel chosen by hand: at every
@@ -904,6 +936,8 @@ class TestBenchScript:
         # their tile points, which the script checks against the quasistable set
         assert len(re.findall(r"^  6 tiles +[0-9.]+ms  \(15 tile points\)$", out, re.M)) == 1
         assert len(re.findall(r"^  7 tiles +[0-9.]+ms  \(19 tile points\)$", out, re.M)) == 1
+        # the spanning-tree count next to the degree class group at each size
+        assert re.findall(r"^ +([67]) complexity +[0-9.]+ms$", out, re.M) == ["6", "7"]
         header = next(line for line in out.splitlines() if " operation " in line)
         for line in out.splitlines():
             if " pure tables " in line:

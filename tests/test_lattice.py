@@ -26,6 +26,8 @@ from jacgraph import (
     same_class,
 )
 
+from jacgraph.graph import _bfs_forest
+
 import oracles
 from corpus import chorded_cycle
 
@@ -284,7 +286,7 @@ class TestComplexityAndPicard:
         for case in corpus_cases[:60]:
             g = case.graph
             assert picard_group(g).order == complexity(g)
-            assert complexity(g) == oracles.spanning_tree_count(g)
+            assert complexity(g) == oracles.spanning_tree_count(g) == oracles.kirchhoff_count(g)
 
 
 def _laplacian_group(g):
@@ -299,7 +301,8 @@ def _cycle_factors(g):
     the side rule would pick."""
     pos = g._vpos
     pairs = [(pos[e.u], pos[e.v]) for e in g.edges if e.u != e.v]
-    rows = lattice._cycle_gram(*lattice._spanning_tree(g.num_vertices, pairs)[:3])
+    parent, up, depth, _ = _bfs_forest(g.num_vertices, pairs, (0,))
+    rows = lattice._cycle_gram(parent, depth, [p for k, p in enumerate(pairs) if k not in up])
     gram = [[row.get(h, 0) for h in range(len(rows))] for row in rows]
     assert all(all(row.values()) for row in rows)  # no entry cancels
     return invariant_factors(gram), det_bareiss(gram)
@@ -404,7 +407,7 @@ class TestPicardSides:
             doubled = Multigraph(g.vertices, [(e.u, e.v) for e in g.edges] * 2)
             p = picard_group(doubled)
             assert (p.invariant_factors, p.order) == _laplacian_group(doubled)
-            assert p.order == lattice._tree_count(n, doubled._pairs)
+            assert p.order == complexity(doubled) == oracles.kirchhoff_count(doubled)
 
     def test_banana_chains_need_no_core(self, monkeypatch):
         # content 2 divided out leaves a path Laplacian, all units
@@ -431,7 +434,7 @@ class TestPicardSides:
             sides.add(2 * b1 <= n - 1)
             p = picard_group(g)
             assert (p.invariant_factors, p.order) == _laplacian_group(g)
-            assert p.order == lattice._tree_count(n, g._pairs)
+            assert p.order == complexity(g) == oracles.kirchhoff_count(g)
         assert sides == {True, False}
 
     def test_errors_unchanged(self):

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from jacgraph import (
 )
 
 import oracles
-from corpus import chorded_cycle
+from corpus import _random_polarization, chorded_cycle
 
 HALF = Fraction(1, 2)
 
@@ -533,3 +535,42 @@ class TestEqualityWitness:
             assert ctx.deficit(d, Z) == 0
             assert g.induced_subgraph(Z).is_connected()
             assert g.induced_subgraph(g.complement(Z)).is_connected()
+
+    def test_random_witnesses(self):
+        # bridged, looped and parallel graphs on up to 8 vertices, with
+        # degenerate polarizations and with ones whose integral subsets are
+        # all spines, checked from the definitions: the witness is on the
+        # budget, no subset W has d_W below q_W - val(W)/2, and Z sits on it
+        rng = random.Random(83)
+        seen = dict.fromkeys(("degenerate", "spines only", "bridged"), 0)
+        for _ in range(400):
+            n = rng.randint(2, 8)
+            names = [f"v{i}" for i in range(n)]
+            edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+            for _ in range(rng.randint(0, n)):
+                r = rng.random()
+                if r < 0.25:
+                    edges.append((rng.choice(names),) * 2)
+                elif r < 0.6:
+                    edges.append(rng.choice(edges))
+                else:
+                    edges.append(tuple(rng.sample(names, 2)))
+            g = Multigraph(names, edges)
+            q = _random_polarization(rng, g)
+            hit = semistable_equality_witness(g, q)
+            if q.is_general():
+                assert hit is None
+                continue
+            Z, d = hit
+            degenerate = not q.is_nondegenerate()
+            seen["degenerate" if degenerate else "spines only"] += 1
+            seen["bridged"] += bool(g.bridges())
+            assert d.total == q.total
+            for r in range(1, n):
+                for W in itertools.combinations(names, r):
+                    assert d.sum_over(W) >= oracles.adjusted_total(g, q, W), (Z, d, W)
+            assert d.sum_over(Z) == oracles.adjusted_total(g, q, Z)
+            assert len(oracles.components(g.induced_subgraph(Z))) == 1
+            assert len(oracles.components(g.induced_subgraph(g.complement(Z)))) == 1
+            assert not (degenerate and oracles.is_spine(g, Z))
+        assert min(seen.values()) >= 50, seen
