@@ -16,11 +16,14 @@ script checks that they are the quasistable set), the degree class group
 (``picard_group``) of the graph, which it takes on the cycle side, and of
 the graph with every edge doubled, which it takes on the Laplacian side,
 and the spanning-tree count of the graph (``complexity``, the group's
-order), in the ``complexity`` row.  For each size it also prints how many
-of the 2^n vertex subsets the box search's plan checks and how many more it
+order), in the ``complexity`` row.  The ``classify`` row times
+``integral_witness`` on a general polarization of the graph, which walks
+every connected vertex subset.  For each size it also prints how many of
+the 2^n vertex subsets the box search's plan checks and how many more it
 keeps only as prefixes, counted on the pure kernel's plan (the compiled
-kernel keeps the same plan, one byte per mask).  Above the kernels'
-20-vertex limit only the degree class group and complexity rows are
+kernel keeps the same plan, one byte per mask), and how many are
+connected.  Above the 20-vertex limit of the kernels and the
+classification only the degree class group and complexity rows are
 printed.
 
     python benchmarks/bench_kernel.py
@@ -42,6 +45,7 @@ from jacgraph._kernel import (
     implementation_name,
     implementations,
 )
+from jacgraph.graph import _adjacency_masks, _connected_subsets
 
 
 def chorded_cycle(n: int) -> Multigraph:
@@ -165,12 +169,22 @@ def main(argv=None) -> int:
         if sorted(d for d, _ in tiles) != ctx._value_tuples("quasistable"):
             raise SystemExit("the tile points and the quasistable multidegrees disagree")
         print(f"{n:>3} {'tiles':<12}{t_tiles * 1e3:>10.2f}ms  ({len(tiles)} tile points)")
+        # 2**i / modulus on all but the last vertex, which balances them: for
+        # an odd modulus above their sum no proper subset is integral
+        modulus = (1 << n) + 1
+        weights = [Fraction(1 << i, modulus) for i in range(n - 1)]
+        general = Polarization(g, weights + [-sum(weights)])
+        t_classify, hit = best_of(args.repeat, general.integral_witness)
+        if hit is not None:
+            raise SystemExit("the general polarization has an integral subset")
+        print(f"{n:>3} {'classify':<12}{t_classify * 1e3:>10.2f}ms")
         checks = [c for level in plan for _, c in level]
         checked = sum(1 for c in checks if c)
+        connected = sum(map(len, _connected_subsets(n, _adjacency_masks(n, g._pairs))))
         print(f"    ({counts} quasistable multidegrees)")
         print(
             f"    (plan checks {checked} of {1 << n} subsets, "
-            f"keeps {len(checks) - checked} more as prefixes)"
+            f"keeps {len(checks) - checked} more as prefixes; {connected} are connected)"
         )
     return 0
 

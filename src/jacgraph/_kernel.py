@@ -24,7 +24,8 @@ MODE_STABLE = 2
 # headroom below 2**63 for the products and sums formed inside the kernel
 FAST_BOUND = 1 << 60
 
-# subset scans touch 2**n masks; refuse beyond this many vertices
+# the compiled kernel's table, and classification on a dense graph, reach 2**n
+# masks; refuse beyond this many vertices
 SUBSET_SCAN_LIMIT = 20
 
 

@@ -36,7 +36,8 @@ the bound on W is.  W + C2 and each piece of C2 have a connected
 remainder in K.  So the plan checks both bounds on each connected subset
 whose remainder in its component is connected or empty.
 
-``build_tables`` lists the subsets the box search checks in a *plan*.  It
+``build_tables`` lists the subsets the box search checks in a *plan*, read
+off the connected subsets that ``graph._connected_subsets`` lists.  It
 leaves out every subset that holds the last vertex, as the total fixes d
 there and such a bound is the opposite bound on the complement.  It
 computes the two bounds only on the plan's masks.  ``box_enumerate`` also
@@ -48,7 +49,7 @@ interval.
 from __future__ import annotations
 
 from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
-from .graph import _adjacency_masks, _mask_pieces
+from .graph import _adjacency_masks, _connected_subsets, _mask_pieces
 
 # per bit i, the table taking a byte to its bit i, for bytes.translate
 _BIT = [bytes(b >> i & 1 for b in range(256)) for i in range(8)]
@@ -105,31 +106,6 @@ def _multiplicity_layers(n, edges):
     return layers
 
 
-def _connected_subsets(n, adj):
-    """Every nonempty vertex subset that is connected under the neighbour
-    masks ``adj``, once each.
-
-    Each subset grows from its least vertex by one neighbour at a time; a
-    branch never adds a vertex that an earlier sibling branch added, so no
-    subset comes twice (Wernicke's ESU, IEEE/ACM TCBB 3(4), 2006).  The
-    cost is proportional to the number of subsets listed."""
-    out = []
-
-    def grow(m, ext, seen):
-        # ext: the neighbours of m outside seen, which holds m
-        out.append(m)
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            seen |= bit
-            grow(m | bit, ext | (adj[bit.bit_length() - 1] & ~seen), seen)
-
-    for v in range(n):
-        below = (2 << v) - 1
-        grow(1 << v, adj[v] & ~below, below)
-    return out
-
-
 def _build_plan(n, edges):
     """The masks the box search keeps, by top vertex: ``plan[k]`` lists
     ``(mask, checked)`` in increasing mask order for the masks whose top
@@ -142,7 +118,7 @@ def _build_plan(n, edges):
     opposite bound on its complement."""
     full = (1 << n) - 1
     adj = _adjacency_masks(n, edges)
-    subsets = _connected_subsets(n, adj)
+    subsets = [c for level in _connected_subsets(n, adj) for c in level]
     connected = set(subsets)
     home = {v: piece for piece in _mask_pieces(full, adj) for v in range(n) if piece >> v & 1}
     checked = {

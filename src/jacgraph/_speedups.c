@@ -84,7 +84,7 @@ static int load_int64s(PyObject *obj, Py_ssize_t len, long long *out, const char
 
 /* Mark m and every connected subset grown from it by neighbours in ext,
    never adding a vertex of seen (which holds m), as in
-   jacgraph._kernel_py._connected_subsets. */
+   jacgraph.graph._connected_subsets. */
 static void grow(const size_t *adj, int n, unsigned char *marks, size_t m, size_t ext,
                  size_t seen)
 {
@@ -106,8 +106,8 @@ static void make_plan(int n, const size_t *adj, unsigned char *marks)
 {
     memset(marks, 0, (size_t)1 << n);
     for (int v = 0; v < n; v++) {
-        size_t below = ((size_t)2 << v) - 1;
-        grow(adj, n, marks, (size_t)1 << v, adj[v] & ~below, below);
+        size_t below = ((size_t)1 << v) - 1;
+        grow(adj, n, marks, (size_t)1 << v, adj[v] & below, ~below);
     }
     /* comp[v]: the component that holds v, grown until no vertex joins */
     size_t comp[MAX_VERTICES];

@@ -38,6 +38,31 @@ def _adjacency_masks(n: int, pairs) -> list[int]:
     return adj
 
 
+def _connected_subsets(n: int, adj: list[int]):
+    """Per vertex k = 0, ..., n - 1 in turn, the list of the vertex subsets
+    with top vertex k that are connected under the neighbour masks ``adj``,
+    as bitmasks, each once.
+
+    Each subset grows from k by one neighbour below k at a time; a branch
+    never adds a vertex that an earlier sibling branch added, so no subset
+    comes twice (Wernicke's ESU, IEEE/ACM TCBB 3(4), 2006).  The cost is
+    proportional to the number of subsets listed."""
+
+    def grow(m, ext, seen):
+        # ext: the neighbours of m outside seen, which holds m
+        level.append(m)
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            seen |= bit
+            grow(m | bit, ext | (adj[bit.bit_length() - 1] & ~seen), seen)
+
+    for k in range(n):
+        level, below = [], (1 << k) - 1
+        grow(1 << k, adj[k] & below, ~below)
+        yield level
+
+
 def _bfs_forest(n: int, pairs, roots, within: int = -1):
     """``(parent, up, depth, queue)`` of the breadth-first forest on the
     vertices 0..n-1 over the endpoint index pairs whose bit is set in

@@ -27,7 +27,8 @@ from .errors import (
     NonIntegralRestrictionError,
     PolarizationTotalError,
 )
-from .graph import Multigraph, Vertex, _VertexValues, _adjacency_masks, _mask_pieces
+from .graph import Multigraph, Vertex, _VertexValues
+from .graph import _adjacency_masks, _connected_subsets, _mask_pieces
 
 
 # a rational as text, matched after a strip: ASCII digits only, unlike
@@ -180,27 +181,42 @@ class Polarization(_VertexValues):
             raise InvalidSubsetError("integrality is tested on proper nonempty subsets")
         return self._integrality()[2](g._mask(W))
 
-    def _integral_masks(self):
-        """Integral proper subsets as ``(mask, is_spine)``, in bitmask order.
-        Residue sums grow one top bit at a time, so the scan pays only up to
-        where the caller stops; a mask whose sum is not 0 mod scale is never
-        integral, as its pieces partition it."""
+    def integral_witness(self):
+        """A proper integral subset, preferring one that is not a spine.
+
+        Returns (subset, is_spine) or None when the polarization is general:
+        the first integral non-spine subset in bitmask order, else the first
+        integral spine.  Both are connected, as a piece of an integral subset
+        is integral, has a smaller mask, and crosses a non-bridge edge when
+        the subset does; so the walk visits the connected subsets, level by
+        level in mask order.  A residue sum comes from two tables, over the
+        low half of the vertices and the rest; a mask whose sum is not 0 mod
+        scale is never integral, as its pieces partition it."""
         g = self.graph
         n = g.num_vertices
         scan_guard(n, "classification")
         scale, resid, test = self._integrality()
         br = g.bridges()
         kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
-        sums = [0]  # residue sums mod scale, indexed by mask
-        for k in range(n):
-            sums += [(s + resid[k]) % scale for s in sums]
-            for mask in range(1 << k, min(2 << k, (1 << n) - 1)):
-                if not sums[mask] and test(mask):  # spine: no non-bridge edge crosses
-                    yield mask, not any((mask >> a ^ mask >> b) & 1 for a, b in kept)
+        cut, spine = n // 2, None
+        half, full = (1 << cut) - 1, (1 << n) - 1
+        low, high = [0], [0]  # residue sums mod scale by mask of each half
+        for k, r in enumerate(resid):
+            part = low if k < cut else high
+            part += [(s + r) % scale for s in part]
+        for level in _connected_subsets(n, _adjacency_masks(n, g._pairs)):
+            for m in sorted([c for c in level if not (low[c & half] + high[c >> cut]) % scale]):
+                if m == full or not test(m):
+                    continue
+                if any((m >> a ^ m >> b) & 1 for a, b in kept):
+                    return g._vertex_set(m), False
+                if spine is None:  # no non-bridge edge crosses
+                    spine = m
+        return None if spine is None else (g._vertex_set(spine), True)
 
     def is_general(self) -> bool:
         """True when no proper nonempty subset is integral for q."""
-        return next(self._integral_masks(), None) is None
+        return self.integral_witness() is None
 
     def is_nondegenerate(self) -> bool:
         """True when no integral proper subset crosses a non-bridge edge.
@@ -208,23 +224,8 @@ class Polarization(_VertexValues):
         Subsets whose crossing edges are all bridges (spines) are allowed
         to be integral; everything else must not be.
         """
-        return all(spine for _, spine in self._integral_masks())
-
-    def integral_witness(self):
-        """A proper integral subset, preferring one that is not a spine.
-
-        Returns (subset, is_spine) or None when the polarization is
-        general.  Deterministic: subsets are scanned in bitmask order.
-        """
-        hit = None
-        for mask, spine in self._integral_masks():
-            if hit is None or not spine:
-                hit = mask, spine
-            if not spine:
-                break
-        if hit is None:
-            return None
-        return self.graph._vertex_set(hit[0]), hit[1]
+        hit = self.integral_witness()
+        return hit is None or hit[1]
 
 
 def canonical_polarization(g: Multigraph, degree: int) -> Polarization:

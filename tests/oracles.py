@@ -21,6 +21,10 @@ total.  ``test_cli`` checks the loader against it.
 elimination, for graphs too large for ``spanning_tree_count``.
 ``level_order`` is the layered bitmask search that ordered the box
 search's vertices before the breadth-first forest did.
+``classification_scan`` is the library's classification as it stood
+before it walked connected subsets, kept verbatim: a scan of all 2^n masks
+in bitmask order with a 2^n table of residue sums, reading the
+polarization's ``_integrality`` and the subset-scan guard.
 
 ``tile_points`` is the one exception: it runs the library's spanning-tree
 lister and tile function, one quasistable point per spanning tree, as a
@@ -38,6 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from jacgraph._kernel import scan_guard
 from jacgraph.cli import Problem, ProblemFileError
 from jacgraph.graph import Edge, Multigraph
 from jacgraph.polarization import Polarization
@@ -596,6 +601,43 @@ def classification(g, q):
         if spine_hit is None:
             spine_hit = W
     return general, True, (None if spine_hit is None else (spine_hit, True))
+
+
+# -- the classification scan before it walked connected subsets -----------------
+
+
+def _integral_masks(q):
+    """Integral proper subsets as ``(mask, is_spine)``, in bitmask order.
+    Residue sums grow one top bit at a time, so the scan pays only up to
+    where the caller stops; a mask whose sum is not 0 mod scale is never
+    integral, as its pieces partition it."""
+    g = q.graph
+    n = g.num_vertices
+    scan_guard(n, "classification")
+    scale, resid, test = q._integrality()
+    br = g.bridges()
+    kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
+    sums = [0]  # residue sums mod scale, indexed by mask
+    for k in range(n):
+        sums += [(s + resid[k]) % scale for s in sums]
+        for mask in range(1 << k, min(2 << k, (1 << n) - 1)):
+            if not sums[mask] and test(mask):  # spine: no non-bridge edge crosses
+                yield mask, not any((mask >> a ^ mask >> b) & 1 for a, b in kept)
+
+
+def classification_scan(q):
+    """``(is_general(), is_nondegenerate(), integral_witness())`` of q, each
+    from its own scan of ``_integral_masks``."""
+    general = next(_integral_masks(q), None) is None
+    nondegenerate = all(spine for _, spine in _integral_masks(q))
+    hit = None
+    for mask, spine in _integral_masks(q):
+        if hit is None or not spine:
+            hit = mask, spine
+        if not spine:
+            break
+    witness = None if hit is None else (q.graph._vertex_set(hit[0]), hit[1])
+    return general, nondegenerate, witness
 
 
 # -- the problem-file loader before its one-pass rewrite ------------------------

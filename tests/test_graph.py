@@ -15,6 +15,7 @@ from jacgraph import (
     UnknownEdgeError,
     UnknownVertexError,
 )
+from jacgraph.graph import _adjacency_masks, _connected_subsets
 
 import oracles
 
@@ -322,6 +323,55 @@ def _random_multigraph(rng):
     names = [f"v{i}" for i in range(rng.randint(1, 7))]
     edges = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 10))]
     return Multigraph(names, edges)
+
+
+def _flood_connected(m, pairs):
+    """Whether the nonempty vertex bitmask m is connected by the endpoint
+    index pairs: grow from its least vertex until no pair adds a vertex."""
+    reached, grown = m & -m, True
+    while grown:
+        grown = False
+        for a, b in pairs:
+            if m >> a & 1 and m >> b & 1 and (reached >> a & 1) != (reached >> b & 1):
+                reached |= 1 << a | 1 << b
+                grown = True
+    return reached == m
+
+
+class TestConnectedSubsets:
+    def test_matches_flood(self):
+        # every connected mask once, in the level of its top vertex, and
+        # nothing else, against a flood over all masks
+        rng = random.Random("connected-subsets")
+        seen = set()
+        for trial in range(300):
+            n = 1 + trial % 10
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            levels = list(_connected_subsets(n, _adjacency_masks(n, pairs)))
+            assert len(levels) == n
+            for k, level in enumerate(levels):
+                assert all(m.bit_length() - 1 == k for m in level), (trial, k)
+            got = sorted(m for level in levels for m in level)
+            assert got == [m for m in range(1, 1 << n) if _flood_connected(m, pairs)], trial
+            ends = {v for pair in pairs for v in pair}
+            seen.update(
+                kind
+                for kind, hit in [
+                    ("loop", any(a == b for a, b in pairs)),
+                    ("parallel", len(set(pairs)) < len(pairs)),
+                    ("isolated", len(ends) < n),
+                    ("disconnected", not _flood_connected((1 << n) - 1, pairs)),
+                ]
+                if hit
+            )
+        assert seen == {"loop", "parallel", "isolated", "disconnected"}
+
+    def test_shapes(self):
+        # K_4: all 15 nonempty masks; four isolated vertices: the singletons
+        adj = _adjacency_masks(4, [(a, b) for a in range(4) for b in range(a)])
+        assert [len(level) for level in _connected_subsets(4, adj)] == [1, 2, 4, 8]
+        assert list(_connected_subsets(4, [0] * 4)) == [[1], [2], [4], [8]]
+        assert list(_connected_subsets(0, [])) == []
 
 
 class TestAgainstOracles:

@@ -938,6 +938,11 @@ class TestBenchScript:
         assert len(re.findall(r"^  7 tiles +[0-9.]+ms  \(19 tile points\)$", out, re.M)) == 1
         # the spanning-tree count next to the degree class group at each size
         assert re.findall(r"^ +([67]) complexity +[0-9.]+ms$", out, re.M) == ["6", "7"]
+        # the classification walk on a general polarization, and the number
+        # of connected subsets it walks beside the plan's count
+        assert re.findall(r"^ +([67]) classify +[0-9.]+ms$", out, re.M) == ["6", "7"]
+        assert "(plan checks 15 of 64 subsets, keeps 0 more as prefixes; 40 are connected)" in out
+        assert "(plan checks 21 of 128 subsets, keeps 0 more as prefixes; 61 are connected)" in out
         header = next(line for line in out.splitlines() if " operation " in line)
         for line in out.splitlines():
             if " pure tables " in line:

@@ -270,6 +270,123 @@ class TestClassificationOracle:
         assert seen == {(spine, linked) for spine in (True, False) for linked in (True, False)}
 
 
+def _chorded_edges(names):
+    """A cycle through names with a chord from every third vertex of the
+    first half across, as the benchmarks' chorded cycles."""
+    n = len(names)
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    return edges + [(names[i], names[i + n // 2]) for i in range(0, n // 2, 3)]
+
+
+def _large_graph(rng, family, n):
+    """n vertices, in shuffled order.  Chorded: a chorded cycle.  Bridged:
+    blocks of 3 to 6 vertices, each a chorded cycle or a random connected
+    graph, in a chain of bridges, plus a pendant vertex.  Disconnected:
+    such blocks with no bridges, loops at some vertices and an isolated
+    vertex."""
+    names = [f"v{i}" for i in range(n)]
+    if family == "chorded":
+        edges = _chorded_edges(names)
+    else:
+        rest, blocks = names[: n - 1], []
+        while rest:
+            size = min(len(rest), rng.randint(3, 6))
+            if len(rest) - size < 3:
+                size = len(rest)
+            blocks.append(rest[:size])
+            rest = rest[size:]
+        edges = []
+        for block in blocks:
+            if rng.random() < 0.5:
+                edges += _chorded_edges(block)
+            else:
+                edges += _connected_edges(rng, block, rng.randint(1, 3))
+        if family == "bridged":
+            edges += [(rng.choice(a), rng.choice(b)) for a, b in zip(blocks, blocks[1:])]
+            edges.append((rng.choice(blocks[-1]), names[-1]))
+        else:
+            edges += [(v, v) for v in rng.sample(names, 3)]
+    rng.shuffle(names)
+    return Multigraph(names, edges)
+
+
+def _balanced(rng, names, shift, modulus):
+    """Weights 2**(shift + i) / modulus on all but one of names, in random
+    order, and minus their sum on that one: for an odd modulus above every
+    weight sum, a subset sum is an integer or an integer plus 1/2 only on
+    no name or on all of them."""
+    order = rng.sample(names, len(names))
+    vals = {v: Fraction(1 << (shift + i), modulus) for i, v in enumerate(order[:-1])}
+    vals[order[-1]] = -sum(vals.values())
+    return vals
+
+
+def _large_polarization(rng, g, kind):
+    """General: balanced weights plus integers.  Spine: balanced weights on
+    each block left after deleting the bridges, in disjoint powers, with
+    each block's adjusted total made an integer, so that only unions of
+    blocks are integral.  Integer: integer values.  Half: 1/2 plus
+    integers.  Generic: denominator 7, which leaves the first integral
+    subsets a few levels up."""
+    names, den = g.vertices, {"integer": 1, "half": 2, "generic": 7}.get(kind)
+    modulus = (1 << len(names)) + 1 + 2 * rng.randrange(50)
+    if kind == "general":
+        vals = _balanced(rng, names, 0, modulus)
+    elif kind == "spine":
+        vals, shift = {}, 0
+        for block in g.delete_edges(g.bridges()).components():
+            vals.update(_balanced(rng, list(block), shift, modulus))
+            shift += len(block) - 1
+            vals[min(block, key=names.index)] += Fraction(g.valence(block) % 2, 2)
+    else:
+        vals = {v: Fraction(rng.randint(-2 * den, 2 * den), den) for v in names}
+        if kind == "half":
+            vals = {v: x - x % 1 + HALF for v, x in vals.items()}
+        vals[names[0]] -= sum(vals.values()) % 1
+    return Polarization(g, {v: x + rng.randint(-1, 1) for v, x in vals.items()})
+
+
+class TestClassificationBeyondCorpus:
+    """The connected-subset walk against the bitmask scan it replaced
+    (``oracles.classification_scan``) on 9 to 20 vertices."""
+
+    KINDS = ("general", "spine", "integer", "half", "generic")
+
+    def test_against_bitmask_scan(self):
+        rng = random.Random("beyond-corpus")
+        seen = set()
+        for n in (*range(9, 17), 20):
+            # the scan tests half the masks of a half-integral disconnected
+            # graph, seconds at 20 vertices
+            for family in ("chorded", "bridged", "disconnected")[: 2 if n == 20 else 3]:
+                g = _large_graph(rng, family, n)
+                for kind in self.KINDS:
+                    q = _large_polarization(rng, g, kind)
+                    got = (q.is_general(), q.is_nondegenerate(), q.integral_witness())
+                    assert got == oracles.classification_scan(q), (n, family, kind)
+                    seen.add((family, got[:2]))
+        # general, non-degenerate only and degenerate all occur on each
+        # family but the chorded cycles, which have no bridges
+        want = {(True, True), (False, True), (False, False)}
+        assert seen == {(f, c) for f in ("bridged", "disconnected") for c in want} | {
+            ("chorded", (True, True)), ("chorded", (False, False))
+        }
+
+    def test_guard_boundary(self):
+        # 20 vertices answer, 21 raise on every entry point
+        rng = random.Random("guard")
+        for n in (20, 21):
+            names = [f"v{i}" for i in range(n)]
+            q = _large_polarization(rng, Multigraph(names, _chorded_edges(names)), "general")
+            calls = (q.is_general, q.is_nondegenerate, q.integral_witness)
+            if n == 20:
+                assert [call() for call in calls] == [True, True, None]
+                continue
+            for call in calls:
+                with pytest.raises(GuardLimitError, match="21 vertices exceeds the limit of 20"):
+                    call()
+
+
 class TestCanonical:
     def test_dumbbell(self, dumbbell):
         q = canonical_polarization(dumbbell, 2)
