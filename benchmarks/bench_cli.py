@@ -1,16 +1,19 @@
 """Per-phase times of the CLI on perfbench's request streams, in process.
 
 Replays rounds of one perfbench workload (``perfbench/workloads.py``,
-imported read-only) through the four steps of ``jacgraph.cli.main``:
-parse the arguments, load the problem file, run the command and write its
-JSON.  Each request runs ``--repeat`` times, each after a ``gc.collect()``
-as perfbench runs it, and each phase keeps its best time; an answer that
-the workload can check without reference answers is checked once.  The
-script prints, per command, the request count and the sums of those best
-times in ms.
+imported read-only, as is ``run.git_commit``) through the four steps of
+``jacgraph.cli.main``: parse the arguments, load the problem file, run the
+command and write its JSON.  Each request runs ``--repeat`` times, each
+after a ``gc.collect()`` as perfbench runs it, and each phase keeps its
+best time; an answer that the workload can check without reference answers
+is checked once.  The script prints, per command, the request count and the
+sums of those best times in ms.  With ``--json OUT`` it also writes those
+sums to OUT as one JSON object, with the Python version, the kernel, the
+commit, the seed, the rounds and the repeat count.
 
     python benchmarks/bench_cli.py --workload query
     python benchmarks/bench_cli.py --workload sweep --seed 3 --rounds 2 --repeat 5
+    python benchmarks/bench_cli.py --workload query --json BENCH_cli_query.json
 
 ``jacgraph`` and the workloads are imported from this checkout, so the
 kernel is the pure one unless an extension was built into ``src/``; its
@@ -23,6 +26,7 @@ import argparse
 import gc
 import io
 import json
+import platform
 import sys
 import tempfile
 import time
@@ -35,7 +39,7 @@ PHASES = ("parse", "load", "command", "write")
 def phase_times(cli, argv, write) -> tuple:
     """The times of the four phases of one request, as ``cli.main`` runs them."""
     t0 = time.perf_counter()
-    args = cli._parser().parse_args(cli._join_negative_multidegree(argv))
+    args = cli._parse_argv(argv)
     t1 = time.perf_counter()
     stratum = getattr(args, "stratum", None)
     problem = cli.load_problem(
@@ -57,11 +61,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=2, help="play rounds 0 to ROUNDS - 1")
     parser.add_argument("--repeat", type=int, default=5, help="take the best of this many runs")
+    parser.add_argument("--json", metavar="OUT", help="also write the sums to OUT as JSON")
     args = parser.parse_args(argv)
     for d in ("perfbench", "benchmarks", "src"):
         if str(ROOT / d) not in sys.path:
             sys.path.insert(0, str(ROOT / d))
     import workloads
+    from run import git_commit  # perfbench's, which reads .git without running git
+
     from jacgraph import _kernel, cli
 
     sums = {}  # command -> [requests, parse, load, command, write]
@@ -86,11 +93,26 @@ def main(argv=None) -> int:
         f"{args.workload}, seed {args.seed}, rounds 0-{args.rounds - 1}, "
         f"best of {args.repeat}, {_kernel.implementation_name()} kernel (ms)"
     )
-    print(f"{'command':<14}{'requests':>9}" + "".join(f"{p:>10}" for p in (*PHASES, "total")))
+    columns = (*PHASES, "total")
+    print(f"{'command':<14}{'requests':>9}" + "".join(f"{p:>10}" for p in columns))
     sums["all"] = [sum(column) for column in zip(*sums.values())]
+    table = {}  # command -> {"requests": count, phase: ms, ..., "total": ms}
     for command, (count, *times) in sums.items():
-        cells = "".join(f"{t * 1e3:>10.2f}" for t in (*times, sum(times)))
-        print(f"{command:<14}{count:>9}{cells}")
+        ms = [t * 1e3 for t in (*times, sum(times))]
+        table[command] = {"requests": count, **dict(zip(columns, ms))}
+        print(f"{command:<14}{count:>9}" + "".join(f"{t:>10.2f}" for t in ms))
+    if args.json:
+        record = {
+            "workload": args.workload,
+            "python": platform.python_version(),
+            "kernel": _kernel.implementation_name(),
+            "commit": git_commit(),
+            "seed": args.seed,
+            "rounds": args.rounds,
+            "repeat": args.repeat,
+            "ms": table,
+        }
+        Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

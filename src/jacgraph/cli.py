@@ -79,14 +79,21 @@ class Problem(NamedTuple):
 
 
 def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
-    """The problem in the file at ``path``, checked in one pass.  ``json``
-    yields exact types, so every entry is checked by ``type(x) is ...``,
-    which also keeps a bool from passing for an int."""
+    """The problem in the file at ``path``, checked in one pass.  The file
+    is read as bytes and decoded as UTF-8, whatever the locale, with no
+    byte order mark skipped: a UTF-8 file with one, or a UTF-16 file, is
+    invalid JSON.  ``json`` yields exact types, so every entry is checked
+    by ``type(x) is ...``, which also keeps a bool from passing for an int."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+        if "\r" in text:  # newlines as text mode reads them, which error positions count
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise ProblemFileError(f"invalid JSON in {path}: {exc}") from exc
     if type(data) is not dict:
@@ -566,9 +573,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_argv(argv: list) -> argparse.Namespace:
+    """``_parser().parse_args`` of ``argv`` in one pass where it can be:
+    when ``argv[0]`` names a command, that command's subparser reads the
+    rest, as the top-level parser would hand it over, and ``command`` is
+    set.  The top-level parser runs only when there is no command to read
+    or when the subparser leaves arguments it does not know, so every
+    usage, error and help text, and every exit code, is its own."""
+    argv = _join_negative_multidegree(argv)
+    parser = _parser()
+    if argv:
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        if (sub := commands.choices.get(argv[0])) is not None:
+            args, extra = sub.parse_known_args(argv[1:])
+            if not extra:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parser().parse_args(_join_negative_multidegree(argv))
+    """Run one command on ``argv`` (``sys.argv[1:]`` by default) and return
+    its exit code.  The command's own subparser reads its arguments; the
+    top-level parser runs only when ``argv`` is empty, when its first word
+    is not a command (``-h``, an unknown name) or when the subparser leaves
+    arguments it does not know, and then prints its usage, error or help
+    and exits.  The problem file is read as UTF-8."""
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     # looked up per call rather than bound into the cached parser, so a
     # handler replaced on this module (by a profiler, say) is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]

@@ -69,7 +69,7 @@ def _to_fraction(x) -> Fraction:
 class Polarization(_VertexValues):
     """Exact rational values on the vertices of a graph, integer total."""
 
-    __slots__ = ()
+    __slots__ = ("_scaled_values",)
     _noun, _convert, _zero = "polarization", staticmethod(_to_fraction), Fraction(0)
 
     def __init__(self, graph: Multigraph, values):
@@ -145,9 +145,16 @@ class Polarization(_VertexValues):
     # -- classification --------------------------------------------------
 
     def _scaled(self):
-        """``(scale, [scale * q_v])`` with scale twice the lcm of the denominators."""
-        scale = 2 * lcm(*(x.denominator for x in self.values))
-        return scale, [x.numerator * (scale // x.denominator) for x in self.values]
+        """``(scale, (scale * q_v, ...))`` with scale twice the lcm of the
+        denominators, computed once per polarization and kept in a slot; a
+        caller that lowers entries copies the tuple first."""
+        try:
+            return self._scaled_values
+        except AttributeError:  # not computed yet
+            scale = 2 * lcm(*(x.denominator for x in self.values))
+            scaled = tuple(x.numerator * (scale // x.denominator) for x in self.values)
+            self._scaled_values = scale, scaled
+            return self._scaled_values
 
     def _integrality(self):
         """``(scale, residues, test)``: ``scale * (q_P - val(P)/2)`` is, mod
@@ -156,6 +163,7 @@ class Polarization(_VertexValues):
         piece of the mask and of its complement."""
         g = self.graph
         scale, resid = self._scaled()
+        resid = list(resid)
         pairs = [(a, b) for a, b in g._pairs if a != b]
         for a, b in pairs:
             resid[a] -= scale // 2
@@ -181,6 +189,31 @@ class Polarization(_VertexValues):
             raise InvalidSubsetError("integrality is tested on proper nonempty subsets")
         return self._integrality()[2](g._mask(W))
 
+    def _integral_subsets(self):
+        """The integral proper subsets that are connected, as ``(mask,
+        is_spine)`` in bitmask order, walked only as far as the caller reads.
+
+        The walk visits the connected subsets level by level (top vertex k),
+        each level sorted, which is mask order.  A residue sum comes from two
+        tables, over the low half of the vertices and the rest, each grown by
+        vertex k at level k; a mask whose sum is not 0 mod scale is never
+        integral, as its pieces partition it."""
+        g = self.graph
+        n = g.num_vertices
+        scan_guard(n, "classification")
+        scale, resid, test = self._integrality()
+        br = g.bridges()
+        kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
+        cut = n // 2
+        half, full = (1 << cut) - 1, (1 << n) - 1
+        low, high = [0], [0]  # residue sums mod scale by mask of each half
+        for k, level in enumerate(_connected_subsets(n, _adjacency_masks(n, g._pairs))):
+            part = low if k < cut else high
+            part += [(s + resid[k]) % scale for s in part]
+            for m in sorted([c for c in level if not (low[c & half] + high[c >> cut]) % scale]):
+                if m != full and test(m):  # a spine when no non-bridge edge crosses
+                    yield m, not any((m >> a ^ m >> b) & 1 for a, b in kept)
+
     def integral_witness(self):
         """A proper integral subset, preferring one that is not a spine.
 
@@ -188,35 +221,19 @@ class Polarization(_VertexValues):
         the first integral non-spine subset in bitmask order, else the first
         integral spine.  Both are connected, as a piece of an integral subset
         is integral, has a smaller mask, and crosses a non-bridge edge when
-        the subset does; so the walk visits the connected subsets, level by
-        level in mask order.  A residue sum comes from two tables, over the
-        low half of the vertices and the rest; a mask whose sum is not 0 mod
-        scale is never integral, as its pieces partition it."""
-        g = self.graph
-        n = g.num_vertices
-        scan_guard(n, "classification")
-        scale, resid, test = self._integrality()
-        br = g.bridges()
-        kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
-        cut, spine = n // 2, None
-        half, full = (1 << cut) - 1, (1 << n) - 1
-        low, high = [0], [0]  # residue sums mod scale by mask of each half
-        for k, r in enumerate(resid):
-            part = low if k < cut else high
-            part += [(s + r) % scale for s in part]
-        for level in _connected_subsets(n, _adjacency_masks(n, g._pairs)):
-            for m in sorted([c for c in level if not (low[c & half] + high[c >> cut]) % scale]):
-                if m == full or not test(m):
-                    continue
-                if any((m >> a ^ m >> b) & 1 for a, b in kept):
-                    return g._vertex_set(m), False
-                if spine is None:  # no non-bridge edge crosses
-                    spine = m
-        return None if spine is None else (g._vertex_set(spine), True)
+        the subset does; so ``_integral_subsets`` finds them."""
+        spine = None
+        for m, is_spine in self._integral_subsets():
+            if not is_spine:
+                return self.graph._vertex_set(m), False
+            if spine is None:
+                spine = m
+        return None if spine is None else (self.graph._vertex_set(spine), True)
 
     def is_general(self) -> bool:
-        """True when no proper nonempty subset is integral for q."""
-        return self.integral_witness() is None
+        """True when no proper nonempty subset is integral for q: the walk
+        stops at the first integral subset."""
+        return next(self._integral_subsets(), None) is None
 
     def is_nondegenerate(self) -> bool:
         """True when no integral proper subset crosses a non-bridge edge.

@@ -120,7 +120,7 @@ class StratumContext:
         # unit from each end, an S-loop a whole unit from its vertex, so
         # the scaled values sum to scale * (total(q) - |S|)
         self.scale, base = q._scaled()
-        half, kept = self.scale // 2, []
+        base, half, kept = list(base), self.scale // 2, []
         for e, (a, b) in zip(graph.edges, graph._pairs):
             if e.id not in self.stratum:
                 if a != b:

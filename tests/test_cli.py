@@ -473,6 +473,32 @@ class TestProblemFileValidation:
         assert rc == 2
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'\xef\xbb\xbf{"vertices": ["a"]}',
+            '{"vertices": ["a"]}'.encode("utf-16"),
+            b'{\r\n "vertices": ["a"],\r\n "edges": [}\r\n',
+            b'{\r "vertices": ["a"],\r "edges": [}\r',
+        ],
+        ids=["utf-8 bom", "utf-16", "crlf", "cr"],
+    )
+    def test_read_as_utf8_bytes(self, capsys, tmp_path, raw):
+        # no byte order mark is skipped, and error positions count newlines
+        # as text mode reads them, as the text-mode loader did
+        path = tmp_path / "problem.json"
+        path.write_bytes(raw)
+        with pytest.raises(cli.ProblemFileError) as ref:
+            oracles.load_problem_reference(str(path))
+        assert run(capsys, ["complexity", str(path)]) == (2, None, f"error: {ref.value}\n")
+        assert str(ref.value).startswith(f"invalid JSON in {path}: ")
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "crlf.json"
+        path.write_bytes(json.dumps(K5_DOUBLED, indent=1).replace("\n", "\r\n").encode())
+        want = _loaded(oracles.load_problem_reference, str(path))
+        assert want[0] != "error" and _loaded(cli.load_problem, str(path)) == want
+
     def test_empty_graph(self, problem, capsys):
         # a graph without vertices has no basepoint: each command says it
         # needs a vertex, with exit code 3, as complexity and check-pol do
@@ -673,6 +699,50 @@ class TestParserReuse:
             assert run(capsys, argv)[0] == 0
         cli._parser.cache_clear()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum", "--", "FILE"],
+            ["enum", "FILE", "extra"],
+            ["enum", "FILE", "--kind", "bad"],
+            ["enum", "FILE", "--ki", "ss"],
+            ["reduce", "FILE"],
+            ["reduce", "FILE", "--multidegree", "-1,1"],
+            ["enum"],
+            [],
+            ["foo", "FILE"],
+            ["-h"],
+            ["enum", "-h"],
+            ["enum", "FILE", "--kind=ss", "--bogus"],
+            ["complexity", "FILE", "--verbose=1"],
+            ["strata", "FILE", "--max-codim", "x"],
+        ],
+    )
+    def test_one_pass_parse_matches_two_pass(self, problem, capsys, monkeypatch, argv):
+        # the command's own subparser, with the top-level parser behind it,
+        # prints and exits exactly as the top-level parser alone does
+        argv = [problem(BANANA) if a == "FILE" else a for a in argv]
+        one_pass = cli._parse_argv
+
+        def outcome(parse):
+            seen = []  # the parsed arguments, when parsing returns
+
+            def recorded(a):
+                seen.append(vars(args := parse(a)))
+                return args
+
+            monkeypatch.setattr(cli, "_parse_argv", recorded)
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
+            out = capsys.readouterr()
+            return rc, out.out, out.err, seen
+
+        fresh = cli.build_parser()
+        two_pass = outcome(lambda a: fresh.parse_args(cli._join_negative_multidegree(a)))
+        assert outcome(one_pass) == two_pass
 
     def test_handler_replaced_on_module_runs(self, problem, capsys, monkeypatch):
         path = problem(BANANA)
@@ -1113,14 +1183,16 @@ class TestLoaderAgainstReference:
 
 
 class TestCliBenchScript:
-    def test_one_query_round(self, capsys):
+    def test_one_query_round(self, capsys, tmp_path):
         # benchmarks/bench_cli.py runs the steps of main one by one, so a
         # change to them that it misses fails here
         path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_cli.py"
         spec = importlib.util.spec_from_file_location("bench_cli", path)
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
-        assert bench.main(["--workload", "query", "--rounds", "1", "--repeat", "1"]) == 0
+        out = tmp_path / "bench.json"
+        argv = ["--workload", "query", "--rounds", "1", "--repeat", "1", "--json", str(out)]
+        assert bench.main(argv) == 0
         head, columns, *rows = capsys.readouterr().out.splitlines()
         kernel = _kernel.implementation_name()
         assert head == f"query, seed 3, rounds 0-0, best of 1, {kernel} kernel (ms)"
@@ -1128,3 +1200,15 @@ class TestCliBenchScript:
         counts = {row.split()[0]: int(row.split()[1]) for row in rows}
         # a query round: three variants of four reductions, fourteen complexity graphs
         assert counts == {"reduce": 12, "complexity": 14, "all": 26}
+        record = json.loads(out.read_text())
+        assert {k: record[k] for k in ("workload", "kernel", "seed", "rounds", "repeat")} == {
+            "workload": "query", "kernel": kernel, "seed": 3, "rounds": 1, "repeat": 1
+        }
+        assert record["python"] and "commit" in record
+        for command, row in record["ms"].items():
+            assert row["requests"] == counts[command]
+            assert row["total"] == pytest.approx(sum(row[p] for p in bench.PHASES))
+            # the printed cells are the record's, to two places
+            assert [f"{row[p]:.2f}" for p in (*bench.PHASES, "total")] == next(
+                r.split()[2:] for r in rows if r.split()[0] == command
+            )

@@ -15,6 +15,7 @@ from jacgraph import (
     PolarizationTotalError,
     canonical_polarization,
 )
+from jacgraph import polarization
 from jacgraph.polarization import _text_fraction
 
 import oracles
@@ -371,6 +372,34 @@ class TestClassificationBeyondCorpus:
         assert seen == {(f, c) for f in ("bridged", "disconnected") for c in want} | {
             ("chorded", (True, True)), ("chorded", (False, False))
         }
+
+    def test_spine_only_shapes(self, monkeypatch):
+        # two chorded cycles joined by a bridge, integral only on each side
+        # of it: is_general stops at the first side, whose levels come
+        # first, and integral_witness walks on to find no non-spine
+        levels = []
+
+        def counted(n, adj, real=polarization._connected_subsets):
+            for level in real(n, adj):
+                levels.append(level)
+                yield level
+
+        monkeypatch.setattr(polarization, "_connected_subsets", counted)
+        rng = random.Random("spine-only")
+        for n_a, n_b in ((3, 3), (4, 7), (5, 5), (5, 6), (8, 8)):
+            a = [f"a{i}" for i in range(n_a)]
+            b = [f"b{i}" for i in range(n_b)]
+            bridge = (rng.choice(a), rng.choice(b))
+            g = Multigraph(a + b, _chorded_edges(a) + _chorded_edges(b) + [bridge])
+            q = _large_polarization(rng, g, "spine")
+            general, nondegenerate, witness = oracles.classification_scan(q)
+            assert (general, nondegenerate, witness) == (False, True, (frozenset(a), True))
+            levels.clear()
+            assert q.is_general() is general
+            assert len(levels) == n_a
+            levels.clear()
+            assert q.integral_witness() == witness
+            assert len(levels) == n_a + n_b
 
     def test_guard_boundary(self):
         # 20 vertices answer, 21 raise on every entry point

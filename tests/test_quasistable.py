@@ -71,6 +71,18 @@ class TestContextValidation:
         assert gdel.vertices == banana.vertices
         assert gdel.edges == banana.edges[1:]
 
+    def test_contexts_share_the_scaled_values(self, corpus_cases):
+        # the polarization scales its values once; contexts on different
+        # strata, and the integrality test, lower their own copies
+        for case in corpus_cases[:40]:
+            g, q, bp = case.graph, case.q, case.basepoint
+            strata = [(), [e.id for e in g.edges[:1]], [e.id for e in g.edges[1:3]]]
+            shared = [StratumContext(g, q, bp, S) for S in strata]
+            q._integrality()
+            fresh = [StratumContext(g, Polarization(g, q.values), bp, S) for S in strata]
+            assert [c._base for c in shared] == [c._base for c in fresh], case.index
+            assert q._scaled() == Polarization(g, q.values)._scaled(), case.index
+
 
 class TestDefects:
     def test_banana_worked_example(self, banana):
