@@ -14,16 +14,23 @@ commit, the seed, the rounds and the repeat count.
     python benchmarks/bench_cli.py --workload query
     python benchmarks/bench_cli.py --workload sweep --seed 3 --rounds 2 --repeat 5
     python benchmarks/bench_cli.py --workload query --json BENCH_cli_query.json
+    python setup.py build_ext --build-lib BUILD
+    python benchmarks/bench_cli.py --workload enumerate --ext BUILD/jacgraph
 
 ``jacgraph`` and the workloads are imported from this checkout, so the
 kernel is the pure one unless an extension was built into ``src/``; its
-name heads the output.  ``bench_kernel.py`` times the kernel layer.
+name heads the output.  ``--ext DIR`` adds a directory holding a built
+``_speedups`` to the package path, as ``cli_snapshot.py --ext`` does, and
+the script exits with code 2 before any request when the compiled kernel
+does not load from it.  ``bench_kernel.py`` times the kernel layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.machinery
+import importlib.util
 import io
 import json
 import platform
@@ -62,10 +69,20 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=2, help="play rounds 0 to ROUNDS - 1")
     parser.add_argument("--repeat", type=int, default=5, help="take the best of this many runs")
     parser.add_argument("--json", metavar="OUT", help="also write the sums to OUT as JSON")
+    parser.add_argument("--ext", metavar="DIR", help="directory holding a built _speedups")
     args = parser.parse_args(argv)
     for d in ("perfbench", "benchmarks", "src"):
         if str(ROOT / d) not in sys.path:
             sys.path.insert(0, str(ROOT / d))
+    if args.ext:
+        spec = importlib.machinery.PathFinder.find_spec("jacgraph", [str(ROOT / "src")])
+        spec.submodule_search_locations.append(str(Path(args.ext).resolve()))
+        jacgraph = importlib.util.module_from_spec(spec)
+        sys.modules["jacgraph"] = jacgraph
+        spec.loader.exec_module(jacgraph)
+        if jacgraph.implementation_name() != "compiled":
+            print(f"--ext {args.ext}: the compiled kernel did not load from it", file=sys.stderr)
+            return 2
     import workloads
     from run import git_commit  # perfbench's, which reads .git without running git
 

@@ -1,39 +1,17 @@
-/* Compiled enumeration kernel: bound table, plan and box search.
+/* Compiled enumeration kernel: plan, bounds and box search.
  *
- * Same contract and algorithms as jacgraph._kernel_py, which stays the
- * fallback and the reference, computed in signed 64-bit integers.  The one
- * entry point, box_enumerate, builds two flat tables over all 2**n subsets
- * of G - S in the block it allocates: floor holds one int64 per mask, and
- * plan one byte per mask, CHECKED when the search checks both its bounds,
- * CONNECTED when it is connected and KEPT when the search keeps it (the
- * pure kernel keeps the two bounds of each plan mask in a dict, and its
- * plan as (mask, checked) pairs per top vertex).  It writes each output in
- * the caller's vertex order.
+ * box_enumerate has the contract of jacgraph._kernel_py.box_enumerate, which
+ * stays the fallback and the reference: the same plan, the same bounds on
+ * its masks and the same search tree, in signed 64-bit integers.  The proof
+ * that the plan's bounds imply every other bound, and that the search cuts
+ * at the level a full search would, is in that module's docstrings.  Each
+ * call allocates one plan byte per subset of the n vertices and one int64
+ * sum per subset without the last vertex, and writes each output in the
+ * caller's vertex order.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
  * routes larger ones to the pure kernel).
- *
- * The total is the degree budget sum(base) / scale, which is
- * floor[full] / scale, so the upper bound on m, the lower bound on its
- * complement, is floor[full] - floor[full ^ m] = base(m) + scale/2 * cut(m).
- * The plan keeps only the bounds that can bind.  Both bounds are a sum
- * over the vertices less or plus scale/2 per crossing edge, so they are
- * additive over the pieces of m that no edge joins, and the bounds on a
- * disconnected m follow from those on its pieces.  Strictness carries
- * over, as the piece that holds v0 is strict in quasistable mode and every
- * piece is strict in stable mode.  A connected W whose remainder in its
- * component K falls into pieces, C1 the one with the highest vertex and C2
- * the rest, need not be checked either: every edge that leaves C2 ends in
- * W, so the bounds on W are those on W + C2 less the opposite bounds on
- * C2, and W + C2 and each piece of C2 have a connected remainder in K.  So
- * the search checks both bounds on each connected subset whose remainder
- * in its component is connected or empty, and keeps the prefixes their
- * sums are built from.  The plan keeps no subset that holds the last
- * vertex: the total fixes d there, and each bound on such a subset is the
- * opposite bound on the complement.  box_enumerate drops each bound that
- * the box and the total imply, and writes no sums at vertex n - 2, where
- * nothing reads them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -45,20 +23,9 @@ enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel */
    make_plan's mark of a connected subset, and that the search keeps it */
 enum { CHECKED = 1, CONNECTED = 2, KEPT = 4 };
 
-/* tables hold 2**n entries; the library's subset-scan guard stops at 20 */
+/* the plan holds one byte per subset, 2**n in all; the library's subset-scan
+   guard stops at 20 vertices */
 #define MAX_VERTICES 24
-
-#if defined(__GNUC__) || defined(__clang__)
-#define POPCOUNT(x) __builtin_popcountll(x)
-#else
-static int POPCOUNT(unsigned long long x)
-{
-    int c = 0;
-    for (; x; x &= x - 1)
-        c++;
-    return c;
-}
-#endif
 
 /* Copy a sequence of exactly len ints into out.  Sequences are read through
    a tuple copy, so conversions that run Python code cannot resize them. */
@@ -140,99 +107,49 @@ static void make_plan(int n, const size_t *adj, unsigned char *marks)
     }
 }
 
-/* Write the floor table of the graph on n vertices with the given edges to
-   floor, all 2**n masks, and its neighbour masks to adj; own holds base on
-   entry and base[v] - scale/2 * deg(v) on return.  One recurrence builds
-   the table: with v the top vertex of m and r = m - v, floor[m] = floor[r]
-   + own[v] + scale * e(v, r), where e(v, r), the edges from v into r (they
-   crossed r and stop crossing; scale is even), sums the popcounts of r
-   under v's multiplicity layers, the k-th holding the neighbours joined to
-   v by more than k edges.  Returns -1 with an exception set, else 0. */
-static int build_tables(int n, PyObject *edges, long long scale, long long *own,
-                        long long *floor, size_t *adj)
+/* Read the edges of the graph on n vertices into its neighbour masks adj
+   and its multiplicities, mult[a * n + b] the edges joining a and b; loops
+   never cross, so they are left out.  Returns -1 with an exception set,
+   else 0. */
+static int read_edges(int n, PyObject *edges, size_t *adj, long long *mult)
 {
     PyObject *es = PySequence_Tuple(edges);
     if (es == NULL)
         return -1;
-    int rc = -1;
-    size_t *layers = NULL;
-    /* mult[a * n + b]: the edges joining a and b; loops never cross */
-    long long mult[MAX_VERTICES * MAX_VERTICES] = {0};
-    /* layer_at[v] .. layer_at[v + 1]: v's multiplicity layers in layers */
-    size_t layer_at[MAX_VERTICES + 1] = {0};
-    for (Py_ssize_t e = 0; e < PyTuple_GET_SIZE(es); e++) {
+    int rc = 0;
+    for (Py_ssize_t e = 0; rc == 0 && e < PyTuple_GET_SIZE(es); e++) {
         int a, b;
-        if (!PyArg_Parse(PyTuple_GET_ITEM(es, e), "(ii)", &a, &b))
-            goto done;
-        if (a < 0 || a >= n || b < 0 || b >= n) {
+        if (!PyArg_Parse(PyTuple_GET_ITEM(es, e), "(ii)", &a, &b)) {
+            rc = -1;
+        } else if (a < 0 || a >= n || b < 0 || b >= n) {
             PyErr_Format(PyExc_ValueError, "edge (%d, %d) has an endpoint outside 0..%d",
                          a, b, n - 1);
-            goto done;
-        }
-        if (a != b) {
+            rc = -1;
+        } else if (a != b) {
             mult[a * n + b]++;
             mult[b * n + a]++;
             adj[a] |= (size_t)1 << b;
             adj[b] |= (size_t)1 << a;
         }
     }
-    for (int v = 0; v < n; v++) {
-        long long top = 0;
-        for (int w = 0; w < n; w++) {
-            own[v] -= scale / 2 * mult[v * n + w];
-            if (mult[v * n + w] > top)
-                top = mult[v * n + w];
-        }
-        layer_at[v + 1] = layer_at[v] + (size_t)top;
-    }
-    layers = PyMem_Calloc(layer_at[n] + 1, sizeof(size_t));
-    if (layers == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (int v = 0; v < n; v++)
-        for (int w = 0; w < n; w++)
-            for (long long k = 0; k < mult[v * n + w]; k++)
-                layers[layer_at[v] + k] |= (size_t)1 << w;
-    floor[0] = 0;
-    for (int v = 0; v < n; v++) {
-        size_t bit = (size_t)1 << v;
-        const size_t *first = layers + layer_at[v], *end = layers + layer_at[v + 1];
-        for (size_t r = 0; r < bit; r++) {
-            long long into = 0;
-            for (const size_t *layer = first; layer < end; layer++)
-                into += POPCOUNT(*layer & r);
-            floor[r | bit] = floor[r] + own[v] + scale * into;
-        }
-    }
-    rc = 0;
-done:
-    PyMem_Free(layers);
     Py_DECREF(es);
     return rc;
 }
 
-/* A checked plan mask: its sum is sums[p] + scale * d_k, with p the mask
-   less its top vertex k, and must lie in low..high. */
+/* A kept plan mask: its sum is sums[p] + scale * d_k, with p the mask less
+   its top vertex k, and must lie in low..high. */
 typedef struct {
     size_t m, p;
     long long low, high;
 } Row;
 
-/* A plan mask kept for its sum alone. */
-typedef struct {
-    size_t m, p;
-} Prefix;
-
 typedef struct {
     int n;
     long long scale, total;
     const long long *lo, *hi, *suf_lo, *suf_hi, *at;
-    /* level k < n - 1: rows[row_at[k]] up to rows[row_at[k + 1]], and
-       likewise the prefixes by prefix_at */
+    /* level k < n - 1: rows[row_at[k]] up to rows[row_at[k + 1]] */
     const Row *rows;
-    const Prefix *prefixes;
-    const size_t *row_at, *prefix_at;
+    const size_t *row_at;
     long long *sums, *d;
     PyObject *out;
 } Search;
@@ -264,8 +181,6 @@ static int emit(const Search *s)
 static int place(const Search *s, int k, long long partial)
 {
     const Row *first = s->rows + s->row_at[k], *end = s->rows + s->row_at[k + 1], *r;
-    const Prefix *pfirst = s->prefixes + s->prefix_at[k];
-    const Prefix *pend = s->prefixes + s->prefix_at[k + 1];
     long long *sums = s->sums, scale = s->scale, rest = s->total - partial;
     long long from = rest - s->suf_hi[k + 1], to = rest - s->suf_lo[k + 1];
     if (from < s->lo[k])
@@ -295,8 +210,6 @@ static int place(const Search *s, int k, long long partial)
             sums[r->m] = sd;
         }
         if (r == end) {
-            for (const Prefix *q = pfirst; q < pend; q++)
-                sums[q->m] = sums[q->p] + step;
             s->d[k] = dv;
             if (place(s, k + 1, partial + dv) < 0)
                 return -1;
@@ -305,78 +218,78 @@ static int place(const Search *s, int k, long long partial)
     return 0;
 }
 
-/* Read the plan, one byte per mask, into the rows and prefixes of s with
-   the bounds of the mode; floor is the floor table, and the box and its
-   suffix sums must be in s.  Only the masks below level n - 1 are read, as
-   the search checks nothing under the last vertex; make_plan keeps each
-   kept mask's prefix.  A bound that every d_m the search reaches meets is
-   dropped, and a mask left with none is kept as a prefix (below level
-   n - 2) or not at all.  Returns -1 with an exception set, else 0; on
-   success the caller frees the rows, prefixes and offsets (one block at
+/* Read the plan, one byte per mask, into the rows of s with the bounds of
+   the mode: base(m) -+ scale/2 * cut(m) on a checked mask m, from the
+   scaled polarization base and the multiplicities of read_edges.  The
+   box, its suffix sums, the total and sums[0] = 0 must be in s.  Only the masks below
+   level n - 1 are read, as the search checks nothing under the last
+   vertex; make_plan keeps each kept mask's prefix.  A bound that every d_m
+   the search reaches meets is dropped, and a mask left with none gets the
+   bounds of that reach, which never cut, or no row at level n - 2, where
+   nothing reads its sum.  Returns -1 with an exception set, else 0; on
+   success the caller frees the rows and offsets (one block at
    s->row_at). */
-static int load_plan(Search *s, const unsigned char *plan, const long long *floor, int v0,
-                     int mode)
+static int load_plan(Search *s, const unsigned char *plan, const long long *base,
+                     const long long *mult, int v0, int mode)
 {
     int n = s->n;
-    size_t full = ((size_t)1 << n) - 1, count = 0;
-    for (size_t m = 1; m <= full >> 1; m++)
+    size_t count = 0;
+    for (size_t m = 1; m < (size_t)1 << (n - 1); m++)
         count += (plan[m] & KEPT) != 0;
-    /* offsets, then the rows and prefixes, at most count of each */
-    size_t *offsets = PyMem_Malloc(2 * (size_t)n * sizeof(size_t)
-                                   + count * (sizeof(Row) + sizeof(Prefix)));
-    if (offsets == NULL) {
+    size_t *row_at = PyMem_Malloc((size_t)n * sizeof(size_t) + count * sizeof(Row));
+    if (row_at == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    size_t *row_at = offsets, *prefix_at = offsets + n;
-    Row *rows = (Row *)(prefix_at + n);
-    Prefix *prefixes = (Prefix *)(rows + count);
-    size_t nrows = 0, nprefixes = 0;
+    Row *rows = (Row *)(row_at + n);
+    size_t nrows = 0;
     int stable = mode == MODE_STABLE, quasi = mode == MODE_QUASISTABLE;
-    long long scale = s->scale, top = floor[full];
-    long long from_hi = top - scale * s->suf_hi[0], from_lo = top - scale * s->suf_lo[0];
+    long long *sums = s->sums, scale = s->scale, half = scale / 2, whole = scale * s->total;
+    long long from_hi = whole - scale * s->suf_hi[0], from_lo = whole - scale * s->suf_lo[0];
     for (int k = 0; k < n - 1; k++) {
-        size_t base = (size_t)1 << k;
+        size_t bit = (size_t)1 << k;
         row_at[k] = nrows;
-        prefix_at[k] = nprefixes;
-        for (size_t m = base; m < base << 1; m++) {
+        for (size_t m = bit; m < bit << 1; m++) {
             if (!(plan[m] & KEPT))
                 continue;
             /* every d_m the search reaches lies in reach_lo..reach_hi
                (scaled), from the box on m and on its complement */
-            long long m_lo = 0, m_hi = 0;
+            long long m_lo = 0, m_hi = 0, sum = 0;
             for (int v = 0; v <= k; v++)
                 if ((m >> v) & 1) {
                     m_lo += scale * s->lo[v];
                     m_hi += scale * s->hi[v];
+                    sum += base[v];
                 }
+            /* cut(m) is cut(m - k) plus k's edges out of m less those into
+               it, as in _kernel_py.build_tables; sums holds the cut of each
+               kept mask until the search writes its sum there */
+            long long cut = sums[m ^ bit];
+            for (int w = 0; w < n; w++)
+                cut += (m >> w) & 1 ? -mult[k * n + w] : mult[k * n + w];
+            sums[m] = cut;
             long long reach_lo = m_lo > from_hi + m_hi ? m_lo : from_hi + m_hi;
             long long reach_hi = m_hi < from_lo + m_lo ? m_hi : from_lo + m_lo;
             /* strict bounds on proper subsets: quasistable from below on
                those that hold v0 and from above on the others, stable both
                ways on all */
             int holds_v0 = (m >> v0) & 1;
-            Row r = {m, m ^ base, reach_lo, reach_hi};
+            Row r = {m, m ^ bit, reach_lo, reach_hi};
             if (plan[m] & CHECKED) {
-                long long low = floor[m] + (stable || (quasi && holds_v0));
-                long long high = top - floor[full ^ m] - (stable || (quasi && !holds_v0));
+                long long low = sum - half * cut + (stable || (quasi && holds_v0));
+                long long high = sum + half * cut - (stable || (quasi && !holds_v0));
                 if (low > r.low)
                     r.low = low;
                 if (high < r.high)
                     r.high = high;
             }
-            if (r.low > reach_lo || r.high < reach_hi)
+            if (k < n - 2 || r.low > reach_lo || r.high < reach_hi)
                 rows[nrows++] = r;
-            else if (k < n - 2)
-                prefixes[nprefixes++] = (Prefix){m, m ^ base};
         }
     }
     row_at[n - 1] = nrows;
-    prefix_at[n - 1] = nprefixes;
     s->row_at = row_at;
-    s->prefix_at = prefix_at;
     s->rows = rows;
-    s->prefixes = prefixes;
     return 0;
 }
 
@@ -386,8 +299,8 @@ PyDoc_STRVAR(box_enumerate_doc,
 "per-subset bounds of the graph on n vertices with the given edges (index\n"
 "pairs) and scaled polarization base, as in jacgraph._kernel_py.box_enumerate,\n"
 "each with the value of vertex k at position at[k], for at a permutation\n"
-"of range(n).  The floor table and the plan are built within the call.\n"
-"Raises ValueError unless scale is positive and divides sum(base).");
+"of range(n).  The plan and the bounds on its masks are built within the\n"
+"call.  Raises ValueError unless scale is positive and divides sum(base).");
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
@@ -405,19 +318,20 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     if (scale <= 0)
         return PyErr_Format(PyExc_ValueError, "scale = %lld is not positive", scale);
     size_t size = (size_t)1 << n, adj[MAX_VERTICES] = {0};
-    /* the int64 arrays, then the plan's bytes */
-    long long *buf = PyMem_Malloc((2 * size + 7 * ((size_t)n + 1)) * sizeof(long long) + size);
+    long long mult[MAX_VERTICES * MAX_VERTICES] = {0};
+    /* the int64 arrays, sums on the masks without the last vertex first,
+       then the plan's bytes */
+    long long *buf = PyMem_Malloc((size / 2 + 7 * ((size_t)n + 1)) * sizeof(long long) + size);
     if (buf == NULL)
         return PyErr_NoMemory();
-    long long *floor = buf, *sums = floor + size;
-    long long *clo = sums + size, *chi = clo + n + 1;
+    long long *sums = buf, *clo = sums + size / 2, *chi = clo + n + 1;
     long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *d = suf_hi + n + 1;
-    long long *cat = d + n + 1, *own = cat + n + 1;
-    unsigned char *plan = (unsigned char *)(own + n + 1);
+    long long *cat = d + n + 1, *cbase = cat + n + 1;
+    unsigned char *plan = (unsigned char *)(cbase + n + 1);
     Search s = {.n = n, .scale = scale, .lo = clo, .hi = chi,
                 .suf_lo = suf_lo, .suf_hi = suf_hi, .at = cat, .sums = sums, .d = d};
 
-    if (load_int64s(base, n, own, "base") < 0
+    if (load_int64s(base, n, cbase, "base") < 0
         || load_int64s(lo, n, clo, "lo") < 0
         || load_int64s(hi, n, chi, "hi") < 0
         || load_int64s(at, n, cat, "at") < 0)
@@ -434,23 +348,24 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
         suf_lo[k] = suf_lo[k + 1] + clo[k];
         suf_hi[k] = suf_hi[k + 1] + chi[k];
     }
-    if (build_tables(n, edges, scale, own, floor, adj) < 0)
+    if (read_edges(n, edges, adj, mult) < 0)
         goto done;
-    /* the whole set crosses no edge, so floor[size - 1] is sum(base), and
-       the budget needs no product that could overflow */
-    if (floor[size - 1] % scale != 0) {
+    long long whole = 0;
+    for (int v = 0; v < n; v++)
+        whole += cbase[v];
+    if (whole % scale != 0) {
         PyErr_Format(PyExc_ValueError, "base sums to %lld, not a multiple of scale = %lld",
-                     floor[size - 1], scale);
+                     whole, scale);
         goto done;
     }
-    s.total = floor[size - 1] / scale;
+    s.total = whole / scale;
     make_plan(n, adj, plan);
-    if (load_plan(&s, plan, floor, v0, mode) < 0)
+    sums[0] = 0;
+    if (load_plan(&s, plan, cbase, mult, v0, mode) < 0)
         goto done;
     out = PyList_New(0);
     if (out != NULL && suf_lo[0] <= s.total && suf_hi[0] >= s.total) {
         s.out = out;
-        sums[0] = 0;
         d[0] = s.total; /* all of it, when there is one vertex */
         if ((n == 1 ? emit(&s) : place(&s, 0, 0)) < 0)
             Py_CLEAR(out);

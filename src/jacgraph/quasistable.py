@@ -41,7 +41,7 @@ from .errors import (
     GraphMismatchError,
     ReductionGuardError,
 )
-from .graph import Multigraph, Vertex, _bfs_forest
+from .graph import Multigraph, Vertex, _adjacency_masks, _bfs_forest, _mask_pieces
 from .lattice import Cochain, _reduced_laplacian, _solve
 from .polarization import Polarization
 
@@ -503,12 +503,17 @@ def semistable_equality_witness(g: Multigraph, q: Polarization):
     if hit is None:
         return None
     # Y is already connected: a piece of an integral subset is integral,
-    # has a smaller mask, and is not a spine when the subset is not
+    # has a smaller mask, and is not a spine when the subset is not; a piece
+    # of its complement is a spine when no non-bridge edge crosses it
     Y, y_is_spine = hit
-    comps = g.induced_subgraph(g.complement(Y)).components()
-    Z = next((c for c in comps if not (y_is_spine or g.is_spine(c))), comps[0])
-
-    z = g._mask(Z)
+    n = g.num_vertices
+    pieces = list(_mask_pieces(((1 << n) - 1) ^ g._mask(Y), _adjacency_masks(n, g._pairs)))
+    z = pieces[0]
+    if not y_is_spine:
+        br = g.bridges()
+        kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
+        z = next((c for c in pieces if any((c >> a ^ c >> b) & 1 for a, b in kept)), z)
+    Z = g._vertex_set(z)
     f = next(k for k, (x, y) in enumerate(g._pairs) if (z >> x ^ z >> y) & 1)
     a, b = g._pairs[f] if z >> g._pairs[f][1] & 1 else g._pairs[f][::-1]
     pairs = [*g._pairs[:f], *g._pairs[f + 1 :], (a, b)]

@@ -4,7 +4,10 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
+from importlib.machinery import EXTENSION_SUFFIXES
 from fractions import Fraction
 from pathlib import Path
 
@@ -1212,3 +1215,29 @@ class TestCliBenchScript:
             assert [f"{row[p]:.2f}" for p in (*bench.PHASES, "total")] == next(
                 r.split()[2:] for r in rows if r.split()[0] == command
             )
+
+    SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_cli.py"
+
+    def _run(self, *argv):
+        # a fresh process, as --ext replaces the imported jacgraph
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--rounds", "1", "--repeat", "1", *argv],
+            capture_output=True, text=True,
+        )
+
+    def test_ext_that_does_not_load(self, tmp_path):
+        src = self.SCRIPT.parent.parent / "src" / "jacgraph"
+        if any((src / f"_speedups{suffix}").exists() for suffix in EXTENSION_SUFFIXES):
+            pytest.skip("src/ holds a built extension, which loads whatever --ext names")
+        run = self._run("--ext", str(tmp_path))
+        assert run.returncode == 2, run.stderr
+        assert run.stdout == ""
+        assert run.stderr == f"--ext {tmp_path}: the compiled kernel did not load from it\n"
+
+    @pytest.mark.skipif(not _kernel.HAVE_SPEEDUPS, reason="compiled kernel not built")
+    def test_ext_loads_the_compiled_kernel(self):
+        run = self._run("--ext", str(Path(_kernel._speedups.__file__).parent))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[0] == (
+            "query, seed 3, rounds 0-0, best of 1, compiled kernel (ms)"
+        )

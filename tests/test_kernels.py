@@ -808,6 +808,24 @@ class TestParity:
                     rows += len(want)
         assert rows > 10_000, rows
 
+    def test_beyond_the_scan_guard(self):
+        # the library refuses more than 20 vertices, the compiled kernel
+        # takes up to 24: quasistable on chorded cycles of 21 and 22
+        # vertices it matches the pure kernel, and up to 24 its row count
+        # is the tree count
+        compiled = implementations()[0]
+        for n in (21, 22, 24):
+            g = corpus.chorded_cycle(n)
+            values = [Fraction(1, 2)] * n
+            values[-1] += n % 2 * Fraction(1, 2)
+            ctx = StratumContext(g, Polarization(g, values), g.vertices[0])
+            lo, hi = ctx.singleton_box()
+            args = (n, *_kernel_args(ctx), ctx._v0, lo, hi, MODE_QUASISTABLE, range(n))
+            rows = compiled.box_enumerate(*args)
+            if n < 24:
+                assert rows == _kernel_py.box_enumerate(*args), n
+            assert len(rows) == oracles.kirchhoff_count(g), n
+
 
 @needs_speedups
 class TestCompiledChecks:
@@ -824,11 +842,15 @@ class TestCompiledChecks:
                 compiled.box_enumerate(2, [(0, 1)], [0, 0], big, *box)
 
     def test_malformed_input_rejected(self):
-        # an edge endpoint outside 0..n - 1, n outside 1..24, v0 outside
-        # 0..n - 1 and a base of the wrong length
+        # an edge endpoint outside 0..n - 1, n outside 1..24 (24 itself
+        # taken), v0 outside 0..n - 1 and a base of the wrong length
         compiled = implementations()[0]
         box = ([0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
         assert compiled.box_enumerate(2, [(0, 1)], [1, 1], 2, 0, *box) == [(0, 1), (1, 0)]
+        zeros = [0] * 24
+        assert compiled.box_enumerate(
+            24, [], zeros, 2, 0, zeros, zeros, MODE_SEMISTABLE, range(24)
+        ) == [tuple(zeros)]
         for bad_edge in ((0, 2), (-1, 0)):
             with pytest.raises(ValueError):
                 compiled.box_enumerate(2, [bad_edge], [1, 1], 2, 0, *box)
