@@ -4,16 +4,18 @@ Runs the kernel entry point (``box_enumerate``: table construction and box
 search, in the kernel's own vertex order) on chorded cycle graphs of
 growing size and reports per-call times for every available
 implementation, and the pure kernel's table step (``build_tables``) alone
-in a ``pure tables`` row.  The ``enum``
-rows time what the library runs for the quasistable and semistable sets
-(``StratumContext._value_tuples``: its level order, the kernel it picks,
-labelled, and the sort).  Five more library calls run with one
-implementation and no kernel involved: the minimum-cut defect scan, the
-spanning-tree lister of the strata walk (``strata._spanning_trees``, its
-``trees`` row giving the count, which equals the quasistable count), the
-tile points of those trees (``strata._tile_point``, its ``tiles`` row; the
-script checks that they are the quasistable set), the degree class group
-(``picard_group``) of the graph, which it takes on the cycle side, and of
+in a ``pure tables`` row.  The ``enum`` rows time what the library and
+the command line run for the quasistable and semistable sets
+(``StratumContext._packed``: its level order, the kernel it picks,
+labelled, and the one sort of the packed rows, which stay packed); the
+``enumerate`` rows return packed rows too, unsorted.  Five more library
+calls run with one implementation and no kernel involved: the minimum-cut
+defect scan, the spanning-tree lister of the strata walk
+(``strata._spanning_trees``, its ``trees`` row giving the count, which
+equals the quasistable count), the tile points of those trees
+(``strata._tile_point``, its ``tiles`` row; the script checks that they,
+packed in the same layout, are the quasistable rows), the degree class
+group (``picard_group``) of the graph, which it takes on the cycle side, and of
 the graph with every edge doubled, which it takes on the Laplacian side,
 and the spanning-tree count of the graph (``complexity``, the group's
 order), in the ``complexity`` row.  The ``classify`` row times
@@ -151,7 +153,7 @@ def main(argv=None) -> int:
         pad = " " * 12 * (len(mods) - 1)
         print(f"{n:>3} {'pure tables':<12}{pad}{t_build * 1e3:>10.2f}ms")
         for kind in ("quasistable", "semistable"):
-            t_enum, got = best_of(args.repeat, ctx._value_tuples, kind)
+            t_enum, (_, got) = best_of(args.repeat, ctx._packed, kind)
             label = f"enum {kind[:1]}s"
             print(
                 f"{n:>3} {label:<12}{t_enum * 1e3:>10.2f}ms"
@@ -166,7 +168,8 @@ def main(argv=None) -> int:
         t_tiles, tiles = best_of(
             args.repeat, lambda: [strata._tile_point(ctx, g._pairs, t) for t in trees]
         )
-        if sorted(d for d, _ in tiles) != ctx._value_tuples("quasistable"):
+        layout, rows = ctx._packed("quasistable")
+        if sorted(layout.pack(d) for d, _ in tiles) != rows:
             raise SystemExit("the tile points and the quasistable multidegrees disagree")
         print(f"{n:>3} {'tiles':<12}{t_tiles * 1e3:>10.2f}ms  ({len(tiles)} tile points)")
         # 2**i / modulus on all but the last vertex, which balances them: for

@@ -4,9 +4,18 @@ operands fit its 64-bit arithmetic, the pure-Python kernel otherwise.
 A call whose operand bound reaches FAST_BOUND is routed to the pure
 kernel, which computes with Python integers; so is every call when the
 extension was not built.
+
+Both kernels return each multidegree packed into one int, in the
+``Layout`` of the box they are given; the library unpacks rows only where
+it builds ``Cochain``s, and the command line writes them packed.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import EmptyGraphError, GuardLimitError
 
@@ -27,6 +36,68 @@ FAST_BOUND = 1 << 60
 # the compiled kernel's table, and classification on a dense graph, reach 2**n
 # masks; refuse beyond this many vertices
 SUBSET_SCAN_LIMIT = 20
+
+
+# the array typecode of each field size, and whether an array's items are
+# read little-endian
+_TYPECODE = {array(t).itemsize: t for t in "QLIHB"}
+_SWAP = sys.byteorder == "little"
+
+
+class Layout(NamedTuple):
+    """How one int holds a multidegree d in the box ``[lo, hi]`` (vertex
+    order).  Vertex v owns the codes ``start[v] + j`` for its box width
+    ``hi[v] - lo[v] + 1`` (none when its box is empty), ``start[v]`` the
+    sum of the widths before it, and its field holds the code
+    ``start[v] + d_v - lo[v]``.  Every field takes ``size`` bytes, the
+    fewest of 1, 2 and 4 that hold every code, and the fields are
+    concatenated big-endian, vertex 0 most significant, so the order of the
+    ints is that of the value tuples.  ``unit[v]`` is the lowest bit of
+    v's field and ``origin`` the sum of ``(start[v] - lo[v]) * unit[v]``,
+    so d packs to ``origin`` plus ``d_v * unit[v]`` over the vertices.
+    Build one with ``Layout.of``."""
+
+    lo: tuple
+    hi: tuple
+    size: int
+    unit: tuple
+    origin: int
+
+    @classmethod
+    def of(cls, lo, hi) -> "Layout":
+        widths = [max(b - a + 1, 0) for a, b in zip(lo, hi)]
+        count = sum(widths)
+        if count > 1 << 32:
+            raise OverflowError(f"a box of {count} codes is too wide to pack")
+        size = 1 if count <= 1 << 8 else 2 if count <= 1 << 16 else 4
+        last = len(lo) - 1
+        unit = tuple([1 << 8 * size * (last - v) for v in range(last + 1)])
+        starts = accumulate(widths, initial=0)
+        origin = sum(map(int.__mul__, map(int.__sub__, starts, lo), unit))
+        return cls(tuple(lo), tuple(hi), size, unit, origin)
+
+    def pack(self, values) -> int:
+        """The int of one multidegree in the box."""
+        return self.origin + sum(map(int.__mul__, values, self.unit))
+
+    def codes(self, rows):
+        """The codes of ``rows``, row after row: their bytes for one-byte
+        fields, else an array."""
+        size = self.size
+        width = len(self.lo) * size
+        raw = b"".join([row.to_bytes(width, "big") for row in rows])
+        if size == 1:
+            return raw
+        codes = array(_TYPECODE[size], raw)
+        if _SWAP:
+            codes.byteswap()
+        return codes
+
+    def unpack(self, rows) -> list:
+        """The value tuples of ``rows``."""
+        values = [x for a, b in zip(self.lo, self.hi) for x in range(a, b + 1)]
+        flat = map(values.__getitem__, self.codes(rows))
+        return list(zip(*[flat] * len(self.lo)))
 
 
 def scan_guard(n: int, what: str):

@@ -48,7 +48,7 @@ interval.
 
 from __future__ import annotations
 
-from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
+from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE, Layout
 from .graph import _adjacency_masks, _connected_subsets, _mask_pieces
 
 # per bit i, the table taking a byte to its bit i, for bytes.translate
@@ -143,8 +143,11 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
     satisfy the per-subset bounds of ``build_tables(n, edges, base,
     scale)``; strictness of the bounds depends on ``mode``.  Each output
     has the value of vertex k at position ``at[k]``, for ``at`` a
-    permutation of ``range(n)``.  Raises ValueError unless ``scale`` is
-    positive and divides ``sum(base)``.
+    permutation of ``range(n)``, and is packed into one int in the
+    ``_kernel.Layout`` of the box in output order (position ``at[k]`` has
+    the box ``[lo[k], hi[k]]``); int order is the order of the value
+    tuples.  Raises ValueError unless ``scale`` is positive and divides
+    ``sum(base)``.
 
     Depth-first over the vertices in index order.  When vertex k is
     assigned, every subset whose top vertex is k becomes decided, so the
@@ -153,7 +156,7 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
     bounds, so the outputs and their order (before ``at`` places them) are
     those of a search that checks every subset; a cut comes once the
     subsets of those kept bounds are decided.  In the level order of
-    ``StratumContext._value_tuples`` (breadth-first layers from the
+    ``StratumContext._packed`` (breadth-first layers from the
     highest vertex of each component, farthest first), that is the level
     such a search cuts at.  The pieces of a disconnected subset lie below
     its top vertex.  For a connected W, each piece of C2 (see the module
@@ -189,7 +192,11 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
     Each field of level k has a mask that holds k, so it grows with d_k:
     the lower tests pass from some value of d_k on, the upper ones up to
     some value.  A node scans in from each end with one test alone and
-    takes the values between untested.
+    takes the values between untested.  The output is built the same way:
+    its int is a constant plus ``d_k * unit[k]`` per vertex, ``unit[k]``
+    the lowest bit of position ``at[k]``'s field, and at the last level,
+    where vertex n - 2 rises as the last vertex falls, the values that pass
+    are one arithmetic progression of ints.
     """
     whole = sum(base)
     if scale <= 0:
@@ -197,6 +204,10 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
     if whole % scale:
         raise ValueError(f"base sums to {whole}, not a multiple of scale = {scale}")
     total = whole // scale
+    out_lo, out_hi = [0] * n, [0] * n
+    for k, p in enumerate(at):
+        out_lo[p], out_hi[p] = lo[k], hi[k]
+    layout = Layout.of(out_lo, out_hi)
     suf_lo = [0] * (n + 1)
     suf_hi = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -205,7 +216,7 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
     if suf_lo[0] > total or suf_hi[0] < total:
         return []
     if n == 1:
-        return [(total,)]
+        return [layout.pack([total])]
     bounds, plan = build_tables(n, edges, base, scale)
 
     # per level but the last, per mask with a bound: its scaled low and high
@@ -267,10 +278,14 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
     for j, lane in enumerate(lanes):
         lane[::nbytes] = packed[j::mask_bytes]
 
+    # an output is the layout's origin plus d_k * unit[k] over the vertices
+    # k, unit[k] the lowest bit of the field at position at[k]
+    unit = [layout.unit[p] for p in at]
+
     # per level k, on the state with the lower levels shifted out: step[k]
     # (no mask below level k holds k), its part in the level's own fields,
     # all of which hold k, the mask of those fields, the constants of the
-    # two tests, the level's width and its vertex's place in an output
+    # two tests, the level's width and its vertex's unit in an output
     levels, start = [], 0
     for k, end in enumerate(ends):
         shift, width = 8 * nbytes * start, 8 * nbytes * (end - start)
@@ -278,15 +293,15 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
         step = scale * int.from_bytes(lanes[k >> 3].translate(_BIT[k & 7]), "little") >> shift
         g_l, g_u = gl >> shift & keep, gu >> shift & keep
         c_l, c_u = (cl >> shift & keep) - g_l, (cu >> shift & keep) - g_u
-        levels.append((step, step & keep, keep, c_l, g_l, c_u, g_u, width, at[k]))
+        levels.append((step, step & keep, keep, c_l, g_l, c_u, g_u, width, unit[k]))
         start = end
 
-    d, last_at = [0] * n, at[n - 1]
+    last_unit = unit[n - 1]
     out = []
 
-    def place(k, partial, state):
+    def place(k, partial, state, row):
         # the level's tests read only its own fields, ``here``
-        step, own, keep, cl, gl, cu, gu, width, pos = levels[k]
+        step, own, keep, cl, gl, cu, gu, width, k_unit = levels[k]
         rest = total - partial
         first, last = rest - suf_hi[k + 1], rest - suf_lo[k + 1]
         first = lo[k] if lo[k] > first else first  # max and min cost a call
@@ -301,12 +316,12 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
             here -= own
         if k < n - 2:
             for dv in range(first, last + 1):
-                d[pos] = dv
-                place(k + 1, partial + dv, (state + dv * step) >> width)
-        else:
-            for dv in range(first, last + 1):
-                d[pos], d[last_at] = dv, rest - dv
-                out.append(tuple(d))
+                place(k + 1, partial + dv, (state + dv * step) >> width, row + dv * k_unit)
+        elif first <= last:
+            # d_k = dv and the last vertex rest - dv, for dv from first to last
+            move = k_unit - last_unit
+            row += rest * last_unit + first * move
+            out.extend(range(row, row + (last - first + 1) * move, move))
 
-    place(0, 0, state)
+    place(0, 0, state, layout.origin)
     return out

@@ -6,8 +6,11 @@
  * that the plan's bounds imply every other bound, and that the search cuts
  * at the level a full search would, is in that module's docstrings.  Each
  * call allocates one plan byte per subset of the n vertices and one int64
- * sum per subset without the last vertex, and writes each output in the
- * caller's vertex order.
+ * sum per subset without the last vertex.  It returns each output as one
+ * int in the jacgraph._kernel.Layout of the box in the caller's vertex
+ * order: the search writes each vertex's code into its big-endian field of
+ * one byte buffer as it places the vertex, and each output is that buffer
+ * read as one int (_PyLong_FromByteArray), with no Python int per value.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
@@ -144,28 +147,34 @@ typedef struct {
 } Row;
 
 typedef struct {
-    int n;
+    int n, size;
     long long scale, total;
-    const long long *lo, *hi, *suf_lo, *suf_hi, *at;
+    /* per level k: its box lo[k]..hi[k], the suffix sums of the box from k,
+       its vertex's place in an output and the shift from d_k to its code */
+    const long long *lo, *hi, *suf_lo, *suf_hi, *at, *shift;
     /* level k < n - 1: rows[row_at[k]] up to rows[row_at[k + 1]] */
     const Row *rows;
     const size_t *row_at;
-    long long *sums, *d;
+    long long *sums;
+    /* the row being built: one big-endian field of size bytes per vertex */
+    unsigned char *codes;
     PyObject *out;
 } Search;
 
-/* Append d as a tuple, d_k at position at[k].  Returns -1 with an
-   exception set, else 0. */
+/* Write code to the size bytes at field, big-endian. */
+static void put(unsigned char *field, int size, long long code)
+{
+    for (int i = size - 1; i >= 0; i--) {
+        field[i] = (unsigned char)code;
+        code >>= 8;
+    }
+}
+
+/* Append the row in s->codes as one int.  Returns -1 with an exception
+   set, else 0. */
 static int emit(const Search *s)
 {
-    PyObject *row = PyTuple_New(s->n);
-    for (int k = 0; row != NULL && k < s->n; k++) {
-        PyObject *v = PyLong_FromLongLong(s->d[k]);
-        if (v == NULL)
-            Py_CLEAR(row);
-        else
-            PyTuple_SET_ITEM(row, s->at[k], v);
-    }
+    PyObject *row = _PyLong_FromByteArray(s->codes, (size_t)s->n * s->size, 0, 0);
     int rc = row == NULL ? -1 : PyList_Append(s->out, row);
     Py_XDECREF(row);
     return rc;
@@ -175,9 +184,12 @@ static int emit(const Search *s)
    Every subset whose top vertex is k is decided once d_k is chosen, so the
    bounds the plan keeps among them are checked at once.  d_k runs over the
    values that leave the rest of the total within the box of the vertices
-   after k.  sums[m] holds scale * d_m, so the inner loops need no
-   multiply; at k = n - 2 nothing reads them, so they are only checked.
-   Returns -1 with an exception set, else 0. */
+   after k.  Each row's sum grows with d_k, so its low bound holds from some
+   value on and its high bound up to some value: the values that pass are
+   one interval, found by scanning in from each end with one bound alone.
+   sums[m] holds scale * d_m, so the inner loops need no multiply; at
+   k = n - 2 nothing reads them, so they are only checked.  Returns -1 with
+   an exception set, else 0. */
 static int place(const Search *s, int k, long long partial)
 {
     const Row *first = s->rows + s->row_at[k], *end = s->rows + s->row_at[k + 1], *r;
@@ -187,34 +199,70 @@ static int place(const Search *s, int k, long long partial)
         from = s->lo[k];
     if (to > s->hi[k])
         to = s->hi[k];
-    for (long long dv = from; dv <= to; dv++) {
-        long long step = scale * dv;
-        if (k == s->n - 2) {
-            for (r = first; r < end; r++) {
-                long long sd = sums[r->p] + step;
-                if (sd < r->low || sd > r->high)
-                    break;
-            }
-            if (r == end) {
-                s->d[k] = dv;
-                s->d[k + 1] = rest - dv;
-                if (emit(s) < 0)
-                    return -1;
-            }
-            continue;
-        }
-        for (r = first; r < end; r++) {
-            long long sd = sums[r->p] + step;
-            if (sd < r->low || sd > r->high)
-                break;
-            sums[r->m] = sd;
-        }
-        if (r == end) {
-            s->d[k] = dv;
-            if (place(s, k + 1, partial + dv) < 0)
+    for (; from <= to; from++) {
+        long long step = scale * from;
+        for (r = first; r < end && sums[r->p] + step >= r->low; r++)
+            ;
+        if (r == end)
+            break;
+    }
+    for (; to >= from; to--) {
+        long long step = scale * to;
+        for (r = first; r < end && sums[r->p] + step <= r->high; r++)
+            ;
+        if (r == end)
+            break;
+    }
+    unsigned char *field = s->codes + s->at[k] * s->size;
+    if (k == s->n - 2) {
+        unsigned char *last = s->codes + s->at[k + 1] * s->size;
+        for (long long dv = from; dv <= to; dv++) {
+            put(field, s->size, dv + s->shift[k]);
+            put(last, s->size, rest - dv + s->shift[k + 1]);
+            if (emit(s) < 0)
                 return -1;
         }
+        return 0;
     }
+    for (long long dv = from; dv <= to; dv++) {
+        long long step = scale * dv;
+        for (r = first; r < end; r++)
+            sums[r->m] = sums[r->p] + step;
+        put(field, s->size, dv + s->shift[k]);
+        if (place(s, k + 1, partial + dv) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Set s->size and fill shift with the layout of jacgraph._kernel.Layout
+   for the box in output order (position at[k] has the box lo[k]..hi[k]):
+   position p owns the codes from start[p], the sum of the box widths
+   before it, d_k has the code start[at[k]] + d_k - lo[k], and a field
+   takes the fewest of 1, 2 and 4 bytes that hold every code.  Returns -1
+   with OverflowError set past 2**32 codes, else 0. */
+static int layout(Search *s, long long *shift)
+{
+    const long long *at = s->at;
+    /* a width past 2**32 counts as 2**32 + 1, so the count cannot wrap */
+    unsigned long long width[MAX_VERTICES] = {0}, start[MAX_VERTICES], count = 0;
+    for (int k = 0; k < s->n; k++) {
+        if (s->hi[k] >= s->lo[k]) {
+            unsigned long long w = (unsigned long long)s->hi[k] - (unsigned long long)s->lo[k];
+            width[at[k]] = w < 1ULL << 32 ? w + 1 : (1ULL << 32) + 1;
+        }
+    }
+    for (int p = 0; p < s->n; p++) {
+        start[p] = count;
+        count += width[p];
+    }
+    if (count > 1ULL << 32) {
+        PyErr_Format(PyExc_OverflowError, "a box of %llu codes is too wide to pack", count);
+        return -1;
+    }
+    s->size = count <= 1 << 8 ? 1 : count <= 1 << 16 ? 2 : 4;
+    for (int k = 0; k < s->n; k++)
+        shift[k] = (long long)start[at[k]] - s->lo[k];
     return 0;
 }
 
@@ -294,13 +342,15 @@ static int load_plan(Search *s, const unsigned char *plan, const long long *base
 }
 
 PyDoc_STRVAR(box_enumerate_doc,
-"box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at) -> list of tuples\n\n"
+"box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at) -> list of ints\n\n"
 "Integer vectors in the box with total sum(base) / scale that satisfy the\n"
 "per-subset bounds of the graph on n vertices with the given edges (index\n"
 "pairs) and scaled polarization base, as in jacgraph._kernel_py.box_enumerate,\n"
 "each with the value of vertex k at position at[k], for at a permutation\n"
-"of range(n).  The plan and the bounds on its masks are built within the\n"
-"call.  Raises ValueError unless scale is positive and divides sum(base).");
+"of range(n), packed into one int in the jacgraph._kernel.Layout of the box\n"
+"in output order.  The plan and the bounds on its masks are built within\n"
+"the call.  Raises ValueError unless scale is positive and divides\n"
+"sum(base), OverflowError past 2**32 codes.");
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
@@ -325,11 +375,11 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     if (buf == NULL)
         return PyErr_NoMemory();
     long long *sums = buf, *clo = sums + size / 2, *chi = clo + n + 1;
-    long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *d = suf_hi + n + 1;
-    long long *cat = d + n + 1, *cbase = cat + n + 1;
-    unsigned char *plan = (unsigned char *)(cbase + n + 1);
-    Search s = {.n = n, .scale = scale, .lo = clo, .hi = chi,
-                .suf_lo = suf_lo, .suf_hi = suf_hi, .at = cat, .sums = sums, .d = d};
+    long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *shift = suf_hi + n + 1;
+    long long *cat = shift + n + 1, *cbase = cat + n + 1;
+    unsigned char *plan = (unsigned char *)(cbase + n + 1), codes[4 * MAX_VERTICES];
+    Search s = {.n = n, .scale = scale, .lo = clo, .hi = chi, .suf_lo = suf_lo,
+                .suf_hi = suf_hi, .at = cat, .shift = shift, .sums = sums, .codes = codes};
 
     if (load_int64s(base, n, cbase, "base") < 0
         || load_int64s(lo, n, clo, "lo") < 0
@@ -343,6 +393,8 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
             goto done;
         }
     }
+    if (layout(&s, shift) < 0)
+        goto done;
     suf_lo[n] = suf_hi[n] = 0;
     for (int k = n - 1; k >= 0; k--) {
         suf_lo[k] = suf_lo[k + 1] + clo[k];
@@ -366,7 +418,7 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     out = PyList_New(0);
     if (out != NULL && suf_lo[0] <= s.total && suf_hi[0] >= s.total) {
         s.out = out;
-        d[0] = s.total; /* all of it, when there is one vertex */
+        put(codes, s.size, s.total + shift[0]); /* all of it, when there is one vertex */
         if ((n == 1 ? emit(&s) : place(&s, 0, 0)) < 0)
             Py_CLEAR(out);
     }

@@ -241,7 +241,7 @@ def cmd_complexity(problem: Problem, args) -> dict:
 def cmd_enum(problem: Problem, args) -> dict:
     kind = KIND_NAMES[args.kind]
     ctx = _context(problem, "enum")
-    found = _IntRows(ctx._value_tuples(kind))
+    found = _PackedRows(*ctx._packed(kind))
     if args.verbose:
         print(
             f"{len(found)} {kind} multidegrees "
@@ -321,13 +321,14 @@ def cmd_strata(problem: Problem, args) -> dict:
     if args.max_codim is not None and args.max_codim < 0:
         raise ProblemFileError(f"--max-codim must be nonnegative, got {args.max_codim}")
     guard = _edge_guard()
-    rows, complete, total, subdivided = strata_rows(
+    layout, rows, complete, total, subdivided = strata_rows(
         problem.graph,
         _basepoint(problem, "strata"),
         q,
         max_codim=args.max_codim,
         guard_edges=guard,
     )
+    empty = _PackedRows(layout)  # shared by the many empty rows
     if args.verbose:
         print(
             f"{len(rows)} strata, {total} multidegrees"
@@ -346,9 +347,9 @@ def cmd_strata(problem: Problem, args) -> dict:
                 "codimension": len(stratum),
                 "connected": count > 0,
                 "expected_count": count,
-                "multidegrees": _IntRows(tuples),
+                "multidegrees": _PackedRows(layout, packed) if packed else empty,
             }
-            for stratum, tuples, count in rows
+            for stratum, packed, count in rows
         ),
     }
 
@@ -358,12 +359,13 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
 
     q = _require_polarization(problem)
     g, guard = problem.graph, _edge_guard()
-    sub, rows, total, expected_total = blowup_rows(
+    sub, layout, rows, total, expected_total = blowup_rows(
         g,
         _basepoint(problem, "blowup-check"),
         q,
         guard_edges=guard,
     )
+    empty = _PackedRows(layout)
     if args.verbose:
         ok = total == expected_total and all(len(t) == count for _, t, count in rows)
         print(
@@ -380,26 +382,32 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
         "buckets": _Table(
             {
                 "stratum": stratum,
-                "count": len(tuples),
+                "count": len(packed),
                 "expected_count": count,
-                "multidegrees": _IntRows(tuples),
+                "multidegrees": _PackedRows(layout, packed) if packed else empty,
             }
-            for stratum, tuples, count in rows
+            for stratum, packed, count in rows
         ),
     }
 
 
 # -- output ------------------------------------------------------------------
 
-class _IntRows(list):
-    """Nonempty tuples of ints, all of one length, which the writer takes
-    as such unchecked."""
+class _PackedRows(list):
+    """Multidegrees as ints in ``layout`` (a ``_kernel.Layout``), which the
+    writer takes as such unchecked."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, layout, rows=()):
+        super().__init__(rows)
+        self.layout = layout
 
 
 class _Table(list):
     """Nonempty dicts with the same keys in the same order, each key holding
     ints in every row, or bools, or lists or tuples of strings, or
-    ``_IntRows``: the writer takes the first row's layout for all rows,
+    ``_PackedRows``: the writer takes the first row's layout for all rows,
     unchecked."""
 
 
@@ -414,9 +422,27 @@ def _row_template(width: int, indent: str) -> str:
     return f"[\n{deep}" + f",\n{deep}".join(["%d"] * width) + f"\n{indent}]"
 
 
-def _int_rows(rows, indent: str) -> str:
-    """The int rows of nonempty ``rows`` at ``indent``, joined by commas."""
-    return f",\n{indent}".join(map(_row_template(len(rows[0]), indent).__mod__, rows))
+@functools.lru_cache(maxsize=1)
+def _texts(layout, indent: str) -> list[str]:
+    """Per code of ``layout``, the text of its value in a row at ``indent``
+    with what follows it there: the first field opens the row, each field
+    but the last is followed by a comma, and the last closes the row and
+    puts the comma before the next one."""
+    deep = indent + "  "
+    last = len(layout.lo) - 1
+    texts = []
+    for v, (a, b) in enumerate(zip(layout.lo, layout.hi)):
+        head = f"[\n{deep}" if v == 0 else ""
+        tail = f"\n{indent}],\n{indent}" if v == last else f",\n{deep}"
+        texts += [f"{head}{x}{tail}" for x in range(a, b + 1)]
+    return texts
+
+
+def _packed_rows(layout, rows, indent: str) -> str:
+    """The rows of nonempty ``rows`` packed in ``layout`` at ``indent``,
+    joined by commas: one table lookup per field."""
+    texts = _texts(layout, indent)
+    return "".join(map(texts.__getitem__, layout.codes(rows)))[: -len(indent) - 2]
 
 
 def _table(rows: _Table, indent: str) -> str:
@@ -431,9 +457,9 @@ def _table(rows: _Table, indent: str) -> str:
         kind = type(first)
         if kind is bool:
             column = [("false", "true")[v] for v in column]
-        elif kind is _IntRows:
+        elif kind is _PackedRows:
             column = [
-                f"[\n{deep}  {_int_rows(v, deep + '  ')}\n{deep}]" if v else "[]"
+                f"[\n{deep}  {_packed_rows(v.layout, v, deep + '  ')}\n{deep}]" if v else "[]"
                 for v in column
             ]
         elif kind is not int:
@@ -452,9 +478,9 @@ def _table(rows: _Table, indent: str) -> str:
 def _write_json(write, obj, indent: str):
     """Write ``json.dumps(obj, indent=2)`` piece by piece, for a value that
     starts ``indent`` spaces in.  ``json`` turns its C encoder off for an
-    indent, so a nonempty ``_Table`` or ``_IntRows`` is laid out by the
-    templates above, unchecked, and written at once or a slice of rows at a
-    time; a list of ints alone (a bool is not one) takes the row template
+    indent, so a nonempty ``_Table`` or ``_PackedRows`` is laid out by the
+    templates and text tables above, unchecked, and written at once or a
+    slice of rows at a time; a list of ints alone (a bool is not one) takes the row template
     and a list of strings alone one join; other lists and dicts with
     string keys are walked here, and what is left goes to ``json.dumps``
     itself."""
@@ -466,9 +492,9 @@ def _write_json(write, obj, indent: str):
         sep = "\n" + inner
         if type(obj) is _Table:
             write(_table(obj, indent))
-        elif type(obj) is _IntRows:
+        elif type(obj) is _PackedRows:
             for start in range(0, len(obj), _ROW_SLICE):
-                rows = _int_rows(obj[start : start + _ROW_SLICE], inner)
+                rows = _packed_rows(obj.layout, obj[start : start + _ROW_SLICE], inner)
                 write(f"{',' if start else '['}{sep}{rows}")
             write(f"\n{indent}]")
         elif isinstance(obj, dict):

@@ -425,10 +425,13 @@ class StratumContext:
         """All multidegrees of the requested kind, sorted by their value
         tuples in vertex order."""
         g = self.graph
-        return [Cochain._of(g, t) for t in self._value_tuples(kind)]
+        layout, rows = self._packed(kind)
+        return [Cochain._of(g, t) for t in layout.unpack(rows)]
 
-    def _value_tuples(self, kind: str) -> list[tuple]:
-        """The value tuples of ``enumerate(kind)``, sorted.
+    def _packed(self, kind: str) -> tuple[_kernel.Layout, list[int]]:
+        """The multidegrees of ``enumerate(kind)`` as ``(layout, rows)``:
+        each row one int in the ``_kernel.Layout`` of the singleton box,
+        sorted, which sorts their value tuples.
 
         The box search takes the breadth-first layers from vertex n - 1,
         farthest first and each by index, after those of the other
@@ -438,8 +441,8 @@ class StratumContext:
         index.  The last vertex, whose value the total fixes, is then n - 1,
         the least significant sort key: along the innermost level only it
         and a lower vertex change, the lower one rising, so the rows, which
-        the kernel writes in vertex order, come in sorted runs for the one
-        sort.  In each component, a piece that a connected W cuts off from
+        the kernel packs in vertex order, come in sorted runs for the one
+        sort of ints.  In each component, a piece that a connected W cuts off from
         the highest vertex lies in farther layers than W's top vertex, so
         the kernel decides the bounds that imply W's at W's own level (see
         ``_kernel_py.box_enumerate``)."""
@@ -447,8 +450,9 @@ class StratumContext:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         _kernel.scan_guard(self.graph.num_vertices, "enumeration")
         lo, hi = self.singleton_box()
+        layout = _kernel.Layout.of(lo, hi)
         if any(a > b for a, b in zip(lo, hi)):
-            return []
+            return layout, []
         n = len(self._base)
         parent, _, depth, queue = _bfs_forest(n, self._kept, range(n - 1, -1, -1))
         tree, met = 0, [0] * n  # minus the count of trees grown up to v's
@@ -474,7 +478,7 @@ class StratumContext:
             order,
         )
         raw.sort()
-        return raw
+        return layout, raw
 
 
 def semistable_equality_witness(g: Multigraph, q: Polarization):

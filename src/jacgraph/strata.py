@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from ._kernel import SUBSET_SCAN_LIMIT
+from ._kernel import SUBSET_SCAN_LIMIT, Layout
 from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
 from .graph import Multigraph, Vertex, _bfs_forest
 from .lattice import Cochain
@@ -226,11 +226,17 @@ def strata_rows(
     q: Polarization,
     max_codim: int | None = None,
     guard_edges: int = EDGE_GUARD_DEFAULT,
-) -> tuple[list[tuple], bool, int, int]:
-    """The rows of ``strata_report`` as plain data, with its ``complete``,
-    ``total_multidegrees`` and ``subdivided_complexity``.  A row is
-    ``(stratum, value tuples, expected count)``, the stratum a tuple of
-    edge ids."""
+) -> tuple[Layout, list[tuple], bool, int, int]:
+    """The rows of ``strata_report`` as plain data, after the layout they
+    are packed in, with its ``complete``, ``total_multidegrees`` and
+    ``subdivided_complexity``.  A row is ``(stratum, rows, expected
+    count)``, the stratum a tuple of edge ids and its rows sorted ints in
+    the layout.
+
+    The layout is G's singleton box with each vertex's low end lowered by
+    its loops: a stratum T's singleton box is G's less one unit per
+    T-loop at the low end and less one per T-edge at the high end, so it
+    holds every row of every stratum."""
     if max_codim is not None and max_codim < 0:
         raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
     m = g.num_edges
@@ -240,29 +246,31 @@ def strata_rows(
     n = g.num_vertices  # at least one: the basepoint is a vertex
     trees = _spanning_trees(n, pairs)
     ctx = StratumContext(g, q, basepoint)
+    lo, hi = ctx.singleton_box()
+    for a, b in pairs:
+        lo[a] -= a == b
+    layout = Layout.of(lo, hi)
+    unit = layout.unit
 
     def children(parent, edges):
         # the trees that avoid e keep their point, lowered at w_B(e)
         out = []
         for e in edges:
-            kept = []
-            for d, w in parent:
-                if (u := w[e]) is not None:
-                    d = [*d]
-                    d[u] -= 1
-                    kept.append((tuple(d), w))
-            out.append(kept)
+            out.append([(d - unit[u], w) for d, w in parent if (u := w[e]) is not None])
         return out
 
-    root = [_tile_point(ctx, pairs, t) for t in trees]
+    root = []
+    for t in trees:
+        d, w = _tile_point(ctx, pairs, t)
+        root.append((layout.pack(d), w))
     rows = [
         (stratum, sorted([d for d, _ in points]), len(points))
         for stratum, points in _walk(ids, depth, root, children)
     ]
-    total = sum(len(tuples) for _, tuples, _ in rows)
+    total = sum(len(packed) for _, packed, _ in rows)
     # a spanning tree of the subdivision takes both halves of each edge of a
     # spanning tree of g and one of the two halves of every other edge
-    return rows, depth == m, total, len(trees) << (m - n + 1) if trees else 0
+    return layout, rows, depth == m, total, len(trees) << (m - n + 1) if trees else 0
 
 
 def strata_report(
@@ -283,7 +291,9 @@ def strata_report(
     direct box search of its stratum, and ``blowup_decomposition`` (the
     ``blowup-check`` command) enumerates the subdivision apart.
     """
-    rows, complete, total, subdivided = strata_rows(g, basepoint, q, max_codim, guard_edges)
+    layout, rows, complete, total, subdivided = strata_rows(
+        g, basepoint, q, max_codim, guard_edges
+    )
     return StrataReport(
         graph=g,
         basepoint=basepoint,
@@ -293,9 +303,9 @@ def strata_report(
                 codimension=len(stratum),
                 connected=count > 0,
                 expected_count=count,
-                multidegrees=tuple(Cochain._of(g, t) for t in tuples),
+                multidegrees=tuple(Cochain._of(g, t) for t in layout.unpack(packed)),
             )
-            for stratum, tuples, count in rows
+            for stratum, packed, count in rows
         ),
         complete=complete,
         total_multidegrees=total,
@@ -371,10 +381,12 @@ def blowup_rows(
     basepoint: Vertex,
     q: Polarization,
     guard_edges: int = EDGE_GUARD_DEFAULT,
-) -> tuple[Multigraph, list[tuple], int, int]:
+) -> tuple[Multigraph, Layout, list[tuple], int, int]:
     """The buckets of ``blowup_decomposition`` as plain data: the
-    subdivision, the rows ``(stratum, value tuples, expected count)`` with
-    the value tuples on the subdivision, ``total`` and ``expected_total``."""
+    subdivision, the layout of its rows, the rows ``(stratum, rows,
+    expected count)`` with the rows sorted ints of multidegrees on the
+    subdivision, ``total`` and ``expected_total``.  The exceptional vertices
+    come last, so a row's low m fields are its bucket's key."""
     m = g.num_edges
     pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
     ids = g.edge_ids()
@@ -386,19 +398,25 @@ def blowup_rows(
         )
     q_sub = q.blown_up(ids)
     sub = q_sub.graph  # the middle vertex of edge k is vertex n + k
-    found = StratumContext(sub, q_sub, basepoint)._value_tuples("quasistable")
-    grouped: dict[tuple, list[tuple]] = {}
-    for t in found:
-        for eid, value in zip(ids, t[n:]):
+    layout, found = StratumContext(sub, q_sub, basepoint)._packed("quasistable")
+    low = (1 << 8 * layout.size * m) - 1
+    keyed: dict[int, list[int]] = {}
+    for row in found:
+        keyed.setdefault(row & low, []).append(row)
+    grouped: dict[tuple, list[int]] = {}
+    firsts = layout.unpack([rows[0] for rows in keyed.values()])
+    for rows, first in zip(keyed.values(), firsts):
+        values = first[n:]
+        for eid, value in zip(ids, values):
             if value not in (-1, 0):
                 raise BlowupValueError(f"exceptional vertex for edge {eid!r} carries {value}")
-        neg = tuple([eid for eid, value in zip(ids, t[n:]) if value == -1])
-        grouped.setdefault(neg, []).append(t)
+        grouped[tuple([eid for eid, value in zip(ids, values) if value == -1])] = rows
 
     trees = _spanning_trees(n, pairs)
     walk = _walk(ids, m, trees, lambda left, edges: [_avoiding(left, e) for e in edges])
     rows = [(stratum, grouped.get(stratum, []), len(left)) for stratum, left in walk]
-    return sub, rows, len(found), len(trees) << (m - n + 1) if trees else 0  # as in strata_rows
+    expected = len(trees) << (m - n + 1) if trees else 0  # as in strata_rows
+    return sub, layout, rows, len(found), expected
 
 
 def blowup_decomposition(
@@ -416,7 +434,7 @@ def blowup_decomposition(
     the subdivision.  The subdivision has n + m vertices, so it is refused
     past the subset-scan limit before it is built.
     """
-    sub, rows, total, expected_total = blowup_rows(g, basepoint, q, guard_edges)
+    sub, layout, rows, total, expected_total = blowup_rows(g, basepoint, q, guard_edges)
     return BlowupDecomposition(
         graph=g,
         subdivided_graph=sub,
@@ -427,10 +445,10 @@ def blowup_decomposition(
         buckets=tuple(
             BlowupBucket(
                 stratum=stratum,
-                count=len(tuples),
+                count=len(packed),
                 expected_count=count,
-                multidegrees=tuple(Cochain._of(sub, t) for t in tuples),
+                multidegrees=tuple(Cochain._of(sub, t) for t in layout.unpack(packed)),
             )
-            for stratum, tuples, count in rows
+            for stratum, packed, count in rows
         ),
     )

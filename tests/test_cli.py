@@ -9,13 +9,14 @@ import sys
 import tempfile
 from importlib.machinery import EXTENSION_SUFFIXES
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacgraph import _kernel, blowup_decomposition, cli, strata_report
+from jacgraph import StratumContext, _kernel, blowup_decomposition, cli, strata_report
 from jacgraph.cli import main
 
 import oracles
@@ -278,6 +279,61 @@ class TestStrata:
                 for b in blowup_decomposition(g, case.basepoint, case.q).buckets
             ]
             assert payload["buckets"] == buckets, case.index
+
+    def test_stdout_is_the_library_rows_on_corpus(self, problem, capsys, corpus_cases):
+        # the rows reach the writer packed; stdout must be, byte for byte,
+        # the indent-2 JSON of what the library returns unpacked
+        for case in corpus_cases[::3]:
+            g, bp, q = case.graph, case.basepoint, case.q
+            path = problem(_case_data(case))
+            ctx = StratumContext(g, q, bp, case.stratum)
+            for flag, kind in cli.KIND_NAMES.items():
+                found = [d.values for d in ctx.enumerate(kind)]
+                want = {"kind": kind, "vertices": list(g.vertices), "count": len(found),
+                        "multidegrees": found}
+                assert main(["enum", path, "--kind", flag]) == 0
+                assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n", case.index
+            rep = strata_report(g, bp, q)
+            want = {
+                "vertices": list(g.vertices),
+                "basepoint": bp,
+                "complete": rep.complete,
+                "total_multidegrees": rep.total_multidegrees,
+                "subdivided_complexity": rep.subdivided_complexity,
+                "rows": [
+                    {
+                        "stratum": r.stratum,
+                        "codimension": r.codimension,
+                        "connected": r.connected,
+                        "expected_count": r.expected_count,
+                        "multidegrees": [d.values for d in r.multidegrees],
+                    }
+                    for r in rep.rows
+                ],
+            }
+            assert main(["strata", path]) == 0
+            assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n", case.index
+            if g.num_edges > 7:
+                continue
+            dec = blowup_decomposition(g, bp, q)
+            want = {
+                "vertices": list(g.vertices),
+                "subdivided_vertices": list(dec.subdivided_graph.vertices),
+                "exceptional_vertices": dict(dec.exceptional_vertices),
+                "total": dec.total,
+                "expected_total": dec.expected_total,
+                "buckets": [
+                    {
+                        "stratum": b.stratum,
+                        "count": b.count,
+                        "expected_count": b.expected_count,
+                        "multidegrees": [d.values for d in b.multidegrees],
+                    }
+                    for b in dec.buckets
+                ],
+            }
+            assert main(["blowup-check", path]) == 0
+            assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n", case.index
 
     def test_max_codim(self, problem, capsys):
         rc, payload, _ = run(
@@ -837,7 +893,7 @@ class TestOutput:
         path = problem(data)
         assert main([argv[0], path, *argv[1:]]) == 0
         out = capsys.readouterr().out
-        assert out == json.dumps(payloads[0], indent=2) + "\n"
+        assert out == json.dumps(_unpacked(payloads[0]), indent=2) + "\n"
         # --verbose adds its summary on stderr and leaves stdout as it is
         assert main([argv[0], path, "--verbose", *argv[1:]]) == 0
         verbose = capsys.readouterr()
@@ -885,27 +941,58 @@ def row_lists(draw):
     return rows
 
 
-def int_rows(width):
-    """An ``_IntRows`` of ``width`` ints a row: empty, one row, or a few
-    slices of rows."""
-    row = st.tuples(*[st.integers(-(2**70), 2**70)] * width)
-    return st.sampled_from([0, 1, 3, cli._ROW_SLICE + 1]).flatmap(
-        lambda count: st.lists(row, min_size=count, max_size=count).map(cli._IntRows)
-    )
+# field sizes of 1, 2 and 4 bytes: code counts up to 256, up to 65,536
+# and past it, made by the first vertex's box width
+FIELD_WIDTHS = {1: 1, 2: 300, 4: 65_600}
+LOWS = [-(2**70), -(2**64), -3, 0, 7, 2**64, 2**70]
+
+
+def _packed(rng, width, count, size):
+    """A ``_PackedRows`` of ``count`` rows of ``width`` values drawn from a
+    box whose low ends come from ``LOWS`` and whose layout takes ``size``
+    bytes a field."""
+    lo = [rng.choice(LOWS) for _ in range(width)]
+    wide = [FIELD_WIDTHS[size]] + [rng.randint(1, 4) for _ in range(width - 1)]
+    hi = [a + w - 1 for a, w in zip(lo, wide)]
+    layout = _kernel.Layout.of(lo, hi)
+    assert layout.size == size
+    rows = [[rng.randint(a, b) for a, b in zip(lo, hi)] for _ in range(count)]
+    return cli._PackedRows(layout, map(layout.pack, rows))
+
+
+def packed_rows(width):
+    """A ``_PackedRows`` of ``width`` values a row: empty, one row, or a few
+    slices of rows, in 1-, 2- or 4-byte fields."""
+    return st.tuples(
+        st.randoms(use_true_random=False),
+        st.sampled_from([0, 1, 3, cli._ROW_SLICE + 1]),
+        st.sampled_from([1, 1, 1, 2, 4]),
+    ).map(lambda args: _packed(args[0], width, *args[1:]))
+
+
+def _unpacked(obj):
+    """``obj`` with every ``_PackedRows`` in it as its value tuples."""
+    if type(obj) is cli._PackedRows:
+        return obj.layout.unpack(obj)
+    if isinstance(obj, dict):
+        return {k: _unpacked(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_unpacked(x) for x in obj]
+    return obj
 
 
 COLUMNS = [
     st.integers(-(2**70), 2**70),
     st.booleans(),
     st.lists(TEXT, max_size=3),
-    st.integers(1, 3).flatmap(int_rows),
+    st.integers(1, 3).flatmap(packed_rows),
 ]
 
 
 @st.composite
 def table_lists(draw):
     """A ``_Table`` of no row to a few, with one to four keys, each holding
-    ints, bools, lists of strings or ``_IntRows`` in every row."""
+    ints, bools, lists of strings or ``_PackedRows`` in every row."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
     columns = [draw(st.sampled_from(COLUMNS)) for _ in keys]
     count = draw(st.integers(0, 3))
@@ -928,7 +1015,12 @@ PAYLOADS = st.recursive(
 @example({"rows": [[-(2**70)]], "é\"\\": {}, "": [], "n": None, "t": [True, False]})
 @example({"t": True, "f": False, "z": 0, "o": 1, "l": [True, 0, False, 1]})
 @example([", ", "], [", '"', "\\", '\\"', "é€😀", "\n", ""])
-@example({"a": [[], {}, cli._IntRows()], "b": {"c": {"d": [], "e": {}, "f": cli._IntRows()}}})
+@example(
+    {
+        "a": [[], {}, cli._PackedRows(_kernel.Layout.of([0], [1]))],
+        "b": {"c": {"d": [], "e": {}, "f": cli._PackedRows(_kernel.Layout.of([0], [9]))}},
+    }
+)
 # a plain list of ints alone or of strings alone takes one template; a bool is not an int
 @example([True, 1])
 @example([1, True])
@@ -943,36 +1035,40 @@ PAYLOADS = st.recursive(
                 "codimension": 2,
                 "connected": False,
                 "expected_count": 0,
-                "multidegrees": cli._IntRows(),
+                "multidegrees": cli._PackedRows(_kernel.Layout.of([0, 0], [1, 1])),
             }
         ]
     }
 )
 @example(
     cli._Table(
-        {"%d": k, "%s": k > 0, "é\"\\": ["e%", "\x00"][:k], "m": cli._IntRows([(k, -k)] * k)}
+        {
+            "%d": k,
+            "%s": k > 0,
+            "é\"\\": ["e%", "\x00"][:k],
+            "m": _packed(random.Random(k), 2, k, 1),
+        }
         for k in range(3)
     )
 )
 def test_writer_matches_json_dumps(obj):
     out = io.StringIO()
     cli._write_json(out.write, obj, "")
-    assert out.getvalue() == json.dumps(obj, indent=2)
+    assert out.getvalue() == json.dumps(_unpacked(obj), indent=2)
 
 
 def test_trusted_rows_match_json_dumps():
-    # the enumeration's rows reach the writer as tuples of ints, unchecked
+    # the enumeration's rows reach the writer packed, unchecked: 1-, 2- and
+    # 4-byte fields, low ends up to 2**70 in size, and row counts at the
+    # slice edges
     rng = random.Random(7)
     for count in (0, 1, 2, cli._ROW_SLICE, cli._ROW_SLICE + 1, 600):
-        for width in (1, 2, 5):
-            rows = cli._IntRows(
-                tuple(rng.choice([-(2**70), -3, 0, 7, 2**64]) for _ in range(width))
-                for _ in range(count)
-            )
+        for width, size in product((1, 2, 5), (1, 2, 4)):
+            rows = _packed(rng, width, count, size)
             payload = {"count": count, "multidegrees": rows, "tail": [rows]}
             out = io.StringIO()
             cli._write_json(out.write, payload, "")
-            assert out.getvalue() == json.dumps(payload, indent=2), (count, width)
+            assert out.getvalue() == json.dumps(_unpacked(payload), indent=2), (count, width)
 
 
 # -- fuzzed problem files ------------------------------------------------------

@@ -20,6 +20,7 @@ from jacgraph._kernel import (
     MODE_QUASISTABLE,
     MODE_SEMISTABLE,
     MODE_STABLE,
+    Layout,
     implementations,
     select,
 )
@@ -33,6 +34,17 @@ def _kernel_args(ctx):
     """The kernel inputs of a context: its partial normalization's kept
     edges, scaled polarization and scale."""
     return ctx._kept, ctx._base, ctx.scale
+
+
+def _search(impl, n, edges, base, scale, v0, lo, hi, mode, at):
+    """The rows of ``impl.box_enumerate`` as value tuples: the kernel packs
+    each in the layout of the box in output order, position ``at[k]``
+    holding ``lo[k]`` to ``hi[k]``."""
+    out_lo, out_hi = [0] * n, [0] * n
+    for k, p in enumerate(at):
+        out_lo[p], out_hi[p] = lo[k], hi[k]
+    rows = impl.box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at)
+    return Layout.of(out_lo, out_hi).unpack(rows)
 
 
 def _whole_graph_args(g, q, stratum):
@@ -214,9 +226,9 @@ class TestPureKernel:
                 want = oracles.brute_force_multidegrees(g, q, basepoint, stratum, kind)
                 for impl in implementations():
                     args = (n, *_kernel_args(ctx), ctx._v0)
-                    got = impl.box_enumerate(*args, lo, hi, mode, range(n))
+                    got = _search(impl, *args, lo, hi, mode, range(n))
                     assert got == want, (trial, kind, impl.__name__)
-                    got = impl.box_enumerate(*args, inner_lo, inner_hi, mode, range(n))
+                    got = _search(impl, *args, inner_lo, inner_hi, mode, range(n))
                     inside = [
                         d for d in want
                         if all(a <= x <= b for a, x, b in zip(inner_lo, d, inner_hi))
@@ -283,8 +295,8 @@ class TestBoxSearch:
                         assert want == brute, case.index
                     tight[kind] += _tight_bounds(n, scale, floors[i], *box, kept)
                     for impl in implementations():
-                        got = impl.box_enumerate(
-                            n, kept, box_base, scale, v0, box_lo, box_hi, mode, range(n)
+                        got = _search(
+                            impl, n, kept, box_base, scale, v0, box_lo, box_hi, mode, range(n)
                         )
                         assert got == want, (case.index, i, kind, impl.__name__)
         assert min(tight.values()) >= 100, tight
@@ -307,7 +319,7 @@ class TestBoxSearch:
             for kind, mode in KINDS:
                 want = oracles.box_search(n, kept, base, scale, ctx._v0, ctx.budget, lo, hi, kind)
                 for impl in implementations():
-                    got = impl.box_enumerate(n, kept, base, scale, ctx._v0, lo, hi, mode, range(n))
+                    got = _search(impl, n, kept, base, scale, ctx._v0, lo, hi, mode, range(n))
                     assert got == want, (trial, kind, impl.__name__)
                 rows += len(want)
         assert 0 < disconnected < 24 and rows > 1000, (disconnected, rows)
@@ -333,7 +345,7 @@ class TestBoxSearch:
                 with pytest.raises(ValueError, match="scale"):
                     impl.box_enumerate(n, edges, base, scale, 0, *box)
             wide = ([-5] * 3, [5] * 3)
-            got = impl.box_enumerate(3, path, [2, 2, 0], 2, 0, *wide, MODE_SEMISTABLE, range(3))
+            got = _search(impl, 3, path, [2, 2, 0], 2, 0, *wide, MODE_SEMISTABLE, range(3))
             assert got == oracles.box_search(3, path, [2, 2, 0], 2, 0, 2, *wide, "semistable")
             assert got, impl.__name__
 
@@ -353,8 +365,8 @@ class TestBoxSearch:
             inv = sorted(range(n), key=at.__getitem__)
             for impl, (_, mode) in product(implementations(), KINDS):
                 args = (n, *_kernel_args(ctx), ctx._v0, lo, hi, mode)
-                plain = impl.box_enumerate(*args, range(n))
-                got = impl.box_enumerate(*args, at)
+                plain = _search(impl, *args, range(n))
+                got = _search(impl, *args, at)
                 assert got == [tuple(d[k] for k in inv) for d in plain], (trial, mode)
                 outputs[n] += len(got)
         assert min(outputs.values()) >= 20, outputs
@@ -380,8 +392,9 @@ class TestBoxSearch:
             order = rng.sample(range(n), n)
             inv = sorted(range(n), key=order.__getitem__)
             for impl, (_, mode) in product(implementations(), KINDS):
-                plain = impl.box_enumerate(n, kept, base, scale, v0, lo, hi, mode, at)
-                got = impl.box_enumerate(
+                plain = _search(impl, n, kept, base, scale, v0, lo, hi, mode, at)
+                got = _search(
+                    impl,
                     n,
                     [(inv[a], inv[b]) for a, b in kept],
                     [base[v] for v in order],
@@ -398,7 +411,7 @@ class TestBoxSearch:
         assert min(outputs.values()) >= 20, outputs
 
     def test_library_order_is_the_layered_search(self, monkeypatch):
-        # the order ``_value_tuples`` hands the kernel is that of the
+        # the order ``_packed`` hands the kernel is that of the
         # layered bitmask search (``oracles.level_order``).  The rows come
         # out sorted whatever the order, but the order decides how early
         # the plan's bounds cut.  Random multigraphs on 1 to 12 vertices
@@ -420,7 +433,7 @@ class TestBoxSearch:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
             seen.clear()
-            ctx._value_tuples("semistable")
+            ctx._packed("semistable")
             if seen:  # the box is not empty
                 assert seen == [oracles.level_order(n, adj)], trial
                 sizes.add(n)
@@ -455,7 +468,8 @@ class TestBoxSearch:
                 )
                 for impl in implementations():
                     monkeypatch.setattr(_kernel, "select", lambda bound, impl=impl: impl)
-                    assert ctx._value_tuples(kind) == want, (kind, impl.__name__)
+                    layout, rows = ctx._packed(kind)
+                    assert layout.unpack(rows) == want, (kind, impl.__name__)
                 if want:
                     sizes.add(n)
         assert disconnected > 0
@@ -551,7 +565,7 @@ class TestPackedSearch:
         count, total = 0, sum(base) // scale
         for kind, mode in KINDS:
             want = oracles.box_search(n, edges, base, scale, v0, total, lo, hi, kind)
-            got = _kernel_py.box_enumerate(n, edges, base, scale, v0, lo, hi, mode, range(n))
+            got = _search(_kernel_py, n, edges, base, scale, v0, lo, hi, mode, range(n))
             assert got == want, (n, edges, base, scale, v0, lo, hi, kind)
             count += len(got)
         return count
@@ -570,7 +584,7 @@ class TestPackedSearch:
             args = _kernel_args(ctx)
             for v0, (kind, mode) in product(range(n), KINDS):
                 want = oracles.box_search(n, *args, v0, ctx.budget, lo, hi, kind)
-                got = _kernel_py.box_enumerate(n, *args, v0, lo, hi, mode, range(n))
+                got = _search(_kernel_py, n, *args, v0, lo, hi, mode, range(n))
                 assert got == want, (case.index, v0, kind)
                 swept += 1
         assert swept > 2000
@@ -746,10 +760,107 @@ class TestTileOracle:
             lo, hi = ctx.singleton_box()
             args = (n, *_kernel_args(ctx), ctx._v0, lo, hi, MODE_QUASISTABLE, range(n))
             for impl in implementations():
-                assert sorted(impl.box_enumerate(*args)) == want, (g, stratum, impl.__name__)
+                assert sorted(_search(impl, *args)) == want, (g, stratum, impl.__name__)
             empty += not want
             points += len(want)
         assert empty > 0 and points > 5000, (empty, points)
+
+
+class TestLayout:
+    """Each row is one int in the layout of the box in output order: the
+    kernels against each other, and their rows unpacked against the search
+    that checks every subset, where the layout changes shape."""
+
+    def _rows(self, n, edges, base, scale, v0, lo, hi, at=None):
+        """Every kernel's rows, the same ints on each, unpacked and checked
+        against ``oracles.box_search`` in every kind; returns their count."""
+        at = list(range(n)) if at is None else at
+        inv = sorted(range(n), key=at.__getitem__)
+        total, count = sum(base) // scale, 0
+        for kind, mode in KINDS:
+            want = oracles.box_search(n, edges, base, scale, v0, total, lo, hi, kind)
+            want = sorted(tuple(d[k] for k in inv) for d in want)
+            raw = [impl.box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at)
+                   for impl in implementations()]
+            assert all(r == raw[0] for r in raw), kind
+            assert sorted(_search(_kernel_py, n, edges, base, scale, v0, lo, hi, mode, at)) == want
+            assert sorted(raw[0]) == raw[0] or at != list(range(n)), kind
+            count += len(want)
+        return count
+
+    def test_one_and_two_byte_fields(self):
+        # 256 codes fit one byte a field, 257 take two: 127 parallel edges
+        # between u and v, alone at q = (1/2, -1/2) (256 codes), and with a
+        # pendant vertex at q = 0 or 1/2 (257 codes), in their own order
+        # and reversed
+        for pendant, qu, size in ((0, Fraction(1, 2), 1), (1, Fraction(0), 2),
+                                  (1, Fraction(1, 2), 2)):
+            names = ["u", "v", "w"][: 2 + pendant]
+            g = Multigraph(names, [("u", "v")] * 127 + [("u", "w")] * pendant)
+            q = Polarization(g, [qu, -qu, Fraction(0)][: len(names)])
+            ctx = StratumContext(g, q, "u")
+            lo, hi = ctx.singleton_box()
+            layout = Layout.of(lo, hi)
+            assert sum(b - a + 1 for a, b in zip(lo, hi)) == 255 + size
+            assert layout.size == size
+            n = len(names)
+            args = (n, *_kernel_args(ctx), ctx._v0, lo, hi)
+            assert self._rows(*args) > 0
+            assert self._rows(*args, at=list(range(n))[::-1]) > 0
+            got, rows = ctx._packed("quasistable")
+            assert got == layout and len(rows) == 127
+            assert [c.values for c in ctx.enumerate("quasistable")] == layout.unpack(rows)
+
+    def test_one_vertex(self):
+        # no search: the whole total, packed as total - lo, when it lies in
+        # the box, on every kernel
+        for total, lo, hi in ((0, 0, 0), (3, -2, 5), (-1, 0, 4), (9, 0, 8), (300, 0, 400)):
+            for impl in implementations():
+                rows = impl.box_enumerate(1, [(0, 0)], [2 * total], 2, 0, [lo], [hi],
+                                          MODE_QUASISTABLE, [0])
+                assert rows == ([total - lo] if lo <= total <= hi else []), impl.__name__
+                assert Layout.of([lo], [hi]).unpack(rows) == [(total,)][: len(rows)]
+
+    def test_empty_box(self):
+        # a vertex whose box is empty owns no code, so the layout of the
+        # others stays as it was, and no kernel returns a row
+        path = [(0, 1), (1, 2)]
+        for lo, hi in (([0, 3, 0], [2, 1, 2]), ([0, 0, 5], [2, 2, 4]), ([5, 0, 0], [-5, 2, 2])):
+            layout = Layout.of(lo, hi)
+            assert layout.size == 1
+            for impl, (_, mode) in product(implementations(), KINDS):
+                assert impl.box_enumerate(3, path, [2, 2, 0], 2, 0, lo, hi, mode, [0, 1, 2]) == []
+        assert self._rows(3, path, [2, 2, 0], 2, 0, [0, 3, 0], [2, 1, 2]) == 0
+
+    def test_random_boxes_and_orders(self):
+        # boxes around a random point, from a few codes to a few hundred,
+        # placed by a random ``at``
+        rng = random.Random(97)
+        sizes, outputs = set(), 0
+        for trial in range(60):
+            n = 2 + trial % 4
+            g, q, basepoint, stratum = _random_problem(rng, n)
+            ctx = StratumContext(g, q, basepoint, stratum)
+            lo, hi = ctx.singleton_box()
+            if any(a > b for a, b in zip(lo, hi)):
+                continue
+            wide = rng.choice((0, 2, 60, 150))
+            lo = [a - rng.randint(0, wide) for a in lo]
+            hi = [b + rng.randint(0, wide) for b in hi]
+            sizes.add(Layout.of(lo, hi).size)
+            at = rng.sample(range(n), n)
+            outputs += self._rows(n, *_kernel_args(ctx), ctx._v0, lo, hi, at)
+        assert sizes == {1, 2} and outputs > 200, (sizes, outputs)
+
+    def test_too_many_codes_refused(self):
+        # past 2**32 codes no field size of 1, 2 or 4 bytes holds them
+        assert Layout.of([0], [(1 << 32) - 1]).size == 4
+        with pytest.raises(OverflowError):
+            Layout.of([0, 0], [1 << 31, 1 << 31])
+        for impl in implementations():
+            with pytest.raises(OverflowError):
+                impl.box_enumerate(2, [(0, 1)], [0, 0], 2, 0, [0, 0], [1 << 31, 1 << 31],
+                                   MODE_SEMISTABLE, [0, 1])
 
 
 @needs_speedups
@@ -760,7 +871,7 @@ class TestParity:
         # two entry points cannot drift apart
         compiled = implementations()[0]
         first = compiled.box_enumerate.__doc__.splitlines()[0]
-        head = re.fullmatch(r"box_enumerate\((.*)\) -> list of tuples", first)
+        head = re.fullmatch(r"box_enumerate\((.*)\) -> list of ints", first)
         assert head, first
         names = [name.strip() for name in head.group(1).split(",")]
         assert names == list(inspect.signature(_kernel_py.box_enumerate).parameters)
@@ -846,10 +957,10 @@ class TestCompiledChecks:
         # taken), v0 outside 0..n - 1 and a base of the wrong length
         compiled = implementations()[0]
         box = ([0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
-        assert compiled.box_enumerate(2, [(0, 1)], [1, 1], 2, 0, *box) == [(0, 1), (1, 0)]
+        assert _search(compiled, 2, [(0, 1)], [1, 1], 2, 0, *box) == [(0, 1), (1, 0)]
         zeros = [0] * 24
-        assert compiled.box_enumerate(
-            24, [], zeros, 2, 0, zeros, zeros, MODE_SEMISTABLE, range(24)
+        assert _search(
+            compiled, 24, [], zeros, 2, 0, zeros, zeros, MODE_SEMISTABLE, range(24)
         ) == [tuple(zeros)]
         for bad_edge in ((0, 2), (-1, 0)):
             with pytest.raises(ValueError):
@@ -880,7 +991,7 @@ class TestCompiledChecks:
         for bad_at in ([1], [-1], []):
             with pytest.raises(ValueError):
                 compiled.box_enumerate(*one, bad_at)
-        assert compiled.box_enumerate(*one, [0]) == [(2,)]
+        assert _search(compiled, *one, [0]) == [(2,)]
 
 
 class TestBigValues:

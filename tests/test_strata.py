@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jacgraph import (
+    BlowupValueError,
     Cochain,
     GraphMismatchError,
     GuardLimitError,
@@ -147,13 +148,13 @@ class TestStrataReport:
         # one empty row, and a 22-vertex path its one point and empty
         # rows below it
         g = Multigraph([f"v{i}" for i in range(21)], [])
-        assert strata_rows(g, "v0", Polarization(g, [0] * 21)) == ([((), [], 0)], True, 0, 0)
+        assert strata_rows(g, "v0", Polarization(g, [0] * 21))[1:] == ([((), [], 0)], True, 0, 0)
         names = [f"v{i}" for i in range(22)]
         g = Multigraph(names, list(zip(names, names[1:])))
-        rows, complete, total, _ = strata_rows(
+        layout, rows, complete, total, _ = strata_rows(
             g, "v0", Polarization(g, [0] * 22), max_codim=1, guard_edges=21
         )
-        assert rows[0] == ((), [(0,) * 22], 1)
+        assert rows[0][::2] == ((), 1) and layout.unpack(rows[0][1]) == [(0,) * 22]
         assert [row[1:] for row in rows[1:]] == [([], 0)] * 21
         assert (complete, total) == (False, 1)
 
@@ -296,6 +297,78 @@ class TestBlowup:
             assert dec.total == rep.subdivided_complexity
 
 
+class TestPackedLayout:
+    """The walk and the buckets keep rows packed; unpacked, each row is its
+    stratum's box search."""
+
+    def test_loop_strata_below_the_singleton_box(self):
+        # an S-loop lowers its vertex below G's singleton box, so the strata
+        # layout widens each low end by the loops there; a narrower layout
+        # would carry into the neighbouring field without an error
+        rng = random.Random(101)
+        below = 0
+        graphs = [
+            Multigraph(["x"], [("x", "x")] * 3),
+            Multigraph(["u", "v"], [("u", "v"), ("u", "u"), ("u", "u"), ("v", "v")]),
+        ]
+        for _ in range(12):
+            n, m, loops = rng.randint(2, 5), rng.randint(4, 8), rng.randint(1, 3)
+            g = _tree_count_graph(rng, n, m, loops=loops)
+            graphs.append(g)
+        for g in graphs:
+            q = corpus_mod._random_polarization(rng, g)
+            bp = rng.choice(g.vertices)
+            layout, rows, _, _, _ = strata_rows(g, bp, q)
+            g_lo, _ = StratumContext(g, q, bp).singleton_box()
+            for stratum, packed, count in rows:
+                ctx = StratumContext(g, q, bp, stratum)
+                lo, hi = ctx.singleton_box()
+                n = g.num_vertices
+                want = oracles.box_search(
+                    n, ctx._kept, ctx._base, ctx.scale, ctx._v0, ctx.budget, lo, hi, "quasistable"
+                )
+                got = layout.unpack(packed)
+                assert got == want and count == len(want), (g, stratum)
+                below += any(x < a for d in got for x, a in zip(d, g_lo))
+        assert below > 10, below
+
+    def test_buckets_are_the_exceptional_pattern(self, corpus_cases):
+        # each bucket holds -1 exactly on its stratum's exceptional vertices
+        # and 0 on the others, and the buckets split the subdivision's set
+        for case in corpus_mod.small_cases()[:25]:
+            g, bp, q = case.graph, case.basepoint, case.q
+            sub, layout, rows, total, _ = blowup_rows(g, bp, q)
+            n, ids = g.num_vertices, g.edge_ids()
+            seen = []
+            for stratum, packed, _ in rows:
+                want = tuple(-1 if eid in stratum else 0 for eid in ids)
+                for d in layout.unpack(packed):
+                    assert d[n:] == want, (case.index, stratum)
+                seen += packed
+            everything = StratumContext(sub, q.blown_up(ids), bp).enumerate("quasistable")
+            assert layout.unpack(sorted(seen)) == [d.values for d in everything]
+            assert len(seen) == total
+
+    def test_value_outside_minus_one_and_zero_raises(self, monkeypatch):
+        # the check reads each bucket's first row: a row whose exceptional
+        # vertex carries 1 is refused, naming its edge, wherever it sorts
+        g = _banana(3)
+        q = Polarization(g, [1, 0])
+        packed = StratumContext._packed
+        for place, edge in ((0, "e0"), (-1, "e2")):
+
+            def bad(ctx, kind, place=place, edge=edge):
+                layout, rows = packed(ctx, kind)
+                d = list(layout.unpack(rows[place : place + 1 or None])[0])
+                d[2 + int(edge[1:])] = 1
+                rows[place] = layout.pack(d)
+                return layout, sorted(rows)
+
+            monkeypatch.setattr(StratumContext, "_packed", bad)
+            with pytest.raises(BlowupValueError, match=f"edge '{edge}' carries 1"):
+                blowup_rows(g, "u", q)
+
+
 class TestAgainstOracles:
     # the brute-force box search takes about 20 ms per stratum at six
     # vertices, so to keep the suite quick the exhaustive comparison stops
@@ -412,9 +485,9 @@ class TestTreeCounts:
             want = complexity(g.subdivide_edges(g.edge_ids())[0])
             q = Polarization(g, [1] + [0] * (n - 1))
             bp = g.vertices[0]
-            assert strata_rows(g, bp, q, max_codim=0)[3] == want, g
+            assert strata_rows(g, bp, q, max_codim=0)[4] == want, g
             if n + m <= 12:
-                assert blowup_rows(g, bp, q)[3] == want, g
+                assert blowup_rows(g, bp, q)[4] == want, g
                 seen.add(("blowup", True))
             seen.add(("n", n))
             seen.add(("loop", any(e.is_loop for e in g.edges)))
@@ -465,7 +538,8 @@ class TestTilePoints:
     # G - T, and those of the trees of G that avoid T lowered at w_B over T,
     # both equal the box search of the stratum T
     def _check(self, g, q, bp, T):
-        want = StratumContext(g, q, bp, T)._value_tuples("quasistable")
+        layout, rows = StratumContext(g, q, bp, T)._packed("quasistable")
+        want = layout.unpack(rows)
         assert oracles.tile_points(g, q, bp, T) == want, (g, q, bp, T)
         ctx, pairs = StratumContext(g, q, bp), g._pairs
         cut = [k for k, eid in enumerate(g.edge_ids()) if eid in T]
