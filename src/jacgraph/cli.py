@@ -30,6 +30,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 from .errors import DisconnectedGraphError, EmptyGraphError, JacGraphError
@@ -407,8 +408,8 @@ class _PackedRows(list):
 class _Table(list):
     """Nonempty dicts with the same keys in the same order, each key holding
     ints in every row, or bools, or lists or tuples of strings, or
-    ``_PackedRows``: the writer takes the first row's layout for all rows,
-    unchecked."""
+    ``_PackedRows`` all packed in one ``Layout``: the writer takes the first
+    row's layout for all rows, and its ``Layout``, unchecked."""
 
 
 _ROW_SLICE = 256
@@ -458,9 +459,16 @@ def _table(rows: _Table, indent: str) -> str:
         if kind is bool:
             column = [("false", "true")[v] for v in column]
         elif kind is _PackedRows:
+            # the first row's layout for all: one text table, one code array
+            layout, at = first.layout, deep + "  "
+            look, cut = _texts(layout, at).__getitem__, -len(at) - 2
+            codes, width = layout.codes([d for v in column for d in v]), len(layout.lo)
+            ends = accumulate([width * len(v) for v in column], initial=0)
             column = [
-                f"[\n{deep}  {_packed_rows(v.layout, v, deep + '  ')}\n{deep}]" if v else "[]"
-                for v in column
+                f"[\n{at}" + "".join(map(look, codes[a:b]))[:cut] + f"\n{deep}]"
+                if a < b
+                else "[]"
+                for a, b in pairwise(ends)
             ]
         elif kind is not int:
             sep = f",\n{deep}  "

@@ -256,7 +256,11 @@ def strata_rows(
         # the trees that avoid e keep their point, lowered at w_B(e)
         out = []
         for e in edges:
-            out.append([(d - unit[u], w) for d, w in parent if (u := w[e]) is not None])
+            kept = []
+            for d, w in parent:
+                if (u := w[e]) is not None:
+                    kept.append((d - unit[u], w))
+            out.append(kept)
         return out
 
     root = []

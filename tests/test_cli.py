@@ -947,27 +947,33 @@ FIELD_WIDTHS = {1: 1, 2: 300, 4: 65_600}
 LOWS = [-(2**70), -(2**64), -3, 0, 7, 2**64, 2**70]
 
 
-def _packed(rng, width, count, size):
-    """A ``_PackedRows`` of ``count`` rows of ``width`` values drawn from a
-    box whose low ends come from ``LOWS`` and whose layout takes ``size``
-    bytes a field."""
+def _layout(rng, width, size):
+    """A layout of ``width`` vertices whose low ends come from ``LOWS`` and
+    whose fields take ``size`` bytes."""
     lo = [rng.choice(LOWS) for _ in range(width)]
     wide = [FIELD_WIDTHS[size]] + [rng.randint(1, 4) for _ in range(width - 1)]
-    hi = [a + w - 1 for a, w in zip(lo, wide)]
-    layout = _kernel.Layout.of(lo, hi)
+    layout = _kernel.Layout.of(lo, [a + w - 1 for a, w in zip(lo, wide)])
     assert layout.size == size
-    rows = [[rng.randint(a, b) for a, b in zip(lo, hi)] for _ in range(count)]
+    return layout
+
+
+def _packed(rng, layout, count):
+    """A ``_PackedRows`` of ``count`` rows drawn from the box of ``layout``."""
+    rows = [[rng.randint(a, b) for a, b in zip(layout.lo, layout.hi)] for _ in range(count)]
     return cli._PackedRows(layout, map(layout.pack, rows))
 
 
-def packed_rows(width):
-    """A ``_PackedRows`` of ``width`` values a row: empty, one row, or a few
-    slices of rows, in 1-, 2- or 4-byte fields."""
-    return st.tuples(
-        st.randoms(use_true_random=False),
-        st.sampled_from([0, 1, 3, cli._ROW_SLICE + 1]),
-        st.sampled_from([1, 1, 1, 2, 4]),
-    ).map(lambda args: _packed(args[0], width, *args[1:]))
+@st.composite
+def packed_columns(draw):
+    """A strategy of ``_PackedRows`` of one to three values a row, all in
+    one layout of 1-, 2- or 4-byte fields: empty, one row, or a few slices
+    of rows."""
+    rng = draw(st.randoms(use_true_random=False))
+    layout = _layout(rng, draw(st.integers(1, 3)), draw(st.sampled_from([1, 1, 1, 2, 4])))
+    counts = st.sampled_from([0, 1, 3, cli._ROW_SLICE + 1])
+    return st.tuples(st.randoms(use_true_random=False), counts).map(
+        lambda args: _packed(args[0], layout, args[1])
+    )
 
 
 def _unpacked(obj):
@@ -981,20 +987,20 @@ def _unpacked(obj):
     return obj
 
 
-COLUMNS = [
-    st.integers(-(2**70), 2**70),
-    st.booleans(),
-    st.lists(TEXT, max_size=3),
-    st.integers(1, 3).flatmap(packed_rows),
-]
+# strategies of a column's strategy
+COLUMNS = st.one_of(
+    st.sampled_from([st.integers(-(2**70), 2**70), st.booleans(), st.lists(TEXT, max_size=3)]),
+    packed_columns(),
+)
 
 
 @st.composite
 def table_lists(draw):
     """A ``_Table`` of no row to a few, with one to four keys, each holding
-    ints, bools, lists of strings or ``_PackedRows`` in every row."""
+    ints, bools, lists of strings or ``_PackedRows`` of one layout in every
+    row."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
-    columns = [draw(st.sampled_from(COLUMNS)) for _ in keys]
+    columns = [draw(COLUMNS) for _ in keys]
     count = draw(st.integers(0, 3))
     return cli._Table({k: draw(c) for k, c in zip(keys, columns)} for _ in range(count))
 
@@ -1046,7 +1052,7 @@ PAYLOADS = st.recursive(
             "%d": k,
             "%s": k > 0,
             "é\"\\": ["e%", "\x00"][:k],
-            "m": _packed(random.Random(k), 2, k, 1),
+            "m": _packed(random.Random(k), _kernel.Layout.of([-1, 0], [2, 5]), k),
         }
         for k in range(3)
     )
@@ -1064,7 +1070,7 @@ def test_trusted_rows_match_json_dumps():
     rng = random.Random(7)
     for count in (0, 1, 2, cli._ROW_SLICE, cli._ROW_SLICE + 1, 600):
         for width, size in product((1, 2, 5), (1, 2, 4)):
-            rows = _packed(rng, width, count, size)
+            rows = _packed(rng, _layout(rng, width, size), count)
             payload = {"count": count, "multidegrees": rows, "tail": [rows]}
             out = io.StringIO()
             cli._write_json(out.write, payload, "")
