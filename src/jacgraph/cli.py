@@ -488,10 +488,10 @@ def _write_json(write, obj, indent: str):
     starts ``indent`` spaces in.  ``json`` turns its C encoder off for an
     indent, so a nonempty ``_Table`` or ``_PackedRows`` is laid out by the
     templates and text tables above, unchecked, and written at once or a
-    slice of rows at a time; a list of ints alone (a bool is not one) takes the row template
-    and a list of strings alone one join; other lists and dicts with
-    string keys are walked here, and what is left goes to ``json.dumps``
-    itself."""
+    slice of rows at a time; a list of ints alone (a bool is not one)
+    takes the row template and a list of strings alone one join; other
+    lists and dicts with string keys are walked here, and what is left goes
+    to ``json.dumps`` itself."""
     if isinstance(obj, (list, tuple)) or isinstance(obj, dict) and {*map(type, obj)} <= {str}:
         if not obj:
             write("{}" if isinstance(obj, dict) else "[]")
