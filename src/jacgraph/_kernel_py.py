@@ -5,7 +5,9 @@ C): same entry point, ``box_enumerate``, same plan, same search tree,
 arbitrary-precision integers.  It is used when the extension was not
 built, and for operand bounds at or above ``_kernel.FAST_BOUND``, where the
 compiled kernel's 64-bit arithmetic could overflow.  Its box search checks
-a whole level of subsets at once, on sums packed into one integer.
+a whole level of subsets at once, on sums packed into one integer, and
+like the compiled kernel it returns each output as one int in the
+``_kernel.Layout`` of its box.
 
 All quantities are pre-scaled integers: a context with rational vertex
 weights q scales everything by an even integer ``scale`` so that
