@@ -1,7 +1,8 @@
 """Timing comparison of the compiled and pure subset-scan kernels.
 
 Runs the kernel entry point (``box_enumerate``: table construction and box
-search, in the kernel's own vertex order) on chorded cycle graphs of
+search, in the kernel's own vertex order, packing in the singleton box's
+``Layout``, which is built outside the timing) on chorded cycle graphs of
 growing size and reports per-call times for every available
 implementation, and the pure kernel's table step (``build_tables``) alone
 in a ``pure tables`` row.  The ``enum`` rows time what the library and
@@ -44,6 +45,7 @@ from jacgraph import _kernel_py
 from jacgraph._kernel import (
     MODE_QUASISTABLE,
     SUBSET_SCAN_LIMIT,
+    Layout,
     implementation_name,
     implementations,
 )
@@ -60,10 +62,10 @@ def chorded_cycle(n: int) -> Multigraph:
 
 def kernel_inputs(g: Multigraph, q: Polarization, basepoint):
     """The context and the kernel arguments it passes: kept edges, scaled
-    polarization, scale, singleton box and basepoint index."""
+    polarization, scale, basepoint index and the layout of the singleton
+    box."""
     ctx = StratumContext(g, q, basepoint)
-    lo, hi = ctx.singleton_box()
-    return ctx, ctx._kept, ctx._base, ctx.scale, lo, hi, ctx._v0
+    return ctx, ctx._kept, ctx._base, ctx.scale, ctx._v0, Layout.of(*ctx.singleton_box())
 
 
 def best_of(repeat, fn, *args):
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
         if n % 2:
             values[-1] = Fraction(1)  # keep the total an integer
         q = Polarization(g, values)
-        ctx, edges, base, scale, lo, hi, v0 = kernel_inputs(g, q, g.vertices[0])
+        ctx, edges, base, scale, v0, layout = kernel_inputs(g, q, g.vertices[0])
         d = list(range(n))
         d[-1] = ctx.budget - sum(d[:-1])
 
@@ -134,10 +136,9 @@ def main(argv=None) -> int:
                 base,
                 scale,
                 v0,
-                lo,
-                hi,
                 MODE_QUASISTABLE,
                 range(n),  # rows in the search's own vertex order
+                layout,
             )
             times.append(t_enum)
             if counts is None:

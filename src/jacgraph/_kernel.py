@@ -5,9 +5,11 @@ A call whose operand bound reaches FAST_BOUND is routed to the pure
 kernel, which computes with Python integers; so is every call when the
 extension was not built.
 
-Both kernels return each multidegree packed into one int, in the
-``Layout`` of the box they are given; the library unpacks rows only where
-it builds ``Cochain``s, and the command line writes them packed.
+``Layout`` owns the packed row format.  The caller builds one for its box
+and hands it to the kernel it picks, which reads the box, the field size
+and the code offsets from it and packs each multidegree into one int in
+it; the library unpacks rows only where it builds ``Cochain``s, and the
+command line writes them packed.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ MODE_STABLE = 2
 # headroom below 2**63 for the products and sums formed inside the kernel
 FAST_BOUND = 1 << 60
 
-# the compiled kernel's table, and classification on a dense graph, reach 2**n
-# masks; refuse beyond this many vertices
+# the compiled kernel's plan bytes, and classification on a dense graph, reach
+# 2**n masks; refuse beyond this many vertices
 SUBSET_SCAN_LIMIT = 20
 
 
@@ -46,20 +48,22 @@ _SWAP = sys.byteorder == "little"
 
 class Layout(NamedTuple):
     """How one int holds a multidegree d in the box ``[lo, hi]`` (vertex
-    order).  Vertex v owns the codes ``start[v] + j`` for its box width
+    order): the packed row format, which both kernels and the command line
+    read.  Vertex v owns the codes ``start[v] + j`` for its box width
     ``hi[v] - lo[v] + 1`` (none when its box is empty), ``start[v]`` the
     sum of the widths before it, and its field holds the code
-    ``start[v] + d_v - lo[v]``.  Every field takes ``size`` bytes, the
-    fewest of 1, 2 and 4 that hold every code, and the fields are
-    concatenated big-endian, vertex 0 most significant, so the order of the
-    ints is that of the value tuples.  ``unit[v]`` is the lowest bit of
-    v's field and ``origin`` the sum of ``(start[v] - lo[v]) * unit[v]``,
-    so d packs to ``origin`` plus ``d_v * unit[v]`` over the vertices.
-    Build one with ``Layout.of``."""
+    ``shift[v] + d_v``, ``shift[v] = start[v] - lo[v]``.  Every field takes
+    ``size`` bytes, the fewest of 1, 2 and 4 that hold every code, and the
+    fields are concatenated big-endian, vertex 0 most significant, so the
+    order of the ints is that of the value tuples.  ``unit[v]`` is the
+    lowest bit of v's field and ``origin`` the sum of ``shift[v] *
+    unit[v]``, so d packs to ``origin`` plus ``d_v * unit[v]`` over the
+    vertices.  Build one with ``Layout.of``."""
 
     lo: tuple
     hi: tuple
     size: int
+    shift: tuple
     unit: tuple
     origin: int
 
@@ -72,9 +76,9 @@ class Layout(NamedTuple):
         size = 1 if count <= 1 << 8 else 2 if count <= 1 << 16 else 4
         last = len(lo) - 1
         unit = tuple([1 << 8 * size * (last - v) for v in range(last + 1)])
-        starts = accumulate(widths, initial=0)
-        origin = sum(map(int.__mul__, map(int.__sub__, starts, lo), unit))
-        return cls(tuple(lo), tuple(hi), size, unit, origin)
+        shift = tuple(map(int.__sub__, accumulate(widths, initial=0), lo))
+        origin = sum(map(int.__mul__, shift, unit))
+        return cls(tuple(lo), tuple(hi), size, shift, unit, origin)
 
     def pack(self, values) -> int:
         """The int of one multidegree in the box."""

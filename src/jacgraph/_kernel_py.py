@@ -6,8 +6,8 @@ arbitrary-precision integers.  It is used when the extension was not
 built, and for operand bounds at or above ``_kernel.FAST_BOUND``, where the
 compiled kernel's 64-bit arithmetic could overflow.  Its box search checks
 a whole level of subsets at once, on sums packed into one integer, and
-like the compiled kernel it returns each output as one int in the
-``_kernel.Layout`` of its box.
+like the compiled kernel it reads its box from the caller's
+``_kernel.Layout`` and returns each output as one int in it.
 
 All quantities are pre-scaled integers: a context with rational vertex
 weights q scales everything by an even integer ``scale`` so that
@@ -50,7 +50,7 @@ interval.
 
 from __future__ import annotations
 
-from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE, Layout
+from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
 from .graph import _adjacency_masks, _connected_subsets, _mask_pieces
 
 # per bit i, the table taking a byte to its bit i, for bytes.translate
@@ -140,16 +140,16 @@ def _build_plan(n, edges):
     return tuple(map(tuple, plan))
 
 
-def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
+def box_enumerate(n, edges, base, scale, v0, mode, at, layout):
     """All integer vectors in the box with total ``sum(base) / scale`` that
     satisfy the per-subset bounds of ``build_tables(n, edges, base,
     scale)``; strictness of the bounds depends on ``mode``.  Each output
     has the value of vertex k at position ``at[k]``, for ``at`` a
-    permutation of ``range(n)``, and is packed into one int in the
-    ``_kernel.Layout`` of the box in output order (position ``at[k]`` has
-    the box ``[lo[k], hi[k]]``); int order is the order of the value
-    tuples.  Raises ValueError unless ``scale`` is positive and divides
-    ``sum(base)``.
+    permutation of ``range(n)``, and is packed into one int in ``layout``,
+    a ``_kernel.Layout`` in output order: vertex k's box is
+    ``layout.lo[at[k]]`` to ``layout.hi[at[k]]``.  Int order is the order
+    of the value tuples.  Raises ValueError unless ``scale`` is positive
+    and divides ``sum(base)``.
 
     Depth-first over the vertices in index order.  When vertex k is
     assigned, every subset whose top vertex is k becomes decided, so the
@@ -206,10 +206,7 @@ def box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at):
     if whole % scale:
         raise ValueError(f"base sums to {whole}, not a multiple of scale = {scale}")
     total = whole // scale
-    out_lo, out_hi = [0] * n, [0] * n
-    for k, p in enumerate(at):
-        out_lo[p], out_hi[p] = lo[k], hi[k]
-    layout = Layout.of(out_lo, out_hi)
+    lo, hi = [layout.lo[p] for p in at], [layout.hi[p] for p in at]
     suf_lo = [0] * (n + 1)
     suf_hi = [0] * (n + 1)
     for k in range(n - 1, -1, -1):

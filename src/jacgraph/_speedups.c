@@ -6,11 +6,12 @@
  * that the plan's bounds imply every other bound, and that the search cuts
  * at the level a full search would, is in that module's docstrings.  Each
  * call allocates one plan byte per subset of the n vertices and one int64
- * sum per subset without the last vertex.  It returns each output as one
- * int in the jacgraph._kernel.Layout of the box in the caller's vertex
- * order: the search writes each vertex's code into its big-endian field of
- * one byte buffer as it places the vertex, and each output is that buffer
- * read as one int (_PyLong_FromByteArray), with no Python int per value.
+ * sum per subset without the last vertex.  It reads the box, the field
+ * size and the code offsets from the caller's jacgraph._kernel.Layout, which
+ * owns the row format, and returns each output as one int in it: the search
+ * writes each vertex's code into its big-endian field of one byte buffer as
+ * it places the vertex, and each output is that buffer read as one int
+ * (_PyLong_FromByteArray), with no Python int per value.
  * Every integer read from Python must fit in 64 bits or OverflowError is
  * raised; the sums and products formed from them are not checked, so
  * callers keep operands below jacgraph._kernel.FAST_BOUND (the dispatcher
@@ -235,37 +236,6 @@ static int place(const Search *s, int k, long long partial)
     return 0;
 }
 
-/* Set s->size and fill shift with the layout of jacgraph._kernel.Layout
-   for the box in output order (position at[k] has the box lo[k]..hi[k]):
-   position p owns the codes from start[p], the sum of the box widths
-   before it, d_k has the code start[at[k]] + d_k - lo[k], and a field
-   takes the fewest of 1, 2 and 4 bytes that hold every code.  Returns -1
-   with OverflowError set past 2**32 codes, else 0. */
-static int layout(Search *s, long long *shift)
-{
-    const long long *at = s->at;
-    /* a width past 2**32 counts as 2**32 + 1, so the count cannot wrap */
-    unsigned long long width[MAX_VERTICES] = {0}, start[MAX_VERTICES], count = 0;
-    for (int k = 0; k < s->n; k++) {
-        if (s->hi[k] >= s->lo[k]) {
-            unsigned long long w = (unsigned long long)s->hi[k] - (unsigned long long)s->lo[k];
-            width[at[k]] = w < 1ULL << 32 ? w + 1 : (1ULL << 32) + 1;
-        }
-    }
-    for (int p = 0; p < s->n; p++) {
-        start[p] = count;
-        count += width[p];
-    }
-    if (count > 1ULL << 32) {
-        PyErr_Format(PyExc_OverflowError, "a box of %llu codes is too wide to pack", count);
-        return -1;
-    }
-    s->size = count <= 1 << 8 ? 1 : count <= 1 << 16 ? 2 : 4;
-    for (int k = 0; k < s->n; k++)
-        shift[k] = (long long)start[at[k]] - s->lo[k];
-    return 0;
-}
-
 /* Read the plan, one byte per mask, into the rows of s with the bounds of
    the mode: base(m) -+ scale/2 * cut(m) on a checked mask m, from the
    scaled polarization base and the multiplicities of read_edges.  The
@@ -342,24 +312,24 @@ static int load_plan(Search *s, const unsigned char *plan, const long long *base
 }
 
 PyDoc_STRVAR(box_enumerate_doc,
-"box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at) -> list of ints\n\n"
+"box_enumerate(n, edges, base, scale, v0, mode, at, layout) -> list of ints\n\n"
 "Integer vectors in the box with total sum(base) / scale that satisfy the\n"
 "per-subset bounds of the graph on n vertices with the given edges (index\n"
 "pairs) and scaled polarization base, as in jacgraph._kernel_py.box_enumerate,\n"
 "each with the value of vertex k at position at[k], for at a permutation\n"
-"of range(n), packed into one int in the jacgraph._kernel.Layout of the box\n"
-"in output order.  The plan and the bounds on its masks are built within\n"
-"the call.  Raises ValueError unless scale is positive and divides\n"
-"sum(base), OverflowError past 2**32 codes.");
+"of range(n), packed into one int in layout, a jacgraph._kernel.Layout in\n"
+"output order that gives vertex k the box layout.lo[at[k]]..layout.hi[at[k]].\n"
+"The plan and the bounds on its masks are built within the call.  Raises\n"
+"ValueError unless scale is positive and divides sum(base).");
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
 {
-    PyObject *edges, *base, *lo, *hi, *at, *out = NULL;
+    PyObject *edges, *base, *at, *layout, *out = NULL;
     int n, v0, mode;
     long long scale;
 
-    if (!PyArg_ParseTuple(args, "iOOLiOOiO:box_enumerate", &n, &edges, &base, &scale, &v0,
-                          &lo, &hi, &mode, &at))
+    if (!PyArg_ParseTuple(args, "iOOLiiOO:box_enumerate", &n, &edges, &base, &scale, &v0,
+                          &mode, &at, &layout))
         return NULL;
     if (n < 1 || n > MAX_VERTICES)
         return PyErr_Format(PyExc_ValueError, "n = %d outside 1..%d", n, MAX_VERTICES);
@@ -367,24 +337,35 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
         return PyErr_Format(PyExc_ValueError, "v0 = %d outside 0..%d", v0, n - 1);
     if (scale <= 0)
         return PyErr_Format(PyExc_ValueError, "scale = %lld is not positive", scale);
+    /* the fields of _kernel.Layout: lo, hi, size, shift, unit, origin */
+    if (!PyTuple_Check(layout) || PyTuple_GET_SIZE(layout) != 6)
+        return PyErr_Format(PyExc_TypeError, "layout: expected a tuple of its six fields");
+    int field;
+    if (!PyArg_Parse(PyTuple_GET_ITEM(layout, 2), "i", &field))
+        return NULL;
+    if (field != 1 && field != 2 && field != 4)
+        return PyErr_Format(PyExc_ValueError, "layout: field size %d is not 1, 2 or 4", field);
     size_t size = (size_t)1 << n, adj[MAX_VERTICES] = {0};
     long long mult[MAX_VERTICES * MAX_VERTICES] = {0};
     /* the int64 arrays, sums on the masks without the last vertex first,
-       then the plan's bytes */
-    long long *buf = PyMem_Malloc((size / 2 + 7 * ((size_t)n + 1)) * sizeof(long long) + size);
+       then the layout's lo, hi and shift in output order, then the plan's
+       bytes */
+    long long *buf = PyMem_Malloc((size / 2 + 10 * ((size_t)n + 1)) * sizeof(long long) + size);
     if (buf == NULL)
         return PyErr_NoMemory();
     long long *sums = buf, *clo = sums + size / 2, *chi = clo + n + 1;
     long long *suf_lo = chi + n + 1, *suf_hi = suf_lo + n + 1, *shift = suf_hi + n + 1;
-    long long *cat = shift + n + 1, *cbase = cat + n + 1;
-    unsigned char *plan = (unsigned char *)(cbase + n + 1), codes[4 * MAX_VERTICES];
-    Search s = {.n = n, .scale = scale, .lo = clo, .hi = chi, .suf_lo = suf_lo,
+    long long *cat = shift + n + 1, *cbase = cat + n + 1, *out_lo = cbase + n + 1;
+    long long *out_hi = out_lo + n + 1, *out_shift = out_hi + n + 1;
+    unsigned char *plan = (unsigned char *)(out_shift + n + 1), codes[4 * MAX_VERTICES];
+    Search s = {.n = n, .size = field, .scale = scale, .lo = clo, .hi = chi, .suf_lo = suf_lo,
                 .suf_hi = suf_hi, .at = cat, .shift = shift, .sums = sums, .codes = codes};
 
     if (load_int64s(base, n, cbase, "base") < 0
-        || load_int64s(lo, n, clo, "lo") < 0
-        || load_int64s(hi, n, chi, "hi") < 0
-        || load_int64s(at, n, cat, "at") < 0)
+        || load_int64s(at, n, cat, "at") < 0
+        || load_int64s(PyTuple_GET_ITEM(layout, 0), n, out_lo, "layout.lo") < 0
+        || load_int64s(PyTuple_GET_ITEM(layout, 1), n, out_hi, "layout.hi") < 0
+        || load_int64s(PyTuple_GET_ITEM(layout, 3), n, out_shift, "layout.shift") < 0)
         goto done;
     unsigned char placed[MAX_VERTICES] = {0};
     for (int k = 0; k < n; k++) {
@@ -392,9 +373,10 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
             PyErr_SetString(PyExc_ValueError, "at: not a permutation of range(n)");
             goto done;
         }
+        clo[k] = out_lo[cat[k]];
+        chi[k] = out_hi[cat[k]];
+        shift[k] = out_shift[cat[k]];
     }
-    if (layout(&s, shift) < 0)
-        goto done;
     suf_lo[n] = suf_hi[n] = 0;
     for (int k = n - 1; k >= 0; k--) {
         suf_lo[k] = suf_lo[k + 1] + clo[k];

@@ -415,10 +415,9 @@ class StratumContext:
         return lo, hi
 
     def _rhs_bound(self) -> int:
-        """A bound on every table entry either kernel forms: a floor entry
-        is a subset sum of ``_base`` less ``scale/2`` per crossing kept edge,
-        and an upper bound is ``scale * budget == sum(_base)`` minus a floor
-        entry, both moved by at most 1 for strictness."""
+        """A bound on every subset bound either kernel forms: a subset sum
+        of ``_base`` less (lower) or plus (upper) ``scale/2`` per crossing
+        kept edge, moved by at most 1 for strictness."""
         return 2 * sum(abs(x) for x in self._base) + self.scale // 2 * len(self._kept) + 1
 
     def enumerate(self, kind: str = "quasistable") -> list[Cochain]:
@@ -430,7 +429,8 @@ class StratumContext:
 
     def _packed(self, kind: str) -> tuple[_kernel.Layout, list[int]]:
         """The multidegrees of ``enumerate(kind)`` as ``(layout, rows)``:
-        each row one int in the ``_kernel.Layout`` of the singleton box,
+        each row one int in ``layout``, the ``_kernel.Layout`` of the
+        singleton box, which the kernel reads its box from and packs in;
         sorted, which sorts their value tuples.
 
         The box search takes the breadth-first layers from vertex n - 1,
@@ -472,10 +472,9 @@ class StratumContext:
             [self._base[old] for old in order],
             self.scale,
             inv[self._v0],
-            [lo[old] for old in order],
-            [hi[old] for old in order],
             _MODE[kind],
             order,
+            layout,
         )
         raw.sort()
         return layout, raw

@@ -28,6 +28,7 @@ of the walk.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from ._kernel import SUBSET_SCAN_LIMIT, Layout
@@ -298,6 +299,8 @@ def strata_report(
     layout, rows, complete, total, subdivided = strata_rows(
         g, basepoint, q, max_codim, guard_edges
     )
+    # every row's multidegrees unpacked in one call, each row taking its own
+    points = iter(layout.unpack([d for _, packed, _ in rows for d in packed]))
     return StrataReport(
         graph=g,
         basepoint=basepoint,
@@ -307,7 +310,7 @@ def strata_report(
                 codimension=len(stratum),
                 connected=count > 0,
                 expected_count=count,
-                multidegrees=tuple(Cochain._of(g, t) for t in layout.unpack(packed)),
+                multidegrees=tuple(Cochain._of(g, t) for t in islice(points, len(packed))),
             )
             for stratum, packed, count in rows
         ),
@@ -439,6 +442,7 @@ def blowup_decomposition(
     past the subset-scan limit before it is built.
     """
     sub, layout, rows, total, expected_total = blowup_rows(g, basepoint, q, guard_edges)
+    points = iter(layout.unpack([d for _, packed, _ in rows for d in packed]))
     return BlowupDecomposition(
         graph=g,
         subdivided_graph=sub,
@@ -451,7 +455,7 @@ def blowup_decomposition(
                 stratum=stratum,
                 count=len(packed),
                 expected_count=count,
-                multidegrees=tuple(Cochain._of(sub, t) for t in layout.unpack(packed)),
+                multidegrees=tuple(Cochain._of(sub, t) for t in islice(points, len(packed))),
             )
             for stratum, packed, count in rows
         ),

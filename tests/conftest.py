@@ -25,8 +25,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _c_compiler():
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(shlex.split(cc)[0])
+    """The C compiler command the build runs, its path resolved, or None
+    when it is not on PATH."""
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    path = shutil.which(cc[0])
+    return None if path is None else [path, *cc[1:]]
 
 
 def pytest_configure(config):
@@ -89,6 +92,15 @@ def square():
         ["a", "b", "c", "d"],
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
     )
+
+
+@pytest.fixture(scope="session")
+def c_compiler():
+    """The C compiler command of the session build; skips without one."""
+    cc = _c_compiler()
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    return cc
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import sysconfig
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import product
@@ -36,15 +37,21 @@ def _kernel_args(ctx):
     return ctx._kept, ctx._base, ctx.scale
 
 
-def _search(impl, n, edges, base, scale, v0, lo, hi, mode, at):
-    """The rows of ``impl.box_enumerate`` as value tuples: the kernel packs
-    each in the layout of the box in output order, position ``at[k]``
-    holding ``lo[k]`` to ``hi[k]``."""
-    out_lo, out_hi = [0] * n, [0] * n
+def _layout(lo, hi, at):
+    """The ``Layout`` of the box in output order: position ``at[k]`` holds
+    ``lo[k]`` to ``hi[k]``, the box of search vertex k."""
+    out_lo, out_hi = list(lo), list(hi)
     for k, p in enumerate(at):
         out_lo[p], out_hi[p] = lo[k], hi[k]
-    rows = impl.box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at)
-    return Layout.of(out_lo, out_hi).unpack(rows)
+    return Layout.of(out_lo, out_hi)
+
+
+def _search(impl, n, edges, base, scale, v0, lo, hi, mode, at):
+    """The rows of ``impl.box_enumerate`` as value tuples, for search
+    vertex k boxed in ``lo[k]`` to ``hi[k]``: the kernel reads the box from
+    the layout of the box in output order and packs each row in it."""
+    layout = _layout(lo, hi, at)
+    return layout.unpack(impl.box_enumerate(n, edges, base, scale, v0, mode, at, layout))
 
 
 def _whole_graph_args(g, q, stratum):
@@ -341,7 +348,7 @@ class TestBoxSearch:
         )
         for impl in implementations():
             for (n, edges, base, scale), ends in product(refused, ((-5, 5), (5, 5))):
-                box = ([ends[0]] * n, [ends[1]] * n, MODE_SEMISTABLE, range(n))
+                box = (MODE_SEMISTABLE, range(n), Layout.of([ends[0]] * n, [ends[1]] * n))
                 with pytest.raises(ValueError, match="scale"):
                     impl.box_enumerate(n, edges, base, scale, 0, *box)
             wide = ([-5] * 3, [5] * 3)
@@ -420,7 +427,7 @@ class TestBoxSearch:
         monkeypatch.setattr(
             _kernel,
             "select",
-            lambda bound: SimpleNamespace(box_enumerate=lambda *args: seen.append(args[-1]) or []),
+            lambda bound: SimpleNamespace(box_enumerate=lambda *args: seen.append(args[-2]) or []),
         )
         rng = random.Random(79)
         sizes, disconnected = set(), 0
@@ -780,7 +787,8 @@ class TestLayout:
         for kind, mode in KINDS:
             want = oracles.box_search(n, edges, base, scale, v0, total, lo, hi, kind)
             want = sorted(tuple(d[k] for k in inv) for d in want)
-            raw = [impl.box_enumerate(n, edges, base, scale, v0, lo, hi, mode, at)
+            layout = _layout(lo, hi, at)
+            raw = [impl.box_enumerate(n, edges, base, scale, v0, mode, at, layout)
                    for impl in implementations()]
             assert all(r == raw[0] for r in raw), kind
             assert sorted(_search(_kernel_py, n, edges, base, scale, v0, lo, hi, mode, at)) == want
@@ -816,10 +824,11 @@ class TestLayout:
         # the box, on every kernel
         for total, lo, hi in ((0, 0, 0), (3, -2, 5), (-1, 0, 4), (9, 0, 8), (300, 0, 400)):
             for impl in implementations():
-                rows = impl.box_enumerate(1, [(0, 0)], [2 * total], 2, 0, [lo], [hi],
-                                          MODE_QUASISTABLE, [0])
+                layout = Layout.of([lo], [hi])
+                rows = impl.box_enumerate(1, [(0, 0)], [2 * total], 2, 0, MODE_QUASISTABLE, [0],
+                                          layout)
                 assert rows == ([total - lo] if lo <= total <= hi else []), impl.__name__
-                assert Layout.of([lo], [hi]).unpack(rows) == [(total,)][: len(rows)]
+                assert layout.unpack(rows) == [(total,)][: len(rows)]
 
     def test_empty_box(self):
         # a vertex whose box is empty owns no code, so the layout of the
@@ -829,7 +838,7 @@ class TestLayout:
             layout = Layout.of(lo, hi)
             assert layout.size == 1
             for impl, (_, mode) in product(implementations(), KINDS):
-                assert impl.box_enumerate(3, path, [2, 2, 0], 2, 0, lo, hi, mode, [0, 1, 2]) == []
+                assert impl.box_enumerate(3, path, [2, 2, 0], 2, 0, mode, [0, 1, 2], layout) == []
         assert self._rows(3, path, [2, 2, 0], 2, 0, [0, 3, 0], [2, 1, 2]) == 0
 
     def test_random_boxes_and_orders(self):
@@ -853,14 +862,11 @@ class TestLayout:
         assert sizes == {1, 2} and outputs > 200, (sizes, outputs)
 
     def test_too_many_codes_refused(self):
-        # past 2**32 codes no field size of 1, 2 or 4 bytes holds them
+        # past 2**32 codes no field size of 1, 2 or 4 bytes holds them; the
+        # kernels pack in the layout they are given, so only it refuses
         assert Layout.of([0], [(1 << 32) - 1]).size == 4
         with pytest.raises(OverflowError):
             Layout.of([0, 0], [1 << 31, 1 << 31])
-        for impl in implementations():
-            with pytest.raises(OverflowError):
-                impl.box_enumerate(2, [(0, 1)], [0, 0], 2, 0, [0, 0], [1 << 31, 1 << 31],
-                                   MODE_SEMISTABLE, [0, 1])
 
 
 @needs_speedups
@@ -875,19 +881,25 @@ class TestParity:
         assert head, first
         names = [name.strip() for name in head.group(1).split(",")]
         assert names == list(inspect.signature(_kernel_py.box_enumerate).parameters)
+        assert names == ["n", "edges", "base", "scale", "v0", "mode", "at", "layout"]
 
     def test_enumeration_agrees(self, corpus_cases):
+        # every corpus case at every basepoint in every mode, in vertex
+        # order and with a random ``at``
         compiled = implementations()[0]
+        rng = random.Random(37)
         for case in corpus_cases:
             g = case.graph
             n = g.num_vertices
             ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
             lo, hi = ctx.singleton_box()
             args = (n, *_kernel_args(ctx))
-            for v0, (_, mode) in product(range(n), KINDS):
-                rest = (v0, lo, hi, mode, range(n))
-                got_pure = _kernel_py.box_enumerate(*args, *rest)
-                assert compiled.box_enumerate(*args, *rest) == got_pure
+            for at in (range(n), rng.sample(range(n), n)):
+                layout = _layout(lo, hi, at)
+                for v0, (_, mode) in product(range(n), KINDS):
+                    rest = (v0, mode, at, layout)
+                    got_pure = _kernel_py.box_enumerate(*args, *rest)
+                    assert compiled.box_enumerate(*args, *rest) == got_pure
 
     def test_enumeration_agrees_beyond_corpus(self):
         # the sizes the corpus (up to 6 vertices) and the random-problem
@@ -913,7 +925,7 @@ class TestParity:
                 lo, hi = ctx.singleton_box()
                 at = rng.sample(range(n), n)
                 for _, mode in KINDS:
-                    args = (n, *_kernel_args(ctx), ctx._v0, lo, hi, mode, at)
+                    args = (n, *_kernel_args(ctx), ctx._v0, mode, at, _layout(lo, hi, at))
                     want = _kernel_py.box_enumerate(*args)
                     assert compiled.box_enumerate(*args) == want, (n, basepoint, mode)
                     rows += len(want)
@@ -931,7 +943,7 @@ class TestParity:
             values[-1] += n % 2 * Fraction(1, 2)
             ctx = StratumContext(g, Polarization(g, values), g.vertices[0])
             lo, hi = ctx.singleton_box()
-            args = (n, *_kernel_args(ctx), ctx._v0, lo, hi, MODE_QUASISTABLE, range(n))
+            args = (n, *_kernel_args(ctx), ctx._v0, MODE_QUASISTABLE, range(n), Layout.of(lo, hi))
             rows = compiled.box_enumerate(*args)
             if n < 24:
                 assert rows == _kernel_py.box_enumerate(*args), n
@@ -940,24 +952,30 @@ class TestParity:
 
 @needs_speedups
 class TestCompiledChecks:
-    """The extension's own checks on what it reads from Python; the
-    overflow check backs up the FAST_BOUND routing."""
+    """The extension's own checks on what it reads from Python: the
+    overflow check backs up the FAST_BOUND routing, the others keep its
+    reads in bounds."""
 
     def test_values_beyond_64_bits_raise(self):
         compiled = implementations()[0]
-        box = (0, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
+        box = (0, MODE_SEMISTABLE, [0, 1], Layout.of([0, 0], [1, 1]))
         for big in (1 << 63, -(1 << 63) - 1, 1 << 70):
             with pytest.raises(OverflowError):
                 compiled.box_enumerate(2, [(0, 1)], [big, 0], 2, *box)
             with pytest.raises(OverflowError):
                 compiled.box_enumerate(2, [(0, 1)], [0, 0], big, *box)
+            with pytest.raises(OverflowError):
+                compiled.box_enumerate(
+                    2, [(0, 1)], [0, 0], 2, *box[:3], Layout.of([big, 0], [big, 1])
+                )
 
     def test_malformed_input_rejected(self):
         # an edge endpoint outside 0..n - 1, n outside 1..24 (24 itself
         # taken), v0 outside 0..n - 1 and a base of the wrong length
         compiled = implementations()[0]
-        box = ([0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
-        assert _search(compiled, 2, [(0, 1)], [1, 1], 2, 0, *box) == [(0, 1), (1, 0)]
+        box = (MODE_SEMISTABLE, [0, 1], Layout.of([0, 0], [1, 1]))
+        two = (2, [(0, 1)], [1, 1], 2, 0, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
+        assert _search(compiled, *two) == [(0, 1), (1, 0)]
         zeros = [0] * 24
         assert _search(
             compiled, 24, [], zeros, 2, 0, zeros, zeros, MODE_SEMISTABLE, range(24)
@@ -969,7 +987,7 @@ class TestCompiledChecks:
             with pytest.raises(ValueError):
                 compiled.box_enumerate(
                     bad_n, [], [0] * bad_n, 2, 0,
-                    [0] * bad_n, [0] * bad_n, MODE_SEMISTABLE, range(bad_n),
+                    MODE_SEMISTABLE, range(bad_n), Layout.of([0] * bad_n, [0] * bad_n),
                 )
         for bad_v0 in (2, -1):
             with pytest.raises(ValueError):
@@ -983,15 +1001,47 @@ class TestCompiledChecks:
         # few or too many; one vertex, whose search never reads ``at``
         # beyond its check, included
         compiled = implementations()[0]
-        graph = (3, [(0, 1), (1, 2)], [1, 1, 0], 2, 0, [0] * 3, [1] * 3, MODE_SEMISTABLE)
+        graph = (3, [(0, 1), (1, 2)], [1, 1, 0], 2, 0, MODE_SEMISTABLE)
         for bad_at in ([0, 1, 1], [0, 1, 3], [-1, 0, 1], [0, 1], [0, 1, 2, 3]):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(*graph, bad_at)
-        one = (1, [], [4], 2, 0, [0], [5], MODE_SEMISTABLE)
+                compiled.box_enumerate(*graph, bad_at, Layout.of([0] * 3, [1] * 3))
+        one = (1, [], [4], 2, 0, MODE_SEMISTABLE)
         for bad_at in ([1], [-1], []):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(*one, bad_at)
-        assert _search(compiled, *one, [0]) == [(2,)]
+                compiled.box_enumerate(*one, bad_at, Layout.of([0], [5]))
+        assert _search(compiled, 1, [], [4], 2, 0, [0], [5], MODE_SEMISTABLE, [0]) == [(2,)]
+
+    def test_layout_not_a_layout_raises(self):
+        # the layout is read as the tuple of its six fields, its field size
+        # 1, 2 or 4 bytes and its lo, hi and shift n values each
+        compiled = implementations()[0]
+        graph = (3, [(0, 1), (1, 2)], [1, 1, 0], 2, 0, MODE_SEMISTABLE, [2, 0, 1])
+        layout = Layout.of([0, -1, 0], [1, 1, 2])
+        assert compiled.box_enumerate(*graph, layout) == _kernel_py.box_enumerate(*graph, layout)
+        for bad in (list(layout), layout[:5], (*layout, 0)):
+            with pytest.raises(TypeError):
+                compiled.box_enumerate(*graph, bad)
+        for bad in (
+            layout._replace(size=3),
+            layout._replace(size=0),
+            layout._replace(shift=layout.shift[:-1]),
+            layout._replace(lo=layout.lo[:-1]),
+            layout._replace(hi=(*layout.hi, 1)),
+        ):
+            with pytest.raises(ValueError):
+                compiled.box_enumerate(*graph, bad)
+
+
+def test_c_source_compiles_without_warnings(c_compiler):
+    # the session build keeps the compiler's output only when no module is
+    # built, so a warning in the hand-written C surfaces here
+    source = Path(__file__).resolve().parent.parent / "src" / "jacgraph" / "_speedups.c"
+    paths = sysconfig.get_paths()
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
+    headers = [f"-I{paths['include']}", f"-I{paths['platinclude']}"]
+    done = subprocess.run([*c_compiler, *flags, *headers, str(source)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestBigValues:
