@@ -1,15 +1,19 @@
 """Per-phase times of the CLI on perfbench's request streams, in process.
 
 Replays rounds of one perfbench workload (``perfbench/workloads.py``,
-imported read-only, as is ``run.git_commit``) through the four steps of
-``jacgraph.cli.main``: parse the arguments, load the problem file, run the
-command and write its JSON.  Each request runs ``--repeat`` times, each
-after a ``gc.collect()`` as perfbench runs it, and each phase keeps its
-best time; an answer that the workload can check without reference answers
-is checked once.  The script prints, per command, the request count and the
-sums of those best times in ms.  With ``--json OUT`` it also writes those
-sums to OUT as one JSON object, with the Python version, the kernel, the
-commit, the seed, the rounds and the repeat count.
+imported read-only, as are ``run.git_commit`` and ``run.probe``) through
+the four steps of ``jacgraph.cli.main``: parse the arguments, load the
+problem file, run the command and write its JSON.  Each request runs
+``--repeat`` times, each after a ``gc.collect()`` and one perfbench probe
+(``run.probe``, a fixed slice of interpreter work), as perfbench times it,
+and each phase keeps its best time; an answer that the workload can check
+without reference answers is checked once.  The script prints, per command,
+the request count and the sums of those best times in ms, and the median
+probe time.  With ``--json OUT`` it also writes those sums to OUT as one
+JSON object, with the Python version, the kernel, the commit, the seed, the
+rounds, the repeat count and the median probe time in ms, a measure of the
+machine's speed at the time against which records of different runs can be
+scaled.
 
     python benchmarks/bench_cli.py --workload query
     python benchmarks/bench_cli.py --workload sweep --seed 3 --rounds 2 --repeat 5
@@ -34,6 +38,7 @@ import importlib.util
 import io
 import json
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -84,11 +89,12 @@ def main(argv=None) -> int:
             print(f"--ext {args.ext}: the compiled kernel did not load from it", file=sys.stderr)
             return 2
     import workloads
-    from run import git_commit  # perfbench's, which reads .git without running git
+    from run import git_commit, probe  # perfbench's; git_commit reads .git without running git
 
     from jacgraph import _kernel, cli
 
     sums = {}  # command -> [requests, parse, load, command, write]
+    probes = []
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.WORKLOADS[args.workload](args.seed)
         workload.setup(Path(tmp))
@@ -98,6 +104,7 @@ def main(argv=None) -> int:
                 best = [float("inf")] * len(PHASES)
                 for _ in range(args.repeat):
                     gc.collect()
+                    probes.append(probe())
                     out = io.StringIO()
                     best = list(map(min, best, phase_times(cli, request.argv, out.write)))
                 check = request.check or (lambda payload: None)
@@ -118,6 +125,8 @@ def main(argv=None) -> int:
         ms = [t * 1e3 for t in (*times, sum(times))]
         table[command] = {"requests": count, **dict(zip(columns, ms))}
         print(f"{command:<14}{count:>9}" + "".join(f"{t:>10.2f}" for t in ms))
+    probe_ms = statistics.median(probes) * 1e3
+    print(f"median probe {probe_ms:.2f} ms")
     if args.json:
         record = {
             "workload": args.workload,
@@ -127,6 +136,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "rounds": args.rounds,
             "repeat": args.repeat,
+            "probe_ms": probe_ms,
             "ms": table,
         }
         Path(args.json).write_text(json.dumps(record, indent=2) + "\n")

@@ -30,7 +30,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 from typing import NamedTuple
 
 from .errors import DisconnectedGraphError, EmptyGraphError, JacGraphError
@@ -86,10 +86,19 @@ def load_problem(path: str, basepoint_flag=None, stratum_flag=None) -> Problem:
     invalid JSON.  ``json`` yields exact types, so every entry is checked
     by ``type(x) is ...``, which also keeps a bool from passing for an int."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        fd = os.open(path, os.O_RDONLY)  # fewer system calls than a file object
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 20):
+                chunks.append(chunk)
+        except IsADirectoryError as exc:
+            exc.filename = path  # as open() names it; os.read does not
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    raw = b"".join(chunks)
     try:
         text = raw.decode("utf-8")
         if "\r" in text:  # newlines as text mode reads them, which error positions count
@@ -322,20 +331,20 @@ def cmd_strata(problem: Problem, args) -> dict:
     if args.max_codim is not None and args.max_codim < 0:
         raise ProblemFileError(f"--max-codim must be nonnegative, got {args.max_codim}")
     guard = _edge_guard()
-    layout, rows, complete, total, subdivided = strata_rows(
+    layout, strata, rows, complete, total, subdivided = strata_rows(
         problem.graph,
         _basepoint(problem, "strata"),
         q,
         max_codim=args.max_codim,
         guard_edges=guard,
     )
-    empty = _PackedRows(layout)  # shared by the many empty rows
     if args.verbose:
         print(
-            f"{len(rows)} strata, {total} multidegrees"
+            f"{len(strata)} strata, {total} multidegrees"
             + (f", subdivision has {subdivided}" if complete else " (truncated)"),
             file=sys.stderr,
         )
+    counts = list(map(len, rows))
     return {
         "vertices": list(problem.graph.vertices),
         "basepoint": problem.basepoint,
@@ -343,14 +352,11 @@ def cmd_strata(problem: Problem, args) -> dict:
         "total_multidegrees": total,
         "subdivided_complexity": subdivided,
         "rows": _Table(
-            {
-                "stratum": stratum,
-                "codimension": len(stratum),
-                "connected": count > 0,
-                "expected_count": count,
-                "multidegrees": _PackedRows(layout, packed) if packed else empty,
-            }
-            for stratum, packed, count in rows
+            stratum=strata,
+            codimension=list(map(len, strata)),
+            connected=list(map(bool, counts)),
+            expected_count=counts,
+            multidegrees=_PackedColumn(layout, rows),
         ),
     }
 
@@ -360,15 +366,15 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
 
     q = _require_polarization(problem)
     g, guard = problem.graph, _edge_guard()
-    sub, layout, rows, total, expected_total = blowup_rows(
+    sub, layout, strata, rows, expected, total, expected_total = blowup_rows(
         g,
         _basepoint(problem, "blowup-check"),
         q,
         guard_edges=guard,
     )
-    empty = _PackedRows(layout)
+    counts = list(map(len, rows))
     if args.verbose:
-        ok = total == expected_total and all(len(t) == count for _, t, count in rows)
+        ok = total == expected_total and counts == expected
         print(
             f"total {total}, expected {expected_total}, "
             f"buckets {'consistent' if ok else 'INCONSISTENT'}",
@@ -381,13 +387,10 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
         "total": total,
         "expected_total": expected_total,
         "buckets": _Table(
-            {
-                "stratum": stratum,
-                "count": len(packed),
-                "expected_count": count,
-                "multidegrees": _PackedRows(layout, packed) if packed else empty,
-            }
-            for stratum, packed, count in rows
+            stratum=strata,
+            count=counts,
+            expected_count=expected,
+            multidegrees=_PackedColumn(layout, rows),
         ),
     }
 
@@ -405,11 +408,19 @@ class _PackedRows(list):
         self.layout = layout
 
 
-class _Table(list):
-    """Nonempty dicts with the same keys in the same order, each key holding
-    ints in every row, or bools, or lists or tuples of strings, or
-    ``_PackedRows`` all packed in one ``Layout``: the writer takes the first
-    row's layout for all rows, and its ``Layout``, unchecked."""
+class _PackedColumn(_PackedRows):
+    """Per row of a ``_Table``, a list of multidegrees as ints in
+    ``layout``, which the writer takes as such unchecked."""
+
+    __slots__ = ()
+
+
+class _Table(dict):
+    """Rows as columns: one or more keys in order, each holding a list
+    with one value per row, all of one length, the number of rows.  A
+    column holds ints, or bools, or lists or tuples of strings, or it is a
+    ``_PackedColumn``; the writer takes each column's type from its first
+    value, or from the column for a ``_PackedColumn``, unchecked."""
 
 
 _ROW_SLICE = 256
@@ -446,30 +457,31 @@ def _packed_rows(layout, rows, indent: str) -> str:
     return "".join(map(texts.__getitem__, layout.codes(rows)))[: -len(indent) - 2]
 
 
-def _table(rows: _Table, indent: str) -> str:
-    """The text of nonempty ``rows`` starting ``indent`` spaces in: each
-    key is encoded once and each column formatted by its first value's
-    type, and every row is one ``%`` of the row template."""
+def _table(table: _Table, indent: str) -> str:
+    """The text of ``table`` as the list of its rows, starting ``indent``
+    spaces in: each key is encoded once, each column formatted whole by its
+    type, and the rows are one ``%`` of the row template repeated, on the
+    columns' values row after row."""
     inner = indent + "  "
     deep = inner + "  "
     fields, columns = [], []
-    for key, first in rows[0].items():
-        column = [r[key] for r in rows]
-        kind = type(first)
-        if kind is bool:
-            column = [("false", "true")[v] for v in column]
-        elif kind is _PackedRows:
-            # the first row's layout for all: one text table, one code array
-            layout, at = first.layout, deep + "  "
+    for key, column in table.items():
+        if not column:
+            return "[]"
+        kind = type(column[0])
+        if type(column) is _PackedColumn:
+            # one text table and one code array for the whole column, and
+            # each row one join of its slice of the field texts
+            layout, at = column.layout, deep + "  "
             look, cut = _texts(layout, at).__getitem__, -len(at) - 2
-            codes, width = layout.codes([d for v in column for d in v]), len(layout.lo)
-            ends = accumulate([width * len(v) for v in column], initial=0)
+            texts = list(map(look, layout.codes(chain.from_iterable(column))))
+            ends = accumulate(map(len(layout.lo).__mul__, map(len, column)), initial=0)
             column = [
-                f"[\n{at}" + "".join(map(look, codes[a:b]))[:cut] + f"\n{deep}]"
-                if a < b
-                else "[]"
+                f"[\n{at}{''.join(texts[a:b])[:cut]}\n{deep}]" if a < b else "[]"
                 for a, b in pairwise(ends)
             ]
+        elif kind is bool:
+            column = list(map(("false", "true").__getitem__, column))
         elif kind is not int:
             sep = f",\n{deep}  "
             column = [
@@ -479,28 +491,29 @@ def _table(rows: _Table, indent: str) -> str:
         fields.append(_encode_str(key).replace("%", "%%") + (": %d" if kind is int else ": %s"))
         columns.append(column)
     template = f"{{\n{deep}" + f",\n{deep}".join(fields) + f"\n{inner}}}"
-    texts = map(template.__mod__, zip(*columns))
-    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
+    text = f",\n{inner}".join([template] * len(column)) % tuple(chain.from_iterable(zip(*columns)))
+    return f"[\n{inner}{text}\n{indent}]"
 
 
 def _write_json(write, obj, indent: str):
     """Write ``json.dumps(obj, indent=2)`` piece by piece, for a value that
-    starts ``indent`` spaces in.  ``json`` turns its C encoder off for an
-    indent, so a nonempty ``_Table`` or ``_PackedRows`` is laid out by the
-    templates and text tables above, unchecked, and written at once or a
-    slice of rows at a time; a list of ints alone (a bool is not one)
+    starts ``indent`` spaces in, a ``_Table`` as the list of its rows.
+    ``json`` turns its C encoder off for an indent, so a ``_Table`` or a
+    nonempty ``_PackedRows`` is laid out by the templates and text tables
+    above, unchecked, and written at once or a slice of rows at a time; a
+    list of ints alone (a bool is not one)
     takes the row template and a list of strings alone one join; other
     lists and dicts with string keys are walked here, and what is left goes
     to ``json.dumps`` itself."""
-    if isinstance(obj, (list, tuple)) or isinstance(obj, dict) and {*map(type, obj)} <= {str}:
+    if type(obj) is _Table:
+        write(_table(obj, indent))
+    elif isinstance(obj, (list, tuple)) or isinstance(obj, dict) and {*map(type, obj)} <= {str}:
         if not obj:
             write("{}" if isinstance(obj, dict) else "[]")
             return
         inner = indent + "  "
         sep = "\n" + inner
-        if type(obj) is _Table:
-            write(_table(obj, indent))
-        elif type(obj) is _PackedRows:
+        if type(obj) is _PackedRows:
             for start in range(0, len(obj), _ROW_SLICE):
                 rows = _packed_rows(obj.layout, obj[start : start + _ROW_SLICE], inner)
                 write(f"{',' if start else '['}{sep}{rows}")

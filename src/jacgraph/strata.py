@@ -17,18 +17,23 @@ T, and
 
 with one point per tree: deleting e lowers by one whole unit each tile
 coordinate whose vertex set holds w_B(e), which the rounding passes
-through, and leaves the signs of the other edges as they are.  So the walk
-carries the (point, w_B) pairs of T - e to T, keeps those of the trees that
-avoid e and lowers each at w_B(e); a row's count is its length.  Only the
-previous layer is kept.  Subdividing every edge at once packs all strata
-into a single quasistable enumeration whose exceptional vertices carry only
--1 or 0; bucketing by the -1 positions recovers the strata independently
-of the walk.
+through, and leaves the signs of the other edges as they are.  So each
+tree gives a packed point and, per edge, what deleting that edge
+subtracts from it (the unit of w_B(e)'s field, or None for a tree edge),
+and the walk (``_walk``) builds the rows layer by layer in one flat loop:
+a row T + (e,) is one comprehension over the points of T, keeping those
+of the trees that avoid e, lowered.  A row's count is its length.  The
+rows come out as columns, the strata in one list and their points in
+another, which the command line formats as they are.  Subdividing every
+edge at once packs all strata into a single quasistable enumeration whose
+exceptional vertices carry only -1 or 0; bucketing by the -1 positions
+recovers the strata independently of the walk, which there only counts
+the trees that avoid each stratum.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, combinations, islice
 from typing import Iterable, NamedTuple
 
 from ._kernel import SUBSET_SCAN_LIMIT, Layout
@@ -168,30 +173,40 @@ def _tile_point(ctx: StratumContext, pairs, tree: int) -> tuple[tuple, list]:
     return tuple(d), w
 
 
-def _avoiding(trees: list[int], e: int) -> list[int]:
-    """The trees that do not hold edge index e."""
-    bit = 1 << e
-    return [t for t in trees if not t & bit]
+def _walk(ids: list, depth: int, root: list, finish) -> tuple[list, list]:
+    """The subsets T of at most ``depth`` of the edges, as tuples of the
+    edge ids ``ids``, by size and then lexicographically in edge order, and
+    a value for each, two lists in that order.  The points of T are pairs
+    (d, low): T = () holds those of ``root``, and T + (e,) those of T with
+    ``low[e]`` not None, each lowered to ``d - low[e]``.  ``finish`` takes
+    the list of the points of a whole layer of strata and gives their
+    values.
 
-
-def _walk(ids: list, depth: int, root, children):
-    """(T, value) for the subsets T of at most ``depth`` of the edges, as
-    tuples of the edge ids ``ids``, by size and then lexicographically in
-    edge order.  ``children(value, edges)`` gives the values of T + (e,)
-    for the edge indices e in ``edges``, those past the last of T, from the
-    value of T; only the previous layer is kept."""
-    layer = [(0, (), root)]  # (the first index past T, T, value)
-    for size in range(depth + 1):
-        for _, stratum, value in layer:
-            yield stratum, value
-        if size < depth:
-            nxt = []
-            for start, stratum, value in layer:
-                edges = range(start, len(ids))
-                if edges:
-                    values = children(value, edges)
-                    nxt += [(e + 1, stratum + (ids[e],), v) for e, v in zip(edges, values)]
-            layer = nxt
+    One flat loop over the layers, each layer a slice of the rows: a child
+    row is one comprehension over its parent's points, and the children of
+    an empty row share its empty list.  A layer is finished once its
+    children are made, so only two layers of points are kept."""
+    m = len(ids)
+    rows, starts = [root], [0]  # starts: the first edge index past each T
+    begin = 0
+    for _ in range(depth):
+        end = len(rows)
+        for start, parent in zip(starts[begin:end], rows[begin:end]):
+            if start == m:
+                continue
+            starts += range(start + 1, m + 1)
+            if parent:
+                rows += [
+                    [(d - x, low) for d, low in parent if (x := low[e]) is not None]
+                    for e in range(start, m)
+                ]
+            else:
+                rows += [parent] * (m - start)
+        rows[begin:end] = finish(rows[begin:end])
+        begin = end
+    rows[begin:] = finish(rows[begin:])
+    strata = list(chain.from_iterable(combinations(ids, k) for k in range(depth + 1)))
+    return strata, rows
 
 
 def stratum_multidegrees(
@@ -227,12 +242,12 @@ def strata_rows(
     q: Polarization,
     max_codim: int | None = None,
     guard_edges: int = EDGE_GUARD_DEFAULT,
-) -> tuple[Layout, list[tuple], bool, int, int]:
-    """The rows of ``strata_report`` as plain data, after the layout they
-    are packed in, with its ``complete``, ``total_multidegrees`` and
-    ``subdivided_complexity``.  A row is ``(stratum, rows, expected
-    count)``, the stratum a tuple of edge ids and its rows sorted ints in
-    the layout.
+) -> tuple[Layout, list[tuple], list[list[int]], bool, int, int]:
+    """The rows of ``strata_report`` as columns: the layout they are
+    packed in, the strata, tuples of edge ids, and per stratum its rows,
+    sorted ints in the layout, whose count is the stratum's expected count;
+    then the report's ``complete``, ``total_multidegrees`` and
+    ``subdivided_complexity``.  Empty rows may share one list.
 
     The layout is G's singleton box with each vertex's low end lowered by
     its loops: a stratum T's singleton box is G's less one unit per
@@ -252,30 +267,18 @@ def strata_rows(
         lo[a] -= a == b
     layout = Layout.of(lo, hi)
     unit = layout.unit
-
-    def children(parent, edges):
-        # the trees that avoid e keep their point, lowered at w_B(e)
-        out = []
-        for e in edges:
-            kept = []
-            for d, w in parent:
-                if (u := w[e]) is not None:
-                    kept.append((d - unit[u], w))
-            out.append(kept)
-        return out
-
     root = []
     for t in trees:
         d, w = _tile_point(ctx, pairs, t)
-        root.append((layout.pack(d), w))
-    rows = [
-        (stratum, sorted([d for d, _ in points]), len(points))
-        for stratum, points in _walk(ids, depth, root, children)
-    ]
-    total = sum(len(packed) for _, packed, _ in rows)
+        root.append((layout.pack(d), [None if u is None else unit[u] for u in w]))
+    strata, rows = _walk(
+        ids, depth, root, lambda layer: [sorted([d for d, _ in p]) if p else p for p in layer]
+    )
+    total = sum(map(len, rows))
     # a spanning tree of the subdivision takes both halves of each edge of a
     # spanning tree of g and one of the two halves of every other edge
-    return layout, rows, depth == m, total, len(trees) << (m - n + 1) if trees else 0
+    subdivided = len(trees) << (m - n + 1) if trees else 0
+    return layout, strata, rows, depth == m, total, subdivided
 
 
 def strata_report(
@@ -296,11 +299,11 @@ def strata_report(
     direct box search of its stratum, and ``blowup_decomposition`` (the
     ``blowup-check`` command) enumerates the subdivision apart.
     """
-    layout, rows, complete, total, subdivided = strata_rows(
+    layout, strata, rows, complete, total, subdivided = strata_rows(
         g, basepoint, q, max_codim, guard_edges
     )
     # every row's multidegrees unpacked in one call, each row taking its own
-    points = iter(layout.unpack([d for _, packed, _ in rows for d in packed]))
+    points = iter(layout.unpack([d for packed in rows for d in packed]))
     return StrataReport(
         graph=g,
         basepoint=basepoint,
@@ -308,11 +311,11 @@ def strata_report(
             StratumRow(
                 stratum=stratum,
                 codimension=len(stratum),
-                connected=count > 0,
-                expected_count=count,
+                connected=len(packed) > 0,
+                expected_count=len(packed),
                 multidegrees=tuple(Cochain._of(g, t) for t in islice(points, len(packed))),
             )
-            for stratum, packed, count in rows
+            for stratum, packed in zip(strata, rows)
         ),
         complete=complete,
         total_multidegrees=total,
@@ -388,12 +391,13 @@ def blowup_rows(
     basepoint: Vertex,
     q: Polarization,
     guard_edges: int = EDGE_GUARD_DEFAULT,
-) -> tuple[Multigraph, Layout, list[tuple], int, int]:
-    """The buckets of ``blowup_decomposition`` as plain data: the
-    subdivision, the layout of its rows, the rows ``(stratum, rows,
-    expected count)`` with the rows sorted ints of multidegrees on the
-    subdivision, ``total`` and ``expected_total``.  The exceptional vertices
-    come last, so a row's low m fields are its bucket's key."""
+) -> tuple[Multigraph, Layout, list[tuple], list[list[int]], list[int], int, int]:
+    """The buckets of ``blowup_decomposition`` as columns: the
+    subdivision, the layout of its rows, the strata, per stratum its
+    bucket's rows, sorted ints of multidegrees on the subdivision (empty
+    ones may share one list), and its expected count, the trees of G that
+    avoid it; then ``total`` and ``expected_total``.  The exceptional
+    vertices come last, so a row's low m fields are its bucket's key."""
     m = g.num_edges
     pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
     ids = g.edge_ids()
@@ -420,10 +424,13 @@ def blowup_rows(
         grouped[tuple([eid for eid, value in zip(ids, values) if value == -1])] = rows
 
     trees = _spanning_trees(n, pairs)
-    walk = _walk(ids, m, trees, lambda left, edges: [_avoiding(left, e) for e in edges])
-    rows = [(stratum, grouped.get(stratum, []), len(left)) for stratum, left in walk]
+    # the walk only counts the trees that avoid each stratum: no point to lower
+    root = [(0, [None if t >> k & 1 else 0 for k in range(m)]) for t in trees]
+    strata, counts = _walk(ids, m, root, lambda layer: list(map(len, layer)))
+    empty = []
+    rows = [grouped.get(stratum, empty) for stratum in strata]
     expected = len(trees) << (m - n + 1) if trees else 0  # as in strata_rows
-    return sub, layout, rows, len(found), expected
+    return sub, layout, strata, rows, counts, len(found), expected
 
 
 def blowup_decomposition(
@@ -441,8 +448,10 @@ def blowup_decomposition(
     the subdivision.  The subdivision has n + m vertices, so it is refused
     past the subset-scan limit before it is built.
     """
-    sub, layout, rows, total, expected_total = blowup_rows(g, basepoint, q, guard_edges)
-    points = iter(layout.unpack([d for _, packed, _ in rows for d in packed]))
+    sub, layout, strata, rows, counts, total, expected_total = blowup_rows(
+        g, basepoint, q, guard_edges
+    )
+    points = iter(layout.unpack([d for packed in rows for d in packed]))
     return BlowupDecomposition(
         graph=g,
         subdivided_graph=sub,
@@ -457,6 +466,6 @@ def blowup_decomposition(
                 expected_count=count,
                 multidegrees=tuple(Cochain._of(sub, t) for t in islice(points, len(packed))),
             )
-            for stratum, packed, count in rows
+            for stratum, packed, count in zip(strata, rows, counts)
         ),
     )

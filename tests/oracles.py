@@ -26,7 +26,16 @@ before it walked connected subsets, kept verbatim: a scan of all 2^n masks
 in bitmask order with a 2^n table of residue sums, reading the
 polarization's ``_integrality`` and the subset-scan guard.
 
-``tile_points`` is the one exception: it runs the library's spanning-tree
+``strata_walk_reference`` and ``blowup_walk_reference`` are
+``strata.strata_rows`` and ``strata.blowup_rows`` as they stood before the
+flat walk, kept verbatim but for their names, with the generator ``_walk``
+they shared and the callbacks they handed it (``children`` and
+``_avoiding``): one (stratum, rows, count) tuple per row.  They are
+exceptions to the above: they run the library's spanning-tree lister, tile
+function and, for the buckets, quasistable enumeration, so ``test_strata``
+checks the walk alone against them.
+
+``tile_points`` is one more exception: it runs the library's spanning-tree
 lister and tile function, one quasistable point per spanning tree, as a
 fast second oracle for the quasistable kind where the brute force is too
 slow.  ``test_strata`` checks it against the box search.
@@ -42,10 +51,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from jacgraph._kernel import scan_guard
+from jacgraph._kernel import SUBSET_SCAN_LIMIT, Layout, scan_guard
 from jacgraph.cli import Problem, ProblemFileError
-from jacgraph.graph import Edge, Multigraph
+from jacgraph.errors import BlowupValueError, GuardLimitError
+from jacgraph.graph import Edge, Multigraph, Vertex
 from jacgraph.polarization import Polarization
+from jacgraph.quasistable import StratumContext
+from jacgraph.strata import EDGE_GUARD_DEFAULT, _edge_pairs, _spanning_trees, _tile_point
 
 
 def spanning_trees(n: int, pairs) -> list[int]:
@@ -758,3 +770,132 @@ def load_problem_reference(path: str, basepoint_flag=None, stratum_flag=None) ->
         raise ProblemFileError("stratum lists an edge twice")
 
     return Problem(graph, pol, basepoint, stratum)
+
+
+# -- the strata walk as a generator ---------------------------------------------
+
+
+def _avoiding(trees: list[int], e: int) -> list[int]:
+    """The trees that do not hold edge index e."""
+    bit = 1 << e
+    return [t for t in trees if not t & bit]
+
+
+def _walk(ids: list, depth: int, root, children):
+    """(T, value) for the subsets T of at most ``depth`` of the edges, as
+    tuples of the edge ids ``ids``, by size and then lexicographically in
+    edge order.  ``children(value, edges)`` gives the values of T + (e,)
+    for the edge indices e in ``edges``, those past the last of T, from the
+    value of T; only the previous layer is kept."""
+    layer = [(0, (), root)]  # (the first index past T, T, value)
+    for size in range(depth + 1):
+        for _, stratum, value in layer:
+            yield stratum, value
+        if size < depth:
+            nxt = []
+            for start, stratum, value in layer:
+                edges = range(start, len(ids))
+                if edges:
+                    values = children(value, edges)
+                    nxt += [(e + 1, stratum + (ids[e],), v) for e, v in zip(edges, values)]
+            layer = nxt
+
+
+def strata_walk_reference(
+    g: Multigraph,
+    basepoint: Vertex,
+    q: Polarization,
+    max_codim: int | None = None,
+    guard_edges: int = EDGE_GUARD_DEFAULT,
+) -> tuple[Layout, list[tuple], bool, int, int]:
+    """The rows of ``strata_report`` as plain data, after the layout they
+    are packed in, with its ``complete``, ``total_multidegrees`` and
+    ``subdivided_complexity``.  A row is ``(stratum, rows, expected
+    count)``, the stratum a tuple of edge ids and its rows sorted ints in
+    the layout.
+
+    The layout is G's singleton box with each vertex's low end lowered by
+    its loops: a stratum T's singleton box is G's less one unit per
+    T-loop at the low end and less one per T-edge at the high end, so it
+    holds every row of every stratum."""
+    if max_codim is not None and max_codim < 0:
+        raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
+    m = g.num_edges
+    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"strata over {m} edges exceed")
+    ids = g.edge_ids()
+    depth = m if max_codim is None else min(max_codim, m)
+    n = g.num_vertices  # at least one: the basepoint is a vertex
+    trees = _spanning_trees(n, pairs)
+    ctx = StratumContext(g, q, basepoint)
+    lo, hi = ctx.singleton_box()
+    for a, b in pairs:
+        lo[a] -= a == b
+    layout = Layout.of(lo, hi)
+    unit = layout.unit
+
+    def children(parent, edges):
+        # the trees that avoid e keep their point, lowered at w_B(e)
+        out = []
+        for e in edges:
+            kept = []
+            for d, w in parent:
+                if (u := w[e]) is not None:
+                    kept.append((d - unit[u], w))
+            out.append(kept)
+        return out
+
+    root = []
+    for t in trees:
+        d, w = _tile_point(ctx, pairs, t)
+        root.append((layout.pack(d), w))
+    rows = [
+        (stratum, sorted([d for d, _ in points]), len(points))
+        for stratum, points in _walk(ids, depth, root, children)
+    ]
+    total = sum(len(packed) for _, packed, _ in rows)
+    # a spanning tree of the subdivision takes both halves of each edge of a
+    # spanning tree of g and one of the two halves of every other edge
+    return layout, rows, depth == m, total, len(trees) << (m - n + 1) if trees else 0
+
+
+def blowup_walk_reference(
+    g: Multigraph,
+    basepoint: Vertex,
+    q: Polarization,
+    guard_edges: int = EDGE_GUARD_DEFAULT,
+) -> tuple[Multigraph, Layout, list[tuple], int, int]:
+    """The buckets of ``blowup_decomposition`` as plain data: the
+    subdivision, the layout of its rows, the rows ``(stratum, rows,
+    expected count)`` with the rows sorted ints of multidegrees on the
+    subdivision, ``total`` and ``expected_total``.  The exceptional vertices
+    come last, so a row's low m fields are its bucket's key."""
+    m = g.num_edges
+    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
+    ids = g.edge_ids()
+    n = g.num_vertices
+    if n + m > SUBSET_SCAN_LIMIT:
+        raise GuardLimitError(
+            f"subdividing {m} edges of a {n}-vertex graph gives {n + m} vertices, "
+            f"over the subset-scan limit of {SUBSET_SCAN_LIMIT}"
+        )
+    q_sub = q.blown_up(ids)
+    sub = q_sub.graph  # the middle vertex of edge k is vertex n + k
+    layout, found = StratumContext(sub, q_sub, basepoint)._packed("quasistable")
+    low = (1 << 8 * layout.size * m) - 1
+    keyed: dict[int, list[int]] = {}
+    for row in found:
+        keyed.setdefault(row & low, []).append(row)
+    grouped: dict[tuple, list[int]] = {}
+    firsts = layout.unpack([rows[0] for rows in keyed.values()])
+    for rows, first in zip(keyed.values(), firsts):
+        values = first[n:]
+        for eid, value in zip(ids, values):
+            if value not in (-1, 0):
+                raise BlowupValueError(f"exceptional vertex for edge {eid!r} carries {value}")
+        grouped[tuple([eid for eid, value in zip(ids, values) if value == -1])] = rows
+
+    trees = _spanning_trees(n, pairs)
+    walk = _walk(ids, m, trees, lambda left, edges: [_avoiding(left, e) for e in edges])
+    rows = [(stratum, grouped.get(stratum, []), len(left)) for stratum, left in walk]
+    expected = len(trees) << (m - n + 1) if trees else 0  # as in strata_rows
+    return sub, layout, rows, len(found), expected

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -411,6 +412,14 @@ class TestProblemFileValidation:
         rc, _, err = run(capsys, ["complexity", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "cannot read" in err
+
+    def test_directory(self, capsys, tmp_path):
+        # the message names the path twice, as open() raised it; a read of
+        # a directory's descriptor raises EISDIR with no path of its own
+        rc, _, err = run(capsys, ["complexity", str(tmp_path)])
+        assert rc == 2
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+        assert err == f"error: cannot read {tmp_path}: {reason}\n"
 
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -957,27 +966,35 @@ def _layout(rng, width, size):
     return layout
 
 
+def _rows(rng, layout, count):
+    """``count`` packed rows drawn from the box of ``layout``."""
+    rows = [[rng.randint(a, b) for a, b in zip(layout.lo, layout.hi)] for _ in range(count)]
+    return list(map(layout.pack, rows))
+
+
 def _packed(rng, layout, count):
     """A ``_PackedRows`` of ``count`` rows drawn from the box of ``layout``."""
-    rows = [[rng.randint(a, b) for a, b in zip(layout.lo, layout.hi)] for _ in range(count)]
-    return cli._PackedRows(layout, map(layout.pack, rows))
+    return cli._PackedRows(layout, _rows(rng, layout, count))
 
 
 @st.composite
-def packed_columns(draw):
-    """A strategy of ``_PackedRows`` of one to three values a row, all in
-    one layout of 1-, 2- or 4-byte fields: empty, one row, or a few slices
-    of rows."""
+def packed_columns(draw, count):
+    """A ``_PackedColumn`` of ``count`` table rows in one layout of 1-, 2-
+    or 4-byte fields, one to three values a multidegree: each row empty,
+    one multidegree or a few slices of them, or every row empty."""
     rng = draw(st.randoms(use_true_random=False))
     layout = _layout(rng, draw(st.integers(1, 3)), draw(st.sampled_from([1, 1, 1, 2, 4])))
-    counts = st.sampled_from([0, 1, 3, cli._ROW_SLICE + 1])
-    return st.tuples(st.randoms(use_true_random=False), counts).map(
-        lambda args: _packed(args[0], layout, args[1])
-    )
+    sizes = draw(st.sampled_from([[0], [0, 1, 3, cli._ROW_SLICE + 1]]))
+    return cli._PackedColumn(layout, [_rows(rng, layout, rng.choice(sizes)) for _ in range(count)])
 
 
 def _unpacked(obj):
-    """``obj`` with every ``_PackedRows`` in it as its value tuples."""
+    """``obj`` with every ``_PackedRows`` in it as its value tuples, and
+    every ``_Table`` as its list of rows."""
+    if type(obj) is cli._Table:
+        return [dict(zip(obj, row)) for row in zip(*map(_unpacked, obj.values()))]
+    if type(obj) is cli._PackedColumn:
+        return [obj.layout.unpack(rows) for rows in obj]
     if type(obj) is cli._PackedRows:
         return obj.layout.unpack(obj)
     if isinstance(obj, dict):
@@ -987,22 +1004,32 @@ def _unpacked(obj):
     return obj
 
 
-# strategies of a column's strategy
-COLUMNS = st.one_of(
-    st.sampled_from([st.integers(-(2**70), 2**70), st.booleans(), st.lists(TEXT, max_size=3)]),
-    packed_columns(),
-)
+# the values of a plain column
+VALUES = [
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.lists(TEXT, max_size=3),
+    st.lists(TEXT, max_size=3).map(tuple),
+]
+
+
+def _columns(count):
+    """A strategy of columns of ``count`` rows: ints, bools, lists or tuples
+    of strings, or a ``_PackedColumn``."""
+    plain = st.sampled_from(VALUES).flatmap(
+        lambda values: st.lists(values, min_size=count, max_size=count)
+    )
+    return st.one_of(plain, packed_columns(count))
 
 
 @st.composite
 def table_lists(draw):
     """A ``_Table`` of no row to a few, with one to four keys, each holding
-    ints, bools, lists of strings or ``_PackedRows`` of one layout in every
-    row."""
+    a column of ints, bools, lists or tuples of strings, or a
+    ``_PackedColumn``."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
-    columns = [draw(COLUMNS) for _ in keys]
     count = draw(st.integers(0, 3))
-    return cli._Table({k: draw(c) for k, c in zip(keys, columns)} for _ in range(count))
+    return cli._Table({k: draw(_columns(count)) for k in keys})
 
 
 PAYLOADS = st.recursive(
@@ -1035,26 +1062,27 @@ PAYLOADS = st.recursive(
 @example(["é\"\\", ""])
 @example(
     {
-        "rows": [
-            {
-                "stratum": ["e0", "e1"],
-                "codimension": 2,
-                "connected": False,
-                "expected_count": 0,
-                "multidegrees": cli._PackedRows(_kernel.Layout.of([0, 0], [1, 1])),
-            }
-        ]
+        "rows": cli._Table(
+            stratum=[("e0", "e1"), ()],
+            codimension=[2, 0],
+            connected=[False, False],
+            expected_count=[0, 0],
+            multidegrees=cli._PackedColumn(_kernel.Layout.of([0, 0], [1, 1]), [[], []]),
+        )
     }
 )
+@example([cli._Table(a=[], b=cli._PackedColumn(_kernel.Layout.of([0], [1]), []))])
 @example(
     cli._Table(
         {
-            "%d": k,
-            "%s": k > 0,
-            "é\"\\": ["e%", "\x00"][:k],
-            "m": _packed(random.Random(k), _kernel.Layout.of([-1, 0], [2, 5]), k),
+            "%d": [0, 1, 2],
+            "%s": [False, True, True],
+            "é\"\\": [["e%", "\x00"][:k] for k in range(3)],
+            "m": cli._PackedColumn(
+                _kernel.Layout.of([-1, 0], [2, 5]),
+                [_rows(random.Random(k), _kernel.Layout.of([-1, 0], [2, 5]), k) for k in range(3)],
+            ),
         }
-        for k in range(3)
     )
 )
 def test_writer_matches_json_dumps(obj):
@@ -1298,7 +1326,7 @@ class TestCliBenchScript:
         out = tmp_path / "bench.json"
         argv = ["--workload", "query", "--rounds", "1", "--repeat", "1", "--json", str(out)]
         assert bench.main(argv) == 0
-        head, columns, *rows = capsys.readouterr().out.splitlines()
+        head, columns, *rows, probe = capsys.readouterr().out.splitlines()
         kernel = _kernel.implementation_name()
         assert head == f"query, seed 3, rounds 0-0, best of 1, {kernel} kernel (ms)"
         assert columns.split() == ["command", "requests", *bench.PHASES, "total"]
@@ -1310,6 +1338,8 @@ class TestCliBenchScript:
             "workload": "query", "kernel": kernel, "seed": 3, "rounds": 1, "repeat": 1
         }
         assert record["python"] and "commit" in record
+        # the median time of the probe run before each request
+        assert record["probe_ms"] > 0 and probe == f"median probe {record['probe_ms']:.2f} ms"
         for command, row in record["ms"].items():
             assert row["requests"] == counts[command]
             assert row["total"] == pytest.approx(sum(row[p] for p in bench.PHASES))

@@ -148,14 +148,15 @@ class TestStrataReport:
         # one empty row, and a 22-vertex path its one point and empty
         # rows below it
         g = Multigraph([f"v{i}" for i in range(21)], [])
-        assert strata_rows(g, "v0", Polarization(g, [0] * 21))[1:] == ([((), [], 0)], True, 0, 0)
+        assert strata_rows(g, "v0", Polarization(g, [0] * 21))[1:] == ([()], [[]], True, 0, 0)
         names = [f"v{i}" for i in range(22)]
         g = Multigraph(names, list(zip(names, names[1:])))
-        layout, rows, complete, total, _ = strata_rows(
+        layout, strata, rows, complete, total, _ = strata_rows(
             g, "v0", Polarization(g, [0] * 22), max_codim=1, guard_edges=21
         )
-        assert rows[0][::2] == ((), 1) and layout.unpack(rows[0][1]) == [(0,) * 22]
-        assert [row[1:] for row in rows[1:]] == [([], 0)] * 21
+        assert strata == [()] + [(eid,) for eid in g.edge_ids()]
+        assert layout.unpack(rows[0]) == [(0,) * 22]
+        assert rows[1:] == [[]] * 21
         assert (complete, total) == (False, 1)
 
     def test_counts_and_totals(self, corpus_cases):
@@ -318,9 +319,9 @@ class TestPackedLayout:
         for g in graphs:
             q = corpus_mod._random_polarization(rng, g)
             bp = rng.choice(g.vertices)
-            layout, rows, _, _, _ = strata_rows(g, bp, q)
+            layout, strata, rows, _, _, _ = strata_rows(g, bp, q)
             g_lo, _ = StratumContext(g, q, bp).singleton_box()
-            for stratum, packed, count in rows:
+            for stratum, packed in zip(strata, rows):
                 ctx = StratumContext(g, q, bp, stratum)
                 lo, hi = ctx.singleton_box()
                 n = g.num_vertices
@@ -328,7 +329,7 @@ class TestPackedLayout:
                     n, ctx._kept, ctx._base, ctx.scale, ctx._v0, ctx.budget, lo, hi, "quasistable"
                 )
                 got = layout.unpack(packed)
-                assert got == want and count == len(want), (g, stratum)
+                assert got == want, (g, stratum)
                 below += any(x < a for d in got for x, a in zip(d, g_lo))
         assert below > 10, below
 
@@ -337,10 +338,10 @@ class TestPackedLayout:
         # and 0 on the others, and the buckets split the subdivision's set
         for case in corpus_mod.small_cases()[:25]:
             g, bp, q = case.graph, case.basepoint, case.q
-            sub, layout, rows, total, _ = blowup_rows(g, bp, q)
+            sub, layout, strata, rows, _, total, _ = blowup_rows(g, bp, q)
             n, ids = g.num_vertices, g.edge_ids()
             seen = []
-            for stratum, packed, _ in rows:
+            for stratum, packed in zip(strata, rows):
                 want = tuple(-1 if eid in stratum else 0 for eid in ids)
                 for d in layout.unpack(packed):
                     assert d[n:] == want, (case.index, stratum)
@@ -392,6 +393,58 @@ class TestAgainstOracles:
         q = Polarization(triangle, [1, 0, 0])
         with pytest.raises(ValueError, match="max_codim"):
             strata_report(triangle, "a", q, max_codim=-1)
+
+
+class TestWalkAgainstReference:
+    """The flat walk against the generator walk it replaced
+    (``oracles.strata_walk_reference`` and ``blowup_walk_reference``):
+    the same strata in the same order, the same sorted rows, counts and
+    totals."""
+
+    @staticmethod
+    def _check(g, bp, q, max_codim):
+        layout, strata, rows, *rest = strata_rows(g, bp, q, max_codim)
+        want_layout, want_rows, *want_rest = oracles.strata_walk_reference(g, bp, q, max_codim)
+        assert layout == want_layout
+        assert strata == [stratum for stratum, _, _ in want_rows]
+        assert rows == [packed for _, packed, _ in want_rows]
+        assert list(map(len, rows)) == [count for _, _, count in want_rows]
+        assert rest == want_rest
+
+    @staticmethod
+    def _check_blowup(g, bp, q):
+        sub, layout, strata, rows, counts, *rest = blowup_rows(g, bp, q)
+        want_sub, want_layout, want_rows, *want_rest = oracles.blowup_walk_reference(g, bp, q)
+        assert (sub, layout) == (want_sub, want_layout)
+        assert strata == [stratum for stratum, _, _ in want_rows]
+        assert rows == [packed for _, packed, _ in want_rows]
+        assert counts == [count for _, _, count in want_rows]
+        assert rest == want_rest
+
+    def test_corpus(self, corpus_cases):
+        for case in corpus_cases:
+            g, bp, q = case.graph, case.basepoint, case.q
+            for max_codim in (0, 1, 2, None):
+                self._check(g, bp, q, max_codim)
+            self._check_blowup(g, bp, q)
+
+    def test_sweep_shaped_multigraphs(self):
+        # 4 to 7 vertices and up to twice as many edges, loops and parallel
+        # edges among them: most strata disconnect, so most rows are empty
+        rng = random.Random(3636)
+        empty = rows = 0
+        for k in range(40):
+            n = rng.randint(4, 7)
+            g = _tree_count_graph(rng, n, rng.randint(n + 2, 2 * n), loops=rng.randint(1, 2))
+            q = corpus_mod._random_polarization(rng, g)
+            bp = rng.choice(g.vertices)
+            max_codim = rng.choice([None, None, 2, 3])
+            self._check(g, bp, q, max_codim)
+            if n + g.num_edges <= 14:
+                self._check_blowup(g, bp, q)
+            counts = list(map(len, strata_rows(g, bp, q, max_codim)[2]))
+            empty, rows = empty + counts.count(0), rows + len(counts)
+        assert 2 * empty > rows, (empty, rows)
 
 
 def _tree_count_graph(rng, n, m, *, connected=True, loops=0):
@@ -485,9 +538,9 @@ class TestTreeCounts:
             want = complexity(g.subdivide_edges(g.edge_ids())[0])
             q = Polarization(g, [1] + [0] * (n - 1))
             bp = g.vertices[0]
-            assert strata_rows(g, bp, q, max_codim=0)[4] == want, g
+            assert strata_rows(g, bp, q, max_codim=0)[5] == want, g
             if n + m <= 12:
-                assert blowup_rows(g, bp, q)[4] == want, g
+                assert blowup_rows(g, bp, q)[6] == want, g
                 seen.add(("blowup", True))
             seen.add(("n", n))
             seen.add(("loop", any(e.is_loop for e in g.edges)))
