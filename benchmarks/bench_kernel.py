@@ -25,13 +25,14 @@ every connected vertex subset.  For each size it also prints how many of
 the 2^n vertex subsets the box search's plan checks and how many more it
 keeps only as prefixes, counted on the pure kernel's plan (the compiled
 kernel keeps the same plan, one byte per mask), and how many are
-connected.  Above the 20-vertex limit of the kernels and the
-classification only the degree class group and complexity rows are
-printed.
+connected.  Every row is printed at every size; above the compiled
+kernel's ``MAX_VERTICES``, where the library takes the pure kernel, the
+compiled column of the ``enumerate`` row reads ``-``, and an ``enum``
+row the library refuses, past ``_kernel.LIMIT`` rows, prints the refusal.
 
     python benchmarks/bench_kernel.py
     python benchmarks/bench_kernel.py --sizes 12,14,16 --repeat 5
-    python benchmarks/bench_kernel.py --sizes 40,80,120 --repeat 11
+    python benchmarks/bench_kernel.py --sizes 20,22,24,26 --repeat 1
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ import time
 from fractions import Fraction
 
 from jacgraph import Multigraph, Polarization, StratumContext, complexity, picard_group
-from jacgraph import _kernel_py
+from jacgraph import GuardLimitError, _kernel_py
 from jacgraph._kernel import (
+    LIMIT,
+    MAX_VERTICES,
     MODE_QUASISTABLE,
-    SUBSET_SCAN_LIMIT,
     Layout,
     implementation_name,
     implementations,
@@ -113,9 +115,6 @@ def main(argv=None) -> int:
         ):
             t_call, _ = best_of(args.repeat, fn, graph)
             print(f"{n:>3} {label:<12}{t_call * 1e3:>10.2f}ms")
-        if n > SUBSET_SCAN_LIMIT:
-            print(f"    (no kernel rows above {SUBSET_SCAN_LIMIT} vertices)")
-            continue
         half = Fraction(1, 2)
         values = [half] * n
         if n % 2:
@@ -128,6 +127,9 @@ def main(argv=None) -> int:
         times = []
         counts = None
         for mod in mods:
+            if mod is not _kernel_py and n > MAX_VERTICES:
+                times.append(None)  # past the compiled kernel's arrays
+                continue
             t_enum, found = best_of(
                 args.repeat,
                 mod.box_enumerate,
@@ -139,14 +141,17 @@ def main(argv=None) -> int:
                 MODE_QUASISTABLE,
                 range(n),  # rows in the search's own vertex order
                 layout,
+                LIMIT,
             )
             times.append(t_enum)
             if counts is None:
                 counts = len(found)
             elif counts != len(found):
                 raise SystemExit("implementations disagree on the enumeration")
-        line = f"{n:>3} {'enumerate':<12}" + "".join(f"{t * 1e3:>10.2f}ms" for t in times)
-        if len(times) > 1:
+        line = f"{n:>3} {'enumerate':<12}" + "".join(
+            f"{'-':>12}" if t is None else f"{t * 1e3:>10.2f}ms" for t in times
+        )
+        if len(times) > 1 and times[0] is not None:
             line += f"{times[-1] / times[0]:>9.1f}x"
         print(line)
         # the pure kernel's table step alone, in the pure column
@@ -154,11 +159,15 @@ def main(argv=None) -> int:
         pad = " " * 12 * (len(mods) - 1)
         print(f"{n:>3} {'pure tables':<12}{pad}{t_build * 1e3:>10.2f}ms")
         for kind in ("quasistable", "semistable"):
-            t_enum, (_, got) = best_of(args.repeat, ctx._packed, kind)
             label = f"enum {kind[:1]}s"
+            try:
+                t_enum, (_, got) = best_of(args.repeat, ctx._packed, kind)
+            except GuardLimitError as exc:
+                print(f"{n:>3} {label:<12}  (refused: {exc})")
+                continue
             print(
                 f"{n:>3} {label:<12}{t_enum * 1e3:>10.2f}ms"
-                f"  ({implementation_name()}, {len(got)} rows)"
+                f"  ({implementation_name() if n <= MAX_VERTICES else 'pure'}, {len(got)} rows)"
             )
         t_cut, _ = best_of(args.repeat, ctx._defect_cut, d)
         print(f"{n:>3} {'min cut':<12}{t_cut * 1e3:>10.2f}ms")

@@ -3,7 +3,9 @@ operands fit its 64-bit arithmetic, the pure-Python kernel otherwise.
 
 A call whose operand bound reaches FAST_BOUND is routed to the pure
 kernel, which computes with Python integers; so is every call when the
-extension was not built.
+extension was not built, and so is every graph of more than its
+MAX_VERTICES.  ``check_limit`` refuses a call once what it returns or walks
+passes ``LIMIT``, the one size limit; the kernels stop at one row more.
 
 ``Layout`` owns the packed row format.  The caller builds one for its box
 and hands it to the kernel it picks, which reads the box, the field size
@@ -19,7 +21,7 @@ from array import array
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import EmptyGraphError, GuardLimitError
+from .errors import GuardLimitError
 
 try:
     from . import _speedups
@@ -35,9 +37,11 @@ MODE_STABLE = 2
 # headroom below 2**63 for the products and sums formed inside the kernel
 FAST_BOUND = 1 << 60
 
-# the compiled kernel's plan bytes, and classification on a dense graph, reach
-# 2**n masks; refuse beyond this many vertices
-SUBSET_SCAN_LIMIT = 20
+# the most vertices the compiled kernel's arrays hold; no bound without it
+MAX_VERTICES = sys.maxsize if _speedups is None else _speedups.MAX_VERTICES
+
+# the most rows, subsets, points or forests one call may return or walk
+LIMIT = 1 << 20
 
 
 # the array typecode of each field size, and whether an array's items are
@@ -104,14 +108,10 @@ class Layout(NamedTuple):
         return list(zip(*[flat] * len(self.lo)))
 
 
-def scan_guard(n: int, what: str):
-    """Refuse a subset scan over no vertices or over too many."""
-    if n == 0:
-        raise EmptyGraphError(f"{what} needs at least one vertex")
-    if n > SUBSET_SCAN_LIMIT:
-        raise GuardLimitError(
-            f"subset scan over {n} vertices exceeds the limit of {SUBSET_SCAN_LIMIT}"
-        )
+def check_limit(count: int, what: str):
+    """Refuse a call whose count of ``what`` it returns or walks passes LIMIT."""
+    if count > LIMIT:
+        raise GuardLimitError(f"{count} {what} exceed the limit of {LIMIT}")
 
 
 def select(value_bound: int):

@@ -140,7 +140,7 @@ def _build_plan(n, edges):
     return tuple(map(tuple, plan))
 
 
-def box_enumerate(n, edges, base, scale, v0, mode, at, layout):
+def box_enumerate(n, edges, base, scale, v0, mode, at, layout, limit):
     """All integer vectors in the box with total ``sum(base) / scale`` that
     satisfy the per-subset bounds of ``build_tables(n, edges, base,
     scale)``; strictness of the bounds depends on ``mode``.  Each output
@@ -148,8 +148,9 @@ def box_enumerate(n, edges, base, scale, v0, mode, at, layout):
     permutation of ``range(n)``, and is packed into one int in ``layout``,
     a ``_kernel.Layout`` in output order: vertex k's box is
     ``layout.lo[at[k]]`` to ``layout.hi[at[k]]``.  Int order is the order
-    of the value tuples.  Raises ValueError unless ``scale`` is positive
-    and divides ``sum(base)``.
+    of the value tuples.  The search stops once it holds ``limit + 1``
+    outputs, which it returns.  Raises ValueError unless ``scale`` is
+    positive and divides ``sum(base)``.
 
     Depth-first over the vertices in index order.  When vertex k is
     assigned, every subset whose top vertex is k becomes decided, so the
@@ -299,7 +300,8 @@ def box_enumerate(n, edges, base, scale, v0, mode, at, layout):
     out = []
 
     def place(k, partial, state, row):
-        # the level's tests read only its own fields, ``here``
+        # the level's tests read only its own fields, ``here``; it returns
+        # true once the outputs pass the limit
         step, own, keep, cl, gl, cu, gu, width, k_unit = levels[k]
         rest = total - partial
         first, last = rest - suf_hi[k + 1], rest - suf_lo[k + 1]
@@ -315,12 +317,15 @@ def box_enumerate(n, edges, base, scale, v0, mode, at, layout):
             here -= own
         if k < n - 2:
             for dv in range(first, last + 1):
-                place(k + 1, partial + dv, (state + dv * step) >> width, row + dv * k_unit)
+                if place(k + 1, partial + dv, (state + dv * step) >> width, row + dv * k_unit):
+                    return True
         elif first <= last:
             # d_k = dv and the last vertex rest - dv, for dv from first to last
             move = k_unit - last_unit
             row += rest * last_unit + first * move
             out.extend(range(row, row + (last - first + 1) * move, move))
+            return len(out) > limit
 
     place(0, 0, state, layout.origin)
+    del out[limit + 1 :]
     return out

@@ -27,8 +27,8 @@ enum { MODE_SEMISTABLE, MODE_QUASISTABLE, MODE_STABLE }; /* as in _kernel */
    make_plan's mark of a connected subset, and that the search keeps it */
 enum { CHECKED = 1, CONNECTED = 2, KEPT = 4 };
 
-/* the plan holds one byte per subset, 2**n in all; the library's subset-scan
-   guard stops at 20 vertices */
+/* the plan holds one byte per subset, 2**n in all; the module exports this
+   bound, and the library routes larger graphs to the pure kernel */
 #define MAX_VERTICES 24
 
 /* Copy a sequence of exactly len ints into out.  Sequences are read through
@@ -159,7 +159,8 @@ typedef struct {
     long long *sums;
     /* the row being built: one big-endian field of size bytes per vertex */
     unsigned char *codes;
-    PyObject *out;
+    PyObject *out; /* at most limit + 1 outputs */
+    Py_ssize_t limit;
 } Search;
 
 /* Write code to the size bytes at field, big-endian. */
@@ -171,14 +172,14 @@ static void put(unsigned char *field, int size, long long code)
     }
 }
 
-/* Append the row in s->codes as one int.  Returns -1 with an exception
-   set, else 0. */
+/* Append the row in s->codes as one int.  Returns -1, with an exception
+   set on an error and none once the outputs pass the limit, else 0. */
 static int emit(const Search *s)
 {
     PyObject *row = _PyLong_FromByteArray(s->codes, (size_t)s->n * s->size, 0, 0);
     int rc = row == NULL ? -1 : PyList_Append(s->out, row);
     Py_XDECREF(row);
-    return rc;
+    return rc < 0 || PyList_GET_SIZE(s->out) > s->limit ? -1 : 0;
 }
 
 /* Assign vertex k < n - 1; the last vertex takes the rest of the total.
@@ -189,8 +190,8 @@ static int emit(const Search *s)
    value on and its high bound up to some value: the values that pass are
    one interval, found by scanning in from each end with one bound alone.
    sums[m] holds scale * d_m, so the inner loops need no multiply; at
-   k = n - 2 nothing reads them, so they are only checked.  Returns -1 with
-   an exception set, else 0. */
+   k = n - 2 nothing reads them, so they are only checked.  Returns -1 when
+   emit does, else 0. */
 static int place(const Search *s, int k, long long partial)
 {
     const Row *first = s->rows + s->row_at[k], *end = s->rows + s->row_at[k + 1], *r;
@@ -312,14 +313,15 @@ static int load_plan(Search *s, const unsigned char *plan, const long long *base
 }
 
 PyDoc_STRVAR(box_enumerate_doc,
-"box_enumerate(n, edges, base, scale, v0, mode, at, layout) -> list of ints\n\n"
+"box_enumerate(n, edges, base, scale, v0, mode, at, layout, limit) -> list of ints\n\n"
 "Integer vectors in the box with total sum(base) / scale that satisfy the\n"
 "per-subset bounds of the graph on n vertices with the given edges (index\n"
 "pairs) and scaled polarization base, as in jacgraph._kernel_py.box_enumerate,\n"
 "each with the value of vertex k at position at[k], for at a permutation\n"
 "of range(n), packed into one int in layout, a jacgraph._kernel.Layout in\n"
 "output order that gives vertex k the box layout.lo[at[k]]..layout.hi[at[k]].\n"
-"The plan and the bounds on its masks are built within the call.  Raises\n"
+"The plan and the bounds on its masks are built within the call.  The\n"
+"search stops once it holds limit + 1 outputs, which it returns.  Raises\n"
 "ValueError unless scale is positive and divides sum(base).");
 
 static PyObject *box_enumerate(PyObject *self, PyObject *args)
@@ -327,9 +329,10 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     PyObject *edges, *base, *at, *layout, *out = NULL;
     int n, v0, mode;
     long long scale;
+    Py_ssize_t limit;
 
-    if (!PyArg_ParseTuple(args, "iOOLiiOO:box_enumerate", &n, &edges, &base, &scale, &v0,
-                          &mode, &at, &layout))
+    if (!PyArg_ParseTuple(args, "iOOLiiOOn:box_enumerate", &n, &edges, &base, &scale, &v0,
+                          &mode, &at, &layout, &limit))
         return NULL;
     if (n < 1 || n > MAX_VERTICES)
         return PyErr_Format(PyExc_ValueError, "n = %d outside 1..%d", n, MAX_VERTICES);
@@ -359,7 +362,8 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     long long *out_hi = out_lo + n + 1, *out_shift = out_hi + n + 1;
     unsigned char *plan = (unsigned char *)(out_shift + n + 1), codes[4 * MAX_VERTICES];
     Search s = {.n = n, .size = field, .scale = scale, .lo = clo, .hi = chi, .suf_lo = suf_lo,
-                .suf_hi = suf_hi, .at = cat, .shift = shift, .sums = sums, .codes = codes};
+                .suf_hi = suf_hi, .at = cat, .shift = shift, .sums = sums, .codes = codes,
+                .limit = limit};
 
     if (load_int64s(base, n, cbase, "base") < 0
         || load_int64s(at, n, cat, "at") < 0
@@ -401,7 +405,7 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
     if (out != NULL && suf_lo[0] <= s.total && suf_hi[0] >= s.total) {
         s.out = out;
         put(codes, s.size, s.total + shift[0]); /* all of it, when there is one vertex */
-        if ((n == 1 ? emit(&s) : place(&s, 0, 0)) < 0)
+        if ((n == 1 ? emit(&s) : place(&s, 0, 0)) < 0 && PyErr_Occurred())
             Py_CLEAR(out);
     }
     PyMem_Free((void *)s.row_at);
@@ -425,5 +429,8 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__speedups(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddIntMacro(m, MAX_VERTICES) < 0)
+        Py_CLEAR(m);
+    return m;
 }

@@ -210,23 +210,6 @@ def _context(problem: Problem, command: str) -> StratumContext:
     return StratumContext(problem.graph, q, _basepoint(problem, command), problem.stratum)
 
 
-def _edge_guard() -> int:
-    env = os.environ.get("JACGRAPH_GUARD_EDGES")
-    if env is None:
-        from .strata import EDGE_GUARD_DEFAULT
-
-        return EDGE_GUARD_DEFAULT
-    try:
-        guard = _ascii_int(env)
-    except ValueError:
-        raise ProblemFileError(
-            f"JACGRAPH_GUARD_EDGES must be an integer, got {env!r}"
-        ) from None
-    if guard < 0:
-        raise ProblemFileError(f"JACGRAPH_GUARD_EDGES must be nonnegative, got {guard}")
-    return guard
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -330,13 +313,8 @@ def cmd_strata(problem: Problem, args) -> dict:
     q = _require_polarization(problem)
     if args.max_codim is not None and args.max_codim < 0:
         raise ProblemFileError(f"--max-codim must be nonnegative, got {args.max_codim}")
-    guard = _edge_guard()
     layout, strata, rows, complete, total, subdivided = strata_rows(
-        problem.graph,
-        _basepoint(problem, "strata"),
-        q,
-        max_codim=args.max_codim,
-        guard_edges=guard,
+        problem.graph, _basepoint(problem, "strata"), q, max_codim=args.max_codim
     )
     if args.verbose:
         print(
@@ -365,12 +343,9 @@ def cmd_blowup_check(problem: Problem, args) -> dict:
     from .strata import blowup_rows
 
     q = _require_polarization(problem)
-    g, guard = problem.graph, _edge_guard()
+    g = problem.graph
     sub, layout, strata, rows, expected, total, expected_total = blowup_rows(
-        g,
-        _basepoint(problem, "blowup-check"),
-        q,
-        guard_edges=guard,
+        g, _basepoint(problem, "blowup-check"), q
     )
     counts = list(map(len, rows))
     if args.verbose:
@@ -483,9 +458,13 @@ def _table(table: _Table, indent: str) -> str:
         elif kind is bool:
             column = list(map(("false", "true").__getitem__, column))
         elif kind is not int:
-            sep = f",\n{deep}  "
+            # strings that are their own text in quotes (edge ids) join as they are
+            quote = '"'
+            if not all(_encode_str(x) == f'"{x}"' for x in {*chain.from_iterable(column)}):
+                column, quote = [list(map(_encode_str, v)) for v in column], ""
+            sep = f"{quote},\n{deep}  {quote}"
             column = [
-                f"[\n{deep}  {sep.join(map(_encode_str, v))}\n{deep}]" if v else "[]"
+                f"[\n{deep}  {quote}{sep.join(v)}{quote}\n{deep}]" if v else "[]"
                 for v in column
             ]
         fields.append(_encode_str(key).replace("%", "%%") + (": %d" if kind is int else ": %s"))

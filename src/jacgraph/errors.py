@@ -60,7 +60,7 @@ class BlowupValueError(JacGraphError):
 
 
 class GuardLimitError(JacGraphError):
-    """An operation would exceed a configured size guard."""
+    """A call returns or walks more than ``_kernel.LIMIT`` of what it counts."""
 
 
 class ReductionGuardError(JacGraphError):

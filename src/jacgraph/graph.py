@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
+from . import _kernel
 from .errors import (
     GraphConstructionError,
     InvalidSubsetError,
@@ -46,20 +47,24 @@ def _connected_subsets(n: int, adj: list[int]):
     Each subset grows from k by one neighbour below k at a time; a branch
     never adds a vertex that an earlier sibling branch added, so no subset
     comes twice (Wernicke's ESU, IEEE/ACM TCBB 3(4), 2006).  The cost is
-    proportional to the number of subsets listed."""
+    proportional to the subsets listed, refused past ``_kernel.LIMIT``."""
 
     def grow(m, ext, seen):
         # ext: the neighbours of m outside seen, which holds m
         level.append(m)
+        if len(level) > room:
+            _kernel.check_limit(listed + len(level), "connected subsets listed so far")
         while ext:
             bit = ext & -ext
             ext ^= bit
             seen |= bit
             grow(m | bit, ext | (adj[bit.bit_length() - 1] & ~seen), seen)
 
+    listed = 0
     for k in range(n):
-        level, below = [], (1 << k) - 1
+        level, below, room = [], (1 << k) - 1, _kernel.LIMIT - listed
         grow(1 << k, adj[k] & below, ~below)
+        listed += len(level)
         yield level
 
 

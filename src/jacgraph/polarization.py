@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from ._kernel import scan_guard
+from ._kernel import check_limit
 from .errors import (
     CanonicalPolarizationError,
     EmptyGraphError,
@@ -197,10 +197,12 @@ class Polarization(_VertexValues):
         each level sorted, which is mask order.  A residue sum comes from two
         tables, over the low half of the vertices and the rest, each grown by
         vertex k at level k; a mask whose sum is not 0 mod scale is never
-        integral, as its pieces partition it."""
+        integral, as its pieces partition it.  Table entries count against
+        ``_kernel.LIMIT`` as the subsets listed do."""
         g = self.graph
         n = g.num_vertices
-        scan_guard(n, "classification")
+        if n == 0:
+            raise EmptyGraphError("classification needs at least one vertex")
         scale, resid, test = self._integrality()
         br = g.bridges()
         kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
@@ -209,6 +211,7 @@ class Polarization(_VertexValues):
         low, high = [0], [0]  # residue sums mod scale by mask of each half
         for k, level in enumerate(_connected_subsets(n, _adjacency_masks(n, g._pairs))):
             part = low if k < cut else high
+            check_limit(2 * len(part), "entries of a residue table")
             part += [(s + resid[k]) % scale for s in part]
             for m in sorted([c for c in level if not (low[c & half] + high[c >> cut]) % scale]):
                 if m != full and test(m):  # a spine when no non-bridge edge crosses

@@ -445,10 +445,9 @@ class StratumContext:
         sort of ints.  In each component, a piece that a connected W cuts off from
         the highest vertex lies in farther layers than W's top vertex, so
         the kernel decides the bounds that imply W's at W's own level (see
-        ``_kernel_py.box_enumerate``)."""
+        ``_kernel_py.box_enumerate``).  Refused past ``_kernel.LIMIT`` rows."""
         if kind not in _MODE:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        _kernel.scan_guard(self.graph.num_vertices, "enumeration")
         lo, hi = self.singleton_box()
         layout = _kernel.Layout.of(lo, hi)
         if any(a > b for a, b in zip(lo, hi)):
@@ -464,7 +463,7 @@ class StratumContext:
             self._rhs_bound()
             + self.scale * (sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) + 1)
         )
-        impl = _kernel.select(bound)
+        impl = _kernel.select(bound if n <= _kernel.MAX_VERTICES else _kernel.FAST_BOUND)
         inv = sorted(range(n), key=order.__getitem__)
         raw = impl.box_enumerate(
             n,
@@ -475,7 +474,9 @@ class StratumContext:
             _MODE[kind],
             order,
             layout,
+            _kernel.LIMIT,
         )
+        _kernel.check_limit(len(raw), f"{kind} rows found so far")
         raw.sort()
         return layout, raw
 

@@ -29,35 +29,39 @@ edge at once packs all strata into a single quasistable enumeration whose
 exceptional vertices carry only -1 or 0; bucketing by the -1 positions
 recovers the strata independently of the walk, which there only counts
 the trees that avoid each stratum.
+
+A tree avoids T exactly when T lies among its m - n + 1 other edges, so
+the strata up to codimension c hold tau(G) * sum(C(m - n + 1, k), k <= c)
+points in sum(C(m, k), k <= c) rows: each sweep refuses a count past
+``_kernel.LIMIT`` before any point (the rows before any work).
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, repeat
+from math import comb
 from typing import Iterable, NamedTuple
 
-from ._kernel import SUBSET_SCAN_LIMIT, Layout
-from .errors import BlowupValueError, GraphMismatchError, GuardLimitError
+from ._kernel import Layout, check_limit
+from .errors import BlowupValueError, GraphMismatchError
 from .graph import Multigraph, Vertex, _bfs_forest
 from .lattice import Cochain
 from .polarization import Polarization
 from .quasistable import StratumContext
 
-EDGE_GUARD_DEFAULT = 16
 
-
-def _edge_pairs(g, basepoint, q, guard_edges: int, action: str) -> tuple:
+def _edge_pairs(g, basepoint, q) -> tuple:
     """Endpoint index pairs of g, after the checks both whole-graph sweeps
-    make: the polarization's graph, the basepoint and the edge guard."""
+    make: the polarization's graph and the basepoint."""
     if q.graph != g:
         raise GraphMismatchError("polarization bound to a different graph")
     g._check_vertex(basepoint)
-    if g.num_edges > guard_edges:
-        raise GuardLimitError(
-            f"{action} the guard of {guard_edges} "
-            "(JACGRAPH_GUARD_EDGES overrides it on the command line)"
-        )
     return g._pairs
+
+
+def _subsets_to(m: int, depth: int) -> int:
+    """The number of subsets of at most ``depth`` of m things."""
+    return 1 << m if depth >= m else sum(map(comb, repeat(m), range(depth + 1)))
 
 
 def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
@@ -72,6 +76,7 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
     the later edges see.  Taking an edge merges two blocks, leaving it out
     keeps the partition; a block that loses its last frontier vertex can
     never be joined again, so its forests go unless it is the only block.
+    It is refused once it holds more than ``_kernel.LIMIT`` forests.
     """
     queue = _bfs_forest(n, pairs, (0,))[3]
     if len(queue) < n:
@@ -116,6 +121,7 @@ def _spanning_trees(n: int, pairs: list[tuple]) -> list[int]:
                     names = tuple(kept)
                 if (had := nxt.setdefault(names, got)) is not got:
                     had += got  # no older state reads its list again
+        check_limit(sum(map(len, nxt.values())), "partial spanning forests")
         states = nxt
     return states[()]
 
@@ -241,7 +247,6 @@ def strata_rows(
     basepoint: Vertex,
     q: Polarization,
     max_codim: int | None = None,
-    guard_edges: int = EDGE_GUARD_DEFAULT,
 ) -> tuple[Layout, list[tuple], list[list[int]], bool, int, int]:
     """The rows of ``strata_report`` as columns: the layout they are
     packed in, the strata, tuples of edge ids, and per stratum its rows,
@@ -256,11 +261,15 @@ def strata_rows(
     if max_codim is not None and max_codim < 0:
         raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
     m = g.num_edges
-    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"strata over {m} edges exceed")
+    pairs = _edge_pairs(g, basepoint, q)
     ids = g.edge_ids()
     depth = m if max_codim is None else min(max_codim, m)
+    check_limit(_subsets_to(m, depth), f"strata up to codimension {depth}")
     n = g.num_vertices  # at least one: the basepoint is a vertex
     trees = _spanning_trees(n, pairs)
+    if trees:  # m - n + 1 edges outside each tree
+        points = len(trees) * _subsets_to(m - n + 1, depth)
+        check_limit(points, f"points in the strata up to codimension {depth}")
     ctx = StratumContext(g, q, basepoint)
     lo, hi = ctx.singleton_box()
     for a, b in pairs:
@@ -286,7 +295,6 @@ def strata_report(
     basepoint: Vertex,
     q: Polarization,
     max_codim: int | None = None,
-    guard_edges: int = EDGE_GUARD_DEFAULT,
 ) -> StrataReport:
     """One row per edge subset up to the requested codimension.
 
@@ -299,9 +307,7 @@ def strata_report(
     direct box search of its stratum, and ``blowup_decomposition`` (the
     ``blowup-check`` command) enumerates the subdivision apart.
     """
-    layout, strata, rows, complete, total, subdivided = strata_rows(
-        g, basepoint, q, max_codim, guard_edges
-    )
+    layout, strata, rows, complete, total, subdivided = strata_rows(g, basepoint, q, max_codim)
     # every row's multidegrees unpacked in one call, each row taking its own
     points = iter(layout.unpack([d for packed in rows for d in packed]))
     return StrataReport(
@@ -390,7 +396,6 @@ def blowup_rows(
     g: Multigraph,
     basepoint: Vertex,
     q: Polarization,
-    guard_edges: int = EDGE_GUARD_DEFAULT,
 ) -> tuple[Multigraph, Layout, list[tuple], list[list[int]], list[int], int, int]:
     """The buckets of ``blowup_decomposition`` as columns: the
     subdivision, the layout of its rows, the strata, per stratum its
@@ -399,14 +404,13 @@ def blowup_rows(
     avoid it; then ``total`` and ``expected_total``.  The exceptional
     vertices come last, so a row's low m fields are its bucket's key."""
     m = g.num_edges
-    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
+    pairs = _edge_pairs(g, basepoint, q)
     ids = g.edge_ids()
     n = g.num_vertices
-    if n + m > SUBSET_SCAN_LIMIT:
-        raise GuardLimitError(
-            f"subdividing {m} edges of a {n}-vertex graph gives {n + m} vertices, "
-            f"over the subset-scan limit of {SUBSET_SCAN_LIMIT}"
-        )
+    check_limit(1 << m, "buckets, one per edge subset,")
+    trees = _spanning_trees(n, pairs)
+    expected = len(trees) << (m - n + 1) if trees else 0  # as in strata_rows
+    check_limit(expected, "points in the subdivision's quasistable set")
     q_sub = q.blown_up(ids)
     sub = q_sub.graph  # the middle vertex of edge k is vertex n + k
     layout, found = StratumContext(sub, q_sub, basepoint)._packed("quasistable")
@@ -423,13 +427,11 @@ def blowup_rows(
                 raise BlowupValueError(f"exceptional vertex for edge {eid!r} carries {value}")
         grouped[tuple([eid for eid, value in zip(ids, values) if value == -1])] = rows
 
-    trees = _spanning_trees(n, pairs)
     # the walk only counts the trees that avoid each stratum: no point to lower
     root = [(0, [None if t >> k & 1 else 0 for k in range(m)]) for t in trees]
     strata, counts = _walk(ids, m, root, lambda layer: list(map(len, layer)))
     empty = []
     rows = [grouped.get(stratum, empty) for stratum in strata]
-    expected = len(trees) << (m - n + 1) if trees else 0  # as in strata_rows
     return sub, layout, strata, rows, counts, len(found), expected
 
 
@@ -437,7 +439,6 @@ def blowup_decomposition(
     g: Multigraph,
     basepoint: Vertex,
     q: Polarization,
-    guard_edges: int = EDGE_GUARD_DEFAULT,
 ) -> BlowupDecomposition:
     """Quasistable multidegrees of the full subdivision, bucketed by their
     -1 pattern on the exceptional vertices.
@@ -445,12 +446,10 @@ def blowup_decomposition(
     Every exceptional vertex must carry -1 or 0 (anything else raises
     BlowupValueError), the bucket of a given -1 pattern S matches the
     stratum count of S, and the grand total is the spanning-tree count of
-    the subdivision.  The subdivision has n + m vertices, so it is refused
-    past the subset-scan limit before it is built.
+    the subdivision.  Before it is built the call is refused when the 2**m
+    buckets or the tau(G) * 2**(m - n + 1) multidegrees pass ``_kernel.LIMIT``.
     """
-    sub, layout, strata, rows, counts, total, expected_total = blowup_rows(
-        g, basepoint, q, guard_edges
-    )
+    sub, layout, strata, rows, counts, total, expected_total = blowup_rows(g, basepoint, q)
     points = iter(layout.unpack([d for packed in rows for d in packed]))
     return BlowupDecomposition(
         graph=g,

@@ -24,12 +24,14 @@ search's vertices before the breadth-first forest did.
 ``classification_scan`` is the library's classification as it stood
 before it walked connected subsets, kept verbatim: a scan of all 2^n masks
 in bitmask order with a 2^n table of residue sums, reading the
-polarization's ``_integrality`` and the subset-scan guard.
+polarization's ``_integrality``; its vertex guard is gone with the
+library's.
 
 ``strata_walk_reference`` and ``blowup_walk_reference`` are
 ``strata.strata_rows`` and ``strata.blowup_rows`` as they stood before the
-flat walk, kept verbatim but for their names, with the generator ``_walk``
-they shared and the callbacks they handed it (``children`` and
+flat walk, kept verbatim but for their names and their edge and vertex
+guards (the library's one size limit replaced them), with the generator
+``_walk`` they shared and the callbacks they handed it (``children`` and
 ``_avoiding``): one (stratum, rows, count) tuple per row.  They are
 exceptions to the above: they run the library's spanning-tree lister, tile
 function and, for the buckets, quasistable enumeration, so ``test_strata``
@@ -51,13 +53,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from jacgraph._kernel import SUBSET_SCAN_LIMIT, Layout, scan_guard
+from jacgraph._kernel import Layout
 from jacgraph.cli import Problem, ProblemFileError
-from jacgraph.errors import BlowupValueError, GuardLimitError
+from jacgraph.errors import BlowupValueError
 from jacgraph.graph import Edge, Multigraph, Vertex
 from jacgraph.polarization import Polarization
 from jacgraph.quasistable import StratumContext
-from jacgraph.strata import EDGE_GUARD_DEFAULT, _edge_pairs, _spanning_trees, _tile_point
+from jacgraph.strata import _edge_pairs, _spanning_trees, _tile_point
 
 
 def spanning_trees(n: int, pairs) -> list[int]:
@@ -625,7 +627,6 @@ def _integral_masks(q):
     integral, as its pieces partition it."""
     g = q.graph
     n = g.num_vertices
-    scan_guard(n, "classification")
     scale, resid, test = q._integrality()
     br = g.bridges()
     kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
@@ -806,7 +807,6 @@ def strata_walk_reference(
     basepoint: Vertex,
     q: Polarization,
     max_codim: int | None = None,
-    guard_edges: int = EDGE_GUARD_DEFAULT,
 ) -> tuple[Layout, list[tuple], bool, int, int]:
     """The rows of ``strata_report`` as plain data, after the layout they
     are packed in, with its ``complete``, ``total_multidegrees`` and
@@ -821,7 +821,7 @@ def strata_walk_reference(
     if max_codim is not None and max_codim < 0:
         raise ValueError(f"max_codim must be nonnegative, got {max_codim}")
     m = g.num_edges
-    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"strata over {m} edges exceed")
+    pairs = _edge_pairs(g, basepoint, q)
     ids = g.edge_ids()
     depth = m if max_codim is None else min(max_codim, m)
     n = g.num_vertices  # at least one: the basepoint is a vertex
@@ -862,7 +862,6 @@ def blowup_walk_reference(
     g: Multigraph,
     basepoint: Vertex,
     q: Polarization,
-    guard_edges: int = EDGE_GUARD_DEFAULT,
 ) -> tuple[Multigraph, Layout, list[tuple], int, int]:
     """The buckets of ``blowup_decomposition`` as plain data: the
     subdivision, the layout of its rows, the rows ``(stratum, rows,
@@ -870,14 +869,9 @@ def blowup_walk_reference(
     subdivision, ``total`` and ``expected_total``.  The exceptional vertices
     come last, so a row's low m fields are its bucket's key."""
     m = g.num_edges
-    pairs = _edge_pairs(g, basepoint, q, guard_edges, f"subdividing {m} edges exceeds")
+    pairs = _edge_pairs(g, basepoint, q)
     ids = g.edge_ids()
     n = g.num_vertices
-    if n + m > SUBSET_SCAN_LIMIT:
-        raise GuardLimitError(
-            f"subdividing {m} edges of a {n}-vertex graph gives {n + m} vertices, "
-            f"over the subset-scan limit of {SUBSET_SCAN_LIMIT}"
-        )
     q_sub = q.blown_up(ids)
     sub = q_sub.graph  # the middle vertex of edge k is vertex n + k
     layout, found = StratumContext(sub, q_sub, basepoint)._packed("quasistable")

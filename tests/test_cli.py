@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from jacgraph import StratumContext, _kernel, blowup_decomposition, cli, strata_report
 from jacgraph.cli import main
 
+import corpus
 import oracles
 
 BANANA = {
@@ -351,15 +352,48 @@ class TestStrata:
         assert "--max-codim" in err
 
     def test_guard_env(self, problem, capsys, monkeypatch):
-        monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "1")
-        rc, _, err = run(capsys, ["strata", problem(BANANA)])
-        assert rc == 3
-        assert "JACGRAPH_GUARD_EDGES" in err
+        # JACGRAPH_GUARD_EDGES is read no more: whatever it holds, the
+        # strata and the buckets are those of the limit alone
+        path = problem(BANANA)
+        want = [run(capsys, [command, path])[1] for command in ("strata", "blowup-check")]
+        for value in ("1", "lots", "-1"):
+            monkeypatch.setenv("JACGRAPH_GUARD_EDGES", value)
+            for command, payload in zip(("strata", "blowup-check"), want):
+                assert run(capsys, [command, path]) == (0, payload, ""), (value, command)
 
-    def test_guard_env_validated(self, problem, capsys, monkeypatch):
-        monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "lots")
-        rc, _, _ = run(capsys, ["strata", problem(BANANA)])
-        assert rc == 2
+    def test_limit_refused(self, problem, capsys, monkeypatch):
+        # each command that lists refuses past the limit with exit 3 and a
+        # message naming its count, never a traceback; two vertices joined
+        # by five edges have 5 quasistable rows, 3 connected subsets, 32
+        # strata and 32 buckets
+        edges = [{"endpoints": ["u", "v"]}] * 5
+        path = problem(dict(BANANA, edges=edges, polarization={"u": "1/3", "v": "2/3"}))
+        for argv, message in (
+            (["enum", path, "--kind", "qs"], "5 quasistable rows found so far exceed the limit of 4"),
+            (["check-pol", path], "3 connected subsets listed so far exceed the limit of 2"),
+            (["strata", path], "32 strata up to codimension 5 exceed the limit of 31"),
+            (["blowup-check", path], "32 buckets, one per edge subset, exceed the limit of 31"),
+        ):
+            monkeypatch.setattr(_kernel, "LIMIT", int(message.split()[-1]))
+            rc, payload, err = run(capsys, argv)
+            assert (rc, payload) == (3, None), argv
+            assert message in err and "Traceback" not in err, err
+
+    def test_past_the_old_edge_guard(self, problem, capsys):
+        # a chorded 20-cycle has 24 edges, past the old guard of 16: its
+        # strata up to codimension 1 are 25 rows holding 9,300 * (1 + 5)
+        # points
+        g = corpus.chorded_cycle(20)
+        data = {
+            "vertices": list(g.vertices),
+            "edges": [{"id": e.id, "endpoints": [e.u, e.v]} for e in g.edges],
+            "polarization": {v: "1/2" for v in g.vertices},
+            "basepoint": "c0",
+        }
+        rc, payload, _ = run(capsys, ["strata", problem(data), "--max-codim", "1"])
+        assert rc == 0
+        assert len(payload["rows"]) == 25
+        assert payload["total_multidegrees"] == 55_800
 
     def test_max_codim_ascii_only(self, problem, capsys):
         # int() alone would read "1_0" as 10 and an Arabic-Indic one as 1
@@ -371,28 +405,6 @@ class TestStrata:
             assert f"argument --max-codim: invalid int value: {bad!r}" in capsys.readouterr().err
         rc, payload, _ = run(capsys, ["strata", path, "--max-codim= +1 "])
         assert rc == 0 and len(payload["rows"]) == 3
-
-    def test_guard_env_ascii_only(self, problem, capsys, monkeypatch):
-        for bad in ("\u0661", "1_6", "1e2", "16.0"):
-            monkeypatch.setenv("JACGRAPH_GUARD_EDGES", bad)
-            rc, _, err = run(capsys, ["strata", problem(BANANA)])
-            assert rc == 2, bad
-            assert f"JACGRAPH_GUARD_EDGES must be an integer, got {bad!r}" in err, bad
-        monkeypatch.setenv("JACGRAPH_GUARD_EDGES", " +1 ")
-        rc, _, err = run(capsys, ["strata", problem(BANANA)])
-        assert rc == 3 and "guard of 1 " in err
-
-    def test_negative_guard_env_rejected(self, problem, capsys, monkeypatch):
-        monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "-1")
-        for command in ("strata", "blowup-check"):
-            rc, payload, err = run(capsys, [command, problem(BANANA)])
-            assert rc == 2
-            assert payload is None
-            assert "JACGRAPH_GUARD_EDGES must be nonnegative" in err
-        # zero is a valid guard: the empty graph's strata still run
-        monkeypatch.setenv("JACGRAPH_GUARD_EDGES", "0")
-        rc, payload, _ = run(capsys, ["strata", problem(dict(BANANA, edges=[]))])
-        assert rc == 0
 
 
 class TestBlowupCheck:

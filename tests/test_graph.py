@@ -15,6 +15,7 @@ from jacgraph import (
     UnknownEdgeError,
     UnknownVertexError,
 )
+from jacgraph import GuardLimitError, _kernel
 from jacgraph.graph import _adjacency_masks, _connected_subsets
 
 import oracles
@@ -372,6 +373,28 @@ class TestConnectedSubsets:
         assert [len(level) for level in _connected_subsets(4, adj)] == [1, 2, 4, 8]
         assert list(_connected_subsets(4, [0] * 4)) == [[1], [2], [4], [8]]
         assert list(_connected_subsets(0, [])) == []
+
+    def test_stops_past_the_limit(self, monkeypatch):
+        # K_10 has 1,023 connected subsets: a limit of that lists them all,
+        # one less stops the walk inside its last level, the 1,023rd subset
+        # listed; K_20 stops inside its tenth level under a limit of 1,000,
+        # before the 2**19 subsets of its last
+        adj = _adjacency_masks(10, [(a, b) for a in range(10) for b in range(a)])
+        monkeypatch.setattr(_kernel, "LIMIT", 1023)
+        assert sum(map(len, _connected_subsets(10, adj))) == 1023
+        monkeypatch.setattr(_kernel, "LIMIT", 1022)
+        levels = []
+        with pytest.raises(GuardLimitError, match=(
+            "^1023 connected subsets listed so far exceed the limit of 1022$"
+        )):
+            levels.extend(_connected_subsets(10, adj))
+        assert list(map(len, levels)) == [1 << k for k in range(9)]
+        adj = _adjacency_masks(20, [(a, b) for a in range(20) for b in range(a)])
+        monkeypatch.setattr(_kernel, "LIMIT", 1000)
+        levels.clear()
+        with pytest.raises(GuardLimitError, match="^1001 connected subsets"):
+            levels.extend(_connected_subsets(20, adj))
+        assert list(map(len, levels)) == [1 << k for k in range(9)]
 
 
 class TestAgainstOracles:

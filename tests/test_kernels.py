@@ -18,6 +18,7 @@ from jacgraph import Cochain, Multigraph, Polarization, StratumContext
 from jacgraph import _kernel
 from jacgraph._kernel import (
     FAST_BOUND,
+    LIMIT,
     MODE_QUASISTABLE,
     MODE_SEMISTABLE,
     MODE_STABLE,
@@ -51,7 +52,7 @@ def _search(impl, n, edges, base, scale, v0, lo, hi, mode, at):
     vertex k boxed in ``lo[k]`` to ``hi[k]``: the kernel reads the box from
     the layout of the box in output order and packs each row in it."""
     layout = _layout(lo, hi, at)
-    return layout.unpack(impl.box_enumerate(n, edges, base, scale, v0, mode, at, layout))
+    return layout.unpack(impl.box_enumerate(n, edges, base, scale, v0, mode, at, layout, LIMIT))
 
 
 def _whole_graph_args(g, q, stratum):
@@ -350,7 +351,7 @@ class TestBoxSearch:
             for (n, edges, base, scale), ends in product(refused, ((-5, 5), (5, 5))):
                 box = (MODE_SEMISTABLE, range(n), Layout.of([ends[0]] * n, [ends[1]] * n))
                 with pytest.raises(ValueError, match="scale"):
-                    impl.box_enumerate(n, edges, base, scale, 0, *box)
+                    impl.box_enumerate(n, edges, base, scale, 0, *box, LIMIT)
             wide = ([-5] * 3, [5] * 3)
             got = _search(impl, 3, path, [2, 2, 0], 2, 0, *wide, MODE_SEMISTABLE, range(3))
             assert got == oracles.box_search(3, path, [2, 2, 0], 2, 0, 2, *wide, "semistable")
@@ -427,7 +428,7 @@ class TestBoxSearch:
         monkeypatch.setattr(
             _kernel,
             "select",
-            lambda bound: SimpleNamespace(box_enumerate=lambda *args: seen.append(args[-2]) or []),
+            lambda bound: SimpleNamespace(box_enumerate=lambda *args: seen.append(args[-3]) or []),
         )
         rng = random.Random(79)
         sizes, disconnected = set(), 0
@@ -788,7 +789,7 @@ class TestLayout:
             want = oracles.box_search(n, edges, base, scale, v0, total, lo, hi, kind)
             want = sorted(tuple(d[k] for k in inv) for d in want)
             layout = _layout(lo, hi, at)
-            raw = [impl.box_enumerate(n, edges, base, scale, v0, mode, at, layout)
+            raw = [impl.box_enumerate(n, edges, base, scale, v0, mode, at, layout, LIMIT)
                    for impl in implementations()]
             assert all(r == raw[0] for r in raw), kind
             assert sorted(_search(_kernel_py, n, edges, base, scale, v0, lo, hi, mode, at)) == want
@@ -826,7 +827,7 @@ class TestLayout:
             for impl in implementations():
                 layout = Layout.of([lo], [hi])
                 rows = impl.box_enumerate(1, [(0, 0)], [2 * total], 2, 0, MODE_QUASISTABLE, [0],
-                                          layout)
+                                          layout, LIMIT)
                 assert rows == ([total - lo] if lo <= total <= hi else []), impl.__name__
                 assert layout.unpack(rows) == [(total,)][: len(rows)]
 
@@ -838,7 +839,8 @@ class TestLayout:
             layout = Layout.of(lo, hi)
             assert layout.size == 1
             for impl, (_, mode) in product(implementations(), KINDS):
-                assert impl.box_enumerate(3, path, [2, 2, 0], 2, 0, mode, [0, 1, 2], layout) == []
+                assert impl.box_enumerate(3, path, [2, 2, 0], 2, 0, mode, [0, 1, 2], layout,
+                                          LIMIT) == []
         assert self._rows(3, path, [2, 2, 0], 2, 0, [0, 3, 0], [2, 1, 2]) == 0
 
     def test_random_boxes_and_orders(self):
@@ -869,6 +871,26 @@ class TestLayout:
             Layout.of([0, 0], [1 << 31, 1 << 31])
 
 
+def test_limit_keeps_the_first_rows(corpus_cases):
+    # under a limit each kernel stops once it holds limit + 1 rows: the
+    # first ones of its full output, in its search order, the same on both
+    # kernels; every corpus case in every mode, at limits 0, 1 and 5
+    stopped = 0
+    for case in corpus_cases:
+        g = case.graph
+        n = g.num_vertices
+        ctx = StratumContext(g, case.q, case.basepoint, case.stratum)
+        lo, hi = ctx.singleton_box()
+        for _, mode in KINDS:
+            args = (n, *_kernel_args(ctx), ctx._v0, mode, range(n), Layout.of(lo, hi))
+            full = _kernel_py.box_enumerate(*args, LIMIT)
+            for limit in (0, 1, 5):
+                got = [impl.box_enumerate(*args, limit) for impl in implementations()]
+                assert got[0] == got[-1] == full[: limit + 1], (case.index, mode, limit)
+                stopped += len(full) > limit + 1
+    assert stopped > 300, stopped
+
+
 @needs_speedups
 class TestParity:
     def test_one_signature(self):
@@ -881,7 +903,7 @@ class TestParity:
         assert head, first
         names = [name.strip() for name in head.group(1).split(",")]
         assert names == list(inspect.signature(_kernel_py.box_enumerate).parameters)
-        assert names == ["n", "edges", "base", "scale", "v0", "mode", "at", "layout"]
+        assert names == ["n", "edges", "base", "scale", "v0", "mode", "at", "layout", "limit"]
 
     def test_enumeration_agrees(self, corpus_cases):
         # every corpus case at every basepoint in every mode, in vertex
@@ -897,7 +919,7 @@ class TestParity:
             for at in (range(n), rng.sample(range(n), n)):
                 layout = _layout(lo, hi, at)
                 for v0, (_, mode) in product(range(n), KINDS):
-                    rest = (v0, mode, at, layout)
+                    rest = (v0, mode, at, layout, LIMIT)
                     got_pure = _kernel_py.box_enumerate(*args, *rest)
                     assert compiled.box_enumerate(*args, *rest) == got_pure
 
@@ -925,17 +947,17 @@ class TestParity:
                 lo, hi = ctx.singleton_box()
                 at = rng.sample(range(n), n)
                 for _, mode in KINDS:
-                    args = (n, *_kernel_args(ctx), ctx._v0, mode, at, _layout(lo, hi, at))
+                    args = (n, *_kernel_args(ctx), ctx._v0, mode, at, _layout(lo, hi, at), LIMIT)
                     want = _kernel_py.box_enumerate(*args)
                     assert compiled.box_enumerate(*args) == want, (n, basepoint, mode)
                     rows += len(want)
         assert rows > 10_000, rows
 
     def test_beyond_the_scan_guard(self):
-        # the library refuses more than 20 vertices, the compiled kernel
-        # takes up to 24: quasistable on chorded cycles of 21 and 22
-        # vertices it matches the pure kernel, and up to 24 its row count
-        # is the tree count
+        # no vertex guard: the compiled kernel takes up to 24 vertices (the
+        # library sends more to the pure kernel); quasistable on chorded
+        # cycles of 21 and 22 vertices it matches the pure kernel, and up
+        # to 24 its row count is the tree count
         compiled = implementations()[0]
         for n in (21, 22, 24):
             g = corpus.chorded_cycle(n)
@@ -943,7 +965,8 @@ class TestParity:
             values[-1] += n % 2 * Fraction(1, 2)
             ctx = StratumContext(g, Polarization(g, values), g.vertices[0])
             lo, hi = ctx.singleton_box()
-            args = (n, *_kernel_args(ctx), ctx._v0, MODE_QUASISTABLE, range(n), Layout.of(lo, hi))
+            args = (n, *_kernel_args(ctx), ctx._v0, MODE_QUASISTABLE, range(n), Layout.of(lo, hi),
+                    LIMIT)
             rows = compiled.box_enumerate(*args)
             if n < 24:
                 assert rows == _kernel_py.box_enumerate(*args), n
@@ -958,7 +981,7 @@ class TestCompiledChecks:
 
     def test_values_beyond_64_bits_raise(self):
         compiled = implementations()[0]
-        box = (0, MODE_SEMISTABLE, [0, 1], Layout.of([0, 0], [1, 1]))
+        box = (0, MODE_SEMISTABLE, [0, 1], Layout.of([0, 0], [1, 1]), LIMIT)
         for big in (1 << 63, -(1 << 63) - 1, 1 << 70):
             with pytest.raises(OverflowError):
                 compiled.box_enumerate(2, [(0, 1)], [big, 0], 2, *box)
@@ -966,14 +989,14 @@ class TestCompiledChecks:
                 compiled.box_enumerate(2, [(0, 1)], [0, 0], big, *box)
             with pytest.raises(OverflowError):
                 compiled.box_enumerate(
-                    2, [(0, 1)], [0, 0], 2, *box[:3], Layout.of([big, 0], [big, 1])
+                    2, [(0, 1)], [0, 0], 2, *box[:3], Layout.of([big, 0], [big, 1]), LIMIT
                 )
 
     def test_malformed_input_rejected(self):
         # an edge endpoint outside 0..n - 1, n outside 1..24 (24 itself
         # taken), v0 outside 0..n - 1 and a base of the wrong length
         compiled = implementations()[0]
-        box = (MODE_SEMISTABLE, [0, 1], Layout.of([0, 0], [1, 1]))
+        box = (MODE_SEMISTABLE, [0, 1], Layout.of([0, 0], [1, 1]), LIMIT)
         two = (2, [(0, 1)], [1, 1], 2, 0, [0, 0], [1, 1], MODE_SEMISTABLE, [0, 1])
         assert _search(compiled, *two) == [(0, 1), (1, 0)]
         zeros = [0] * 24
@@ -987,7 +1010,7 @@ class TestCompiledChecks:
             with pytest.raises(ValueError):
                 compiled.box_enumerate(
                     bad_n, [], [0] * bad_n, 2, 0,
-                    MODE_SEMISTABLE, range(bad_n), Layout.of([0] * bad_n, [0] * bad_n),
+                    MODE_SEMISTABLE, range(bad_n), Layout.of([0] * bad_n, [0] * bad_n), LIMIT,
                 )
         for bad_v0 in (2, -1):
             with pytest.raises(ValueError):
@@ -1004,11 +1027,11 @@ class TestCompiledChecks:
         graph = (3, [(0, 1), (1, 2)], [1, 1, 0], 2, 0, MODE_SEMISTABLE)
         for bad_at in ([0, 1, 1], [0, 1, 3], [-1, 0, 1], [0, 1], [0, 1, 2, 3]):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(*graph, bad_at, Layout.of([0] * 3, [1] * 3))
+                compiled.box_enumerate(*graph, bad_at, Layout.of([0] * 3, [1] * 3), LIMIT)
         one = (1, [], [4], 2, 0, MODE_SEMISTABLE)
         for bad_at in ([1], [-1], []):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(*one, bad_at, Layout.of([0], [5]))
+                compiled.box_enumerate(*one, bad_at, Layout.of([0], [5]), LIMIT)
         assert _search(compiled, 1, [], [4], 2, 0, [0], [5], MODE_SEMISTABLE, [0]) == [(2,)]
 
     def test_layout_not_a_layout_raises(self):
@@ -1017,10 +1040,12 @@ class TestCompiledChecks:
         compiled = implementations()[0]
         graph = (3, [(0, 1), (1, 2)], [1, 1, 0], 2, 0, MODE_SEMISTABLE, [2, 0, 1])
         layout = Layout.of([0, -1, 0], [1, 1, 2])
-        assert compiled.box_enumerate(*graph, layout) == _kernel_py.box_enumerate(*graph, layout)
+        assert compiled.box_enumerate(*graph, layout, LIMIT) == _kernel_py.box_enumerate(
+            *graph, layout, LIMIT
+        )
         for bad in (list(layout), layout[:5], (*layout, 0)):
             with pytest.raises(TypeError):
-                compiled.box_enumerate(*graph, bad)
+                compiled.box_enumerate(*graph, bad, LIMIT)
         for bad in (
             layout._replace(size=3),
             layout._replace(size=0),
@@ -1029,7 +1054,7 @@ class TestCompiledChecks:
             layout._replace(hi=(*layout.hi, 1)),
         ):
             with pytest.raises(ValueError):
-                compiled.box_enumerate(*graph, bad)
+                compiled.box_enumerate(*graph, bad, LIMIT)
 
 
 def test_c_source_compiles_without_warnings(c_compiler):

@@ -15,7 +15,8 @@ from jacgraph import (
     PolarizationTotalError,
     canonical_polarization,
 )
-from jacgraph import polarization
+from jacgraph import _kernel, polarization
+from jacgraph.graph import _adjacency_masks, _connected_subsets
 from jacgraph.polarization import _text_fraction
 
 import oracles
@@ -165,12 +166,28 @@ class TestClassification:
             if case.q.is_general():
                 assert case.q.is_nondegenerate()
 
-    def test_subset_scan_guard(self):
-        names = [f"w{i}" for i in range(21)]
-        g = Multigraph(names, [(names[i], names[i + 1]) for i in range(20)])
-        q = Polarization(g, [1] + [0] * 20)
-        with pytest.raises(GuardLimitError):
-            q.is_general()
+    def test_subset_scan_guard(self, monkeypatch):
+        # both counts of the walk, on general polarizations, which it walks
+        # to the end: K8 has 255 connected subsets and residue tables of at
+        # most 16 entries; a 12-vertex path has 78 connected subsets, and
+        # its first residue table reaches 64 entries at level 5, when 21
+        # subsets are listed
+        rng = random.Random("scan")
+        names = [f"k{i}" for i in range(8)]
+        k8 = Multigraph(names, [(a, b) for i, a in enumerate(names) for b in names[:i]])
+        names = [f"w{i}" for i in range(12)]
+        path = Multigraph(names, list(zip(names, names[1:])))
+        for g, answers, refused in (
+            (k8, 255, "255 connected subsets listed so far exceed the limit of 254"),
+            (path, 78, "78 connected subsets listed so far exceed the limit of 77"),
+            (path, 78, "64 entries of a residue table exceed the limit of 63"),
+        ):
+            q = _large_polarization(rng, g, "general")
+            monkeypatch.setattr(_kernel, "LIMIT", answers)
+            assert q.is_general()
+            monkeypatch.setattr(_kernel, "LIMIT", int(refused.split()[-1]))
+            with pytest.raises(GuardLimitError, match=f"^{refused}$"):
+                q.is_general()
 
 
 def _connected_edges(rng, names, extra):
@@ -401,19 +418,23 @@ class TestClassificationBeyondCorpus:
             assert q.integral_witness() == witness
             assert len(levels) == n_a + n_b
 
-    def test_guard_boundary(self):
-        # 20 vertices answer, 21 raise on every entry point
+    def test_guard_boundary(self, monkeypatch):
+        # no vertex guard: a general polarization of a chorded 21-cycle
+        # answers on every entry point; at a limit of one less than its
+        # connected subsets every entry point refuses
         rng = random.Random("guard")
-        for n in (20, 21):
-            names = [f"v{i}" for i in range(n)]
-            q = _large_polarization(rng, Multigraph(names, _chorded_edges(names)), "general")
-            calls = (q.is_general, q.is_nondegenerate, q.integral_witness)
-            if n == 20:
-                assert [call() for call in calls] == [True, True, None]
-                continue
-            for call in calls:
-                with pytest.raises(GuardLimitError, match="21 vertices exceeds the limit of 20"):
-                    call()
+        names = [f"v{i}" for i in range(21)]
+        g = Multigraph(names, _chorded_edges(names))
+        q = _large_polarization(rng, g, "general")
+        calls = (q.is_general, q.is_nondegenerate, q.integral_witness)
+        count = sum(map(len, _connected_subsets(21, _adjacency_masks(21, g._pairs))))
+        assert count > 1 << 11  # past the residue tables
+        monkeypatch.setattr(_kernel, "LIMIT", count)
+        assert [call() for call in calls] == [True, True, None]
+        monkeypatch.setattr(_kernel, "LIMIT", count - 1)
+        for call in calls:
+            with pytest.raises(GuardLimitError, match=f"^{count} connected subsets listed so far"):
+                call()
 
 
 class TestCanonical:

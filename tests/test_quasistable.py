@@ -21,6 +21,7 @@ from jacgraph import (
     same_class,
     semistable_equality_witness,
 )
+from jacgraph import _kernel, _kernel_py
 
 import oracles
 from corpus import _random_polarization, chorded_cycle
@@ -221,6 +222,58 @@ class TestEnumerate:
                 )
                 assert got == want, (case.index, kind)
 
+    def test_rows_past_the_limit_refused(self, monkeypatch):
+        # the kernel stops at limit + 1 rows and the call is refused, in
+        # every kind: at a limit of its count the set of K4 with every edge
+        # tripled (15 connected subsets, which the pure kernel's plan lists)
+        # answers and one less refuses; K7, with 7**5 = 16,807 quasistable
+        # multidegrees and 127 connected subsets, stops at its 5,001st row
+        # under a limit of 5,000
+        held, default = [], _kernel.LIMIT
+        for impl in _kernel.implementations():
+            real = impl.box_enumerate
+            monkeypatch.setattr(
+                impl, "box_enumerate", lambda *a, real=real: held.append(real(*a)) or held[-1]
+            )
+        names = ["a", "b", "c", "d"]
+        thick = Multigraph(names, [p for p in itertools.combinations(names, 2) for _ in range(3)])
+        ctx = StratumContext(thick, Polarization(thick, [HALF] * 4), "a")
+        for kind, count in (("semistable", 586), ("quasistable", 432), ("stable", 314)):
+            monkeypatch.setattr(_kernel, "LIMIT", count)
+            assert len(ctx.enumerate(kind)) == count
+            monkeypatch.setattr(_kernel, "LIMIT", count - 1)
+            held.clear()
+            with pytest.raises(GuardLimitError, match=(
+                f"^{count} {kind} rows found so far exceed the limit of {count - 1}$"
+            )):
+                ctx.enumerate(kind)
+            assert list(map(len, held)) == [count]
+        names = [f"k{i}" for i in range(7)]
+        k7 = Multigraph(names, list(itertools.combinations(names, 2)))
+        ctx = StratumContext(k7, Polarization(k7, [0] * 7), "k0")
+        monkeypatch.setattr(_kernel, "LIMIT", 5000)
+        held.clear()
+        with pytest.raises(GuardLimitError, match="^5001 quasistable rows found so far"):
+            ctx.enumerate("quasistable")
+        assert list(map(len, held)) == [5001]
+        monkeypatch.setattr(_kernel, "LIMIT", default)
+
+    def test_past_the_old_vertex_guard(self, monkeypatch):
+        # chorded cycles of 24 and 26 vertices: the quasistable count is
+        # the tree count, and 26 vertices, past the compiled kernel's
+        # arrays, run on the pure kernel even when the compiled one is
+        # loaded
+        picked, select = [], _kernel.select
+        monkeypatch.setattr(_kernel, "select", lambda bound: picked.append(select(bound)) or picked[-1])
+        for n in (24, 26):
+            g = chorded_cycle(n)
+            values = [HALF] * n
+            values[-1] += n % 2 * HALF
+            rows = StratumContext(g, Polarization(g, values), "c0")._packed("quasistable")[1]
+            assert len(rows) == oracles.kirchhoff_count(g), n
+        assert picked[0] is _kernel.implementations()[0]
+        assert picked[1] is _kernel_py
+
     def test_counts_ordered_by_strictness(self, corpus_cases):
         for case in corpus_cases[:40]:
             ctx = _ctx(case)
@@ -229,13 +282,23 @@ class TestEnumerate:
             st = {d.values for d in ctx.enumerate("stable")}
             assert st <= qs <= ss
 
-    def test_subset_scan_guard(self):
+    def test_subset_scan_guard(self, monkeypatch):
+        # no vertex guard: a 21-vertex path has one quasistable multidegree,
+        # q itself; the pure kernel's plan lists the path's 231 connected
+        # subsets, and a limit below that refuses them
         names = [f"w{i}" for i in range(21)]
         g = Multigraph(names, [(names[i], names[i + 1]) for i in range(20)])
         q = Polarization(g, [1] + [0] * 20)
         ctx = StratumContext(g, q, names[0])
-        with pytest.raises(GuardLimitError):
-            ctx.enumerate("quasistable")
+        assert [d.values for d in ctx.enumerate("quasistable")] == [(1,) + (0,) * 20]
+        tables = (21, ctx._kept, ctx._base, ctx.scale)
+        monkeypatch.setattr(_kernel, "LIMIT", 231)
+        assert sum(len(level) for level in _kernel_py.build_tables(*tables)[1]) > 0
+        monkeypatch.setattr(_kernel, "LIMIT", 230)
+        with pytest.raises(
+            GuardLimitError, match="^231 connected subsets listed so far exceed the limit of 230$"
+        ):
+            _kernel_py.build_tables(*tables)
         # the predicates are a minimum cut, not a subset scan: on a path
         # with d == q every deficit is -val(W)/2, so only the empty set and
         # the whole path reach 0

@@ -22,7 +22,6 @@ NOT_AT_STARTUP = ("dataclasses", "inspect", "jacgraph.strata", "jacgraph._kernel
 def _python(*args, cwd=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("JACGRAPH_GUARD_EDGES", None)
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
     )

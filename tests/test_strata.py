@@ -18,6 +18,7 @@ from jacgraph import (
     stratum_multidegrees,
     lattice,
 )
+from jacgraph import _kernel, strata
 from jacgraph.strata import _spanning_trees, _tile_point, blowup_rows, strata_rows
 
 import corpus as corpus_mod
@@ -60,6 +61,10 @@ class TestUncheckedCochains:
                 for d in bucket.multidegrees:
                     _check_unchecked(d, dec.subdivided_graph)
         assert 1 in sizes
+
+
+def _never(*args):
+    raise AssertionError("a refused call does no work")
 
 
 def _banana(k):
@@ -128,19 +133,42 @@ class TestStrataReport:
             triangle.subdivide_edges(triangle.edge_ids())[0]
         )
 
-    def test_guard(self, triangle):
+    def test_guard(self, triangle, monkeypatch):
+        # the triangle's 1 + 3 + 3 + 1 strata are counted before any tree
+        # is listed, and its 3 trees times 1 + 1 points per tree (each
+        # avoids the empty stratum and its one other edge) before any
+        # tile point is made
         q = Polarization(triangle, [1, 0, 0])
-        with pytest.raises(GuardLimitError, match="JACGRAPH_GUARD_EDGES"):
-            strata_report(triangle, "a", q, guard_edges=2)
+        monkeypatch.setattr(_kernel, "LIMIT", 7)
+        assert len(strata_report(triangle, "a", q, max_codim=2).rows) == 7
+        monkeypatch.setattr(strata, "_spanning_trees", _never)
+        with pytest.raises(
+            GuardLimitError, match="^8 strata up to codimension 3 exceed the limit of 7$"
+        ):
+            strata_report(triangle, "a", q)
+        monkeypatch.undo()
+        monkeypatch.setattr(_kernel, "LIMIT", 5)
+        assert strata_report(triangle, "a", q, max_codim=0).total_multidegrees == 3
+        monkeypatch.setattr(strata, "_tile_point", _never)
+        with pytest.raises(GuardLimitError, match=(
+            "^6 points in the strata up to codimension 1 exceed the limit of 5$"
+        )):
+            strata_report(triangle, "a", q, max_codim=1)
 
-    def test_default_guard_boundary(self):
-        g = _banana(16)
-        rep = strata_report(g, "u", Polarization(g, [1, 0]), max_codim=0)
-        assert [row.stratum for row in rep.rows] == [()]
-        assert len(rep.rows[0].multidegrees) == rep.rows[0].expected_count == 16
+    def test_default_guard_boundary(self, monkeypatch):
+        # no edge guard: 17 parallel edges, once refused, answer; codimension
+        # 1 holds 17 * (1 + 16) points, which a limit of that answers and
+        # one less refuses
         g = _banana(17)
-        with pytest.raises(GuardLimitError):
-            strata_report(g, "u", Polarization(g, [1, 0]), max_codim=0)
+        q = Polarization(g, [1, 0])
+        rep = strata_report(g, "u", q, max_codim=0)
+        assert [row.stratum for row in rep.rows] == [()]
+        assert len(rep.rows[0].multidegrees) == rep.rows[0].expected_count == 17
+        monkeypatch.setattr(_kernel, "LIMIT", 17 * 17)
+        assert strata_report(g, "u", q, max_codim=1).total_multidegrees == 17 * 17
+        monkeypatch.setattr(_kernel, "LIMIT", 17 * 17 - 1)
+        with pytest.raises(GuardLimitError, match="^289 points in the strata"):
+            strata_report(g, "u", q, max_codim=1)
 
     def test_no_vertex_limit(self):
         # the walk scans no vertex subsets, so past the 20-vertex limit of
@@ -151,10 +179,10 @@ class TestStrataReport:
         assert strata_rows(g, "v0", Polarization(g, [0] * 21))[1:] == ([()], [[]], True, 0, 0)
         names = [f"v{i}" for i in range(22)]
         g = Multigraph(names, list(zip(names, names[1:])))
-        layout, strata, rows, complete, total, _ = strata_rows(
-            g, "v0", Polarization(g, [0] * 22), max_codim=1, guard_edges=21
+        layout, listed, rows, complete, total, _ = strata_rows(
+            g, "v0", Polarization(g, [0] * 22), max_codim=1
         )
-        assert strata == [()] + [(eid,) for eid in g.edge_ids()]
+        assert listed == [()] + [(eid,) for eid in g.edge_ids()]
         assert layout.unpack(rows[0]) == [(0,) * 22]
         assert rows[1:] == [[]] * 21
         assert (complete, total) == (False, 1)
@@ -265,28 +293,39 @@ class TestBlowup:
                 for d in b.multidegrees:
                     assert all(d[x] in (-1, 0) for x in mids)
 
-    def test_guard(self, triangle):
+    def test_guard(self, triangle, monkeypatch):
+        # the triangle's 2**3 buckets are counted before any tree is
+        # listed; K4's 2**6 buckets pass a limit of 100, and its 16 trees
+        # times 2**3 points are counted before the subdivision is built
         q = Polarization(triangle, [1, 0, 0])
-        with pytest.raises(GuardLimitError, match="JACGRAPH_GUARD_EDGES"):
-            blowup_decomposition(triangle, "a", q, guard_edges=1)
-        g = _banana(17)
-        with pytest.raises(GuardLimitError):
-            blowup_decomposition(g, "u", Polarization(g, [1, 0]))
+        monkeypatch.setattr(_kernel, "LIMIT", 7)
+        monkeypatch.setattr(strata, "_spanning_trees", _never)
+        with pytest.raises(GuardLimitError, match=(
+            "^8 buckets, one per edge subset, exceed the limit of 7$"
+        )):
+            blowup_decomposition(triangle, "a", q)
+        monkeypatch.undo()
+        names = ["a", "b", "c", "d"]
+        k4 = Multigraph(names, [(x, y) for i, x in enumerate(names) for y in names[:i]])
+        monkeypatch.setattr(_kernel, "LIMIT", 100)
+        monkeypatch.setattr(StratumContext, "_packed", _never)
+        with pytest.raises(GuardLimitError, match=(
+            "^128 points in the subdivision's quasistable set exceed the limit of 100$"
+        )):
+            blowup_decomposition(k4, "a", Polarization(k4, [1, 0, 0, 0]))
 
     def test_subdivision_vertex_guard(self):
-        # a 10-cycle subdivides to 20 vertices, the subset-scan limit; a
-        # chord more gives 21 and is refused before the subdivision is built
+        # no vertex guard: a 10-cycle with a chord subdivides to 21
+        # vertices, past the old limit of 20, and its 35 trees give
+        # 35 * 2**2 points in 2**11 buckets
         names = [f"c{i}" for i in range(10)]
         cycle = [(names[i], names[(i + 1) % 10]) for i in range(10)]
-        g = Multigraph(names, cycle)
-        dec = blowup_decomposition(g, "c0", Polarization(g, [1] + [0] * 9))
-        assert len(dec.subdivided_graph.vertices) == 20
-        assert dec.total == dec.expected_total == 20
         g = Multigraph(names, [*cycle, ("c0", "c5")])
-        q = Polarization(g, [1] + [0] * 9)
-        with pytest.raises(GuardLimitError, match="11 edges of a 10-vertex graph gives 21 "
-                           "vertices, over the subset-scan limit of 20"):
-            blowup_decomposition(g, "c0", q)
+        dec = blowup_decomposition(g, "c0", Polarization(g, [1] + [0] * 9))
+        assert len(dec.subdivided_graph.vertices) == 21
+        assert dec.total == dec.expected_total == 140
+        assert len(dec.buckets) == 1 << 11
+        assert all(b.count == b.expected_count for b in dec.buckets)
 
     def test_agrees_with_strata_report(self, corpus_cases):
         for case in corpus_mod.small_cases()[:20]:
@@ -393,6 +432,61 @@ class TestAgainstOracles:
         q = Polarization(triangle, [1, 0, 0])
         with pytest.raises(ValueError, match="max_codim"):
             strata_report(triangle, "a", q, max_codim=-1)
+
+
+class TestLimit:
+    """The counts the sweeps check against ``_kernel.LIMIT`` before their
+    work are the counts they return."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        seen, real = {}, strata.check_limit
+
+        def counted(count, what):
+            seen[what] = count
+            real(count, what)
+
+        monkeypatch.setattr(strata, "check_limit", counted)
+        return seen
+
+    def test_predicted_counts_on_corpus(self, corpus_cases, monkeypatch):
+        seen = self._counted(monkeypatch)
+        for case in corpus_cases:
+            g, q, bp = case.graph, case.q, case.basepoint
+            for max_codim in (0, 1, 2, None):
+                seen.clear()
+                _, listed, rows, complete, total, _ = strata_rows(g, bp, q, max_codim)
+                depth = g.num_edges if complete else max_codim
+                assert seen.pop(f"strata up to codimension {depth}") == len(listed), case.index
+                points = seen.pop(f"points in the strata up to codimension {depth}", 0)
+                assert points == total == sum(map(len, rows)), (case.index, max_codim)
+            if g.num_edges > 7:  # a blow-up of more takes seconds on the pure kernel
+                continue
+            seen.clear()
+            _, _, listed, rows, counts, total, expected = blowup_rows(g, bp, q)
+            assert seen.pop("buckets, one per edge subset,") == len(listed), case.index
+            assert seen.pop("points in the subdivision's quasistable set") == total == expected
+
+    def test_spanning_forests(self, monkeypatch):
+        # the lister refuses once the partial forests it holds pass the
+        # limit: K6's 1,296 trees, at a limit of the most it held and one
+        # less
+        names = [f"k{i}" for i in range(6)]
+        k6 = Multigraph(names, [(a, b) for i, a in enumerate(names) for b in names[:i]])
+        held = []
+        real = strata.check_limit
+        monkeypatch.setattr(strata, "check_limit", lambda count, what: held.append(count))
+        assert len(_spanning_trees(6, k6._pairs)) == 1296
+        monkeypatch.setattr(strata, "check_limit", real)
+        most = max(held)
+        assert most >= 1296
+        monkeypatch.setattr(_kernel, "LIMIT", most)
+        assert len(_spanning_trees(6, k6._pairs)) == 1296
+        monkeypatch.setattr(_kernel, "LIMIT", most - 1)
+        with pytest.raises(GuardLimitError, match=(
+            f"^{most} partial spanning forests exceed the limit of {most - 1}$"
+        )):
+            _spanning_trees(6, k6._pairs)
 
 
 class TestWalkAgainstReference:
