@@ -229,7 +229,7 @@ class TestEnumerate:
         # answers and one less refuses; K7, with 7**5 = 16,807 quasistable
         # multidegrees and 127 connected subsets, stops at its 5,001st row
         # under a limit of 5,000
-        held, default = [], _kernel.LIMIT
+        held = []
         for impl in _kernel.implementations():
             real = impl.box_enumerate
             monkeypatch.setattr(
@@ -256,7 +256,6 @@ class TestEnumerate:
         with pytest.raises(GuardLimitError, match="^5001 quasistable rows found so far"):
             ctx.enumerate("quasistable")
         assert list(map(len, held)) == [5001]
-        monkeypatch.setattr(_kernel, "LIMIT", default)
 
     def test_past_the_old_vertex_guard(self, monkeypatch):
         # chorded cycles of 24 and 26 vertices: the quasistable count is
