@@ -9,7 +9,9 @@ every case of the test corpus (``tests/corpus.py``), ``blowup-check`` and
 ``strata``, ``strata --max-codim=1 --verbose``, ``blowup-check --verbose``,
 ``check-pol --verbose`` and ``complexity`` on three fixed graphs the corpus,
 connected by construction, never holds (two components, one vertex with two
-loops, two chorded 4-cycles joined by a bridge), and round 0 of perfbench's
+loops, two chorded 4-cycles joined by a bridge), ``enum`` on three more (``qs``
+on a 22-vertex star, refused past the limit, and on a 1,000-vertex path, and
+``ss`` on 1,000 isolated vertices), and round 0 of perfbench's
 ``enumerate`` (seeds 5 and 6), ``sweep`` (seed 7) and ``query`` (seed 3).
 Each runs through
 ``jacgraph.cli.main`` in this process.  The file holds, per request, a
@@ -53,21 +55,40 @@ FIXED = {
 }
 
 
+# enum past the limit on either kernel (2**21 + 21 connected subsets), and
+# on 1,000 vertices, deeper than the interpreter's default recursion limit
+_NAMES = [f"v{i}" for i in range(1000)]
+ENUMS = {
+    "star": ("qs", _NAMES[:22], [(_NAMES[0], v) for v in _NAMES[1:22]]),
+    "deep-path": ("qs", _NAMES, list(zip(_NAMES, _NAMES[1:]))),
+    "isolated": ("ss", _NAMES, []),
+}
+
+
+def _problem(work: Path, name, vertices, edges) -> str:
+    """The problem file of a fixed graph, 1 on its first vertex, there also
+    its basepoint, and 0 elsewhere."""
+    data = {
+        "vertices": vertices,
+        "edges": [{"endpoints": list(pair)} for pair in edges],
+        "polarization": {v: "1" if k == 0 else "0" for k, v in enumerate(vertices)},
+        "basepoint": vertices[0],
+    }
+    path = work / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def fixed_requests(work: Path):
     for name, (vertices, edges) in FIXED.items():
-        data = {
-            "vertices": vertices,
-            "edges": [{"endpoints": list(pair)} for pair in edges],
-            "polarization": {v: "1" if k == 0 else "0" for k, v in enumerate(vertices)},
-            "basepoint": vertices[0],
-        }
-        path = work / f"{name}.json"
-        path.write_text(json.dumps(data))
-        yield ["strata", str(path)]
-        yield ["strata", str(path), "--max-codim=1", "--verbose"]
-        yield ["blowup-check", str(path), "--verbose"]
-        yield ["check-pol", str(path), "--verbose"]
-        yield ["complexity", str(path)]
+        path = _problem(work, name, vertices, edges)
+        yield ["strata", path]
+        yield ["strata", path, "--max-codim=1", "--verbose"]
+        yield ["blowup-check", path, "--verbose"]
+        yield ["check-pol", path, "--verbose"]
+        yield ["complexity", path]
+    for name, (kind, vertices, edges) in ENUMS.items():
+        yield ["enum", _problem(work, name, vertices, edges), "--kind", kind]
 
 
 def corpus_requests(corpus, work: Path):

@@ -50,6 +50,8 @@ interval.
 
 from __future__ import annotations
 
+import sys
+
 from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
 from .graph import _adjacency_masks, _connected_subsets, _mask_pieces
 
@@ -326,6 +328,11 @@ def box_enumerate(n, edges, base, scale, v0, mode, at, layout, limit):
             out.extend(range(row, row + (last - first + 1) * move, move))
             return len(out) > limit
 
-    place(0, 0, state, layout.origin)
+    depth = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n)  # place recurses once per vertex
+    try:
+        place(0, 0, state, layout.origin)
+    finally:
+        sys.setrecursionlimit(depth)
     del out[limit + 1 :]
     return out

@@ -55,31 +55,45 @@ static int load_int64s(PyObject *obj, Py_ssize_t len, long long *out, const char
 
 /* Mark m and every connected subset grown from it by neighbours in ext,
    never adding a vertex of seen (which holds m), as in
-   jacgraph.graph._connected_subsets. */
+   jacgraph.graph._connected_subsets, until *left marks go negative. */
 static void grow(const size_t *adj, int n, unsigned char *marks, size_t m, size_t ext,
-                 size_t seen)
+                 size_t seen, long long *left)
 {
     marks[m] |= CONNECTED;
-    for (int w = 0; w < n; w++) {
+    --*left;
+    for (int w = 0; w < n && *left >= 0; w++) {
         size_t bit = (size_t)1 << w;
         if (ext & bit) {
             ext ^= bit;
             seen |= bit;
-            grow(adj, n, marks, m | bit, ext | (adj[w] & ~seen), seen);
+            grow(adj, n, marks, m | bit, ext | (adj[w] & ~seen), seen, left);
         }
     }
 }
 
 /* Write the plan of the graph on n vertices with neighbour masks adj to
    marks: per mask, one byte of flags, with KEPT when the search keeps the
-   mask. */
-static void make_plan(int n, const size_t *adj, unsigned char *marks)
+   mask.  Past jacgraph._kernel.LIMIT connected subsets it stops, refused
+   by that module's check_limit as jacgraph.graph._connected_subsets is.
+   Returns -1 with an exception set, else 0. */
+static int make_plan(int n, const size_t *adj, unsigned char *marks)
 {
+    static PyObject *kernel; /* jacgraph._kernel, held from the first call on */
+    if (kernel == NULL && (kernel = PyImport_ImportModule("jacgraph._kernel")) == NULL)
+        return -1;
+    PyObject *value = PyObject_GetAttrString(kernel, "LIMIT");
+    long long limit = value == NULL ? -1 : PyLong_AsLongLong(value), left = limit;
+    Py_XDECREF(value);
     memset(marks, 0, (size_t)1 << n);
-    for (int v = 0; v < n; v++) {
+    for (int v = 0; v < n && left >= 0; v++) {
         size_t below = ((size_t)1 << v) - 1;
-        grow(adj, n, marks, (size_t)1 << v, adj[v] & below, ~below);
+        grow(adj, n, marks, (size_t)1 << v, adj[v] & below, ~below, &left);
     }
+    if (left < 0 && !PyErr_Occurred())
+        Py_XDECREF(PyObject_CallMethod(kernel, "check_limit", "Ls", limit + 1,
+                                       "connected subsets listed so far"));
+    if (left < 0)
+        return -1;
     /* comp[v]: the component that holds v, grown until no vertex joins */
     size_t comp[MAX_VERTICES];
     for (int v = 0; v < n; v++) {
@@ -109,6 +123,7 @@ static void make_plan(int n, const size_t *adj, unsigned char *marks)
             if (marks[m] & KEPT)
                 marks[m ^ base] |= KEPT;
     }
+    return 0;
 }
 
 /* Read the edges of the graph on n vertices into its neighbour masks adj
@@ -397,17 +412,17 @@ static PyObject *box_enumerate(PyObject *self, PyObject *args)
         goto done;
     }
     s.total = whole / scale;
-    make_plan(n, adj, plan);
     sums[0] = 0;
-    if (load_plan(&s, plan, cbase, mult, v0, mode) < 0)
+    out = s.out = PyList_New(0);
+    /* no output when the box cannot hold the total, and no plan for one vertex */
+    if (out == NULL || suf_lo[0] > s.total || suf_hi[0] < s.total)
         goto done;
-    out = PyList_New(0);
-    if (out != NULL && suf_lo[0] <= s.total && suf_hi[0] >= s.total) {
-        s.out = out;
-        put(codes, s.size, s.total + shift[0]); /* all of it, when there is one vertex */
-        if ((n == 1 ? emit(&s) : place(&s, 0, 0)) < 0 && PyErr_Occurred())
-            Py_CLEAR(out);
-    }
+    put(codes, s.size, s.total + shift[0]); /* all of it, when there is one vertex */
+    int rc = n == 1 ? emit(&s) : make_plan(n, adj, plan);
+    if (n > 1 && rc == 0 && (rc = load_plan(&s, plan, cbase, mult, v0, mode)) == 0)
+        rc = place(&s, 0, 0);
+    if (rc < 0 && PyErr_Occurred())
+        Py_CLEAR(out);
     PyMem_Free((void *)s.row_at);
 done:
     PyMem_Free(buf);

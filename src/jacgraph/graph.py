@@ -46,24 +46,23 @@ def _connected_subsets(n: int, adj: list[int]):
 
     Each subset grows from k by one neighbour below k at a time; a branch
     never adds a vertex that an earlier sibling branch added, so no subset
-    comes twice (Wernicke's ESU, IEEE/ACM TCBB 3(4), 2006).  The cost is
+    comes twice (Wernicke's ESU, IEEE/ACM TCBB 3(4), 2006); the branches
+    wait on a stack, so a level comes in no set order.  The cost is
     proportional to the subsets listed, refused past ``_kernel.LIMIT``."""
-
-    def grow(m, ext, seen):
-        # ext: the neighbours of m outside seen, which holds m
-        level.append(m)
-        if len(level) > room:
-            _kernel.check_limit(listed + len(level), "connected subsets listed so far")
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            seen |= bit
-            grow(m | bit, ext | (adj[bit.bit_length() - 1] & ~seen), seen)
-
     listed = 0
     for k in range(n):
         level, below, room = [], (1 << k) - 1, _kernel.LIMIT - listed
-        grow(1 << k, adj[k] & below, ~below)
+        stack = [(1 << k, adj[k] & below, ~below)]
+        while stack:  # ext: the neighbours of m outside seen, which holds m
+            m, ext, seen = stack.pop()
+            level.append(m)
+            if len(level) > room:
+                _kernel.check_limit(listed + len(level), "connected subsets listed so far")
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                seen |= bit
+                stack.append((m | bit, ext | (adj[bit.bit_length() - 1] & ~seen), seen))
         listed += len(level)
         yield level
 
@@ -94,6 +93,29 @@ def _bfs_forest(n: int, pairs, roots, within: int = -1):
                         tree.append(w)
             queue += tree
     return parent, up, depth, queue
+
+
+def _bridge_mask(n: int, pairs) -> int:
+    """Bitmask of the indices of the endpoint index pairs that are bridges.
+    Each non-loop pair off the breadth-first forest from every vertex puts a
+    bit of its own on both its ends; summed mod 2 over a subtree, the bits
+    of the pairs inside it cancel, so the forest pair above the subtree is a
+    bridge exactly when no bit is left (Tarjan, IPL 2(6), 1974)."""
+    parent, up, _, queue = _bfs_forest(n, pairs, range(n))
+    mark, bit = [0] * n, 1
+    for k, (a, b) in enumerate(pairs):
+        if a != b and up[a] != k and up[b] != k:
+            mark[a] ^= bit
+            mark[b] ^= bit
+            bit <<= 1
+    bridges = 0
+    for v in reversed(queue):  # children before parents
+        below, mark[v] = mark[v], 0
+        if below:
+            mark[parent[v]] ^= below
+        elif parent[v] != v:
+            bridges |= 1 << up[v]
+    return bridges
 
 
 def _mask_pieces(mask: int, adj: list[int]):
@@ -339,52 +361,15 @@ class Multigraph:
     # -- bridges and spines ----------------------------------------------
 
     def bridges(self) -> frozenset:
-        """Edge ids whose removal disconnects their component.
-
-        Iterative depth-first search with low-links over the incidence
-        lists of the edge indices; a parallel edge is never a bridge because
-        the twin edge provides the back link, and loops are ignored outright.
-        """
-        n = self.num_vertices
-        incident = [[] for _ in range(n)]
-        for k, (a, b) in enumerate(self._pairs):
-            if a != b:
-                incident[a].append((k, b))
-                incident[b].append((k, a))
-        disc, low, out, counter = [-1] * n, [0] * n, [], 0
-        for root in range(n):
-            if disc[root] >= 0:
-                continue
-            disc[root] = low[root] = counter
-            counter += 1
-            stack = [(root, -1, iter(incident[root]))]
-            while stack:
-                x, via, it = stack[-1]
-                for k, y in it:
-                    if k == via:
-                        continue
-                    if disc[y] < 0:
-                        disc[y] = low[y] = counter
-                        counter += 1
-                        stack.append((y, k, iter(incident[y])))
-                        break
-                    low[x] = min(low[x], disc[y])
-                else:
-                    stack.pop()
-                    if stack:
-                        parent = stack[-1][0]
-                        low[parent] = min(low[parent], low[x])
-                        if low[x] > disc[parent]:
-                            out.append(self.edges[via].id)
-        return frozenset(out)
+        """Edge ids whose removal disconnects their component (``_bridge_mask``)."""
+        br = _bridge_mask(self.num_vertices, self._pairs)
+        return frozenset(e.id for k, e in enumerate(self.edges) if br >> k & 1)
 
     def is_spine(self, W: Iterable[Vertex]) -> bool:
         """True when every edge crossing from W to its complement is a bridge."""
         m = self._mask(self.vertex_subset(W))
-        br = self.bridges()
-        return all(
-            e.id in br for e, (a, b) in zip(self.edges, self._pairs) if (m >> a ^ m >> b) & 1
-        )
+        br = _bridge_mask(self.num_vertices, self._pairs)
+        return all(br >> k & 1 for k, (a, b) in enumerate(self._pairs) if (m >> a ^ m >> b) & 1)
 
     # -- surgeries -------------------------------------------------------
 
@@ -456,25 +441,19 @@ class Multigraph:
         earliest member.  Non-bridge edges survive; an edge whose endpoints
         merge becomes a loop.
         """
-        br = self.bridges()
         n, vs = self.num_vertices, self.vertices
-        adj = _adjacency_masks(n, [p for e, p in zip(self.edges, self._pairs) if e.id in br])
-        rep = list(range(n))  # the merged classes are the pieces of the bridge forest
-        for piece in _mask_pieces(sum(1 << i for i, nb in enumerate(adj) if nb), adj):
-            low = (piece & -piece).bit_length() - 1
-            for i in range(low, piece.bit_length()):
-                if piece >> i & 1:
-                    rep[i] = low
-        mapping = {v: vs[r] for v, r in zip(vs, rep)}
-        reps = [vs[i] for i, r in enumerate(rep) if r == i]
+        br = _bridge_mask(n, self._pairs)
+        # each merged class is a tree of the forest over the bridges, from its first vertex
+        root, _, _, queue = _bfs_forest(n, self._pairs, range(n), br)
+        for v in queue:  # a parent before its children
+            root[v] = root[root[v]]
+        mapping = {v: vs[r] for v, r in zip(vs, root)}
+        reps = [vs[i] for i, r in enumerate(root) if r == i]
         genus = {r: 0 for r in reps}
         for v in self.vertices:
             genus[mapping[v]] += self._genus[v]
-        edge_items = [
-            Edge(e.id, mapping[e.u], mapping[e.v])
-            for e in self.edges
-            if e.id not in br
-        ]
+        kept = [e for k, e in enumerate(self.edges) if not br >> k & 1]
+        edge_items = [Edge(e.id, mapping[e.u], mapping[e.v]) for e in kept]
         return Multigraph(reps, edge_items, genus), mapping
 
     # -- equality --------------------------------------------------------

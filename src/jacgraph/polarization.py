@@ -28,7 +28,7 @@ from .errors import (
     PolarizationTotalError,
 )
 from .graph import Multigraph, Vertex, _VertexValues
-from .graph import _adjacency_masks, _connected_subsets, _mask_pieces
+from .graph import _adjacency_masks, _bridge_mask, _connected_subsets, _mask_pieces
 
 
 # a rational as text, matched after a strip: ASCII digits only, unlike
@@ -204,8 +204,8 @@ class Polarization(_VertexValues):
         if n == 0:
             raise EmptyGraphError("classification needs at least one vertex")
         scale, resid, test = self._integrality()
-        br = g.bridges()
-        kept = [p for e, p in zip(g.edges, g._pairs) if e.id not in br]
+        br = _bridge_mask(n, g._pairs)
+        kept = [p for k, p in enumerate(g._pairs) if not br >> k & 1]
         cut = n // 2
         half, full = (1 << cut) - 1, (1 << n) - 1
         low, high = [0], [0]  # residue sums mod scale by mask of each half

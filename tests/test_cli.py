@@ -127,6 +127,30 @@ class TestEnum:
         assert rc == 2
         assert "polarization" in err
 
+    def test_deep_graphs(self, problem, capsys):
+        # a walk with one frame per vertex would pass the interpreter's
+        # depth at about 1,000 vertices: quasistable on a 1,000-vertex path
+        # (500,500 connected subsets, within the limit) and semistable on
+        # 1,000 isolated vertices each give their one row.  A 22-vertex
+        # star's 2**21 + 21 connected subsets are refused on either kernel
+        names = [f"v{i}" for i in range(1000)]
+        q = {v: "1" if k == 0 else "0" for k, v in enumerate(names)}
+        path = [{"endpoints": pair} for pair in zip(names, names[1:])]
+        star = [{"endpoints": [names[0], v]} for v in names[1:22]]
+        for kind, vertices, edges, code in (
+            ("qs", names, path, 0),
+            ("ss", names, [], 0),
+            ("qs", names[:22], star, 3),
+        ):
+            data = {"vertices": vertices, "edges": edges}
+            data["polarization"] = {v: q[v] for v in vertices}
+            rc, payload, err = run(capsys, ["enum", problem(data), "--kind", kind])
+            assert rc == code and "Traceback" not in err, (kind, len(vertices), err)
+            if code:
+                assert "1048577 connected subsets listed so far exceed the limit" in err
+            else:
+                assert payload["multidegrees"] == [[1] + [0] * 999]
+
 
 class TestReduce:
     def test_banana(self, problem, capsys):

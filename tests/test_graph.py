@@ -180,6 +180,34 @@ class TestBridges:
         assert banana.is_spine(set())
         assert banana.is_spine({"u", "v"})
 
+    def test_deep_forests(self):
+        # bridges known from the construction, on breadth-first trees some
+        # hundreds of levels deep: 300 triangles a-b-c, triangle i's c
+        # joined to triangle i + 1's a, that chain edge doubled at i = 150;
+        # a loop on every tenth vertex; and apart, a 200-vertex path
+        tri = [[f"t{i}{x}" for x in "abc"] for i in range(300)]
+        path = [f"p{i}" for i in range(200)]
+        vertices = [v for t in tri for v in t] + path
+        edges = [(f"s{i}{x}", t[j], t[(j + 1) % 3]) for i, t in enumerate(tri)
+                 for j, x in enumerate("abc")]
+        chain = [(f"c{i}", tri[i][2], tri[i + 1][0]) for i in range(299)]
+        edges += chain + [("twin", tri[150][2], tri[151][0])]
+        edges += [(f"p{i}-", u, v) for i, (u, v) in enumerate(zip(path, path[1:]))]
+        edges += [(f"loop{k}", v, v) for k, v in enumerate(vertices[::10])]
+        g = Multigraph(vertices, edges)
+        bridges = {eid for eid, _, _ in chain if eid != "c150"} | {f"p{i}-" for i in range(199)}
+        assert g.bridges() == bridges
+        for k in (1, 150, 151, 299):  # a prefix crosses chain edge k - 1 alone
+            assert g.is_spine([v for t in tri[:k] for v in t]) == (k != 151), k
+        contracted, mapping = g.contract_bridges()
+        assert contracted.num_vertices == len(vertices) - len(bridges)
+        assert sum(contracted.loops_at(v) for v in contracted.vertices) == 110
+        want = {v: v for v in vertices} | dict.fromkeys(path, "p0")
+        for i in range(299):
+            if i != 150:
+                want[tri[i + 1][0]] = want[tri[i][2]]
+        assert mapping == want
+
 
 class TestSurgery:
     def test_delete_edges(self, banana):

@@ -27,6 +27,7 @@ from jacgraph._kernel import (
     select,
 )
 from jacgraph import _kernel_py
+from jacgraph.errors import GuardLimitError
 
 import corpus
 import oracles
@@ -889,6 +890,40 @@ def test_limit_keeps_the_first_rows(corpus_cases):
                 assert got[0] == got[-1] == full[: limit + 1], (case.index, mode, limit)
                 stopped += len(full) > limit + 1
     assert stopped > 300, stopped
+
+
+def test_both_kernels_refuse_past_the_subset_limit(monkeypatch):
+    # both kernels' plans count the connected subsets they list against
+    # _kernel.LIMIT and refuse with the same text past it, after the same
+    # trivial returns.  A 4-cycle has 13 connected subsets and 4
+    # quasistable rows; a 22-vertex star has 2**21 + 21 connected subsets
+    def call(g, q, limit, layout=None):
+        n = g.num_vertices
+        ctx = StratumContext(g, q, g.vertices[0])
+        monkeypatch.setattr(_kernel, "LIMIT", limit)
+        layout = layout or Layout.of(*ctx.singleton_box())
+        args = (n, *_kernel_args(ctx), ctx._v0, MODE_QUASISTABLE, range(n), layout, LIMIT)
+        got = []
+        for impl in implementations():
+            try:
+                got.append(impl.box_enumerate(*args))
+            except GuardLimitError as exc:
+                got.append(str(exc))
+        assert len(set(map(str, got))) == 1, got
+        return got[0]
+
+    cycle = Multigraph("abcd", ["ab", "bc", "cd", "da"])
+    q = Polarization(cycle, [1, 0, 0, 0])
+    assert len(call(cycle, q, 13)) == 4
+    assert call(cycle, q, 12) == "13 connected subsets listed so far exceed the limit of 12"
+    assert call(cycle, q, 0, Layout.of([0] * 4, [0] * 4)) == []  # the box misses the total
+    one = Multigraph(["x"], [])
+    assert len(call(one, Polarization(one, [2]), 0)) == 1
+    names = [f"v{i}" for i in range(22)]
+    star = Multigraph(names, [(names[0], v) for v in names[1:]])
+    assert call(star, Polarization(star, [1] + [0] * 21), LIMIT) == (
+        "1048577 connected subsets listed so far exceed the limit of 1048576"
+    )
 
 
 @needs_speedups
