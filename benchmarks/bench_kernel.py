@@ -51,7 +51,7 @@ from jacgraph._kernel import (
     implementation_name,
     implementations,
 )
-from jacgraph.graph import _adjacency_masks, _connected_subsets
+from jacgraph.graph import _connected_subsets
 
 
 def chorded_cycle(n: int) -> Multigraph:
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
         print(f"{n:>3} {'classify':<12}{t_classify * 1e3:>10.2f}ms")
         checks = [c for level in plan for _, c in level]
         checked = sum(1 for c in checks if c)
-        connected = sum(map(len, _connected_subsets(n, _adjacency_masks(n, g._pairs))))
+        connected = sum(map(len, _connected_subsets(n, g._pairs)))
         print(f"    ({counts} quasistable multidegrees)")
         print(
             f"    (plan checks {checked} of {1 << n} subsets, "

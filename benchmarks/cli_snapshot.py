@@ -9,11 +9,11 @@ every case of the test corpus (``tests/corpus.py``), ``blowup-check`` and
 ``strata``, ``strata --max-codim=1 --verbose``, ``blowup-check --verbose``,
 ``check-pol --verbose`` and ``complexity`` on three fixed graphs the corpus,
 connected by construction, never holds (two components, one vertex with two
-loops, two chorded 4-cycles joined by a bridge), ``enum`` on three more (``qs``
-on a 22-vertex star, refused past the limit, and on a 1,000-vertex path, and
-``ss`` on 1,000 isolated vertices), and round 0 of perfbench's
-``enumerate`` (seeds 5 and 6), ``sweep`` (seed 7) and ``query`` (seed 3).
-Each runs through
+loops, two chorded 4-cycles joined by a bridge), ``enum`` on four more (``qs``
+on a 22-vertex star, refused past the limit, and on a 1,000-vertex path,
+``ss`` on 1,000 isolated vertices, and ``qs`` and ``ss`` on a 70-vertex path
+beside a triangle), and round 0 of perfbench's ``enumerate`` (seeds 5 and
+6), ``sweep`` (seed 7) and ``query`` (seed 3).  Each runs through
 ``jacgraph.cli.main`` in this process.  The file holds, per request, a
 header line with its arguments (the problem directory written as ``W``)
 and exit code, then its stdout, then its stderr, if any, under a
@@ -55,12 +55,18 @@ FIXED = {
 }
 
 
-# enum past the limit on either kernel (2**21 + 21 connected subsets), and
-# on 1,000 vertices, deeper than the interpreter's default recursion limit
+# enum past the limit on either kernel (2**21 + 21 connected subsets), on
+# 1,000 vertices, deeper than the interpreter's default recursion limit, and
+# on a plan whose masks pass 61 bits outside the last vertex's component
 _NAMES = [f"v{i}" for i in range(1000)]
+_WIDE = list(zip(_NAMES[:69], _NAMES[1:70])) + [
+    (_NAMES[70], _NAMES[71]), (_NAMES[71], _NAMES[72]), (_NAMES[72], _NAMES[70])
+]
 ENUMS = {
     "star": ("qs", _NAMES[:22], [(_NAMES[0], v) for v in _NAMES[1:22]]),
     "deep-path": ("qs", _NAMES, list(zip(_NAMES, _NAMES[1:]))),
+    "path-and-triangle": ("qs", _NAMES[:73], _WIDE),
+    "path-and-triangle-ss": ("ss", _NAMES[:73], _WIDE),
     "isolated": ("ss", _NAMES, []),
 }
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 import sys
 
 from ._kernel import MODE_QUASISTABLE, MODE_SEMISTABLE, MODE_STABLE
-from .graph import _adjacency_masks, _connected_subsets, _mask_pieces
+from .graph import _connected_subsets, _piece_masks
 
 # per bit i, the table taking a byte to its bit i, for bytes.translate
 _BIT = [bytes(b >> i & 1 for b in range(256)) for i in range(8)]
@@ -121,10 +121,13 @@ def _build_plan(n, edges):
     is empty: the total fixes d there, and a bound on such a mask is the
     opposite bound on its complement."""
     full = (1 << n) - 1
-    adj = _adjacency_masks(n, edges)
-    subsets = [c for level in _connected_subsets(n, adj) for c in level]
-    connected = set(subsets)
-    home = {v: piece for piece in _mask_pieces(full, adj) for v in range(n) if piece >> v & 1}
+    levels = list(_connected_subsets(n, edges))
+    subsets = [c for level in levels for c in level]
+    home = _piece_masks(n, edges)
+    # a remainder in the last vertex's component holds that vertex, so only
+    # the last level can list it; past 61 vertices the set of all subsets
+    # would be slow to build, as CPython hashes an int mod 2^61 - 1
+    connected = {c for c in subsets if not c & home[-1]}.union(*levels[-1:])
     checked = {
         c: True
         for c in subsets

@@ -29,26 +29,21 @@ from .errors import (
 Vertex = Hashable
 
 
-def _adjacency_masks(n: int, pairs) -> list[int]:
-    """Neighbour bitmask of each vertex index; loop pairs are skipped."""
-    adj = [0] * n
-    for a, b in pairs:
-        if a != b:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    return adj
-
-
-def _connected_subsets(n: int, adj: list[int]):
+def _connected_subsets(n: int, pairs):
     """Per vertex k = 0, ..., n - 1 in turn, the list of the vertex subsets
-    with top vertex k that are connected under the neighbour masks ``adj``,
-    as bitmasks, each once.
+    with top vertex k that are connected over the endpoint index pairs, as
+    bitmasks, each once.
 
     Each subset grows from k by one neighbour below k at a time; a branch
     never adds a vertex that an earlier sibling branch added, so no subset
     comes twice (Wernicke's ESU, IEEE/ACM TCBB 3(4), 2006); the branches
     wait on a stack, so a level comes in no set order.  The cost is
     proportional to the subsets listed, refused past ``_kernel.LIMIT``."""
+    adj = [0] * n  # neighbour masks
+    for a, b in pairs:
+        if a != b:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
     listed = 0
     for k in range(n):
         level, below, room = [], (1 << k) - 1, _kernel.LIMIT - listed
@@ -95,6 +90,18 @@ def _bfs_forest(n: int, pairs, roots, within: int = -1):
     return parent, up, depth, queue
 
 
+def _piece_masks(n: int, pairs, within: int = -1) -> list[int]:
+    """Per vertex, the bitmask of its tree in ``_bfs_forest(n, pairs,
+    range(n), within)``: its connected piece over the pairs kept.
+    ``dict.fromkeys`` of the list gives the pieces by lowest vertex."""
+    root, _, _, queue = _bfs_forest(n, pairs, range(n), within)
+    piece = [0] * n
+    for v in queue:  # a parent before its children
+        root[v] = root[root[v]]
+        piece[root[v]] |= 1 << v
+    return [piece[r] for r in root]
+
+
 def _bridge_mask(n: int, pairs) -> int:
     """Bitmask of the indices of the endpoint index pairs that are bridges.
     Each non-loop pair off the breadth-first forest from every vertex puts a
@@ -116,21 +123,6 @@ def _bridge_mask(n: int, pairs) -> int:
         elif parent[v] != v:
             bridges |= 1 << up[v]
     return bridges
-
-
-def _mask_pieces(mask: int, adj: list[int]):
-    """Connected pieces of the vertex bitmask ``mask`` under the neighbour
-    masks ``adj``, as bitmasks, ordered by their lowest vertex."""
-    while mask:
-        piece = frontier = mask & -mask
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grown = adj[low.bit_length() - 1] & mask & ~piece
-            piece |= grown
-            frontier |= grown
-        yield piece
-        mask ^= piece
 
 
 class Edge(NamedTuple):
@@ -333,21 +325,18 @@ class Multigraph:
 
     # -- connectivity ----------------------------------------------------
 
-    def _pieces(self):
-        """The components as vertex bitmasks, ordered by lowest vertex."""
-        n = self.num_vertices
-        return _mask_pieces((1 << n) - 1, _adjacency_masks(n, self._pairs))
-
     def components(self) -> list[frozenset]:
         """Connected components as vertex sets, ordered by first vertex."""
-        return [self._vertex_set(piece) for piece in self._pieces()]
+        pieces = _piece_masks(self.num_vertices, self._pairs)
+        return [self._vertex_set(piece) for piece in dict.fromkeys(pieces)]
 
     def is_connected(self) -> bool:
-        return len(list(self._pieces())) <= 1
+        return len(set(_piece_masks(self.num_vertices, self._pairs))) <= 1
 
     def first_betti(self) -> int:
         """Cycle rank |E| - |V| + (number of components); loops contribute."""
-        return self.num_edges - self.num_vertices + len(list(self._pieces()))
+        pieces = _piece_masks(self.num_vertices, self._pairs)
+        return self.num_edges - self.num_vertices + len(set(pieces))
 
     def subcurve_genus(self, W: Iterable[Vertex]) -> int:
         """Total genus carried by W: vertex genera plus the cycle rank of
@@ -443,10 +432,8 @@ class Multigraph:
         """
         n, vs = self.num_vertices, self.vertices
         br = _bridge_mask(n, self._pairs)
-        # each merged class is a tree of the forest over the bridges, from its first vertex
-        root, _, _, queue = _bfs_forest(n, self._pairs, range(n), br)
-        for v in queue:  # a parent before its children
-            root[v] = root[root[v]]
+        # each merged class is a piece over the bridges, labelled by its first vertex
+        root = [(c & -c).bit_length() - 1 for c in _piece_masks(n, self._pairs, br)]
         mapping = {v: vs[r] for v, r in zip(vs, root)}
         reps = [vs[i] for i, r in enumerate(root) if r == i]
         genus = {r: 0 for r in reps}

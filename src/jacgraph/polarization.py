@@ -28,7 +28,7 @@ from .errors import (
     PolarizationTotalError,
 )
 from .graph import Multigraph, Vertex, _VertexValues
-from .graph import _adjacency_masks, _bridge_mask, _connected_subsets, _mask_pieces
+from .graph import _bridge_mask, _connected_subsets, _piece_masks
 
 
 # a rational as text, matched after a strip: ASCII digits only, unlike
@@ -160,7 +160,8 @@ class Polarization(_VertexValues):
         """``(scale, residues, test)``: ``scale * (q_P - val(P)/2)`` is, mod
         scale, the sum over P of the residues ``scale * q_v - scale/2 *
         deg(v)``, and ``test(mask)`` checks that sum on every connected
-        piece of the mask and of its complement."""
+        piece of the mask and of its complement: the pieces of the one
+        forest over the pairs that do not cross the mask."""
         g = self.graph
         scale, resid = self._scaled()
         resid = list(resid)
@@ -169,13 +170,12 @@ class Polarization(_VertexValues):
             resid[a] -= scale // 2
             resid[b] -= scale // 2
         resid = [r % scale for r in resid]
-        adj, full = _adjacency_masks(len(resid), pairs), (1 << len(resid)) - 1
 
         def test(mask: int) -> bool:
+            keep = sum(1 << k for k, (a, b) in enumerate(pairs) if not (mask >> a ^ mask >> b) & 1)
             return all(
                 sum(r for i, r in enumerate(resid) if piece >> i & 1) % scale == 0
-                for side in (mask, full ^ mask)
-                for piece in _mask_pieces(side, adj)
+                for piece in set(_piece_masks(len(resid), pairs, keep))
             )
 
         return scale, resid, test
@@ -209,7 +209,7 @@ class Polarization(_VertexValues):
         cut = n // 2
         half, full = (1 << cut) - 1, (1 << n) - 1
         low, high = [0], [0]  # residue sums mod scale by mask of each half
-        for k, level in enumerate(_connected_subsets(n, _adjacency_masks(n, g._pairs))):
+        for k, level in enumerate(_connected_subsets(n, g._pairs)):
             part = low if k < cut else high
             check_limit(2 * len(part), "entries of a residue table")
             part += [(s + resid[k]) % scale for s in part]

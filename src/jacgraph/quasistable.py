@@ -41,7 +41,7 @@ from .errors import (
     GraphMismatchError,
     ReductionGuardError,
 )
-from .graph import Multigraph, Vertex, _adjacency_masks, _bfs_forest, _bridge_mask, _mask_pieces
+from .graph import Multigraph, Vertex, _bfs_forest, _bridge_mask, _piece_masks
 from .lattice import Cochain, _reduced_laplacian, _solve
 from .polarization import Polarization
 
@@ -513,7 +513,9 @@ def semistable_equality_witness(g: Multigraph, q: Polarization):
     n = g.num_vertices
     br = _bridge_mask(n, g._pairs)
     kept = [p for k, p in enumerate(g._pairs) if not br >> k & 1]
-    pieces = list(_mask_pieces(((1 << n) - 1) ^ g._mask(hit[0]), _adjacency_masks(n, g._pairs)))
+    m = g._mask(hit[0])
+    keep = sum(1 << k for k, (a, b) in enumerate(g._pairs) if not (m >> a ^ m >> b) & 1)
+    pieces = [c for c in dict.fromkeys(_piece_masks(n, g._pairs, keep)) if not c & m]
     z = next((c for c in pieces if any((c >> a ^ c >> b) & 1 for a, b in kept)), pieces[0])
     Z = g._vertex_set(z)
     f = next(k for k, (x, y) in enumerate(g._pairs) if (z >> x ^ z >> y) & 1)

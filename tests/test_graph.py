@@ -16,7 +16,7 @@ from jacgraph import (
     UnknownVertexError,
 )
 from jacgraph import GuardLimitError, _kernel
-from jacgraph.graph import _adjacency_masks, _connected_subsets
+from jacgraph.graph import _connected_subsets, _piece_masks
 
 import oracles
 
@@ -376,7 +376,7 @@ class TestConnectedSubsets:
         for trial in range(300):
             n = 1 + trial % 10
             pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
-            levels = list(_connected_subsets(n, _adjacency_masks(n, pairs)))
+            levels = list(_connected_subsets(n, pairs))
             assert len(levels) == n
             for k, level in enumerate(levels):
                 assert all(m.bit_length() - 1 == k for m in level), (trial, k)
@@ -397,9 +397,9 @@ class TestConnectedSubsets:
 
     def test_shapes(self):
         # K_4: all 15 nonempty masks; four isolated vertices: the singletons
-        adj = _adjacency_masks(4, [(a, b) for a in range(4) for b in range(a)])
-        assert [len(level) for level in _connected_subsets(4, adj)] == [1, 2, 4, 8]
-        assert list(_connected_subsets(4, [0] * 4)) == [[1], [2], [4], [8]]
+        k4 = [(a, b) for a in range(4) for b in range(a)]
+        assert [len(level) for level in _connected_subsets(4, k4)] == [1, 2, 4, 8]
+        assert list(_connected_subsets(4, [])) == [[1], [2], [4], [8]]
         assert list(_connected_subsets(0, [])) == []
 
     def test_stops_past_the_limit(self, monkeypatch):
@@ -407,22 +407,53 @@ class TestConnectedSubsets:
         # one less stops the walk inside its last level, the 1,023rd subset
         # listed; K_20 stops inside its tenth level under a limit of 1,000,
         # before the 2**19 subsets of its last
-        adj = _adjacency_masks(10, [(a, b) for a in range(10) for b in range(a)])
+        k10 = [(a, b) for a in range(10) for b in range(a)]
         monkeypatch.setattr(_kernel, "LIMIT", 1023)
-        assert sum(map(len, _connected_subsets(10, adj))) == 1023
+        assert sum(map(len, _connected_subsets(10, k10))) == 1023
         monkeypatch.setattr(_kernel, "LIMIT", 1022)
         levels = []
         with pytest.raises(GuardLimitError, match=(
             "^1023 connected subsets listed so far exceed the limit of 1022$"
         )):
-            levels.extend(_connected_subsets(10, adj))
+            levels.extend(_connected_subsets(10, k10))
         assert list(map(len, levels)) == [1 << k for k in range(9)]
-        adj = _adjacency_masks(20, [(a, b) for a in range(20) for b in range(a)])
+        k20 = [(a, b) for a in range(20) for b in range(a)]
         monkeypatch.setattr(_kernel, "LIMIT", 1000)
         levels.clear()
         with pytest.raises(GuardLimitError, match="^1001 connected subsets"):
-            levels.extend(_connected_subsets(20, adj))
+            levels.extend(_connected_subsets(20, k20))
         assert list(map(len, levels)) == [1 << k for k in range(9)]
+
+
+class TestPieceMasks:
+    def test_matches_union_find(self):
+        # each vertex's piece is its component in the graph of the pairs
+        # that within keeps, and the distinct pieces come in the order of
+        # their lowest vertex; within -1 keeps every pair
+        rng = random.Random("piece-masks")
+        seen = set()
+        for trial in range(300):
+            n = 1 + trial % 10
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            within = -1 if trial % 5 == 0 else rng.getrandbits(len(pairs))
+            kept = [p for k, p in enumerate(pairs) if within >> k & 1]
+            want = [sum(1 << v for v in c) for c in oracles.components(Multigraph(range(n), kept))]
+            pieces = _piece_masks(n, pairs, within)
+            assert list(dict.fromkeys(pieces)) == want, trial
+            assert pieces == [next(c for c in want if c >> v & 1) for v in range(n)], trial
+            ends = {v for pair in kept for v in pair}
+            seen.update(
+                kind
+                for kind, hit in [
+                    ("loop", any(a == b for a, b in kept)),
+                    ("parallel", len(set(kept)) < len(kept)),
+                    ("isolated", len(ends) < n),
+                    ("interleaved", any(a > b for a, b in zip(want, want[1:]))),
+                ]
+                if hit
+            )
+        assert seen == {"loop", "parallel", "isolated", "interleaved"}
+        assert _piece_masks(0, []) == []
 
 
 class TestAgainstOracles:

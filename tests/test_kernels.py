@@ -220,6 +220,35 @@ class TestPureKernel:
             _check_plan(n, ctx._kept, plan)
         assert disconnected > 0  # G - S disconnected in some cases
 
+    def test_plan_past_61_bits(self):
+        # a 70-vertex path and a triangle, in closed form, as the flood of
+        # _planned stops at 8 vertices.  The plan's masks pass 61 bits,
+        # where ints share hashes.  With the path holding the last vertex
+        # the plan checks the triangle's subsets and the path's prefixes.
+        # With the triangle holding it, the triangle's subsets without it
+        # and the path's prefixes, suffixes and itself; every other interval
+        # of the path is kept unchecked, as a prefix of a suffix
+        def interval(i, j):
+            return (1 << j + 1) - (1 << i)
+
+        def plan(n, want):
+            levels = [[] for _ in range(n)]
+            for m in sorted(want):
+                levels[m.bit_length() - 1].append((m, want[m]))
+            return tuple(map(tuple, levels))
+
+        triangle = [(0, 1), (1, 2), (2, 0)]
+        path = [(k, k + 1) for k in range(3, 72)]
+        want = {m: True for m in range(1, 8)} | {interval(3, j): True for j in range(3, 72)}
+        assert _kernel_py._build_plan(73, triangle + path) == plan(73, want)
+        path = [(k, k + 1) for k in range(69)]
+        triangle = [(70, 71), (71, 72), (72, 70)]
+        want = {interval(i, j): False for i in range(70) for j in range(i, 70)}
+        want |= {interval(0, j): True for j in range(70)}
+        want |= {interval(i, 69): True for i in range(70)}
+        want |= {1 << 70: True, 1 << 71: True, 3 << 70: True}
+        assert _kernel_py._build_plan(73, path + triangle) == plan(73, want)
+
     def test_enumeration_matches_brute_force(self):
         # in the kernels' own vertex order the outputs come in increasing
         # order, as the brute force's do; up to 7 vertices, as the brute

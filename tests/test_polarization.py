@@ -16,7 +16,7 @@ from jacgraph import (
     canonical_polarization,
 )
 from jacgraph import _kernel, polarization
-from jacgraph.graph import _adjacency_masks, _connected_subsets
+from jacgraph.graph import _connected_subsets
 from jacgraph.polarization import _text_fraction
 
 import oracles
@@ -396,8 +396,8 @@ class TestClassificationBeyondCorpus:
         # first, and integral_witness walks on to find no non-spine
         levels = []
 
-        def counted(n, adj, real=polarization._connected_subsets):
-            for level in real(n, adj):
+        def counted(n, pairs, real=polarization._connected_subsets):
+            for level in real(n, pairs):
                 levels.append(level)
                 yield level
 
@@ -427,7 +427,7 @@ class TestClassificationBeyondCorpus:
         g = Multigraph(names, _chorded_edges(names))
         q = _large_polarization(rng, g, "general")
         calls = (q.is_general, q.is_nondegenerate, q.integral_witness)
-        count = sum(map(len, _connected_subsets(21, _adjacency_masks(21, g._pairs))))
+        count = sum(map(len, _connected_subsets(21, g._pairs)))
         assert count > 1 << 11  # past the residue tables
         monkeypatch.setattr(_kernel, "LIMIT", count)
         assert [call() for call in calls] == [True, True, None]

@@ -616,7 +616,7 @@ class TestEqualityWitness:
         # all spines, checked from the definitions: the witness is on the
         # budget, no subset W has d_W below q_W - val(W)/2, and Z sits on it
         rng = random.Random(83)
-        seen = dict.fromkeys(("degenerate", "spines only", "bridged"), 0)
+        seen = dict.fromkeys(("degenerate", "spines only", "bridged", "pieces"), 0)
         for _ in range(400):
             n = rng.randint(2, 8)
             names = [f"v{i}" for i in range(n)]
@@ -647,4 +647,9 @@ class TestEqualityWitness:
             assert len(oracles.components(g.induced_subgraph(Z))) == 1
             assert len(oracles.components(g.induced_subgraph(g.complement(Z)))) == 1
             assert not (degenerate and oracles.is_spine(g, Z))
+            # Z is the first piece, by lowest vertex, of the rest of the
+            # integral witness that is not a spine, else its first piece
+            rest = oracles.components(g.induced_subgraph(g.complement(q.integral_witness()[0])))
+            assert Z == next((c for c in rest if not oracles.is_spine(g, c)), rest[0])
+            seen["pieces"] += len(rest) > 1
         assert min(seen.values()) >= 50, seen
